@@ -668,8 +668,8 @@ func (b *Bench) Metrics() *telemetry.Registry { return b.reg }
 func (b *Bench) Engine() EngineKind { return b.engine }
 
 // TranslationStats reports what the proof-guided translator did with
-// this program: fused superinstruction pairs, unchecked memory micro-ops
-// and folded branches. Zero for the interpreter engine and for
+// this program: unchecked memory micro-ops, folded branches, elided
+// masks and dead blocks. Zero for the interpreter engine and for
 // unverified programs (no proofs, fully-checked translation).
 func (b *Bench) TranslationStats() vm.TranslateStats {
 	if b.tprog == nil {

@@ -68,7 +68,6 @@ var hotPathFuncs = map[string]bool{
 	"ProcessPacket":   true,
 	"ProcessPacketAt": true,
 	"runFast":         true,
-	"runFused":        true,
 	"runTraced":       true,
 }
 

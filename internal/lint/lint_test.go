@@ -114,7 +114,7 @@ func TestHotPathClosureBodyNotDoubleCounted(t *testing.T) {
 	// itself is the hot function's cost.
 	ds := check(t, `package vm
 
-func runFused() {
+func runFast() {
 	f := func() { _ = time.Now() }
 	_ = f
 }

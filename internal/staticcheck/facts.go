@@ -489,7 +489,7 @@ type Facts struct {
 // Translation bridges the facts to the translator's input format. The
 // block numbering is shared: both sides build their BlockMap with
 // analysis.NewBlockMap over the same text. Returns nil when the program
-// is untame (the translator then only fuses proof-free pairs).
+// is untame (the translator then keeps the fully-checked body).
 func (f *Facts) Translation() *vm.TranslationFacts {
 	if f == nil || !f.Tame || f.cfg == nil {
 		return nil

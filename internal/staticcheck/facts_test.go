@@ -177,10 +177,13 @@ ok:
 // FuzzFactsEngineDiff is the facts pipeline's differential fuzzer: for
 // any assemblable source, running the fully-checked reference
 // interpreter and the proof-guided threaded translation (facts applied:
-// elision, folding, fusion) from the verifier's entry under the
-// framework ABI must be bit-identical in every observable. This is the
-// soundness contract end-to-end — a wrong fact shows up here as an
-// engine divergence. CI runs this as a short -fuzz smoke.
+// elision, folding) from the verifier's entry under the framework ABI
+// must be bit-identical in every observable. Each input also runs at
+// every truncated step budget up to min(interpreter steps, 64), so a
+// block pass cut short by the budget — which runs the proof-rewritten
+// ops — is held to the same contract. This is the soundness contract
+// end-to-end — a wrong fact shows up here as an engine divergence. CI
+// runs this as a short -fuzz smoke.
 func FuzzFactsEngineDiff(f *testing.F) {
 	for _, s := range asm.FuzzSeeds {
 		f.Add(s)
@@ -197,7 +200,7 @@ func FuzzFactsEngineDiff(f *testing.F) {
 		tp := vm.TranslateWithFacts(prog.Text, prog.TextBase,
 			analysis.NewBlockMap(prog.Text, prog.TextBase), facts.Translation())
 
-		run := func(threaded bool) (*vm.CPU, uint64, vm.StopReason, *vm.Fault) {
+		run := func(threaded bool, budget uint64) (*vm.CPU, uint64, vm.StopReason, *vm.Fault) {
 			mem := vm.NewMemory()
 			mem.WriteBytes(prog.DataBase, prog.Data)
 			cpu := vm.New(prog.Text, prog.TextBase, mem)
@@ -213,9 +216,9 @@ func FuzzFactsEngineDiff(f *testing.F) {
 				rerr   error
 			)
 			if threaded {
-				steps, reason, rerr = cpu.RunProgram(tp, 100_000)
+				steps, reason, rerr = cpu.RunProgram(tp, budget)
 			} else {
-				steps, reason, rerr = cpu.Run(100_000)
+				steps, reason, rerr = cpu.Run(budget)
 			}
 			var fault *vm.Fault
 			if rerr != nil && !errors.As(rerr, &fault) {
@@ -224,26 +227,34 @@ func FuzzFactsEngineDiff(f *testing.F) {
 			return cpu, steps, reason, fault
 		}
 
-		ic, isteps, ireason, ifault := run(false)
-		tc, tsteps, treason, tfault := run(true)
-		if ic.Regs != tc.Regs {
-			t.Fatalf("registers diverge:\ninterp  %v\nthreaded %v", ic.Regs, tc.Regs)
+		diff := func(budget uint64) uint64 {
+			ic, isteps, ireason, ifault := run(false, budget)
+			tc, tsteps, treason, tfault := run(true, budget)
+			if ic.Regs != tc.Regs {
+				t.Fatalf("budget %d: registers diverge:\ninterp  %v\nthreaded %v", budget, ic.Regs, tc.Regs)
+			}
+			if ic.PC != tc.PC || isteps != tsteps || ireason != treason {
+				t.Fatalf("budget %d: pc/steps/reason diverge: interp (%#x,%d,%v) threaded (%#x,%d,%v)",
+					budget, ic.PC, isteps, ireason, tc.PC, tsteps, treason)
+			}
+			if (ifault == nil) != (tfault == nil) {
+				t.Fatalf("budget %d: fault presence diverges: interp %v threaded %v", budget, ifault, tfault)
+			}
+			if ifault != nil && (ifault.Kind != tfault.Kind || ifault.PC != tfault.PC || ifault.Addr != tfault.Addr) {
+				t.Fatalf("budget %d: faults diverge: interp %+v threaded %+v", budget, ifault, tfault)
+			}
+			if ic.PacketWriteHigh() != tc.PacketWriteHigh() {
+				t.Fatalf("budget %d: packet watermark diverges: %d vs %d", budget, ic.PacketWriteHigh(), tc.PacketWriteHigh())
+			}
+			if !ic.Mem.Equal(tc.Mem) {
+				t.Fatalf("budget %d: memory images diverge", budget)
+			}
+			return isteps
 		}
-		if ic.PC != tc.PC || isteps != tsteps || ireason != treason {
-			t.Fatalf("pc/steps/reason diverge: interp (%#x,%d,%v) threaded (%#x,%d,%v)",
-				ic.PC, isteps, ireason, tc.PC, tsteps, treason)
-		}
-		if (ifault == nil) != (tfault == nil) {
-			t.Fatalf("fault presence diverges: interp %v threaded %v", ifault, tfault)
-		}
-		if ifault != nil && (ifault.Kind != tfault.Kind || ifault.PC != tfault.PC || ifault.Addr != tfault.Addr) {
-			t.Fatalf("faults diverge: interp %+v threaded %+v", ifault, tfault)
-		}
-		if ic.PacketWriteHigh() != tc.PacketWriteHigh() {
-			t.Fatalf("packet watermark diverges: %d vs %d", ic.PacketWriteHigh(), tc.PacketWriteHigh())
-		}
-		if !ic.Mem.Equal(tc.Mem) {
-			t.Fatal("memory images diverge")
+
+		steps := diff(100_000)
+		for budget := uint64(0); budget <= min(steps, 64); budget++ {
+			diff(budget)
 		}
 	})
 }
@@ -261,6 +272,9 @@ func FuzzCompiledEngineDiff(f *testing.F) {
 	}
 	f.Add("process_packet:\n\tlbu t0, 0(a0)\n\tandi t0, t0, 0xFF\n\tsw t0, -4(sp)\n\tret")
 	f.Add("p:\n\tli t0, 64\n\tli t1, 0\nx:\n\tlw t2, 0(a0)\n\tadd t1, t1, t2\n\txor t1, t1, t0\n\tsw t1, -8(sp)\n\taddi t0, t0, -1\n\tbne t0, zero, x\n\tret")
+	// An untame program (no facts): Compile refuses, and the run falls
+	// back to the threaded engine the way core.Bench does.
+	f.Add(".globl out\naddi a0, zero, 0\nout: halt")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := asm.Assemble(src, asm.Options{})
 		if err != nil || len(prog.Text) == 0 || len(prog.Text) > 4096 {
@@ -291,9 +305,12 @@ func FuzzCompiledEngineDiff(f *testing.F) {
 				reason vm.StopReason
 				rerr   error
 			)
-			if compiled {
+			switch {
+			case compiled && cp != nil:
 				steps, reason, rerr = cpu.RunCompiled(cp, 100_000)
-			} else {
+			case compiled:
+				steps, reason, rerr = cpu.RunProgram(tp, 100_000)
+			default:
 				steps, reason, rerr = cpu.Run(100_000)
 			}
 			var fault *vm.Fault

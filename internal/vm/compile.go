@@ -198,7 +198,7 @@ type CompiledProgram struct {
 // facts must carry the verifier's proof for this exact program: the
 // compiled tier exists only for verified programs, so a nil facts
 // refuses to compile (callers fall back to the threaded engine — the
-// same no-proof-no-elision contract the fused translator enforces).
+// same no-proof-no-elision contract the proof-guided translator enforces).
 // cfg.Hot seeds eager chains; everything else is promoted online.
 func Compile(p *Program, facts *TranslationFacts, cfg CompileConfig) *CompiledProgram {
 	if p == nil || facts == nil || len(p.ops) == 0 {
@@ -253,44 +253,6 @@ func (cp *CompiledProgram) compileAt(idx int32) bool {
 	return true
 }
 
-// chainOp returns instruction i's micro-op with the facts rewrites the
-// fused translator applies — unchecked memory ops, folded branches,
-// elided masks — independent of whether the threaded body kept fusion.
-func chainOp(p *Program, facts *TranslationFacts, i int) microOp {
-	op := p.ops[i]
-	switch op.code {
-	case uLB, uLBU, uLH, uLHU, uLW:
-		if r := facts.memAt(i); r != RegionNone {
-			if op.rd == 0 {
-				// Cannot fault, cannot write: architecturally inert.
-				return microOp{code: uNOP}
-			}
-			op.code = op.code - uLB + uULB
-			op.rs2 = uint8(r)
-		}
-	case uSB, uSH, uSW:
-		if r := facts.memAt(i); r != RegionNone {
-			op.code = op.code - uSB + uUSB
-			op.rs2 = uint8(r)
-		}
-	case uAND, uANDI:
-		if facts.redundantAt(i) {
-			if op.rd == op.rs1 {
-				return microOp{code: uNOP}
-			}
-			return microOp{code: uADDI, rd: op.rd, rs1: op.rs1}
-		}
-	case uBEQ, uBNE, uBLT, uBGE, uBLTU, uBGEU:
-		switch facts.branchAt(i) {
-		case BranchNever:
-			return microOp{code: uNOP}
-		case BranchAlways:
-			op.code = uGOTO
-		}
-	}
-	return op
-}
-
 // Roles a chain slot can play; they select the closure shape.
 const (
 	roleOp       uint8 = iota // straight-line op, continues to the next slot
@@ -303,9 +265,8 @@ const (
 )
 
 // Slot fusion kinds: adjacent non-faulting slots merged into one closure
-// (the compiled tier's superinstructions — same philosophy as the
-// threaded fuser's pair tables, specialized at build time so the merged
-// closure has no inner dispatch).
+// (the compiled tier's superinstructions, specialized at build time so
+// the merged closure has no inner dispatch).
 const (
 	fkNone     uint8 = iota
 	fkLdAlu          // unchecked word load + ALU
@@ -353,7 +314,7 @@ walk:
 			needEnd = true
 			break
 		}
-		op := chainOp(p, facts, i)
+		op := facts.provenOp(p, i)
 		pc := p.textBase + uint32(i)*isa.WordSize
 		seen[i] = true
 		switch {
@@ -453,7 +414,7 @@ walk:
 
 // aluFusable marks the ALU codes the fused closure factory specializes
 // as the partner of a load or store component. Sized over the whole
-// code range a chain slot can carry — chainOp rewrites proven memory
+// code range a chain slot can carry — provenOp rewrites proven memory
 // ops to the unchecked codes (uULW..uUSW) and folded branches to uGOTO,
 // all past uBAD, and those must index as false, not out of range.
 var aluFusable = [uGOTO + 1]bool{
@@ -463,8 +424,7 @@ var aluFusable = [uGOTO + 1]bool{
 
 // aluPairs is the set of hot ALU+ALU pairs with a specialized fused
 // closure — the counted-loop and hash-mix idioms the guest profiler
-// shows hottest, the same selection philosophy as the threaded fuser's
-// fuseAA table.
+// shows hottest.
 var aluPairs = map[[2]uint8]bool{
 	{uANDI, uADD}: true, {uADD, uXOR}: true, {uXOR, uADD}: true,
 	{uAND, uADD}: true, {uADD, uADDI}: true, {uADDI, uADDI}: true,
@@ -499,8 +459,8 @@ func fuseKind(a, b *cslot) uint8 {
 }
 
 // fuseSlots merges adjacent slot pairs with specialized fused closures,
-// greedily left to right (the same order the threaded fuser consumes
-// its stream). The merged slot keeps the second op's exit metadata.
+// greedily left to right. The merged slot keeps the second op's exit
+// metadata.
 func fuseSlots(slots []cslot) []cslot {
 	out := make([]cslot, 0, len(slots))
 	for k := 0; k < len(slots); k++ {
@@ -843,7 +803,7 @@ func makeStep(s *cslot, nx cstep) cstep {
 
 	// Unchecked loads: the verifier proved alignment and region, so the
 	// closure is a bare page-cache read (rd != 0 by construction — the
-	// inert case became uNOP in chainOp).
+	// inert case became uNOP in provenOp).
 	case uULB:
 		return func(c *CPU, regs *[isa.NumRegs]uint32) {
 			regs[rd&15] = uint32(int32(int8(c.cachedRead8(regs[rs1&15] + imm))))

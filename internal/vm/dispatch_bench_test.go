@@ -42,7 +42,7 @@ func (t *countingTracer) Mem(pc, addr uint32, size uint8, write bool, region Reg
 	t.mems++
 }
 
-// BenchmarkVMDispatch measures raw simulator dispatch across the four
+// BenchmarkVMDispatch measures raw simulator dispatch across the
 // engine/tracing combinations on the synthetic kernel. The instrs/sec
 // metric is the simulator's headline speed; the threaded/traced=false
 // row is the per-packet hot path the block-threaded engine exists for.
@@ -56,24 +56,21 @@ func BenchmarkVMDispatch(b *testing.B) {
 	// dispatchProgram (built by hand — the vm package cannot import the
 	// verifier): the LW cursor stays inside the packet region (base +
 	// (counter & 0x3C), word-aligned) and the SW target is sp-8 on the
-	// stack. The threaded-fused row applies superinstruction fusion alone
-	// (nil facts), and threaded-proof adds the bounds-check elision, so
-	// the three untraced threaded rows separate dispatch, fusion, and
-	// checking costs.
+	// stack. The threaded-proof row runs the proof-rewritten body, so the
+	// two untraced threaded rows separate dispatch and checking costs.
 	kernelFacts := &TranslationFacts{Mem: make([]Region, len(text))}
 	kernelFacts.Mem[3] = RegionPacket
 	kernelFacts.Mem[6] = RegionStack
-	fusedProg := TranslateWithFacts(text, textBase, blocks, nil)
 	proofProg := TranslateWithFacts(text, textBase, blocks, kernelFacts)
 	// The compiled row re-compiles per sub-benchmark run (the
 	// CompiledProgram is per-CPU state), seeded hot so the chains exist
 	// from the first iteration like the other engines' programs do.
 	compiledHot := []int32{0, 3}
 
-	for _, engine := range []string{"threaded", "threaded-fused", "threaded-proof", "compiled", "interp"} {
+	for _, engine := range []string{"threaded", "threaded-proof", "compiled", "interp"} {
 		for _, traced := range []bool{false, true} {
-			if traced && (engine == "threaded-fused" || engine == "threaded-proof" || engine == "compiled") {
-				continue // tracing always runs the unfused checked body
+			if traced && (engine == "threaded-proof" || engine == "compiled") {
+				continue // tracing always runs the fully-checked body
 			}
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
 				mem := NewMemory()
@@ -107,8 +104,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 					switch engine {
 					case "threaded":
 						_, _, err = cpu.RunProgram(tprog, 1<<30)
-					case "threaded-fused":
-						_, _, err = cpu.RunProgram(fusedProg, 1<<30)
 					case "threaded-proof":
 						_, _, err = cpu.RunProgram(proofProg, 1<<30)
 					case "compiled":

@@ -52,6 +52,52 @@ const (
 	BranchNever                     // never taken on any run
 )
 
+// provenOp returns instruction i's micro-op from p's fully-checked body
+// with the facts rewrites applied: proven loads and stores become
+// unchecked micro-ops carrying their region in rs2 (a proven load into
+// the zero register cannot fault or write, so it becomes uNOP), provably
+// redundant masks become register moves, and proven-direction branches
+// fold to uNOP/uGOTO. Instructions in dead blocks keep their
+// fully-checked op. This is the one place the rewrites live: the
+// threaded translator and the compiled tier both take their ops here.
+func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
+	op := p.ops[i]
+	if tf.deadAt(int(p.blockOf[i])) {
+		return op
+	}
+	switch op.code {
+	case uLB, uLBU, uLH, uLHU, uLW:
+		if r := tf.memAt(i); r != RegionNone {
+			if op.rd == 0 {
+				return microOp{code: uNOP}
+			}
+			op.code = op.code - uLB + uULB
+			op.rs2 = uint8(r)
+		}
+	case uSB, uSH, uSW:
+		if r := tf.memAt(i); r != RegionNone {
+			op.code = op.code - uSB + uUSB
+			op.rs2 = uint8(r)
+		}
+	case uAND, uANDI:
+		if tf.redundantAt(i) {
+			// The mask provably keeps every possibly-set source bit.
+			if op.rd == op.rs1 {
+				return microOp{code: uNOP}
+			}
+			return microOp{code: uADDI, rd: op.rd, rs1: op.rs1}
+		}
+	case uBEQ, uBNE, uBLT, uBGE, uBLTU, uBGEU:
+		switch tf.branchAt(i) {
+		case BranchNever:
+			return microOp{code: uNOP}
+		case BranchAlways:
+			op.code = uGOTO
+		}
+	}
+	return op
+}
+
 // memAt returns the proven region for instruction i, RegionNone when the
 // facts are absent or silent.
 func (tf *TranslationFacts) memAt(i int) Region {

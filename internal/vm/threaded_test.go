@@ -54,9 +54,9 @@ func runEngine(t *testing.T, text []isa.Instruction, textBase uint32, maxSteps u
 		err    error
 	)
 	if threaded {
-		// Nil facts: superinstruction fusion is on (it needs no proofs)
-		// but nothing is elided or unchecked, so the differential tests
-		// exercise the fused dispatch loop against the interpreter.
+		// Nil facts prove nothing, so this runs the plain, fully-checked
+		// body through the untraced runFast loop (or runTraced when a
+		// tracer is attached) against the interpreter.
 		p := TranslateWithFacts(text, textBase, analysis.NewBlockMap(text, textBase), nil)
 		steps, reason, err = cpu.RunProgram(p, maxSteps)
 	} else {
@@ -421,12 +421,13 @@ func TestThreadedStepsAccumulate(t *testing.T) {
 
 // TestNoProofNoUncheckedOps is the hostile half of the proof-guided
 // translation contract: without verifier proofs, no memory check may be
-// elided and no branch folded, no matter how fusable the program looks.
-// Plain Translate (the Options.NoVerify path) must additionally emit no
-// proof-guided micro-ops at all — not even superinstructions.
+// elided and no branch folded, no matter how tempting the program looks.
+// Plain Translate (the Options.NoVerify path) must emit no proof-guided
+// micro-ops at all, and TranslateWithFacts without proofs must produce
+// exactly Translate's body.
 func TestNoProofNoUncheckedOps(t *testing.T) {
 	const base = 0x00400000
-	// Loads, stores, a fusable ALU chain, and a loop latch: everything
+	// Loads, stores, a mask, an ALU chain, and a loop latch: everything
 	// the optimizer would love to touch.
 	text := []isa.Instruction{
 		ins(isa.LW, 4, 1, 0, 0),
@@ -464,22 +465,13 @@ func TestNoProofNoUncheckedOps(t *testing.T) {
 		if st.UncheckedLoads+st.UncheckedStores+st.FoldedBranches+st.ElidedMasks+st.DeadBlocks != 0 {
 			t.Fatalf("%s: elision without proof: %+v", tc.name, st)
 		}
-		for i, op := range p.fops {
-			if op.code >= uULB && op.code <= uGOTO {
-				t.Fatalf("%s: unchecked/folded code %d at %d", tc.name, op.code, i)
-			}
-		}
-		// Fusion itself needs no proofs and must still fire, and every
-		// consumed slot must keep its single-op form for mid-entry.
-		if st.FusedPairs+st.FusedTriples+st.FusedWide == 0 {
-			t.Fatalf("%s: no fusion on a fusable program", tc.name)
+		// Op for op, the untraced body is Translate's plain body.
+		if len(p.fops) != len(plain.ops) {
+			t.Fatalf("%s: body has %d ops, want %d", tc.name, len(p.fops), len(plain.ops))
 		}
 		for i, op := range p.fops {
-			if op.code > uGOTO || i == 0 {
-				continue // fused heads diverge from the plain form by design
-			}
-			if op != plain.fops[i] && op.code <= uBAD && p.fops[i-1].code <= uGOTO {
-				t.Fatalf("%s: non-head slot %d changed: %+v vs %+v", tc.name, i, op, plain.fops[i])
+			if op != plain.ops[i] {
+				t.Fatalf("%s: op %d = %+v, want Translate's %+v", tc.name, i, op, plain.ops[i])
 			}
 		}
 	}

@@ -77,7 +77,7 @@ func FuzzVM(f *testing.F) {
 // tracer event streams — must be bit-identical. CI runs this as a short
 // -fuzz smoke.
 // seedProg encodes instructions in the fuzzers' 6-byte wire form, for
-// seeding structured idioms (fusion patterns, boundary accesses) that
+// seeding structured idioms (hot app loops, boundary accesses) that
 // random mutation is slow to discover.
 func seedProg(ins ...isa.Instruction) []byte {
 	b := make([]byte, 0, len(ins)*6)
@@ -92,9 +92,8 @@ func FuzzEngineDiff(f *testing.F) {
 	f.Add([]byte{byte(isa.HALT), 0, 0, 0, 0, 0})
 	// The TSA sub-key walk shape: the srli/slli/andi/or/add bit-extract
 	// chain, a checked table load, and the slli/or/xor/slli/or/addi/blt
-	// tail — the exact sequences the translator fuses into its 5-wide
-	// and 7-wide superinstructions, with the loop latch taken four times
-	// and then falling through to a return.
+	// tail — the hottest loop in the bundled apps, with the loop latch
+	// taken four times and then falling through to a return.
 	f.Add(seedProg(
 		isa.Instruction{Op: isa.ORI, Rd: 10, Rs1: isa.Zero, Imm: 4},
 		isa.Instruction{Op: isa.SRLI, Rd: 4, Rs1: 5, Imm: 31},
@@ -112,8 +111,8 @@ func FuzzEngineDiff(f *testing.F) {
 		isa.Instruction{Op: isa.BLT, Rs1: 8, Rs2: 10, Imm: -13},
 		isa.Instruction{Op: isa.JALR, Rs1: 15},
 	))
-	// LUI+ORI constant build and ADDI+JAL call setup (uFLuiOri and
-	// uFAddiJal), then AND+BNE (uFAndBne) on the return path.
+	// LUI+ORI constant build and ADDI+JAL call setup, then AND+BNE on
+	// the return path.
 	f.Add(seedProg(
 		isa.Instruction{Op: isa.LUI, Rd: 4, Imm: 5},
 		isa.Instruction{Op: isa.ORI, Rd: 4, Rs1: 4, Imm: 0x41},
