@@ -86,7 +86,6 @@ type config struct {
 	progress    bool          // live status line on stderr
 	debugAddr   string        // /metrics + expvar + pprof HTTP endpoint
 	profileOut  string        // guest-profile output path prefix
-	profileIn   string        // recorded counts sidecar feeding PGO compilation
 	traceOut    string        // packet-journey Chrome trace JSON output path
 	traceSample string        // head-sampling rate, "1/N" (or N); "off" disables
 	traceTail   time.Duration // always keep journeys slower than this
@@ -95,50 +94,54 @@ type config struct {
 
 func main() {
 	var cfg config
-	flag.StringVar(&cfg.app, "app", "radix", "application: radix, trie, flow, or tsa")
-	flag.StringVar(&cfg.gen, "gen", "", "generate a synthetic trace with this profile (MRA, COS, ODU, LAN)")
-	flag.StringVar(&cfg.traceFile, "trace", "", "read packets from these pcap/TSH files (comma-separated shards replay merged by timestamp) instead of generating")
-	flag.BoolVar(&cfg.mmapTrace, "mmap", true, "memory-map pcap inputs when streaming into the pool (zero-copy; buffered reads when unavailable)")
-	flag.IntVar(&cfg.batch, "batch", 0, "packets per streaming pool job (0 = scheduler default)")
-	flag.IntVar(&cfg.count, "n", 10000, "number of packets to process")
-	flag.IntVar(&cfg.prefixes, "prefixes", 32768, "routing table size for the forwarding applications")
-	flag.IntVar(&cfg.buckets, "buckets", flow.DefaultBuckets, "hash buckets for flow classification")
-	flag.Uint64Var(&cfg.tsaKey, "key", 0x5453412D31363A31, "TSA anonymization key")
-	flag.StringVar(&cfg.outFile, "out", "", "write processed packets to this pcap file (useful with -app tsa)")
-	flag.IntVar(&cfg.topK, "top", 3, "rows in the instruction-count occurrence table")
-	flag.BoolVar(&cfg.preprocess, "preprocess", true, "apply NLANR renumbering + scrambling to generated backbone traces")
-	flag.BoolVar(&cfg.uarch, "microarch", false, "also report microarchitectural statistics (mix, branches, caches, cycles)")
-	flag.StringVar(&cfg.tableFile, "table", "", "load the routing table from this text file (\"a.b.c.d/len hop\" lines) instead of deriving it")
-	flag.IntVar(&cfg.dumpPkt, "dumppkt", -1, "print the disassembled execution trace of this packet index")
-	flag.BoolVar(&cfg.annotate, "annotate", false, "print a gprof-style listing with per-instruction execution counts")
-	flag.StringVar(&cfg.flowDot, "flowgraph", "", "write the weighted basic-block flow graph to this Graphviz file")
-	flag.IntVar(&cfg.pool, "pool", 1, "run on this many simulated cores via the streaming work-queue scheduler (stateful applications keep per-core state)")
-	flag.StringVar(&cfg.engine, "engine", "threaded", "execution engine: threaded (block-threaded, default), compiled (profile-guided closure compilation over the threaded tier), or interp (reference interpreter)")
-	flag.BoolVar(&cfg.noVerify, "no-verify", false, "load the application even if the static verifier reports errors")
-	flag.StringVar(&cfg.faultPolicy, "fault-policy", "fail-fast", "reaction to per-packet faults: fail-fast, skip (quarantine and continue), or retry")
-	flag.IntVar(&cfg.errorBudget, "error-budget", 0, "max packets one run may quarantine under -fault-policy skip/retry (0 = unlimited); also bounds malformed trace records skipped by the readers")
-	flag.IntVar(&cfg.maxAttempts, "max-attempts", 2, "total attempts per packet under -fault-policy retry")
-	flag.StringVar(&cfg.inject, "inject", "", "deterministic fault injection plan, e.g. \"flip@3,vmfault@11,panic@19,stall@31,readerr@40\" (kinds: flip, trunc, clamp, vmfault, panic, delay, stall, readerr, tearckpt)")
-	flag.Int64Var(&cfg.seed, "seed", 1, "seed for -inject randomness (unspecified offsets, masks, step counts)")
-	flag.StringVar(&cfg.checkpoint, "checkpoint", "", "write periodic resume checkpoints of a streaming pool run to this file (atomic rename; see -resume)")
-	flag.IntVar(&cfg.checkpointEvery, "checkpoint-every", 8192, "committed packets between checkpoint writes")
-	flag.BoolVar(&cfg.resume, "resume", false, "resume the run from the -checkpoint file instead of starting over")
-	flag.DurationVar(&cfg.deadline, "deadline", 0, "cancel the run after this wall-clock duration (0 = none)")
-	flag.DurationVar(&cfg.stallTimeout, "stall-timeout", 0, "cancel a pool run when a worker makes no progress for this long (0 = watchdog off)")
-	flag.StringVar(&cfg.shed, "shed", "block", "pool overload policy when the backlog is full: block (lossless), drop-newest, or drop-oldest")
-	flag.BoolVar(&cfg.progress, "progress", false, "render a live status line on stderr: packets/sec, instrs/sec, faults, p99 latency, shed/stall counts, %% complete")
-	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics (Prometheus text), /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
-	flag.StringVar(&cfg.profileOut, "profile-out", "", "write guest-program profiles to <path>.folded (flamegraph), <path>.pb.gz (go tool pprof) and <path>.counts (-profile-in sidecar)")
-	flag.StringVar(&cfg.profileIn, "profile-in", "", "seed -engine=compiled block selection from this recorded counts sidecar (written by a previous run's -profile-out)")
-	flag.StringVar(&cfg.traceOut, "trace-out", "", "write sampled packet-journey spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
-	flag.StringVar(&cfg.traceSample, "trace-sample", "1/64", "packet-journey head-sampling rate, \"1/N\" or N (keep every Nth packet's span tree); \"off\" keeps only the slow-packet tail")
-	flag.DurationVar(&cfg.traceTail, "trace-tail", 0, "always keep journeys of packets slower than this host latency, regardless of sampling (0 = reservoir of slowest only)")
-	flag.StringVar(&cfg.flightPath, "flight-dump", "", "arm the flight recorder and write a post-mortem ring dump (Chrome trace JSON) to this file when the run aborts")
+	registerFlags(flag.CommandLine, &cfg)
 	flag.Parse()
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "packetbench:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags binds the command-line flags to cfg's fields.
+func registerFlags(fs *flag.FlagSet, cfg *config) {
+	fs.StringVar(&cfg.app, "app", "radix", "application: radix, trie, flow, or tsa")
+	fs.StringVar(&cfg.gen, "gen", "", "generate a synthetic trace with this profile (MRA, COS, ODU, LAN)")
+	fs.StringVar(&cfg.traceFile, "trace", "", "read packets from these pcap/TSH files (comma-separated shards replay merged by timestamp) instead of generating")
+	fs.BoolVar(&cfg.mmapTrace, "mmap", true, "memory-map pcap inputs when streaming into the pool (zero-copy; buffered reads when unavailable)")
+	fs.IntVar(&cfg.batch, "batch", 0, "packets per streaming pool job (0 = scheduler default)")
+	fs.IntVar(&cfg.count, "n", 10000, "number of packets to process")
+	fs.IntVar(&cfg.prefixes, "prefixes", 32768, "routing table size for the forwarding applications")
+	fs.IntVar(&cfg.buckets, "buckets", flow.DefaultBuckets, "hash buckets for flow classification")
+	fs.Uint64Var(&cfg.tsaKey, "key", 0x5453412D31363A31, "TSA anonymization key")
+	fs.StringVar(&cfg.outFile, "out", "", "write processed packets to this pcap file (useful with -app tsa)")
+	fs.IntVar(&cfg.topK, "top", 3, "rows in the instruction-count occurrence table")
+	fs.BoolVar(&cfg.preprocess, "preprocess", true, "apply NLANR renumbering + scrambling to generated backbone traces")
+	fs.BoolVar(&cfg.uarch, "microarch", false, "also report microarchitectural statistics (mix, branches, caches, cycles)")
+	fs.StringVar(&cfg.tableFile, "table", "", "load the routing table from this text file (\"a.b.c.d/len hop\" lines) instead of deriving it")
+	fs.IntVar(&cfg.dumpPkt, "dumppkt", -1, "print the disassembled execution trace of this packet index")
+	fs.BoolVar(&cfg.annotate, "annotate", false, "print a gprof-style listing with per-instruction execution counts")
+	fs.StringVar(&cfg.flowDot, "flowgraph", "", "write the weighted basic-block flow graph to this Graphviz file")
+	fs.IntVar(&cfg.pool, "pool", 1, "run on this many simulated cores via the streaming work-queue scheduler (stateful applications keep per-core state)")
+	fs.StringVar(&cfg.engine, "engine", "threaded", "execution engine: threaded|interp (the block-threaded default, or the reference interpreter)")
+	fs.BoolVar(&cfg.noVerify, "no-verify", false, "load the application even if the static verifier reports errors")
+	fs.StringVar(&cfg.faultPolicy, "fault-policy", "fail-fast", "reaction to per-packet faults: fail-fast, skip (quarantine and continue), or retry")
+	fs.IntVar(&cfg.errorBudget, "error-budget", 0, "max packets one run may quarantine under -fault-policy skip/retry (0 = unlimited); also bounds malformed trace records skipped by the readers")
+	fs.IntVar(&cfg.maxAttempts, "max-attempts", 2, "total attempts per packet under -fault-policy retry")
+	fs.StringVar(&cfg.inject, "inject", "", "deterministic fault injection plan, e.g. \"flip@3,vmfault@11,panic@19,stall@31,readerr@40\" (kinds: flip, trunc, clamp, vmfault, panic, delay, stall, readerr, tearckpt)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "seed for -inject randomness (unspecified offsets, masks, step counts)")
+	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write periodic resume checkpoints of a streaming pool run to this file (atomic rename; see -resume)")
+	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 8192, "committed packets between checkpoint writes")
+	fs.BoolVar(&cfg.resume, "resume", false, "resume the run from the -checkpoint file instead of starting over")
+	fs.DurationVar(&cfg.deadline, "deadline", 0, "cancel the run after this wall-clock duration (0 = none)")
+	fs.DurationVar(&cfg.stallTimeout, "stall-timeout", 0, "cancel a pool run when a worker makes no progress for this long (0 = watchdog off)")
+	fs.StringVar(&cfg.shed, "shed", "block", "pool overload policy when the backlog is full: block (lossless), drop-newest, or drop-oldest")
+	fs.BoolVar(&cfg.progress, "progress", false, "render a live status line on stderr: packets/sec, instrs/sec, faults, p99 latency, shed/stall counts, %% complete")
+	fs.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /metrics (Prometheus text), /debug/vars (expvar) and /debug/pprof on this address (e.g. :6060)")
+	fs.StringVar(&cfg.profileOut, "profile-out", "", "write guest-program profiles to <path>.folded (flamegraph) and <path>.pb.gz (go tool pprof)")
+	fs.StringVar(&cfg.traceOut, "trace-out", "", "write sampled packet-journey spans as Chrome trace-event JSON to this file (load in Perfetto or chrome://tracing)")
+	fs.StringVar(&cfg.traceSample, "trace-sample", "1/64", "packet-journey head-sampling rate, \"1/N\" or N (keep every Nth packet's span tree); \"off\" keeps only the slow-packet tail")
+	fs.DurationVar(&cfg.traceTail, "trace-tail", 0, "always keep journeys of packets slower than this host latency, regardless of sampling (0 = reservoir of slowest only)")
+	fs.StringVar(&cfg.flightPath, "flight-dump", "", "arm the flight recorder and write a post-mortem ring dump (Chrome trace JSON) to this file when the run aborts")
 }
 
 // errorPolicy translates the CLI fault flags.
@@ -442,19 +445,14 @@ func run(cfg config) error {
 		return runPool(app, trace.NewSliceReader(pkts), 0, &cfg, policy, engine, inj, reg, tracer, false, nil)
 	}
 
-	pgo, err := readProfileCounts(cfg.profileIn)
-	if err != nil {
-		return err
-	}
 	bench, err := core.New(app, core.Options{
-		Coverage:      true,
-		Detail:        cfg.dumpPkt >= 0 || cfg.flowDot != "",
-		Errors:        policy,
-		Engine:        engine,
-		NoVerify:      cfg.noVerify,
-		Metrics:       reg,
-		ProfileCounts: pgo,
-		Trace:         tracer,
+		Coverage: true,
+		Detail:   cfg.dumpPkt >= 0 || cfg.flowDot != "",
+		Errors:   policy,
+		Engine:   engine,
+		NoVerify: cfg.noVerify,
+		Metrics:  reg,
+		Trace:    tracer,
 	})
 	if err != nil {
 		return describeVerifyError(err)
@@ -755,30 +753,9 @@ func writeProfiles(base string, app *core.App, prog *asm.Program, counts []uint6
 	if err := write(base+".pb.gz", func(f *os.File) error { return p.WritePprof(f) }); err != nil {
 		return err
 	}
-	if err := write(base+".counts", func(f *os.File) error { return profile.WriteCounts(f, counts) }); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote guest profile (%d functions, %d instructions) to %s.folded, %s.pb.gz and %s.counts\n",
-		len(p.Funcs), p.Total, base, base, base)
+	fmt.Printf("\nwrote guest profile (%d functions, %d instructions) to %s.folded and %s.pb.gz\n",
+		len(p.Funcs), p.Total, base, base)
 	return nil
-}
-
-// readProfileCounts loads the -profile-in counts sidecar, nil when the
-// flag is unset.
-func readProfileCounts(path string) ([]uint64, error) {
-	if path == "" {
-		return nil, nil
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	counts, err := profile.ReadCounts(f)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return counts, nil
 }
 
 // describeVerifyError expands a static-verification rejection into the
@@ -856,21 +833,16 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 	if err != nil {
 		return err
 	}
-	pgo, err := readProfileCounts(cfg.profileIn)
-	if err != nil {
-		return err
-	}
 	pool, err := core.NewPool(app, cfg.pool, core.Options{
-		Errors:        policy,
-		Engine:        engine,
-		NoVerify:      cfg.noVerify,
-		Metrics:       reg,
-		RunDeadline:   cfg.deadline,
-		StallTimeout:  cfg.stallTimeout,
-		Shed:          shed,
-		ProfileCounts: pgo,
-		Trace:         tracer,
-		FlightPath:    cfg.flightPath,
+		Errors:       policy,
+		Engine:       engine,
+		NoVerify:     cfg.noVerify,
+		Metrics:      reg,
+		RunDeadline:  cfg.deadline,
+		StallTimeout: cfg.stallTimeout,
+		Shed:         shed,
+		Trace:        tracer,
+		FlightPath:   cfg.flightPath,
 	})
 	if err != nil {
 		return describeVerifyError(err)

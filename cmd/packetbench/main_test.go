@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -130,6 +132,29 @@ func TestRunErrors(t *testing.T) {
 	if err := run(cfg); err == nil {
 		t.Error("bad injection plan accepted")
 	}
+	cfg = testConfig("flow", "LAN", 10)
+	cfg.engine = "compiled"
+	if err := run(cfg); err == nil || !strings.Contains(err.Error(), "want threaded or interp") {
+		t.Errorf("-engine compiled: got %v, want the unknown-engine error", err)
+	}
+}
+
+// TestFlagHelp pins the engine and profile flags' surface: two engines,
+// and -profile-out writes only the .folded and .pb.gz outputs.
+func TestFlagHelp(t *testing.T) {
+	fs := flag.NewFlagSet("packetbench", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	var cfg config
+	registerFlags(fs, &cfg)
+	if got := fs.Lookup("engine").Usage; !strings.Contains(got, "threaded|interp") || strings.Contains(got, "compiled") {
+		t.Errorf("-engine help = %q, want threaded|interp only", got)
+	}
+	if got := fs.Lookup("profile-out").Usage; !strings.Contains(got, ".folded") || !strings.Contains(got, ".pb.gz") || strings.Contains(got, ".counts") {
+		t.Errorf("-profile-out help = %q, want .folded and .pb.gz only", got)
+	}
+	if err := fs.Parse([]string{"-profile-in", "x.counts"}); err == nil {
+		t.Error("-profile-in accepted")
+	}
 }
 
 func TestRunPoolMode(t *testing.T) {
@@ -245,6 +270,9 @@ func TestRunObservability(t *testing.T) {
 	}
 	if _, err := os.Stat(cfg.profileOut + ".pb.gz"); err != nil {
 		t.Errorf("pprof output missing: %v", err)
+	}
+	if _, err := os.Stat(cfg.profileOut + ".counts"); !os.IsNotExist(err) {
+		t.Errorf("-profile-out wrote a .counts file: %v", err)
 	}
 }
 

@@ -28,7 +28,7 @@ func main() {
 		scale   = flag.Float64("scale", 1.0, "scale factor on the paper's packet counts")
 		outDir  = flag.String("out", "", "also write figure series as CSV files into this directory")
 		profM   = flag.Bool("profile", false, "profile each application's guest program instead of running experiments; with -out, also writes <app>.folded and <app>.pb.gz")
-		hotM    = flag.Bool("hot", false, "print each application's top-K hot basic blocks from a recorded profile run (the compiled tier's selection view)")
+		hotM    = flag.Bool("hot", false, "print each application's top-K hot basic blocks by retired instructions from a recorded profile run")
 		spansM  = flag.Bool("spans", false, "print each application's packet-journey breakdown: per-stage latency plus the slowest packets attributed to guest functions")
 		hotK    = flag.Int("k", 10, "rows per application in -hot and -spans modes")
 		profTr  = flag.String("profile-trace", "MRA", "trace the -profile mode runs each application over")
@@ -64,8 +64,7 @@ func main() {
 
 // runHot is the -hot mode: run every application over the named trace
 // with per-instruction counting and print the top-k basic blocks by
-// retired instructions — the blocks the compiled tier's profile-guided
-// selection would compile first.
+// retired instructions.
 func runHot(traceName string, packets, k int) error {
 	cfg := report.Config{TablePackets: packets}
 	fmt.Fprintf(os.Stderr, "building environment (traces + routing tables)...\n")

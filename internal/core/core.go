@@ -48,7 +48,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/isa"
-	"repro/internal/profile"
 	"repro/internal/ptrace"
 	"repro/internal/staticcheck"
 	"repro/internal/stats"
@@ -108,16 +107,10 @@ const (
 	// EngineInterpreter is the reference interpreter — the oracle the
 	// threaded engine is differentially validated against.
 	EngineInterpreter
-	// EngineCompiled is the third tier: hot basic-block chains are
-	// lowered into specialized Go closures (vm.Compile), with the
-	// threaded translation as the cold tier and side-exit target.
-	// Selection is profile-guided — offline through Options.
-	// ProfileCounts, online through per-block execution counting.
-	// Requires the verifier: under NoVerify there are no facts, no
-	// chains are ever built, and the bench silently runs the threaded
-	// engine's fully-checked translation instead.
-	EngineCompiled
 )
+
+// Deprecated: EngineCompiled is EngineThreaded.
+const EngineCompiled = EngineThreaded
 
 // String returns the CLI name of the engine.
 func (e EngineKind) String() string {
@@ -126,8 +119,6 @@ func (e EngineKind) String() string {
 		return "threaded"
 	case EngineInterpreter:
 		return "interp"
-	case EngineCompiled:
-		return "compiled"
 	}
 	return fmt.Sprintf("engine?%d", int(e))
 }
@@ -139,15 +130,9 @@ func ParseEngine(s string) (EngineKind, error) {
 		return EngineThreaded, nil
 	case "interp", "interpreter":
 		return EngineInterpreter, nil
-	case "compiled":
-		return EngineCompiled, nil
 	}
-	return EngineThreaded, fmt.Errorf("core: unknown engine %q (want threaded, interp or compiled)", s)
+	return EngineThreaded, fmt.Errorf("core: unknown engine %q (want threaded or interp)", s)
 }
-
-// DefaultHotBlocks is how many top-ranked blocks from a recorded
-// profile the compiled engine pre-compiles at load time.
-const DefaultHotBlocks = 32
 
 // FaultPolicy selects how the run engine reacts to a packet whose
 // processing faults (a *vm.Fault: bad instruction, unmapped access, step
@@ -365,13 +350,7 @@ type Options struct {
 	// checkpoint or any other run error. Best-effort: a dump that
 	// cannot be written never masks the run error.
 	FlightPath string
-	// ProfileCounts seeds the compiled engine's offline profile-guided
-	// block selection: per-instruction retired-instruction counts from
-	// a previous recorded run of the same program (the counts sidecar
-	// written next to -profile-out, read back by -profile-in). The top
-	// DefaultHotBlocks blocks by count are compiled at load time;
-	// everything else still promotes online. Ignored by the other
-	// engines. len must equal the program's instruction count.
+	// Deprecated: ignored.
 	ProfileCounts []uint64
 }
 
@@ -523,12 +502,6 @@ type Bench struct {
 	// tprog is the block-threaded translation of the program, nil when
 	// the bench runs on the reference interpreter.
 	tprog *vm.Program
-	// cprog is the compiled tier (EngineCompiled only); nil under
-	// NoVerify, where the bench silently falls back to tprog.
-	cprog *vm.CompiledProgram
-	// cstats is the last compiled-tier stats snapshot flushed to
-	// telemetry; runGuarded reports only the delta since it.
-	cstats vm.CompiledStats
 
 	entry        uint32
 	stepLimit    uint64
@@ -612,9 +585,8 @@ func New(app *App, opts Options) (*Bench, error) {
 	cpu.Tracer = col
 
 	var tprog *vm.Program
-	var cprog *vm.CompiledProgram
 	switch opts.Engine {
-	case EngineThreaded, EngineCompiled:
+	case EngineThreaded:
 		if opts.NoVerify {
 			// No verifier run means no proofs and no optimized body: the
 			// fully-checked translation is the only sound choice.
@@ -625,21 +597,6 @@ func New(app *App, opts Options) (*Bench, error) {
 		// The threaded engine reports block entries itself; the
 		// collector must not re-derive them per instruction.
 		col.BlocksFromEngine = true
-		if opts.Engine == EngineCompiled {
-			var cfg vm.CompileConfig
-			if opts.ProfileCounts != nil {
-				hot, err := profile.HotBlocks(prog, opts.ProfileCounts, DefaultHotBlocks)
-				if err != nil {
-					return nil, fmt.Errorf("core: profile counts for %s: %w", app.Name, err)
-				}
-				for _, hb := range hot {
-					cfg.Hot = append(cfg.Hot, int32(hb.Leader))
-				}
-			}
-			// tf is nil under NoVerify, and Compile refuses to build
-			// chains without facts — the silent threaded fallback.
-			cprog = vm.Compile(tprog, tf, cfg)
-		}
 	case EngineInterpreter:
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)
@@ -652,7 +609,7 @@ func New(app *App, opts Options) (*Bench, error) {
 	return &Bench{
 		app: app, prog: prog, mem: mem, cpu: cpu,
 		col: col, blocks: blocks, loader: loader,
-		engine: opts.Engine, tprog: tprog, cprog: cprog,
+		engine: opts.Engine, tprog: tprog,
 		entry: entry, stepLimit: stepLimit,
 		policy: policy, budget: newErrorBudget(policy.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
@@ -860,42 +817,12 @@ func (b *Bench) runGuarded() (err error) {
 		}
 	}()
 	switch {
-	case b.cprog != nil:
-		_, _, err = b.cpu.RunCompiled(b.cprog, b.stepLimit)
-		if b.metrics != nil {
-			b.flushCompiledMetrics()
-		}
 	case b.tprog != nil:
 		_, _, err = b.cpu.RunProgram(b.tprog, b.stepLimit)
 	default:
 		_, _, err = b.cpu.Run(b.stepLimit)
 	}
 	return err
-}
-
-// flushCompiledMetrics folds the compiled tier's stats delta since the
-// last flush into the telemetry counters.
-func (b *Bench) flushCompiledMetrics() {
-	s := b.cprog.Stats()
-	if d := s.BlocksCompiled - b.cstats.BlocksCompiled; d > 0 {
-		b.metrics.blocksCompiled.Add(d)
-	}
-	for i, n := range s.Exits {
-		if d := n - b.cstats.Exits[i]; d > 0 {
-			b.metrics.compiledExits[i].Add(d)
-		}
-	}
-	b.cstats = s
-}
-
-// CompiledStats reports what the compiled tier did so far: chains
-// built and side exits taken by reason. Zero for the other engines and
-// under NoVerify (no facts, no chains).
-func (b *Bench) CompiledStats() vm.CompiledStats {
-	if b.cprog == nil {
-		return vm.CompiledStats{}
-	}
-	return b.cprog.Stats()
 }
 
 // SetTracing attaches or detaches the statistics collector (and any

@@ -389,6 +389,32 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 	}
 }
 
+func TestParseEngine(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want EngineKind
+		ok   bool
+	}{
+		{"threaded", EngineThreaded, true},
+		{"", EngineThreaded, true},
+		{"interp", EngineInterpreter, true},
+		{"interpreter", EngineInterpreter, true},
+		{"compiled", 0, false},
+		{"bogus", 0, false},
+	} {
+		got, err := ParseEngine(tc.in)
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "want threaded or interp") {
+				t.Errorf("ParseEngine(%q) error = %v, want the unknown-engine error", tc.in, err)
+			}
+			continue
+		}
+		if err != nil || got != tc.want {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestBenchAccessors(t *testing.T) {
 	b, err := New(echoApp(0), Options{})
 	if err != nil {

@@ -216,102 +216,6 @@ func corpusEntry(prog *asm.Program) uint32 {
 	return prog.TextBase
 }
 
-// compiledPair builds interpreter and compiled-engine benches for the
-// same application with identical options.
-func compiledPair(t *testing.T, app func() *core.App, opts core.Options) (interp, compiled *core.Bench) {
-	t.Helper()
-	o := opts
-	o.Engine = core.EngineInterpreter
-	interp, err := core.New(app(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Engine = core.EngineCompiled
-	compiled, err = core.New(app(), o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return interp, compiled
-}
-
-// TestCompiledEngineEquivalenceApps extends the system-level engine
-// equivalence contract to the compiled tier: every bundled application
-// processes the trace untraced (a tracer would fall the compiled engine
-// back to the threaded traced loop by contract — detaching the collector
-// is what makes the closures actually execute) on the interpreter and
-// the compiled engine, and must produce bit-identical verdicts, faults,
-// packet-buffer contents, and final memory images. The stats assertion
-// at the end proves the runs went through compiled chains, so the
-// comparison is not vacuously exercising the cold tier.
-func TestCompiledEngineEquivalenceApps(t *testing.T) {
-	// Enough packets that hot blocks cross the online promotion
-	// threshold (vm.DefaultPromoteAfter) early in the run.
-	pkts := mixedSizePackets(t, 40)
-	var dsts []uint32
-	for _, p := range pkts {
-		if h, err := packet.ParseIPv4(p.Data); err == nil {
-			dsts = append(dsts, h.Dst)
-		}
-	}
-	tbl := route.TableFromTraffic(dsts, 1024, 16, 1)
-
-	cases := []struct {
-		name string
-		app  func() *core.App
-	}{
-		{"radix", func() *core.App { return apps.IPv4Radix(tbl) }},
-		{"trie", func() *core.App { return apps.IPv4Trie(tbl) }},
-		{"flow", func() *core.App { return apps.FlowClassification(64) }},
-		{"tsa", func() *core.App { return apps.TSAApp(0x5453412D31363A31) }},
-		{"payload-scan", func() *core.App { return apps.PayloadScan([4]byte{0xDE, 0xAD, 0xBE, 0xEF}) }},
-		{"frag", func() *core.App { return apps.Frag(576) }},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			interp, compiled := compiledPair(t, tc.app, core.Options{})
-			interp.SetTracing(false)
-			compiled.SetTracing(false)
-			for i, p := range pkts {
-				wantRes, wantErr := interp.ProcessPacket(p)
-				gotRes, gotErr := compiled.ProcessPacket(p)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("packet %d: error divergence: interp %v, compiled %v", i, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					var wf, gf *vm.Fault
-					errors.As(wantErr, &wf)
-					errors.As(gotErr, &gf)
-					if !reflect.DeepEqual(wf, gf) {
-						t.Fatalf("packet %d: fault divergence: interp %+v, compiled %+v", i, wf, gf)
-					}
-					continue
-				}
-				if wantRes.Verdict != gotRes.Verdict {
-					t.Fatalf("packet %d: verdict %d vs %d", i, wantRes.Verdict, gotRes.Verdict)
-				}
-				wb, gb := interp.PacketBytes(len(p.Data)), compiled.PacketBytes(len(p.Data))
-				if !reflect.DeepEqual(wb, gb) {
-					t.Fatalf("packet %d: packet buffer differs after processing", i)
-				}
-			}
-			if !interp.Memory().Equal(compiled.Memory()) {
-				t.Error("final memory images differ")
-			}
-			st := compiled.CompiledStats()
-			if st.BlocksCompiled == 0 {
-				t.Fatal("no blocks were compiled: the run never exercised the compiled tier")
-			}
-			var exits uint64
-			for _, n := range st.Exits {
-				exits += n
-			}
-			if exits == 0 {
-				t.Fatalf("compiled chains never executed: stats %+v", st)
-			}
-		})
-	}
-}
-
 // diffPanicTracer panics with a non-Fault value on the first instruction
 // of a chosen packet, standing in for an instrumentation bug.
 type diffPanicTracer struct {
@@ -328,63 +232,35 @@ func (p *diffPanicTracer) Instr(pc uint32, in isa.Instruction) {
 }
 func (p *diffPanicTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {}
 
-// TestCompiledEnginePanicEquivalence pins FaultHostPanic equivalence for
-// the compiled engine: a panicking tracer (which, being a tracer, also
-// falls the engine back to the threaded traced loop — the documented
-// traced-run contract) surfaces the identical recovered FaultHostPanic
-// on both engines, and both benches keep working afterwards.
-func TestCompiledEnginePanicEquivalence(t *testing.T) {
+// TestEnginePanicEquivalence pins FaultHostPanic equivalence: a
+// panicking tracer (which runs the threaded engine's traced loop)
+// surfaces the identical recovered FaultHostPanic on both engines, and
+// both benches keep working afterwards.
+func TestEnginePanicEquivalence(t *testing.T) {
 	pkts := mixedSizePackets(t, 4)
 	app := func() *core.App { return apps.FlowClassification(64) }
-	interp, compiled := compiledPair(t, app, core.Options{})
+	interp, threaded := enginePair(t, app, core.Options{})
 	interp.AddTracer(&diffPanicTracer{target: 1})
-	compiled.AddTracer(&diffPanicTracer{target: 1})
+	threaded.AddTracer(&diffPanicTracer{target: 1})
 
 	for i, p := range pkts {
 		wantRes, wantErr := interp.ProcessPacket(p)
-		gotRes, gotErr := compiled.ProcessPacket(p)
+		gotRes, gotErr := threaded.ProcessPacket(p)
 		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("packet %d: error divergence: interp %v, compiled %v", i, wantErr, gotErr)
+			t.Fatalf("packet %d: error divergence: interp %v, threaded %v", i, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			var wf, gf *vm.Fault
 			if !errors.As(wantErr, &wf) || !errors.As(gotErr, &gf) {
-				t.Fatalf("packet %d: non-Fault error: interp %v, compiled %v", i, wantErr, gotErr)
+				t.Fatalf("packet %d: non-Fault error: interp %v, threaded %v", i, wantErr, gotErr)
 			}
 			if wf.Kind != vm.FaultHostPanic || !reflect.DeepEqual(wf, gf) {
-				t.Fatalf("packet %d: fault divergence: interp %+v, compiled %+v", i, wf, gf)
+				t.Fatalf("packet %d: fault divergence: interp %+v, threaded %+v", i, wf, gf)
 			}
 			continue
 		}
 		if wantRes.Verdict != gotRes.Verdict {
 			t.Fatalf("packet %d: verdict %d vs %d", i, wantRes.Verdict, gotRes.Verdict)
 		}
-	}
-}
-
-// TestCompiledEngineNoVerifyNeverCompiles is the hostile half of the
-// compiled tier's NoVerify contract at the framework level: a bench
-// loaded with NoVerify has no verifier facts, so even with
-// Engine=EngineCompiled and tracing detached, no block may ever be
-// compiled or executed as a closure — the bench silently runs the
-// threaded engine's fully-checked translation, with identical results.
-func TestCompiledEngineNoVerifyNeverCompiles(t *testing.T) {
-	pkts := mixedSizePackets(t, 40)
-	app := func() *core.App { return apps.FlowClassification(64) }
-	interp, compiled := compiledPair(t, app, core.Options{NoVerify: true})
-	interp.SetTracing(false)
-	compiled.SetTracing(false)
-	for i, p := range pkts {
-		wantRes, wantErr := interp.ProcessPacket(p)
-		gotRes, gotErr := compiled.ProcessPacket(p)
-		if wantErr != nil || gotErr != nil {
-			t.Fatalf("packet %d: interp err %v, compiled err %v", i, wantErr, gotErr)
-		}
-		if wantRes.Verdict != gotRes.Verdict {
-			t.Fatalf("packet %d: verdict %d vs %d", i, wantRes.Verdict, gotRes.Verdict)
-		}
-	}
-	if st := compiled.CompiledStats(); st != (vm.CompiledStats{}) {
-		t.Fatalf("NoVerify bench executed the compiled tier: stats %+v", st)
 	}
 }

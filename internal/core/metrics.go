@@ -24,12 +24,6 @@ type runMetrics struct {
 	// faulted is indexed by vm.FaultKind (masked); unknown kinds hit a
 	// nil (no-op) slot.
 	faulted [16]*telemetry.Counter
-
-	// Compiled-tier series, flushed as deltas after each packet of an
-	// EngineCompiled bench (see Bench.flushCompiledMetrics); the other
-	// engines never touch them.
-	blocksCompiled *telemetry.Counter
-	compiledExits  [vm.NumCompiledExitReasons]*telemetry.Counter
 }
 
 // newRunMetrics resolves the run-engine series in reg, or returns nil
@@ -47,13 +41,6 @@ func newRunMetrics(reg *telemetry.Registry) *runMetrics {
 		nonPktReads:  reg.Counter(telemetry.MetricMemRefs, "", telemetry.L("region", "nonpacket"), telemetry.L("op", "read")),
 		nonPktWrites: reg.Counter(telemetry.MetricMemRefs, "", telemetry.L("region", "nonpacket"), telemetry.L("op", "write")),
 		latency:      reg.Histogram(telemetry.MetricPacketLatency, "Host wall-clock per simulated packet, nanoseconds.", telemetry.LatencyBuckets()),
-	}
-	m.blocksCompiled = reg.Counter(telemetry.MetricBlocksCompiled,
-		"Basic blocks lowered into compiled closures.")
-	for r := vm.CompiledExitReason(0); r < vm.NumCompiledExitReasons; r++ {
-		m.compiledExits[r] = reg.Counter(telemetry.MetricCompiledExits,
-			"Compiled-chain side exits, by reason.",
-			telemetry.L("reason", r.String()))
 	}
 	for k := vm.FaultNone + 1; k <= vm.FaultHostPanic; k++ {
 		m.faulted[k&15] = reg.Counter(telemetry.MetricPacketsFaulted,

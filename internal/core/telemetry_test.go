@@ -178,42 +178,3 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestBenchTelemetryCompiledTier checks the compiled engine's series:
-// untraced packets through compiled chains must show up as
-// blocks_compiled_total and reason-labeled compiled_exits_total, and the
-// totals must agree with the bench's own stats snapshot.
-func TestBenchTelemetryCompiledTier(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b, err := New(&App{Name: "tm", Source: telemetrySrc, Entry: "main"},
-		Options{Metrics: reg, Engine: EngineCompiled})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.SetTracing(false) // traced runs fall back to the threaded loop
-	for _, p := range telemetryPackets(2 * vm.DefaultPromoteAfter) {
-		if _, err := b.ProcessPacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	st := b.CompiledStats()
-	if st.BlocksCompiled == 0 {
-		t.Fatal("no blocks compiled: the run never exercised the compiled tier")
-	}
-	s := reg.Snapshot()
-	if got := s.CounterTotal(telemetry.MetricBlocksCompiled); got != st.BlocksCompiled {
-		t.Errorf("blocks_compiled_total = %d, want %d", got, st.BlocksCompiled)
-	}
-	var wantExits uint64
-	for _, n := range st.Exits {
-		wantExits += n
-	}
-	if got := s.CounterTotal(telemetry.MetricCompiledExits); got != wantExits || wantExits == 0 {
-		t.Errorf("compiled_exits_total = %d, want %d (nonzero)", got, wantExits)
-	}
-	key := telemetry.MetricCompiledExits + `{reason="` + vm.CexitJalr.String() + `"}`
-	if s.Counters[key] == 0 {
-		t.Errorf("no %s series; have %v", key, s.Counters)
-	}
-}

@@ -18,15 +18,6 @@
 //     the dispatch benchmarks' 0-alloc guardrail would catch only for
 //     the paths they happen to exercise.
 //
-//   - compiled-closure: the bodies of function literals built by the
-//     compiled tier's closure factories (internal/vm compile.go's
-//     makeStep/makeFusedStep/buildChain, plus anything whose doc
-//     comment carries a "pblint:closurefactory" directive) execute
-//     per guest instruction, so they get the hot-path treatment even
-//     though the factory itself runs once at compile time: no
-//     time.Now, no fmt, no make/new/append, no defer, no goroutines,
-//     and no nested closure creation.
-//
 //   - span-pairing: a function that opens a packet-journey execution
 //     span (ptrace's ExecBegin) must close it on every path: either
 //     defer the ExecEnd, or place an ExecEnd between the begin and
@@ -50,7 +41,7 @@ import (
 // Diagnostic is one finding, in the familiar file:line:col form.
 type Diagnostic struct {
 	Pos  token.Position
-	Rule string // "telemetry-series", "hotpath", "compiled-closure" or "span-pairing"
+	Rule string // "telemetry-series", "hotpath" or "span-pairing"
 	Msg  string
 }
 
@@ -85,7 +76,6 @@ func CheckFile(fset *token.FileSet, file *ast.File) []Diagnostic {
 	}
 	checkTelemetrySeries(file, emit)
 	checkHotPaths(file, emit)
-	checkClosureFactories(file, emit)
 	checkSpanPairing(file, emit)
 	return ds
 }
@@ -144,44 +134,7 @@ func checkHotPaths(file *ast.File, emit func(token.Pos, string, string)) {
 		if !hot {
 			continue
 		}
-		checkHotBody("hot path "+fn.Name.Name, fn.Body, "hotpath", emit)
-	}
-}
-
-// closureFactoryFuncs are the compiled tier's closure factories: every
-// function literal they build is dispatched per guest instruction, so
-// the literals' bodies are hot even though the factories run once.
-var closureFactoryFuncs = map[string]bool{
-	"makeStep":      true,
-	"makeFusedStep": true,
-	"buildChain":    true,
-}
-
-// checkClosureFactories applies the hot-body rule to every function
-// literal inside a closure factory (built-in list or the
-// pblint:closurefactory directive).
-func checkClosureFactories(file *ast.File, emit func(token.Pos, string, string)) {
-	for _, decl := range file.Decls {
-		fn, ok := decl.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			continue
-		}
-		factory := closureFactoryFuncs[fn.Name.Name]
-		if fn.Doc != nil && strings.Contains(fn.Doc.Text(), "pblint:closurefactory") {
-			factory = true
-		}
-		if !factory {
-			continue
-		}
-		where := "compiled closure built by " + fn.Name.Name
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
-			lit, ok := n.(*ast.FuncLit)
-			if !ok {
-				return true
-			}
-			checkHotBody(where, lit.Body, "compiled-closure", emit)
-			return false // nested literals are findings of the outer body
-		})
+		checkHotBody("hot path "+fn.Name.Name, fn.Body, emit)
 	}
 }
 
@@ -272,7 +225,8 @@ func checkSpanPair(fn *ast.FuncDecl, open, close string, emit func(token.Pos, st
 // worse) per packet; Since and Until call Now internally.
 var timePackageFuncs = map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true}
 
-func checkHotBody(where string, body ast.Node, rule string, emit func(token.Pos, string, string)) {
+func checkHotBody(where string, body ast.Node, emit func(token.Pos, string, string)) {
+	const rule = "hotpath"
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.DeferStmt:

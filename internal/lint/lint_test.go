@@ -151,74 +151,6 @@ func runTraced() {
 	}
 }
 
-func TestCompiledClosureBuiltinFactory(t *testing.T) {
-	// The factory body itself may allocate and create closures (it runs
-	// once, at compile time); the literals it builds may not.
-	ds := check(t, `package vm
-
-func makeStep(s *cslot, nx cstep) cstep {
-	tmp := make([]int, 4) // factory-time allocation: fine
-	_ = tmp
-	return func(c *CPU, regs *[16]uint32) {
-		buf := make([]byte, 8)
-		_ = buf
-		t := time.Now()
-		_ = t
-	}
-}
-`)
-	if len(ds) != 2 {
-		t.Fatalf("want 2 findings (make + time.Now inside the closure), got %d: %v", len(ds), ds)
-	}
-	for _, d := range ds {
-		if d.Rule != "compiled-closure" {
-			t.Errorf("rule = %q, want compiled-closure", d.Rule)
-		}
-		if !strings.Contains(d.Msg, "makeStep") {
-			t.Errorf("finding does not name the factory: %v", d)
-		}
-	}
-}
-
-func TestCompiledClosureDirective(t *testing.T) {
-	ds := check(t, `package vm
-
-// buildThing assembles per-instruction steps.
-//
-// pblint:closurefactory
-func buildThing() func() {
-	return func() {
-		defer cleanup()
-		go work()
-	}
-}
-`)
-	if len(ds) != 2 {
-		t.Fatalf("want 2 findings (defer + go), got %d: %v", len(ds), ds)
-	}
-	for _, d := range ds {
-		if d.Rule != "compiled-closure" {
-			t.Errorf("rule = %q, want compiled-closure", d.Rule)
-		}
-	}
-}
-
-func TestCompiledClosureCleanFactoryQuiet(t *testing.T) {
-	ds := check(t, `package vm
-
-func makeFusedStep(s *cslot, nx cstep) cstep {
-	rd, imm := s.op.rd, s.op.imm
-	return func(c *CPU, regs *[16]uint32) {
-		regs[rd] = regs[rd] + uint32(imm)
-		nx(c, regs)
-	}
-}
-`)
-	if len(ds) != 0 {
-		t.Fatalf("clean factory flagged: %v", ds)
-	}
-}
-
 func TestSpanPairingUnclosedReturn(t *testing.T) {
 	ds := check(t, `package core
 

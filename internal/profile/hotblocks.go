@@ -1,18 +1,14 @@
 package profile
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"sort"
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
 )
 
-// HotBlock is one basic block ranked by retired instructions — the
-// selection unit of the compiled tier's offline profile-guided
-// compilation (vm.CompileConfig.Hot takes the Leader indexes).
+// HotBlock is one basic block ranked by retired instructions.
 type HotBlock struct {
 	Block  int    // block id in the shared BlockMap numbering
 	Leader int    // instruction index of the block leader
@@ -58,62 +54,4 @@ func HotBlocks(prog *asm.Program, pcCounts []uint64, k int) ([]HotBlock, error) 
 		out = out[:k]
 	}
 	return out, nil
-}
-
-// countsMagic heads the exact-counts sidecar that carries a recorded
-// run's PCCounts between processes — the offline half of the compiled
-// tier's profile-guided selection (-profile-out writes it, -profile-in
-// feeds it back).
-const countsMagic = "pb32-pccounts v1"
-
-// WriteCounts writes the per-instruction execution counts in the
-// sidecar format: a header with the instruction count, then one
-// "index count" line per instruction with a nonzero count.
-func WriteCounts(w io.Writer, counts []uint64) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "%s %d\n", countsMagic, len(counts)); err != nil {
-		return err
-	}
-	for i, c := range counts {
-		if c == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(bw, "%d %d\n", i, c); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadCounts parses a sidecar written by WriteCounts, returning the
-// full-length per-instruction count slice.
-func ReadCounts(r io.Reader) ([]uint64, error) {
-	br := bufio.NewReader(r)
-	var magic1, magic2 string
-	var n int
-	if _, err := fmt.Fscanf(br, "%s %s %d\n", &magic1, &magic2, &n); err != nil {
-		return nil, fmt.Errorf("profile: bad counts header: %w", err)
-	}
-	if magic1+" "+magic2 != countsMagic {
-		return nil, fmt.Errorf("profile: bad counts magic %q", magic1+" "+magic2)
-	}
-	if n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("profile: unreasonable instruction count %d", n)
-	}
-	counts := make([]uint64, n)
-	for {
-		var i int
-		var c uint64
-		_, err := fmt.Fscanf(br, "%d %d\n", &i, &c)
-		if err == io.EOF {
-			return counts, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("profile: bad counts line: %w", err)
-		}
-		if i < 0 || i >= n {
-			return nil, fmt.Errorf("profile: count index %d out of range [0,%d)", i, n)
-		}
-		counts[i] = c
-	}
 }

@@ -188,9 +188,8 @@ func (e *Env) Profile(appName, traceName string, n int) (*profile.Profile, error
 }
 
 // HotBlockRow is one ranked basic block of a recorded profile: the
-// block, its enclosing function, and its per-packet cost — the
-// selection view the compiled tier's profile-guided compilation acts
-// on (pbreport -hot).
+// block, its enclosing function, and its per-packet cost (pbreport
+// -hot).
 type HotBlockRow struct {
 	Block profile.HotBlock
 	// Func names the enclosing function; Offset is the block leader's

@@ -476,12 +476,6 @@ type Facts struct {
 	Redundant []bool
 	// Unreachable[i] marks instructions no abstract execution reaches.
 	Unreachable []bool
-	// ChainEligible[b] marks basic block b (in the shared BlockMap
-	// numbering) as fully followed: the analysis reached every one of
-	// its instructions, so the compiled tier may root or extend a
-	// closure chain through it. Blocks the analysis only partially
-	// covered stay on the checked tiers.
-	ChainEligible []bool
 
 	cfg *CFG
 }
@@ -511,10 +505,6 @@ func (f *Facts) Translation() *vm.TranslationFacts {
 			}
 		}
 		tf.Dead[b] = dead
-	}
-	if f.ChainEligible != nil {
-		tf.Chain = make([]bool, nb)
-		copy(tf.Chain, f.ChainEligible)
 	}
 	return tf
 }
@@ -648,18 +638,6 @@ func computeFacts(cfg *CFG, opts Options) *Facts {
 	}
 	for i := 0; i < n; i++ {
 		f.Unreachable[i] = !a.seen[i]
-	}
-	nb := cfg.Blocks.NumBlocks()
-	f.ChainEligible = make([]bool, nb)
-	for b := 0; b < nb; b++ {
-		eligible := true
-		for i := cfg.Blocks.LeaderIndex(b); i <= cfg.Blocks.TerminatorIndex(b); i++ {
-			if !a.seen[i] {
-				eligible = false
-				break
-			}
-		}
-		f.ChainEligible[b] = eligible
 	}
 	f.Tame = true
 	return f

@@ -36,10 +36,4 @@ const (
 	MetricWatchdogStalls = "watchdog_stalls_total"
 	// MetricCheckpointsWritten counts run checkpoints committed to disk.
 	MetricCheckpointsWritten = "checkpoints_written_total"
-	// MetricBlocksCompiled counts basic blocks lowered into compiled
-	// closures by the compiled tier (load-time plus online promotion).
-	MetricBlocksCompiled = "blocks_compiled_total"
-	// MetricCompiledExits counts compiled-chain side exits, labeled by
-	// reason=<vm.CompiledExitReason.String()>.
-	MetricCompiledExits = "compiled_exits_total"
 )

@@ -62,14 +62,10 @@ func BenchmarkVMDispatch(b *testing.B) {
 	kernelFacts.Mem[3] = RegionPacket
 	kernelFacts.Mem[6] = RegionStack
 	proofProg := TranslateWithFacts(text, textBase, blocks, kernelFacts)
-	// The compiled row re-compiles per sub-benchmark run (the
-	// CompiledProgram is per-CPU state), seeded hot so the chains exist
-	// from the first iteration like the other engines' programs do.
-	compiledHot := []int32{0, 3}
 
-	for _, engine := range []string{"threaded", "threaded-proof", "compiled", "interp"} {
+	for _, engine := range []string{"threaded", "threaded-proof", "interp"} {
 		for _, traced := range []bool{false, true} {
-			if traced && (engine == "threaded-proof" || engine == "compiled") {
+			if traced && engine == "threaded-proof" {
 				continue // tracing always runs the fully-checked body
 			}
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
@@ -92,7 +88,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 					payload[i] = byte(i*7 + 3)
 				}
 				mem.WriteBytes(0x20000000, payload)
-				cprog := Compile(proofProg, kernelFacts, CompileConfig{Hot: compiledHot})
 				var steps uint64
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -106,8 +101,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 						_, _, err = cpu.RunProgram(tprog, 1<<30)
 					case "threaded-proof":
 						_, _, err = cpu.RunProgram(proofProg, 1<<30)
-					case "compiled":
-						_, _, err = cpu.RunCompiled(cprog, 1<<30)
 					default:
 						_, _, err = cpu.Run(1 << 30)
 					}

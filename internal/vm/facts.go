@@ -33,13 +33,6 @@ type TranslationFacts struct {
 	// blocks keep their fully-checked translation and are skipped by
 	// the optimizer.
 	Dead []bool
-	// Chain[b] marks basic block b as chain-eligible: the verifier's
-	// analysis followed every instruction of the block, so the compiled
-	// tier (compile.go) may root or extend a closure chain through it.
-	// A nil slice means "no restriction" — the facts as a whole only
-	// exist for verified programs, and ineligibility is the exception
-	// (undecodable tails, blocks the analysis never completed).
-	Chain []bool
 }
 
 // BranchFact is the statically proven direction of a conditional branch.
@@ -58,8 +51,7 @@ const (
 // the zero register cannot fault or write, so it becomes uNOP), provably
 // redundant masks become register moves, and proven-direction branches
 // fold to uNOP/uGOTO. Instructions in dead blocks keep their
-// fully-checked op. This is the one place the rewrites live: the
-// threaded translator and the compiled tier both take their ops here.
+// fully-checked op. This is the one place the rewrites live.
 func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
 	op := p.ops[i]
 	if tf.deadAt(int(p.blockOf[i])) {
@@ -120,15 +112,4 @@ func (tf *TranslationFacts) redundantAt(i int) bool {
 
 func (tf *TranslationFacts) deadAt(b int) bool {
 	return tf != nil && b < len(tf.Dead) && tf.Dead[b]
-}
-
-// chainOKAt reports whether block b is chain-eligible for the compiled
-// tier. Absent facts default to eligible: Compile already refuses to
-// run without a *TranslationFacts at all, and a verified program's
-// blocks are eligible unless the verifier says otherwise.
-func (tf *TranslationFacts) chainOKAt(b int) bool {
-	if tf == nil || tf.Chain == nil {
-		return true
-	}
-	return b < len(tf.Chain) && tf.Chain[b]
 }

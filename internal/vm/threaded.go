@@ -171,9 +171,6 @@ type Program struct {
 	endAt    []int32 // instruction index -> exclusive end of its block
 }
 
-// NumBlocks returns the number of translated basic blocks.
-func (p *Program) NumBlocks() int { return len(p.blockEnd) }
-
 // TranslateStats summarizes what proof-guided translation changed
 // relative to the fully-checked baseline. All fields are zero for a
 // Program built by plain Translate.
@@ -254,8 +251,6 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 	}
 	return p
 }
-
-func isBranchCode(code uint8) bool { return code >= uBEQ && code <= uBGEU }
 
 // aluCode maps the register-register and register-immediate ALU opcodes
 // to their micro-op codes (same dispatch, pre-masked operands).

@@ -233,13 +233,6 @@ type CPU struct {
 	// the page later).
 	pageCache    [pageCacheSlots]*page
 	pageCacheIdx [pageCacheSlots]uint32
-
-	// cframe is the compiled tier's execution frame (compile.go): the
-	// typed side-exit record chain closures write on their way back to
-	// the dispatcher. Embedded here so entering a chain allocates
-	// nothing and the materialized exit state lives with the rest of
-	// the CPU state it describes.
-	cframe cframe
 }
 
 // New creates a CPU executing the given pre-decoded text segment. The
