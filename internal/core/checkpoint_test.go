@@ -313,7 +313,8 @@ func TestCheckpointNeedsSeekableReader(t *testing.T) {
 
 // FuzzCheckpointResume fuzzes the interrupt point, checkpoint cadence,
 // batch size and fault placement, asserting the crash-and-resume Summary
-// always matches an uninterrupted run.
+// always matches an uninterrupted run. Each input is interrupted and
+// resumed on both engines, against the interpreter's uninterrupted run.
 func FuzzCheckpointResume(f *testing.F) {
 	f.Add(uint8(20), uint8(7), uint8(4), uint8(3), uint16(0x0410))
 	f.Add(uint8(40), uint8(33), uint8(1), uint8(1), uint16(0x8001))
@@ -329,8 +330,8 @@ func FuzzCheckpointResume(f *testing.F) {
 				pkts[i].Data[1] = 1
 			}
 		}
-		run := func(limit int, ck *Checkpointer, agg *stats.Running, reader trace.Reader) error {
-			pool, err := NewPool(derefApp(), 2, Options{Errors: ErrorPolicy{Policy: SkipAndRecord}})
+		run := func(engine EngineKind, limit int, ck *Checkpointer, agg *stats.Running, reader trace.Reader) error {
+			pool, err := NewPool(derefApp(), 2, Options{Engine: engine, Errors: ErrorPolicy{Policy: SkipAndRecord}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -346,42 +347,44 @@ func FuzzCheckpointResume(f *testing.F) {
 		}
 
 		ref := &stats.Running{KeepInstructionCounts: true}
-		if err := run(0, nil, ref, trace.NewSliceReader(pkts)); err != nil {
+		if err := run(EngineInterpreter, 0, nil, ref, trace.NewSliceReader(pkts)); err != nil {
 			t.Fatal(err)
 		}
 
-		path := filepath.Join(t.TempDir(), "fuzz.ckpt")
-		agg1 := &stats.Running{KeepInstructionCounts: true}
-		ck1 := NewCheckpointer(path, every, agg1)
-		if err := run(k, ck1, agg1, trace.NewSliceReader(pkts)); err != nil {
-			t.Fatal(err)
-		}
-
-		agg2 := &stats.Running{KeepInstructionCounts: true}
-		ck2 := NewCheckpointer(path, every, agg2)
-		reader := trace.NewSliceReader(pkts)
-		cp, err := LoadCheckpoint(path)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			// The interrupted run never reached a checkpoint boundary;
-			// recovery is a from-scratch run.
-		case err != nil:
-			t.Fatal(err)
-		default:
-			if err := reader.SeekTo(cp.ReaderPos); err != nil {
+		for _, engine := range []EngineKind{EngineInterpreter, EngineThreaded} {
+			path := filepath.Join(t.TempDir(), "fuzz.ckpt")
+			agg1 := &stats.Running{KeepInstructionCounts: true}
+			ck1 := NewCheckpointer(path, every, agg1)
+			if err := run(engine, k, ck1, agg1, trace.NewSliceReader(pkts)); err != nil {
 				t.Fatal(err)
 			}
-			ck2.Restore(cp)
-		}
-		if err := run(0, ck2, agg2, reader); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := agg2.Summary(), ref.Summary(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d k=%d every=%d batch=%d: resumed Summary differs\ngot  %+v\nwant %+v",
-				n, k, every, batch, got, want)
-		}
-		if got, want := agg2.InstructionCounts(), ref.InstructionCounts(); !reflect.DeepEqual(got, want) {
-			t.Fatalf("n=%d k=%d every=%d batch=%d: instruction counts differ", n, k, every, batch)
+
+			agg2 := &stats.Running{KeepInstructionCounts: true}
+			ck2 := NewCheckpointer(path, every, agg2)
+			reader := trace.NewSliceReader(pkts)
+			cp, err := LoadCheckpoint(path)
+			switch {
+			case errors.Is(err, os.ErrNotExist):
+				// The interrupted run never reached a checkpoint boundary;
+				// recovery is a from-scratch run.
+			case err != nil:
+				t.Fatal(err)
+			default:
+				if err := reader.SeekTo(cp.ReaderPos); err != nil {
+					t.Fatal(err)
+				}
+				ck2.Restore(cp)
+			}
+			if err := run(engine, 0, ck2, agg2, reader); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := agg2.Summary(), ref.Summary(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v n=%d k=%d every=%d batch=%d: resumed Summary differs\ngot  %+v\nwant %+v",
+					engine, n, k, every, batch, got, want)
+			}
+			if got, want := agg2.InstructionCounts(), ref.InstructionCounts(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v n=%d k=%d every=%d batch=%d: instruction counts differ", engine, n, k, every, batch)
+			}
 		}
 	})
 }

@@ -594,9 +594,6 @@ func New(app *App, opts Options) (*Bench, error) {
 		} else {
 			tprog = vm.TranslateWithFacts(prog.Text, prog.TextBase, blocks, tf)
 		}
-		// The threaded engine reports block entries itself; the
-		// collector must not re-derive them per instruction.
-		col.BlocksFromEngine = true
 	case EngineInterpreter:
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -203,7 +204,8 @@ func TestBatchedPanicAttribution(t *testing.T) {
 // packet corruption, VM faults, a worker panic, latency spikes, a
 // transient reader error — and asserts the crash-only invariants: the
 // run completes, every index is delivered exactly once, faults are
-// attributed to the planned packets, and the budget is respected.
+// attributed to the planned packets, and the budget is respected. It
+// runs on both engines, which must quarantine at the same fault PCs.
 func TestChaosSoak(t *testing.T) {
 	const n = 160
 	spec := "flip@5:1,vmfault@20:4,panic@33,delay@50:5,readerr@70,trunc@90:10,vmfault@110:3:1,delay@130:8,readerr@140:2"
@@ -211,48 +213,60 @@ func TestChaosSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.New(7, plan)
-	pool := poolWithPlan(t, 4, Options{
-		Errors:       ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 50},
-		StallTimeout: 10 * time.Second,
-	}, inj)
-	pool.SetBatchSize(2)
-	seen := make([]int, n)
-	faults := map[int]vm.FaultKind{}
-	shed := 0
-	if _, err := pool.RunTrace(inj.Reader(trace.NewSliceReader(derefPackets(n))), 0, func(i int, res Result) {
-		seen[i]++
-		if res.Shed {
-			shed++
-		} else if res.Faulted() {
-			faults[i] = res.Record.Fault
-		}
-	}); err != nil {
-		t.Fatalf("chaos soak did not survive: %v", err)
-	}
-	for i, c := range seen {
-		if c != 1 {
-			t.Fatalf("index %d delivered %d times, want exactly once", i, c)
-		}
-	}
 	want := map[int]vm.FaultKind{
 		5:   vm.FaultUnmapped,  // flipped header byte dereferences junk
 		20:  vm.FaultBadInstr,  // injected VM fault
 		33:  vm.FaultHostPanic, // injected worker panic
 		110: vm.FaultBadInstr,
 	}
-	for idx, kind := range want {
-		if faults[idx] != kind {
-			t.Errorf("packet %d fault = %v, want %v", idx, faults[idx], kind)
-		}
+	faultPCs := map[EngineKind]map[int]uint32{}
+	for _, engine := range []EngineKind{EngineInterpreter, EngineThreaded} {
+		t.Run(engine.String(), func(t *testing.T) {
+			inj := faultinject.New(7, plan)
+			pool := poolWithPlan(t, 4, Options{
+				Engine:       engine,
+				Errors:       ErrorPolicy{Policy: SkipAndRecord, ErrorBudget: 50},
+				StallTimeout: 10 * time.Second,
+			}, inj)
+			pool.SetBatchSize(2)
+			seen := make([]int, n)
+			faults := map[int]vm.FaultKind{}
+			pcs := map[int]uint32{}
+			shed := 0
+			if _, err := pool.RunTrace(inj.Reader(trace.NewSliceReader(derefPackets(n))), 0, func(i int, res Result) {
+				seen[i]++
+				if res.Shed {
+					shed++
+				} else if res.Faulted() {
+					faults[i] = res.Record.Fault
+					pcs[i] = res.Fault.PC
+				}
+			}); err != nil {
+				t.Fatalf("chaos soak did not survive: %v", err)
+			}
+			for i, c := range seen {
+				if c != 1 {
+					t.Fatalf("index %d delivered %d times, want exactly once", i, c)
+				}
+			}
+			for idx, kind := range want {
+				if faults[idx] != kind {
+					t.Errorf("packet %d fault = %v, want %v", idx, faults[idx], kind)
+				}
+			}
+			for idx := range faults {
+				if _, planned := want[idx]; !planned {
+					t.Errorf("unplanned quarantine at packet %d (%v)", idx, faults[idx])
+				}
+			}
+			if len(faults)+shed > 50 {
+				t.Errorf("loss %d+%d exceeds the error budget", len(faults), shed)
+			}
+			faultPCs[engine] = pcs
+		})
 	}
-	for idx := range faults {
-		if _, planned := want[idx]; !planned {
-			t.Errorf("unplanned quarantine at packet %d (%v)", idx, faults[idx])
-		}
-	}
-	if len(faults)+shed > 50 {
-		t.Errorf("loss %d+%d exceeds the error budget", len(faults), shed)
+	if i, g := faultPCs[EngineInterpreter], faultPCs[EngineThreaded]; !reflect.DeepEqual(i, g) {
+		t.Errorf("fault PCs differ: interp %#x, threaded %#x", i, g)
 	}
 }
 

@@ -1,14 +1,12 @@
 package staticcheck_test
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/core"
-	"repro/internal/isa"
 	"repro/internal/staticcheck"
 	"repro/internal/vm"
 )
@@ -172,92 +170,4 @@ ok:
 	if !strings.Contains(out, "always") {
 		t.Errorf("dump mentions no always-taken branch:\n%s", out)
 	}
-}
-
-// FuzzFactsEngineDiff is the facts pipeline's differential fuzzer: for
-// any assemblable source, running the fully-checked reference
-// interpreter and the proof-guided threaded translation (facts applied:
-// elision, folding) from the verifier's entry under the framework ABI
-// must be bit-identical in every observable. Each input also runs at
-// every truncated step budget up to min(interpreter steps, 64), so a
-// block pass cut short by the budget — which runs the proof-rewritten
-// ops — is held to the same contract. This is the soundness contract
-// end-to-end — a wrong fact shows up here as an engine divergence. CI
-// runs this as a short -fuzz smoke.
-func FuzzFactsEngineDiff(f *testing.F) {
-	for _, s := range asm.FuzzSeeds {
-		f.Add(s)
-	}
-	f.Add("process_packet:\n\tlbu t0, 0(a0)\n\tandi t0, t0, 0xFF\n\tsw t0, -4(sp)\n\tret")
-	f.Add("p:\n\tli t0, 3\nx:\n\tsrli t1, t2, 31\n\tslli t2, t2, 1\n\tandi t3, t4, 0xFF\n\tor t3, t3, t5\n\tadd t3, t3, a0\n\tlbu t3, 0(t3)\n\taddi t5, t5, 1\n\tblt t5, t0, x\n\tret")
-	// An untame program: the verifier exports no facts, so the threaded
-	// engine runs the fully-checked translation.
-	f.Add(".globl out\naddi a0, zero, 0\nout: halt")
-	f.Fuzz(func(t *testing.T, src string) {
-		prog, err := asm.Assemble(src, asm.Options{})
-		if err != nil || len(prog.Text) == 0 || len(prog.Text) > 4096 {
-			t.Skip()
-		}
-		layout := core.LayoutFor(prog, 1<<20)
-		_, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{Layout: layout})
-		tp := vm.TranslateWithFacts(prog.Text, prog.TextBase,
-			analysis.NewBlockMap(prog.Text, prog.TextBase), facts.Translation())
-
-		run := func(threaded bool, budget uint64) (*vm.CPU, uint64, vm.StopReason, *vm.Fault) {
-			mem := vm.NewMemory()
-			mem.WriteBytes(prog.DataBase, prog.Data)
-			cpu := vm.New(prog.Text, prog.TextBase, mem)
-			cpu.Layout = layout
-			cpu.SetReg(isa.A0, layout.PacketBase)
-			cpu.SetReg(isa.A1, 64)
-			cpu.SetReg(isa.SP, layout.StackEnd)
-			cpu.SetReg(isa.RA, vm.ReturnAddress)
-			cpu.PC = entryAddr(prog)
-			var (
-				steps  uint64
-				reason vm.StopReason
-				rerr   error
-			)
-			if threaded {
-				steps, reason, rerr = cpu.RunProgram(tp, budget)
-			} else {
-				steps, reason, rerr = cpu.Run(budget)
-			}
-			var fault *vm.Fault
-			if rerr != nil && !errors.As(rerr, &fault) {
-				t.Fatalf("non-Fault error: %v", rerr)
-			}
-			return cpu, steps, reason, fault
-		}
-
-		diff := func(budget uint64) uint64 {
-			ic, isteps, ireason, ifault := run(false, budget)
-			tc, tsteps, treason, tfault := run(true, budget)
-			if ic.Regs != tc.Regs {
-				t.Fatalf("budget %d: registers diverge:\ninterp  %v\nthreaded %v", budget, ic.Regs, tc.Regs)
-			}
-			if ic.PC != tc.PC || isteps != tsteps || ireason != treason {
-				t.Fatalf("budget %d: pc/steps/reason diverge: interp (%#x,%d,%v) threaded (%#x,%d,%v)",
-					budget, ic.PC, isteps, ireason, tc.PC, tsteps, treason)
-			}
-			if (ifault == nil) != (tfault == nil) {
-				t.Fatalf("budget %d: fault presence diverges: interp %v threaded %v", budget, ifault, tfault)
-			}
-			if ifault != nil && (ifault.Kind != tfault.Kind || ifault.PC != tfault.PC || ifault.Addr != tfault.Addr) {
-				t.Fatalf("budget %d: faults diverge: interp %+v threaded %+v", budget, ifault, tfault)
-			}
-			if ic.PacketWriteHigh() != tc.PacketWriteHigh() {
-				t.Fatalf("budget %d: packet watermark diverges: %d vs %d", budget, ic.PacketWriteHigh(), tc.PacketWriteHigh())
-			}
-			if !ic.Mem.Equal(tc.Mem) {
-				t.Fatalf("budget %d: memory images diverge", budget)
-			}
-			return isteps
-		}
-
-		steps := diff(100_000)
-		for budget := uint64(0); budget <= min(steps, 64); budget++ {
-			diff(budget)
-		}
-	})
 }

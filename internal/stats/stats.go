@@ -83,12 +83,6 @@ type Collector struct {
 	// CountPCs enables per-instruction execution counters (PCCounts),
 	// the input for gprof-style annotated listings.
 	CountPCs bool
-	// BlocksFromEngine declares that the execution engine reports block
-	// entries itself through EnterBlock (the block-threaded engine knows
-	// the block structure already), so Instr skips the per-instruction
-	// BlockOfIndex lookup. The core run engine sets it to match the
-	// engine a bench was built with.
-	BlocksFromEngine bool
 
 	blocks   *analysis.BlockMap
 	textBase uint32
@@ -236,18 +230,9 @@ func (c *Collector) Instr(pc uint32, in isa.Instruction) {
 		if c.seenInstr[idx] != c.epoch {
 			c.seenInstr[idx] = c.epoch
 			c.cur.Unique++
-		}
-		if !c.BlocksFromEngine {
-			b := c.blocks.BlockOfIndex(idx)
-			if c.seenBlock[b] != c.epoch {
-				c.seenBlock[b] = c.epoch
-			}
-			if c.Detail && c.blocks.LeaderIndex(b) == idx {
-				// A block is entered whenever its leader executes (all
-				// control-transfer targets are leaders), so self-loops
-				// count as re-entries.
-				c.BlockSeq = append(c.BlockSeq, b)
-			}
+			// A block executed in this packet iff one of its
+			// instructions did.
+			c.seenBlock[c.blocks.BlockOfIndex(idx)] = c.epoch
 		}
 		if c.Coverage {
 			c.instrTouched[idx] = true
@@ -257,24 +242,13 @@ func (c *Collector) Instr(pc uint32, in isa.Instruction) {
 		}
 		if c.Detail {
 			c.InstrTrace = append(c.InstrTrace, pc)
+			// A block is entered whenever its leader executes (all
+			// control-transfer targets are leaders), so self-loops
+			// count as re-entries.
+			if b := c.blocks.BlockOfIndex(idx); c.blocks.LeaderIndex(b) == idx {
+				c.BlockSeq = append(c.BlockSeq, b)
+			}
 		}
-	}
-}
-
-// EnterBlock implements vm.BlockTracer: the block-threaded engine
-// reports each dynamic block entry directly, replacing the
-// per-instruction block derivation in Instr. It is a no-op unless
-// BlocksFromEngine is set, so a collector attached to the interpreter
-// never double-counts.
-func (c *Collector) EnterBlock(b int, leader bool) {
-	if !c.BlocksFromEngine {
-		return
-	}
-	if c.seenBlock[b] != c.epoch {
-		c.seenBlock[b] = c.epoch
-	}
-	if c.Detail && leader {
-		c.BlockSeq = append(c.BlockSeq, b)
 	}
 }
 
@@ -366,30 +340,11 @@ func (s *Summary) Measured() int { return s.Packets - s.Faulted }
 
 // Summarize computes run-level averages from a record slice.
 func Summarize(records []PacketRecord) Summary {
-	s := Summary{Packets: len(records)}
-	var unique, pkt, nonpkt uint64
+	var a Running
 	for i := range records {
-		r := &records[i]
-		if r.Faulted() {
-			s.Faulted++
-			if s.FaultCounts == nil {
-				s.FaultCounts = make(map[vm.FaultKind]int)
-			}
-			s.FaultCounts[r.Fault]++
-			continue
-		}
-		s.TotalInstructions += r.Instructions
-		unique += uint64(r.Unique)
-		pkt += r.PacketAccesses()
-		nonpkt += r.NonPacketAccesses()
+		a.Add(&records[i])
 	}
-	if n := float64(s.Measured()); n > 0 {
-		s.MeanInstructions = float64(s.TotalInstructions) / n
-		s.MeanUnique = float64(unique) / n
-		s.MeanPacketAcc = float64(pkt) / n
-		s.MeanNonPacketAcc = float64(nonpkt) / n
-	}
-	return s
+	return a.Summary()
 }
 
 // Running incrementally aggregates packet records into the same
@@ -589,8 +544,7 @@ func (w Window) Throughput(prev Window) (packetsPerSec, instrsPerSec float64) {
 	return float64(w.Packets-prev.Packets) / dt, float64(w.Instructions-prev.Instructions) / dt
 }
 
-// Summary returns the aggregate, identical to Summarize over the same
-// records.
+// Summary returns the run-level figures of the records added so far.
 func (a *Running) Summary() Summary {
 	s := Summary{Packets: a.packets, Faulted: a.faulted, TotalInstructions: a.totalInstructions, Shed: a.shed}
 	if a.faulted > 0 {
