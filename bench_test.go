@@ -416,16 +416,7 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 // the block-threaded engine over the reference interpreter stays
 // visible in plain -bench output.
 func BenchmarkProcessPacketSmall(b *testing.B) {
-	pkts := make([]*trace.Packet, 256)
-	for i := range pkts {
-		n := 40 + i%25 // 40..64 bytes
-		data := make([]byte, n)
-		data[0] = 0x45 // IPv4, IHL 5
-		data[9] = 17   // UDP
-		data[12] = byte(i)
-		data[16] = byte(i >> 4)
-		pkts[i] = &trace.Packet{Data: data, WireLen: n}
-	}
+	pkts := smallPackets()
 	for _, engine := range []core.EngineKind{core.EngineThreaded, core.EngineInterpreter} {
 		for _, traced := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
@@ -494,37 +485,27 @@ func BenchmarkProcessPacketSmall(b *testing.B) {
 	}
 }
 
-// BenchmarkPoolThroughput measures multi-core scaling of the work-queue
-// scheduler on the heaviest application (IPv4-radix). The packets/sec
-// metric should scale with the core count up to the host's parallelism.
-func BenchmarkPoolThroughput(b *testing.B) {
-	pkts, tbl := benchPackets(b)
-	for _, n := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("cores=%d", n), func(b *testing.B) {
-			pool, err := core.NewPool(NewIPv4Radix(tbl), n, core.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := pool.RunPackets(pkts, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(b.N)*float64(len(pkts))/sec, "pkts/sec")
-			}
-		})
+// smallPackets is the 256-packet minimum-size (40-64 B IPv4/UDP) input
+// of BenchmarkProcessPacketSmall and TestTracingGuardrail.
+func smallPackets() []*trace.Packet {
+	pkts := make([]*trace.Packet, 256)
+	for i := range pkts {
+		n := 40 + i%25 // 40..64 bytes
+		data := make([]byte, n)
+		data[0] = 0x45 // IPv4, IHL 5
+		data[9] = 17   // UDP
+		data[12] = byte(i)
+		data[16] = byte(i >> 4)
+		pkts[i] = &trace.Packet{Data: data, WireLen: n}
 	}
+	return pkts
 }
 
-// BenchmarkPoolStreaming measures the bounded-channel streaming path
-// (Pool.RunTrace) against the same workload and core counts, capturing
-// the scheduler's overhead relative to the in-memory cursor path above.
-// With 64-packet batches amortizing channel synchronization, streaming
-// pkts/sec should stay within ~10% of BenchmarkPoolThroughput at every
-// core count — the line-rate ingestion target.
+// BenchmarkPoolStreaming measures multi-core scaling of the pool's
+// batched streaming scheduler (Pool.RunTrace, which Pool.RunPackets also
+// runs) on the heaviest application (IPv4-radix). The packets/sec metric
+// should scale with the core count up to the host's parallelism. Rows
+// with more cores than GOMAXPROCS measure oversubscription, not scaling.
 func BenchmarkPoolStreaming(b *testing.B) {
 	pkts, tbl := benchPackets(b)
 	for _, n := range []int{1, 2, 4, 8} {

@@ -335,8 +335,10 @@ type Options struct {
 	// makes no packet progress for this long has the run cancelled with
 	// a *StallError naming it. Zero disables the watchdog.
 	StallTimeout time.Duration
-	// Shed selects the overload policy of streaming pool runs (zero
-	// value: ShedBlock — backpressure, never drop).
+	// Shed selects the overload policy of Pool.RunTrace runs (zero
+	// value: ShedBlock — backpressure, never drop). Pool.RunPackets
+	// ignores it and always blocks: its source is memory, which can
+	// always wait, and its []PacketRecord result has no shed marker.
 	Shed ShedPolicy
 	// Trace, when non-nil, arms the packet-journey tracer: each core
 	// records per-stage span events into its own ptrace lane (Pool core

@@ -23,13 +23,14 @@ import (
 // the application's tables — the replicated-state regime of real
 // network-processor microengines.
 //
-// Scheduling is a shared work queue, not a fixed round-robin: workers
-// claim packet ranges from an atomic cursor (RunPackets) or pull packets
-// from a bounded channel fed by a trace reader (RunTrace), so skewed
-// per-packet costs never idle a core. The first core fault cancels the
-// run: the other workers observe a shared stop flag and exit at the next
-// packet boundary instead of burning CPU to completion, and external
-// cancellation is available through the Context variants.
+// Scheduling is a shared work queue, not a fixed round-robin: one
+// engine feeds batches of SetBatchSize packets from a trace reader into
+// a bounded channel that every core pulls from, so skewed per-packet
+// costs never idle a core. RunTrace streams any reader through it;
+// RunPackets runs it over an in-memory slice. The first core fault
+// cancels the run: the other workers observe a shared stop flag and exit
+// at the next packet boundary instead of burning CPU to completion, and
+// external cancellation is available through the Context variants.
 //
 // For per-packet-stateless applications (forwarding, anonymization,
 // payload scanning) the records are identical to a single-core run;
@@ -126,20 +127,6 @@ func (p *Pool) SetBatchSize(n int) {
 	p.batchSize = n
 }
 
-// chunkFor sizes the work-queue claim: small enough that a handful of
-// expensive packets cannot serialize the run behind one core, large
-// enough that the atomic cursor is off the per-packet hot path.
-func chunkFor(packets, cores int) int {
-	chunk := packets / (cores * 8)
-	if chunk < 1 {
-		return 1
-	}
-	if chunk > 64 {
-		return 64
-	}
-	return chunk
-}
-
 // firstFailure retains the worker error with the lowest packet index, so
 // concurrent runs report the same failure a sequential run would have hit
 // first.
@@ -195,93 +182,27 @@ func (p *Pool) RunPackets(pkts []*trace.Packet, onResult func(int, Result)) ([]s
 
 // RunPacketsContext is RunPackets under an external context: cancelling
 // ctx stops every worker at its next packet boundary and the run returns
-// ctx's error.
+// ctx's error. It runs the streaming engine over the slice, so the
+// watchdog, run deadline and run-bound tracers apply exactly as they do
+// to RunTrace — except shedding: the source is memory, which can always
+// wait, so the run never sheds.
 func (p *Pool) RunPacketsContext(ctx context.Context, pkts []*trace.Packet, onResult func(int, Result)) ([]stats.PacketRecord, error) {
-	if p.deadline > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, p.deadline)
-		defer cancelT()
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
 	records := make([]stats.PacketRecord, len(pkts))
-	var verdicts []uint32
+	var results []Result
 	if onResult != nil {
-		verdicts = make([]uint32, len(pkts))
+		results = make([]Result, len(pkts))
 	}
-	chunk := chunkFor(len(pkts), len(p.benches))
-	// Quarantine allowance is per run and shared: N cores skipping up to
-	// N budgets' worth of packets would make the tolerated corruption
-	// scale with the machine, not the configuration.
-	bud := newErrorBudget(p.benches[0].policy.ErrorBudget)
-	var cursor atomic.Int64
-	var stop atomic.Bool
-	var fail firstFailure
-	var wg sync.WaitGroup
-	for c, b := range p.benches {
-		wg.Add(1)
-		go func(c int, b *Bench) {
-			defer wg.Done()
-			for !stop.Load() {
-				start := int(cursor.Add(int64(chunk))) - chunk
-				if start >= len(pkts) {
-					return
-				}
-				end := start + chunk
-				if end > len(pkts) {
-					end = len(pkts)
-				}
-				for i := start; i < end; i++ {
-					if stop.Load() {
-						return
-					}
-					p.busy.Inc()
-					res, err := b.processUnderPolicy(i, pkts[i], bud)
-					p.busy.Dec()
-					if err != nil {
-						fail.report(i, fmt.Errorf("core %d: %w", c, err))
-						stop.Store(true)
-						cancel()
-						return
-					}
-					res.Record.Index = i
-					records[i] = res.Record
-					if verdicts != nil {
-						verdicts[i] = res.Verdict
-					}
-				}
-			}
-		}(c, b)
-	}
-
-	// Propagate external cancellation to the stop flag the workers poll.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			stop.Store(true)
-		case <-watchDone:
+	collect := func(i int, r Result) {
+		records[i] = r.Record
+		if results != nil {
+			results[i] = r
 		}
-	}()
-	wg.Wait()
-	close(watchDone)
-
-	if err := fail.get(); err != nil {
-		p.flightDump(err)
+	}
+	if _, err := p.runTrace(ctx, trace.NewSliceReader(pkts), 0, collect, nil, ShedBlock); err != nil {
 		return nil, err
 	}
-	if err := ctx.Err(); err != nil {
-		if p.deadline > 0 && errors.Is(err, context.DeadlineExceeded) {
-			err = fmt.Errorf("core: run deadline %v exceeded: %w", p.deadline, err)
-		}
-		p.flightDump(err)
-		return nil, err
-	}
-	if onResult != nil {
-		for i := range records {
-			onResult(i, Result{Verdict: verdicts[i], Record: records[i]})
-		}
+	for i, r := range results {
+		onResult(i, r)
 	}
 	return records, nil
 }
@@ -346,7 +267,7 @@ func (p *Pool) RunTrace(r trace.Reader, limit int, onResult func(int, Result)) (
 // RunTraceContext is RunTrace under an external context: cancelling ctx
 // stops the producer and every worker, and the run returns ctx's error.
 func (p *Pool) RunTraceContext(ctx context.Context, r trace.Reader, limit int, onResult func(int, Result)) (int, error) {
-	return p.runTrace(ctx, r, limit, onResult, nil)
+	return p.runTrace(ctx, r, limit, onResult, nil, p.shed)
 }
 
 // RunTraceCheckpointed is RunTraceContext with crash-safe periodic
@@ -359,12 +280,13 @@ func (p *Pool) RunTraceContext(ctx context.Context, r trace.Reader, limit int, o
 // restored aggregate carries the earlier ones, which is what makes the
 // final Summary identical to an uninterrupted run.
 func (p *Pool) RunTraceCheckpointed(ctx context.Context, r trace.Reader, limit int, onResult func(int, Result), ck *Checkpointer) (int, error) {
-	return p.runTrace(ctx, r, limit, onResult, ck)
+	return p.runTrace(ctx, r, limit, onResult, ck, p.shed)
 }
 
-// runTrace is the streaming run engine behind RunTraceContext and
-// RunTraceCheckpointed.
-func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult func(int, Result), ck *Checkpointer) (int, error) {
+// runTrace is the pool's one run engine, behind RunPacketsContext,
+// RunTraceContext and RunTraceCheckpointed. shed is the overload policy
+// applied when the job queue is full.
+func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult func(int, Result), ck *Checkpointer, shed ShedPolicy) (int, error) {
 	deadline := p.deadline
 	if deadline > 0 {
 		var cancelT context.CancelFunc
@@ -450,7 +372,7 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 	// offerJob enqueues a batch, applying the shed policy when the
 	// backlog is full. Returns false when the run is over.
 	offerJob := func(j poolJob) bool {
-		if p.shed == ShedBlock {
+		if shed == ShedBlock {
 			select {
 			case jobs <- j:
 				return true
@@ -466,7 +388,7 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 				return false
 			default:
 			}
-			if p.shed == ShedDropNewest {
+			if shed == ShedDropNewest {
 				// The arriving batch is the victim; shedding counts as
 				// handling it, so the producer advances past it.
 				return shedBatch(j)

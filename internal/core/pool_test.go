@@ -32,33 +32,70 @@ func explodeApp() *App {
 	return &App{Name: "explode", Source: explodeSrc, Entry: "e"}
 }
 
+// TestPoolRunPacketsOnResult pins RunPackets' delivery contract under
+// every shed policy: one in-order callback and one record per packet,
+// and never a shed marker. Packet-granular batches flood the job queue,
+// so a run that honoured Options.Shed would drop packets here.
 func TestPoolRunPacketsOnResult(t *testing.T) {
-	pkts := make([]*trace.Packet, 37)
+	const n = 5000
+	pkts := make([]*trace.Packet, n)
 	for i := range pkts {
-		pkts[i] = ipPacket(20 + i)
+		pkts[i] = ipPacket(20 + i%40)
 	}
-	pool, err := NewPool(echoApp(0), 3, Options{})
+	for _, shed := range []ShedPolicy{ShedBlock, ShedDropNewest, ShedDropOldest} {
+		t.Run(shed.String(), func(t *testing.T) {
+			pool, err := NewPool(echoApp(0), 2, Options{Shed: shed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool.SetBatchSize(1)
+			var order []int
+			var verdicts []uint32
+			recs, err := pool.RunPackets(pkts, func(i int, r Result) {
+				if r.Shed {
+					t.Fatalf("packet %d shed by RunPackets", i)
+				}
+				order = append(order, i)
+				verdicts = append(verdicts, r.Verdict)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(recs) != n || len(order) != n {
+				t.Fatalf("records %d, callbacks %d, want %d", len(recs), len(order), n)
+			}
+			for i := range order {
+				if order[i] != i || recs[i].Index != i {
+					t.Fatalf("position %d: onResult index %d, record index %d", i, order[i], recs[i].Index)
+				}
+				if verdicts[i] != uint32(20+i%40) {
+					t.Fatalf("verdict %d = %d, want %d", i, verdicts[i], 20+i%40)
+				}
+			}
+		})
+	}
+}
+
+// TestPoolRunPacketsCallbackSeesFault: a packet quarantined under
+// SkipAndRecord reaches onResult as the full Result, Fault included,
+// matching the returned record.
+func TestPoolRunPacketsCallbackSeesFault(t *testing.T) {
+	pool, err := NewPool(explodeApp(), 2, Options{StepLimit: 500, Errors: ErrorPolicy{Policy: SkipAndRecord}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var order []int
-	var verdicts []uint32
+	pkts := []*trace.Packet{ipPacket(20), ipPacket(20), ipPacket(20), ipPacket(20)}
+	pkts[2].Data[0] = 0xFF
+	faulted := make([]bool, len(pkts))
 	recs, err := pool.RunPackets(pkts, func(i int, r Result) {
-		order = append(order, i)
-		verdicts = append(verdicts, r.Verdict)
+		faulted[i] = r.Faulted()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != len(pkts) || len(order) != len(pkts) {
-		t.Fatalf("records %d, callbacks %d", len(recs), len(order))
-	}
-	for i := range order {
-		if order[i] != i {
-			t.Fatalf("onResult order[%d] = %d", i, order[i])
-		}
-		if verdicts[i] != uint32(20+i) {
-			t.Errorf("verdict %d = %d, want %d", i, verdicts[i], 20+i)
+	for i, r := range recs {
+		if faulted[i] != r.Faulted() || faulted[i] != (i == 2) {
+			t.Errorf("packet %d: callback Faulted()=%v record.Faulted()=%v, want %v", i, faulted[i], r.Faulted(), i == 2)
 		}
 	}
 }
@@ -288,26 +325,5 @@ func TestPoolExternalCancellation(t *testing.T) {
 	}
 	if _, err := pool.RunTraceContext(ctx, trace.NewSliceReader(pkts), 0, nil); !errors.Is(err, context.Canceled) {
 		t.Errorf("RunTraceContext err = %v, want context.Canceled", err)
-	}
-}
-
-func TestChunkFor(t *testing.T) {
-	cases := []struct {
-		packets, cores, want int
-	}{
-		{0, 4, 1},
-		{10, 4, 1}, // fewer packets than cores*8: degenerate chunk
-		{3, 8, 1},  // fewer packets than cores
-		{1000, 4, 31},
-		{1 << 20, 4, 64},
-		{100, 1, 12},
-		{32, 4, 1},    // exact multiple of cores*8
-		{512, 4, 16},  // exact multiple, mid-range chunk
-		{2048, 4, 64}, // exact multiple landing on the cap
-	}
-	for _, c := range cases {
-		if got := chunkFor(c.packets, c.cores); got != c.want {
-			t.Errorf("chunkFor(%d, %d) = %d, want %d", c.packets, c.cores, got, c.want)
-		}
 	}
 }

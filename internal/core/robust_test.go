@@ -64,6 +64,28 @@ func TestStallWatchdog(t *testing.T) {
 	}
 }
 
+// TestStallWatchdogRunPackets: the in-memory entry point has the same
+// no-hang guarantee as RunTrace. A 2 s stall under a 100 ms timeout must
+// fail the run with a *StallError long before the stall would end.
+func TestStallWatchdogRunPackets(t *testing.T) {
+	const timeout = 100 * time.Millisecond
+	inj := mustPlan(t, "stall@3:2000")
+	pool := poolWithPlan(t, 2, Options{StallTimeout: timeout}, inj)
+	start := time.Now()
+	_, err := pool.RunPackets(derefPackets(16), nil)
+	elapsed := time.Since(start)
+	var se *StallError
+	if !errors.As(err, &se) {
+		t.Fatalf("err = %v after %v, want *StallError", err, elapsed)
+	}
+	if se.Index != 3 {
+		t.Errorf("stalled packet = %d, want 3", se.Index)
+	}
+	if elapsed >= time.Second {
+		t.Errorf("stalled run took %v to fail; the watchdog did not cancel it", elapsed)
+	}
+}
+
 // TestDelayDoesNotTripWatchdog: slow-but-progressing packets (injected
 // latency spikes shorter than the timeout) must not be killed.
 func TestDelayDoesNotTripWatchdog(t *testing.T) {

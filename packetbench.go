@@ -114,9 +114,10 @@ type (
 	// differentially validated against. Both produce bit-identical
 	// results.
 	EngineKind = core.EngineKind
-	// ShedPolicy selects how a streaming pool reacts when its bounded
+	// ShedPolicy selects how Pool.RunTrace reacts when its bounded
 	// backlog is full (Options.Shed): block the producer (lossless) or
-	// drop whole batches, newest- or oldest-first.
+	// drop whole batches, newest- or oldest-first. Pool.RunPackets
+	// always blocks.
 	ShedPolicy = core.ShedPolicy
 	// StallError is the typed run error surfaced when the progress
 	// watchdog (Options.StallTimeout) cancels a run because a worker
@@ -402,9 +403,9 @@ func CompareTopologies(name string, w Workload, h Hardware, meanPacketBytes floa
 }
 
 // Pool runs one application on several independent simulated cores via a
-// chunked work-queue scheduler with first-error cancellation and a
-// streaming RunTrace for traces too large to hold in memory; see
-// core.Pool.
+// batched work-queue scheduler with first-error cancellation; RunTrace
+// streams traces too large to hold in memory, and RunPackets runs the
+// same scheduler over a preloaded slice. See core.Pool.
 type Pool = core.Pool
 
 // NewPool builds a pool of n simulated cores running app.
