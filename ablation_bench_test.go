@@ -133,6 +133,9 @@ func BenchmarkAblationLookupStructures(b *testing.B) {
 // collector costs the simulator, by running the same application with
 // tracing detached (the paper's claim that PacketBench "does not
 // significantly reduce the performance" of the underlying simulator).
+// Both rows run the threaded engine's fast loop: attached, the collector
+// (no Detail) takes block passes and data accesses, so the difference
+// is the block-mode accounting cost.
 func BenchmarkAblationTracerOverhead(b *testing.B) {
 	pkts := GenerateTrace("MRA", 500)
 	tbl := RouteTableFromTrace(pkts, 8192)

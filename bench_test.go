@@ -412,7 +412,9 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 // optimization every packet paid a 64 KiB buffer memset; now placement
 // cost tracks the packet size. The threaded/traced=false row is the
 // fast path (statistics off, block-threaded dispatch) and is the one to
-// watch for hot-path regressions; interp rows exist so the speedup of
+// watch for hot-path regressions. threaded/traced=true is the path
+// every CLI run takes: the same fast loop with the collector told about
+// block passes and data accesses. interp rows exist so the speedup of
 // the block-threaded engine over the reference interpreter stays
 // visible in plain -bench output.
 func BenchmarkProcessPacketSmall(b *testing.B) {

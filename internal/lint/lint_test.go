@@ -3,6 +3,7 @@ package lint
 import (
 	"go/parser"
 	"go/token"
+	"os"
 	"strings"
 	"testing"
 )
@@ -105,6 +106,32 @@ func dispatch() {
 	for _, d := range ds {
 		if d.Rule != "hotpath" {
 			t.Errorf("rule = %q, want hotpath", d.Rule)
+		}
+	}
+}
+
+// TestCollectorHooksAreHot checks that the statistics collector's block
+// hooks are gated by the hotpath rule: the real stats.go lints clean,
+// and an allocation planted at the top of Pass and of Mem is flagged.
+func TestCollectorHooksAreHot(t *testing.T) {
+	raw, err := os.ReadFile("../stats/stats.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := string(raw)
+	if ds := check(t, src); len(ds) != 0 {
+		t.Fatalf("stats.go has findings: %v", ds)
+	}
+	for _, hook := range []string{"Pass", "Mem"} {
+		sig := "func (c *Collector) " + hook + "("
+		i := strings.Index(src, sig)
+		if i < 0 {
+			t.Fatalf("no %s in stats.go", sig)
+		}
+		i += strings.Index(src[i:], "{\n") + 2
+		ds := check(t, src[:i]+"\t_ = make([]byte, 1)\n"+src[i:])
+		if len(ds) != 1 || ds[0].Rule != "hotpath" || !strings.Contains(ds[0].Msg, "hot path "+hook+" ") {
+			t.Errorf("allocation in Collector.%s: want one hotpath finding, got %v", hook, ds)
 		}
 	}
 }

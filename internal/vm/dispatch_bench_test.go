@@ -30,16 +30,23 @@ func dispatchProgram() []isa.Instruction {
 	}
 }
 
-// countingTracer is the cheapest possible observer — two counters — so
-// the traced benchmarks measure dispatch + hook overhead, not tracer
-// work.
+// countingTracer is the cheapest possible observer — a counter per
+// event kind — so the traced benchmarks measure dispatch + hook
+// overhead, not tracer work. It is a BlockTracer that takes block passes
+// only when blockwise is set.
 type countingTracer struct {
-	instrs, mems uint64
+	blockwise                    bool
+	instrs, mems, passes, passed uint64
 }
 
 func (t *countingTracer) Instr(pc uint32, in isa.Instruction) { t.instrs++ }
 func (t *countingTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	t.mems++
+}
+func (t *countingTracer) Blockwise() bool { return t.blockwise }
+func (t *countingTracer) Pass(first, last int) {
+	t.passes++
+	t.passed += uint64(last-first) + 1
 }
 
 // BenchmarkVMDispatch measures raw simulator dispatch across the

@@ -47,11 +47,12 @@ const (
 
 // provenOp returns instruction i's micro-op from p's fully-checked body
 // with the facts rewrites applied: proven loads and stores become
-// unchecked micro-ops carrying their region in rs2 (a proven load into
-// the zero register cannot fault or write, so it becomes uNOP), provably
-// redundant masks become register moves, and proven-direction branches
-// fold to uNOP/uGOTO. Instructions in dead blocks keep their
-// fully-checked op. This is the one place the rewrites live.
+// unchecked micro-ops carrying their region in rs2, provably redundant
+// masks become register moves, and proven-direction branches fold to
+// uNOP/uGOTO. A proven load into the zero register keeps its checked
+// op: it still reads memory, and a BlockTracer must see that read.
+// Instructions in dead blocks keep their fully-checked op. This is the
+// one place the rewrites live.
 func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
 	op := p.ops[i]
 	if tf.deadAt(int(p.blockOf[i])) {
@@ -59,10 +60,7 @@ func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
 	}
 	switch op.code {
 	case uLB, uLBU, uLH, uLHU, uLW:
-		if r := tf.memAt(i); r != RegionNone {
-			if op.rd == 0 {
-				return microOp{code: uNOP}
-			}
+		if r := tf.memAt(i); r != RegionNone && op.rd != 0 {
 			op.code = op.code - uLB + uULB
 			op.rs2 = uint8(r)
 		}

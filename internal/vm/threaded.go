@@ -19,12 +19,15 @@
 // target instruction index; only the indirect JALR pays a full PC
 // validation, exactly like the interpreter's fetch path.
 //
-// The engine keeps two completely separate dispatch loops: the untraced
-// loop (Tracer == nil) carries zero tracing branches, while the traced
-// loop reproduces the interpreter's observable event order bit for bit —
-// Instr before the step is counted, Mem between the fault checks and the
-// access, c.PC current at every tracer call so a panicking tracer (the
-// fault injector does this on purpose) is recovered at the right PC.
+// The engine keeps two separate dispatch loops. The fast loop runs with
+// no tracer, or with a BlockTracer (the statistics collector outside
+// Detail mode) that it tells about whole block passes and data accesses
+// only; untraced, each hook costs one nil test. The traced loop serves
+// every other tracer and reproduces the interpreter's observable event
+// order bit for bit — Instr before the step is counted, Mem between the
+// fault checks and the access, c.PC current at every tracer call so a
+// panicking tracer (the fault injector does this on purpose) is
+// recovered at the right PC.
 //
 // TranslateWithFacts goes one rung further: proof-guided translation.
 // The static verifier's abstract interpretation (internal/staticcheck)
@@ -33,11 +36,10 @@
 // translator uses them to emit unchecked load/store micro-ops (no
 // alignment or region check at run time), fold proven branches, and
 // rewrite identity masks to moves. The rewritten body is dispatch-only
-// state with one op per instruction, run by the same untraced loop as
-// the plain body; the traced loop always runs the fully-checked
-// translation so the interpreter's event order is preserved bit for
-// bit. Unverified programs (Options.NoVerify) never reach
-// TranslateWithFacts.
+// state with one op per instruction, run by the same fast loop as the
+// plain body; the traced loop always runs the fully-checked translation
+// so the interpreter's event order is preserved bit for bit. Unverified
+// programs (Options.NoVerify) never reach TranslateWithFacts.
 //
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
@@ -104,8 +106,8 @@ const (
 
 	// Unchecked memory ops: the verifier proved the access aligned and
 	// inside the mapped region carried in rs2, so no alignment or
-	// classification check runs at all. Loads with rd == zero are folded
-	// to uNOP instead (they can neither fault nor write).
+	// classification check runs at all. Loads into the zero register
+	// keep their checked code, which discards the value.
 	uULB
 	uULBU
 	uULH
@@ -154,7 +156,7 @@ type microOp struct {
 // cores (each CPU carries its own mutable state).
 type Program struct {
 	ops []microOp
-	// fops is the body the untraced loop dispatches from: the
+	// fops is the body the fast loop dispatches from: the
 	// proof-rewritten (unchecked/folded) ops, one per instruction like
 	// ops, so indirect entry and budget-truncated block passes need no
 	// special casing. Translate aliases fops to ops; only
@@ -332,24 +334,33 @@ func staticTarget(target, textBase uint32, n int) int32 {
 // failure. p must have been translated from the text segment and base
 // this CPU was created with.
 //
-// With a nil Tracer the untraced dispatch loop runs over the
-// proof-rewritten body: no tracing branches, per-block step accounting,
-// and c.PC/c.packetWriteHigh updated only at run exit. With a Tracer
-// attached the traced loop reproduces the interpreter's per-instruction
+// The body is chosen once per run from the attached Tracer. With none,
+// or with a BlockTracer that reports Blockwise, the fast dispatch loop
+// runs over the proof-rewritten body with per-block step accounting and
+// c.PC/c.packetWriteHigh updated only at run exit; a BlockTracer sees a
+// Pass per block pass and a Mem per data access. Any other Tracer gets
+// the traced loop, which reproduces the interpreter's per-instruction
 // event order exactly (Instr before the step is counted, Mem between the
 // fault checks and the access, c.PC current at every hook) so
 // tracer-driven fault injection behaves identically under both engines.
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
-	if c.Tracer != nil {
-		return c.runTraced(p, maxSteps)
+	switch t := c.Tracer.(type) {
+	case nil:
+		return c.runFast(p, maxSteps, nil)
+	case BlockTracer:
+		if t.Blockwise() {
+			return c.runFast(p, maxSteps, t)
+		}
 	}
-	return c.runFast(p, maxSteps)
+	return c.runTraced(p, maxSteps)
 }
 
-// runFast is the untraced dispatch loop. It runs p.fops, which is the
-// plain body for a Translate program and the proof-rewritten one for a
-// TranslateWithFacts program; both map one op to one instruction.
-func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
+// runFast is the fast dispatch loop. It runs p.fops, which is the plain
+// body for a Translate program and the proof-rewritten one for a
+// TranslateWithFacts program; both map one op to one instruction. bt,
+// when non-nil, is told about every block pass and data access; see
+// BlockTracer for the contract.
+func (c *CPU) runFast(p *Program, maxSteps uint64, bt BlockTracer) (steps uint64, reason StopReason, rerr error) {
 	regs := &c.Regs
 	layout := c.Layout
 	ops := p.fops
@@ -457,9 +468,12 @@ outer:
 				addr := regs[op.rs1&15] + op.imm
 				r := layout.Classify(addr)
 				if r == RegionNone || r == RegionText {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 1, false, r)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
@@ -468,42 +482,54 @@ outer:
 				addr := regs[op.rs1&15] + op.imm
 				r := layout.Classify(addr)
 				if r == RegionNone || r == RegionText {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 1, false, r)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead8(addr))
 				}
 			case uLH:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, f
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 2, false, r)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
 				}
 			case uLHU:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 1, pc, layout)
+				r, f := c.checkData(addr, 1, pc, layout)
 				if f != nil {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, f
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 2, false, r)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(c.cachedRead16(addr))
 				}
 			case uLW:
 				addr := regs[op.rs1&15] + op.imm
-				_, f := c.checkData(addr, 3, pc, layout)
+				r, f := c.checkData(addr, 3, pc, layout)
 				if f != nil {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, f
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 4, false, r)
 				}
 				if op.rd != 0 {
 					regs[op.rd&15] = c.cachedRead32(addr)
@@ -513,30 +539,36 @@ outer:
 				addr := regs[op.rs1&15] + op.imm
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if region == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
 				}
+				if bt != nil {
+					bt.Mem(pc, addr, 1, true, region)
+				}
 				pg := c.cachedPage(addr)
 				pg[addr&(pageSize-1)] = uint8(regs[op.rd&15])
 			case uSH:
 				addr := regs[op.rs1&15] + op.imm
 				if addr&1 != 0 {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if region == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 2, true, region)
 				}
 				pg := c.cachedPage(addr)
 				o := addr & (pageSize - 1)
@@ -544,18 +576,21 @@ outer:
 			case uSW:
 				addr := regs[op.rs1&15] + op.imm
 				if addr&3 != 0 {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
 				}
 				region := layout.Classify(addr)
 				if region == RegionText || region == RegionNone {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					c.PC = pc
 					return steps, 0, storeFault(region, pc, addr)
 				}
 				if region == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 4, true, region)
 				}
 				pg := c.cachedPage(addr)
 				o := addr & (pageSize - 1)
@@ -563,37 +598,37 @@ outer:
 
 			case uBEQ:
 				if regs[op.rs1&15] == regs[op.rs2&15] {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
 			case uBNE:
 				if regs[op.rs1&15] != regs[op.rs2&15] {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
 			case uBLT:
 				if int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]) {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
 			case uBGE:
 				if int32(regs[op.rs1&15]) >= int32(regs[op.rs2&15]) {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
 			case uBLTU:
 				if regs[op.rs1&15] < regs[op.rs2&15] {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
 			case uBGEU:
 				if regs[op.rs1&15] >= regs[op.rs2&15] {
-					steps += uint64(j-idx) + 1
+					steps = passEnd(bt, steps, idx, j)
 					idx, pcv = branchTo(op, pc)
 					continue outer
 				}
@@ -602,7 +637,7 @@ outer:
 				if op.rd != 0 {
 					regs[op.rd&15] = pc + isa.WordSize
 				}
-				steps += uint64(j-idx) + 1
+				steps = passEnd(bt, steps, idx, j)
 				idx, pcv = branchTo(op, pc)
 				continue outer
 			case uJALR:
@@ -610,39 +645,63 @@ outer:
 				if op.rd != 0 {
 					regs[op.rd&15] = pc + isa.WordSize
 				}
-				steps += uint64(j-idx) + 1
+				steps = passEnd(bt, steps, idx, j)
 				idx, pcv = -1, target
 				continue outer
 
 			case uHALT:
-				steps += uint64(j-idx) + 1
+				steps = passEnd(bt, steps, idx, j)
 				c.PC = pc
 				return steps, StopHalt, nil
 			case uBAD:
-				steps += uint64(j-idx) + 1
+				steps = passEnd(bt, steps, idx, j)
 				c.PC = pc
 				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
 
 			// Proof-guided micro-ops (emitted only by TranslateWithFacts).
 			// Unchecked memory ops run no alignment or region check: the
 			// verifier proved both, and rs2 carries the proven region
-			// (stores need it for the packet watermark). Proven loads with rd==zero were folded
-			// to uNOP, so the write-back is unconditional.
+			// (the packet watermark and BlockTracer.Mem need it). Proven
+			// loads into the zero register stay checked, so the write-back
+			// is unconditional.
 			case uULB:
-				regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(regs[op.rs1&15] + op.imm))))
+				addr := regs[op.rs1&15] + op.imm
+				if bt != nil {
+					bt.Mem(pc, addr, 1, false, Region(op.rs2))
+				}
+				regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
 			case uULBU:
-				regs[op.rd&15] = uint32(c.cachedRead8(regs[op.rs1&15] + op.imm))
+				addr := regs[op.rs1&15] + op.imm
+				if bt != nil {
+					bt.Mem(pc, addr, 1, false, Region(op.rs2))
+				}
+				regs[op.rd&15] = uint32(c.cachedRead8(addr))
 			case uULH:
-				regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(regs[op.rs1&15] + op.imm))))
+				addr := regs[op.rs1&15] + op.imm
+				if bt != nil {
+					bt.Mem(pc, addr, 2, false, Region(op.rs2))
+				}
+				regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
 			case uULHU:
-				regs[op.rd&15] = uint32(c.cachedRead16(regs[op.rs1&15] + op.imm))
+				addr := regs[op.rs1&15] + op.imm
+				if bt != nil {
+					bt.Mem(pc, addr, 2, false, Region(op.rs2))
+				}
+				regs[op.rd&15] = uint32(c.cachedRead16(addr))
 			case uULW:
-				regs[op.rd&15] = c.cachedRead32(regs[op.rs1&15] + op.imm)
+				addr := regs[op.rs1&15] + op.imm
+				if bt != nil {
+					bt.Mem(pc, addr, 4, false, Region(op.rs2))
+				}
+				regs[op.rd&15] = c.cachedRead32(addr)
 			case uUSB:
 				addr := regs[op.rs1&15] + op.imm
 				r := Region(op.rs2)
 				if r == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 1, true, r)
 				}
 				c.cachedPage(addr)[addr&(pageSize-1)] = uint8(regs[op.rd&15])
 			case uUSH:
@@ -650,6 +709,9 @@ outer:
 				r := Region(op.rs2)
 				if r == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
+				}
+				if bt != nil {
+					bt.Mem(pc, addr, 2, true, r)
 				}
 				o := addr & (pageSize - 1)
 				pg := c.cachedPage(addr)
@@ -660,12 +722,15 @@ outer:
 				if r == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
 				}
+				if bt != nil {
+					bt.Mem(pc, addr, 4, true, r)
+				}
 				o := addr & (pageSize - 1)
 				pg := c.cachedPage(addr)
 				binary.LittleEndian.PutUint32(pg[o:o+4:o+4], regs[op.rd&15])
 
 			case uGOTO:
-				steps += uint64(j-idx) + 1
+				steps = passEnd(bt, steps, idx, j)
 				idx, pcv = branchTo(op, pc)
 				continue outer
 			}
@@ -675,13 +740,22 @@ outer:
 		// budget truncated it, the block was split by a following leader,
 		// or execution ran past the last instruction. The re-entry checks
 		// sort the three cases out (step limit / next block / bad fetch).
-		steps += uint64(end - idx)
+		steps = passEnd(bt, steps, idx, end-1)
 		if uint32(end) < n {
 			idx = end
 		} else {
 			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
 		}
 	}
+}
+
+// passEnd charges the block pass first..last to steps and reports it to
+// bt, when one is attached.
+func passEnd(bt BlockTracer, steps uint64, first, last int) uint64 {
+	if bt != nil {
+		bt.Pass(first, last)
+	}
+	return steps + uint64(last-first) + 1
 }
 
 // branchTo turns a taken static control transfer into the next dispatch

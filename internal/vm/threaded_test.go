@@ -84,6 +84,50 @@ func TestThreadedStepsAccumulate(t *testing.T) {
 	}
 }
 
+// TestRunProgramPicksBodyFromTracer checks that RunProgram picks the
+// body from the attached tracer alone: a BlockTracer reporting
+// Blockwise gets passes and no Instr events, while one that does not,
+// or one behind a MultiTracer, gets the per-instruction stream.
+func TestRunProgramPicksBodyFromTracer(t *testing.T) {
+	const base = 0x00400000
+	text := []isa.Instruction{
+		ins(isa.ADDI, 4, 0, 0, 3),
+		ins(isa.LW, 5, 1, 0, 0), // loop: three iterations
+		ins(isa.ADDI, 4, 4, 0, -1),
+		ins(isa.BNE, 0, 4, 0, -3),
+		ins(isa.HALT, 0, 0, 0, 0),
+	}
+	const steps = 1 + 3*3 + 1
+	prog := Translate(text, base, analysis.NewBlockMap(text, base))
+	for _, tc := range []struct {
+		name   string
+		tracer func(*countingTracer) Tracer
+		block  bool // true: the fast loop's passes; false: Instr events
+	}{
+		{"blockwise", func(ct *countingTracer) Tracer { ct.blockwise = true; return ct }, true},
+		{"not blockwise", func(ct *countingTracer) Tracer { return ct }, false},
+		{"behind MultiTracer", func(ct *countingTracer) Tracer { ct.blockwise = true; return MultiTracer{ct} }, false},
+	} {
+		ct := &countingTracer{}
+		cpu := New(text, base, NewMemory())
+		cpu.Layout = testLayout(base, len(text))
+		cpu.Regs[1] = cpu.Layout.PacketBase
+		cpu.PC = base
+		cpu.Tracer = tc.tracer(ct)
+		if n, _, err := cpu.RunProgram(prog, 100); err != nil || n != steps {
+			t.Fatalf("%s: ran %d steps (%v), want %d", tc.name, n, err, steps)
+		}
+		want := countingTracer{blockwise: ct.blockwise, mems: 3, instrs: steps}
+		if tc.block {
+			// Passes: the entry block, three loop bodies, the halt.
+			want.instrs, want.passes, want.passed = 0, 5, steps
+		}
+		if *ct != want {
+			t.Errorf("%s: events %+v, want %+v", tc.name, *ct, want)
+		}
+	}
+}
+
 // TestNoProofNoUncheckedOps is the hostile half of the proof-guided
 // translation contract: without verifier proofs, no memory check may be
 // elided and no branch folded, no matter how tempting the program looks.

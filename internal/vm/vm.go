@@ -104,6 +104,26 @@ type Tracer interface {
 	Mem(pc uint32, addr uint32, size uint8, write bool, region Region)
 }
 
+// BlockTracer is a Tracer that can also take execution a block pass at a
+// time. CPU.RunProgram asks Blockwise once per run: when it reports true,
+// the run takes the fast dispatch loop, which calls Pass instead of
+// Instr and still calls Mem for every data access. The interpreter
+// (CPU.Run) always calls Instr.
+type BlockTracer interface {
+	Tracer
+	// Blockwise reports whether the tracer needs nothing from Instr
+	// that Pass does not carry.
+	Blockwise() bool
+	// Pass reports that the instructions at text indexes first..last
+	// (inclusive) executed once each, in order, inside one basic block.
+	// A pass ends at the instruction that transfers control, halts or
+	// faults — a faulting instruction is included, since the interpreter
+	// calls Instr before it faults — or at the block end or the last
+	// instruction the step budget affords. Mem events of the pass's
+	// instructions come before its Pass call.
+	Pass(first, last int)
+}
+
 // FaultKind enumerates the ways simulated execution can fail. It
 // implements error so a bare kind can be used as an errors.Is target:
 //
@@ -491,7 +511,8 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 
 // MultiTracer fans tracer events out to several tracers, letting the
 // workload collector and a microarchitectural profiler observe the same
-// run.
+// run. It is not a BlockTracer, so a run it observes takes the
+// per-instruction traced loop.
 type MultiTracer []Tracer
 
 // Instr implements Tracer.
