@@ -31,16 +31,14 @@ var benchConfig = report.Config{
 	SmallRoutePrefixes: 512,
 }
 
-// benchEnv is shared across benchmarks; construction cost (trace and
-// table generation) is excluded from timings via b.ResetTimer.
-var benchEnv *report.Env
-
-func env(b *testing.B) *report.Env {
-	b.Helper()
-	if benchEnv == nil {
-		benchEnv = report.NewEnv(benchConfig)
-	}
-	return benchEnv
+// freshEnv builds an environment with the timer stopped. Each iteration
+// gets its own, so it times the simulation rather than reads of runs an
+// earlier iteration left in the Env's run cache; trace and table
+// generation stay out of the timings.
+func freshEnv(b *testing.B) *report.Env {
+	b.StopTimer()
+	defer b.StartTimer()
+	return report.NewEnv(benchConfig)
 }
 
 // BenchmarkTable1TraceGen regenerates Table I's trace inventory by
@@ -62,12 +60,10 @@ func BenchmarkTable1TraceGen(b *testing.B) {
 // reports the paper's headline cell: IPv4-radix mean instructions per
 // packet (paper: thousands; trie and flow: low hundreds).
 func BenchmarkTable2Complexity(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var m *report.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = e.RunMatrix(benchConfig.TablePackets)
+		m, err = freshEnv(b).RunMatrix(benchConfig.TablePackets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,12 +78,10 @@ func BenchmarkTable2Complexity(b *testing.B) {
 // non-packet memory accesses per packet for IPv4-radix (paper: 32 vs
 // ~840).
 func BenchmarkTable3MemAccess(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var m *report.Matrix
 	var err error
 	for i := 0; i < b.N; i++ {
-		m, err = e.RunMatrix(benchConfig.TablePackets)
+		m, err = freshEnv(b).RunMatrix(benchConfig.TablePackets)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,12 +94,10 @@ func BenchmarkTable3MemAccess(b *testing.B) {
 // BenchmarkTable4MemCoverage reports the Table IV memory footprints for
 // IPv4-radix (paper: 4,420 instruction bytes, 18,004 data bytes).
 func BenchmarkTable4MemCoverage(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var rows []report.Table4Row
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = e.Table4()
+		rows, err = freshEnv(b).Table4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,12 +114,10 @@ func BenchmarkTable4MemCoverage(b *testing.B) {
 // share of the three most frequent instruction counts for Flow
 // Classification (paper: ~94%).
 func BenchmarkTable5Variation(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var rows []report.VariationRow
 	var err error
 	for i := 0; i < b.N; i++ {
-		rows, err = e.Variation(false)
+		rows, err = freshEnv(b).Variation(false)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -144,13 +134,13 @@ func BenchmarkTable5Variation(b *testing.B) {
 
 // BenchmarkTable6UniqueVariation reports Table VI: the repetition factor
 // (total/unique instructions) for IPv4-radix versus IPv4-trie (paper:
-// ~4x vs ~1.5x).
+// ~4x vs ~1.5x). Both tables read one simulation per application, as in
+// pbreport: Table VI is a second read of the COS runs Table V cached.
 func BenchmarkTable6UniqueVariation(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var totals, uniques []report.VariationRow
 	var err error
 	for i := 0; i < b.N; i++ {
+		e := freshEnv(b)
 		totals, err = e.Variation(false)
 		if err != nil {
 			b.Fatal(err)
@@ -185,12 +175,10 @@ func BenchmarkTable6UniqueVariation(b *testing.B) {
 // series and reports the IPv4-radix min-max spread (paper: wide) and the
 // Flow Classification spread (paper: a few discrete levels).
 func BenchmarkFig3ComplexityScatter(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var series []report.Series
 	var err error
 	for i := 0; i < b.N; i++ {
-		series, err = e.FigureSeries(report.MetricInstructions)
+		series, err = freshEnv(b).FigureSeries(report.MetricInstructions)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,12 +204,10 @@ func BenchmarkFig3ComplexityScatter(b *testing.B) {
 // BenchmarkFig4PacketMemScatter regenerates Figure 4 and reports the
 // near-constant packet-memory access level.
 func BenchmarkFig4PacketMemScatter(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var series []report.Series
 	var err error
 	for i := 0; i < b.N; i++ {
-		series, err = e.FigureSeries(report.MetricPacketAccesses)
+		series, err = freshEnv(b).FigureSeries(report.MetricPacketAccesses)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -236,12 +222,10 @@ func BenchmarkFig4PacketMemScatter(b *testing.B) {
 // BenchmarkFig5NonPacketMemScatter regenerates Figure 5 and reports the
 // correlation driver: mean non-packet accesses for IPv4-radix.
 func BenchmarkFig5NonPacketMemScatter(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var series []report.Series
 	var err error
 	for i := 0; i < b.N; i++ {
-		series, err = e.FigureSeries(report.MetricNonPacketAccesses)
+		series, err = freshEnv(b).FigureSeries(report.MetricNonPacketAccesses)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,12 +240,10 @@ func BenchmarkFig5NonPacketMemScatter(b *testing.B) {
 // BenchmarkFig6InstrPattern regenerates the single-packet instruction
 // pattern and reports the loop repetition visible in Figure 6.
 func BenchmarkFig6InstrPattern(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var patterns []report.Pattern
 	var err error
 	for i := 0; i < b.N; i++ {
-		patterns, err = e.Figure6(0)
+		patterns, err = freshEnv(b).Figure6(0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -278,12 +260,10 @@ func BenchmarkFig6InstrPattern(b *testing.B) {
 // BenchmarkFig7BBFreq regenerates Figure 7 and reports the fraction of
 // basic blocks executed by every packet (probability 1).
 func BenchmarkFig7BBFreq(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var bs []report.BlockStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		bs, err = e.BlockStatistics()
+		bs, err = freshEnv(b).BlockStatistics()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -300,12 +280,10 @@ func BenchmarkFig7BBFreq(b *testing.B) {
 // BenchmarkFig8BBCoverage regenerates Figure 8 and reports the paper's
 // sweet spot: blocks needed for 90% packet coverage.
 func BenchmarkFig8BBCoverage(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var bs []report.BlockStats
 	var err error
 	for i := 0; i < b.N; i++ {
-		bs, err = e.BlockStatistics()
+		bs, err = freshEnv(b).BlockStatistics()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -322,12 +300,10 @@ func BenchmarkFig8BBCoverage(b *testing.B) {
 // BenchmarkFig9MemSequence regenerates the single-packet memory access
 // sequence and reports its length.
 func BenchmarkFig9MemSequence(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
 	var seqs []report.MemSeq
 	var err error
 	for i := 0; i < b.N; i++ {
-		seqs, err = e.Figure9(0)
+		seqs, err = freshEnv(b).Figure9(0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,0 +1,151 @@
+package report
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/stats"
+	"repro/internal/trace"
+	"repro/internal/vm"
+)
+
+// TestSharedRunsMatchFreshRuns runs every experiment in pbreport's order
+// on one Env, so later experiments read the runs earlier ones cached,
+// and compares each result with the same experiment on a fresh Env. The
+// last step asks for a 50-packet matrix after Tables V/VI cached 300 COS
+// packets: a short prefix of a long run, stateful Flow Classification
+// included.
+func TestSharedRunsMatchFreshRuns(t *testing.T) {
+	steps := []struct {
+		name string
+		run  func(*Env) (any, error)
+	}{
+		{"matrix", func(e *Env) (any, error) { return e.RunMatrix(testConfig.TablePackets) }},
+		{"table4", func(e *Env) (any, error) { return e.Table4() }},
+		{"table5", func(e *Env) (any, error) { return e.Variation(false) }},
+		{"table6", func(e *Env) (any, error) { return e.Variation(true) }},
+		{"fig3", func(e *Env) (any, error) { return e.FigureSeries(MetricInstructions) }},
+		{"fig4", func(e *Env) (any, error) { return e.FigureSeries(MetricPacketAccesses) }},
+		{"fig5", func(e *Env) (any, error) { return e.FigureSeries(MetricNonPacketAccesses) }},
+		{"fig6", func(e *Env) (any, error) { return e.Figure6(0) }},
+		{"fig7/8", func(e *Env) (any, error) { return e.BlockStatistics() }},
+		{"fig9", func(e *Env) (any, error) { return e.Figure9(0) }},
+		{"microarch", func(e *Env) (any, error) { return e.Microarch(testConfig.TablePackets) }},
+		{"matrix after variation", func(e *Env) (any, error) { return e.RunMatrix(50) }},
+	}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			env := NewEnv(testConfig)
+			for _, st := range steps {
+				got, err := st.run(env)
+				if err != nil {
+					t.Fatalf("%s on the shared env: %v", st.name, err)
+				}
+				want, err := st.run(NewEnv(testConfig))
+				if err != nil {
+					t.Fatalf("%s on a fresh env: %v", st.name, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: shared result differs from a fresh run\nshared: %+v\nfresh:  %+v", st.name, got, want)
+				}
+			}
+			// The last matrix read prefixes: the COS runs are still the
+			// variation tables' full-length ones.
+			for _, app := range AppNames {
+				r := env.runs.entries[runKey{app, "COS"}].run
+				if len(r.scalars) != testConfig.VariationPackets {
+					t.Errorf("%s on COS: cache holds %d packets, want %d", app, len(r.scalars), testConfig.VariationPackets)
+				}
+			}
+		})
+	}
+}
+
+// TestSharedRunFailure checks the cache against a run that fails part
+// way: it reports the fresh run's error for any request reaching the
+// failing packet, serves the packets before it, and the matrix reports
+// the first failing cell in table order whatever the schedule.
+func TestSharedRunFailure(t *testing.T) {
+	const bad = 20
+	env := NewEnv(testConfig)
+	mra := append([]*trace.Packet(nil), env.traces["MRA"]...)
+	mra[bad] = &trace.Packet{Data: make([]byte, core.MaxPacketLen+1)}
+	env.traces["MRA"] = mra
+
+	fresh, _, wantErr := env.Run("TSA", "MRA", 50, core.Options{})
+	if fresh == nil || wantErr == nil {
+		t.Fatalf("fresh run: err %v, want a fault at packet %d", wantErr, bad)
+	}
+	_, freshRecs, _ := env.Run("TSA", "MRA", bad, core.Options{})
+
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	if _, err := env.shared("TSA", "MRA", 50); err == nil || err.Error() != wantErr.Error() {
+		t.Fatalf("shared run: err %v, want %v", err, wantErr)
+	}
+	cached := env.runs.entries[runKey{"TSA", "MRA"}].run
+	r, err := env.shared("TSA", "MRA", bad)
+	if err != nil {
+		t.Fatalf("prefix before the fault: %v", err)
+	}
+	if env.runs.entries[runKey{"TSA", "MRA"}].run != cached {
+		t.Error("a prefix of the failed run was simulated again")
+	}
+	if got, want := r.summary(), stats.Summarize(freshRecs); !reflect.DeepEqual(got, want) {
+		t.Errorf("prefix summary %+v, fresh %+v", got, want)
+	}
+	if _, err := env.shared("TSA", "MRA", 100); err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("longer request: err %v, want %v", err, wantErr)
+	}
+
+	_, err = env.RunMatrix(50)
+	var f *vm.Fault
+	if err == nil || !strings.HasPrefix(err.Error(), "IPv4-radix on MRA: ") || !errors.As(err, &f) {
+		t.Errorf("matrix error %v, want IPv4-radix on MRA's fault", err)
+	}
+}
+
+// TestSharedRunConcurrentRequests asks for one key from several
+// goroutines at once: equal requests simulate once and share one run,
+// and every view, shorter ones included, equals a fresh run.
+func TestSharedRunConcurrentRequests(t *testing.T) {
+	const n = 100
+	env := NewEnv(testConfig)
+	lens := []int{n, n, n, n, 10, 60, n, 1}
+	views := make([]*sharedRun, len(lens))
+	var wg sync.WaitGroup
+	for i, m := range lens {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := env.shared("Flow Classification", "COS", m)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			views[i] = r
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, m := range lens {
+		_, recs, err := NewEnv(testConfig).Run("Flow Classification", "COS", m, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := views[i].summary(), stats.Summarize(recs); !reflect.DeepEqual(got, want) {
+			t.Errorf("request %d (%d packets): summary %+v, fresh %+v", i, m, got, want)
+		}
+		if m == n && &views[i].scalars[0] != &views[0].scalars[0] {
+			t.Errorf("request %d simulated its own %d-packet run", i, n)
+		}
+	}
+}

@@ -643,19 +643,6 @@ func InstructionCounts(records []PacketRecord) []uint64 {
 	return out
 }
 
-// UniqueCounts extracts per-packet unique-instruction counts (Table VI),
-// excluding quarantined records.
-func UniqueCounts(records []PacketRecord) []uint64 {
-	out := make([]uint64, 0, len(records))
-	for i := range records {
-		if records[i].Faulted() {
-			continue
-		}
-		out = append(out, uint64(records[i].Unique))
-	}
-	return out
-}
-
 // BlockSets extracts per-packet executed block sets (Figures 7 and 8),
 // excluding quarantined records.
 func BlockSets(records []PacketRecord) [][]int {

@@ -327,10 +327,6 @@ func TestExtractors(t *testing.T) {
 	if len(ic) != 2 || ic[0] != 10 || ic[1] != 20 {
 		t.Errorf("InstructionCounts = %v", ic)
 	}
-	uc := UniqueCounts(recs)
-	if uc[0] != 5 || uc[1] != 7 {
-		t.Errorf("UniqueCounts = %v", uc)
-	}
 	bs := BlockSets(recs)
 	if len(bs) != 2 || len(bs[0]) != 2 || len(bs[1]) != 1 {
 		t.Errorf("BlockSets = %v", bs)
@@ -493,9 +489,6 @@ func TestFaultedRecordsExcludedFromMeans(t *testing.T) {
 	// up as spurious zero-count packets in the occurrence tables.
 	if c := InstructionCounts(mixed); !reflect.DeepEqual(c, InstructionCounts(clean)) {
 		t.Errorf("InstructionCounts over mixed records = %v", c)
-	}
-	if u := UniqueCounts(mixed); !reflect.DeepEqual(u, UniqueCounts(clean)) {
-		t.Errorf("UniqueCounts over mixed records = %v", u)
 	}
 	if b := BlockSets(mixed); len(b) != 2 {
 		t.Errorf("BlockSets kept %d sets, want 2", len(b))
