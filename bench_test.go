@@ -386,11 +386,11 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 // 40–64-byte packets — the minimum-size traffic that dominates backbone
 // captures — across engine × tracing. Before the dirty-length
 // optimization every packet paid a 64 KiB buffer memset; now placement
-// cost tracks the packet size. The threaded/traced=false row is the
-// fast path (statistics off, block-threaded dispatch) and is the one to
-// watch for hot-path regressions. threaded/traced=true is the path
-// every CLI run takes: the same fast loop with the collector told about
-// block passes and data accesses. interp rows exist so the speedup of
+// cost tracks the packet size. The threaded/traced=false row runs the
+// block-threaded loop with statistics off and is the one to watch for
+// hot-path regressions. threaded/traced=true is the path every CLI run
+// takes: the same loop with the collector attached, told about block
+// passes and data accesses. interp rows exist so the speedup of
 // the block-threaded engine over the reference interpreter stays
 // visible in plain -bench output.
 func BenchmarkProcessPacketSmall(b *testing.B) {

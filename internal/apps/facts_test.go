@@ -24,8 +24,8 @@ func TestFactsFireOnApps(t *testing.T) {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
 		st := b.TranslationStats()
-		t.Logf("%-14s uncheckedLoads=%d uncheckedStores=%d foldedBranches=%d elidedMasks=%d deadBlocks=%d",
-			app.Name, st.UncheckedLoads, st.UncheckedStores, st.FoldedBranches, st.ElidedMasks, st.DeadBlocks)
+		t.Logf("%-14s uncheckedLoads=%d uncheckedStores=%d elidedMasks=%d deadBlocks=%d",
+			app.Name, st.UncheckedLoads, st.UncheckedStores, st.ElidedMasks, st.DeadBlocks)
 		if st.UncheckedLoads+st.UncheckedStores == 0 {
 			t.Errorf("%s: no unchecked memory ops: the facts pipeline proved nothing", app.Name)
 		}

@@ -624,9 +624,9 @@ func (b *Bench) Metrics() *telemetry.Registry { return b.reg }
 func (b *Bench) Engine() EngineKind { return b.engine }
 
 // TranslationStats reports what the proof-guided translator did with
-// this program: unchecked memory micro-ops, folded branches, elided
-// masks and dead blocks. Zero for the interpreter engine and for
-// unverified programs (no proofs, fully-checked translation).
+// this program: unchecked memory micro-ops, elided masks and dead
+// blocks. Zero for the interpreter engine and for unverified programs
+// (no proofs, fully-checked translation).
 func (b *Bench) TranslationStats() vm.TranslateStats {
 	if b.tprog == nil {
 		return vm.TranslateStats{}
@@ -840,9 +840,21 @@ func (b *Bench) SetTracing(enabled bool) {
 	b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
 }
 
+// programBoundTracer is implemented by extra tracers that precompute
+// per-instruction tables from the program text (the microarch
+// profiler); the bench binds them to its program when they are attached.
+type programBoundTracer interface {
+	BindProgram(text []isa.Instruction, textBase uint32)
+}
+
 // AddTracer attaches an additional tracer (for example a
-// microarch.Profiler) alongside the workload collector.
+// microarch.Profiler) alongside the workload collector. The run stays on
+// the block-threaded loop only if every tracer is blockwise; see
+// vm.Tracer.
 func (b *Bench) AddTracer(t vm.Tracer) {
+	if pt, ok := t.(programBoundTracer); ok {
+		pt.BindProgram(b.prog.Text, b.prog.TextBase)
+	}
 	b.extraTracers = append(b.extraTracers, t)
 	b.SetTracing(true)
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/isa"
+	"repro/internal/microarch"
 	"repro/internal/packet"
 	"repro/internal/route"
 	"repro/internal/staticcheck"
@@ -27,44 +28,47 @@ import (
 // a bundled application run on a core.Bench over a generated trace. Each
 // column (a cell) combines
 //
-//   - body: the interpreter, the threaded traced loop (RunProgram with a
-//     per-instruction tracer) or the threaded fast loop (RunProgram with
-//     no tracer, or in block mode with a blockwise one);
+//   - body: the interpreter, or the threaded engine (RunProgram), which
+//     runs its block-threaded loop with no tracer or a blockwise one and
+//     hands any other tracer's run to the interpreter;
 //   - translation: Translate, or TranslateWithFacts with the verifier's
 //     facts (for applications: NoVerify on or off);
 //   - step budget: the row's full budget and, for programs, every budget
 //     from 0 to min(steps, 64);
 //   - observer: none; a stats.Collector with Detail, Coverage and
-//     CountPCs on; the same collector with Detail off; or the Detail
-//     collector plus an extra tracer (a panicking event recorder for
-//     programs, a faultinject plan with vmfault and panic entries for
-//     applications).
+//     CountPCs on; the same collector with Detail off ("accounting"); the
+//     Detail collector plus a microarch.Profiler with small caches; or
+//     the Detail collector plus a per-instruction extra tracer (a
+//     panicking event recorder for programs, a faultinject plan with
+//     vmfault and panic entries for applications).
 //
-// Accounting has two modes, and the observer picks one: the interpreter
-// and the traced loop call Instr per instruction, while the collector
-// without Detail is a vm.BlockTracer, so threaded cells of that
-// "accounting" column run the fast loop and report block passes. Its
-// records, coverage sizes and PCCounts must match the interpreter's
-// per-instruction ones bit for bit. runCell executes a cell and
-// diff compares it with the interpreter's run of the same row, budget
-// and observer, and checkRow runs every cell of a row, one subtest per
-// observer. TestOracle (programs), TestEngineEquivalenceApps (bundled
-// applications), TestEngineEquivalenceFaults (NoVerify fault programs)
-// and FuzzOracle all drive rows through checkRow.
+// Every observer but the extra tracer is blockwise, so threaded cells of
+// those columns report block passes, and their threaded program cells
+// (and application cells, through a trap tracer) panic on any Instr
+// call. Their records, coverage sizes, PCCounts, Detail traces
+// (InstrTrace, MemTrace with InstrNum, BlockSeq) and profiler state must
+// match the interpreter's per-instruction ones bit for bit. runCell
+// executes a cell and diff compares it with the interpreter's run of the
+// same row, budget and observer, and checkRow runs every cell of a row,
+// one subtest per observer. TestOracle (programs),
+// TestEngineEquivalenceApps (bundled applications),
+// TestEngineEquivalenceFaults (NoVerify fault programs) and FuzzOracle
+// all drive rows through checkRow.
 
 type observer int
 
 const (
-	obsNone       observer = iota // no tracer: the threaded engine runs its fast loop
+	obsNone       observer = iota // no tracer
 	obsCollector                  // the statistics collector in Detail mode
-	obsExtra                      // the Detail collector plus an extra tracer
-	obsAccounting                 // the collector without Detail: block mode on threaded cells
+	obsExtra                      // the Detail collector plus a per-instruction extra tracer
+	obsAccounting                 // the collector without Detail
+	obsMicroarch                  // the Detail collector plus a microarch.Profiler
 )
 
-var observers = []observer{obsNone, obsCollector, obsExtra, obsAccounting}
+var observers = []observer{obsNone, obsCollector, obsExtra, obsAccounting, obsMicroarch}
 
 func (o observer) String() string {
-	return [...]string{"none", "collector", "collector+extra", "accounting"}[o]
+	return [...]string{"none", "collector", "collector+extra", "accounting", "microarch"}[o]
 }
 
 // cell is one column. The body follows from threaded and obs.
@@ -81,10 +85,10 @@ func (c cell) String() string {
 	case !c.threaded:
 	case c.obs == obsNone:
 		body = "fast"
-	case c.obs == obsAccounting:
-		body = "fast+passes"
+	case c.obs == obsExtra:
+		body = "threaded->interp"
 	default:
-		body = "traced"
+		body = "fast+passes"
 	}
 	if c.threaded && c.facts {
 		body += "/TranslateWithFacts"
@@ -145,7 +149,39 @@ type outcome struct {
 	Records  []stats.PacketRecord
 	Coverage [3]int // instruction, data and packet footprints
 	PCCounts []uint64
+	Profile  profile
 	mem      *vm.Memory
+}
+
+// profile is a microarch.Profiler's state after Flush.
+type profile struct {
+	Mix      microarch.Mix
+	Branches microarch.BranchStats
+	Bimodal  string    // the predictor's counters, which BranchStats keeps unexported
+	Caches   [4]uint64 // I-cache accesses and misses, D-cache accesses and misses
+	Cycles   uint64
+}
+
+// newProfiler builds the microarch column's profiler. Its caches are
+// tiny so that every row misses often.
+func newProfiler(t *testing.T) *microarch.Profiler {
+	ic, err := microarch.NewCache(64, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dc, err := microarch.NewCache(128, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return microarch.NewProfiler(ic, dc)
+}
+
+// profileOf flushes p and copies its state.
+func profileOf(p *microarch.Profiler) profile {
+	p.Flush()
+	return profile{Mix: p.Mix, Branches: p.Branches, Bimodal: fmt.Sprint(p.Branches),
+		Caches: [4]uint64{p.ICache.Accesses, p.ICache.Misses, p.DCache.Accesses, p.DCache.Misses},
+		Cycles: p.Cycles}
 }
 
 type packetOutcome struct {
@@ -204,15 +240,24 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 	o := &outcome{mem: mem}
 	var col *stats.Collector
 	var ev *eventTracer
+	var prof *microarch.Profiler
 	if c.obs != obsNone {
 		col = observedCollector(stats.NewCollector(r.text, r.base, r.blocks, r.layout), c.obs)
-		cpu.Tracer = col
-		if c.obs == obsAccounting && c.threaded {
-			cpu.Tracer = passesOnly{col}
+		trap := func(bt vm.BlockTracer) vm.BlockTracer {
+			if c.threaded {
+				return passesOnly{bt}
+			}
+			return bt
 		}
-		if c.obs == obsExtra {
+		cpu.Tracer = trap(col)
+		switch c.obs {
+		case obsExtra:
 			ev = &eventTracer{panicAt: r.panicAt}
 			cpu.Tracer = vm.MultiTracer{col, ev}
+		case obsMicroarch:
+			prof = newProfiler(t)
+			prof.BindProgram(r.text, r.base)
+			cpu.Tracer = vm.MultiTracer{trap(col), trap(prof)}
 		}
 		col.BeginPacket()
 	}
@@ -248,6 +293,9 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 	if ev != nil {
 		o.Events = ev.events
 	}
+	if prof != nil {
+		o.Profile = profileOf(prof)
+	}
 	return o
 }
 
@@ -263,6 +311,7 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		t.Fatalf("%v: %v", c, err)
 	}
 	col := observedCollector(b.Collector(), c.obs)
+	var prof *microarch.Profiler
 	switch c.obs {
 	case obsNone:
 		b.SetTracing(false)
@@ -272,6 +321,14 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 			t.Fatal(err)
 		}
 		b.AddTracer(faultinject.New(1, plan).Tracer())
+	case obsMicroarch:
+		prof = newProfiler(t)
+		b.AddTracer(prof) // the bench binds it to the program
+	}
+	if c.threaded && (c.obs == obsCollector || c.obs == obsMicroarch) {
+		// A trap that fails the cell if the run leaves block mode. The
+		// accounting column keeps the bare collector as the one tracer.
+		b.AddTracer(passesOnly{vm.MultiTracer{}})
 	}
 	o := &outcome{mem: b.Memory()}
 	for i, p := range r.pkts {
@@ -283,8 +340,38 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		traces(col, &po)
 		o.Packets = append(o.Packets, po)
 	}
+	if c.obs == obsExtra && !r.noVerify {
+		checkInjected(t, c, o.Packets)
+	}
 	o.collect(col)
+	if prof != nil {
+		o.Profile = profileOf(prof)
+	}
 	return o
+}
+
+// checkInjected checks that extraPlan fired where it says, at the
+// instruction the Detail collector saw last: a host panic at packet 1's
+// first instruction and an injected vmfault at packet 4's tenth. Packet
+// 7's panic fires after a seeded count, unless the packet is shorter.
+// The diff against the interpreter then pins the post-fault state.
+func checkInjected(t *testing.T, c cell, pkts []packetOutcome) {
+	t.Helper()
+	for _, want := range []struct {
+		pkt    int
+		kind   vm.FaultKind
+		instrs int // 0: any, and the fault is optional
+	}{{1, vm.FaultHostPanic, 1}, {4, vm.FaultBadInstr, 10}, {7, vm.FaultHostPanic, 0}} {
+		po := pkts[want.pkt]
+		n := len(po.InstrTrace)
+		if want.instrs == 0 && po.Fault == nil {
+			continue
+		}
+		if po.Fault == nil || po.Fault.Kind != want.kind || n == 0 || po.Fault.PC != po.InstrTrace[n-1] ||
+			(want.instrs != 0 && n != want.instrs) {
+			t.Fatalf("%v: packet %d: fault %+v after %d instructions, want %v", c, want.pkt, po.Fault, n, want.kind)
+		}
+	}
 }
 
 // observedCollector turns on every collector output the matrix reads:
@@ -294,10 +381,9 @@ func observedCollector(col *stats.Collector, obs observer) *stats.Collector {
 	return col
 }
 
-// passesOnly is the accounting column's tracer on threaded program
-// cells: the collector, refusing per-instruction events, so a cell that
-// falls back to the traced loop fails.
-type passesOnly struct{ *stats.Collector }
+// passesOnly wraps a blockwise tracer of a threaded cell so that an
+// Instr call panics: a cell that falls back to the interpreter fails.
+type passesOnly struct{ vm.BlockTracer }
 
 func (passesOnly) Instr(uint32, isa.Instruction) { panic("Instr called in block mode") }
 
@@ -620,7 +706,28 @@ func shapeRows() []*row {
 			ins(isa.ADDI, 4, 4, 0, 5),
 			ins(isa.JALR, 0, 15, 0, 0)),
 		midBlockRow(),
+		budgetOnBranchRow(),
 	}
+}
+
+// budgetOnBranchRow spends its last step on a taken conditional branch.
+// The branch ends the run's last block pass and its target never runs,
+// so the step-limit fault lands on the target and only the profiler's
+// Flush resolves the branch.
+func budgetOnBranchRow() *row {
+	r := rawRow("budget-ends-on-branch", 7,
+		ins(isa.ADDI, 4, 0, 0, 3),
+		ins(isa.ADDI, 5, 5, 0, 1), // loop
+		ins(isa.ADDI, 4, 4, 0, -1),
+		ins(isa.BNE, 0, 4, 0, -3),
+		ins(isa.HALT, 0, 0, 0, 0))
+	r.check = func(o *outcome) error {
+		if f := o.Fault; o.Ret != 7 || f == nil || f.Kind != vm.FaultStepLimit || f.PC != rawBase+4 {
+			return fmt.Errorf("stopped after %d steps with %v, want a step-limit fault at the loop head after 7", o.Ret, f)
+		}
+		return nil
+	}
+	return r
 }
 
 // midBlockRow jumps through JALR into the middle of a basic block: the

@@ -11,7 +11,7 @@
 //     splits the series from every reader that uses the constant.
 //
 //   - hotpath: functions on the per-packet hot path (ProcessPacket and
-//     the threaded dispatch loops, plus anything whose doc comment
+//     the threaded dispatch loop, plus anything whose doc comment
 //     carries a "pblint:hotpath" directive) must not call time.Now or
 //     friends, call fmt, allocate via make/new/append, create closures,
 //     or defer — each is a per-packet (or per-instruction) cost that
@@ -54,12 +54,11 @@ func (d Diagnostic) String() string {
 var registerMethods = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true}
 
 // hotPathFuncs are always treated as hot even without a directive: the
-// public per-packet entry points and the engine dispatch loops.
+// public per-packet entry points and the engine dispatch loop.
 var hotPathFuncs = map[string]bool{
 	"ProcessPacket":   true,
 	"ProcessPacketAt": true,
 	"runFast":         true,
-	"runTraced":       true,
 }
 
 // CheckFile runs every rule over one parsed file and returns the

@@ -168,7 +168,7 @@ func report() {
 func TestAllowWaiver(t *testing.T) {
 	ds := check(t, `package vm
 
-func runTraced() {
+func runFast() {
 	defer f() //pblint:allow — once per run
 	_ = time.Now()
 }

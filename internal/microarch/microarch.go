@@ -8,8 +8,15 @@
 // model — the inputs the paper's follow-on performance models (Franklin
 // & Wolf) consume.
 //
-// The Profiler implements vm.Tracer and can be attached to a bench
-// alongside the workload collector (see core.Bench.AddTracer).
+// The Profiler implements vm.BlockTracer and can be attached to a bench
+// alongside the workload collector (see core.Bench.AddTracer). Each
+// instruction's class and fixed cycle cost are static, so BindProgram
+// computes them once per program, and a block pass only pays for what
+// is dynamic: the I-cache access per instruction, the branch outcome
+// and the D-cache access per data reference. A bound profiler is
+// blockwise and rides the threaded engine's block passes; an unbound one
+// takes Instr events, so a bare vm.CPU run without BindProgram goes to
+// the interpreter and still gets exact results.
 package microarch
 
 import (
@@ -195,9 +202,10 @@ func (cm CostModel) base(c Class) uint64 {
 	}
 }
 
-// Profiler is a vm.Tracer computing microarchitectural statistics. The
-// zero value profiles with the default cost model and no caches; attach
-// caches with NewProfiler or by assigning ICache/DCache before the run.
+// Profiler is a vm.BlockTracer computing microarchitectural statistics.
+// The zero value profiles with the default cost model and no caches;
+// attach caches with NewProfiler or by assigning ICache/DCache before the
+// run.
 type Profiler struct {
 	Mix      Mix
 	Branches BranchStats
@@ -209,9 +217,21 @@ type Profiler struct {
 
 	// pending branch resolution: a conditional branch's direction is
 	// known when the *next* instruction's pc arrives.
-	havePending   bool
-	pendingPC     uint32
-	pendingTarget uint32
+	havePending     bool
+	pendingPC       uint32
+	pendingBackward bool
+
+	// The program table BindProgram builds: one entry per text
+	// instruction.
+	textBase uint32
+	table    []opCost
+}
+
+// opCost is the static part of one instruction's profile.
+type opCost struct {
+	class    Class
+	backward bool   // a conditional branch whose target is not after it
+	cycles   uint64 // base cost, plus the taken penalty for jumps
 }
 
 // NewProfiler builds a profiler with the default cost model and the
@@ -227,29 +247,75 @@ func (p *Profiler) cost() CostModel {
 	return p.Cost
 }
 
+// opCost computes the static profile of instruction in at pc.
+func (cm CostModel) opCost(pc uint32, in isa.Instruction) opCost {
+	c := Classify(in.Op)
+	op := opCost{class: c, cycles: cm.base(c)}
+	if c == ClassJump {
+		op.cycles += cm.TakenPenalty
+	}
+	if c == ClassBranch {
+		op.backward = pc+isa.WordSize+uint32(in.Imm)*isa.WordSize <= pc
+	}
+	return op
+}
+
+// BindProgram computes the per-instruction table of the text segment
+// the profiled runs execute, which makes the profiler blockwise. The
+// table holds the cost model's base cycles, so set Cost before binding.
+func (p *Profiler) BindProgram(text []isa.Instruction, textBase uint32) {
+	cm := p.cost()
+	p.textBase = textBase
+	p.table = make([]opCost, len(text))
+	for i, in := range text {
+		p.table[i] = cm.opCost(textBase+uint32(i)*isa.WordSize, in)
+	}
+}
+
+// Blockwise implements vm.BlockTracer: a bound profiler needs nothing
+// from Instr that Pass does not carry.
+func (p *Profiler) Blockwise() bool { return p.table != nil }
+
 // Instr implements vm.Tracer.
 func (p *Profiler) Instr(pc uint32, in isa.Instruction) {
 	cm := p.cost()
-	// Resolve the previous branch now that the successor pc is known.
+	p.exec(pc, cm.opCost(pc, in), &cm)
+}
+
+// Pass implements vm.BlockTracer: the instructions first..last executed
+// in order. A conditional branch always ends its pass, so the next
+// pass's first instruction resolves it, exactly as the next Instr would.
+// The I-cache and D-cache are separate, so running a pass's I-cache
+// accesses after its Mem events changes nothing.
+//
+// pblint:hotpath — runs once per block pass of every profiled packet.
+func (p *Profiler) Pass(first, last int) {
+	cm := p.cost()
+	pc := p.textBase + uint32(first)*isa.WordSize
+	for _, op := range p.table[first : last+1] {
+		p.exec(pc, op, &cm)
+		pc += isa.WordSize
+	}
+}
+
+// exec profiles one executed instruction: it resolves the pending branch
+// now that the successor pc is known, then adds the instruction's class,
+// cycles and I-cache access.
+func (p *Profiler) exec(pc uint32, op opCost, cm *CostModel) {
 	if p.havePending {
 		p.havePending = false
 		taken := pc != p.pendingPC+isa.WordSize
-		backward := p.pendingTarget <= p.pendingPC
-		p.Branches.record(p.pendingPC, backward, taken)
+		p.Branches.record(p.pendingPC, p.pendingBackward, taken)
 		if taken {
 			p.Cycles += cm.TakenPenalty
 		}
 	}
-	c := Classify(in.Op)
-	p.Mix.Counts[c]++
-	p.Cycles += cm.base(c)
-	if c == ClassJump {
-		p.Cycles += cm.TakenPenalty
-	}
-	if c == ClassBranch {
+	p.Mix.Counts[op.class]++
+	p.Cycles += op.cycles
+	if op.class == ClassBranch {
 		p.havePending = true
 		p.pendingPC = pc
-		p.pendingTarget = pc + isa.WordSize + uint32(in.Imm)*isa.WordSize
+		p.pendingBackward = op.backward
 	}
 	if p.ICache != nil && !p.ICache.Access(pc) {
 		p.Cycles += cm.MissPenalty
@@ -269,8 +335,7 @@ func (p *Profiler) Mem(pc, addr uint32, size uint8, write bool, region vm.Region
 func (p *Profiler) Flush() {
 	if p.havePending {
 		p.havePending = false
-		backward := p.pendingTarget <= p.pendingPC
-		p.Branches.record(p.pendingPC, backward, false)
+		p.Branches.record(p.pendingPC, p.pendingBackward, false)
 	}
 }
 

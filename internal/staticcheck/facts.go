@@ -15,9 +15,10 @@ import (
 // a context-sensitive abstract interpretation over unsigned intervals
 // and known bits that exports per-instruction Facts — provably
 // in-bounds memory operands, always/never-taken branches, provably
-// redundant masks, unreachable instructions — which the block-threaded
-// translator (vm.TranslateWithFacts) consumes to elide runtime checks
-// and fold dead control flow.
+// redundant masks, unreachable instructions. The block-threaded
+// translator (vm.TranslateWithFacts) consumes the memory, mask and
+// dead-block facts to elide runtime checks; branch directions feed the
+// const-branch diagnostic.
 //
 // Soundness contract. Every exported fact must hold on every execution
 // that enters the program at one of the declared entry points with the
@@ -469,8 +470,10 @@ type Facts struct {
 	// MemLo/MemHi bound the operand address interval for instructions
 	// with Mem[i] != RegionNone.
 	MemLo, MemHi []uint32
-	// Branch[i] is the proven direction of a conditional branch.
-	Branch []vm.BranchFact
+	// Branch[i] is the proven direction of a conditional branch. It
+	// feeds the const-branch diagnostic and pbvet -facts only; the
+	// translator does not fold branches.
+	Branch []BranchFact
 	// Redundant[i] marks AND/ANDI instructions whose mask provably
 	// keeps every possibly-set bit of the source.
 	Redundant []bool
@@ -479,6 +482,16 @@ type Facts struct {
 
 	cfg *CFG
 }
+
+// BranchFact is the statically proven direction of a conditional branch.
+type BranchFact uint8
+
+// Branch direction facts.
+const (
+	BranchUnknown BranchFact = iota // direction depends on the input
+	BranchAlways                    // taken on every run
+	BranchNever                     // never taken on any run
+)
 
 // Translation bridges the facts to the translator's input format. The
 // block numbering is shared: both sides build their BlockMap with
@@ -492,8 +505,6 @@ func (f *Facts) Translation() *vm.TranslationFacts {
 		Mem:       f.Mem,
 		Redundant: f.Redundant,
 	}
-	tf.Branch = make([]vm.BranchFact, len(f.Branch))
-	copy(tf.Branch, f.Branch)
 	nb := f.cfg.Blocks.NumBlocks()
 	tf.Dead = make([]bool, nb)
 	for b := 0; b < nb; b++ {
@@ -558,7 +569,7 @@ func computeFacts(cfg *CFG, opts Options) *Facts {
 	f.Mem = make([]vm.Region, n)
 	f.MemLo = make([]uint32, n)
 	f.MemHi = make([]uint32, n)
-	f.Branch = make([]vm.BranchFact, n)
+	f.Branch = make([]BranchFact, n)
 	f.Redundant = make([]bool, n)
 	f.Unreachable = make([]bool, n)
 	a.seen = make([]bool, n)
@@ -1048,14 +1059,14 @@ func (a *factsRun) recordMem(i int, addr fval, size uint32, region vm.Region, pr
 
 func (a *factsRun) recordBranch(i int, always, never bool) {
 	f := a.f
-	var this vm.BranchFact
+	var this BranchFact
 	switch {
 	case always:
-		this = vm.BranchAlways
+		this = BranchAlways
 	case never:
-		this = vm.BranchNever
+		this = BranchNever
 	default:
-		this = vm.BranchUnknown
+		this = BranchUnknown
 	}
 	if !a.brSet[i] {
 		a.brSet[i] = true
@@ -1063,7 +1074,7 @@ func (a *factsRun) recordBranch(i int, always, never bool) {
 		return
 	}
 	if f.Branch[i] != this {
-		f.Branch[i] = vm.BranchUnknown
+		f.Branch[i] = BranchUnknown
 	}
 }
 
@@ -1092,11 +1103,11 @@ func surfaceFactsDiags(cfg *CFG, f *Facts) diag.List {
 	}
 	var ds diag.List
 	for i, bf := range f.Branch {
-		if bf == vm.BranchUnknown {
+		if bf == BranchUnknown {
 			continue
 		}
 		dir := "always"
-		if bf == vm.BranchNever {
+		if bf == BranchNever {
 			dir = "never"
 		}
 		ds = append(ds, diag.Diagnostic{Severity: diag.Warning, Check: "const-branch",
@@ -1147,7 +1158,7 @@ func (f *Facts) Dump(w io.Writer) {
 		if f.Mem[i] != vm.RegionNone {
 			unchecked++
 		}
-		if f.Branch[i] != vm.BranchUnknown {
+		if f.Branch[i] != BranchUnknown {
 			folded++
 		}
 		if f.Redundant[i] {
@@ -1165,9 +1176,9 @@ func (f *Facts) Dump(w io.Writer) {
 			notes = append(notes, fmt.Sprintf("mem=%s addr=[%#x,%#x]", f.Mem[i], f.MemLo[i], f.MemHi[i]))
 		}
 		switch f.Branch[i] {
-		case vm.BranchAlways:
+		case BranchAlways:
 			notes = append(notes, "branch=always")
-		case vm.BranchNever:
+		case BranchNever:
 			notes = append(notes, "branch=never")
 		}
 		if f.Redundant[i] {

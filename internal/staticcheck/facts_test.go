@@ -7,6 +7,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/core"
+	"repro/internal/isa"
 	"repro/internal/staticcheck"
 	"repro/internal/vm"
 )
@@ -50,10 +51,11 @@ process_packet:
 	}
 }
 
-// TestFactsFoldConstantBranch pins interval-based branch folding: a
-// comparison of constants has one provable direction.
+// TestFactsFoldConstantBranch pins interval-based branch facts: a
+// comparison of constants has one provable direction, which Facts.Branch
+// records and the const-branch diagnostic reports.
 func TestFactsFoldConstantBranch(t *testing.T) {
-	st := factsFor(t, `
+	prog, err := asm.Assemble(`
 .global process_packet
 process_packet:
 	li t0, 5
@@ -61,9 +63,25 @@ process_packet:
 	sb t0, 0(zero)
 ok:
 	ret
-`)
-	if st.FoldedBranches < 1 {
-		t.Errorf("FoldedBranches = %d, want >= 1", st.FoldedBranches)
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{
+		Layout: core.LayoutFor(prog, 1<<20), FactsDiags: true})
+	blt := 0
+	for prog.Text[blt].Op != isa.BLT {
+		blt++
+	}
+	if facts.Branch[blt] != staticcheck.BranchAlways {
+		t.Errorf("Branch[%d] = %d, want BranchAlways", blt, facts.Branch[blt])
+	}
+	found := false
+	for _, d := range ds {
+		found = found || d.Check == "const-branch" && strings.Contains(d.Msg, "always true")
+	}
+	if !found {
+		t.Errorf("no const-branch diagnostic for the always-taken branch in %v", ds)
 	}
 }
 

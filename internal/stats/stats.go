@@ -19,12 +19,10 @@
 //     (Coverage), which the individual-packet figures (6, 9) and Table IV
 //     need but are too expensive to keep for bulk runs.
 //
-// Outside Detail mode the collector is a vm.BlockTracer: the threaded
-// engine runs its fast loop and reports whole block passes (Pass) plus
-// every data access (Mem), and the collector derives the same records,
-// coverage and PCCounts the interpreter's per-instruction Instr stream
-// gives. Detail mode needs every instruction in order, so it keeps the
-// traced loop.
+// The collector is a vm.BlockTracer: the threaded engine reports whole
+// block passes (Pass) plus every data access (Mem), and the collector
+// derives the same records, coverage, PCCounts and Detail traces the
+// interpreter's per-instruction Instr stream gives.
 package stats
 
 import (
@@ -109,6 +107,13 @@ type Collector struct {
 
 	cur     PacketRecord
 	packets int
+
+	// stepped records that the current packet is observed through Instr
+	// (the interpreter) rather than block passes.
+	stepped bool
+	// memFixed is the number of MemTrace events whose InstrNum is final;
+	// in block mode the rest wait for their pass (see Mem).
+	memFixed int
 
 	// Detail traces for the current packet.
 	InstrTrace []uint32
@@ -198,10 +203,12 @@ func (c *Collector) BeginPacket() {
 		c.epoch = 1
 	}
 	c.cur = PacketRecord{Index: c.packets}
+	c.stepped = false
 	if c.Detail {
 		c.InstrTrace = c.InstrTrace[:0]
 		c.MemTrace = c.MemTrace[:0]
 		c.BlockSeq = c.BlockSeq[:0]
+		c.memFixed = 0
 	}
 	if c.Coverage && c.dataTouched.bits == nil {
 		c.dataTouched = newWordBitset(c.layout.DataBase, c.layout.DataEnd)
@@ -256,6 +263,7 @@ func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
 
 // Instr implements vm.Tracer.
 func (c *Collector) Instr(pc uint32, in isa.Instruction) {
+	c.stepped = true
 	c.cur.Instructions++
 	idx := int(pc-c.textBase) / isa.WordSize
 	if idx >= 0 && idx < c.numText {
@@ -284,13 +292,12 @@ func (c *Collector) Instr(pc uint32, in isa.Instruction) {
 	}
 }
 
-// Blockwise implements vm.BlockTracer: only Detail traces need every
-// instruction in order.
-func (c *Collector) Blockwise() bool { return !c.Detail }
+// Blockwise implements vm.BlockTracer: Pass carries everything the
+// collector takes from Instr.
+func (c *Collector) Blockwise() bool { return true }
 
 // Pass implements vm.BlockTracer. It updates everything Instr would for
-// each instruction of the pass except the Detail traces, which block
-// mode never runs with.
+// each instruction of the pass.
 //
 // pblint:hotpath — runs once per block pass of every packet.
 func (c *Collector) Pass(first, last int) {
@@ -310,7 +317,24 @@ func (c *Collector) Pass(first, last int) {
 		}
 	}
 	// A pass lies inside one block.
-	c.seenBlock[c.blocks.BlockOfIndex(first)] = c.epoch
+	b := c.blocks.BlockOfIndex(first)
+	c.seenBlock[b] = c.epoch
+	if c.Detail {
+		// The pass's Mem events came first and were numbered as if the
+		// pass started at text index 0 (see Mem).
+		for i := c.memFixed; i < len(c.MemTrace); i++ {
+			c.MemTrace[i].InstrNum -= uint64(first)
+		}
+		c.memFixed = len(c.MemTrace)
+		for i := first; i <= last; i++ {
+			c.InstrTrace = append(c.InstrTrace, c.textBase+uint32(i)*isa.WordSize) //pblint:allow — Detail runs keep a per-packet trace
+		}
+		// Only first can be a leader inside one pass: a block is entered
+		// whenever its leader executes, so self-loops count as re-entries.
+		if c.blocks.LeaderIndex(b) == first {
+			c.BlockSeq = append(c.BlockSeq, b) //pblint:allow — Detail runs keep a per-packet trace
+		}
+	}
 }
 
 // Mem implements vm.Tracer.
@@ -343,9 +367,15 @@ func (c *Collector) Mem(pc, addr uint32, size uint8, write bool, region vm.Regio
 		}
 	}
 	if c.Detail {
+		// Under Instr the access's instruction is already counted. In
+		// block mode its pass is not yet: number it by its text index
+		// past the pass start, and Pass subtracts the pass's first index.
+		n := c.cur.Instructions - 1
+		if !c.stepped {
+			n = c.cur.Instructions + uint64(pc-c.textBase)/isa.WordSize
+		}
 		c.MemTrace = append(c.MemTrace, MemEvent{ //pblint:allow — Detail runs keep a per-packet trace
-			InstrNum: c.cur.Instructions - 1,
-			Addr:     addr, Size: size, Write: write, Region: region,
+			InstrNum: n, Addr: addr, Size: size, Write: write, Region: region,
 		})
 	}
 }

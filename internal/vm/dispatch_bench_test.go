@@ -32,10 +32,9 @@ func dispatchProgram() []isa.Instruction {
 
 // countingTracer is the cheapest possible observer — a counter per
 // event kind — so the traced benchmarks measure dispatch + hook
-// overhead, not tracer work. It is a BlockTracer that takes block passes
-// only when blockwise is set.
+// overhead, not tracer work. It is a blockwise BlockTracer, so threaded
+// rows take block passes and the interpreter rows take Instr events.
 type countingTracer struct {
-	blockwise                    bool
 	instrs, mems, passes, passed uint64
 }
 
@@ -43,7 +42,7 @@ func (t *countingTracer) Instr(pc uint32, in isa.Instruction) { t.instrs++ }
 func (t *countingTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	t.mems++
 }
-func (t *countingTracer) Blockwise() bool { return t.blockwise }
+func (t *countingTracer) Blockwise() bool { return true }
 func (t *countingTracer) Pass(first, last int) {
 	t.passes++
 	t.passed += uint64(last-first) + 1
@@ -63,8 +62,8 @@ func BenchmarkVMDispatch(b *testing.B) {
 	// dispatchProgram (built by hand — the vm package cannot import the
 	// verifier): the LW cursor stays inside the packet region (base +
 	// (counter & 0x3C), word-aligned) and the SW target is sp-8 on the
-	// stack. The threaded-proof row runs the proof-rewritten body, so the
-	// two untraced threaded rows separate dispatch and checking costs.
+	// stack. The threaded-proof rows run the proof-rewritten body, so the
+	// threaded rows separate dispatch and checking costs.
 	kernelFacts := &TranslationFacts{Mem: make([]Region, len(text))}
 	kernelFacts.Mem[3] = RegionPacket
 	kernelFacts.Mem[6] = RegionStack
@@ -72,9 +71,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 
 	for _, engine := range []string{"threaded", "threaded-proof", "interp"} {
 		for _, traced := range []bool{false, true} {
-			if traced && engine == "threaded-proof" {
-				continue // tracing always runs the fully-checked body
-			}
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
 				mem := NewMemory()
 				cpu := New(text, textBase, mem)

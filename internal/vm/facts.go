@@ -4,8 +4,8 @@ package vm
 // the block-threaded translator. The facts are produced by the static
 // verifier (internal/staticcheck) from an abstract interpretation of the
 // program under the framework's entry contract; the translator consumes
-// them to elide runtime fault checks and fold branches it could never
-// prove safe on its own.
+// them to elide runtime fault checks it could never prove safe on its
+// own.
 //
 // Soundness contract: every claim in a TranslationFacts must hold on
 // EVERY execution that enters the program at one of the entry points and
@@ -21,9 +21,6 @@ type TranslationFacts struct {
 	// region and naturally aligned, so the simulator's alignment and
 	// classification checks cannot fire. RegionNone means no proof.
 	Mem []Region
-	// Branch[i] records a conditional branch whose direction is the
-	// same on every run.
-	Branch []BranchFact
 	// Redundant[i] marks an AND/ANDI at i that provably leaves its
 	// source value unchanged (every possibly-set bit of the source is
 	// kept by the mask), so it can be translated as a register move.
@@ -35,27 +32,15 @@ type TranslationFacts struct {
 	Dead []bool
 }
 
-// BranchFact is the statically proven direction of a conditional branch.
-type BranchFact uint8
-
-// Branch direction facts.
-const (
-	BranchUnknown BranchFact = iota // direction depends on the input
-	BranchAlways                    // taken on every run
-	BranchNever                     // never taken on any run
-)
-
-// provenOp returns instruction i's micro-op from p's fully-checked body
-// with the facts rewrites applied: proven loads and stores become
-// unchecked micro-ops carrying their region in rs2, provably redundant
-// masks become register moves, and proven-direction branches fold to
-// uNOP/uGOTO. A proven load into the zero register keeps its checked
-// op: it still reads memory, and a BlockTracer must see that read.
-// Instructions in dead blocks keep their fully-checked op. This is the
-// one place the rewrites live.
-func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
-	op := p.ops[i]
-	if tf.deadAt(int(p.blockOf[i])) {
+// provenOp returns instruction i's fully-checked micro-op op, in block
+// b, with the facts rewrites applied: proven loads and stores become
+// unchecked micro-ops carrying their region in rs2, and provably
+// redundant masks become register moves. A proven load into the zero
+// register keeps its checked op: it still reads memory, and a
+// BlockTracer must see that read. Instructions in dead blocks keep
+// their fully-checked op. This is the one place the rewrites live.
+func (tf *TranslationFacts) provenOp(op microOp, i, b int) microOp {
+	if tf.deadAt(b) {
 		return op
 	}
 	switch op.code {
@@ -77,13 +62,6 @@ func (tf *TranslationFacts) provenOp(p *Program, i int) microOp {
 			}
 			return microOp{code: uADDI, rd: op.rd, rs1: op.rs1}
 		}
-	case uBEQ, uBNE, uBLT, uBGE, uBLTU, uBGEU:
-		switch tf.branchAt(i) {
-		case BranchNever:
-			return microOp{code: uNOP}
-		case BranchAlways:
-			op.code = uGOTO
-		}
 	}
 	return op
 }
@@ -95,13 +73,6 @@ func (tf *TranslationFacts) memAt(i int) Region {
 		return RegionNone
 	}
 	return tf.Mem[i]
-}
-
-func (tf *TranslationFacts) branchAt(i int) BranchFact {
-	if tf == nil || i >= len(tf.Branch) {
-		return BranchUnknown
-	}
-	return tf.Branch[i]
 }
 
 func (tf *TranslationFacts) redundantAt(i int) bool {

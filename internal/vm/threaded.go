@@ -19,31 +19,28 @@
 // target instruction index; only the indirect JALR pays a full PC
 // validation, exactly like the interpreter's fetch path.
 //
-// The engine keeps two separate dispatch loops. The fast loop runs with
-// no tracer, or with a BlockTracer (the statistics collector outside
-// Detail mode) that it tells about whole block passes and data accesses
-// only; untraced, each hook costs one nil test. The traced loop serves
-// every other tracer and reproduces the interpreter's observable event
-// order bit for bit — Instr before the step is counted, Mem between the
-// fault checks and the access, c.PC current at every tracer call so a
-// panicking tracer (the fault injector does this on purpose) is
-// recovered at the right PC.
+// The engine has one dispatch loop and one body. It runs with no tracer,
+// or with a BlockTracer that reports Blockwise, and tells that tracer
+// about whole block passes and data accesses only; untraced, each hook
+// costs one nil test. Every in-tree observer (the statistics collector,
+// Detail included, and the microarch profiler) derives its per-instruction
+// statistics from those passes. A run observed by any other Tracer is
+// handed to the interpreter, which is exact by definition.
 //
 // TranslateWithFacts goes one rung further: proof-guided translation.
 // The static verifier's abstract interpretation (internal/staticcheck)
 // exports per-instruction facts — proven-in-bounds memory operands,
-// always/never-taken branches, redundant masks, dead blocks — and the
-// translator uses them to emit unchecked load/store micro-ops (no
-// alignment or region check at run time), fold proven branches, and
-// rewrite identity masks to moves. The rewritten body is dispatch-only
-// state with one op per instruction, run by the same fast loop as the
-// plain body; the traced loop always runs the fully-checked translation
-// so the interpreter's event order is preserved bit for bit. Unverified
-// programs (Options.NoVerify) never reach TranslateWithFacts.
+// redundant masks, dead blocks — and the translator uses them to emit
+// unchecked load/store micro-ops (no alignment or region check at run
+// time) and rewrite identity masks to moves, in place in the body it
+// translated. The rewritten body keeps one op per instruction, so
+// indirect entry and budget-truncated block passes need no special
+// casing. Unverified programs (Options.NoVerify) never reach
+// TranslateWithFacts.
 //
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
-// stop reasons, fault kind/PC/Addr and tracer event streams. The oracle
+// stop reasons, fault kind/PC/Addr and derived statistics. The oracle
 // matrix in internal/core/oracle_test.go pins that contract.
 package vm
 
@@ -116,10 +113,6 @@ const (
 	uUSB
 	uUSH
 	uUSW
-
-	// uGOTO is a conditional branch the verifier proved always taken:
-	// same imm/aux encoding as a branch, no comparison.
-	uGOTO
 )
 
 // Special aux values for statically resolved control-transfer targets.
@@ -155,20 +148,9 @@ type microOp struct {
 // for. A Program is immutable after Translate and safe to share between
 // cores (each CPU carries its own mutable state).
 type Program struct {
-	ops []microOp
-	// fops is the body the fast loop dispatches from: the
-	// proof-rewritten (unchecked/folded) ops, one per instruction like
-	// ops, so indirect entry and budget-truncated block passes need no
-	// special casing. Translate aliases fops to ops; only
-	// TranslateWithFacts builds a distinct body. The traced loop always
-	// runs ops, whose per-instruction event order is pinned to the
-	// interpreter.
-	fops     []microOp
+	ops      []microOp // one per instruction
 	stats    TranslateStats
-	text     []isa.Instruction // original instructions, for tracer events
 	textBase uint32
-	blockOf  []int32 // instruction index -> block id
-	blockEnd []int32 // block id -> exclusive end instruction index
 	endAt    []int32 // instruction index -> exclusive end of its block
 }
 
@@ -178,7 +160,6 @@ type Program struct {
 type TranslateStats struct {
 	UncheckedLoads  int // loads with elided alignment/region checks
 	UncheckedStores int // stores with elided alignment/region checks
-	FoldedBranches  int // branches proven always/never taken
 	ElidedMasks     int // AND/ANDI rewritten to moves (provably identity)
 	DeadBlocks      int // blocks proven unreachable (left fully checked)
 }
@@ -193,30 +174,22 @@ func Translate(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMa
 	n := len(text)
 	p := &Program{
 		ops:      make([]microOp, n),
-		text:     text,
 		textBase: textBase,
-		blockOf:  make([]int32, n),
-		blockEnd: make([]int32, blocks.NumBlocks()),
 		endAt:    make([]int32, n),
 	}
-	for b := 0; b < blocks.NumBlocks(); b++ {
-		p.blockEnd[b] = int32(blocks.EndIndex(b))
-	}
 	for i, in := range text {
-		p.blockOf[i] = int32(blocks.BlockOfIndex(i))
-		p.endAt[i] = p.blockEnd[p.blockOf[i]]
+		p.endAt[i] = int32(blocks.EndIndex(blocks.BlockOfIndex(i)))
 		p.ops[i] = translateOne(i, in, textBase, n)
 	}
-	p.fops = p.ops
 	return p
 }
 
-// TranslateWithFacts compiles like Translate and then optimizes the
-// untraced dispatch body using verifier-proven facts: proven loads and
-// stores become unchecked micro-ops, proven-direction branches fold to
-// uNOP/uGOTO, and provably redundant masks become moves (see provenOp).
-// A nil facts proves nothing, so the result runs Translate's body
-// unchanged — the no-proof-no-elision contract tests pin exactly that.
+// TranslateWithFacts compiles like Translate and then rewrites the body
+// in place using verifier-proven facts: proven loads and stores become
+// unchecked micro-ops and provably redundant masks become moves (see
+// provenOp). A nil facts proves nothing, so the result is Translate's
+// body unchanged — the no-proof-no-elision contract tests pin exactly
+// that.
 //
 // Dead blocks keep their fully-checked translation: facts claim nothing
 // about them, so nothing may be optimized there.
@@ -225,10 +198,9 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 	if facts == nil {
 		return p
 	}
-	p.fops = make([]microOp, len(text))
 	for i, op := range p.ops {
-		p.fops[i] = facts.provenOp(p, i)
-		if p.fops[i].code == op.code {
+		p.ops[i] = facts.provenOp(op, i, blocks.BlockOfIndex(i))
+		if p.ops[i].code == op.code {
 			continue
 		}
 		// Every rewrite changes the op code; count it by what it was.
@@ -237,10 +209,8 @@ func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysi
 			p.stats.UncheckedLoads++
 		case uSB, uSH, uSW:
 			p.stats.UncheckedStores++
-		case uAND, uANDI:
-			p.stats.ElidedMasks++
 		default:
-			p.stats.FoldedBranches++
+			p.stats.ElidedMasks++
 		}
 	}
 	for b := 0; b < blocks.NumBlocks(); b++ {
@@ -334,15 +304,12 @@ func staticTarget(target, textBase uint32, n int) int32 {
 // failure. p must have been translated from the text segment and base
 // this CPU was created with.
 //
-// The body is chosen once per run from the attached Tracer. With none,
-// or with a BlockTracer that reports Blockwise, the fast dispatch loop
-// runs over the proof-rewritten body with per-block step accounting and
-// c.PC/c.packetWriteHigh updated only at run exit; a BlockTracer sees a
-// Pass per block pass and a Mem per data access. Any other Tracer gets
-// the traced loop, which reproduces the interpreter's per-instruction
-// event order exactly (Instr before the step is counted, Mem between the
-// fault checks and the access, c.PC current at every hook) so
-// tracer-driven fault injection behaves identically under both engines.
+// The path is chosen once per run from the attached Tracer. With none,
+// or with a BlockTracer that reports Blockwise, the block-threaded loop
+// runs with per-block step accounting and c.PC/c.packetWriteHigh
+// updated only at run exit; a BlockTracer sees a Pass per block pass and
+// a Mem per data access. Any other Tracer needs the per-instruction
+// event stream, so the run goes to the interpreter (Run).
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
 	switch t := c.Tracer.(type) {
 	case nil:
@@ -352,18 +319,16 @@ func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason Stop
 			return c.runFast(p, maxSteps, t)
 		}
 	}
-	return c.runTraced(p, maxSteps)
+	return c.Run(maxSteps)
 }
 
-// runFast is the fast dispatch loop. It runs p.fops, which is the plain
-// body for a Translate program and the proof-rewritten one for a
-// TranslateWithFacts program; both map one op to one instruction. bt,
-// when non-nil, is told about every block pass and data access; see
+// runFast is the block-threaded dispatch loop over p's body. bt, when
+// non-nil, is told about every block pass and data access; see
 // BlockTracer for the contract.
 func (c *CPU) runFast(p *Program, maxSteps uint64, bt BlockTracer) (steps uint64, reason StopReason, rerr error) {
 	regs := &c.Regs
 	layout := c.Layout
-	ops := p.fops
+	ops := p.ops
 	endAt := p.endAt
 	textBase := p.textBase
 	n := uint32(len(ops))
@@ -728,11 +693,6 @@ outer:
 				o := addr & (pageSize - 1)
 				pg := c.cachedPage(addr)
 				binary.LittleEndian.PutUint32(pg[o:o+4:o+4], regs[op.rd&15])
-
-			case uGOTO:
-				steps = passEnd(bt, steps, idx, j)
-				idx, pcv = branchTo(op, pc)
-				continue outer
 			}
 			pc += isa.WordSize
 		}
@@ -793,232 +753,6 @@ func (c *CPU) checkData(addr, mask, pc uint32, layout Layout) (Region, *Fault) {
 	}
 	return r, nil
 }
-
-// runTraced is the traced dispatch loop. It keeps the interpreter's
-// per-instruction observable order exactly; the speedup here comes only
-// from the eliminated fetch checks and pre-decoded operands, since every
-// instruction still owes its tracer events.
-func (c *CPU) runTraced(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
-	tr := c.Tracer
-	regs := &c.Regs
-	layout := c.Layout
-	ops := p.ops
-	text := p.text
-	blockOf := p.blockOf
-	blockEnd := p.blockEnd
-	textBase := p.textBase
-	n := uint32(len(ops))
-	// A tracer may panic mid-run (the fault injector does); account the
-	// executed steps to the CPU lifetime counter even then, exactly as
-	// the interpreter's per-instruction increments would have.
-	defer func() { c.steps += steps }() //pblint:allow — once per run, not per dispatch
-
-	pcv := c.PC
-	idx := -1
-outer:
-	for {
-		if idx < 0 {
-			if pcv == ReturnAddress {
-				c.PC = pcv
-				return steps, StopReturn, nil
-			}
-			if steps >= maxSteps {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultStepLimit, PC: pcv}
-			}
-			off := pcv - textBase
-			if off%isa.WordSize != 0 || off/isa.WordSize >= n {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultBadFetch, PC: pcv}
-			}
-			idx = int(off / isa.WordSize)
-		} else if steps >= maxSteps {
-			pc := textBase + uint32(idx)*isa.WordSize
-			c.PC = pc
-			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
-		}
-
-		end := int(blockEnd[blockOf[idx]])
-		if rem := maxSteps - steps; uint64(end-idx) > rem {
-			end = idx + int(rem)
-		}
-		pc := textBase + uint32(idx)*isa.WordSize
-		for j := idx; j < end; j++ {
-			op := &ops[j]
-			c.PC = pc
-			tr.Instr(pc, text[j])
-			steps++
-			switch op.code {
-			case uNOP:
-			case uADD:
-				regs[op.rd&15] = regs[op.rs1&15] + regs[op.rs2&15]
-			case uSUB:
-				regs[op.rd&15] = regs[op.rs1&15] - regs[op.rs2&15]
-			case uAND:
-				regs[op.rd&15] = regs[op.rs1&15] & regs[op.rs2&15]
-			case uOR:
-				regs[op.rd&15] = regs[op.rs1&15] | regs[op.rs2&15]
-			case uXOR:
-				regs[op.rd&15] = regs[op.rs1&15] ^ regs[op.rs2&15]
-			case uSLL:
-				regs[op.rd&15] = regs[op.rs1&15] << (regs[op.rs2&15] & 31)
-			case uSRL:
-				regs[op.rd&15] = regs[op.rs1&15] >> (regs[op.rs2&15] & 31)
-			case uSRA:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (regs[op.rs2&15] & 31))
-			case uSLT:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]))
-			case uSLTU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < regs[op.rs2&15])
-			case uMUL:
-				regs[op.rd&15] = regs[op.rs1&15] * regs[op.rs2&15]
-			case uADDI:
-				regs[op.rd&15] = regs[op.rs1&15] + op.imm
-			case uANDI:
-				regs[op.rd&15] = regs[op.rs1&15] & op.imm
-			case uORI:
-				regs[op.rd&15] = regs[op.rs1&15] | op.imm
-			case uXORI:
-				regs[op.rd&15] = regs[op.rs1&15] ^ op.imm
-			case uSLLI:
-				regs[op.rd&15] = regs[op.rs1&15] << (op.imm & 31)
-			case uSRLI:
-				regs[op.rd&15] = regs[op.rs1&15] >> (op.imm & 31)
-			case uSRAI:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (op.imm & 31))
-			case uSLTI:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(op.imm))
-			case uSLTIU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < op.imm)
-			case uLI:
-				regs[op.rd&15] = op.imm
-
-			case uLB, uLBU, uLH, uLHU, uLW:
-				size := loadSize[op.code-uLB]
-				addr := regs[op.rs1&15] + op.imm
-				if addr&(size-1) != 0 {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-				}
-				region := layout.Classify(addr)
-				if region == RegionNone || region == RegionText {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
-				}
-				tr.Mem(pc, addr, uint8(size), false, region)
-				var v uint32
-				switch op.code {
-				case uLB:
-					v = uint32(int32(int8(c.cachedRead8(addr))))
-				case uLBU:
-					v = uint32(c.cachedRead8(addr))
-				case uLH:
-					v = uint32(int32(int16(c.cachedRead16(addr))))
-				case uLHU:
-					v = uint32(c.cachedRead16(addr))
-				case uLW:
-					v = c.cachedRead32(addr)
-				}
-				if op.rd != 0 {
-					regs[op.rd&15] = v
-				}
-
-			case uSB, uSH, uSW:
-				size := storeSize[op.code-uSB]
-				addr := regs[op.rs1&15] + op.imm
-				if addr&(size-1) != 0 {
-					c.PC = pc
-					return steps, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-				}
-				region := layout.Classify(addr)
-				if region == RegionText || region == RegionNone {
-					c.PC = pc
-					return steps, 0, storeFault(region, pc, addr)
-				}
-				if region == RegionPacket {
-					// Update the watermark on the CPU before the tracer
-					// runs, like the interpreter: a tracer panic must not
-					// lose the stores already recorded.
-					if end := addr + size; end > c.packetWriteHigh {
-						c.packetWriteHigh = end
-					}
-				}
-				tr.Mem(pc, addr, uint8(size), true, region)
-				pg := c.cachedPage(addr)
-				o := addr & (pageSize - 1)
-				switch op.code {
-				case uSB:
-					pg[o] = uint8(regs[op.rd&15])
-				case uSH:
-					binary.LittleEndian.PutUint16(pg[o:o+2:o+2], uint16(regs[op.rd&15]))
-				case uSW:
-					binary.LittleEndian.PutUint32(pg[o:o+4:o+4], regs[op.rd&15])
-				}
-
-			case uBEQ:
-				if regs[op.rs1&15] == regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBNE:
-				if regs[op.rs1&15] != regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBLT:
-				if int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]) {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBGE:
-				if int32(regs[op.rs1&15]) >= int32(regs[op.rs2&15]) {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBLTU:
-				if regs[op.rs1&15] < regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-			case uBGEU:
-				if regs[op.rs1&15] >= regs[op.rs2&15] {
-					idx, pcv = branchTo(op, pc)
-					continue outer
-				}
-
-			case uJAL:
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
-				}
-				idx, pcv = branchTo(op, pc)
-				continue outer
-			case uJALR:
-				target := (regs[op.rs1&15] + op.imm) &^ 3
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
-				}
-				idx, pcv = -1, target
-				continue outer
-
-			case uHALT:
-				c.PC = pc
-				return steps, StopHalt, nil
-			case uBAD:
-				c.PC = pc
-				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
-			}
-			pc += isa.WordSize
-		}
-		if uint32(end) < n {
-			idx = end
-		} else {
-			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
-		}
-	}
-}
-
-var loadSize = [5]uint32{1, 1, 2, 2, 4} // uLB..uLW
-var storeSize = [3]uint32{1, 2, 4}      // uSB..uSW
 
 // Direct-mapped last-page cache --------------------------------------------
 

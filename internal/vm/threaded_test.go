@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -84,10 +85,29 @@ func TestThreadedStepsAccumulate(t *testing.T) {
 	}
 }
 
+// recorder logs every tracer event it receives, in order. It takes block
+// passes when blockwise is set.
+type recorder struct {
+	blockwise bool
+	log       []string
+}
+
+func (r *recorder) Instr(pc uint32, in isa.Instruction) {
+	r.log = append(r.log, fmt.Sprintf("instr %#x", pc))
+}
+func (r *recorder) Mem(pc, addr uint32, size uint8, write bool, region Region) {
+	r.log = append(r.log, fmt.Sprintf("mem %#x %#x", pc, addr))
+}
+func (r *recorder) Blockwise() bool { return r.blockwise }
+func (r *recorder) Pass(first, last int) {
+	r.log = append(r.log, fmt.Sprintf("pass %d-%d", first, last))
+}
+
 // TestRunProgramPicksBodyFromTracer checks that RunProgram picks the
-// body from the attached tracer alone: a BlockTracer reporting
-// Blockwise gets passes and no Instr events, while one that does not,
-// or one behind a MultiTracer, gets the per-instruction stream.
+// body from the attached tracer alone: a blockwise BlockTracer, alone or
+// with only blockwise company in a MultiTracer, gets passes and no Instr
+// events; any other tracer gets exactly the interpreter's event stream,
+// step count and machine state.
 func TestRunProgramPicksBodyFromTracer(t *testing.T) {
 	const base = 0x00400000
 	text := []isa.Instruction{
@@ -98,39 +118,68 @@ func TestRunProgramPicksBodyFromTracer(t *testing.T) {
 		ins(isa.HALT, 0, 0, 0, 0),
 	}
 	const steps = 1 + 3*3 + 1
+	loop := []string{"mem 0x400004 0x20000000", "pass 1-3"}
+	passes := append(append(append(append([]string{"pass 0-0"}, loop...), loop...), loop...), "pass 4-4")
 	prog := Translate(text, base, analysis.NewBlockMap(text, base))
-	for _, tc := range []struct {
-		name   string
-		tracer func(*countingTracer) Tracer
-		block  bool // true: the fast loop's passes; false: Instr events
-	}{
-		{"blockwise", func(ct *countingTracer) Tracer { ct.blockwise = true; return ct }, true},
-		{"not blockwise", func(ct *countingTracer) Tracer { return ct }, false},
-		{"behind MultiTracer", func(ct *countingTracer) Tracer { ct.blockwise = true; return MultiTracer{ct} }, false},
-	} {
-		ct := &countingTracer{}
+	newCPU := func(tr Tracer) *CPU {
 		cpu := New(text, base, NewMemory())
 		cpu.Layout = testLayout(base, len(text))
 		cpu.Regs[1] = cpu.Layout.PacketBase
 		cpu.PC = base
-		cpu.Tracer = tc.tracer(ct)
+		cpu.Tracer = tr
+		return cpu
+	}
+	for _, tc := range []struct {
+		name      string
+		blockwise []bool // one recorder each
+		tracer    func([]*recorder) Tracer
+		block     bool // true: block passes; false: the interpreter's stream
+	}{
+		{"blockwise", []bool{true}, func(r []*recorder) Tracer { return r[0] }, true},
+		{"not blockwise", []bool{false}, func(r []*recorder) Tracer { return r[0] }, false},
+		{"MultiTracer of blockwise members", []bool{true, true},
+			func(r []*recorder) Tracer { return MultiTracer{r[0], r[1]} }, true},
+		{"MultiTracer with a non-blockwise member", []bool{true, false},
+			func(r []*recorder) Tracer { return MultiTracer{r[0], r[1]} }, false},
+		{"MultiTracer with a plain Tracer", []bool{true, true},
+			func(r []*recorder) Tracer { return MultiTracer{r[0], struct{ Tracer }{r[1]}} }, false},
+	} {
+		recorders := func() []*recorder {
+			var rs []*recorder
+			for _, bw := range tc.blockwise {
+				rs = append(rs, &recorder{blockwise: bw})
+			}
+			return rs
+		}
+		got := recorders()
+		cpu := newCPU(tc.tracer(got))
 		if n, _, err := cpu.RunProgram(prog, 100); err != nil || n != steps {
 			t.Fatalf("%s: ran %d steps (%v), want %d", tc.name, n, err, steps)
 		}
-		want := countingTracer{blockwise: ct.blockwise, mems: 3, instrs: steps}
-		if tc.block {
-			// Passes: the entry block, three loop bodies, the halt.
-			want.instrs, want.passes, want.passed = 0, 5, steps
+		want := recorders()
+		ref := newCPU(tc.tracer(want))
+		if _, _, err := ref.Run(100); err != nil {
+			t.Fatal(err)
 		}
-		if *ct != want {
-			t.Errorf("%s: events %+v, want %+v", tc.name, *ct, want)
+		if cpu.Regs != ref.Regs || cpu.PC != ref.PC || cpu.Steps() != ref.Steps() {
+			t.Errorf("%s: state regs=%v pc=%#x steps=%d, interpreter regs=%v pc=%#x steps=%d",
+				tc.name, cpu.Regs, cpu.PC, cpu.Steps(), ref.Regs, ref.PC, ref.Steps())
+		}
+		for i := range got {
+			w := want[i].log
+			if tc.block {
+				w = passes
+			}
+			if !reflect.DeepEqual(got[i].log, w) {
+				t.Errorf("%s: member %d saw %q, want %q", tc.name, i, got[i].log, w)
+			}
 		}
 	}
 }
 
 // TestNoProofNoUncheckedOps is the hostile half of the proof-guided
 // translation contract: without verifier proofs, no memory check may be
-// elided and no branch folded, no matter how tempting the program looks.
+// elided, no matter how tempting the program looks.
 // Plain Translate (the Options.NoVerify path) must emit no proof-guided
 // micro-ops at all, and TranslateWithFacts without proofs must produce
 // exactly Translate's body.
@@ -156,7 +205,7 @@ func TestNoProofNoUncheckedOps(t *testing.T) {
 	if plain.stats != (TranslateStats{}) {
 		t.Fatalf("plain Translate has non-zero stats: %+v", plain.stats)
 	}
-	for i, op := range plain.fops {
+	for i, op := range plain.ops {
 		if op.code > uBAD {
 			t.Fatalf("plain Translate emitted proof-guided code %d at %d", op.code, i)
 		}
@@ -171,14 +220,14 @@ func TestNoProofNoUncheckedOps(t *testing.T) {
 	} {
 		p := TranslateWithFacts(text, base, blocks, tc.facts)
 		st := p.Stats()
-		if st.UncheckedLoads+st.UncheckedStores+st.FoldedBranches+st.ElidedMasks+st.DeadBlocks != 0 {
+		if st.UncheckedLoads+st.UncheckedStores+st.ElidedMasks+st.DeadBlocks != 0 {
 			t.Fatalf("%s: elision without proof: %+v", tc.name, st)
 		}
-		// Op for op, the untraced body is Translate's plain body.
-		if len(p.fops) != len(plain.ops) {
-			t.Fatalf("%s: body has %d ops, want %d", tc.name, len(p.fops), len(plain.ops))
+		// Op for op, the body is Translate's plain body.
+		if len(p.ops) != len(plain.ops) {
+			t.Fatalf("%s: body has %d ops, want %d", tc.name, len(p.ops), len(plain.ops))
 		}
-		for i, op := range p.fops {
+		for i, op := range p.ops {
 			if op != plain.ops[i] {
 				t.Fatalf("%s: op %d = %+v, want Translate's %+v", tc.name, i, op, plain.ops[i])
 			}

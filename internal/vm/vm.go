@@ -96,6 +96,11 @@ func (l Layout) Classify(addr uint32) Region {
 // Tracer observes application execution. Implementations must be cheap;
 // the Instr hook runs once per simulated instruction. A nil Tracer on the
 // CPU disables tracing entirely.
+//
+// Only the interpreter (CPU.Run) calls Instr. CPU.RunProgram runs the
+// block-threaded loop only for a BlockTracer that reports Blockwise; a
+// run observed by any other Tracer goes to CPU.Run, which is exact by
+// definition and costs the interpreter's speed.
 type Tracer interface {
 	// Instr is called before each instruction executes.
 	Instr(pc uint32, in isa.Instruction)
@@ -106,9 +111,9 @@ type Tracer interface {
 
 // BlockTracer is a Tracer that can also take execution a block pass at a
 // time. CPU.RunProgram asks Blockwise once per run: when it reports true,
-// the run takes the fast dispatch loop, which calls Pass instead of
-// Instr and still calls Mem for every data access. The interpreter
-// (CPU.Run) always calls Instr.
+// the run takes the block-threaded loop, which calls Pass instead of
+// Instr and still calls Mem for every data access; when false, the run
+// goes to the interpreter (CPU.Run), which always calls Instr.
 type BlockTracer interface {
 	Tracer
 	// Blockwise reports whether the tracer needs nothing from Instr
@@ -119,8 +124,9 @@ type BlockTracer interface {
 	// A pass ends at the instruction that transfers control, halts or
 	// faults — a faulting instruction is included, since the interpreter
 	// calls Instr before it faults — or at the block end or the last
-	// instruction the step budget affords. Mem events of the pass's
-	// instructions come before its Pass call.
+	// instruction the step budget affords. A conditional branch ends its
+	// block, so it is always the last instruction of its pass. Mem events
+	// of the pass's instructions come before its Pass call.
 	Pass(first, last int)
 }
 
@@ -511,8 +517,9 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 
 // MultiTracer fans tracer events out to several tracers, letting the
 // workload collector and a microarchitectural profiler observe the same
-// run. It is not a BlockTracer, so a run it observes takes the
-// per-instruction traced loop.
+// run. It is Blockwise iff every member is a BlockTracer that reports
+// Blockwise, so one per-instruction member sends the whole run to the
+// interpreter.
 type MultiTracer []Tracer
 
 // Instr implements Tracer.
@@ -526,5 +533,23 @@ func (m MultiTracer) Instr(pc uint32, in isa.Instruction) {
 func (m MultiTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	for _, t := range m {
 		t.Mem(pc, addr, size, write, region)
+	}
+}
+
+// Blockwise implements BlockTracer.
+func (m MultiTracer) Blockwise() bool {
+	for _, t := range m {
+		if bt, ok := t.(BlockTracer); !ok || !bt.Blockwise() {
+			return false
+		}
+	}
+	return true
+}
+
+// Pass implements BlockTracer. RunProgram calls it only when Blockwise
+// holds, so every member is a BlockTracer.
+func (m MultiTracer) Pass(first, last int) {
+	for _, t := range m {
+		t.(BlockTracer).Pass(first, last)
 	}
 }
