@@ -101,17 +101,20 @@ func NewTSA(key uint64) *TSA {
 		top: make([]uint16, TopTableSize),
 		sub: make([]byte, SubTableSize),
 	}
-	for v := uint32(0); v < TopTableSize; v++ {
-		var out uint32
-		for i := 0; i < TopBits; i++ {
-			prefix := uint32(0)
-			if i > 0 {
-				prefix = v >> (TopBits - uint(i))
-			}
-			bit := v >> (TopBits - 1 - uint(i)) & 1
-			out = out<<1 | (bit ^ prf(key, i, prefix))
+	// Output bit i of v is bit i of v flipped by prf(key, i, the top i
+	// bits of v), so the table is built level by level: after level i,
+	// top[p] holds the first i+1 output bits for each (i+1)-bit prefix
+	// p. Each (level, prefix) pair is hashed once. Level i+1 overwrites
+	// level i in place: p runs downwards, so a level-i entry at 2p or
+	// 2p+1 (always above p unless p is 0) was consumed before it is
+	// overwritten.
+	for i := 0; i < TopBits; i++ {
+		for p := 1<<i - 1; p >= 0; p-- {
+			out := t.top[p] << 1
+			flip := uint16(prf(key, i, uint32(p)))
+			t.top[2*p] = out | flip
+			t.top[2*p+1] = out | (1 ^ flip)
 		}
-		t.top[v] = uint16(out)
 	}
 	for d := 0; d < SubBits; d++ {
 		for p := 0; p < 1<<SubIndexBits; p++ {

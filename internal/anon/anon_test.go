@@ -1,6 +1,8 @@
 package anon
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -189,6 +191,29 @@ func TestTSAMatchesFullPPOnTopBits(t *testing.T) {
 		a := rng.Uint32()
 		if tsa.Anonymize(a)>>SubBits != full.Anonymize(a)>>SubBits {
 			t.Fatalf("top bits disagree for %#x", a)
+		}
+	}
+}
+
+// TestTSATablesPinned pins the serialized tables of three keys to the
+// digests of the original construction, which hashed every (depth,
+// prefix) pair once per top-table entry. The level-by-level build must
+// reproduce them bit for bit.
+func TestTSATablesPinned(t *testing.T) {
+	for _, c := range []struct {
+		key      uint64
+		top, sub string
+	}{
+		{1, "97a77b9837fc6ffa50dbf8a87556ed4460c520b170ea2e98ef5709e246acfbc0", "19bee5b1eba2303caf56d703101e74a029e598934b5b3628fb75fa36d6acebe2"},
+		{0x5453412D31363A31, "6f64d36e042a7420dc6628eacd395bacd85d99507757c7c9b263d2dfa9da26ca", "149214746b791edb9b1843143d823f61c76fdd771e89a296a0fc41cd09461044"},
+		{0xDEADBEEFCAFEF00D, "51178e98d38f6fec4b1f08badf07945d84bf2a09d544c2ff7b41c954a633b018", "0aed48068493d7ac1eed4e25cfa61857a3badb9815a729f325b4bc476dc0f5af"},
+	} {
+		top, sub := NewTSA(c.key).SerializeTables()
+		if got := fmt.Sprintf("%x", sha256.Sum256(top)); got != c.top {
+			t.Errorf("key %#x: top table sha256 %s, want %s", c.key, got, c.top)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(sub)); got != c.sub {
+			t.Errorf("key %#x: subtree table sha256 %s, want %s", c.key, got, c.sub)
 		}
 	}
 }

@@ -18,6 +18,8 @@ import (
 	_ "embed"
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync"
 
 	"repro/internal/anon"
 	"repro/internal/core"
@@ -47,33 +49,53 @@ const (
 // IPv4Radix builds the IPv4-radix forwarding application over the given
 // routing table. The verdict of each packet is the output port (0 =
 // drop).
+//
+// The App builds its radix tree and serialized image on its first load
+// and keeps them, as the paper's init() builds the table once: a later
+// core.New of the same App copies the kept image into memory. A load
+// rebuilds the tree when tbl.Entries no longer equals the copy taken at
+// the last build, and re-serializes it when the heap hands the image a
+// different base, so every load sees exactly what a fresh App would
+// build. Loads may run concurrently.
 func IPv4Radix(tbl *route.Table) *core.App {
+	var m routeMemo[route.RadixTree]
+	build := func(t *route.Table) (*route.RadixTree, error) { return route.NewRadixTree(t), nil }
 	return &core.App{
 		Name:   "IPv4-radix",
 		Source: ipv4RadixSrc,
 		Entry:  "process_packet",
 		Init: func(ld *core.Loader) error {
-			tree := route.NewRadixTree(tbl)
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			tree, _ := m.structure(tbl, build) // building a radix tree cannot fail
 			base, err := ld.Alloc(uint32(tree.Nodes())*route.RadixNodeSize, 8)
 			if err != nil {
 				return err
 			}
-			image, root := tree.Serialize(base)
-			ld.Write(base, image)
-			return ld.SetWord("radix_root", root)
+			img := m.images([2]uint32{base}, func() [2][]byte {
+				image, _ := tree.Serialize(base) // the root is the node at base
+				return [2][]byte{image}
+			})
+			ld.Write(base, img[0])
+			return ld.SetWord("radix_root", base)
 		},
 	}
 }
 
 // IPv4Trie builds the IPv4-trie forwarding application over the given
-// routing table.
+// routing table. Like IPv4Radix, the App keeps its LC-trie and images
+// from the first load, rebuilding when tbl.Entries changes and
+// re-serializing when the heap bases move.
 func IPv4Trie(tbl *route.Table) *core.App {
+	var m routeMemo[route.LCTrie]
 	return &core.App{
 		Name:   "IPv4-trie",
 		Source: ipv4TrieSrc,
 		Entry:  "process_packet",
 		Init: func(ld *core.Loader) error {
-			lc, err := route.NewLCTrie(tbl)
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			lc, err := m.structure(tbl, route.NewLCTrie)
 			if err != nil {
 				return err
 			}
@@ -85,15 +107,54 @@ func IPv4Trie(tbl *route.Table) *core.App {
 			if err != nil {
 				return err
 			}
-			nodesImg, entriesImg := lc.Serialize(nodesBase, entriesBase)
-			ld.Write(nodesBase, nodesImg)
-			ld.Write(entriesBase, entriesImg)
+			img := m.images([2]uint32{nodesBase, entriesBase}, func() [2][]byte {
+				nodesImg, entriesImg := lc.Serialize(nodesBase, entriesBase)
+				return [2][]byte{nodesImg, entriesImg}
+			})
+			ld.Write(nodesBase, img[0])
+			ld.Write(entriesBase, img[1])
 			if err := ld.SetWord("trie_nodes", nodesBase); err != nil {
 				return err
 			}
 			return ld.SetWord("trie_entries", entriesBase)
 		},
 	}
+}
+
+// routeMemo is what a forwarding App keeps between loads: the structure
+// built from its table, a copy of the entries it was built from, and
+// its serialized images with the bases they were laid out at. Images
+// are replaced, never modified, once kept. Callers hold mu.
+type routeMemo[T any] struct {
+	mu      sync.Mutex
+	entries []route.Entry
+	built   *T
+	bases   [2]uint32
+	image   [2][]byte
+	imaged  bool
+}
+
+// structure returns the structure built from tbl's current entries,
+// building it when there is none yet or the entries changed since.
+func (m *routeMemo[T]) structure(tbl *route.Table, build func(*route.Table) (*T, error)) (*T, error) {
+	if m.built != nil && slices.Equal(m.entries, tbl.Entries) {
+		return m.built, nil
+	}
+	built, err := build(tbl)
+	if err != nil {
+		return nil, err
+	}
+	m.built, m.entries, m.imaged = built, slices.Clone(tbl.Entries), false
+	return built, nil
+}
+
+// images returns the current structure's images at bases, calling
+// serialize when the structure is new or was laid out elsewhere.
+func (m *routeMemo[T]) images(bases [2]uint32, serialize func() [2][]byte) [2][]byte {
+	if !m.imaged || m.bases != bases {
+		m.image, m.bases, m.imaged = serialize(), bases, true
+	}
+	return m.image
 }
 
 // FlowClassification builds the flow classification application with the

@@ -706,8 +706,34 @@ func shapeRows() []*row {
 			ins(isa.ADDI, 4, 4, 0, 5),
 			ins(isa.JALR, 0, 15, 0, 0)),
 		midBlockRow(),
+		midBlockThenWholeRow(),
 		budgetOnBranchRow(),
 	}
+}
+
+// midBlockThenWholeRow enters a block through JALR at its middle, then
+// loops back to the block's leader twice in the same run: a partial
+// pass, then whole-block passes, the second of which the collector may
+// skip as fully seen. The partial pass must not count as covering the
+// block, or the leader's instructions would go uncounted.
+func midBlockThenWholeRow() *row {
+	r := rawRow("mid-block-entry-then-whole-block", 100,
+		ins(isa.ADDI, 4, 0, 0, 0x10),
+		ins(isa.ADDI, 7, 0, 0, 3),       // three passes over the loop block
+		ins(isa.JALR, 5, 4, 0, rawBase), // jump to base+16, link r5
+		ins(isa.ADDI, 6, 6, 0, 1),       // base+12, the loop block's leader
+		ins(isa.ADDI, 6, 6, 0, 2),       // base+16, entered mid-block
+		ins(isa.ADDI, 6, 6, 0, 4),
+		ins(isa.ADDI, 7, 7, 0, -1),
+		ins(isa.BNE, 0, 7, 0, -5), // back to the leader
+		ins(isa.HALT, 0, 0, 0, 0))
+	r.check = func(o *outcome) error {
+		if o.Regs[6] != 6+7+7 {
+			return fmt.Errorf("r6 = %d, want 20 (one partial pass, two whole ones)", o.Regs[6])
+		}
+		return nil
+	}
+	return r
 }
 
 // budgetOnBranchRow spends its last step on a taken conditional branch.

@@ -482,9 +482,11 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 	b := make([]byte, size)
 	// Fill the payload with deterministic pseudo-random bytes so payload
 	// processing applications have real content to chew on; the header
-	// fields are overwritten below.
+	// fields are overwritten below. Int63() >> 32 is the Int31() whose
+	// low byte Intn(256) returns, so each byte is the same draw as
+	// byte(Intn(256)) without the two wrapper calls.
 	for i := range b {
-		b[i] = byte(g.rng.Intn(256))
+		b[i] = byte(g.rng.Int63() >> 32)
 	}
 	h.MarshalInto(b)
 	l4 := b[h.HeaderLen():]

@@ -80,6 +80,11 @@ func (c *Cache) Access(addr uint32) bool {
 	return false
 }
 
+// hitMRU counts n more accesses to the line the last Access touched.
+// They hit, and that line is already most recently used, so the LRU
+// order stays as it is.
+func (c *Cache) hitMRU(n uint64) { c.Accesses += n }
+
 // MissRate returns misses/accesses.
 func (c *Cache) MissRate() float64 { return rate(c.Misses, c.Accesses) }
 

@@ -12,8 +12,8 @@
 // alongside the workload collector (see core.Bench.AddTracer). Each
 // instruction's class and fixed cycle cost are static, so BindProgram
 // computes them once per program, and a block pass only pays for what
-// is dynamic: the I-cache access per instruction, the branch outcome
-// and the D-cache access per data reference. A bound profiler is
+// is dynamic: the I-cache access per line run, the branch outcome and
+// the D-cache access per data reference. A bound profiler is
 // blockwise and rides the threaded engine's block passes; an unbound one
 // takes Instr events, so a bare vm.CPU run without BindProgram goes to
 // the interpreter and still gets exact results.
@@ -283,25 +283,57 @@ func (p *Profiler) Instr(pc uint32, in isa.Instruction) {
 }
 
 // Pass implements vm.BlockTracer: the instructions first..last executed
-// in order. A conditional branch always ends its pass, so the next
-// pass's first instruction resolves it, exactly as the next Instr would.
-// The I-cache and D-cache are separate, so running a pass's I-cache
-// accesses after its Mem events changes nothing.
+// in order. A conditional branch always ends its pass, so only last can
+// leave a branch pending, and first's pc resolves the one the previous
+// pass left, exactly as the next Instr would. The I-cache and D-cache
+// are separate, so running a pass's I-cache accesses after its Mem
+// events changes nothing.
+//
+// The I-cache is fetched per line, not per pc: the first pc of each
+// line run accesses the cache, and the rest of the run hits the line
+// that access just made most recently used, so they are counted as
+// hits without touching the LRU order.
 //
 // pblint:hotpath — runs once per block pass of every profiled packet.
 func (p *Profiler) Pass(first, last int) {
 	cm := p.cost()
 	pc := p.textBase + uint32(first)*isa.WordSize
+	lastPC := p.textBase + uint32(last)*isa.WordSize
+	p.resolve(pc, &cm)
 	for _, op := range p.table[first : last+1] {
-		p.exec(pc, op, &cm)
-		pc += isa.WordSize
+		p.Mix.Counts[op.class]++
+		p.Cycles += op.cycles
 	}
+	if op := p.table[last]; op.class == ClassBranch {
+		p.havePending = true
+		p.pendingPC = lastPC
+		p.pendingBackward = op.backward
+	}
+	ic := p.ICache
+	if ic == nil {
+		return
+	}
+	if !ic.Access(pc) {
+		p.Cycles += cm.MissPenalty
+	}
+	line := pc >> ic.lineBits
+	var hits uint64
+	for pc += isa.WordSize; pc <= lastPC; pc += isa.WordSize {
+		if pc>>ic.lineBits == line {
+			hits++
+			continue
+		}
+		line = pc >> ic.lineBits
+		if !ic.Access(pc) {
+			p.Cycles += cm.MissPenalty
+		}
+	}
+	ic.hitMRU(hits)
 }
 
-// exec profiles one executed instruction: it resolves the pending branch
-// now that the successor pc is known, then adds the instruction's class,
-// cycles and I-cache access.
-func (p *Profiler) exec(pc uint32, op opCost, cm *CostModel) {
+// resolve settles the pending conditional branch, if any, now that the
+// pc of the instruction after it is known.
+func (p *Profiler) resolve(pc uint32, cm *CostModel) {
 	if p.havePending {
 		p.havePending = false
 		taken := pc != p.pendingPC+isa.WordSize
@@ -310,6 +342,13 @@ func (p *Profiler) exec(pc uint32, op opCost, cm *CostModel) {
 			p.Cycles += cm.TakenPenalty
 		}
 	}
+}
+
+// exec profiles one executed instruction: it resolves the pending branch
+// now that the successor pc is known, then adds the instruction's class,
+// cycles and I-cache access.
+func (p *Profiler) exec(pc uint32, op opCost, cm *CostModel) {
+	p.resolve(pc, cm)
 	p.Mix.Counts[op.class]++
 	p.Cycles += op.cycles
 	if op.class == ClassBranch {

@@ -12,9 +12,12 @@
 // core.Options and caches the longest run so far. Tables II/III, V/VI and
 // Figures 3-5, 7 and 8 read prefixes of those runs: Tables V and VI are
 // two reads of one COS run, and the figures read the first FigurePackets
-// of the matrix's MRA runs. A longer request simulates afresh; a prefix
-// of a deterministic run equals a fresh run, even for stateful Flow
-// Classification. Experiments with other options stay uncached: Run,
+// of the matrix's MRA runs. A longer request continues the cached run
+// on its live bench; a prefix or an extension of a deterministic run
+// equals a fresh run, even for stateful Flow Classification. The four
+// applications are built once per Env, so the forwarding apps build
+// their route images on the first load only (see apps.IPv4Radix).
+// Experiments with other options stay uncached: Run,
 // Profile, HotBlocks, Spans, Table4 (Coverage), Figure6 and Figure9
 // (Detail) and Microarch (an extra tracer). Each multi-cell experiment
 // runs its independent cells across GOMAXPROCS goroutines into fixed
@@ -102,7 +105,10 @@ type Env struct {
 	// SmallTable is the small table the paper used for IPv4-trie's
 	// Table IV measurement.
 	SmallTable *route.Table
-	runs       runCache
+	// apps are the four applications, built once so the forwarding
+	// apps' route images are built on their first load only.
+	apps map[string]*core.App
+	runs runCache
 }
 
 // NewEnv generates every trace at the maximum length any experiment
@@ -139,6 +145,12 @@ func NewEnv(cfg Config) *Env {
 	}
 	e.Table = route.TableFromTraffic(dsts, cfg.RoutePrefixes, 16, 0x4D414557) // "MAEW"
 	e.SmallTable = route.TableFromTraffic(dsts, cfg.SmallRoutePrefixes, 16, 0x534D4C)
+	// Constructing an App builds nothing: the route images are built by
+	// the first load, in whichever experiment runs first.
+	e.apps = make(map[string]*core.App, len(AppNames))
+	for _, a := range apps.All(e.Table, cfg.FlowBuckets, cfg.TSAKey) {
+		e.apps[a.Name] = a
+	}
 	return e
 }
 
@@ -154,17 +166,10 @@ func (e *Env) Trace(name string, n int) []*trace.Packet {
 	return pkts[:n]
 }
 
-// app instantiates one of the four applications by name.
+// app returns one of the four applications by name.
 func (e *Env) app(name string) *core.App {
-	switch name {
-	case "IPv4-radix":
-		return apps.IPv4Radix(e.Table)
-	case "IPv4-trie":
-		return apps.IPv4Trie(e.Table)
-	case "Flow Classification":
-		return apps.FlowClassification(e.cfg.FlowBuckets)
-	case "TSA":
-		return apps.TSAApp(e.cfg.TSAKey)
+	if a := e.apps[name]; a != nil {
+		return a
 	}
 	panic("report: unknown application " + name)
 }

@@ -2,6 +2,7 @@ package report
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -32,8 +33,9 @@ func (s packetScalars) record() stats.PacketRecord {
 
 // sharedRun is what the run cache keeps of one simulation: scalars for
 // every completed packet, and full records (block sets included) for the
-// first FigurePackets of them. A run is never mutated once cached, so
-// views of it may be read concurrently.
+// first FigurePackets of them. The cached run only ever grows at its
+// end, and views of it are fixed-length prefixes, so a view's packets
+// never change and may be read while the run is extended.
 type sharedRun struct {
 	scalars   []packetScalars
 	head      []stats.PacketRecord
@@ -42,11 +44,13 @@ type sharedRun struct {
 	err error
 }
 
-// prefix is the view of the first n packets of r.
+// prefix is the view of the first n packets of r. Its slices are
+// capped, so nothing appended to the run can reach them.
 func (r *sharedRun) prefix(n int) *sharedRun {
+	h := min(n, len(r.head))
 	return &sharedRun{
-		scalars:   r.scalars[:n],
-		head:      r.head[:min(n, len(r.head))],
+		scalars:   r.scalars[:n:n],
+		head:      r.head[:h:h],
 		numBlocks: r.numBlocks,
 	}
 }
@@ -72,56 +76,66 @@ type runCache struct {
 type cacheEntry struct {
 	mu  sync.Mutex
 	run *sharedRun
+	// bench is the live bench of the run, past its last packet, or nil
+	// before the first request, after a failure and once the run covers
+	// its whole trace.
+	bench *core.Bench
 }
 
 // shared returns the first n packets of appName over traceName under
 // default options. A request no longer than the cached run reads its
-// prefix; a longer one simulates afresh and replaces it. Runs are
-// deterministic, so a prefix equals a fresh run of that length, even for
-// the stateful Flow Classification. A run that failed at packet k serves
-// the k packets before it and answers longer requests with its error.
+// prefix; a longer one continues the cached run's bench from its next
+// packet. Runs are deterministic, so a prefix, and an extension, equals
+// a fresh run of that length, even for the stateful Flow
+// Classification. A run that failed at packet k serves the k packets
+// before it and answers longer requests with its error.
 func (e *Env) shared(appName, traceName string, n int) (*sharedRun, error) {
 	n = min(n, len(e.traces[traceName]))
 	k := runKey{appName, traceName}
 	e.runs.mu.Lock()
 	ent := e.runs.entries[k]
 	if ent == nil {
-		ent = &cacheEntry{}
+		ent = &cacheEntry{run: &sharedRun{}}
 		e.runs.entries[k] = ent
 	}
 	e.runs.mu.Unlock()
 
 	ent.mu.Lock()
 	defer ent.mu.Unlock()
-	if r := ent.run; r == nil || (len(r.scalars) < n && r.err == nil) {
-		ent.run = e.simulate(k, n)
-	}
 	r := ent.run
+	if len(r.scalars) < n && r.err == nil {
+		e.extend(ent, k, n)
+	}
 	if len(r.scalars) < n {
 		return nil, r.err
 	}
 	return r.prefix(n), nil
 }
 
-// simulate runs one cell packet by packet on a single bench, so a long
-// run holds one packet's record at a time rather than the whole slice.
-// Packet indexes are the trace's, as in a RunPackets call over the same
-// prefix.
-func (e *Env) simulate(k runKey, n int) *sharedRun {
-	b, err := core.New(e.app(k.app), core.Options{})
-	if err != nil {
-		return &sharedRun{err: err}
-	}
-	r := &sharedRun{
-		scalars:   make([]packetScalars, 0, n),
-		head:      make([]stats.PacketRecord, 0, min(n, e.cfg.FigurePackets)),
-		numBlocks: b.BlockMap().NumBlocks(),
-	}
-	for i, p := range e.Trace(k.trace, n) {
-		res, err := b.ProcessPacketAt(i, p)
+// extend simulates packets len(scalars)..n-1 of the entry's run packet
+// by packet on its bench, loading the bench on the first request, so a
+// long run holds one packet's record at a time rather than the whole
+// slice. Packet indexes are the trace's, as in a RunPackets call over
+// the same prefix. The caller holds ent.mu.
+func (e *Env) extend(ent *cacheEntry, k runKey, n int) {
+	r := ent.run
+	if ent.bench == nil {
+		b, err := core.New(e.app(k.app), core.Options{})
 		if err != nil {
 			r.err = err
-			break
+			return
+		}
+		ent.bench = b
+		r.numBlocks = b.BlockMap().NumBlocks()
+	}
+	r.scalars = slices.Grow(r.scalars, n-len(r.scalars))
+	pkts := e.Trace(k.trace, n)
+	for i := len(r.scalars); i < n; i++ {
+		res, err := ent.bench.ProcessPacketAt(i, pkts[i])
+		if err != nil {
+			r.err = err
+			ent.bench = nil
+			return
 		}
 		rec := &res.Record
 		r.scalars = append(r.scalars, packetScalars{
@@ -130,11 +144,13 @@ func (e *Env) simulate(k runKey, n int) *sharedRun {
 			packetAcc:    uint32(rec.PacketAccesses()),
 			nonPacketAcc: uint32(rec.NonPacketAccesses()),
 		})
-		if len(r.head) < cap(r.head) {
+		if len(r.head) < e.cfg.FigurePackets {
 			r.head = append(r.head, *rec)
 		}
 	}
-	return r
+	if n == len(e.traces[k.trace]) {
+		ent.bench = nil // nothing is left to extend it with
+	}
 }
 
 // forCells runs cell(0..n-1) across GOMAXPROCS goroutines. Each cell

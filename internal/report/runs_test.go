@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -147,5 +148,107 @@ func TestSharedRunConcurrentRequests(t *testing.T) {
 		if m == n && &views[i].scalars[0] != &views[0].scalars[0] {
 			t.Errorf("request %d simulated its own %d-packet run", i, n)
 		}
+	}
+}
+
+// TestSharedRunExtends asks each application for k packets and then
+// n > k: the longer request continues the cached run on its bench, and
+// its records equal a fresh n-packet run's, stateful Flow Classification
+// included. The view taken before the extension, read concurrently while
+// the run grows, keeps its packets. One pair starts below FigurePackets
+// and ends above it; the other starts above it.
+func TestSharedRunExtends(t *testing.T) {
+	env := NewEnv(testConfig)
+	fig := testConfig.FigurePackets
+	for _, app := range AppNames {
+		for _, c := range []struct {
+			trace string
+			k, n  int
+		}{{"COS", fig / 2, 2*fig - 40}, {"MRA", fig + 10, testConfig.TablePackets}} {
+			before, err := env.shared(app, c.trace, c.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept := &sharedRun{
+				scalars:   slices.Clone(before.scalars),
+				head:      slices.Clone(before.head),
+				numBlocks: before.numBlocks,
+			}
+			ent := env.runs.entries[runKey{app, c.trace}]
+			run, bench := ent.run, ent.bench
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for range 3 {
+					before.summary()
+					stats.BlockSets(before.head)
+				}
+			}()
+			after, err := env.shared(app, c.trace, c.n)
+			<-done
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ent.run != run || ent.bench != bench {
+				t.Errorf("%s on %s: the %d-packet request replaced the run instead of extending it", app, c.trace, c.n)
+			}
+			if !reflect.DeepEqual(before, kept) {
+				t.Errorf("%s on %s: the %d-packet view changed when the run grew to %d", app, c.trace, c.k, c.n)
+			}
+			_, recs, err := env.Run(app, c.trace, c.n, core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &sharedRun{head: recs[:min(c.n, fig)], numBlocks: before.numBlocks}
+			for i := range recs {
+				r := &recs[i]
+				want.scalars = append(want.scalars, packetScalars{
+					instructions: uint32(r.Instructions),
+					unique:       uint32(r.Unique),
+					packetAcc:    uint32(r.PacketAccesses()),
+					nonPacketAcc: uint32(r.NonPacketAccesses()),
+				})
+			}
+			if !reflect.DeepEqual(after, want) {
+				t.Errorf("%s on %s: %d packets extended from %d differ from a fresh run", app, c.trace, c.n, c.k)
+			}
+		}
+	}
+}
+
+// TestSharedRunExtensionFails extends a healthy run into a faulting
+// packet: the request reports the fresh run's error, the failed run is
+// never extended again, longer requests get its error, and the packets
+// before the fault are still served.
+func TestSharedRunExtensionFails(t *testing.T) {
+	const bad = 20
+	env := NewEnv(testConfig)
+	mra := append([]*trace.Packet(nil), env.traces["MRA"]...)
+	mra[bad] = &trace.Packet{Data: make([]byte, core.MaxPacketLen+1)}
+	env.traces["MRA"] = mra
+	_, _, wantErr := env.Run("Flow Classification", "MRA", 50, core.Options{})
+	if wantErr == nil {
+		t.Fatalf("fresh run succeeded, want a fault at packet %d", bad)
+	}
+
+	if _, err := env.shared("Flow Classification", "MRA", bad-5); err != nil {
+		t.Fatal(err)
+	}
+	ent := env.runs.entries[runKey{"Flow Classification", "MRA"}]
+	for _, n := range []int{50, 100, bad + 1} {
+		if _, err := env.shared("Flow Classification", "MRA", n); err == nil || err.Error() != wantErr.Error() {
+			t.Errorf("%d packets: err %v, want %v", n, err, wantErr)
+		}
+		if ent.bench != nil || len(ent.run.scalars) != bad {
+			t.Errorf("%d packets: the failed run holds %d packets and a bench %v, want %d and none", n, len(ent.run.scalars), ent.bench, bad)
+		}
+	}
+	r, err := env.shared("Flow Classification", "MRA", bad)
+	if err != nil {
+		t.Fatalf("prefix before the fault: %v", err)
+	}
+	_, recs, _ := env.Run("Flow Classification", "MRA", bad, core.Options{})
+	if got, want := r.summary(), stats.Summarize(recs); !reflect.DeepEqual(got, want) {
+		t.Errorf("prefix summary %+v, fresh %+v", got, want)
 	}
 }

@@ -98,30 +98,22 @@ const RadixNodeSize = 24
 // The root node is placed first, at base. The returned image starts at
 // base; the root address equals base.
 func (r *RadixTree) Serialize(base uint32) (image []byte, rootAddr uint32) {
-	// Assign addresses in breadth-first order with the root first.
-	order := make([]*radixNode, 0, r.nodes)
-	addrOf := make(map[*radixNode]uint32, r.nodes)
-	queue := []*radixNode{r.root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		addrOf[n] = base + uint32(len(order))*RadixNodeSize
-		order = append(order, n)
-		if n.left != nil {
-			queue = append(queue, n.left)
-		}
-		if n.right != nil {
-			queue = append(queue, n.right)
-		}
-	}
-	image = make([]byte, len(order)*RadixNodeSize)
-	for i, n := range order {
+	// Lay nodes out in breadth-first order with the root first. order is
+	// the BFS queue itself, so a child's address is known the moment it
+	// is enqueued: base plus the queue length times the node size.
+	order := make([]*radixNode, 1, r.nodes)
+	order[0] = r.root
+	image = make([]byte, r.nodes*RadixNodeSize)
+	for i := 0; i < len(order); i++ {
+		n := order[i]
 		off := i * RadixNodeSize
 		if n.left != nil {
-			binary.LittleEndian.PutUint32(image[off:], addrOf[n.left])
+			binary.LittleEndian.PutUint32(image[off:], base+uint32(len(order))*RadixNodeSize)
+			order = append(order, n.left)
 		}
 		if n.right != nil {
-			binary.LittleEndian.PutUint32(image[off+4:], addrOf[n.right])
+			binary.LittleEndian.PutUint32(image[off+4:], base+uint32(len(order))*RadixNodeSize)
+			order = append(order, n.right)
 		}
 		binary.LittleEndian.PutUint32(image[off+8:], n.hop)
 		binary.LittleEndian.PutUint32(image[off+12:], n.key)

@@ -2,7 +2,9 @@ package route
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -483,5 +485,27 @@ func TestNestedPrefixChains(t *testing.T) {
 		if hop, ok := r.Lookup(a); hop != wantHop || ok != wantOK {
 			t.Fatalf("radix(%#x, k=%d) = %d,%v; oracle %d,%v", a, k, hop, ok, wantHop, wantOK)
 		}
+	}
+}
+
+// TestRadixSerializePinned pins the image of a paper-sized table
+// (32,768 prefixes from traffic) to the digest of the original
+// map-based layout pass: the single-pass layout must place every node
+// and child pointer where it did.
+func TestRadixSerializePinned(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	dsts := make([]uint32, 40000)
+	for i := range dsts {
+		dsts[i] = rng.Uint32()
+	}
+	tbl := TableFromTraffic(dsts, 32768, 16, 0x4D414557)
+	tree := NewRadixTree(tbl)
+	img, root := tree.Serialize(0x10000000)
+	if root != 0x10000000 || len(img) != 256922*RadixNodeSize || tree.Nodes() != 256922 {
+		t.Fatalf("root %#x, %d image bytes, %d nodes; want 0x10000000, 256922 nodes", root, len(img), tree.Nodes())
+	}
+	const want = "69d7d17811b1c3d54058dd8c962abc83f89d2b28c154c7885c9c73c05d05bfc6"
+	if got := fmt.Sprintf("%x", sha256.Sum256(img)); got != want {
+		t.Errorf("image sha256 %s, want %s", got, want)
 	}
 }

@@ -100,6 +100,9 @@ type Collector struct {
 	epoch     uint32
 	seenInstr []uint32
 	seenBlock []uint32
+	// fullBlock[b] == epoch means a pass covered all of block b in the
+	// current packet, so every instruction of b is already seen.
+	fullBlock []uint32
 
 	// slab is the chunk the executed-block sets of records are carved
 	// from; records share it through capped sub-slices.
@@ -178,6 +181,7 @@ func NewCollector(text []isa.Instruction, textBase uint32, blocks *analysis.Bloc
 		layout:       layout,
 		seenInstr:    make([]uint32, len(text)),
 		seenBlock:    make([]uint32, blocks.NumBlocks()),
+		fullBlock:    make([]uint32, blocks.NumBlocks()),
 		instrTouched: make([]bool, len(text)),
 		// PCCounts is eagerly allocated (one counter per text
 		// instruction is a few KiB at most) so the per-instruction hot
@@ -200,6 +204,7 @@ func (c *Collector) BeginPacket() {
 		// would read as current. Forget them all.
 		clear(c.seenInstr)
 		clear(c.seenBlock)
+		clear(c.fullBlock)
 		c.epoch = 1
 	}
 	c.cur = PacketRecord{Index: c.packets}
@@ -307,17 +312,25 @@ func (c *Collector) Pass(first, last int) {
 			c.PCCounts[i]++
 		}
 	}
-	for i := first; i <= last; i++ {
-		if c.seenInstr[i] != c.epoch {
-			c.seenInstr[i] = c.epoch
-			c.cur.Unique++
-			if c.Coverage {
-				c.instrTouched[i] = true
+	// A pass lies inside one block. Once a pass has covered the whole
+	// block in this packet, every later pass over it finds nothing new,
+	// so only a block not yet stamped full is scanned. A partial pass
+	// scans and never stamps.
+	b := c.blocks.BlockOfIndex(first)
+	if c.fullBlock[b] != c.epoch {
+		for i := first; i <= last; i++ {
+			if c.seenInstr[i] != c.epoch {
+				c.seenInstr[i] = c.epoch
+				c.cur.Unique++
+				if c.Coverage {
+					c.instrTouched[i] = true
+				}
 			}
 		}
+		if first == c.blocks.LeaderIndex(b) && last+1 == c.blocks.EndIndex(b) {
+			c.fullBlock[b] = c.epoch
+		}
 	}
-	// A pass lies inside one block.
-	b := c.blocks.BlockOfIndex(first)
 	c.seenBlock[b] = c.epoch
 	if c.Detail {
 		// The pass's Mem events came first and were numbered as if the
