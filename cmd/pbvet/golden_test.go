@@ -66,7 +66,7 @@ func TestGoldenAppDiagnostics(t *testing.T) {
 
 // TestGoldenAppFacts pins the -facts dump over the six bundled
 // applications: the proven memory regions, address intervals, constant
-// branches and redundant masks the proof-guided translator consumes.
+// branches, redundant masks and unreachable instructions.
 // A diff here is a change in what the abstract interpretation can
 // prove — sometimes intended (analysis got sharper), never invisible.
 func TestGoldenAppFacts(t *testing.T) {

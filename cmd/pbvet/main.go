@@ -17,9 +17,9 @@
 // Diagnostic runs include the facts pipeline's warn-severity findings
 // (constant branches, redundant masks, value-analysis dead code) on top
 // of the structural checks. -facts instead dumps the per-instruction
-// facts the proof-guided translator acts on: proven memory regions with
-// address intervals, constant branch directions, redundant masks, and
-// unreachable instructions.
+// abstract-interpretation facts those findings come from: proven memory
+// regions with address intervals, constant branch directions, redundant
+// masks, and unreachable instructions.
 //
 // The exit status is 2 on usage or assembly errors, 1 if any file has
 // error-severity findings, and 0 otherwise (warnings do not fail the
@@ -86,7 +86,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *facts {
 			_, fx := staticcheck.VerifyWithFacts(prog, opts)
 			fmt.Fprintf(stdout, "%s:\n", path)
-			fx.Dump(stdout)
+			fx.Dump(stdout, prog)
 			continue
 		}
 		ds := staticcheck.Verify(prog, opts)

@@ -548,16 +548,10 @@ func New(app *App, opts Options) (*Bench, error) {
 		stepLimit = DefaultStepLimit
 	}
 
-	var tf *vm.TranslationFacts
 	if !opts.NoVerify {
-		ds, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{
-			Layout:  LayoutFor(prog, heap),
-			Entries: []string{app.Entry},
-		})
-		if ds.HasErrors() {
+		if ds := verifyProg(prog, app, opts); ds.HasErrors() {
 			return nil, &VerifyError{App: app.Name, Diags: ds}
 		}
-		tf = facts.Translation()
 	}
 
 	mem := vm.NewMemory()
@@ -589,13 +583,7 @@ func New(app *App, opts Options) (*Bench, error) {
 	var tprog *vm.Program
 	switch opts.Engine {
 	case EngineThreaded:
-		if opts.NoVerify {
-			// No verifier run means no proofs and no optimized body: the
-			// fully-checked translation is the only sound choice.
-			tprog = vm.Translate(prog.Text, prog.TextBase, blocks)
-		} else {
-			tprog = vm.TranslateWithFacts(prog.Text, prog.TextBase, blocks, tf)
-		}
+		tprog = vm.Translate(prog.Text, prog.TextBase, blocks)
 	case EngineInterpreter:
 	default:
 		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)
@@ -622,17 +610,6 @@ func (b *Bench) Metrics() *telemetry.Registry { return b.reg }
 
 // Engine returns the execution engine the bench was built with.
 func (b *Bench) Engine() EngineKind { return b.engine }
-
-// TranslationStats reports what the proof-guided translator did with
-// this program: unchecked memory micro-ops, elided masks and dead
-// blocks. Zero for the interpreter engine and for unverified programs
-// (no proofs, fully-checked translation).
-func (b *Bench) TranslationStats() vm.TranslateStats {
-	if b.tprog == nil {
-		return vm.TranslateStats{}
-	}
-	return b.tprog.Stats()
-}
 
 // Program returns the assembled application image.
 func (b *Bench) Program() *asm.Program { return b.prog }

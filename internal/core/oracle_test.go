@@ -16,7 +16,6 @@ import (
 	"repro/internal/microarch"
 	"repro/internal/packet"
 	"repro/internal/route"
-	"repro/internal/staticcheck"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -31,8 +30,6 @@ import (
 //   - body: the interpreter, or the threaded engine (RunProgram), which
 //     runs its block-threaded loop with no tracer or a blockwise one and
 //     hands any other tracer's run to the interpreter;
-//   - translation: Translate, or TranslateWithFacts with the verifier's
-//     facts (for applications: NoVerify on or off);
 //   - step budget: the row's full budget and, for programs, every budget
 //     from 0 to min(steps, 64);
 //   - observer: none; a stats.Collector with Detail, Coverage and
@@ -74,7 +71,6 @@ func (o observer) String() string {
 // cell is one column. The body follows from threaded and obs.
 type cell struct {
 	threaded bool
-	facts    bool
 	budget   uint64
 	obs      observer
 }
@@ -90,11 +86,6 @@ func (c cell) String() string {
 	default:
 		body = "fast+passes"
 	}
-	if c.threaded && c.facts {
-		body += "/TranslateWithFacts"
-	} else if c.threaded {
-		body += "/Translate"
-	}
 	return fmt.Sprintf("%s budget=%d observer=%s", body, c.budget, c.obs)
 }
 
@@ -109,10 +100,6 @@ type row struct {
 	regs   [isa.NumRegs]uint32
 	entry  uint32
 	budget uint64
-	// tfacts are the verifier's translation facts. They are only sound
-	// from the framework ABI entry state, so raw-instruction rows have
-	// none and run Translate alone.
-	tfacts *vm.TranslationFacts
 	// check, when set, independently checks the interpreter's full
 	// unobserved run.
 	check func(o *outcome) error
@@ -121,17 +108,9 @@ type row struct {
 	noVerify bool // the verifier rejects the app, so NoVerify stays on
 	pkts     []*trace.Packet
 
-	blocks        *analysis.BlockMap
-	plain, proven *vm.Program
-	panicAt       int // Instr event on which the extra program observer panics
-}
-
-// translations lists the translation column values the row runs.
-func (r *row) translations() []bool {
-	if (r.app != nil && !r.noVerify) || (r.app == nil && r.tfacts != nil) {
-		return []bool{false, true}
-	}
-	return []bool{false}
+	blocks  *analysis.BlockMap
+	prog    *vm.Program // the threaded translation of text
+	panicAt int         // Instr event on which the extra program observer panics
 }
 
 // outcome is everything one cell's run exposes.
@@ -268,13 +247,10 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 			}
 		}()
 		var err error
-		switch {
-		case !c.threaded:
+		if c.threaded {
+			o.Ret, o.Reason, err = cpu.RunProgram(r.prog, c.budget)
+		} else {
 			o.Ret, o.Reason, err = cpu.Run(c.budget)
-		case c.facts:
-			o.Ret, o.Reason, err = cpu.RunProgram(r.proven, c.budget)
-		default:
-			o.Ret, o.Reason, err = cpu.RunProgram(r.plain, c.budget)
 		}
 		if err != nil && !errors.As(err, &o.Fault) {
 			t.Fatalf("%v: non-Fault error: %v", c, err)
@@ -302,7 +278,7 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 // runApp executes an application row's packets on a fresh bench.
 func runApp(t *testing.T, r *row, c cell) *outcome {
 	t.Helper()
-	opts := core.Options{Engine: core.EngineInterpreter, StepLimit: c.budget, NoVerify: r.noVerify || !c.facts}
+	opts := core.Options{Engine: core.EngineInterpreter, StepLimit: c.budget, NoVerify: r.noVerify}
 	if c.threaded {
 		opts.Engine = core.EngineThreaded
 	}
@@ -449,8 +425,7 @@ func checkRow(t *testing.T, r *row) {
 	t.Helper()
 	if r.app == nil {
 		r.blocks = analysis.NewBlockMap(r.text, r.base)
-		r.plain = vm.Translate(r.text, r.base, r.blocks)
-		r.proven = vm.TranslateWithFacts(r.text, r.base, r.blocks, r.tfacts)
+		r.prog = vm.Translate(r.text, r.base, r.blocks)
 	}
 	ref := runCell(t, r, cell{budget: r.budget})
 	if r.check != nil {
@@ -469,11 +444,9 @@ func checkRow(t *testing.T, r *row) {
 		t.Run(obs.String(), func(t *testing.T) {
 			for _, budget := range budgets {
 				want := runCell(t, r, cell{budget: budget, obs: obs})
-				for _, facts := range r.translations() {
-					c := cell{threaded: true, facts: facts, budget: budget, obs: obs}
-					if err := diff(want, runCell(t, r, c)); err != nil {
-						t.Fatalf("%v: %v", c, err)
-					}
+				c := cell{threaded: true, budget: budget, obs: obs}
+				if err := diff(want, runCell(t, r, c)); err != nil {
+					t.Fatalf("%v: %v", c, err)
 				}
 			}
 		})
@@ -511,8 +484,8 @@ func TestEngineEquivalenceFaults(t *testing.T) {
 // FuzzOracle runs arbitrary inputs through every program cell. The first
 // byte selects how the rest is read: even as raw instructions (six
 // bytes each, opcodes reaching past the decodable range), odd as
-// assembly source started from the framework ABI under the verifier's
-// facts. CI runs this as a short -fuzz smoke.
+// assembly source started from the framework ABI. CI runs this as a
+// short -fuzz smoke.
 func FuzzOracle(f *testing.F) {
 	for _, text := range rawSeeds {
 		f.Add(append([]byte{0}, rawInput(text...)...))
@@ -598,9 +571,8 @@ func asmRow(name, src string) *row {
 		return nil
 	}
 	layout := core.LayoutFor(prog, 1<<20)
-	_, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{Layout: layout})
 	r := &row{name: name, text: prog.Text, base: prog.TextBase, layout: layout, data: prog.Data,
-		entry: prog.TextBase, budget: 100_000, tfacts: facts.Translation()}
+		entry: prog.TextBase, budget: 100_000}
 	r.regs[isa.A0], r.regs[isa.A1], r.regs[isa.SP], r.regs[isa.RA] = layout.PacketBase, 64, layout.StackEnd, vm.ReturnAddress
 	for _, g := range prog.Globals {
 		if addr, ok := prog.Symbols[g]; ok && addr >= prog.TextBase && addr < prog.TextEnd() {
@@ -776,18 +748,12 @@ func midBlockRow() *row {
 	return r
 }
 
-// provenZeroLoadRow loads a word into the zero register at an address
-// the verifier proves in bounds. The load has no architectural effect,
-// but the interpreter still reports the read, so block mode must too.
+// provenZeroLoadRow loads a packet word into the zero register, from
+// the framework ABI entry state (the verifier's facts prove the access
+// in bounds). The load has no architectural effect, but the interpreter
+// still reports the read, so block mode must too.
 func provenZeroLoadRow() *row {
-	r := asmRow("proven-zero-load", "process_packet:\n\tlw zero, 4(a0)\n\tlbu t0, 0(a0)\n\tsw t0, -4(sp)\n\tret")
-	r.check = func(o *outcome) error {
-		if r.tfacts == nil || len(r.tfacts.Mem) == 0 || r.tfacts.Mem[0] != vm.RegionPacket {
-			return errors.New("the verifier no longer proves the zero-register load")
-		}
-		return nil
-	}
-	return r
+	return asmRow("proven-zero-load", "process_packet:\n\tlw zero, 4(a0)\n\tlbu t0, 0(a0)\n\tsw t0, -4(sp)\n\tret")
 }
 
 // passRows give block mode repeated passes and a skipped block: a loop
@@ -886,8 +852,7 @@ var rawSeeds = [][]isa.Instruction{
 var asmSeeds = []string{
 	"process_packet:\n\tlbu t0, 0(a0)\n\tandi t0, t0, 0xFF\n\tsw t0, -4(sp)\n\tret",
 	"p:\n\tli t0, 3\nx:\n\tsrli t1, t2, 31\n\tslli t2, t2, 1\n\tandi t3, t4, 0xFF\n\tor t3, t3, t5\n\tadd t3, t3, a0\n\tlbu t3, 0(t3)\n\taddi t5, t5, 1\n\tblt t5, t0, x\n\tret",
-	// An untame program: the verifier exports no facts, so the threaded
-	// engine runs the fully-checked translation.
+	// An untame program: the verifier cannot follow its control flow.
 	".globl out\naddi a0, zero, 0\nout: halt",
 }
 

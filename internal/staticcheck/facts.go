@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"repro/internal/asm"
 	"repro/internal/diag"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -15,10 +16,10 @@ import (
 // a context-sensitive abstract interpretation over unsigned intervals
 // and known bits that exports per-instruction Facts — provably
 // in-bounds memory operands, always/never-taken branches, provably
-// redundant masks, unreachable instructions. The block-threaded
-// translator (vm.TranslateWithFacts) consumes the memory, mask and
-// dead-block facts to elide runtime checks; branch directions feed the
-// const-branch diagnostic.
+// redundant masks, unreachable instructions. The facts are diagnostics
+// only: pbvet -facts dumps them, and the const-branch, redundant-mask
+// and facts-dead-code warnings derive from them. No engine reads them;
+// every program runs the fully-checked translation.
 //
 // Soundness contract. Every exported fact must hold on every execution
 // that enters the program at one of the declared entry points with the
@@ -32,8 +33,8 @@ import (
 // or jump into the middle of a basic block, or a state-space blowup.
 // Unlike the diagnostic analyses, which over-approximate in whichever
 // direction keeps their warnings useful, facts only ever
-// under-approximate: "no proof" is always safe because the translator
-// falls back to the fully-checked micro-op.
+// under-approximate: "no proof" is always safe, because a missing fact
+// can only silence a facts warning, never make one false.
 //
 // Calls are not summarized but virtually inlined: a linking JAL pushes
 // the call site onto an abstract call string and the analysis continues
@@ -471,16 +472,13 @@ type Facts struct {
 	// with Mem[i] != RegionNone.
 	MemLo, MemHi []uint32
 	// Branch[i] is the proven direction of a conditional branch. It
-	// feeds the const-branch diagnostic and pbvet -facts only; the
-	// translator does not fold branches.
+	// feeds the const-branch diagnostic and pbvet -facts.
 	Branch []BranchFact
 	// Redundant[i] marks AND/ANDI instructions whose mask provably
 	// keeps every possibly-set bit of the source.
 	Redundant []bool
 	// Unreachable[i] marks instructions no abstract execution reaches.
 	Unreachable []bool
-
-	cfg *CFG
 }
 
 // BranchFact is the statically proven direction of a conditional branch.
@@ -492,33 +490,6 @@ const (
 	BranchAlways                    // taken on every run
 	BranchNever                     // never taken on any run
 )
-
-// Translation bridges the facts to the translator's input format. The
-// block numbering is shared: both sides build their BlockMap with
-// analysis.NewBlockMap over the same text. Returns nil when the program
-// is untame (the translator then keeps the fully-checked body).
-func (f *Facts) Translation() *vm.TranslationFacts {
-	if f == nil || !f.Tame || f.cfg == nil {
-		return nil
-	}
-	tf := &vm.TranslationFacts{
-		Mem:       f.Mem,
-		Redundant: f.Redundant,
-	}
-	nb := f.cfg.Blocks.NumBlocks()
-	tf.Dead = make([]bool, nb)
-	for b := 0; b < nb; b++ {
-		dead := true
-		for i := f.cfg.Blocks.LeaderIndex(b); i <= f.cfg.Blocks.TerminatorIndex(b); i++ {
-			if !f.Unreachable[i] {
-				dead = false
-				break
-			}
-		}
-		tf.Dead[b] = dead
-	}
-	return tf
-}
 
 // Analysis caps: exceeding any flips the program to untame.
 const (
@@ -555,7 +526,7 @@ type factsRun struct {
 // warn-severity findings from the result.
 func computeFacts(cfg *CFG, opts Options) *Facts {
 	n := len(cfg.Prog.Text)
-	f := &Facts{cfg: cfg}
+	f := &Facts{}
 	a := &factsRun{
 		cfg:       cfg,
 		layout:    opts.Layout,
@@ -626,7 +597,7 @@ func computeFacts(cfg *CFG, opts Options) *Facts {
 	}
 
 	if !a.tame {
-		return &Facts{cfg: cfg, Tame: false}
+		return &Facts{}
 	}
 
 	// Replay over the stable states in deterministic order, recording
@@ -644,7 +615,7 @@ func computeFacts(cfg *CFG, opts Options) *Facts {
 	for _, k := range keys {
 		a.stepBlock(k, a.states[k].clone(), true)
 		if !a.tame {
-			return &Facts{cfg: cfg, Tame: false}
+			return &Facts{}
 		}
 	}
 	for i := 0; i < n; i++ {
@@ -1141,10 +1112,10 @@ func surfaceFactsDiags(cfg *CFG, f *Facts) diag.List {
 	return ds
 }
 
-// Dump writes a human-readable listing of the facts, one line per
-// instruction that has any, for pbvet -facts.
-func (f *Facts) Dump(w io.Writer) {
-	if f == nil || f.cfg == nil {
+// Dump writes a human-readable listing of the facts of prog, one line
+// per instruction that has any, for pbvet -facts.
+func (f *Facts) Dump(w io.Writer, prog *asm.Program) {
+	if f == nil || len(prog.Text) == 0 {
 		fmt.Fprintln(w, "facts: none")
 		return
 	}
@@ -1152,11 +1123,11 @@ func (f *Facts) Dump(w io.Writer) {
 		fmt.Fprintln(w, "facts: program is untame (indirect control flow not resolved); no facts")
 		return
 	}
-	cfg := f.cfg
-	var unchecked, folded, masks, dead int
+	cfg := &CFG{Prog: prog} // for pcAt and lineAt
+	var proven, folded, masks, dead int
 	for i := range f.Mem {
 		if f.Mem[i] != vm.RegionNone {
-			unchecked++
+			proven++
 		}
 		if f.Branch[i] != BranchUnknown {
 			folded++
@@ -1169,7 +1140,7 @@ func (f *Facts) Dump(w io.Writer) {
 		}
 	}
 	fmt.Fprintf(w, "facts: %d instructions: %d proven memory ops, %d constant branches, %d redundant masks, %d unreachable\n",
-		len(f.Mem), unchecked, folded, masks, dead)
+		len(f.Mem), proven, folded, masks, dead)
 	for i := range f.Mem {
 		var notes []string
 		if f.Mem[i] != vm.RegionNone {

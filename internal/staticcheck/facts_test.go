@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/asm"
 	"repro/internal/core"
 	"repro/internal/isa"
@@ -12,10 +11,16 @@ import (
 	"repro/internal/vm"
 )
 
+// factsCount counts what the facts pipeline proved about a program.
+type factsCount struct {
+	ProvenLoads, ProvenStores int // memory ops with a proven region
+	RedundantMasks            int // AND/ANDI proven to change nothing
+}
+
 // factsFor assembles src and runs the verifier's facts pipeline under
-// the framework memory map, returning the translation-facts stats the
-// threaded engine would act on.
-func factsFor(t *testing.T, src string) vm.TranslateStats {
+// the framework memory map, counting its proofs. An untame program
+// proves nothing.
+func factsFor(t *testing.T, src string) factsCount {
 	t.Helper()
 	prog, err := asm.Assemble(src, asm.Options{})
 	if err != nil {
@@ -23,13 +28,26 @@ func factsFor(t *testing.T, src string) vm.TranslateStats {
 	}
 	layout := core.LayoutFor(prog, 1<<20)
 	_, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{Layout: layout})
-	p := vm.TranslateWithFacts(prog.Text, prog.TextBase,
-		analysis.NewBlockMap(prog.Text, prog.TextBase), facts.Translation())
-	return p.Stats()
+	var n factsCount
+	if !facts.Tame {
+		return n
+	}
+	for i, in := range prog.Text {
+		proven := facts.Mem[i] != vm.RegionNone
+		switch {
+		case proven && in.Op.IsLoad():
+			n.ProvenLoads++
+		case proven && in.Op.IsStore():
+			n.ProvenStores++
+		case facts.Redundant[i]:
+			n.RedundantMasks++
+		}
+	}
+	return n
 }
 
 // TestFactsProvePacketAndStackAccess pins the two bread-and-butter
-// elisions: packet-header loads through the ABI packet pointer and
+// proofs: packet-header loads through the ABI packet pointer and
 // stack spills through a locally adjusted sp.
 func TestFactsProvePacketAndStackAccess(t *testing.T) {
 	st := factsFor(t, `
@@ -43,11 +61,11 @@ process_packet:
 	addi sp, sp, 8
 	ret
 `)
-	if st.UncheckedLoads < 3 { // two packet lbu + the stack reload
-		t.Errorf("UncheckedLoads = %d, want >= 3", st.UncheckedLoads)
+	if st.ProvenLoads < 3 { // two packet lbu + the stack reload
+		t.Errorf("ProvenLoads = %d, want >= 3", st.ProvenLoads)
 	}
-	if st.UncheckedStores < 1 { // the stack spill
-		t.Errorf("UncheckedStores = %d, want >= 1", st.UncheckedStores)
+	if st.ProvenStores < 1 { // the stack spill
+		t.Errorf("ProvenStores = %d, want >= 1", st.ProvenStores)
 	}
 }
 
@@ -95,16 +113,16 @@ process_packet:
 	andi t1, t0, 0xFF
 	ret
 `)
-	if st.ElidedMasks < 1 {
-		t.Errorf("ElidedMasks = %d, want >= 1", st.ElidedMasks)
+	if st.RedundantMasks < 1 {
+		t.Errorf("RedundantMasks = %d, want >= 1", st.RedundantMasks)
 	}
 }
 
-// TestFactsLoaderSlotStaysChecked is the soundness scoping test: a
+// TestFactsLoaderSlotStaysUnproven is the soundness scoping test: a
 // pointer loaded from a data slot has an unknown value (the loader, not
-// the program, initializes it), so a load through it must stay fully
-// checked even though the slot load itself is provable.
-func TestFactsLoaderSlotStaysChecked(t *testing.T) {
+// the program, initializes it), so a load through it must stay unproven
+// even though the slot load itself is provable.
+func TestFactsLoaderSlotStaysUnproven(t *testing.T) {
 	st := factsFor(t, `
 .data
 slot: .word 0
@@ -116,8 +134,8 @@ process_packet:
 	lbu a0, 0(t1)
 	ret
 `)
-	if st.UncheckedLoads != 1 {
-		t.Errorf("UncheckedLoads = %d, want exactly 1 (the slot load; the indirect load must stay checked)", st.UncheckedLoads)
+	if st.ProvenLoads != 1 {
+		t.Errorf("ProvenLoads = %d, want exactly 1 (the slot load; the indirect load must stay unproven)", st.ProvenLoads)
 	}
 }
 
@@ -180,7 +198,7 @@ ok:
 	}
 	_, facts := staticcheck.VerifyWithFacts(prog, staticcheck.Options{Layout: core.LayoutFor(prog, 1<<20)})
 	var sb strings.Builder
-	facts.Dump(&sb)
+	facts.Dump(&sb, prog)
 	out := sb.String()
 	if !strings.Contains(out, "packet") {
 		t.Errorf("dump mentions no packet-region proof:\n%s", out)

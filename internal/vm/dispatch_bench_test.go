@@ -58,18 +58,7 @@ func BenchmarkVMDispatch(b *testing.B) {
 	blocks := analysis.NewBlockMap(text, textBase)
 	tprog := Translate(text, textBase, blocks)
 
-	// kernelFacts is what the verifier's facts pipeline would prove about
-	// dispatchProgram (built by hand — the vm package cannot import the
-	// verifier): the LW cursor stays inside the packet region (base +
-	// (counter & 0x3C), word-aligned) and the SW target is sp-8 on the
-	// stack. The threaded-proof rows run the proof-rewritten body, so the
-	// threaded rows separate dispatch and checking costs.
-	kernelFacts := &TranslationFacts{Mem: make([]Region, len(text))}
-	kernelFacts.Mem[3] = RegionPacket
-	kernelFacts.Mem[6] = RegionStack
-	proofProg := TranslateWithFacts(text, textBase, blocks, kernelFacts)
-
-	for _, engine := range []string{"threaded", "threaded-proof", "interp"} {
+	for _, engine := range []string{"threaded", "interp"} {
 		for _, traced := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
 				mem := NewMemory()
@@ -102,8 +91,6 @@ func BenchmarkVMDispatch(b *testing.B) {
 					switch engine {
 					case "threaded":
 						_, _, err = cpu.RunProgram(tprog, 1<<30)
-					case "threaded-proof":
-						_, _, err = cpu.RunProgram(proofProg, 1<<30)
 					default:
 						_, _, err = cpu.Run(1 << 30)
 					}

@@ -27,17 +27,6 @@
 // statistics from those passes. A run observed by any other Tracer is
 // handed to the interpreter, which is exact by definition.
 //
-// TranslateWithFacts goes one rung further: proof-guided translation.
-// The static verifier's abstract interpretation (internal/staticcheck)
-// exports per-instruction facts — proven-in-bounds memory operands,
-// redundant masks, dead blocks — and the translator uses them to emit
-// unchecked load/store micro-ops (no alignment or region check at run
-// time) and rewrite identity masks to moves, in place in the body it
-// translated. The rewritten body keeps one op per instruction, so
-// indirect entry and budget-truncated block passes need no special
-// casing. Unverified programs (Options.NoVerify) never reach
-// TranslateWithFacts.
-//
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
 // stop reasons, fault kind/PC/Addr and derived statistics. The oracle
@@ -97,22 +86,6 @@ const (
 	uHALT
 	uBAD // undecodable instruction: FaultBadInstr when executed
 
-	// Proof-guided micro-ops. Everything below this line is emitted only
-	// by TranslateWithFacts, never by Translate: unverified programs
-	// (Options.NoVerify) always run the fully-checked codes above.
-
-	// Unchecked memory ops: the verifier proved the access aligned and
-	// inside the mapped region carried in rs2, so no alignment or
-	// classification check runs at all. Loads into the zero register
-	// keep their checked code, which discards the value.
-	uULB
-	uULBU
-	uULH
-	uULHU
-	uULW
-	uUSB
-	uUSH
-	uUSW
 )
 
 // Special aux values for statically resolved control-transfer targets.
@@ -132,8 +105,7 @@ const (
 // immediate: sign/zero-extended for ALU and memory ops, the full shifted
 // constant for uLI, and for branches and uJAL the byte offset from the
 // instruction's own PC to the target (4 + imm*4), which the fault path
-// uses to recompute an out-of-text target address. Unchecked memory ops
-// carry their verifier-proven region in the otherwise unused rs2.
+// uses to recompute an out-of-text target address.
 type microOp struct {
 	code uint8
 	rd   uint8
@@ -149,23 +121,9 @@ type microOp struct {
 // cores (each CPU carries its own mutable state).
 type Program struct {
 	ops      []microOp // one per instruction
-	stats    TranslateStats
 	textBase uint32
 	endAt    []int32 // instruction index -> exclusive end of its block
 }
-
-// TranslateStats summarizes what proof-guided translation changed
-// relative to the fully-checked baseline. All fields are zero for a
-// Program built by plain Translate.
-type TranslateStats struct {
-	UncheckedLoads  int // loads with elided alignment/region checks
-	UncheckedStores int // stores with elided alignment/region checks
-	ElidedMasks     int // AND/ANDI rewritten to moves (provably identity)
-	DeadBlocks      int // blocks proven unreachable (left fully checked)
-}
-
-// Stats reports the proof-guided translation summary for this program.
-func (p *Program) Stats() TranslateStats { return p.stats }
 
 // Translate compiles a decoded text segment into a block-threaded
 // Program using the given basic-block decomposition, which must have
@@ -180,43 +138,6 @@ func Translate(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMa
 	for i, in := range text {
 		p.endAt[i] = int32(blocks.EndIndex(blocks.BlockOfIndex(i)))
 		p.ops[i] = translateOne(i, in, textBase, n)
-	}
-	return p
-}
-
-// TranslateWithFacts compiles like Translate and then rewrites the body
-// in place using verifier-proven facts: proven loads and stores become
-// unchecked micro-ops and provably redundant masks become moves (see
-// provenOp). A nil facts proves nothing, so the result is Translate's
-// body unchanged — the no-proof-no-elision contract tests pin exactly
-// that.
-//
-// Dead blocks keep their fully-checked translation: facts claim nothing
-// about them, so nothing may be optimized there.
-func TranslateWithFacts(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMap, facts *TranslationFacts) *Program {
-	p := Translate(text, textBase, blocks)
-	if facts == nil {
-		return p
-	}
-	for i, op := range p.ops {
-		p.ops[i] = facts.provenOp(op, i, blocks.BlockOfIndex(i))
-		if p.ops[i].code == op.code {
-			continue
-		}
-		// Every rewrite changes the op code; count it by what it was.
-		switch op.code {
-		case uLB, uLBU, uLH, uLHU, uLW:
-			p.stats.UncheckedLoads++
-		case uSB, uSH, uSW:
-			p.stats.UncheckedStores++
-		default:
-			p.stats.ElidedMasks++
-		}
-	}
-	for b := 0; b < blocks.NumBlocks(); b++ {
-		if facts.deadAt(b) {
-			p.stats.DeadBlocks++
-		}
 	}
 	return p
 }
@@ -622,77 +543,6 @@ outer:
 				steps = passEnd(bt, steps, idx, j)
 				c.PC = pc
 				return steps, 0, &Fault{Kind: FaultBadInstr, PC: pc}
-
-			// Proof-guided micro-ops (emitted only by TranslateWithFacts).
-			// Unchecked memory ops run no alignment or region check: the
-			// verifier proved both, and rs2 carries the proven region
-			// (the packet watermark and BlockTracer.Mem need it). Proven
-			// loads into the zero register stay checked, so the write-back
-			// is unconditional.
-			case uULB:
-				addr := regs[op.rs1&15] + op.imm
-				if bt != nil {
-					bt.Mem(pc, addr, 1, false, Region(op.rs2))
-				}
-				regs[op.rd&15] = uint32(int32(int8(c.cachedRead8(addr))))
-			case uULBU:
-				addr := regs[op.rs1&15] + op.imm
-				if bt != nil {
-					bt.Mem(pc, addr, 1, false, Region(op.rs2))
-				}
-				regs[op.rd&15] = uint32(c.cachedRead8(addr))
-			case uULH:
-				addr := regs[op.rs1&15] + op.imm
-				if bt != nil {
-					bt.Mem(pc, addr, 2, false, Region(op.rs2))
-				}
-				regs[op.rd&15] = uint32(int32(int16(c.cachedRead16(addr))))
-			case uULHU:
-				addr := regs[op.rs1&15] + op.imm
-				if bt != nil {
-					bt.Mem(pc, addr, 2, false, Region(op.rs2))
-				}
-				regs[op.rd&15] = uint32(c.cachedRead16(addr))
-			case uULW:
-				addr := regs[op.rs1&15] + op.imm
-				if bt != nil {
-					bt.Mem(pc, addr, 4, false, Region(op.rs2))
-				}
-				regs[op.rd&15] = c.cachedRead32(addr)
-			case uUSB:
-				addr := regs[op.rs1&15] + op.imm
-				r := Region(op.rs2)
-				if r == RegionPacket && addr+1 > pktHigh {
-					pktHigh = addr + 1
-				}
-				if bt != nil {
-					bt.Mem(pc, addr, 1, true, r)
-				}
-				c.cachedPage(addr)[addr&(pageSize-1)] = uint8(regs[op.rd&15])
-			case uUSH:
-				addr := regs[op.rs1&15] + op.imm
-				r := Region(op.rs2)
-				if r == RegionPacket && addr+2 > pktHigh {
-					pktHigh = addr + 2
-				}
-				if bt != nil {
-					bt.Mem(pc, addr, 2, true, r)
-				}
-				o := addr & (pageSize - 1)
-				pg := c.cachedPage(addr)
-				binary.LittleEndian.PutUint16(pg[o:o+2:o+2], uint16(regs[op.rd&15]))
-			case uUSW:
-				addr := regs[op.rs1&15] + op.imm
-				r := Region(op.rs2)
-				if r == RegionPacket && addr+4 > pktHigh {
-					pktHigh = addr + 4
-				}
-				if bt != nil {
-					bt.Mem(pc, addr, 4, true, r)
-				}
-				o := addr & (pageSize - 1)
-				pg := c.cachedPage(addr)
-				binary.LittleEndian.PutUint32(pg[o:o+4:o+4], regs[op.rd&15])
 			}
 			pc += isa.WordSize
 		}

@@ -177,64 +177,6 @@ func TestRunProgramPicksBodyFromTracer(t *testing.T) {
 	}
 }
 
-// TestNoProofNoUncheckedOps is the hostile half of the proof-guided
-// translation contract: without verifier proofs, no memory check may be
-// elided, no matter how tempting the program looks.
-// Plain Translate (the Options.NoVerify path) must emit no proof-guided
-// micro-ops at all, and TranslateWithFacts without proofs must produce
-// exactly Translate's body.
-func TestNoProofNoUncheckedOps(t *testing.T) {
-	const base = 0x00400000
-	// Loads, stores, a mask, an ALU chain, and a loop latch: everything
-	// the optimizer would love to touch.
-	text := []isa.Instruction{
-		ins(isa.LW, 4, 1, 0, 0),
-		ins(isa.SRLI, 5, 4, 0, 8),
-		ins(isa.SLLI, 5, 5, 0, 2),
-		ins(isa.ANDI, 6, 5, 0, 0xFF),
-		ins(isa.OR, 6, 6, 4, 0),
-		ins(isa.ADD, 6, 6, 1, 0),
-		ins(isa.SW, 6, 3, 0, -8),
-		ins(isa.ADDI, 7, 7, 0, 1),
-		ins(isa.BLT, 0, 7, 8, -8),
-		ins(isa.HALT, 0, 0, 0, 0),
-	}
-	blocks := analysis.NewBlockMap(text, base)
-
-	plain := Translate(text, base, blocks)
-	if plain.stats != (TranslateStats{}) {
-		t.Fatalf("plain Translate has non-zero stats: %+v", plain.stats)
-	}
-	for i, op := range plain.ops {
-		if op.code > uBAD {
-			t.Fatalf("plain Translate emitted proof-guided code %d at %d", op.code, i)
-		}
-	}
-
-	for _, tc := range []struct {
-		name  string
-		facts *TranslationFacts
-	}{
-		{"nil facts", nil},
-		{"empty facts", &TranslationFacts{}},
-	} {
-		p := TranslateWithFacts(text, base, blocks, tc.facts)
-		st := p.Stats()
-		if st.UncheckedLoads+st.UncheckedStores+st.ElidedMasks+st.DeadBlocks != 0 {
-			t.Fatalf("%s: elision without proof: %+v", tc.name, st)
-		}
-		// Op for op, the body is Translate's plain body.
-		if len(p.ops) != len(plain.ops) {
-			t.Fatalf("%s: body has %d ops, want %d", tc.name, len(p.ops), len(plain.ops))
-		}
-		for i, op := range p.ops {
-			if op != plain.ops[i] {
-				t.Fatalf("%s: op %d = %+v, want Translate's %+v", tc.name, i, op, plain.ops[i])
-			}
-		}
-	}
-}
-
 // TestReadBytesPageRuns covers the page-run ReadBytes across page
 // boundaries and unallocated holes.
 func TestReadBytesPageRuns(t *testing.T) {
