@@ -49,7 +49,6 @@ type config struct {
 	app        string // radix, trie, flow, tsa
 	gen        string // synthetic trace profile
 	traceFile  string // input pcap/TSH path(s), comma-separated (overrides gen)
-	mmapTrace  bool   // memory-map pcap inputs when streaming
 	batch      int    // packets per streaming pool job; 0 = default
 	outFile    string // output pcap path
 	tableFile  string // routing table text file
@@ -107,7 +106,6 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.app, "app", "radix", "application: radix, trie, flow, or tsa")
 	fs.StringVar(&cfg.gen, "gen", "", "generate a synthetic trace with this profile (MRA, COS, ODU, LAN)")
 	fs.StringVar(&cfg.traceFile, "trace", "", "read packets from these pcap/TSH files (comma-separated shards replay merged by timestamp) instead of generating")
-	fs.BoolVar(&cfg.mmapTrace, "mmap", true, "memory-map pcap inputs when streaming into the pool (zero-copy; buffered reads when unavailable)")
 	fs.IntVar(&cfg.batch, "batch", 0, "packets per streaming pool job (0 = scheduler default)")
 	fs.IntVar(&cfg.count, "n", 10000, "number of packets to process")
 	fs.IntVar(&cfg.prefixes, "prefixes", 32768, "routing table size for the forwarding applications")
@@ -428,7 +426,7 @@ func run(cfg config) error {
 
 	if cfg.pool > 1 {
 		if streaming {
-			r, cleanup, skipped, err := openTrace(&cfg, policy.Policy != core.FailFast, cfg.mmapTrace)
+			r, cleanup, skipped, err := openTrace(&cfg, policy.Policy != core.FailFast, true)
 			if err != nil {
 				return err
 			}

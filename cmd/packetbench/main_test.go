@@ -167,7 +167,8 @@ func TestRunPoolMode(t *testing.T) {
 
 // TestRunPoolStreamsShardedTrace exercises the streaming ingestion path:
 // a multi-core pool fed straight from a timestamp-merged pair of pcap
-// shards, with and without mmap, with an explicit batch size.
+// shards (memory-mapped, as every streaming run reads them), with an
+// explicit batch size.
 func TestRunPoolStreamsShardedTrace(t *testing.T) {
 	dir := t.TempDir()
 	pkts := gen.Generate(gen.Profile{
@@ -193,15 +194,12 @@ func TestRunPoolStreamsShardedTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, mmap := range []bool{true, false} {
-		cfg := testConfig("flow", "", 0)
-		cfg.traceFile = shards[0] + "," + shards[1]
-		cfg.pool = 4
-		cfg.mmapTrace = mmap
-		cfg.batch = 8
-		if err := run(cfg); err != nil {
-			t.Fatalf("mmap=%v: %v", mmap, err)
-		}
+	cfg := testConfig("flow", "", 0)
+	cfg.traceFile = shards[0] + "," + shards[1]
+	cfg.pool = 4
+	cfg.batch = 8
+	if err := run(cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -41,7 +41,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -840,32 +839,6 @@ func (b *Bench) AddTracer(t vm.Tracer) {
 // to observe in-place modifications).
 func (b *Bench) PacketBytes(n int) []byte {
 	return b.mem.ReadBytes(PacketBase, n)
-}
-
-// RunTrace processes every packet from the reader (up to limit packets;
-// limit <= 0 means all) and returns the per-packet records. Verdicts are
-// passed to onResult when non-nil.
-func (b *Bench) RunTrace(r trace.Reader, limit int, onResult func(int, Result)) ([]stats.PacketRecord, error) {
-	bud := newErrorBudget(b.policy.ErrorBudget)
-	var records []stats.PacketRecord
-	for i := 0; limit <= 0 || i < limit; i++ {
-		p, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return records, err
-		}
-		res, err := b.processUnderPolicy(i, p, bud)
-		if err != nil {
-			return records, err
-		}
-		records = append(records, res.Record)
-		if onResult != nil {
-			onResult(i, res)
-		}
-	}
-	return records, nil
 }
 
 // RunPackets processes a pre-loaded packet slice and returns the records.

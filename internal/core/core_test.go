@@ -1,13 +1,11 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/asm"
-	"repro/internal/gen"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -329,33 +327,6 @@ func TestRunPackets(t *testing.T) {
 	s := stats.Summarize(recs)
 	if s.Packets != 3 {
 		t.Errorf("summary packets = %d", s.Packets)
-	}
-}
-
-func TestRunTraceFromReader(t *testing.T) {
-	prof, _ := gen.ProfileByName("LAN")
-	pkts := gen.Generate(prof, 10)
-	var buf bytes.Buffer
-	w, _ := trace.NewPcapWriter(&buf)
-	for _, p := range pkts {
-		if err := w.WritePacket(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	r, err := trace.NewPcapReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(echoApp(0), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := b.RunTrace(r, 7, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 7 {
-		t.Errorf("RunTrace(limit 7) processed %d", len(recs))
 	}
 }
 

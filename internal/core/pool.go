@@ -255,7 +255,7 @@ const maxConsecutiveReadFaults = 100
 // trace.ReadBatch, so batch-native readers fill them in one call),
 // workers pull whole batches, and results are re-sequenced so onResult
 // observes packets in trace order with Record.Index set to the trace
-// position — the same contract as single-core Bench.RunTrace. Batching
+// position, as Bench.RunPackets reports a slice. Batching
 // amortizes channel synchronization over SetBatchSize packets, which is
 // what lets ingestion keep 8+ cores fed at line rate. It returns the
 // number of packets processed. The first core error cancels the producer

@@ -222,21 +222,6 @@ func (ir *injectReader) Next() (*trace.Packet, error) {
 	return p, nil
 }
 
-// NextBatch implements trace.BatchReader by repeated Next calls, so the
-// per-packet injection checks run for every packet of the batch.
-func (ir *injectReader) NextBatch(dst []*trace.Packet) (int, error) {
-	n := 0
-	for n < len(dst) {
-		p, err := ir.Next()
-		if err != nil {
-			return n, err
-		}
-		dst[n] = p
-		n++
-	}
-	return n, nil
-}
-
 // Progress implements trace.Progresser by delegating to the underlying
 // reader.
 func (ir *injectReader) Progress() (float64, bool) { return trace.Progress(ir.r) }

@@ -10,13 +10,12 @@ import (
 // OpenPcap falls back to the buffered reader.
 var errMmapUnavailable = errors.New("trace: mmap unavailable")
 
-// FileReader is the interface OpenPcap returns: a batch-capable,
-// position-reporting pcap reader over a file, with the skip-and-resync
-// controls both concrete readers share. Close releases the file and,
-// when the reader is mmap-backed, the mapping — after which no packet
-// returned by an mmap-backed reader may be used.
+// FileReader is the interface OpenPcap returns: a position-reporting
+// pcap reader over a file, with the skip-and-resync controls. Close
+// releases the file and, when the reader is mmap-backed, the mapping —
+// after which no packet returned by an mmap-backed reader may be used.
 type FileReader interface {
-	BatchReader
+	Reader
 	Positioned
 	io.Closer
 	// SetSkipMalformed switches from fail-fast to skip-and-resync.
@@ -27,37 +26,21 @@ type FileReader interface {
 	LinkType() uint32
 }
 
-// mmapPcapReader backs a BytesPcapReader with a read-only mapping of the
-// trace file.
-type mmapPcapReader struct {
-	*BytesPcapReader
-	f     *os.File
-	unmap func() error
-}
-
-func (m *mmapPcapReader) Close() error {
-	err := m.unmap()
-	if cerr := m.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
-
-// filePcapReader is the buffered fallback: a PcapReader that owns its
-// file handle.
+// filePcapReader is a PcapReader that owns its file and, for the
+// in-memory source, the mapping; close releases both.
 type filePcapReader struct {
 	*PcapReader
-	f *os.File
+	close func() error
 }
 
-func (r *filePcapReader) Close() error { return r.f.Close() }
+func (r *filePcapReader) Close() error { return r.close() }
 
 // OpenPcap opens a pcap trace for reading, memory-mapping it when the
 // platform allows so packet data is served zero-copy straight from the
 // page cache. When mmap is unavailable (non-unix platform, empty file,
 // oversized file on a 32-bit platform) it silently falls back to the
-// buffered reader; both paths satisfy the same FileReader contract and
-// produce identical packets, positions, and errors.
+// buffered reader. Both are the same PcapReader over a different byte
+// source, so they produce identical packets, positions, and errors.
 func OpenPcap(path string) (FileReader, error) {
 	return openPcap(path, true)
 }
@@ -87,7 +70,13 @@ func openPcap(path string, tryMmap bool) (FileReader, error) {
 				f.Close()
 				return nil, err
 			}
-			return &mmapPcapReader{BytesPcapReader: r, f: f, unmap: unmap}, nil
+			return &filePcapReader{PcapReader: r, close: func() error {
+				err := unmap()
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				return err
+			}}, nil
 		}
 	}
 	r, err := NewPcapReader(f)
@@ -96,5 +85,5 @@ func openPcap(path string, tryMmap bool) (FileReader, error) {
 		return nil, err
 	}
 	r.SetTotal(st.Size())
-	return &filePcapReader{PcapReader: r, f: f}, nil
+	return &filePcapReader{PcapReader: r, close: f.Close}, nil
 }

@@ -12,9 +12,10 @@ import (
 // arbitrary input, in both fail-fast and skip-and-resync modes: every
 // corruption surfaces as a typed *MalformedRecordError (or a clean io
 // error), packet invariants hold, and skip mode never exceeds its budget.
-// It also runs the in-memory BytesPcapReader in lockstep as a
-// differential oracle: both readers must produce the same packets, the
-// same positions, and the same errors on every input.
+// It also runs the decoder's two byte sources in lockstep as a
+// differential oracle: the in-memory source (NewBytesPcapReader) and the
+// stream source (NewPcapReader) must produce the same packets, the same
+// positions, and the same errors on every input.
 func FuzzPcapReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewPcapWriter(&buf)

@@ -53,57 +53,102 @@ func TestPcapResyncExhaustedTyped(t *testing.T) {
 	}
 }
 
-// TestPcapResyncRejectsUnconfirmableCandidate covers the stale-recOff /
-// unconfirmed-candidate interaction: a resync scan that slides onto a
-// header whose claimed body exceeds the lookahead buffer must reject it
-// (it cannot be confirmed) rather than lock on. On the pre-fix reader the
-// candidate was accepted unconfirmed and its truncated body surfaced as a
-// malformed-body error attributed to the original corrupt record's offset
-// — both the acceptance and the offset were wrong.
-func TestPcapResyncRejectsUnconfirmableCandidate(t *testing.T) {
-	// Hand-rolled header with snaplen 0 (no snap bound), so the oversize
-	// candidate below is length-plausible and only confirmability decides.
+// pcapSources opens raw on each of the decoder's two byte sources.
+func pcapSources(t *testing.T, raw []byte) map[string]*PcapReader {
+	t.Helper()
+	stream, err := NewPcapReader(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewBytesPcapReader(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]*PcapReader{"stream": stream, "mem": mem}
+}
+
+// resyncCandidatePcap builds a capture with no snap bound (so oversize
+// candidates stay length-plausible and only confirmability decides): one
+// good record, a corrupt record header, then a plausible candidate header
+// claiming incl body bytes, followed by body bytes of filler.
+func resyncCandidatePcap(incl uint32, body int, filler byte) []byte {
 	var buf bytes.Buffer
 	hdr := make([]byte, pcapHeaderLen)
 	binary.LittleEndian.PutUint32(hdr[0:], pcapMagic)
 	binary.LittleEndian.PutUint32(hdr[20:], LinkTypeRaw)
 	buf.Write(hdr)
-	body := ipv4Packet(1, 2, 8)
+	good := ipv4Packet(1, 2, 8)
 	rec := make([]byte, pcapRecordLen)
 	binary.LittleEndian.PutUint32(rec[0:], 1)
-	binary.LittleEndian.PutUint32(rec[8:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(rec[12:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(len(good)))
+	binary.LittleEndian.PutUint32(rec[12:], uint32(len(good)))
 	buf.Write(rec)
-	buf.Write(body)
-	// Corrupt record header, then a plausible-looking header claiming a
-	// body larger than the lookahead buffer, then only part of that body
-	// (enough to fill the lookahead so the end is not visible) before EOF.
+	buf.Write(good)
 	corrupt := make([]byte, pcapRecordLen)
 	binary.LittleEndian.PutUint32(corrupt[8:], 0xFFFFFFFF)
 	buf.Write(corrupt)
 	cand := make([]byte, pcapRecordLen)
-	binary.LittleEndian.PutUint32(cand[0:], 2)              // sec
-	binary.LittleEndian.PutUint32(cand[8:], pcapBufSize*2)  // incl > lookahead
-	binary.LittleEndian.PutUint32(cand[12:], pcapBufSize*2) // orig
+	binary.LittleEndian.PutUint32(cand[0:], 2) // sec
+	binary.LittleEndian.PutUint32(cand[8:], incl)
+	binary.LittleEndian.PutUint32(cand[12:], incl) // orig
 	buf.Write(cand)
-	buf.Write(bytes.Repeat([]byte{0xFF}, pcapBufSize+1024)) // partial body
-	raw := buf.Bytes()
+	buf.Write(bytes.Repeat([]byte{filler}, body))
+	return buf.Bytes()
+}
 
-	r, err := NewPcapReader(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
+// TestPcapResyncRejectsUnconfirmableCandidate covers the stale-recOff /
+// unconfirmed-candidate interaction: a resync scan that slides onto a
+// header whose claimed body exceeds the lookahead must reject it (it
+// cannot be confirmed) rather than lock on, on both byte sources. On the
+// pre-fix reader the candidate was accepted unconfirmed and its truncated
+// body surfaced as a malformed-body error attributed to the original
+// corrupt record's offset — both the acceptance and the offset were wrong.
+func TestPcapResyncRejectsUnconfirmableCandidate(t *testing.T) {
+	// Only part of the claimed body follows (enough to fill the lookahead
+	// so the end is not visible) before EOF.
+	raw := resyncCandidatePcap(pcapBufSize*2, pcapBufSize+1024, 0xFF)
+	for name, r := range pcapSources(t, raw) {
+		r.SetSkipMalformed(1)
+		if _, err := r.Next(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		// The candidate is unconfirmable, the scan runs to EOF, and the
+		// corrupt tail is absorbed by the skip that was already consumed.
+		if _, err := r.Next(); err != io.EOF {
+			t.Errorf("%s: Next = %v, want EOF (unconfirmable candidate rejected)", name, err)
+		}
+		if r.Skipped() != 1 {
+			t.Errorf("%s: Skipped = %d, want 1", name, r.Skipped())
+		}
 	}
-	r.SetSkipMalformed(1)
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	// The candidate is unconfirmable, the scan runs to EOF, and the
-	// corrupt tail is absorbed by the skip that was already consumed.
-	if _, err := r.Next(); err != io.EOF {
-		t.Errorf("Next = %v, want EOF (unconfirmable candidate rejected)", err)
-	}
-	if r.Skipped() != 1 {
-		t.Errorf("Skipped = %d, want 1", r.Skipped())
+}
+
+// TestPcapResyncLookaheadRule pins the lookahead rule at its boundary on
+// both byte sources: a resync candidate that is exactly the final record
+// is confirmed only while its body plus one record header fits in
+// pcapBufSize bytes. The in-memory source can see the whole body, but it
+// must still reject from pcapBufSize-15 upward, as the stream source does.
+func TestPcapResyncLookaheadRule(t *testing.T) {
+	const c = pcapBufSize
+	for _, incl := range []int{c - 16, c - 15, c - 8, c - 1, c, c + 8} {
+		raw := resyncCandidatePcap(uint32(incl), incl, 0)
+		want := 1
+		if incl+pcapRecordLen <= pcapBufSize {
+			want = 2
+		}
+		for name, r := range pcapSources(t, raw) {
+			r.SetSkipMalformed(1)
+			got, err := ReadAll(r, 0)
+			if err != nil {
+				t.Fatalf("incl=%d/%s: %v", incl, name, err)
+			}
+			if len(got) != want {
+				t.Errorf("incl=%d/%s: %d packets, want %d", incl, name, len(got), want)
+			}
+			if r.Pos() != int64(len(raw)) || r.Skipped() != 1 {
+				t.Errorf("incl=%d/%s: Pos %d Skipped %d, want %d and 1", incl, name, r.Pos(), r.Skipped(), len(raw))
+			}
+		}
 	}
 }
 
@@ -386,8 +431,8 @@ func equivalenceCorpora(t *testing.T) map[string][]byte {
 	return corp
 }
 
-// TestBytesPcapReaderEquivalence locksteps the mmap-style bytes reader
-// against the buffered reader over every corpus and skip configuration:
+// TestBytesPcapReaderEquivalence locksteps the decoder's in-memory source
+// against its stream source over every corpus and skip configuration:
 // same packets, same Pos accounting, same typed errors, same skip counts.
 func TestBytesPcapReaderEquivalence(t *testing.T) {
 	budgets := []struct {
@@ -439,8 +484,9 @@ func TestBytesPcapReaderZeroCopy(t *testing.T) {
 	}
 }
 
-// TestReadBatchEquivalence checks every reader's NextBatch yields the
-// same stream as Next, for batch sizes around the interesting boundaries.
+// TestReadBatchEquivalence checks ReadBatch yields the same stream as
+// Next on every reader, for batch sizes around the interesting
+// boundaries.
 func TestReadBatchEquivalence(t *testing.T) {
 	var pkts []*Packet
 	for i := 0; i < 37; i++ {

@@ -112,10 +112,6 @@ func earlier(a, b *Packet) bool {
 	return a.Usec < b.Usec
 }
 
-// NextBatch implements BatchReader by repeated Next calls; the win from
-// batching a merge is on the consumer side (pool channel sync), not here.
-func (m *MergeReader) NextBatch(dst []*Packet) (int, error) { return readBatch(m, dst) }
-
 // Pos implements Positioned: the sum of all shard positions. Shards that
 // do not report positions contribute zero.
 func (m *MergeReader) Pos() int64 {

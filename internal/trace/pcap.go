@@ -36,13 +36,14 @@ const (
 // scan for the next plausible record header before giving up.
 const pcapResyncWindow = 1 << 20
 
-// pcapBufSize is the buffered-reader size, which also bounds how much
-// lookahead resync can use to confirm a candidate record header.
+// pcapBufSize is the stream source's buffer size and the decoder's
+// lookahead rule: resync confirms a candidate record by peeking at its
+// body and the header after it, and a candidate whose body plus that
+// header exceeds pcapBufSize bytes is unconfirmable on every source.
 const pcapBufSize = 128 << 10
 
-// pcapMeta is the parsed global header shared by the buffered and
-// memory-mapped pcap readers; record-header validation lives here so
-// both readers apply identical rules and emit identical diagnostics.
+// pcapMeta is the parsed global header; record-header validation lives
+// here beside it.
 type pcapMeta struct {
 	order    binary.ByteOrder
 	linkType uint32
@@ -102,10 +103,6 @@ func (m *pcapMeta) plausibleHeader(rec []byte) bool {
 	return usec < 1_000_000 && incl > 0 && incl <= limit && orig >= incl && orig <= pcapMaxRecordLen
 }
 
-// The malformed-record error constructors below are shared by the
-// buffered and memory-mapped readers so the two emit byte-identical
-// diagnostics for the same corruption.
-
 func pcapTruncatedHeaderErr(off int64) *MalformedRecordError {
 	return &MalformedRecordError{Format: FormatPcap, Offset: off,
 		Reason: "truncated record header", Err: io.ErrUnexpectedEOF}
@@ -127,6 +124,14 @@ func pcapResyncExhaustedErr(off int64) *MalformedRecordError {
 // skipped silently (matching how header-processing tools consume mixed
 // captures).
 //
+// One decoder serves two byte sources. NewPcapReader reads a stream
+// through a buffer and copies each record body into a fresh slice.
+// NewBytesPcapReader reads a capture held in memory — in practice a
+// read-only mmap of the trace file (see OpenPcap) — and hands out bodies
+// as sub-slices of that buffer, with no copy. The source changes where
+// the bytes come from, never which packets, positions or errors the
+// decoder produces.
+//
 // By default the reader fail-fasts on the first malformed record with a
 // *MalformedRecordError. SetSkipMalformed switches it to skip-and-resync:
 // corrupt records are skipped (scanning forward for the next plausible
@@ -134,15 +139,18 @@ func pcapResyncExhaustedErr(off int64) *MalformedRecordError {
 type PcapReader struct {
 	pcapMeta
 	skipState
+	// Exactly one source is set: mem holds the whole capture, or r
+	// buffers src.
+	mem []byte
 	r   *bufio.Reader
-	src io.Reader // unbuffered source, retained so SeekTo can reposition it
+	src io.Reader // r's unbuffered source, retained so SeekTo can reposition it
 
-	off   int64 // bytes consumed from r so far
+	off   int64 // bytes consumed so far; the read position within mem
 	total int64 // input size in bytes; 0 when unknown
 }
 
 // NewPcapReader parses the global header and returns a reader positioned
-// at the first record.
+// at the first record of the stream.
 func NewPcapReader(r io.Reader) (*PcapReader, error) {
 	br := bufio.NewReaderSize(r, pcapBufSize)
 	var hdr [pcapHeaderLen]byte
@@ -154,6 +162,28 @@ func NewPcapReader(r io.Reader) (*PcapReader, error) {
 		return nil, err
 	}
 	return &PcapReader{pcapMeta: meta, r: br, src: r, off: pcapHeaderLen}, nil
+}
+
+// NewBytesPcapReader parses the global header of a capture held in
+// memory and returns a reader positioned at the first record. The buffer
+// is retained and aliased by every returned packet. That aliasing is safe
+// for PacketBench because the VM copies packet bytes into simulated
+// packet memory at load time and never writes through the input slice;
+// callers holding packets must keep the buffer (the mapping) alive and
+// unmodified while any packet is in use.
+func NewBytesPcapReader(buf []byte) (*PcapReader, error) {
+	if len(buf) < pcapHeaderLen {
+		err := io.ErrUnexpectedEOF
+		if len(buf) == 0 {
+			err = io.EOF
+		}
+		return nil, fmt.Errorf("trace: reading pcap header: %w", err)
+	}
+	meta, err := parsePcapMeta(buf[:pcapHeaderLen])
+	if err != nil {
+		return nil, err
+	}
+	return &PcapReader{pcapMeta: meta, mem: buf, off: pcapHeaderLen, total: int64(len(buf))}, nil
 }
 
 // LinkType returns the capture's link type.
@@ -168,7 +198,8 @@ func (p *PcapReader) Pos() int64 { return p.off }
 // stat), enabling progress reporting through Total.
 func (p *PcapReader) SetTotal(n int64) { p.total = n }
 
-// Total implements Positioned; 0 means unknown.
+// Total implements Positioned; 0 means unknown. An in-memory capture
+// always knows its size.
 func (p *PcapReader) Total() int64 { return p.total }
 
 // SetSkipMalformed switches the reader from fail-fast to skip-and-resync:
@@ -178,53 +209,102 @@ func (p *PcapReader) Total() int64 { return p.total }
 // next malformed record is returned as a *MalformedRecordError again.
 func (p *PcapReader) SetSkipMalformed(budget int) { p.enableSkip(budget) }
 
+// peek returns the next n <= pcapBufSize bytes without consuming them. A
+// shorter result means the input ended (io.EOF) or the stream failed.
+func (p *PcapReader) peek(n int) ([]byte, error) {
+	if p.r != nil {
+		return p.r.Peek(n)
+	}
+	rest := p.mem[p.off:]
+	if len(rest) < n {
+		return rest, io.EOF
+	}
+	return rest[:n], nil
+}
+
+// advance consumes n bytes that peek returned.
+func (p *PcapReader) advance(n int) {
+	if p.r != nil {
+		p.r.Discard(n) // cannot fail: peek already buffered the n bytes
+	}
+	p.off += int64(n)
+}
+
+// body consumes a record body of n bytes: a cap-clipped sub-slice of
+// mem, or a fresh copy from the stream. When the input ends first it
+// consumes and returns the partial bytes with io.ErrUnexpectedEOF; a
+// stream failure consumes nothing.
+func (p *PcapReader) body(n int) ([]byte, error) {
+	if p.r == nil {
+		rest := p.mem[p.off:]
+		if len(rest) < n {
+			p.off += int64(len(rest))
+			return rest, io.ErrUnexpectedEOF
+		}
+		p.off += int64(n)
+		return rest[:n:n], nil
+	}
+	data := make([]byte, n)
+	k, err := io.ReadFull(p.r, data)
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	} else if err != nil && err != io.ErrUnexpectedEOF {
+		return nil, err
+	}
+	p.off += int64(k)
+	return data[:k], err
+}
+
 // confirmCandidate strengthens a plausible resync window by peeking at
-// where the candidate's body would end: either the stream ends exactly
+// where the candidate's body would end: either the input ends exactly
 // there (a valid final record) or another plausible header follows. A
 // shifted window over real traffic can alias into a plausible-looking
 // header; requiring the following record to line up too rejects nearly
 // all such aliases. The cost of that strictness: a genuine record whose
 // immediate successor is also corrupt fails confirmation and is
-// sacrificed to the same resync scan, and a genuine record whose body
-// exceeds the lookahead buffer can never be confirmed and is likewise
-// sacrificed. Skip-and-resync is best-effort recovery, and losing a
-// record adjacent to corruption is the cheaper failure mode than locking
-// onto an alias mid-body and desynchronizing the rest of the stream.
+// sacrificed to the same resync scan, and so is a genuine record whose
+// body plus the following header exceeds the pcapBufSize lookahead — on
+// every source, so an in-memory capture resyncs exactly as the stream
+// does. Skip-and-resync is best-effort recovery, and losing a record
+// adjacent to corruption is the cheaper failure mode than locking onto an
+// alias mid-body and desynchronizing the rest of the stream.
 func (p *PcapReader) confirmCandidate(w []byte) bool {
 	incl := int(p.order.Uint32(w[8:]))
-	peek, err := p.r.Peek(incl + pcapRecordLen)
-	if len(peek) >= incl+pcapRecordLen {
-		return p.plausibleHeader(peek[incl:])
-	}
-	if err == bufio.ErrBufferFull {
-		// Body longer than the lookahead buffer: unconfirmable, reject.
+	if incl+pcapRecordLen > pcapBufSize {
 		return false
 	}
-	// Stream ends before incl+header bytes: valid only as the exact
-	// final record.
+	// Only the length seen matters here: a stream failure surfaces on
+	// the next read.
+	peek, _ := p.peek(incl + pcapRecordLen)
+	if len(peek) == incl+pcapRecordLen {
+		return p.plausibleHeader(peek[incl:])
+	}
+	// Input ends before incl+header bytes: valid only as the exact final
+	// record.
 	return len(peek) == incl
 }
 
-// resync slides a one-byte-at-a-time window over the stream until it
+// resync slides a one-byte-at-a-time window over the input until it
 // finds a confirmed plausible record header, returning it. io.EOF means
-// the stream ended (trailing corruption). An exhausted scan window is a
+// the input ended (trailing corruption). An exhausted scan window is a
 // typed *MalformedRecordError carrying recOff, the offset of the corrupt
 // record that triggered the scan, so callers matching with errors.As see
 // the same Offset/Reason shape as every other malformed-record path.
-func (p *PcapReader) resync(rec [pcapRecordLen]byte, recOff int64) ([pcapRecordLen]byte, error) {
-	w := rec
+func (p *PcapReader) resync(rec []byte, recOff int64) ([]byte, error) {
+	w := make([]byte, pcapRecordLen)
+	copy(w, rec)
 	for scanned := 0; scanned < pcapResyncWindow; scanned++ {
-		var b [1]byte
-		if _, err := io.ReadFull(p.r, b[:]); err != nil {
+		b, err := p.peek(1)
+		if len(b) == 0 {
 			if err == io.EOF {
 				return w, io.EOF
 			}
 			return w, fmt.Errorf("trace: resyncing pcap stream: %w", err)
 		}
-		copy(w[:], w[1:])
+		copy(w, w[1:])
 		w[pcapRecordLen-1] = b[0]
-		p.off++
-		if p.plausibleHeader(w[:]) && p.confirmCandidate(w[:]) {
+		p.advance(1)
+		if p.plausibleHeader(w) && p.confirmCandidate(w) {
 			return w, nil
 		}
 	}
@@ -232,40 +312,38 @@ func (p *PcapReader) resync(rec [pcapRecordLen]byte, recOff int64) ([pcapRecordL
 }
 
 // Next returns the next IPv4 packet, skipping non-IP frames. It returns
-// io.EOF at the end of the file.
+// io.EOF at the end of the input. On an in-memory capture the packet's
+// Data aliases the buffer.
 func (p *PcapReader) Next() (*Packet, error) {
 	for {
 		recOff := p.off
-		var rec [pcapRecordLen]byte
-		if n, err := io.ReadFull(p.r, rec[:]); err != nil {
-			if err == io.EOF {
+		// rec stays valid until the next read: peek aliases mem or the
+		// stream's buffer, and advance only moves past it.
+		rec, err := p.peek(pcapRecordLen)
+		if len(rec) < pcapRecordLen {
+			if err != io.EOF {
+				return nil, fmt.Errorf("trace: reading pcap record header: %w", err)
+			}
+			if len(rec) == 0 {
 				return nil, io.EOF
 			}
-			if err == io.ErrUnexpectedEOF {
-				// Truncated trailing record header: there is nothing left
-				// to resync into, so skip mode ends the trace here. The
-				// partial bytes were consumed, so Pos advances past them.
-				p.off += int64(n)
-				if p.consumeSkip() {
-					return nil, io.EOF
-				}
-				return nil, pcapTruncatedHeaderErr(recOff)
+			// Truncated trailing record header: there is nothing left
+			// to resync into, so skip mode ends the trace here. The
+			// partial bytes are consumed, so Pos advances past them.
+			p.advance(len(rec))
+			if p.consumeSkip() {
+				return nil, io.EOF
 			}
-			return nil, fmt.Errorf("trace: reading pcap record header: %w", err)
+			return nil, pcapTruncatedHeaderErr(recOff)
 		}
-		p.off += pcapRecordLen
-		if reason := p.recHeaderProblem(rec[:]); reason != "" {
+		p.advance(pcapRecordLen)
+		if reason := p.recHeaderProblem(rec); reason != "" {
 			if !p.consumeSkip() {
 				return nil, &MalformedRecordError{Format: FormatPcap, Offset: recOff, Reason: reason}
 			}
-			nrec, err := p.resync(rec, recOff)
-			if err != nil {
-				if err == io.EOF {
-					return nil, io.EOF
-				}
+			if rec, err = p.resync(rec, recOff); err != nil {
 				return nil, err
 			}
-			rec = nrec
 			// The resynced header replaced the corrupt one: recompute the
 			// record start so a failure in the *resynced* record's body is
 			// reported at its own offset, not the corrupt record's.
@@ -275,36 +353,26 @@ func (p *PcapReader) Next() (*Packet, error) {
 		usec := p.order.Uint32(rec[4:])
 		inclLen := p.order.Uint32(rec[8:])
 		origLen := p.order.Uint32(rec[12:])
-		data := make([]byte, inclLen)
-		if n, err := io.ReadFull(p.r, data); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				// Truncated record body at the end of the stream. The
-				// partial bytes were consumed, so Pos advances past them.
-				p.off += int64(n)
-				if p.consumeSkip() {
-					return nil, io.EOF
-				}
-				return nil, pcapTruncatedBodyErr(recOff, n, int(inclLen))
+		data, err := p.body(int(inclLen))
+		if err != nil {
+			if err != io.ErrUnexpectedEOF {
+				return nil, fmt.Errorf("trace: reading pcap record body: %w", err)
 			}
-			return nil, fmt.Errorf("trace: reading pcap record body: %w", err)
+			// Truncated record body at the end of the input.
+			if p.consumeSkip() {
+				return nil, io.EOF
+			}
+			return nil, pcapTruncatedBodyErr(recOff, len(data), int(inclLen))
 		}
-		p.off += int64(inclLen)
-		pkt, ok := p.finishPacket(sec, usec, origLen, data)
-		if !ok {
-			continue
+		if pkt, ok := p.finishPacket(sec, usec, origLen, data); ok {
+			return pkt, nil
 		}
-		return pkt, nil
 	}
 }
 
-// NextBatch implements BatchReader by repeated Next calls; batching a
-// buffered reader amortizes only the caller's per-packet overhead (the
-// pool's channel synchronization), not the reads themselves.
-func (p *PcapReader) NextBatch(dst []*Packet) (int, error) { return readBatch(p, dst) }
-
 // finishPacket applies link-layer stripping and the WireLen invariant to
-// a decoded record, shared by the buffered and memory-mapped readers.
-// ok is false when the frame is not an IPv4 packet and must be skipped.
+// a decoded record. ok is false when the frame is not an IPv4 packet and
+// must be skipped.
 func (m *pcapMeta) finishPacket(sec, usec, origLen uint32, data []byte) (*Packet, bool) {
 	wire := int(origLen)
 	if m.linkType == LinkTypeEthernet {

@@ -46,43 +46,36 @@ func (s *SliceReader) SeekTo(state []int64) error {
 	return nil
 }
 
-// PosState implements Seeker when the underlying source is seekable (a
-// file): one element, the byte offset of the next unread record. It
-// returns nil for unseekable sources (a network stream), which marks the
-// reader non-resumable.
+// PosState implements Seeker: one element, the byte offset of the next
+// unread record. An in-memory capture is always resumable; a stream is
+// only when its source is an io.Seeker (a file), and PosState returns nil
+// for an unseekable one (a network stream), marking the reader
+// non-resumable.
 func (p *PcapReader) PosState() []int64 {
-	if _, ok := p.src.(io.Seeker); !ok {
-		return nil
+	if p.r != nil {
+		if _, ok := p.src.(io.Seeker); !ok {
+			return nil
+		}
 	}
 	return []int64{p.off}
 }
 
-// SeekTo implements Seeker: the source is repositioned and the read
-// buffer discarded, so the next record read starts exactly at the
+// SeekTo implements Seeker: a stream's source is repositioned and its
+// read buffer discarded, so the next record read starts exactly at the
 // checkpointed boundary.
 func (p *PcapReader) SeekTo(state []int64) error {
-	sk, ok := p.src.(io.Seeker)
-	if !ok {
-		return fmt.Errorf("trace: pcap source %T is not seekable", p.src)
-	}
-	if len(state) != 1 || state[0] < pcapHeaderLen {
+	if len(state) != 1 || state[0] < pcapHeaderLen || (p.r == nil && state[0] > int64(len(p.mem))) {
 		return fmt.Errorf("trace: bad pcap seek state %v", state)
 	}
-	if _, err := sk.Seek(state[0], io.SeekStart); err != nil {
-		return fmt.Errorf("trace: seeking pcap source: %w", err)
-	}
-	p.r.Reset(p.src)
-	p.off = state[0]
-	return nil
-}
-
-// PosState implements Seeker; an in-memory capture is always resumable.
-func (p *BytesPcapReader) PosState() []int64 { return []int64{p.off} }
-
-// SeekTo implements Seeker.
-func (p *BytesPcapReader) SeekTo(state []int64) error {
-	if len(state) != 1 || state[0] < pcapHeaderLen || state[0] > int64(len(p.buf)) {
-		return fmt.Errorf("trace: bad pcap seek state %v for %d-byte capture", state, len(p.buf))
+	if p.r != nil {
+		sk, ok := p.src.(io.Seeker)
+		if !ok {
+			return fmt.Errorf("trace: pcap source %T is not seekable", p.src)
+		}
+		if _, err := sk.Seek(state[0], io.SeekStart); err != nil {
+			return fmt.Errorf("trace: seeking pcap source: %w", err)
+		}
+		p.r.Reset(p.src)
 	}
 	p.off = state[0]
 	return nil

@@ -127,7 +127,7 @@ func TestBytesPcapReaderSeekRoundTrip(t *testing.T) {
 	for _, k := range []int{0, 1, 6, 13} {
 		testSeekRoundTrip(t, "bytespcap", k, mk)
 	}
-	r := mk(t).(*BytesPcapReader)
+	r := mk(t).(*PcapReader)
 	if err := r.SeekTo([]int64{3}); err == nil {
 		t.Error("seek into the pcap header accepted")
 	}

@@ -92,12 +92,6 @@ func ReadBatch(r Reader, dst []*Packet) (int, error) {
 	if br, ok := r.(BatchReader); ok {
 		return br.NextBatch(dst)
 	}
-	return readBatch(r, dst)
-}
-
-// readBatch is the generic NextBatch loop shared by readers whose batch
-// method is just repeated Next calls.
-func readBatch(r Reader, dst []*Packet) (int, error) {
 	n := 0
 	for n < len(dst) {
 		p, err := r.Next()

@@ -122,9 +122,6 @@ func (t *TSHReader) Next() (*Packet, error) {
 	}
 }
 
-// NextBatch implements BatchReader by repeated Next calls.
-func (t *TSHReader) NextBatch(dst []*Packet) (int, error) { return readBatch(t, dst) }
-
 // Interface extracts the capture interface number of the most recent
 // record layout from raw record bytes; exposed for tooling that needs it.
 func TSHInterface(rec []byte) uint8 {
