@@ -31,7 +31,7 @@ func main() {
 		hotM    = flag.Bool("hot", false, "print each application's top-K hot basic blocks by retired instructions from a recorded profile run")
 		spansM  = flag.Bool("spans", false, "print each application's packet-journey breakdown: per-stage latency plus the slowest packets attributed to guest functions")
 		hotK    = flag.Int("k", 10, "rows per application in -hot and -spans modes")
-		profTr  = flag.String("profile-trace", "MRA", "trace the -profile mode runs each application over")
+		profTr  = flag.String("profile-trace", "MRA", "trace the -profile, -hot and -spans modes run each application over (MRA, COS, ODU or LAN)")
 		profPkt = flag.Int("profile-packets", 1000, "packets per application in -profile mode (scaled by -scale)")
 	)
 	flag.Parse()
@@ -62,13 +62,25 @@ func main() {
 	}
 }
 
+// traceEnv builds the environment of the single-trace modes (-hot,
+// -spans, -profile), after checking the trace name: a name that is not
+// one of report.TraceNames fails before any trace is generated.
+func traceEnv(traceName string, packets int) (*report.Env, error) {
+	if err := report.CheckTrace(traceName); err != nil {
+		return nil, err
+	}
+	fmt.Fprintf(os.Stderr, "building environment (traces + routing tables)...\n")
+	return report.NewEnv(report.Config{TablePackets: packets}), nil
+}
+
 // runHot is the -hot mode: run every application over the named trace
 // with per-instruction counting and print the top-k basic blocks by
 // retired instructions.
 func runHot(traceName string, packets, k int) error {
-	cfg := report.Config{TablePackets: packets}
-	fmt.Fprintf(os.Stderr, "building environment (traces + routing tables)...\n")
-	env := report.NewEnv(cfg)
+	env, err := traceEnv(traceName, packets)
+	if err != nil {
+		return err
+	}
 	for _, app := range report.AppNames {
 		rows, err := env.HotBlocks(app, traceName, packets, k)
 		if err != nil {
@@ -84,9 +96,10 @@ func runHot(traceName string, packets, k int) error {
 // latency breakdown plus the top-k slowest journeys with function
 // attribution.
 func runSpans(traceName string, packets, k int) error {
-	cfg := report.Config{TablePackets: packets}
-	fmt.Fprintf(os.Stderr, "building environment (traces + routing tables)...\n")
-	env := report.NewEnv(cfg)
+	env, err := traceEnv(traceName, packets)
+	if err != nil {
+		return err
+	}
 	for _, app := range report.AppNames {
 		r, err := env.Spans(app, traceName, packets, k, nil)
 		if err != nil {
@@ -102,9 +115,10 @@ func runSpans(traceName string, packets, k int) error {
 // profile per application. With outDir set, the folded-stack and pprof
 // outputs are written alongside for external tools.
 func runProfile(traceName string, packets int, outDir string) error {
-	cfg := report.Config{TablePackets: packets}
-	fmt.Fprintf(os.Stderr, "building environment (traces + routing tables)...\n")
-	env := report.NewEnv(cfg)
+	env, err := traceEnv(traceName, packets)
+	if err != nil {
+		return err
+	}
 	for _, app := range report.AppNames {
 		p, err := env.Profile(app, traceName, packets)
 		if err != nil {

@@ -44,6 +44,26 @@ func TestRunUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestUnknownTraceRejected: the single-trace modes refuse a name that is
+// not one of report.TraceNames (trace names are case-sensitive) before
+// building the environment, instead of printing empty tables.
+func TestUnknownTraceRejected(t *testing.T) {
+	if env, err := traceEnv("mra", 10); err == nil || env != nil {
+		t.Fatalf("traceEnv(mra) = %v, %v; want no environment and an error", env, err)
+	} else if !strings.Contains(err.Error(), "MRA, COS, ODU, LAN") {
+		t.Errorf("error %q does not list the valid traces", err)
+	}
+	for name, mode := range map[string]func() error{
+		"hot":     func() error { return runHot("mra", 10, 3) },
+		"spans":   func() error { return runSpans("bogus", 10, 3) },
+		"profile": func() error { return runProfile("lan", 10, "") },
+	} {
+		if err := mode(); err == nil {
+			t.Errorf("-%s accepted an unknown trace", name)
+		}
+	}
+}
+
 func TestScaled(t *testing.T) {
 	if scaled(10000, 0.5) != 5000 {
 		t.Error("scaled wrong")

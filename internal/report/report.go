@@ -8,6 +8,14 @@
 // harness serves the full paper-scale runs (cmd/pbreport, bench_test.go)
 // and fast regression tests.
 //
+// NewEnv generates the four traces concurrently, one cell per profile
+// writing its own slot, and each cell also applies its trace's
+// preprocessing (renumbering and scrambling for MRA, COS and ODU) and
+// samples its destinations. The samples are joined in profile order and
+// both routing tables are built from them, so the environment is the
+// serial construction's bit for bit; TestEnvByteIdentical pins it at
+// several GOMAXPROCS values.
+//
 // An Env simulates each (application, trace) pair once under default
 // core.Options and caches the longest run so far. Tables II/III, V/VI and
 // Figures 3-5, 7 and 8 read prefixes of those runs: Tables V and VI are
@@ -27,6 +35,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/analysis"
@@ -116,6 +125,9 @@ type Env struct {
 // applied to the backbone traces (MRA, COS, ODU): NLANR-style sequential
 // renumbering followed by the scrambling that restores uniform routing
 // table coverage. The LAN trace is used raw, as in the paper.
+// Each profile's generator is an independent stream, so the traces are
+// built concurrently; the destination samples are joined in profile
+// order, so both tables are the serial construction's.
 func NewEnv(cfg Config) *Env {
 	cfg = cfg.withDefaults()
 	maxLen := cfg.TablePackets
@@ -124,27 +136,40 @@ func NewEnv(cfg Config) *Env {
 			maxLen = n
 		}
 	}
-	e := &Env{cfg: cfg, traces: make(map[string][]*trace.Packet)}
-	e.runs.entries = make(map[runKey]*cacheEntry)
-	var dsts []uint32
-	for _, prof := range gen.Profiles() {
-		pkts := gen.Generate(prof, maxLen)
-		if prof.Name != "LAN" {
+	profs := gen.Profiles()
+	traces := make([][]*trace.Packet, len(profs))
+	samples := make([][]uint32, len(profs))
+	forCells(len(profs), func(i int) error {
+		pkts := gen.Generate(profs[i], maxLen)
+		if profs[i].Name != "LAN" {
 			gen.RenumberNLANR(pkts)
 			gen.ScrambleAddrs(pkts)
 		}
-		e.traces[prof.Name] = pkts
+		traces[i] = pkts
 		// Sample destinations from every trace for the shared table (the
 		// paper's table covers the traffic it routes).
-		for i := 0; i < len(pkts); i += 4 {
-			h, err := packet.ParseIPv4(pkts[i].Data)
-			if err == nil {
-				dsts = append(dsts, h.Dst)
+		for j := 0; j < len(pkts); j += 4 {
+			if h, err := packet.ParseIPv4(pkts[j].Data); err == nil {
+				samples[i] = append(samples[i], h.Dst)
 			}
 		}
+		return nil
+	})
+	e := &Env{cfg: cfg, traces: make(map[string][]*trace.Packet, len(profs))}
+	e.runs.entries = make(map[runKey]*cacheEntry)
+	var dsts []uint32
+	for i, prof := range profs {
+		e.traces[prof.Name] = traces[i]
+		dsts = append(dsts, samples[i]...)
 	}
-	e.Table = route.TableFromTraffic(dsts, cfg.RoutePrefixes, 16, 0x4D414557) // "MAEW"
-	e.SmallTable = route.TableFromTraffic(dsts, cfg.SmallRoutePrefixes, 16, 0x534D4C)
+	forCells(2, func(i int) error {
+		if i == 0 {
+			e.Table = route.TableFromTraffic(dsts, cfg.RoutePrefixes, 16, 0x4D414557) // "MAEW"
+		} else {
+			e.SmallTable = route.TableFromTraffic(dsts, cfg.SmallRoutePrefixes, 16, 0x534D4C)
+		}
+		return nil
+	})
 	// Constructing an App builds nothing: the route images are built by
 	// the first load, in whichever experiment runs first.
 	e.apps = make(map[string]*core.App, len(AppNames))
@@ -157,13 +182,33 @@ func NewEnv(cfg Config) *Env {
 // Config returns the resolved configuration.
 func (e *Env) Config() Config { return e.cfg }
 
-// Trace returns the first n packets of a named trace.
+// Trace returns the first n packets of a named trace, nil for a name
+// outside TraceNames (Run, Profile, HotBlocks and Spans reject such a
+// name; see CheckTrace).
 func (e *Env) Trace(name string, n int) []*trace.Packet {
 	pkts := e.traces[name]
 	if n > len(pkts) {
 		n = len(pkts)
 	}
 	return pkts[:n]
+}
+
+// CheckTrace returns an error listing TraceNames, the only traces an Env
+// holds, unless name is one of them. Names are case-sensitive.
+func CheckTrace(name string) error {
+	if slices.Contains(TraceNames, name) {
+		return nil
+	}
+	return fmt.Errorf("unknown trace %q (want one of %s)", name, strings.Join(TraceNames, ", "))
+}
+
+// packets is Trace for the single-run experiments: an unknown name is an
+// error rather than an empty run.
+func (e *Env) packets(name string, n int) ([]*trace.Packet, error) {
+	if err := CheckTrace(name); err != nil {
+		return nil, err
+	}
+	return e.Trace(name, n), nil
 }
 
 // app returns one of the four applications by name.
@@ -177,12 +222,16 @@ func (e *Env) app(name string) *core.App {
 // Run executes app on the first n packets of the named trace and returns
 // the bench (for coverage queries) and records.
 func (e *Env) Run(appName, traceName string, n int, opts core.Options) (*core.Bench, []stats.PacketRecord, error) {
+	pkts, err := e.packets(traceName, n)
+	if err != nil {
+		return nil, nil, err
+	}
 	opts.KeepRecords = false // records returned explicitly
 	b, err := core.New(e.app(appName), opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	recs, err := b.RunPackets(e.Trace(traceName, n), nil)
+	recs, err := b.RunPackets(pkts, nil)
 	return b, recs, err
 }
 
@@ -190,13 +239,17 @@ func (e *Env) Run(appName, traceName string, n int, opts core.Options) (*core.Be
 // per-instruction counting enabled and returns the guest-program
 // profile (pbreport -profile).
 func (e *Env) Profile(appName, traceName string, n int) (*profile.Profile, error) {
+	pkts, err := e.packets(traceName, n)
+	if err != nil {
+		return nil, err
+	}
 	app := e.app(appName)
 	b, err := core.New(app, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	b.Collector().CountPCs = true
-	if _, err := b.RunPackets(e.Trace(traceName, n), nil); err != nil {
+	if _, err := b.RunPackets(pkts, nil); err != nil {
 		return nil, err
 	}
 	var entries []string
@@ -227,13 +280,17 @@ type HotBlockRow struct {
 // retired instructions (profile.HotBlocks), annotated with their
 // enclosing function and per-packet cost.
 func (e *Env) HotBlocks(appName, traceName string, n, k int) ([]HotBlockRow, error) {
+	pkts, err := e.packets(traceName, n)
+	if err != nil {
+		return nil, err
+	}
 	app := e.app(appName)
 	b, err := core.New(app, core.Options{})
 	if err != nil {
 		return nil, err
 	}
 	b.Collector().CountPCs = true
-	if _, err := b.RunPackets(e.Trace(traceName, n), nil); err != nil {
+	if _, err := b.RunPackets(pkts, nil); err != nil {
 		return nil, err
 	}
 	counts := b.Collector().PCCounts

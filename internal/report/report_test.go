@@ -1,9 +1,14 @@
 package report
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/route"
 	"repro/internal/stats"
 )
 
@@ -382,6 +387,70 @@ func TestEnvDeterminism(t *testing.T) {
 			if m1.Cells[tr][app] != m2.Cells[tr][app] {
 				t.Errorf("%s/%s differs across identical environments", tr, app)
 			}
+		}
+	}
+}
+
+// TestEnvByteIdentical pins a hash of everything NewEnv(testConfig)
+// builds: every packet of the four traces in TraceNames order, then the
+// entries of Table and SmallTable. NewEnv generates the traces
+// concurrently, so the hash is checked at several GOMAXPROCS values; it
+// was recorded from the serial generator. If this test fails, the
+// environment every experiment reads has changed — fix the generation
+// order, never re-pin the hash.
+func TestEnvByteIdentical(t *testing.T) {
+	const want = "d5ab53f1012da72bbe40737358851ade"
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		e := NewEnv(testConfig)
+		h := sha256.New()
+		for _, name := range TraceNames {
+			pkts := e.traces[name]
+			fmt.Fprintf(h, "%s %d\n", name, len(pkts))
+			for _, p := range pkts {
+				fmt.Fprintf(h, "%d.%06d %d %d ", p.Sec, p.Usec, p.WireLen, len(p.Data))
+				h.Write(p.Data)
+			}
+		}
+		for _, tbl := range []*route.Table{e.Table, e.SmallTable} {
+			fmt.Fprintf(h, "table %d\n", len(tbl.Entries))
+			for _, en := range tbl.Entries {
+				fmt.Fprintf(h, "%08x/%d>%d ", en.Prefix, en.Len, en.NextHop)
+			}
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)[:16]); got != want {
+			t.Errorf("GOMAXPROCS=%d: environment hash = %s, want %s (traces or route tables changed!)", procs, got, want)
+		}
+	}
+}
+
+// TestUnknownTraceIsAnError: the single-run experiments reject a trace
+// name outside TraceNames instead of running zero packets.
+func TestUnknownTraceIsAnError(t *testing.T) {
+	for name, run := range map[string]func(string) error{
+		"Run": func(tr string) error {
+			_, _, err := sharedEnv.Run("TSA", tr, 10, core.Options{})
+			return err
+		},
+		"Profile": func(tr string) error {
+			_, err := sharedEnv.Profile("TSA", tr, 10)
+			return err
+		},
+		"HotBlocks": func(tr string) error {
+			_, err := sharedEnv.HotBlocks("TSA", tr, 10, 3)
+			return err
+		},
+		"Spans": func(tr string) error {
+			_, err := sharedEnv.Spans("TSA", tr, 10, 3, spanClock())
+			return err
+		},
+	} {
+		if err := run("mra"); err == nil || !strings.Contains(err.Error(), `unknown trace "mra"`) {
+			t.Errorf("%s(mra) error = %v, want unknown trace", name, err)
+		}
+		if err := run("MRA"); err != nil {
+			t.Errorf("%s(MRA): %v", name, err)
 		}
 	}
 }

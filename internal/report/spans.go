@@ -56,6 +56,10 @@ type SpanReport struct {
 // via the run's instruction profile. A non-nil clock makes the
 // measurement deterministic for golden tests.
 func (e *Env) Spans(appName, traceName string, n, k int, clock func() int64) (*SpanReport, error) {
+	pkts, err := e.packets(traceName, n)
+	if err != nil {
+		return nil, err
+	}
 	app := e.app(appName)
 	tr := ptrace.New(ptrace.Config{
 		Lanes:       1,
@@ -68,7 +72,7 @@ func (e *Env) Spans(appName, traceName string, n, k int, clock func() int64) (*S
 		return nil, err
 	}
 	b.Collector().CountPCs = true
-	if _, err := b.RunPackets(e.Trace(traceName, n), nil); err != nil {
+	if _, err := b.RunPackets(pkts, nil); err != nil {
 		return nil, err
 	}
 	var entries []string
