@@ -500,6 +500,10 @@ type Bench struct {
 	loader *Loader
 
 	engine EngineKind
+	// body is the engine that actually runs each packet: engine, or the
+	// interpreter when the tracer is not vm.Blockwise, which sends
+	// threaded runs there. Exec spans report it.
+	body EngineKind
 	// tprog is the block-threaded translation of the program, nil when
 	// the bench runs on the reference interpreter.
 	tprog *vm.Program
@@ -577,7 +581,6 @@ func New(app *App, opts Options) (*Bench, error) {
 	col.Detail = opts.Detail
 	col.Coverage = opts.Coverage
 	col.KeepRecords = opts.KeepRecords
-	cpu.Tracer = col
 
 	var tprog *vm.Program
 	switch opts.Engine {
@@ -592,7 +595,7 @@ func New(app *App, opts Options) (*Bench, error) {
 	if policy.Policy == Retry && policy.MaxAttempts < 2 {
 		policy.MaxAttempts = 2
 	}
-	return &Bench{
+	b := &Bench{
 		app: app, prog: prog, mem: mem, cpu: cpu,
 		col: col, blocks: blocks, loader: loader,
 		engine: opts.Engine, tprog: tprog,
@@ -600,7 +603,9 @@ func New(app *App, opts Options) (*Bench, error) {
 		policy: policy, budget: newErrorBudget(policy.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
 		lane: opts.Trace.Lane(0),
-	}, nil
+	}
+	b.SetTracing(true)
+	return b, nil
 }
 
 // Metrics returns the telemetry registry the bench reports into (nil
@@ -754,13 +759,13 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 		if f != nil {
 			fk = uint8(f.Kind) + 1
 		}
-		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.engine), 0, 0, fk)
+		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.body), 0, 0, fk)
 		return Result{}, f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
 	}
 	rec := b.col.EndPacket()
 	b.processed++
 	verdict := b.cpu.Reg(isa.A0)
-	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.engine), rec.Instructions, verdict, 0)
+	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.body), rec.Instructions, verdict, 0)
 	if b.metrics != nil {
 		d := uint64(time.Since(start))
 		if b.lane != nil {
@@ -805,15 +810,18 @@ func (b *Bench) runGuarded() (err error) {
 // simulator speed but produce empty packet records; the tracer-overhead
 // ablation uses this.
 func (b *Bench) SetTracing(enabled bool) {
-	if !enabled {
+	switch {
+	case !enabled:
 		b.cpu.Tracer = nil
-		return
-	}
-	if len(b.extraTracers) == 0 {
+	case len(b.extraTracers) == 0:
 		b.cpu.Tracer = b.col
-		return
+	default:
+		b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
 	}
-	b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
+	b.body = b.engine
+	if !vm.Blockwise(b.cpu.Tracer) {
+		b.body = EngineInterpreter
+	}
 }
 
 // programBoundTracer is implemented by extra tracers that precompute

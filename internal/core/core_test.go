@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/ptrace"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -67,6 +68,58 @@ func TestBenchProcessPacket(t *testing.T) {
 	got := uint32(out[4]) | uint32(out[5])<<8 | uint32(out[6])<<16 | uint32(out[7])<<24
 	if got != 42+100 {
 		t.Errorf("packet word = %d, want 142", got)
+	}
+}
+
+// TestExecSpansReportBodyThatRan checks that exec spans name the engine
+// that actually ran each packet: a threaded bench reports the threaded
+// engine unless an attached tracer is not blockwise, which sends its
+// runs to the interpreter, until tracing is detached again.
+func TestExecSpansReportBodyThatRan(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		engine EngineKind
+		extra  vm.Tracer
+		detach bool
+		want   EngineKind
+	}{
+		{"threaded", EngineThreaded, nil, false, EngineThreaded},
+		{"threaded+blockwise extra", EngineThreaded, vm.MultiTracer{}, false, EngineThreaded},
+		{"threaded+per-instruction extra", EngineThreaded, &panicTracer{target: -1}, false, EngineInterpreter},
+		{"threaded+per-instruction extra, detached", EngineThreaded, &panicTracer{target: -1}, true, EngineThreaded},
+		{"interp", EngineInterpreter, nil, false, EngineInterpreter},
+	} {
+		tr := ptrace.New(ptrace.Config{Lanes: 1, SampleEvery: 1})
+		b, err := New(echoApp(0), Options{Engine: tc.engine, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.extra != nil {
+			b.AddTracer(tc.extra)
+		}
+		if tc.detach {
+			b.SetTracing(false)
+		}
+		for i := 0; i < 3; i++ {
+			if _, err := b.ProcessPacketAt(i, ipPacket(64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spans := 0
+		for _, j := range tr.Summary(10).Tail {
+			for _, ev := range j.Events() {
+				if ev.Stage != ptrace.StageExec {
+					continue
+				}
+				spans++
+				if got := EngineKind(ev.Engine); got != tc.want {
+					t.Errorf("%s: packet %d exec span reports %v, want %v", tc.name, ev.Index, got, tc.want)
+				}
+			}
+		}
+		if spans != 3 {
+			t.Errorf("%s: %d exec spans, want 3", tc.name, spans)
+		}
 	}
 }
 

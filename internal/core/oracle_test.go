@@ -123,6 +123,7 @@ type outcome struct {
 	Fault    *vm.Fault
 	Panic    string
 	High     uint32 // packet-write watermark
+	Pages    int    // allocated memory pages
 	Events   []event
 	Packets  []packetOutcome
 	Records  []stats.PacketRecord
@@ -260,6 +261,7 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 		t.Fatalf("%v: zero register clobbered: %#x", c, cpu.Regs[isa.Zero])
 	}
 	o.Regs, o.PC, o.Steps, o.High = cpu.Regs, cpu.PC, cpu.Steps(), cpu.PacketWriteHigh()
+	o.Pages = mem.PageCount()
 	if col != nil {
 		po := packetOutcome{Record: col.EndPacket()}
 		traces(col, &po)
@@ -320,6 +322,7 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		checkInjected(t, c, o.Packets)
 	}
 	o.collect(col)
+	o.Pages = b.Memory().PageCount()
 	if prof != nil {
 		o.Profile = profileOf(prof)
 	}
@@ -461,11 +464,12 @@ func checkRows(t *testing.T, rows []*row) {
 }
 
 // TestOracle runs the matrix over the program rows: hand-built programs
-// covering every control-flow and fault shape, and random ALU and memory
-// programs.
+// covering every control-flow and fault shape and the edges of the
+// threaded engine's page table, and random ALU and memory programs.
 func TestOracle(t *testing.T) {
 	rows := append(shapeRows(), provenZeroLoadRow())
 	rows = append(rows, passRows()...)
+	rows = append(rows, pageTableRows()...)
 	checkRows(t, append(rows, randomRows()...))
 }
 
@@ -494,6 +498,9 @@ func FuzzOracle(f *testing.F) {
 		for _, src := range srcs {
 			f.Add(append([]byte{1}, src...))
 		}
+	}
+	for _, text := range pageSeeds {
+		f.Add(append([]byte{0}, rawInput(text...)...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if len(b) == 0 {
@@ -779,6 +786,113 @@ func passRows() []*row {
 	return rows
 }
 
+// pageTableRows probe the edges of the threaded engine's page table,
+// which serves only allocated pages lying wholly inside the packet, data
+// or stack region and sends every other access down the interpreter's
+// checks. Rows that reach an in-region page touch it at least twice, to
+// fill its entry and then hit it, before the access under test: stores
+// into the text page and loads and stores in its tail past TextEnd (a
+// text page never fills), the last word of each region and the first
+// word past it, a page the data and stack regions share, a data region
+// ending mid-page, misaligned accesses on a filled page, and loads from
+// a page nothing touched, which must read 0 and allocate nothing. Each
+// row's check pins the fault or values it was built to produce.
+func pageTableRows() []*row {
+	fault := func(r *row, kind vm.FaultKind, pc, addr uint32) *row {
+		r.check = func(o *outcome) error {
+			if f := o.Fault; f == nil || *f != (vm.Fault{Kind: kind, PC: pc, Addr: addr}) {
+				return fmt.Errorf("fault %+v, want %v at pc=%#x addr=%#x", f, kind, pc, addr)
+			}
+			return nil
+		}
+		return r
+	}
+	textBase := ins(isa.LUI, 4, 0, 0, rawBase>>12)
+	halt := ins(isa.HALT, 0, 0, 0, 0)
+	rows := []*row{
+		fault(rawRow("text-last-word-store", 100, textBase, ins(isa.SW, 5, 4, 0, 8), halt),
+			vm.FaultTextWrite, rawBase+4, rawBase+8),
+		fault(rawRow("text-tail-load", 100, textBase, ins(isa.LW, 5, 4, 0, 12), halt),
+			vm.FaultUnmapped, rawBase+4, rawBase+12),
+		fault(rawRow("text-tail-store", 100, textBase, ins(isa.SW, 5, 4, 0, 12), halt),
+			vm.FaultUnmapped, rawBase+4, rawBase+12),
+		fault(rawRow("text-page-last-word-store", 100, textBase, ins(isa.ORI, 4, 4, 0, 0xFFC), ins(isa.SW, 5, 4, 0, 0), halt),
+			vm.FaultUnmapped, rawBase+8, rawBase+0xFFC),
+	}
+
+	// The last word of each region: load (from an unallocated page, so no
+	// fill), store (allocates and fills), load and store again (hits),
+	// then the first word past the end.
+	std := rawRow("", 0).layout
+	for _, end := range []struct {
+		name string
+		end  uint32
+	}{{"packet", std.PacketEnd}, {"data", std.DataEnd}, {"stack", std.StackEnd}} {
+		for _, past := range []isa.Opcode{isa.LW, isa.SW} {
+			r := rawRow(fmt.Sprintf("%s-end-%v", end.name, past), 100,
+				ins(isa.LW, 5, 4, 0, 0), ins(isa.SW, 6, 4, 0, 0), ins(isa.LW, 7, 4, 0, 0), ins(isa.SW, 7, 4, 0, 0),
+				ins(past, 8, 4, 0, 4), halt)
+			r.regs[4], r.regs[5], r.regs[6] = end.end-4, 0xFFFFFFFF, 0x5EED
+			rows = append(rows, fault(r, vm.FaultUnmapped, rawBase+16, end.end))
+		}
+	}
+
+	// One page holds data [0x10000000, 0x10000800) and stack
+	// [0x10000800, ...): it never fills, and each access must still get
+	// its own region, in either order.
+	const bound = 0x10000800
+	shared := func(name string, text ...isa.Instruction) *row {
+		r := rawRow(name, 100, append(text, halt)...)
+		r.layout.DataEnd, r.layout.StackBase, r.layout.StackEnd = bound, bound, bound+0x2000
+		r.data = make([]byte, bound-std.DataBase)
+		copy(r.data[len(r.data)-4:], []byte{0x44, 0x33, 0x22, 0x11})
+		r.regs[4] = bound - 4
+		return r
+	}
+	rows = append(rows,
+		shared("data-then-stack-on-one-page",
+			ins(isa.LW, 5, 4, 0, 0), ins(isa.SW, 5, 4, 0, 4), ins(isa.LW, 6, 4, 0, 0),
+			ins(isa.LW, 7, 4, 0, 4), ins(isa.SH, 7, 4, 0, 0), ins(isa.LBU, 8, 4, 0, 5)),
+		shared("stack-then-data-on-one-page",
+			ins(isa.SW, 4, 4, 0, 4), ins(isa.LW, 5, 4, 0, 0), ins(isa.LHU, 6, 4, 0, 6),
+			ins(isa.SB, 6, 4, 0, 3), ins(isa.LW, 7, 4, 0, 4), ins(isa.LB, 8, 4, 0, 3)))
+	rows[len(rows)-2].check = func(o *outcome) error {
+		if o.Fault != nil || o.Regs[6] != 0x11223344 || o.Regs[7] != 0x11223344 || o.Regs[8] != 0x33 {
+			return fmt.Errorf("fault %v, r6-r8 = %#x %#x %#x, want 0x11223344 0x11223344 0x33", o.Fault, o.Regs[6], o.Regs[7], o.Regs[8])
+		}
+		return nil
+	}
+	gap := shared("data-ends-mid-page", ins(isa.LW, 5, 4, 0, 0), ins(isa.SW, 5, 4, 0, 0), ins(isa.LW, 6, 4, 0, 0),
+		ins(isa.LW, 7, 4, 0, 4))
+	gap.layout.StackBase, gap.layout.StackEnd = std.StackBase, std.StackEnd
+	rows = append(rows, fault(gap, vm.FaultUnmapped, rawBase+12, bound))
+
+	// A misaligned access on a page the two accesses before it filled.
+	for _, m := range []struct {
+		op  isa.Opcode
+		off int32
+	}{{isa.LH, 1}, {isa.LHU, 3}, {isa.LW, 2}, {isa.SH, 1}, {isa.SW, 3}} {
+		r := rawRow(fmt.Sprintf("unaligned-%v-on-filled-page", m.op), 100,
+			ins(isa.SW, 5, 1, 0, 0), ins(isa.LW, 6, 1, 0, 0), ins(m.op, 7, 1, 0, m.off), halt)
+		rows = append(rows, fault(r, vm.FaultUnaligned, rawBase+8, 0x20000000+uint32(m.off)))
+	}
+
+	// Loads from an untouched data page read 0 and allocate nothing.
+	untouched := rawRow("untouched-page-loads", 100,
+		ins(isa.LW, 5, 4, 0, 0), ins(isa.LBU, 6, 4, 0, 3), ins(isa.LHU, 7, 4, 0, 2), ins(isa.LW, 8, 4, 0, 0), halt)
+	untouched.regs[4] = std.DataBase + 0x8000
+	for i := 5; i <= 8; i++ {
+		untouched.regs[i] = 0xFFFFFFFF
+	}
+	untouched.check = func(o *outcome) error {
+		if o.Fault != nil || o.Regs[5]|o.Regs[6]|o.Regs[7]|o.Regs[8] != 0 || o.Pages != 0 {
+			return fmt.Errorf("fault %v, r5-r8 = %#x, %d pages, want 0s and no page", o.Fault, o.Regs[5:9], o.Pages)
+		}
+		return nil
+	}
+	return append(rows, untouched)
+}
+
 // rawSeeds are FuzzOracle's raw-instruction seeds: structured idioms
 // (hot application loops, boundary accesses) that random mutation is
 // slow to discover, plus short raw programs.
@@ -846,6 +960,24 @@ var rawSeeds = [][]isa.Instruction{
 	},
 	// Undecodable: opcode byte 255 wraps past the decodable range.
 	{ins(isa.Opcode(255), 255, 255, 255, -1)},
+}
+
+// pageSeeds are raw-instruction seeds added after every other seed, so
+// the seeds before them keep their numbers: a load at TextEnd and a
+// store at the text page's last word, the one region bound inside a
+// page in every raw layout.
+var pageSeeds = [][]isa.Instruction{
+	{
+		ins(isa.LUI, 4, 0, 0, rawBase>>12),
+		ins(isa.LW, 5, 4, 0, 12),
+		ins(isa.JALR, 0, 15, 0, 0),
+	},
+	{
+		ins(isa.LUI, 4, 0, 0, rawBase>>12),
+		ins(isa.ORI, 4, 4, 0, 0xFFC),
+		ins(isa.SW, 5, 4, 0, 0),
+		ins(isa.JALR, 0, 15, 0, 0),
+	},
 }
 
 // asmSeeds extend asm.FuzzSeeds as FuzzOracle's source seeds.

@@ -30,7 +30,7 @@ func ins(op isa.Opcode, rd, rs1, rs2 isa.Reg, imm int32) isa.Instruction {
 
 // TestPageCacheSeesHostWrites runs the threaded engine twice with a host
 // write in between, on a page the first run read while unallocated: the
-// cache must not serve a stale zero page.
+// page table must not serve a stale zero page.
 func TestPageCacheSeesHostWrites(t *testing.T) {
 	const base = 0x00400000
 	text := []isa.Instruction{
@@ -60,6 +60,54 @@ func TestPageCacheSeesHostWrites(t *testing.T) {
 	if cpu.Regs[4] != 0xCAFEF00D {
 		t.Fatalf("second run read %#x, want 0xCAFEF00D", cpu.Regs[4])
 	}
+}
+
+// TestPageTableFollowsLayoutAndMemory reruns a program on one CPU after
+// changing its public Layout and Mem fields: first shrinking the data
+// region below an address a run already read through the page table,
+// then swapping in another memory. Each rerun must fault or read exactly
+// as the interpreter does on the same state.
+func TestPageTableFollowsLayoutAndMemory(t *testing.T) {
+	const base = 0x00400000
+	text := []isa.Instruction{
+		ins(isa.LW, 4, 1, 0, 0),
+		ins(isa.LW, 5, 1, 0, 0),
+		ins(isa.HALT, 0, 0, 0, 0),
+	}
+	prog := Translate(text, base, analysis.NewBlockMap(text, base))
+	cpu := New(text, base, NewMemory())
+	cpu.Layout = testLayout(base, len(text))
+	addr := cpu.Layout.DataBase + 0x2000
+	cpu.Mem.Write32(addr, 0x600D)
+
+	run := func(step string, want uint32, wantErr error) {
+		t.Helper()
+		ref := New(text, base, cpu.Mem)
+		ref.Layout = cpu.Layout
+		for _, c := range []*CPU{cpu, ref} {
+			c.Regs = [isa.NumRegs]uint32{1: addr}
+			c.PC = base
+		}
+		_, _, err := cpu.RunProgram(prog, 100)
+		_, _, refErr := ref.Run(100)
+		if !reflect.DeepEqual(err, refErr) || cpu.Regs != ref.Regs || cpu.PC != ref.PC {
+			t.Fatalf("%s: threaded err=%v regs=%#x pc=%#x, interpreter err=%v regs=%#x pc=%#x",
+				step, err, cpu.Regs, cpu.PC, refErr, ref.Regs, ref.PC)
+		}
+		if !reflect.DeepEqual(err, wantErr) || (err == nil && cpu.Regs[5] != want) {
+			t.Fatalf("%s: err=%v r5=%#x, want err=%v r5=%#x", step, err, cpu.Regs[5], wantErr, want)
+		}
+	}
+	run("first run", 0x600D, nil)
+	cpu.Layout.DataEnd = addr
+	run("data region shrunk", 0, &Fault{Kind: FaultUnmapped, PC: base, Addr: addr})
+	cpu.Layout.DataEnd = testLayout(base, len(text)).DataEnd
+	run("data region restored", 0x600D, nil)
+	cpu.Mem = NewMemory()
+	cpu.Mem.Write32(addr, 0xBEEF)
+	run("memory replaced", 0xBEEF, nil)
+	cpu.Mem = NewMemory()
+	run("memory replaced by an empty one", 0, nil)
 }
 
 // TestThreadedStepsAccumulate checks the lifetime step counter matches

@@ -40,17 +40,6 @@ const (
 	RegionPacket               // packet buffer placed by the framework
 	RegionData                 // application static data and heap
 	RegionStack                // call stack
-
-	numRegions = int(RegionStack) + 1
-
-	// pageCacheSlots sizes the CPU's direct-mapped last-page cache; the
-	// hot working set of a packet program is a handful of pages (packet,
-	// stack, a table page or three), so 32 slots make collisions rare.
-	// Slots are picked by multiplicative hash, NOT by pidx low bits:
-	// region bases are large powers of two, so the hot pages' indexes
-	// share all their low bits and a low-bits scheme piles every region
-	// onto slot zero.
-	pageCacheSlots = 32
 )
 
 var regionNames = map[Region]string{
@@ -91,6 +80,19 @@ func (l Layout) Classify(addr uint32) Region {
 		return RegionStack
 	}
 	return RegionNone
+}
+
+// pageRegion returns the region of every address on the page at base p,
+// or RegionNone when a region bound falls inside the page, after its
+// first byte.
+func (l Layout) pageRegion(p uint32) Region {
+	for _, b := range [...]uint32{l.TextBase, l.TextEnd, l.PacketBase, l.PacketEnd,
+		l.DataBase, l.DataEnd, l.StackBase, l.StackEnd} {
+		if b-p-1 < pageSize-1 {
+			return RegionNone
+		}
+	}
+	return l.Classify(p)
 }
 
 // Tracer observes application execution. Implementations must be cheap;
@@ -248,17 +250,9 @@ type CPU struct {
 	// that were actually written.
 	packetWriteHigh uint32
 
-	// Direct-mapped last-page cache used by the block-threaded engine:
-	// consecutive accesses to the same 4 KiB page skip the Memory.pages
-	// map lookup. Keyed by the low bits of the page index, so hot pages
-	// in the same region (a lookup table straddling pages, table reads
-	// interleaved with result stores) get separate slots instead of
-	// thrashing one shared per-region slot. Pages are never freed or
-	// replaced once allocated, so a cached pointer can never go stale;
-	// only nil lookups are left uncached (a host write could allocate
-	// the page later).
-	pageCache    [pageCacheSlots]*page
-	pageCacheIdx [pageCacheSlots]uint32
+	// pt resolves the block-threaded engine's data accesses to a region
+	// and a page in one lookup; see pageTable.
+	pt pageTable
 }
 
 // New creates a CPU executing the given pre-decoded text segment. The
