@@ -7,7 +7,6 @@
 //	pbasm file.s            # listing
 //	pbasm -sym file.s       # symbols
 //	pbasm -blocks file.s    # basic blocks
-//	pbasm -vet file.s       # static verification (see also cmd/pbvet)
 package main
 
 import (
@@ -18,28 +17,25 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
-	"repro/internal/core"
-	"repro/internal/staticcheck"
 )
 
 func main() {
 	var (
 		showSyms   = flag.Bool("sym", false, "print the symbol table")
 		showBlocks = flag.Bool("blocks", false, "print the basic-block decomposition")
-		vet        = flag.Bool("vet", false, "run the static verifier and print its findings")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pbasm [-sym] [-blocks] [-vet] file.s")
+		fmt.Fprintln(os.Stderr, "usage: pbasm [-sym] [-blocks] file.s")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), *showSyms, *showBlocks, *vet); err != nil {
+	if err := run(flag.Arg(0), *showSyms, *showBlocks); err != nil {
 		fmt.Fprintln(os.Stderr, "pbasm:", err)
 		os.Exit(1)
 	}
 }
 
-func run(path string, showSyms, showBlocks, vet bool) error {
+func run(path string, showSyms, showBlocks bool) error {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -71,20 +67,6 @@ func run(path string, showSyms, showBlocks, vet bool) error {
 		fmt.Printf("%d basic blocks\n", m.NumBlocks())
 		for b := 0; b < m.NumBlocks(); b++ {
 			fmt.Printf("  block %3d: %#x, %d instructions\n", b, m.Leader(b), m.Size(b))
-		}
-	case vet:
-		ds := staticcheck.Verify(prog, staticcheck.Options{
-			Layout: core.LayoutFor(prog, 0),
-		})
-		if len(ds) == 0 {
-			fmt.Println("no findings")
-			return nil
-		}
-		for _, d := range ds {
-			fmt.Printf("%s:%d: %s: %s [%s]\n", path, d.Line, d.Severity, d.Msg, d.Check)
-		}
-		if ds.HasErrors() {
-			return fmt.Errorf("%s: static verification failed", path)
 		}
 	default:
 		fmt.Print(prog.Listing())

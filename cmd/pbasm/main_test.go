@@ -26,41 +26,35 @@ done:	ret
 	return path
 }
 
+// TestRunModes runs every mode. None of them verifies (cmd/pbvet is the
+// verifier), so a program that jumps out of the text segment still
+// assembles and lists.
 func TestRunModes(t *testing.T) {
 	path := writeSource(t)
-	for _, mode := range []struct{ syms, blocks, vet bool }{
-		{false, false, false}, {true, false, false}, {false, true, false},
-		{false, false, true},
+	escapes := filepath.Join(t.TempDir(), "escapes.s")
+	if err := os.WriteFile(escapes, []byte(".global e\ne: j 0x100000\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []struct {
+		path         string
+		syms, blocks bool
+	}{
+		{path, false, false}, {path, true, false}, {path, false, true},
+		{escapes, false, false},
 	} {
-		if err := run(path, mode.syms, mode.blocks, mode.vet); err != nil {
+		if err := run(mode.path, mode.syms, mode.blocks); err != nil {
 			t.Errorf("mode %+v: %v", mode, err)
 		}
 	}
 }
 
-// TestVetFlagFailsOnErrors: -vet turns error-severity findings into a
-// nonzero exit, same contract as cmd/pbvet.
-func TestVetFlagFailsOnErrors(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.s")
-	if err := os.WriteFile(path, []byte(".global e\ne: j 0x100000\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(path, false, false, true); err == nil {
-		t.Error("-vet accepted a program that escapes the text segment")
-	}
-	// Without -vet the same file still assembles and lists.
-	if err := run(path, false, false, false); err != nil {
-		t.Errorf("listing mode should not verify: %v", err)
-	}
-}
-
 func TestRunErrors(t *testing.T) {
-	if err := run(filepath.Join(t.TempDir(), "absent.s"), false, false, false); err == nil {
+	if err := run(filepath.Join(t.TempDir(), "absent.s"), false, false); err == nil {
 		t.Error("missing file accepted")
 	}
 	bad := filepath.Join(t.TempDir(), "bad.s")
 	_ = os.WriteFile(bad, []byte("frobnicate a0"), 0o644)
-	if err := run(bad, false, false, false); err == nil {
+	if err := run(bad, false, false); err == nil {
 		t.Error("invalid assembly accepted")
 	}
 }

@@ -12,10 +12,8 @@ import (
 // them: go test ./cmd/pbvet/ -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
-// goldenApps are the six bundled applications; their sources are the
-// realistic inputs the facts pipeline was built against, so pinning
-// pbvet's output over them pins both the diagnostic surface and the
-// -facts dump format.
+// goldenApps are the six bundled applications; pinning pbvet's output
+// over them pins the diagnostic surface on realistic inputs.
 var goldenApps = []string{"flow", "frag", "ipv4_radix", "ipv4_trie", "payload_scan", "tsa"}
 
 func appSource(app string) string {
@@ -47,9 +45,8 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
-// TestGoldenAppDiagnostics pins pbvet's diagnostic output — including
-// the facts pipeline's warn-severity findings — over the six bundled
-// applications. All six must verify without error-severity findings
+// TestGoldenAppDiagnostics pins pbvet's diagnostic output over the six
+// bundled applications. All six must verify without error-severity findings
 // (exit 0): a new error here means a translator-visible regression in
 // either the apps or the analysis.
 func TestGoldenAppDiagnostics(t *testing.T) {
@@ -60,23 +57,6 @@ func TestGoldenAppDiagnostics(t *testing.T) {
 				t.Fatalf("status = %d, want 0; stderr: %s\nstdout:\n%s", status, errb.String(), out.String())
 			}
 			checkGolden(t, app+"_diags", out.String())
-		})
-	}
-}
-
-// TestGoldenAppFacts pins the -facts dump over the six bundled
-// applications: the proven memory regions, address intervals, constant
-// branches, redundant masks and unreachable instructions.
-// A diff here is a change in what the abstract interpretation can
-// prove — sometimes intended (analysis got sharper), never invisible.
-func TestGoldenAppFacts(t *testing.T) {
-	for _, app := range goldenApps {
-		t.Run(app, func(t *testing.T) {
-			var out, errb bytes.Buffer
-			if status := run([]string{"-facts", appSource(app)}, &out, &errb); status != 0 {
-				t.Fatalf("status = %d, want 0; stderr: %s", status, errb.String())
-			}
-			checkGolden(t, app+"_facts", out.String())
 		})
 	}
 }

@@ -12,14 +12,6 @@
 //	pbvet file.s [file2.s ...]     # diagnostics; exit 1 on errors
 //	pbvet -entry main file.s       # verify from a specific entry symbol
 //	pbvet -dot file.s              # print the CFG in Graphviz format
-//	pbvet -facts file.s            # dump the abstract-interpretation facts
-//
-// Diagnostic runs include the facts pipeline's warn-severity findings
-// (constant branches, redundant masks, value-analysis dead code) on top
-// of the structural checks. -facts instead dumps the per-instruction
-// abstract-interpretation facts those findings come from: proven memory
-// regions with address intervals, constant branch directions, redundant
-// masks, and unreachable instructions.
 //
 // The exit status is 2 on usage or assembly errors, 1 if any file has
 // error-severity findings, and 0 otherwise (warnings do not fail the
@@ -47,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		dot     = fs.Bool("dot", false, "print the control-flow graph in Graphviz format instead of diagnostics")
-		facts   = fs.Bool("facts", false, "dump the abstract-interpretation facts instead of diagnostics")
 		entries = fs.String("entry", "", "comma-separated entry symbols (default: the file's .global text symbols)")
 		heap    = fs.Uint("heap", 0, "heap size in bytes for the memory map (default: the framework default)")
 	)
@@ -55,7 +46,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if fs.NArg() == 0 {
-		fmt.Fprintln(stderr, "usage: pbvet [-dot] [-facts] [-entry syms] [-heap n] file.s ...")
+		fmt.Fprintln(stderr, "usage: pbvet [-dot] [-entry syms] [-heap n] file.s ...")
 		return 2
 	}
 
@@ -71,33 +62,32 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "pbvet: %s: %v\n", path, err)
 			return 2
 		}
-		opts := staticcheck.Options{Layout: core.LayoutFor(prog, uint32(*heap)), FactsDiags: true}
+		opts := staticcheck.Options{Layout: core.LayoutFor(prog, uint32(*heap))}
 		if *entries != "" {
 			opts.Entries = strings.Split(*entries, ",")
 		}
 		if *dot {
 			cfg, ds := staticcheck.BuildCFG(prog, opts)
-			for _, d := range ds {
-				fmt.Fprintf(stderr, "%s:%s\n", path, strings.TrimPrefix(d.String(), "line "))
-			}
+			report(stderr, path, ds)
 			fmt.Fprint(stdout, cfg.Dot())
-			continue
-		}
-		if *facts {
-			_, fx := staticcheck.VerifyWithFacts(prog, opts)
-			fmt.Fprintf(stdout, "%s:\n", path)
-			fx.Dump(stdout, prog)
+			if ds.HasErrors() {
+				status = 1
+			}
 			continue
 		}
 		ds := staticcheck.Verify(prog, opts)
-		for _, d := range ds {
-			// Diagnostic.String renders "line N: sev: msg [check]";
-			// prefix the file for the conventional file:line form.
-			fmt.Fprintf(stdout, "%s:%d: %s: %s [%s]\n", path, d.Line, d.Severity, d.Msg, d.Check)
-		}
+		report(stdout, path, ds)
 		if ds.HasErrors() {
 			status = 1
 		}
 	}
 	return status
+}
+
+// report prints ds in the conventional file:line: severity: msg [check]
+// form.
+func report(w io.Writer, path string, ds staticcheck.List) {
+	for _, d := range ds {
+		fmt.Fprintf(w, "%s:%d: %s: %s [%s]\n", path, d.Line, d.Severity, d.Msg, d.Check)
+	}
 }

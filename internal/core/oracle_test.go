@@ -756,8 +756,8 @@ func midBlockRow() *row {
 }
 
 // provenZeroLoadRow loads a packet word into the zero register, from
-// the framework ABI entry state (the verifier's facts prove the access
-// in bounds). The load has no architectural effect, but the interpreter
+// the framework ABI entry state (the address lies inside the packet
+// region). The load has no architectural effect, but the interpreter
 // still reports the read, so block mode must too.
 func provenZeroLoadRow() *row {
 	return asmRow("proven-zero-load", "process_packet:\n\tlw zero, 4(a0)\n\tlbu t0, 0(a0)\n\tsw t0, -4(sp)\n\tret")

@@ -79,55 +79,24 @@ type Options struct {
 	Entries []string
 	// EntryAddrs overrides Entries with explicit addresses.
 	EntryAddrs []uint32
-	// FactsDiags additionally surfaces the facts pipeline's findings as
-	// warn-severity diagnostics (const-branch, redundant-mask,
-	// facts-dead-code). Off by default: these describe what the
-	// abstract interpretation proves (dead code, constant branches,
-	// masks that change nothing), so only explicit lint runs (pbvet)
-	// ask for them, and only they pay for the facts pipeline.
-	FactsDiags bool
 }
 
 // Verify runs every analysis over an assembled program and returns the
 // combined findings, sorted by source line and deduplicated. The
 // assembler's own lint findings (prog.Lint) are folded in, so callers
-// get one report. Use List.HasErrors to gate loading. The facts
-// pipeline runs only when opts.FactsDiags asks for its findings: no
-// error-severity finding comes from it.
+// get one report. Use List.HasErrors to gate loading.
 func Verify(prog *asm.Program, opts Options) List {
-	ds, _ := verify(prog, opts, false)
-	return ds
-}
-
-// VerifyWithFacts runs Verify and additionally returns the proofs of
-// the abstract-interpretation facts pipeline (see facts.go), which
-// pbvet -facts dumps. The returned Facts is never nil; an unverifiable
-// (untame) program yields one with Tame == false, claiming nothing.
-func VerifyWithFacts(prog *asm.Program, opts Options) (List, *Facts) {
-	return verify(prog, opts, true)
-}
-
-// verify is Verify, computing the facts when wantFacts or
-// opts.FactsDiags needs them (an empty Facts otherwise).
-func verify(prog *asm.Program, opts Options, wantFacts bool) (List, *Facts) {
 	var ds diag.List
 	ds = append(ds, prog.Lint...)
 	if len(prog.Text) == 0 {
 		ds = append(ds, Diagnostic{Severity: Error, Check: "empty-text",
 			Msg: "program has no instructions in the text segment"})
-		return ds.Sort(), &Facts{}
+		return ds.Sort()
 	}
 	cfg, entryDiags := BuildCFG(prog, opts)
 	ds = append(ds, entryDiags...)
 	ds = append(ds, cfg.structural()...)
 	ds = append(ds, cfg.nonTermination()...)
 	ds = append(ds, newDataflow(cfg, opts).run()...)
-	facts := &Facts{}
-	if wantFacts || opts.FactsDiags {
-		facts = computeFacts(cfg, opts)
-	}
-	if opts.FactsDiags {
-		ds = append(ds, surfaceFactsDiags(cfg, facts)...)
-	}
-	return ds.Sort(), facts
+	return ds.Sort()
 }
