@@ -67,9 +67,8 @@ type config struct {
 
 	// Fault handling.
 	noVerify    bool   // skip the static verifier at load time
-	faultPolicy string // fail-fast, skip, retry
-	errorBudget int    // quarantine budget for skip/retry; 0 = unlimited
-	maxAttempts int    // attempts per packet under retry
+	faultPolicy string // fail-fast or skip
+	errorBudget int    // quarantine budget for skip; 0 = unlimited
 	inject      string // faultinject.ParsePlan spec
 	seed        int64  // seed for injected randomness
 
@@ -122,10 +121,9 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.IntVar(&cfg.pool, "pool", 1, "run on this many simulated cores via the streaming work-queue scheduler (stateful applications keep per-core state)")
 	fs.StringVar(&cfg.engine, "engine", "threaded", "execution engine: threaded|interp (the block-threaded default, or the reference interpreter)")
 	fs.BoolVar(&cfg.noVerify, "no-verify", false, "load the application even if the static verifier reports errors")
-	fs.StringVar(&cfg.faultPolicy, "fault-policy", "fail-fast", "reaction to per-packet faults: fail-fast, skip (quarantine and continue), or retry")
-	fs.IntVar(&cfg.errorBudget, "error-budget", 0, "max packets one run may quarantine under -fault-policy skip/retry (0 = unlimited); also bounds malformed trace records skipped by the readers")
-	fs.IntVar(&cfg.maxAttempts, "max-attempts", 2, "total attempts per packet under -fault-policy retry")
-	fs.StringVar(&cfg.inject, "inject", "", "deterministic fault injection plan, e.g. \"flip@3,vmfault@11,panic@19,stall@31,readerr@40\" (kinds: flip, trunc, clamp, vmfault, panic, delay, stall, readerr, tearckpt)")
+	fs.StringVar(&cfg.faultPolicy, "fault-policy", "fail-fast", "reaction to per-packet faults: fail-fast or skip (quarantine and continue)")
+	fs.IntVar(&cfg.errorBudget, "error-budget", 0, "max packets one run may quarantine under -fault-policy skip (0 = unlimited); also bounds malformed trace records skipped by the readers")
+	fs.StringVar(&cfg.inject, "inject", "", "deterministic fault injection plan, e.g. \"flip@3,vmfault@11,panic@19,stall@31\" (kinds: flip, trunc, clamp, vmfault, panic, delay, stall, tearckpt)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "seed for -inject randomness (unspecified offsets, masks, step counts)")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write periodic resume checkpoints of a streaming pool run to this file (atomic rename; see -resume)")
 	fs.IntVar(&cfg.checkpointEvery, "checkpoint-every", 8192, "committed packets between checkpoint writes")
@@ -148,7 +146,7 @@ func (cfg *config) errorPolicy() (core.ErrorPolicy, error) {
 	if err != nil {
 		return core.ErrorPolicy{}, err
 	}
-	return core.ErrorPolicy{Policy: p, ErrorBudget: cfg.errorBudget, MaxAttempts: cfg.maxAttempts}, nil
+	return core.ErrorPolicy{Policy: p, ErrorBudget: cfg.errorBudget}, nil
 }
 
 // openTrace opens cfg.traceFile — one capture or a comma-separated shard
@@ -432,9 +430,6 @@ func run(cfg config) error {
 			}
 			runErr := runPool(app, r, cfg.count, &cfg, policy, engine, inj, reg, tracer, true, skipped)
 			cerr := cleanup()
-			if n := skipped(); n > 0 {
-				fmt.Printf("trace: skipped %d malformed records\n", n)
-			}
 			if runErr != nil {
 				return runErr
 			}
@@ -456,7 +451,7 @@ func run(cfg config) error {
 		return describeVerifyError(err)
 	}
 	bench.Collector().CountPCs = cfg.annotate || cfg.profileOut != ""
-	if inj != nil {
+	if inj != nil && inj.HasExecFaults() {
 		bench.AddTracer(inj.Tracer())
 	}
 
@@ -827,6 +822,15 @@ func dumpTrace(bench *core.Bench, idx int, res core.Result) {
 // applications (flow classification) keep per-core tables in this mode,
 // as real replicated-state engines would.
 func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy core.ErrorPolicy, engine core.EngineKind, inj *faultinject.Injector, reg *telemetry.Registry, tracer *ptrace.Tracer, streaming bool, skipped func() int) error {
+	if skipped != nil {
+		// Reported on every exit, failed runs included; a resumed run
+		// adds the count restored from its checkpoint.
+		defer func() {
+			if n := skipped(); n > 0 {
+				fmt.Printf("trace: skipped %d malformed records\n", n)
+			}
+		}()
+	}
 	shed, err := core.ParseShedPolicy(cfg.shed)
 	if err != nil {
 		return err
@@ -849,7 +853,7 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		pool.SetBatchSize(cfg.batch)
 	}
 	for i := 0; i < pool.Cores(); i++ {
-		if inj != nil {
+		if inj != nil && inj.HasExecFaults() {
 			pool.Bench(i).AddTracer(inj.Tracer())
 		}
 		pool.Bench(i).Collector().CountPCs = cfg.profileOut != ""
@@ -863,9 +867,6 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 			return err
 		}
 		ck.SetTraceID(ids)
-		if skipped != nil {
-			ck.SetSkippedFunc(skipped)
-		}
 		if inj != nil {
 			ck.TearWrite = inj.CheckpointTearFunc()
 		}
@@ -886,6 +887,14 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 			}
 			ck.Restore(cp)
 			fmt.Printf("resuming from %s: %d packets already committed\n", cfg.checkpoint, cp.NextIndex)
+			if skipped != nil {
+				// Records skipped before the checkpoint count too.
+				live := skipped
+				skipped = func() int { return cp.ReaderSkipped + live() }
+			}
+		}
+		if skipped != nil {
+			ck.SetSkippedFunc(skipped)
 		}
 	}
 	// In streaming mode the injector's packet corruptions apply through a

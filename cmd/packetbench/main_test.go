@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"flag"
 	"io"
 	"os"
@@ -29,7 +31,6 @@ func testConfig(app, gen string, n int) config {
 		dumpPkt:     -1,
 		pool:        1,
 		faultPolicy: "fail-fast",
-		maxAttempts: 2,
 		seed:        1,
 	}
 }
@@ -122,15 +123,22 @@ func TestRunErrors(t *testing.T) {
 	if err := run(cfg); err == nil {
 		t.Error("missing trace file accepted")
 	}
-	cfg = testConfig("flow", "LAN", 10)
-	cfg.faultPolicy = "explode"
-	if err := run(cfg); err == nil {
-		t.Error("unknown fault policy accepted")
+	for _, policy := range []string{"explode", "retry"} {
+		cfg = testConfig("flow", "LAN", 10)
+		cfg.faultPolicy = policy
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), "want fail-fast or skip") {
+			t.Errorf("-fault-policy %s: got %v, want the unknown-policy error", policy, err)
+		}
 	}
-	cfg = testConfig("flow", "LAN", 10)
-	cfg.inject = "zap@3"
-	if err := run(cfg); err == nil {
-		t.Error("bad injection plan accepted")
+	for spec, want := range map[string]string{
+		"zap@3":         "unknown kind",
+		"vmfault@3:2:1": "too many arguments",
+	} {
+		cfg = testConfig("flow", "LAN", 10)
+		cfg.inject = spec
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-inject %s: got %v, want %q", spec, err, want)
+		}
 	}
 	cfg = testConfig("flow", "LAN", 10)
 	cfg.engine = "compiled"
@@ -224,6 +232,188 @@ func TestRunWithFaultInjection(t *testing.T) {
 	cfg.inject = "vmfault@11:5"
 	if err := run(cfg); err == nil {
 		t.Error("fail-fast swallowed a forced VM fault")
+	}
+}
+
+// TestPacketFaultsKeepThreadedEngine: a plan of packet-surface faults
+// only corrupts packets as they are read, so the run keeps the threaded
+// engine; only an execution-surface fault attaches the per-instruction
+// tracer that sends it to the interpreter.
+func TestPacketFaultsKeepThreadedEngine(t *testing.T) {
+	for _, tc := range []struct {
+		inject string
+		want   core.EngineKind
+	}{{"flip@3,trunc@7:20", core.EngineThreaded}, {"flip@3,vmfault@500", core.EngineInterpreter}} {
+		for _, pool := range []int{1, 2} {
+			cfg := testConfig("radix", "MRA", 200)
+			cfg.pool = pool
+			cfg.inject = tc.inject
+			cfg.traceOut = filepath.Join(t.TempDir(), "journeys.json")
+			cfg.traceSample = "1"
+			if err := run(cfg); err != nil {
+				t.Fatalf("%s, pool %d: %v", tc.inject, pool, err)
+			}
+			data, err := os.ReadFile(cfg.traceOut)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var doc struct {
+				TraceEvents []struct {
+					Name string
+					Args map[string]any
+				}
+			}
+			if err := json.Unmarshal(data, &doc); err != nil {
+				t.Fatal(err)
+			}
+			spans := 0
+			for _, ev := range doc.TraceEvents {
+				if ev.Name != "exec" {
+					continue
+				}
+				spans++
+				if got := ev.Args["engine"]; got != float64(tc.want) {
+					t.Fatalf("%s, pool %d: exec span of packet %v reports engine %v, want %d",
+						tc.inject, pool, ev.Args["index"], got, tc.want)
+				}
+			}
+			if spans == 0 {
+				t.Fatalf("%s, pool %d: no exec spans kept", tc.inject, pool)
+			}
+		}
+	}
+}
+
+// writeCorruptPcap writes n generated packets to a pcap file and breaks
+// the record length of each record listed in corrupt.
+func writeCorruptPcap(t *testing.T, n int, corrupt ...int) string {
+	t.Helper()
+	pkts := gen.Generate(gen.Profile{
+		Name: "corrupt", Flows: 30, NewFlowProb: 0.1, TCP: 1,
+		Sizes: []gen.SizePoint{{Bytes: 80, Weight: 1}}, AddrBits: 12, Seed: 3,
+	}, n)
+	var buf bytes.Buffer
+	w, err := trace.NewPcapWriter(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range pkts {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := buf.Bytes()
+	for off, i := 24, 0; off+16 <= len(data); i++ {
+		incl := int(binary.LittleEndian.Uint32(data[off+8:]))
+		for _, c := range corrupt {
+			if c == i {
+				binary.LittleEndian.PutUint32(data[off+8:], 0xFFFFFFF0)
+			}
+		}
+		off += 16 + incl
+	}
+	path := filepath.Join(t.TempDir(), "corrupt.pcap")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// captureRun runs cfg with stdout captured.
+func captureRun(t *testing.T, cfg config) (string, error) {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run(cfg)
+	os.Stdout = stdout
+	w.Close()
+	return <-out, runErr
+}
+
+// TestCorruptTraceSameErrorOnEveryPath: once the reader's skip budget is
+// spent, the single-core and pool paths fail with the same reader error
+// at the same offset.
+func TestCorruptTraceSameErrorOnEveryPath(t *testing.T) {
+	path := writeCorruptPcap(t, 400, 50, 120, 200, 300)
+	var errs []string
+	for _, pool := range []int{1, 2} {
+		cfg := testConfig("tsa", "", 0)
+		cfg.traceFile = path
+		cfg.pool = pool
+		cfg.faultPolicy = "skip"
+		cfg.errorBudget = 2
+		_, err := captureRun(t, cfg)
+		if err == nil || !strings.Contains(err.Error(), "malformed pcap record at offset") {
+			t.Fatalf("pool %d: got %v, want the reader's malformed-record error", pool, err)
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] {
+		t.Errorf("paths disagree:\n  pool 1: %s\n  pool 2: %s", errs[0], errs[1])
+	}
+}
+
+// TestResumeKeepsSkipCount: a run interrupted after its checkpoint and
+// resumed reports the same malformed-record count as an uninterrupted
+// run, and checkpoints the restored count plus its own.
+func TestResumeKeepsSkipCount(t *testing.T) {
+	path := writeCorruptPcap(t, 1200, 100, 350, 700, 1000)
+	base := testConfig("tsa", "", 0)
+	base.traceFile = path
+	base.pool = 2
+	base.faultPolicy = "skip"
+	skipLine := func(out string) string {
+		for _, line := range strings.Split(out, "\n") {
+			if strings.HasPrefix(line, "trace: skipped") {
+				return line
+			}
+		}
+		return ""
+	}
+	full, err := captureRun(t, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := skipLine(full)
+	if want == "" {
+		t.Fatalf("uninterrupted run skipped nothing:\n%s", full)
+	}
+
+	part := base
+	part.count = 600
+	part.checkpoint = filepath.Join(t.TempDir(), "ck.json")
+	part.checkpointEvery = 100
+	if _, err := captureRun(t, part); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.LoadCheckpoint(part.checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.ReaderSkipped == 0 {
+		t.Fatalf("checkpoint at %d records no skips", cp.NextIndex)
+	}
+	resumed := base
+	resumed.checkpoint = part.checkpoint
+	resumed.resume = true
+	out, err := captureRun(t, resumed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "resuming from") {
+		t.Fatalf("run did not resume:\n%s", out)
+	}
+	if got := skipLine(out); got != want {
+		t.Errorf("resumed run reports %q, uninterrupted run %q", got, want)
 	}
 }
 

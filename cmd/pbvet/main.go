@@ -85,9 +85,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // report prints ds in the conventional file:line: severity: msg [check]
-// form.
+// form; line-less findings (entry, empty-text) name only the file.
 func report(w io.Writer, path string, ds staticcheck.List) {
 	for _, d := range ds {
-		fmt.Fprintf(w, "%s:%d: %s: %s [%s]\n", path, d.Line, d.Severity, d.Msg, d.Check)
+		loc := path
+		if d.Line > 0 {
+			loc = fmt.Sprintf("%s:%d", path, d.Line)
+		}
+		fmt.Fprintf(w, "%s: %s: %s [%s]\n", loc, d.Severity, d.Msg, d.Check)
 	}
 }

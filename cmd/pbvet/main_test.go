@@ -112,7 +112,7 @@ other:  halt
 	if status := run([]string{"-dot", "-entry", "nope", path}, &out, &errb); status != 1 {
 		t.Fatalf("-dot with an undefined entry symbol: status = %d, want 1", status)
 	}
-	if want := path + `:0: error: entry symbol "nope" is not defined [entry]`; !strings.Contains(errb.String(), want) {
+	if want := path + `: error: entry symbol "nope" is not defined [entry]`; !strings.Contains(errb.String(), want) {
 		t.Errorf("-dot stderr missing %q:\n%s", want, errb.String())
 	}
 }

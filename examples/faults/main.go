@@ -8,11 +8,10 @@
 // fault injector — a flipped header byte and a truncation, which the
 // forwarding application digests silently (it just routes differently),
 // plus a forced VM fault mid-execution standing in for corruption the
-// application cannot digest. It then shows the three policies: FailFast
-// aborts on the first fault, SkipAndRecord quarantines the faulted
+// application cannot digest. It then shows the two policies: FailFast
+// aborts on the first fault, and SkipAndRecord quarantines the faulted
 // packet and reports per-fault-kind counts while every untouched
-// packet's record stays byte-identical to a clean run, and Retry
-// distinguishes transient faults from persistent ones.
+// packet's record stays byte-identical to a clean run.
 package main
 
 import (
@@ -93,27 +92,6 @@ func main() {
 	}
 	clean := packetbench.Summarize(cleanRecords)
 	fmt.Printf("clean reference: %.1f instructions/packet\n", clean.MeanInstructions)
-
-	// Retry: a fault that fires only on the first attempt (times = 1)
-	// clears on re-execution; nothing is quarantined.
-	plan, err = packetbench.ParseInjectionPlan("vmfault@250:6:1")
-	if err != nil {
-		log.Fatal(err)
-	}
-	inj = packetbench.NewFaultInjector(42, plan)
-	bench, err = packetbench.New(app, packetbench.Options{
-		Errors: packetbench.ErrorPolicy{Policy: packetbench.Retry, MaxAttempts: 2},
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	bench.AddTracer(inj.Tracer())
-	records, err = bench.RunPackets(pkts, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("retry:           transient fault cleared, %d quarantined\n",
-		packetbench.Summarize(records).Faulted)
 
 	// Fault errors stay inspectable: budget exhaustion wraps the last
 	// underlying fault kind.

@@ -296,7 +296,7 @@ func TestWorkloadShape(t *testing.T) {
 	means := make(map[string]float64)
 	spreads := make(map[string]uint64)
 	for _, app := range All(tbl, flow.DefaultBuckets, 42) {
-		b := newBench(t, app, core.Options{KeepRecords: true})
+		b := newBench(t, app, core.Options{})
 		recs, err := b.RunPackets(pkts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
@@ -338,7 +338,7 @@ func TestWorkloadShape(t *testing.T) {
 // packet memory hardly vary across packets.
 func TestPacketMemoryAccessesNearConstant(t *testing.T) {
 	pkts, tbl := testTrace(t, "MRA", 200)
-	b := newBench(t, IPv4Radix(tbl), core.Options{KeepRecords: true})
+	b := newBench(t, IPv4Radix(tbl), core.Options{})
 	recs, err := b.RunPackets(pkts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -369,12 +369,12 @@ func TestPacketMemoryAccessesNearConstant(t *testing.T) {
 // used much more heavily than packet memory for table-driven apps.
 func TestNonPacketDominatesForRadix(t *testing.T) {
 	pkts, tbl := testTrace(t, "MRA", 200)
-	radix := newBench(t, IPv4Radix(tbl), core.Options{KeepRecords: true})
+	radix := newBench(t, IPv4Radix(tbl), core.Options{})
 	recsR, err := radix.RunPackets(pkts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trie := newBench(t, IPv4Trie(tbl), core.Options{KeepRecords: true})
+	trie := newBench(t, IPv4Trie(tbl), core.Options{})
 	recsT, err := trie.RunPackets(pkts, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -397,7 +397,7 @@ func TestFlowVerdictLevels(t *testing.T) {
 	// flow), visible as two clusters of instruction counts — the paper's
 	// "around 156 instructions and 212 instructions" observation.
 	pkts, _ := testTrace(t, "COS", 400)
-	b := newBench(t, FlowClassification(flow.DefaultBuckets), core.Options{KeepRecords: true})
+	b := newBench(t, FlowClassification(flow.DefaultBuckets), core.Options{})
 	countsByVerdict := map[uint32][]uint64{}
 	_, err := b.RunPackets(pkts, func(i int, res core.Result) {
 		countsByVerdict[res.Verdict] = append(countsByVerdict[res.Verdict], res.Record.Instructions)
@@ -531,7 +531,7 @@ func TestSlowPathsExecute(t *testing.T) {
 // with low probability (the special-case handlers).
 func TestRareBlocksAppearInBlockStats(t *testing.T) {
 	pkts, tbl := testTrace(t, "MRA", 1500)
-	b := newBench(t, IPv4Radix(tbl), core.Options{KeepRecords: true})
+	b := newBench(t, IPv4Radix(tbl), core.Options{})
 	recs, err := b.RunPackets(pkts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -79,7 +79,8 @@ type Checkpoint struct {
 	// Stats is the aggregate over all committed packets.
 	Stats stats.RunningState `json:"stats"`
 	// ReaderSkipped is how many malformed records the readers had
-	// skipped at checkpoint time, for reporting continuity.
+	// skipped by ReaderPos, for reporting continuity: a resumed run
+	// reports and checkpoints it plus its own reader's count.
 	ReaderSkipped int `json:"reader_skipped,omitempty"`
 }
 
@@ -159,7 +160,8 @@ func NewCheckpointer(path string, every int, agg *stats.Running) *Checkpointer {
 func (c *Checkpointer) SetTraceID(ids []TraceID) { c.ids = ids }
 
 // SetSkippedFunc wires the reader's malformed-record skip counter into
-// checkpoints for reporting continuity.
+// checkpoints for reporting continuity. The pool's producer calls it
+// right after each batch read, on the reader's goroutine.
 func (c *Checkpointer) SetSkippedFunc(f func() int) { c.skipped = f }
 
 // Restore primes the checkpointer and its aggregate from a loaded
@@ -181,23 +183,21 @@ func (c *Checkpointer) Written() int { return c.written }
 
 // maybeWrite commits a checkpoint if at least `every` packets were
 // committed since the last write. next is the first uncommitted index
-// and pos the reader state that resumes exactly there; the aggregator
+// and at the reader state that resumes exactly there; the aggregator
 // calls it only at batch boundaries where the two agree. wrote reports
 // whether a checkpoint was durably committed (false for skipped cadence
 // and for injected torn writes).
-func (c *Checkpointer) maybeWrite(next int, pos []int64) (wrote bool, err error) {
+func (c *Checkpointer) maybeWrite(next int, at resumePoint) (wrote bool, err error) {
 	if next-c.lastIndex < c.every {
 		return false, nil
 	}
 	cp := Checkpoint{
-		Version:   checkpointVersion,
-		Trace:     c.ids,
-		ReaderPos: pos,
-		NextIndex: next,
-		Stats:     c.agg.State(),
-	}
-	if c.skipped != nil {
-		cp.ReaderSkipped = c.skipped()
+		Version:       checkpointVersion,
+		Trace:         c.ids,
+		ReaderPos:     at.pos,
+		NextIndex:     next,
+		Stats:         c.agg.State(),
+		ReaderSkipped: at.skipped,
 	}
 	b, err := json.Marshal(&cp)
 	if err != nil {

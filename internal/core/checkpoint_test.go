@@ -255,6 +255,39 @@ func TestCheckpointTornWriteSurvivable(t *testing.T) {
 	}
 }
 
+// TestCheckpointSkipCountAtReaderPos: the producer reads ahead of the
+// commit, so a checkpoint must record the reader's skip count at its
+// ReaderPos, not the count the reader has reached by commit time.
+func TestCheckpointSkipCountAtReaderPos(t *testing.T) {
+	sr := trace.NewSliceReader(ckptPackets(200))
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	ck := NewCheckpointer(path, 1, &stats.Running{})
+	// A stand-in skip counter: one skipped record per three read.
+	ck.SetSkippedFunc(func() int { return int(sr.PosState()[0]) / 3 })
+	pool, err := NewPool(derefApp(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool.SetBatchSize(2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, err = pool.RunTraceCheckpointed(ctx, sr, 0, func(i int, res Result) {
+		if i == 100 {
+			cancel()
+		}
+	}, ck)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want the cancellation", err)
+	}
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pos := int(cp.ReaderPos[0]); cp.ReaderSkipped != pos/3 || pos >= 200 {
+		t.Errorf("checkpoint at reader position %d records %d skips, want %d", pos, cp.ReaderSkipped, pos/3)
+	}
+}
+
 func TestCheckpointValidateTrace(t *testing.T) {
 	a := FingerprintBytes([]byte("capture one"))
 	b := FingerprintBytes([]byte("capture two"))

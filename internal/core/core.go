@@ -150,11 +150,6 @@ const (
 	// from aggregate statistics — until ErrorBudget faults have been
 	// quarantined, after which the next fault aborts the run.
 	SkipAndRecord
-	// Retry re-runs the faulted packet (MaxAttempts total attempts on
-	// the same core; transient injected faults clear, deterministic ones
-	// do not) and quarantines it like SkipAndRecord when attempts are
-	// exhausted.
-	Retry
 )
 
 // String returns the CLI name of the policy.
@@ -164,8 +159,6 @@ func (p FaultPolicy) String() string {
 		return "fail-fast"
 	case SkipAndRecord:
 		return "skip"
-	case Retry:
-		return "retry"
 	}
 	return fmt.Sprintf("policy?%d", int(p))
 }
@@ -177,10 +170,8 @@ func ParseFaultPolicy(s string) (FaultPolicy, error) {
 		return FailFast, nil
 	case "skip", "skip-and-record":
 		return SkipAndRecord, nil
-	case "retry":
-		return Retry, nil
 	}
-	return FailFast, fmt.Errorf("core: unknown fault policy %q (want fail-fast, skip or retry)", s)
+	return FailFast, fmt.Errorf("core: unknown fault policy %q (want fail-fast or skip)", s)
 }
 
 // ErrorPolicy is a Bench's full fault-handling configuration.
@@ -188,40 +179,9 @@ type ErrorPolicy struct {
 	// Policy selects the reaction to per-packet faults.
 	Policy FaultPolicy
 	// ErrorBudget bounds how many packets one run may quarantine under
-	// SkipAndRecord or Retry; <= 0 means unlimited. Pool runs share a
-	// single budget across all cores.
+	// SkipAndRecord; <= 0 means unlimited. Pool runs share a single
+	// budget across all cores.
 	ErrorBudget int
-	// MaxAttempts is the total number of attempts per packet under
-	// Retry; values below 2 mean 2 (one retry).
-	MaxAttempts int
-	// RetryBackoff is the base pause before the first retry of a packet
-	// under Retry. Each further attempt doubles it (capped at 64x) and
-	// adds deterministic jitter derived from the packet index and attempt
-	// number, so retry storms across packets decorrelate without making
-	// runs irreproducible. Zero keeps the historical immediate retry.
-	RetryBackoff time.Duration
-}
-
-// retryDelay computes the pause before attempt a (a >= 1 retries) of the
-// packet at idx: capped exponential backoff over the policy's base plus
-// jitter in [0, delay/2] from a splitmix64-style hash of (idx, a). The
-// same packet backs off on the same schedule no matter which core it
-// lands on — determinism the chaos tests and resume equivalence rely on.
-func retryDelay(base time.Duration, idx, a int) time.Duration {
-	if base <= 0 || a < 1 {
-		return 0
-	}
-	shift := uint(a - 1)
-	if shift > 6 {
-		shift = 6
-	}
-	d := base << shift
-	h := (uint64(idx) + 1) * 0x9E3779B97F4A7C15
-	h ^= uint64(a) * 0xBF58476D1CE4E5B9
-	h ^= h >> 30
-	h *= 0xBF58476D1CE4E5B9
-	h ^= h >> 27
-	return d + time.Duration(h%uint64(d/2+1))
 }
 
 // ShedPolicy selects what a streaming pool run does when the bounded
@@ -308,8 +268,6 @@ type Options struct {
 	Detail bool
 	// Coverage enables whole-run memory coverage tracking.
 	Coverage bool
-	// KeepRecords retains every packet record on the collector.
-	KeepRecords bool
 	// Errors selects the fault-handling policy (zero value: FailFast).
 	Errors ErrorPolicy
 	// Engine selects the execution engine (zero value: EngineThreaded).
@@ -475,8 +433,8 @@ type Result struct {
 	// Record is the packet's workload profile. For quarantined packets
 	// it is a fault-tagged marker (Record.Faulted()) holding no counts.
 	Record stats.PacketRecord
-	// Fault is the fault that quarantined the packet under a skip or
-	// retry policy; nil for measured packets.
+	// Fault is the fault that quarantined the packet under the skip
+	// policy; nil for measured packets.
 	Fault *vm.Fault
 	// Shed marks a packet dropped unprocessed by the overload shed
 	// policy: Record carries only the Index and Fault is nil. onResult
@@ -580,7 +538,6 @@ func New(app *App, opts Options) (*Bench, error) {
 	col := stats.NewCollector(prog.Text, prog.TextBase, blocks, cpu.Layout)
 	col.Detail = opts.Detail
 	col.Coverage = opts.Coverage
-	col.KeepRecords = opts.KeepRecords
 
 	var tprog *vm.Program
 	switch opts.Engine {
@@ -591,16 +548,12 @@ func New(app *App, opts Options) (*Bench, error) {
 		return nil, fmt.Errorf("core: unknown engine %d", opts.Engine)
 	}
 
-	policy := opts.Errors
-	if policy.Policy == Retry && policy.MaxAttempts < 2 {
-		policy.MaxAttempts = 2
-	}
 	b := &Bench{
 		app: app, prog: prog, mem: mem, cpu: cpu,
 		col: col, blocks: blocks, loader: loader,
 		engine: opts.Engine, tprog: tprog,
 		entry: entry, stepLimit: stepLimit,
-		policy: policy, budget: newErrorBudget(policy.ErrorBudget),
+		policy: opts.Errors, budget: newErrorBudget(opts.Errors.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
 		lane: opts.Trace.Lane(0),
 	}
@@ -639,13 +592,13 @@ func (b *Bench) Processed() int { return b.processed }
 
 // packetBoundaryTracer is implemented by extra tracers that key their
 // behavior on which trace packet is about to execute (fault injectors);
-// the bench notifies them with the packet's run index before each
-// attempt.
+// the bench notifies them with the packet's run index before it
+// executes.
 type packetBoundaryTracer interface{ BeginPacket(index int) }
 
 // ProcessPacket runs the application on one packet under the configured
-// error policy and returns its verdict and workload record. Under a skip
-// or retry policy a faulted packet yields a quarantine Result (Faulted())
+// error policy and returns its verdict and workload record. Under the
+// skip policy a faulted packet yields a quarantine Result (Faulted())
 // and a nil error; FailFast — the default — returns the fault as an
 // error, as it always has.
 func (b *Bench) ProcessPacket(p *trace.Packet) (Result, error) {
@@ -660,36 +613,21 @@ func (b *Bench) ProcessPacketAt(idx int, p *trace.Packet) (Result, error) {
 	return b.processUnderPolicy(idx, p, b.budget)
 }
 
-// processUnderPolicy applies the bench's error policy around packet
-// attempts, drawing quarantine slots from bud.
+// processUnderPolicy runs the packet once under the bench's error
+// policy: FailFast returns any error, SkipAndRecord quarantines a
+// faulted packet, drawing its slot from bud.
 func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget) (Result, error) {
-	attempts := 1
-	if b.policy.Policy == Retry {
-		attempts = b.policy.MaxAttempts
+	res, fault, err := b.processOnce(idx, p)
+	if err == nil {
+		b.lane.EndPacket(int64(idx), res.Verdict, 0, res.Record.Blocks)
+		return res, nil
 	}
-	var fault *vm.Fault
-	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if d := retryDelay(b.policy.RetryBackoff, idx, a); d > 0 {
-				time.Sleep(d)
-				b.lane.RetryWait(int64(idx), a, int64(d))
-			}
-		}
-		var res Result
-		res, fault, err = b.processOnce(idx, p, a)
-		if err == nil {
-			b.lane.EndPacket(int64(idx), res.Verdict, 0, res.Record.Blocks)
-			return res, nil
-		}
-		if fault == nil || b.policy.Policy == FailFast {
-			// FailFast runs and non-fault errors abort immediately. The
-			// open journey stays in the flight recorder, where the
-			// post-mortem dump picks it up.
-			return Result{}, err
-		}
+	if fault == nil || b.policy.Policy == FailFast {
+		// FailFast runs and non-fault errors abort immediately. The
+		// open journey stays in the flight recorder, where the
+		// post-mortem dump picks it up.
+		return Result{}, err
 	}
-	// SkipAndRecord, or Retry with its attempts exhausted: quarantine.
 	if !bud.take() {
 		return Result{}, fmt.Errorf("core: error budget of %d exhausted: %w", b.policy.ErrorBudget, err)
 	}
@@ -699,13 +637,12 @@ func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget) (
 	return Result{Record: b.col.AbortPacket(fault.Kind), Fault: fault}, nil
 }
 
-// processOnce runs one attempt: placement, dispatch, guarded execution.
-// On failure the *vm.Fault behind the error is returned alongside it
-// (nil for errors no policy may absorb).
-func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.Fault, error) {
+// processOnce places, dispatches and executes one packet under the
+// panic barrier. On failure the *vm.Fault behind the error is returned
+// alongside it (nil for errors no policy may absorb).
+func (b *Bench) processOnce(idx int, p *trace.Packet) (Result, *vm.Fault, error) {
 	var start time.Time
 	if b.metrics != nil {
-		b.metrics.attempts.Inc()
 		start = time.Now()
 	}
 	n := len(p.Data)
@@ -714,7 +651,7 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 		return Result{}, f, fmt.Errorf("core: %s: packet %d: packet of %d bytes exceeds buffer: %w",
 			b.app.Name, idx, n, f)
 	}
-	t0 := b.lane.ExecBegin(int64(idx), attempt)
+	t0 := b.lane.ExecBegin(int64(idx))
 	// Place the packet. WriteBytes overwrites [0, n), so only the tail
 	// [n, dirtyLen) can still hold stale bytes from a longer previous
 	// packet (or from stores the previous run issued past its own
@@ -759,13 +696,13 @@ func (b *Bench) processOnce(idx int, p *trace.Packet, attempt int) (Result, *vm.
 		if f != nil {
 			fk = uint8(f.Kind) + 1
 		}
-		b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.body), 0, 0, fk)
+		b.lane.ExecEnd(t0, int64(idx), uint8(b.body), 0, 0, fk)
 		return Result{}, f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
 	}
 	rec := b.col.EndPacket()
 	b.processed++
 	verdict := b.cpu.Reg(isa.A0)
-	b.lane.ExecEnd(t0, int64(idx), attempt, uint8(b.body), rec.Instructions, verdict, 0)
+	b.lane.ExecEnd(t0, int64(idx), uint8(b.body), rec.Instructions, verdict, 0)
 	if b.metrics != nil {
 		d := uint64(time.Since(start))
 		if b.lane != nil {

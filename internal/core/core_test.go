@@ -354,7 +354,7 @@ func TestLoaderAlloc(t *testing.T) {
 }
 
 func TestRunPackets(t *testing.T) {
-	b, err := New(echoApp(0), Options{KeepRecords: true})
+	b, err := New(echoApp(0), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,8 +374,8 @@ func TestRunPackets(t *testing.T) {
 			t.Errorf("verdict %d = %d, want %d", i, verdicts[i], want)
 		}
 	}
-	if len(b.Collector().Records) != 3 {
-		t.Errorf("collector kept %d records", len(b.Collector().Records))
+	if n := b.Collector().Packets(); n != 3 {
+		t.Errorf("collector counted %d packets", n)
 	}
 	s := stats.Summarize(recs)
 	if s.Packets != 3 {

@@ -153,58 +153,6 @@ func TestSkipPolicyErrorBudget(t *testing.T) {
 	}
 }
 
-func TestRetryPolicyClearsTransientFault(t *testing.T) {
-	// The injected fault fires on the first execution of packet 1 only
-	// (Times: 1), so one retry clears it.
-	plan, err := faultinject.ParsePlan("vmfault@1:2:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(3, plan)
-	b, err := New(derefApp(), Options{Errors: ErrorPolicy{Policy: Retry, MaxAttempts: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.AddTracer(inj.Tracer())
-	recs, err := b.RunPackets(derefPackets(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range recs {
-		if r.Faulted() {
-			t.Errorf("packet %d quarantined despite a clean retry: %+v", i, r)
-		}
-	}
-	if len(recs) != 4 {
-		t.Fatalf("got %d records", len(recs))
-	}
-}
-
-func TestRetryPolicyQuarantinesPersistentFault(t *testing.T) {
-	// No Times bound: the fault fires on every attempt, so retries
-	// exhaust and the packet is quarantined.
-	plan, err := faultinject.ParsePlan("vmfault@1:2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := faultinject.New(3, plan)
-	b, err := New(derefApp(), Options{Errors: ErrorPolicy{Policy: Retry, MaxAttempts: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.AddTracer(inj.Tracer())
-	recs, err := b.RunPackets(derefPackets(4), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !recs[1].Faulted() || recs[1].Fault != vm.FaultBadInstr {
-		t.Errorf("packet 1 = %+v, want FaultBadInstr quarantine", recs[1])
-	}
-	if recs[0].Faulted() || recs[2].Faulted() || recs[3].Faulted() {
-		t.Error("retry quarantined the wrong packets")
-	}
-}
-
 // panicTracer blows up with a non-Fault value partway through a chosen
 // packet, standing in for an instrumentation bug.
 type panicTracer struct {
@@ -296,7 +244,6 @@ func TestParseFaultPolicy(t *testing.T) {
 	for in, want := range map[string]FaultPolicy{
 		"fail-fast": FailFast, "failfast": FailFast,
 		"skip": SkipAndRecord, "skip-and-record": SkipAndRecord,
-		"retry": Retry,
 	} {
 		got, err := ParseFaultPolicy(in)
 		if err != nil || got != want {

@@ -12,9 +12,8 @@ import (
 // the hot path. A nil *runMetrics (telemetry disabled) costs one nil
 // check per packet.
 type runMetrics struct {
-	packets  *telemetry.Counter
-	attempts *telemetry.Counter
-	instrs   *telemetry.Counter
+	packets *telemetry.Counter
+	instrs  *telemetry.Counter
 
 	pktReads, pktWrites       *telemetry.Counter
 	nonPktReads, nonPktWrites *telemetry.Counter
@@ -34,7 +33,6 @@ func newRunMetrics(reg *telemetry.Registry) *runMetrics {
 	}
 	m := &runMetrics{
 		packets:      reg.Counter(telemetry.MetricPacketsProcessed, "Packets measured to completion."),
-		attempts:     reg.Counter(telemetry.MetricPacketAttempts, "Packet processing attempts, including retries."),
 		instrs:       reg.Counter(telemetry.MetricInstrsExecuted, "Simulated guest instructions of measured packets."),
 		pktReads:     reg.Counter(telemetry.MetricMemRefs, "Guest data-memory references by region and op.", telemetry.L("region", "packet"), telemetry.L("op", "read")),
 		pktWrites:    reg.Counter(telemetry.MetricMemRefs, "", telemetry.L("region", "packet"), telemetry.L("op", "write")),

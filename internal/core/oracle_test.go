@@ -126,7 +126,6 @@ type outcome struct {
 	Pages    int    // allocated memory pages
 	Events   []event
 	Packets  []packetOutcome
-	Records  []stats.PacketRecord
 	Coverage [3]int // instruction, data and packet footprints
 	PCCounts []uint64
 	Profile  profile
@@ -356,7 +355,7 @@ func checkInjected(t *testing.T, c cell, pkts []packetOutcome) {
 // observedCollector turns on every collector output the matrix reads:
 // all of them, except Detail in the accounting column.
 func observedCollector(col *stats.Collector, obs observer) *stats.Collector {
-	col.Detail, col.Coverage, col.CountPCs, col.KeepRecords = obs != obsAccounting, true, true, true
+	col.Detail, col.Coverage, col.CountPCs = obs != obsAccounting, true, true
 	return col
 }
 
@@ -375,7 +374,6 @@ func traces(col *stats.Collector, po *packetOutcome) {
 
 // collect copies the collector's whole-run state into o.
 func (o *outcome) collect(col *stats.Collector) {
-	o.Records = append([]stats.PacketRecord(nil), col.Records...)
 	o.Coverage = [3]int{col.InstrMemSize(), col.DataMemSize(), col.PacketMemSize()}
 	o.PCCounts = append([]uint64(nil), col.PCCounts...)
 }

@@ -212,10 +212,10 @@ func (p *Pool) RunPacketsContext(ctx context.Context, pkts []*trace.Packet, onRe
 type poolJob struct {
 	base int
 	pkts []*trace.Packet
-	// pos is the reader's Seeker state captured right after this batch
-	// was read — the resume point of a checkpoint committing at
-	// base+len(pkts). nil when the run is not checkpointing.
-	pos []int64
+	// at is the resume point of a checkpoint committing at
+	// base+len(pkts), captured right after this batch was read. Its pos
+	// is nil when the run is not checkpointing.
+	at resumePoint
 	// readNS and enq carry the batch's journey-tracing context when a
 	// tracer is armed: how long the producer's read took and when the
 	// batch entered the job queue (tracer-epoch ns). Zero when tracing
@@ -234,7 +234,16 @@ type poolResult struct {
 	n    int // intended batch size (len of the job's pkts)
 	res  []Result
 	shed int
-	pos  []int64
+	at   resumePoint
+}
+
+// resumePoint is the reader's state right after a batch was read: its
+// Seeker position and how many malformed records it had skipped by
+// then. The producer reads ahead of the commit, so both are captured
+// with the batch rather than read from the reader at commit time.
+type resumePoint struct {
+	pos     []int64
+	skipped int
 }
 
 // runBoundTracer is implemented by extra tracers that want the run's
@@ -242,12 +251,6 @@ type poolResult struct {
 // it, so cancellation unwedges the stuck worker). The pool broadcasts
 // the context to every core's tracers before the first packet executes.
 type runBoundTracer interface{ BeginRun(ctx context.Context) }
-
-// maxConsecutiveReadFaults bounds how many times the producer retries a
-// malformed read with no packet progress in between, so an unlimited
-// error budget cannot spin forever on a reader that fails without ever
-// advancing.
-const maxConsecutiveReadFaults = 100
 
 // RunTrace streams packets from the reader through the pool (up to limit
 // packets; limit <= 0 means all) without ever materializing the trace in
@@ -332,8 +335,6 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 		// committed before the crash still count against it.
 		bud.preload(int64(ck.agg.Faulted() + ck.agg.Shed()))
 	}
-	policy := p.benches[0].policy.Policy
-
 	var fail firstFailure
 
 	// Producer state. readErr is published before jobs is closed and
@@ -362,7 +363,7 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 		p.shedPkts.Add(uint64(len(j.pkts)))
 		p.trace.Producer().Shed(int64(j.base), len(j.pkts))
 		select {
-		case results <- poolResult{base: j.base, n: len(j.pkts), shed: len(j.pkts), pos: j.pos}:
+		case results <- poolResult{base: j.base, n: len(j.pkts), shed: len(j.pkts), at: j.at}:
 			return true
 		case <-ctx.Done():
 			return false
@@ -424,7 +425,6 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 				prod.Read(curBase, n, startNS, durNS)
 			})
 		}
-		readFaults := 0
 		for base := start; limit <= 0 || base < limit; {
 			if stop.Load() {
 				return
@@ -437,13 +437,15 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 			curBase = int64(base)
 			n, err := trace.ReadBatch(rd, dst)
 			if n > 0 {
-				readFaults = 0
 				j := poolJob{base: base, pkts: dst[:n]}
 				if p.trace != nil {
 					j.readNS, j.enq = lastReadNS, p.trace.Now()
 				}
 				if seek != nil {
-					j.pos = seek.PosState()
+					j.at.pos = seek.PosState()
+					if ck.skipped != nil {
+						j.at.skipped = ck.skipped()
+					}
 				}
 				if !offerJob(j) {
 					return
@@ -454,22 +456,10 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 				return
 			}
 			if err != nil {
-				// A malformed (or injected transient) record error is
-				// survivable under a skip or retry policy: it costs one
-				// error-budget slot, like a quarantined packet, and the
-				// read is retried. The consecutive-fault cap keeps an
-				// unlimited budget from spinning on a reader that fails
-				// without ever advancing; anything else is an I/O failure
-				// no policy may absorb.
-				if policy != FailFast && errors.Is(err, trace.ErrMalformedRecord) {
-					readFaults++
-					if readFaults <= maxConsecutiveReadFaults && bud.take() {
-						continue
-					}
-					abortRun(fmt.Errorf("core: error budget of %d exhausted reading trace: %w",
-						p.benches[0].policy.ErrorBudget, err))
-					return
-				}
+				// Any read error ends the run, as trace.ReadAll does on
+				// one core: a reader told to skip malformed records
+				// (SetSkipMalformed) has already skipped what its
+				// budget allows.
 				readErr = err
 				return
 			}
@@ -516,7 +506,7 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 				if b.lane != nil && j.enq != 0 {
 					b.lane.BatchStart(int64(j.base), len(j.pkts), j.readNS, p.trace.Now()-j.enq)
 				}
-				out := poolResult{base: j.base, n: len(j.pkts), pos: j.pos, res: make([]Result, 0, len(j.pkts))}
+				out := poolResult{base: j.base, n: len(j.pkts), at: j.at, res: make([]Result, 0, len(j.pkts))}
 				for k, pkt := range j.pkts {
 					if stop.Load() {
 						break
@@ -578,9 +568,9 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 	track := onResult != nil || ck != nil
 	pending := make(map[int]Result)
 	var shedAt map[int]int
-	var posAt map[int][]int64
+	var posAt map[int]resumePoint
 	if ck != nil {
-		posAt = make(map[int][]int64)
+		posAt = make(map[int]resumePoint)
 	}
 	var ckErr error
 aggregate:
@@ -598,10 +588,10 @@ aggregate:
 			break aggregate
 		}
 		processed += len(pr.res)
-		if posAt != nil && pr.pos != nil && (pr.shed > 0 || len(pr.res) == pr.n) {
+		if posAt != nil && pr.at.pos != nil && (pr.shed > 0 || len(pr.res) == pr.n) {
 			// Only a complete batch's end is a valid resume point; a
 			// partial batch (fault, stop) never registers one.
-			posAt[pr.base+pr.n] = pr.pos
+			posAt[pr.base+pr.n] = pr.at
 		}
 		if !track {
 			continue
@@ -633,10 +623,10 @@ aggregate:
 				break
 			}
 			if posAt != nil && ckErr == nil {
-				if pos, ok := posAt[next]; ok {
+				if at, ok := posAt[next]; ok {
 					delete(posAt, next)
 					ckStart := p.trace.Now()
-					wrote, err := ck.maybeWrite(next, pos)
+					wrote, err := ck.maybeWrite(next, at)
 					if err != nil {
 						ckErr = err
 						fail.report(next, err)

@@ -64,9 +64,6 @@ func TestBenchTelemetryCounters(t *testing.T) {
 	if got := s.CounterTotal(telemetry.MetricPacketsProcessed); got != 10 {
 		t.Errorf("packets_processed_total = %d, want 10", got)
 	}
-	if got := s.CounterTotal(telemetry.MetricPacketAttempts); got != 10 {
-		t.Errorf("packet_attempts_total = %d, want 10", got)
-	}
 	var wantInstr, wantPktReads uint64
 	for i := range records {
 		wantInstr += records[i].Instructions
@@ -117,28 +114,6 @@ func TestBenchTelemetryFaultKinds(t *testing.T) {
 	if !found {
 		t.Errorf("no packets_faulted_total{kind=%q} = 5 series; have %v",
 			vm.FaultUnmapped.String(), s.Counters)
-	}
-}
-
-func TestBenchTelemetryRetryAttempts(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	b, err := New(&App{Name: "tmr", Source: telemetryFaultySrc, Entry: "main"},
-		Options{Metrics: reg, NoVerify: true,
-			Errors: ErrorPolicy{Policy: Retry, MaxAttempts: 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One deterministic faulter: 3 attempts, then quarantine.
-	pkts := telemetryPackets(2) // packet 1 has an odd first byte
-	if _, err := b.RunPackets(pkts, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	if got := s.CounterTotal(telemetry.MetricPacketAttempts); got != 4 {
-		t.Errorf("attempts = %d, want 4 (1 ok + 3 retries)", got)
-	}
-	if got := s.CounterTotal(telemetry.MetricPacketsFaulted); got != 1 {
-		t.Errorf("faulted = %d, want 1", got)
 	}
 }
 

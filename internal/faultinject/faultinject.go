@@ -9,9 +9,8 @@
 // ordinal). Three attachment points cover the three fault surfaces:
 //
 //   - Injector.Reader wraps a trace.Reader and mutates packets as they
-//     are read: flipping header bytes, truncating the captured data,
-//     clamping the capture length, or returning transient read errors
-//     before a chosen packet.
+//     are read: flipping header bytes, truncating the captured data or
+//     clamping the capture length.
 //   - Injector.Tracer returns a vm.Tracer that, armed at a packet
 //     boundary, fires mid-execution: a *vm.Fault panic, a plain host
 //     panic (simulating a worker bug), or an injected latency spike or
@@ -31,7 +30,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/isa"
@@ -67,10 +65,6 @@ const (
 	// (effectively forever when Arg is negative) or until the run is
 	// cancelled — the wedged worker the progress watchdog exists for.
 	Stall
-	// ReadErr makes the wrapping reader return a transient malformed-
-	// record error before the packet is read. Times bounds how many
-	// attempts fail (default one), after which the read succeeds.
-	ReadErr
 	// CkptTear makes checkpoint write ordinal Index crash mid-write,
 	// leaving a torn temp file and the previous checkpoint intact. It
 	// attaches via CheckpointTearFunc, not the reader or tracer.
@@ -94,8 +88,6 @@ func (k Kind) String() string {
 		return "delay"
 	case Stall:
 		return "stall"
-	case ReadErr:
-		return "readerr"
 	case CkptTear:
 		return "tearckpt"
 	}
@@ -116,11 +108,6 @@ type Injection struct {
 	// Negative means "choose from the seed" (for Stall: block until
 	// cancelled).
 	Arg int
-	// Times bounds how many executions of the packet the injection
-	// fires on; <= 0 means every one. With Times: 1 a VMFault gives a
-	// retry policy a clean second attempt, and a ReadErr is a single
-	// transient glitch.
-	Times int
 }
 
 // resolved is an Injection with its seeded randomness drawn.
@@ -128,19 +115,11 @@ type resolved struct {
 	Injection
 	salt uint64 // drives any length-dependent choices at apply time
 	mask byte   // FlipByte XOR mask
-
-	fired atomic.Int32 // executions the injection has fired on so far
-}
-
-// take reports whether the injection should fire on one more execution,
-// atomically consuming a slot of its Times bound.
-func (r *resolved) take() bool {
-	return r.Times <= 0 || r.fired.Add(1) <= int32(r.Times)
 }
 
 // Injector applies a plan. It is safe for concurrent use: the packet
 // mutations run inside the (sequential) trace reader, and the tracers
-// only share atomic fire counters.
+// only read the plan.
 type Injector struct {
 	seed    int64
 	byIndex map[int][]*resolved
@@ -176,7 +155,7 @@ func (inj *Injector) Plan() []Injection {
 }
 
 // Reader wraps r so that planned packet-surface injections (FlipByte,
-// Truncate, ClampLen, ReadErr) are applied as packets are read. Packet
+// Truncate, ClampLen) are applied as packets are read. Packet
 // data is copied before mutation; the underlying reader's packets are
 // never modified.
 func (inj *Injector) Reader(r trace.Reader) trace.Reader {
@@ -196,21 +175,9 @@ type injectReader struct {
 	next int
 }
 
-// Next implements trace.Reader. Planned ReadErr entries fire before the
-// underlying read, so they are transient: the underlying reader does not
-// advance, and once the entry's Times bound is spent the same packet
-// reads cleanly.
+// Next implements trace.Reader.
 func (ir *injectReader) Next() (*trace.Packet, error) {
 	idx := ir.next
-	for _, res := range ir.inj.byIndex[idx] {
-		if res.Kind != ReadErr {
-			continue
-		}
-		if !res.take() {
-			continue
-		}
-		return nil, fmt.Errorf("faultinject: injected reader error at packet %d: %w", idx, trace.ErrMalformedRecord)
-	}
 	p, err := ir.r.Next()
 	if err != nil {
 		return p, err
@@ -285,11 +252,32 @@ func (r *resolved) applyPacket(p *trace.Packet) *trace.Packet {
 // plan holds an execution-surface fault for that index, the tracer fires
 // once the armed instruction count elapses: VMFault panics with a
 // *vm.Fault, WorkerPanic panics with a plain string, Delay and Stall
-// sleep inside the instruction stream. Create one Tracer per core; they
-// share the plan's fire counters, so a Times bound holds across the
-// whole run.
+// sleep inside the instruction stream. Create one Tracer per core. The
+// tracer observes every instruction, so attaching it sends a threaded
+// bench to the interpreter: attach it only when HasExecFaults.
 func (inj *Injector) Tracer() *Tracer {
 	return &Tracer{inj: inj}
+}
+
+// HasExecFaults reports whether the plan holds an execution-surface
+// kind (VMFault, WorkerPanic, Delay, Stall), the only kinds Tracer
+// fires.
+func (inj *Injector) HasExecFaults() bool {
+	for _, in := range inj.plan {
+		if in.Kind.executes() {
+			return true
+		}
+	}
+	return false
+}
+
+// executes reports whether k fires inside a packet's execution.
+func (k Kind) executes() bool {
+	switch k {
+	case VMFault, WorkerPanic, Delay, Stall:
+		return true
+	}
+	return false
 }
 
 // armedFault is one execution-surface injection armed for the packet in
@@ -319,12 +307,7 @@ func (t *Tracer) BeginRun(ctx context.Context) { t.ctx = ctx }
 func (t *Tracer) BeginPacket(index int) {
 	t.armed = t.armed[:0]
 	for _, res := range t.inj.byIndex[index] {
-		switch res.Kind {
-		case VMFault, WorkerPanic, Delay, Stall:
-		default:
-			continue
-		}
-		if !res.take() {
+		if !res.Kind.executes() {
 			continue
 		}
 		countdown := res.Arg
@@ -406,13 +389,9 @@ func (inj *Injector) CheckpointTearFunc() func(ordinal int) bool {
 	}
 	return func(ordinal int) bool {
 		for _, res := range inj.byIndex[ordinal] {
-			if res.Kind != CkptTear {
-				continue
+			if res.Kind == CkptTear {
+				return true
 			}
-			if !res.take() {
-				continue
-			}
-			return true
 		}
 		return false
 	}
@@ -421,17 +400,13 @@ func (inj *Injector) CheckpointTearFunc() func(ordinal int) bool {
 // ParsePlan parses the CLI injection spec: a comma-separated list of
 // kind@index entries with optional arguments, e.g.
 //
-//	flip@3,trunc@7:20,vmfault@11,panic@19,delay@23:5,stall@31,readerr@40,tearckpt@1
+//	flip@3,trunc@7:20,vmfault@11,panic@19,delay@23:5,stall@31,tearckpt@1
 //
 // Packet-surface kinds are flip, trunc and clamp; the argument after ':'
 // is the byte offset or new length (omit it to let the seed choose).
 // Execution-surface kinds are vmfault and panic (argument: instruction
 // count before firing) and delay and stall (argument: milliseconds to
-// sleep); vmfault, panic, delay and stall take an optional second
-// argument bounding how many executions they fire on: vmfault@11:20:1
-// faults the first attempt only, so a retry succeeds. readerr@i[:times]
-// fails `times` reads of packet i (default one) with a transient
-// malformed-record error. tearckpt@n tears checkpoint write ordinal n.
+// sleep). tearckpt@n tears checkpoint write ordinal n.
 func ParsePlan(spec string) ([]Injection, error) {
 	var plan []Injection
 	for _, ent := range strings.Split(spec, ",") {
@@ -459,18 +434,13 @@ func ParsePlan(spec string) ([]Injection, error) {
 			kind = Delay
 		case "stall":
 			kind = Stall
-		case "readerr":
-			kind = ReadErr
 		case "tearckpt":
 			kind = CkptTear
 		default:
-			return nil, fmt.Errorf("faultinject: entry %q: unknown kind %q (want flip, trunc, clamp, vmfault, panic, delay, stall, readerr or tearckpt)", ent, kindStr)
+			return nil, fmt.Errorf("faultinject: entry %q: unknown kind %q (want flip, trunc, clamp, vmfault, panic, delay, stall or tearckpt)", ent, kindStr)
 		}
 		maxParts := 2
-		switch kind {
-		case VMFault, WorkerPanic, Delay, Stall:
-			maxParts = 3
-		case CkptTear:
+		if kind == CkptTear {
 			maxParts = 1
 		}
 		parts := strings.Split(rest, ":")
@@ -486,21 +456,6 @@ func ParsePlan(spec string) ([]Injection, error) {
 			if in.Arg, err = strconv.Atoi(parts[1]); err != nil || in.Arg < 0 {
 				return nil, fmt.Errorf("faultinject: entry %q: bad argument %q", ent, parts[1])
 			}
-		}
-		if len(parts) > 2 && parts[2] != "" {
-			if in.Times, err = strconv.Atoi(parts[2]); err != nil || in.Times < 0 {
-				return nil, fmt.Errorf("faultinject: entry %q: bad fire count %q", ent, parts[2])
-			}
-		}
-		if kind == ReadErr {
-			// The argument is the failure count, not an Arg: a readerr
-			// entry must stop firing eventually or the packet could
-			// never be read.
-			in.Times = 1
-			if in.Arg >= 0 {
-				in.Times = in.Arg
-			}
-			in.Arg = -1
 		}
 		plan = append(plan, in)
 	}

@@ -29,14 +29,14 @@ func readAll(t *testing.T, r trace.Reader) []*trace.Packet {
 }
 
 func TestParsePlan(t *testing.T) {
-	plan, err := ParsePlan("flip@3,trunc@7:20, vmfault@11:5:1 ,clamp@2")
+	plan, err := ParsePlan("flip@3,trunc@7:20, vmfault@11:5 ,clamp@2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []Injection{
 		{Index: 3, Kind: FlipByte, Arg: -1},
 		{Index: 7, Kind: Truncate, Arg: 20},
-		{Index: 11, Kind: VMFault, Arg: 5, Times: 1},
+		{Index: 11, Kind: VMFault, Arg: 5},
 		{Index: 2, Kind: ClampLen, Arg: -1},
 	}
 	if len(plan) != len(want) {
@@ -47,7 +47,7 @@ func TestParsePlan(t *testing.T) {
 			t.Errorf("injection %d = %+v, want %+v", i, plan[i], want[i])
 		}
 	}
-	for _, bad := range []string{"", "flip", "zap@1", "flip@-1", "flip@x", "flip@1:2:3", "vmfault@1:2:3:4"} {
+	for _, bad := range []string{"", "flip", "zap@1", "flip@-1", "flip@x", "flip@1:2:3", "vmfault@1:2:3"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
@@ -103,7 +103,7 @@ func TestSeededChoicesAreDeterministic(t *testing.T) {
 }
 
 func TestTracerForcesFault(t *testing.T) {
-	inj := New(1, []Injection{{Index: 5, Kind: VMFault, Arg: 2, Times: 1}})
+	inj := New(1, []Injection{{Index: 5, Kind: VMFault, Arg: 2}})
 	tr := inj.Tracer()
 
 	step := func() (err error) {
@@ -124,43 +124,44 @@ func TestTracerForcesFault(t *testing.T) {
 		}
 	}
 
-	// Packet 5, first attempt: fault after 2 instructions.
-	tr.BeginPacket(5)
-	if err := step(); err != nil {
-		t.Fatal("fired too early (instruction 1)")
-	}
-	if err := step(); err != nil {
-		t.Fatal("fired too early (instruction 2)")
-	}
-	err := step()
-	if err == nil {
-		t.Fatal("armed tracer never fired")
-	}
-	if !errors.Is(err, vm.FaultBadInstr) {
-		t.Errorf("fault kind = %v, want FaultBadInstr", err)
-	}
-
-	// Second attempt: Times: 1 exhausted, a retry runs clean.
-	tr.BeginPacket(5)
-	for i := 0; i < 10; i++ {
+	// Packet 5: fault after 2 instructions, on every execution — the
+	// plan is deterministic, so a second run meets the same fault.
+	for run := 0; run < 2; run++ {
+		tr.BeginPacket(5)
 		if err := step(); err != nil {
-			t.Fatalf("Times bound ignored; attempt 2 faulted: %v", err)
+			t.Fatal("fired too early (instruction 1)")
+		}
+		if err := step(); err != nil {
+			t.Fatal("fired too early (instruction 2)")
+		}
+		err := step()
+		if err == nil {
+			t.Fatalf("run %d: armed tracer never fired", run)
+		}
+		if !errors.Is(err, vm.FaultBadInstr) {
+			t.Errorf("fault kind = %v, want FaultBadInstr", err)
 		}
 	}
 }
 
-// TestTracersShareFireCounters pins the cross-core contract: two tracers
-// from one injector count executions jointly, so a Times bound holds for
-// the run, not per core.
-func TestTracersShareFireCounters(t *testing.T) {
-	inj := New(1, []Injection{{Index: 0, Kind: VMFault, Arg: 0, Times: 1}})
-	t1, t2 := inj.Tracer(), inj.Tracer()
-	t1.BeginPacket(0)
-	if t1.armed == nil {
-		t.Fatal("first tracer not armed")
+// TestHasExecFaults: only execution-surface kinds need the
+// per-instruction tracer.
+func TestHasExecFaults(t *testing.T) {
+	if New(1, mustParse(t, "flip@3,trunc@7:20,clamp@2,tearckpt@1")).HasExecFaults() {
+		t.Error("packet-surface plan reports execution faults")
 	}
-	t2.BeginPacket(0)
-	if t2.armed != nil {
-		t.Fatal("second tracer armed after the fire budget was spent")
+	for _, spec := range []string{"vmfault@1", "panic@1", "delay@1:2", "stall@1"} {
+		if !New(1, mustParse(t, "flip@3,"+spec)).HasExecFaults() {
+			t.Errorf("%s: execution fault not reported", spec)
+		}
 	}
+}
+
+func mustParse(t *testing.T, spec string) []Injection {
+	t.Helper()
+	plan, err := ParsePlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
 }

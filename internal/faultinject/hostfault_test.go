@@ -1,7 +1,6 @@
 package faultinject
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -20,7 +19,7 @@ func hostTestPackets(n int) []*trace.Packet {
 // TestParsePlanHostKinds round-trips the host-fault spec grammar added
 // for the chaos harness.
 func TestParsePlanHostKinds(t *testing.T) {
-	plan, err := ParsePlan("panic@3,delay@5:40,stall@7,readerr@9:2,tearckpt@1,vmfault@2:8:1")
+	plan, err := ParsePlan("panic@3,delay@5:40,stall@7,tearckpt@1,vmfault@2:8")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,63 +36,19 @@ func TestParsePlanHostKinds(t *testing.T) {
 	if in := byKind[Stall]; in.Index != 7 || in.Arg != -1 {
 		t.Errorf("stall parsed as %+v, want index 7 unbounded", in)
 	}
-	// readerr's single argument counts occurrences, not a mutation arg.
-	if in := byKind[ReadErr]; in.Index != 9 || in.Times != 2 || in.Arg != -1 {
-		t.Errorf("readerr parsed as %+v, want index 9 times 2", in)
-	}
 	if in := byKind[CkptTear]; in.Index != 1 {
 		t.Errorf("tearckpt parsed as %+v", in)
 	}
 
-	if _, err := ParsePlan("readerr@4"); err != nil {
-		t.Errorf("bare readerr rejected: %v", err)
-	}
-	for _, bad := range []string{"tearckpt@1:2", "panic@1:2:3:4", "stall@"} {
+	for _, bad := range []string{"tearckpt@1:2", "panic@1:2:3", "vmfault@2:8:1", "stall@"} {
 		if _, err := ParsePlan(bad); err == nil {
 			t.Errorf("ParsePlan(%q) accepted", bad)
 		}
 	}
-	for _, k := range []Kind{WorkerPanic, Delay, Stall, ReadErr, CkptTear} {
+	for _, k := range []Kind{WorkerPanic, Delay, Stall, CkptTear} {
 		if strings.Contains(k.String(), "kind(") {
 			t.Errorf("kind %d has no name", k)
 		}
-	}
-}
-
-// TestReadErrIsTransient: an injected reader error surfaces as a
-// malformed-record error without consuming the underlying packet, so a
-// retrying consumer sees the full stream.
-func TestReadErrIsTransient(t *testing.T) {
-	pkts := hostTestPackets(6)
-	inj := New(1, []Injection{{Index: 2, Kind: ReadErr, Times: 2, Arg: -1}})
-	r := inj.Reader(trace.NewSliceReader(pkts))
-
-	var got []*trace.Packet
-	fails := 0
-	for len(got) < len(pkts) {
-		p, err := r.Next()
-		if err != nil {
-			if !errors.Is(err, trace.ErrMalformedRecord) {
-				t.Fatalf("injected reader error is not malformed-record: %v", err)
-			}
-			fails++
-			if fails > 10 {
-				t.Fatal("reader error never cleared")
-			}
-			continue
-		}
-		got = append(got, p)
-	}
-	if fails != 2 {
-		t.Errorf("observed %d injected failures, want 2", fails)
-	}
-	for i, p := range got {
-		if p.Sec != uint32(i) {
-			t.Fatalf("packet %d has Sec %d: the transient error consumed a packet", i, p.Sec)
-		}
-	}
-	if _, err := r.Next(); err == nil {
-		t.Error("reader yielded more packets than the source")
 	}
 }
 
@@ -103,27 +58,21 @@ func TestReadErrIsTransient(t *testing.T) {
 func TestReaderFromKeepsAbsoluteIndexes(t *testing.T) {
 	pkts := hostTestPackets(10)
 	inj := New(1, []Injection{
-		{Index: 2, Kind: FlipByte, Arg: -1}, // before the resume point: must not fire
-		{Index: 7, Kind: ReadErr, Times: 1, Arg: -1},
+		{Index: 2, Kind: FlipByte, Arg: 2}, // before the resume point: must not fire
+		{Index: 7, Kind: FlipByte, Arg: 2},
 	})
 	r := inj.ReaderFrom(trace.NewSliceReader(pkts[4:]), 4)
-	n, fails := 4, 0
-	for n < len(pkts) {
+	for n := 4; n < len(pkts); n++ {
 		p, err := r.Next()
 		if err != nil {
-			fails++
-			if n != 7 {
-				t.Fatalf("reader error at index %d, want 7", n)
-			}
-			continue
+			t.Fatalf("index %d: %v", n, err)
 		}
 		if p.Sec != uint32(n) {
 			t.Fatalf("index %d yielded Sec %d", n, p.Sec)
 		}
-		n++
-	}
-	if fails != 1 {
-		t.Errorf("readerr fired %d times, want once at the absolute index", fails)
+		if flipped := p.Data[2] != byte(n); flipped != (n == 7) {
+			t.Errorf("index %d: flipped = %v, want a flip at absolute index 7 only", n, flipped)
+		}
 	}
 	if st := r.(trace.Seeker).PosState(); st == nil {
 		t.Error("wrapper hides the underlying reader's seek state")
@@ -134,7 +83,7 @@ func TestReaderFromKeepsAbsoluteIndexes(t *testing.T) {
 }
 
 // TestCheckpointTearFunc: nil without tearckpt entries; otherwise fires
-// at the planned write ordinal, bounded by Times.
+// at the planned write ordinal only.
 func TestCheckpointTearFunc(t *testing.T) {
 	if fn := New(1, []Injection{{Index: 0, Kind: WorkerPanic}}).CheckpointTearFunc(); fn != nil {
 		t.Error("CheckpointTearFunc non-nil without tearckpt entries")

@@ -182,11 +182,11 @@ func TestSpanPairingUnclosedReturn(t *testing.T) {
 	ds := check(t, `package core
 
 func (b *Bench) processOnce(idx int) error {
-	t0 := b.lane.ExecBegin(int64(idx), 0)
+	t0 := b.lane.ExecBegin(int64(idx))
 	if bad {
 		return errFault // leaks the span
 	}
-	b.lane.ExecEnd(t0, int64(idx), 0, 0, n, v, 0)
+	b.lane.ExecEnd(t0, int64(idx), 0, n, v, 0)
 	return nil
 }
 `)
@@ -202,12 +202,12 @@ func TestSpanPairingClosedOnEveryReturn(t *testing.T) {
 	ds := check(t, `package core
 
 func (b *Bench) processOnce(idx int) error {
-	t0 := b.lane.ExecBegin(int64(idx), 0)
+	t0 := b.lane.ExecBegin(int64(idx))
 	if bad {
-		b.lane.ExecEnd(t0, int64(idx), 0, 0, 0, 0, fk)
+		b.lane.ExecEnd(t0, int64(idx), 0, 0, 0, fk)
 		return errFault
 	}
-	b.lane.ExecEnd(t0, int64(idx), 0, 0, n, v, 0)
+	b.lane.ExecEnd(t0, int64(idx), 0, n, v, 0)
 	return nil
 }
 `)
@@ -220,8 +220,8 @@ func TestSpanPairingDeferredClose(t *testing.T) {
 	ds := check(t, `package core
 
 func run(l *Lane) error {
-	t0 := l.ExecBegin(0, 0)
-	defer l.ExecEnd(t0, 0, 0, 0, 0, 0, 0)
+	t0 := l.ExecBegin(0)
+	defer l.ExecEnd(t0, 0, 0, 0, 0, 0)
 	if bad {
 		return errFault
 	}
@@ -237,7 +237,7 @@ func TestSpanPairingFallOffEnd(t *testing.T) {
 	ds := check(t, `package core
 
 func record(l *Lane) {
-	l.ExecBegin(0, 0)
+	l.ExecBegin(0)
 }
 `)
 	if len(ds) != 1 || ds[0].Rule != "span-pairing" {
@@ -249,7 +249,7 @@ func TestSpanPairingWaiver(t *testing.T) {
 	ds := check(t, `package core
 
 func abort(l *Lane) error {
-	l.ExecBegin(0, 0)
+	l.ExecBegin(0)
 	return errAbort //pblint:allow — FailFast keeps the span open for the flight recorder
 }
 `)
@@ -262,7 +262,7 @@ func TestSpanPairingPtracePackageExempt(t *testing.T) {
 	ds := check(t, `package ptrace
 
 func helper(l *Lane) {
-	l.ExecBegin(0, 0)
+	l.ExecBegin(0)
 }
 `)
 	if len(ds) != 0 {

@@ -171,7 +171,6 @@ func metaEvents(t *Tracer, process string) []chromeEvent {
 func eventArgs(ev Event) map[string]any {
 	args := map[string]any{"index": ev.Index}
 	if ev.Stage == StageExec {
-		args["attempt"] = ev.Attempt
 		args["engine"] = ev.Engine
 		if ev.Fault > 0 {
 			args["fault"] = ev.Fault - 1

@@ -1,8 +1,8 @@
 // Package ptrace is the packet-journey tracer: a low-overhead recorder
 // of what the pipeline did to individual packets, stage by stage —
-// batch read, queue wait, execution attempts (engine tier, retired
-// instructions, executed blocks), retry backoff, quarantine, overload
-// shedding and checkpoint commits.
+// batch read, queue wait, execution (engine tier, retired
+// instructions, executed blocks), quarantine, overload shedding and
+// checkpoint commits.
 //
 // The design contract mirrors telemetry.Registry: a nil *Tracer (and
 // the nil *Lane handles it hands out) costs the hot path nothing
@@ -54,12 +54,10 @@ const (
 	// StageQueue is a batch's wait in the bounded job queue, from
 	// enqueue to worker pickup.
 	StageQueue
-	// StageExec is one execution attempt on a simulated core.
+	// StageExec is one packet's execution on a simulated core.
 	StageExec
-	// StageRetryWait is the backoff pause before a retry attempt.
-	StageRetryWait
-	// StageQuarantine marks a packet quarantined after its attempts
-	// were exhausted.
+	// StageQuarantine marks a packet quarantined after its execution
+	// faulted.
 	StageQuarantine
 	// StageShed marks a batch dropped unprocessed by the overload
 	// policy.
@@ -74,7 +72,7 @@ const (
 const NumStages = int(numStages)
 
 var stageNames = [numStages]string{
-	"read", "queue", "exec", "retry-wait", "quarantine", "shed", "checkpoint",
+	"read", "queue", "exec", "quarantine", "shed", "checkpoint",
 }
 
 // String returns the stage's report name.
@@ -94,11 +92,9 @@ type Event struct {
 	// not finished, so Dur is meaningless. A lane whose ring ends in a
 	// marked exec event was wedged inside that packet.
 	Mark bool
-	// Attempt numbers the execution attempt (0 = first).
-	Attempt uint8
 	// Engine is the core.EngineKind ordinal for exec events.
 	Engine uint8
-	// Fault is the vm.FaultKind ordinal that ended a failed attempt
+	// Fault is the vm.FaultKind ordinal that ended a failed execution
 	// (offset by one: 0 means no fault, k+1 means kind k).
 	Fault uint8
 	// Lane is the recording lane (worker index, or the producer or
@@ -128,8 +124,8 @@ func (ev *Event) encode() (w [slotWords]uint64) {
 	if ev.Mark {
 		mark = 1
 	}
-	w[0] = uint64(ev.Stage) | mark<<8 | uint64(ev.Attempt)<<16 |
-		uint64(ev.Engine)<<24 | uint64(ev.Fault)<<32 | uint64(uint16(ev.Lane))<<40
+	w[0] = uint64(ev.Stage) | mark<<8 | uint64(ev.Engine)<<16 |
+		uint64(ev.Fault)<<24 | uint64(uint16(ev.Lane))<<32
 	w[1] = uint64(ev.Index)
 	w[2] = uint64(ev.Start)
 	w[3] = uint64(ev.Dur)
@@ -142,10 +138,9 @@ func decodeEvent(w [slotWords]uint64) Event {
 	return Event{
 		Stage:   Stage(w[0] & 0xff),
 		Mark:    w[0]>>8&0xff != 0,
-		Attempt: uint8(w[0] >> 16),
-		Engine:  uint8(w[0] >> 24),
-		Fault:   uint8(w[0] >> 32),
-		Lane:    int32(uint16(w[0] >> 40)),
+		Engine:  uint8(w[0] >> 16),
+		Fault:   uint8(w[0] >> 24),
+		Lane:    int32(uint16(w[0] >> 32)),
 		Index:   int64(w[1]),
 		Start:   int64(w[2]),
 		Dur:     int64(w[3]),
@@ -175,11 +170,11 @@ type Journey struct {
 	Fault uint8
 	// Start is the journey's first timestamp (epoch ns).
 	Start int64
-	// Latency is first-attempt start to policy resolution (ns).
+	// Latency is execution start to policy resolution (ns).
 	Latency int64
 	// Verdict is the application verdict (0 for quarantined packets).
 	Verdict uint32
-	// Instrs is the retired instruction count of the final attempt.
+	// Instrs is the retired instruction count of the execution.
 	Instrs uint64
 
 	nEv int
@@ -192,7 +187,7 @@ type Journey struct {
 func (j *Journey) Events() []Event { return j.ev[:j.nEv] }
 
 // Blocks returns up to maxJourneyBlocks executed basic-block ids of the
-// final attempt, in program order — the hook function attribution hangs
+// execution, in program order — the hook function attribution hangs
 // off.
 func (j *Journey) Blocks() []int32 { return j.bl[:j.nBl] }
 
@@ -402,64 +397,47 @@ func (l *Lane) BatchStart(base int64, n int, readNS, queueNS int64) {
 	l.stageAdd(StageQueue, queueNS)
 }
 
-// ExecBegin opens an execution-attempt span: it writes the in-flight
-// marker into the ring (the wedge witness) and returns the span start
-// for the matching ExecEnd. attempt 0 also opens the packet's journey.
+// ExecBegin opens the packet's journey and its execution span: it
+// writes the in-flight marker into the ring (the wedge witness) and
+// returns the span start for the matching ExecEnd.
 //
-// pblint:hotpath — runs once per execution attempt.
-func (l *Lane) ExecBegin(idx int64, attempt int) int64 {
+// pblint:hotpath — runs once per packet.
+func (l *Lane) ExecBegin(idx int64) int64 {
 	if l == nil {
 		return 0
 	}
 	now := l.t.clock()
-	if attempt == 0 {
-		l.cur.reset(idx, l.id, now)
-		if l.batchN > 0 {
-			// Synthesize the batch's read and queue spans as the journey
-			// prologue, back-dated so the span tree reads causally.
-			l.cur.add(Event{Stage: StageRead, Lane: l.id, Index: l.batchBase,
-				Start: now - l.batchQueue - l.batchRead, Dur: l.batchRead, Count: l.batchN})
-			l.cur.add(Event{Stage: StageQueue, Lane: l.id, Index: l.batchBase,
-				Start: now - l.batchQueue, Dur: l.batchQueue, Count: l.batchN})
-		}
+	l.cur.reset(idx, l.id, now)
+	if l.batchN > 0 {
+		// Synthesize the batch's read and queue spans as the journey
+		// prologue, back-dated so the span tree reads causally.
+		l.cur.add(Event{Stage: StageRead, Lane: l.id, Index: l.batchBase,
+			Start: now - l.batchQueue - l.batchRead, Dur: l.batchRead, Count: l.batchN})
+		l.cur.add(Event{Stage: StageQueue, Lane: l.id, Index: l.batchBase,
+			Start: now - l.batchQueue, Dur: l.batchQueue, Count: l.batchN})
 	}
-	l.record(Event{Stage: StageExec, Mark: true, Lane: l.id, Index: idx, Start: now, Attempt: uint8(attempt)})
+	l.record(Event{Stage: StageExec, Mark: true, Lane: l.id, Index: idx, Start: now})
 	return now
 }
 
-// ExecEnd closes the attempt span opened by ExecBegin. fault is the
-// vm.FaultKind ordinal + 1 of a failed attempt (0 = success).
+// ExecEnd closes the execution span opened by ExecBegin. fault is the
+// vm.FaultKind ordinal + 1 of a failed execution (0 = success).
 //
-// pblint:hotpath — runs once per execution attempt.
-func (l *Lane) ExecEnd(start, idx int64, attempt int, engine uint8, instrs uint64, verdict uint32, fault uint8) {
+// pblint:hotpath — runs once per packet.
+func (l *Lane) ExecEnd(start, idx int64, engine uint8, instrs uint64, verdict uint32, fault uint8) {
 	if l == nil {
 		return
 	}
 	now := l.t.clock()
 	ev := Event{Stage: StageExec, Lane: l.id, Index: idx, Start: start, Dur: now - start,
-		Attempt: uint8(attempt), Engine: engine, Fault: fault, Instrs: instrs, Verdict: verdict}
+		Engine: engine, Fault: fault, Instrs: instrs, Verdict: verdict}
 	l.record(ev)
 	l.cur.add(ev)
 	l.stageAdd(StageExec, ev.Dur)
 }
 
-// RetryWait records the backoff pause that preceded retry attempt
-// attempt (the pause has already elapsed when this is called).
-//
-// pblint:hotpath — runs once per retry.
-func (l *Lane) RetryWait(idx int64, attempt int, dur int64) {
-	if l == nil {
-		return
-	}
-	now := l.t.clock()
-	ev := Event{Stage: StageRetryWait, Lane: l.id, Index: idx, Start: now - dur, Dur: dur, Attempt: uint8(attempt)}
-	l.record(ev)
-	l.cur.add(ev)
-	l.stageAdd(StageRetryWait, dur)
-}
-
 // Quarantine records the quarantine decision for a packet whose
-// attempts were exhausted. fault is the vm.FaultKind ordinal + 1.
+// execution faulted. fault is the vm.FaultKind ordinal + 1.
 //
 // pblint:hotpath — runs once per quarantined packet.
 func (l *Lane) Quarantine(idx int64, fault uint8) {
@@ -476,7 +454,7 @@ func (l *Lane) Quarantine(idx int64, fault uint8) {
 // EndPacket closes the packet's journey and decides whether to keep it:
 // head-sampled indexes and journeys over the tail threshold go to the
 // kept store, and every journey competes for the slowest-K reservoir.
-// blocks is the final attempt's executed-block set (may be nil).
+// blocks is the execution's executed-block set (may be nil).
 //
 // pblint:hotpath — runs once per packet.
 func (l *Lane) EndPacket(idx int64, verdict uint32, fault uint8, blocks []int) {

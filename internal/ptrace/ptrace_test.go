@@ -27,9 +27,8 @@ func TestNilTracerSafe(t *testing.T) {
 	}
 	var l *Lane
 	l.BatchStart(0, 1, 0, 0)
-	start := l.ExecBegin(0, 0)
-	l.ExecEnd(start, 0, 0, 0, 0, 0, 0)
-	l.RetryWait(0, 1, 0)
+	start := l.ExecBegin(0)
+	l.ExecEnd(start, 0, 0, 0, 0, 0)
 	l.Quarantine(0, 1)
 	l.EndPacket(0, 0, 0, nil)
 	l.Read(0, 1, 0, 0)
@@ -65,7 +64,7 @@ func TestLaneRange(t *testing.T) {
 
 func TestEventEncodeRoundTrip(t *testing.T) {
 	ev := Event{
-		Stage: StageExec, Mark: true, Attempt: 3, Engine: 2, Fault: 5,
+		Stage: StageExec, Mark: true, Engine: 2, Fault: 5,
 		Lane: 7, Index: 123456789, Start: 42, Dur: 999,
 		Count: 64, Verdict: 0xdeadbeef, Instrs: 1 << 40,
 	}
@@ -99,9 +98,9 @@ func TestHeadSampling(t *testing.T) {
 	tr := New(Config{Lanes: 1, SampleEvery: 2, TailK: 1, Clock: clk.read})
 	l := tr.Lane(0)
 	for i := int64(0); i < 6; i++ {
-		start := l.ExecBegin(i, 0)
+		start := l.ExecBegin(i)
 		clk.tick(50)
-		l.ExecEnd(start, i, 0, 0, 10, 1, 0)
+		l.ExecEnd(start, i, 0, 10, 1, 0)
 		l.EndPacket(i, 1, 0, nil)
 	}
 	// journeys() may hold a packet twice (kept store + reservoir), so
@@ -125,9 +124,9 @@ func TestTailReservoirKeepsSlowest(t *testing.T) {
 	tr := New(Config{Lanes: 1, TailK: 2, Clock: clk.read})
 	l := tr.Lane(0)
 	for i, lat := range []int64{10, 50, 30, 70, 20} {
-		start := l.ExecBegin(int64(i), 0)
+		start := l.ExecBegin(int64(i))
 		clk.tick(lat)
-		l.ExecEnd(start, int64(i), 0, 0, 1, 0, 0)
+		l.ExecEnd(start, int64(i), 0, 1, 0, 0)
 		l.EndPacket(int64(i), 0, 0, nil)
 	}
 	sum := tr.Summary(2)
@@ -145,9 +144,9 @@ func TestTailThresholdForcesKeep(t *testing.T) {
 	tr := New(Config{Lanes: 1, TailNS: 40, TailK: 1, Clock: clk.read})
 	l := tr.Lane(0)
 	for i, lat := range []int64{10, 60, 15} {
-		start := l.ExecBegin(int64(i), 0)
+		start := l.ExecBegin(int64(i))
 		clk.tick(lat)
-		l.ExecEnd(start, int64(i), 0, 0, 1, 0, 0)
+		l.ExecEnd(start, int64(i), 0, 1, 0, 0)
 		l.EndPacket(int64(i), 0, 0, nil)
 	}
 	var kept []int64
@@ -166,9 +165,9 @@ func TestKeptCapCountsDrops(t *testing.T) {
 	tr := New(Config{Lanes: 1, SampleEvery: 1, MaxKept: 2, TailK: 1, Clock: clk.read})
 	l := tr.Lane(0)
 	for i := int64(0); i < 5; i++ {
-		start := l.ExecBegin(i, 0)
+		start := l.ExecBegin(i)
 		clk.tick(10)
-		l.ExecEnd(start, i, 0, 0, 1, 0, 0)
+		l.ExecEnd(start, i, 0, 1, 0, 0)
 		l.EndPacket(i, 0, 0, nil)
 	}
 	if got := tr.Summary(1).Dropped; got != 3 {
@@ -184,9 +183,9 @@ func TestStrideSampledBlocks(t *testing.T) {
 	for i := range blocks {
 		blocks[i] = i
 	}
-	start := l.ExecBegin(0, 0)
+	start := l.ExecBegin(0)
 	clk.tick(10)
-	l.ExecEnd(start, 0, 0, 0, 1, 0, 0)
+	l.ExecEnd(start, 0, 0, 1, 0, 0)
 	l.EndPacket(0, 0, 0, blocks)
 	got := l.journeys()[0].Blocks()
 	if len(got) != maxJourneyBlocks {
@@ -209,9 +208,9 @@ func TestSummaryDedupPrefersSampled(t *testing.T) {
 	tr := New(Config{Lanes: 1, SampleEvery: 1, TailK: 4, Clock: clk.read})
 	l := tr.Lane(0)
 	for i := int64(0); i < 3; i++ {
-		start := l.ExecBegin(i, 0)
+		start := l.ExecBegin(i)
 		clk.tick(10 * (i + 1))
-		l.ExecEnd(start, i, 0, 0, 1, 0, 0)
+		l.ExecEnd(start, i, 0, 1, 0, 0)
 		l.EndPacket(i, 0, 0, nil)
 	}
 	sum := tr.Summary(10)
@@ -241,8 +240,8 @@ func TestRingDumpDuringRecording(t *testing.T) {
 				return
 			default:
 			}
-			start := l.ExecBegin(i, 0)
-			l.ExecEnd(start, i, 0, 0, 1, 0, 0)
+			start := l.ExecBegin(i)
+			l.ExecEnd(start, i, 0, 1, 0, 0)
 			l.EndPacket(i, 0, 0, nil)
 		}
 	}()
@@ -256,8 +255,8 @@ func TestRingDumpDuringRecording(t *testing.T) {
 }
 
 // scenario drives a deterministic two-worker run through the tracer:
-// worker 0 executes a sampled batch, worker 1 retries then quarantines
-// a packet, the producer sheds a batch and the committer checkpoints.
+// worker 0 executes a sampled batch, worker 1 quarantines a faulted
+// packet, the producer sheds a batch and the committer checkpoints.
 func scenario() *Tracer {
 	clk := &manualClock{}
 	tr := New(Config{Lanes: 2, SampleEvery: 2, TailK: 2, RingEvents: 16, Clock: clk.read})
@@ -269,9 +268,9 @@ func scenario() *Tracer {
 	clk.tick(400)
 	w0.BatchStart(0, 3, 250, 150)
 	for i := int64(0); i < 3; i++ {
-		start := w0.ExecBegin(i, 0)
+		start := w0.ExecBegin(i)
 		clk.tick(1000 * (i + 1))
-		w0.ExecEnd(start, i, 0, 1, uint64(200+10*i), uint32(40+i), 0)
+		w0.ExecEnd(start, i, 1, uint64(200+10*i), uint32(40+i), 0)
 		clk.tick(20)
 		w0.EndPacket(i, uint32(40+i), 0, []int{0, 2, 5})
 	}
@@ -280,14 +279,10 @@ func scenario() *Tracer {
 	w1 := tr.Lane(1)
 	clk.tick(100)
 	w1.BatchStart(3, 1, 80, 60)
-	start := w1.ExecBegin(3, 0)
+	start := w1.ExecBegin(3)
 	clk.tick(700)
-	w1.ExecEnd(start, 3, 0, 1, 0, 0, 3)
-	clk.tick(50)
-	w1.RetryWait(3, 1, 50)
-	start = w1.ExecBegin(3, 1)
-	clk.tick(800)
-	w1.ExecEnd(start, 3, 1, 1, 0, 0, 3)
+	w1.ExecEnd(start, 3, 1, 0, 0, 3)
+	clk.tick(850)
 	w1.Quarantine(3, 3)
 	w1.EndPacket(3, 0, 3, nil)
 
@@ -336,7 +331,7 @@ func TestWriteFlightGolden(t *testing.T) {
 	tr := scenario()
 	// Wedge worker 0 mid-packet: the open span's in-flight marker must
 	// be the lane's final ring event.
-	tr.Lane(0).ExecBegin(7, 0)
+	tr.Lane(0).ExecBegin(7)
 	var buf bytes.Buffer
 	err := tr.WriteFlight(&buf, FlightInfo{
 		Cause: "core: worker 0 stalled for 200ms on packet 7", Worker: 0, Index: 7,
@@ -349,7 +344,7 @@ func TestWriteFlightGolden(t *testing.T) {
 
 func TestFlightDigestFindsWedgedWorker(t *testing.T) {
 	tr := scenario()
-	tr.Lane(0).ExecBegin(9, 1)
+	tr.Lane(0).ExecBegin(9)
 	evs := tr.lanes[0].ringEvents()
 	last := evs[len(evs)-1]
 	if !last.Mark || last.Stage != StageExec || last.Index != 9 {

@@ -226,7 +226,6 @@ func (e *Env) Run(appName, traceName string, n int, opts core.Options) (*core.Be
 	if err != nil {
 		return nil, nil, err
 	}
-	opts.KeepRecords = false // records returned explicitly
 	b, err := core.New(e.app(appName), opts)
 	if err != nil {
 		return nil, nil, err
@@ -239,25 +238,34 @@ func (e *Env) Run(appName, traceName string, n int, opts core.Options) (*core.Be
 // per-instruction counting enabled and returns the guest-program
 // profile (pbreport -profile).
 func (e *Env) Profile(appName, traceName string, n int) (*profile.Profile, error) {
+	p, _, err := e.countedRun(appName, traceName, n)
+	return p, err
+}
+
+// countedRun runs appName over the first n packets of the named trace
+// with per-instruction counting and returns the profile built from the
+// counts, with the bench that holds them.
+func (e *Env) countedRun(appName, traceName string, n int) (*profile.Profile, *core.Bench, error) {
 	pkts, err := e.packets(traceName, n)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	app := e.app(appName)
 	b, err := core.New(app, core.Options{})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.Collector().CountPCs = true
 	if _, err := b.RunPackets(pkts, nil); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var entries []string
 	if app.Entry != "" {
 		entries = []string{app.Entry}
 	}
-	return profile.Build(b.Program(), b.Collector().PCCounts,
+	p, err := profile.Build(b.Program(), b.Collector().PCCounts,
 		profile.Options{Entries: entries, AppName: appName})
+	return p, b, err
 }
 
 // HotBlockRow is one ranked basic block of a recorded profile: the
@@ -280,29 +288,11 @@ type HotBlockRow struct {
 // retired instructions (profile.HotBlocks), annotated with their
 // enclosing function and per-packet cost.
 func (e *Env) HotBlocks(appName, traceName string, n, k int) ([]HotBlockRow, error) {
-	pkts, err := e.packets(traceName, n)
+	p, b, err := e.countedRun(appName, traceName, n)
 	if err != nil {
 		return nil, err
 	}
-	app := e.app(appName)
-	b, err := core.New(app, core.Options{})
-	if err != nil {
-		return nil, err
-	}
-	b.Collector().CountPCs = true
-	if _, err := b.RunPackets(pkts, nil); err != nil {
-		return nil, err
-	}
-	counts := b.Collector().PCCounts
-	hot, err := profile.HotBlocks(b.Program(), counts, k)
-	if err != nil {
-		return nil, err
-	}
-	var entries []string
-	if app.Entry != "" {
-		entries = []string{app.Entry}
-	}
-	p, err := profile.Build(b.Program(), counts, profile.Options{Entries: entries, AppName: appName})
+	hot, err := profile.HotBlocks(b.Program(), b.Collector().PCCounts, k)
 	if err != nil {
 		return nil, err
 	}

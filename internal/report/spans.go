@@ -22,7 +22,7 @@ type StageRow struct {
 
 // TailJourney is one of the slowest packets of a traced run with its
 // journey broken down by stage and attributed to the guest functions
-// whose blocks its final attempt executed.
+// whose blocks it executed.
 type TailJourney struct {
 	Index     int64
 	LatencyNS int64
@@ -30,8 +30,7 @@ type TailJourney struct {
 	Verdict   uint32
 	// Fault names the quarantining fault, "" for measured packets.
 	Fault string
-	// StageNS sums the journey's time per stage (exec includes every
-	// attempt).
+	// StageNS sums the journey's time per stage.
 	StageNS [ptrace.NumStages]int64
 	// Funcs are the guest functions owning the journey's executed
 	// blocks, in first-execution order.

@@ -27,7 +27,6 @@ package stats
 
 import (
 	"math/bits"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/isa"
@@ -83,8 +82,6 @@ type Collector struct {
 	Detail bool
 	// Coverage enables whole-run unique-address tracking (Table IV).
 	Coverage bool
-	// KeepRecords retains every packet's record in Records.
-	KeepRecords bool
 	// CountPCs enables per-instruction execution counters (PCCounts),
 	// the input for gprof-style annotated listings.
 	CountPCs bool
@@ -123,9 +120,6 @@ type Collector struct {
 	MemTrace   []MemEvent
 	// BlockSeq is the dynamic block entry sequence of the current packet.
 	BlockSeq []int
-
-	// Records holds one record per packet when KeepRecords is set.
-	Records []PacketRecord
 
 	// PCCounts[i] is how many times instruction i executed across the
 	// whole run (enabled by CountPCs).
@@ -246,9 +240,6 @@ func (c *Collector) EndPacket() PacketRecord {
 	}
 	rec := c.cur
 	c.packets++
-	if c.KeepRecords {
-		c.Records = append(c.Records, rec)
-	}
 	return rec
 }
 
@@ -260,9 +251,6 @@ func (c *Collector) EndPacket() PacketRecord {
 func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
 	rec := PacketRecord{Index: c.cur.Index, Fault: kind}
 	c.packets++
-	if c.KeepRecords {
-		c.Records = append(c.Records, rec)
-	}
 	return rec
 }
 
@@ -616,38 +604,6 @@ func (a *Running) FaultCounts() map[vm.FaultKind]int {
 		out[k] = n
 	}
 	return out
-}
-
-// TotalInstructions returns the instructions retired by measured
-// packets so far.
-func (a *Running) TotalInstructions() uint64 { return a.totalInstructions }
-
-// Window is a point-in-time mark of a Running aggregate, from which
-// per-interval throughput can be computed while the run is in flight.
-type Window struct {
-	At           time.Time
-	Packets      int
-	Faulted      int
-	Instructions uint64
-}
-
-// Mark captures the aggregate's current totals with a timestamp. Mark
-// must be called from the goroutine that Adds (Running is not
-// synchronized); the returned Window is a value and may cross
-// goroutines freely.
-func (a *Running) Mark(at time.Time) Window {
-	return Window{At: at, Packets: a.packets, Faulted: a.faulted, Instructions: a.totalInstructions}
-}
-
-// Throughput returns the packet and instruction rates per second over
-// the interval between prev and w. Rates are zero when the interval is
-// not positive (identical or out-of-order marks).
-func (w Window) Throughput(prev Window) (packetsPerSec, instrsPerSec float64) {
-	dt := w.At.Sub(prev.At).Seconds()
-	if dt <= 0 {
-		return 0, 0
-	}
-	return float64(w.Packets-prev.Packets) / dt, float64(w.Instructions-prev.Instructions) / dt
 }
 
 // Summary returns the run-level figures of the records added so far.

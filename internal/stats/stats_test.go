@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
@@ -229,17 +228,10 @@ func TestCollectorCoverage(t *testing.T) {
 	}
 }
 
-func TestCollectorKeepRecords(t *testing.T) {
+func TestCollectorRecordIndexes(t *testing.T) {
 	h := newHarness(t, countingSrc)
-	h.col.KeepRecords = true
-	h.runPacket(t)
-	h.runPacket(t)
-	h.runPacket(t)
-	if len(h.col.Records) != 3 {
-		t.Fatalf("Records = %d", len(h.col.Records))
-	}
-	for i, r := range h.col.Records {
-		if r.Index != i {
+	for i := 0; i < 3; i++ {
+		if r := h.runPacket(t); r.Index != i {
 			t.Errorf("record %d has index %d", i, r.Index)
 		}
 	}
@@ -497,7 +489,6 @@ func TestFaultedRecordsExcludedFromMeans(t *testing.T) {
 
 func TestAbortPacket(t *testing.T) {
 	h := newHarness(t, countingSrc)
-	h.col.KeepRecords = true
 	h.runPacket(t)
 	h.col.BeginPacket()
 	rec := h.col.AbortPacket(vm.FaultUnmapped)
@@ -510,11 +501,11 @@ func TestAbortPacket(t *testing.T) {
 	if h.col.Packets() != 2 {
 		t.Errorf("Packets() = %d, want 2 (quarantine keeps the slot)", h.col.Packets())
 	}
-	h.runPacket(t)
-	if len(h.col.Records) != 3 || h.col.Records[2].Index != 2 {
-		t.Fatalf("records after abort: %+v", h.col.Records)
+	next := h.runPacket(t)
+	if next.Index != 2 {
+		t.Fatalf("record after abort: %+v", next)
 	}
-	if h.col.Records[2].Faulted() {
+	if next.Faulted() {
 		t.Error("packet after an abort inherited the fault mark")
 	}
 }
@@ -545,35 +536,5 @@ func TestRunningFaultCounts(t *testing.T) {
 	clean.Add(&PacketRecord{Instructions: 1})
 	if clean.FaultCounts() != nil {
 		t.Errorf("FaultCounts with no faults = %v, want nil", clean.FaultCounts())
-	}
-}
-
-func TestRunningThroughputWindow(t *testing.T) {
-	var agg Running
-	base := time.Unix(1000, 0)
-	prev := agg.Mark(base)
-	for i := 0; i < 30; i++ {
-		agg.Add(&PacketRecord{Instructions: 10})
-	}
-	agg.Add(&PacketRecord{Fault: vm.FaultUnmapped})
-	cur := agg.Mark(base.Add(2 * time.Second))
-
-	pps, ips := cur.Throughput(prev)
-	if pps != 15.5 { // 31 records over 2s, faulted included in packet rate
-		t.Errorf("packets/sec = %v, want 15.5", pps)
-	}
-	if ips != 150 { // 300 instructions over 2s
-		t.Errorf("instrs/sec = %v, want 150", ips)
-	}
-	if cur.Faulted-prev.Faulted != 1 {
-		t.Errorf("window fault delta = %d", cur.Faulted-prev.Faulted)
-	}
-
-	// Degenerate intervals rate zero instead of dividing by zero.
-	if pps, ips := cur.Throughput(cur); pps != 0 || ips != 0 {
-		t.Errorf("zero-interval throughput = %v, %v", pps, ips)
-	}
-	if pps, _ := prev.Throughput(cur); pps != 0 {
-		t.Errorf("out-of-order throughput = %v", pps)
 	}
 }

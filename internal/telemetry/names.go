@@ -10,10 +10,6 @@ const (
 	// MetricPacketsFaulted counts quarantined packets, labeled by
 	// kind=<vm.FaultKind.String()>.
 	MetricPacketsFaulted = "packets_faulted_total"
-	// MetricPacketAttempts counts processing attempts, including
-	// failed ones under a retry policy (attempts - processed - faulted
-	// = retries that later succeeded or aborted).
-	MetricPacketAttempts = "packet_attempts_total"
 	// MetricInstrsExecuted counts simulated guest instructions of
 	// measured packets.
 	MetricInstrsExecuted = "instrs_executed_total"

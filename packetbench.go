@@ -86,8 +86,8 @@ type (
 	FiveTuple = packet.FiveTuple
 	// FaultPolicy selects how a run reacts to per-packet faults.
 	FaultPolicy = core.FaultPolicy
-	// ErrorPolicy is the full fault-handling configuration (policy,
-	// error budget, retry attempts), set via Options.Errors.
+	// ErrorPolicy is the full fault-handling configuration (policy and
+	// error budget), set via Options.Errors.
 	ErrorPolicy = core.ErrorPolicy
 	// FaultKind tags a quarantined packet's failure cause; use it with
 	// errors.Is and Summary.FaultCounts.
@@ -146,12 +146,11 @@ const (
 	SeverityError   = staticcheck.Error
 )
 
-// The fault policies: abort on the first fault (the default), quarantine
-// faulted packets under a budget, or retry before quarantining.
+// The fault policies: abort on the first fault (the default), or
+// quarantine faulted packets under a budget.
 const (
 	FailFast      = core.FailFast
 	SkipAndRecord = core.SkipAndRecord
-	Retry         = core.Retry
 )
 
 // The overload shed policies for streaming pool runs.
@@ -189,8 +188,8 @@ func Verify(app *App) (Diagnostics, error) {
 }
 
 // ParseInjectionPlan parses a comma-separated fault injection spec
-// ("kind@index[:arg[:times]]", kinds flip/trunc/clamp/vmfault plus the
-// host-fault kinds panic/delay/stall/readerr/tearckpt) — the format of
+// ("kind@index[:arg]", kinds flip/trunc/clamp/vmfault plus the
+// host-fault kinds panic/delay/stall/tearckpt) — the format of
 // cmd/packetbench's -inject flag.
 func ParseInjectionPlan(spec string) ([]Injection, error) { return faultinject.ParsePlan(spec) }
 
