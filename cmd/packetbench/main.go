@@ -152,15 +152,17 @@ func (cfg *config) errorPolicy() (core.ErrorPolicy, error) {
 // openTrace opens cfg.traceFile — one capture or a comma-separated shard
 // list replayed in timestamp order through a trace.MergeReader — and
 // returns the reader, a cleanup closing every underlying file (and
-// mapping), and a malformed-record counter summed across shards. Pcap
+// mapping), and the run's malformed-record budget. Under a skip policy
+// every shard draws on that one budget of cfg.errorBudget skips, so it
+// bounds the run, not each shard; its count is the run's total. Pcap
 // shards are memory-mapped when useMmap is set, serving packet bytes
 // zero-copy from the page cache; TSH shards always read buffered.
-func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() error, func() int, error) {
+func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() error, *trace.SkipBudget, error) {
 	var (
 		readers []trace.Reader
 		closers []func() error
-		skips   []func() int
 	)
+	skips := trace.NewSkipBudget(cfg.errorBudget)
 	cleanup := func() error {
 		var first error
 		for _, c := range closers {
@@ -188,9 +190,8 @@ func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() e
 				tr.SetTotal(fi.Size())
 			}
 			if skipMalformed {
-				tr.SetSkipMalformed(cfg.errorBudget)
+				tr.SetSkipMalformed(skips)
 			}
-			skips = append(skips, tr.Skipped)
 			readers = append(readers, tr)
 			continue
 		}
@@ -206,28 +207,20 @@ func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() e
 		closers = append(closers, fr.Close)
 		// Under a skip policy the readers degrade the same way the run
 		// engine does: malformed records are skipped (resyncing the
-		// stream) under the shared budget idea instead of aborting.
+		// stream) under the run's budget instead of aborting.
 		if skipMalformed {
-			fr.SetSkipMalformed(cfg.errorBudget)
+			fr.SetSkipMalformed(skips)
 		}
-		skips = append(skips, fr.Skipped)
 		readers = append(readers, fr)
 	}
 	if len(readers) == 0 {
 		cleanup()
 		return nil, nil, nil, fmt.Errorf("no trace files in %q", cfg.traceFile)
 	}
-	skipped := func() int {
-		n := 0
-		for _, s := range skips {
-			n += s()
-		}
-		return n
-	}
 	if len(readers) == 1 {
-		return readers[0], cleanup, skipped, nil
+		return readers[0], cleanup, skips, nil
 	}
-	return trace.NewMergeReader(readers...), cleanup, skipped, nil
+	return trace.NewMergeReader(readers...), cleanup, skips, nil
 }
 
 // traceFingerprints fingerprints every shard of cfg.traceFile in shard
@@ -253,13 +246,13 @@ func loadPackets(cfg *config, skipMalformed bool) ([]*trace.Packet, error) {
 	if cfg.traceFile != "" {
 		// Preloaded packets outlive the reader, so never mmap here: a
 		// zero-copy packet must not alias an unmapped file.
-		r, cleanup, skipped, err := openTrace(cfg, skipMalformed, false)
+		r, cleanup, skips, err := openTrace(cfg, skipMalformed, false)
 		if err != nil {
 			return nil, err
 		}
 		pkts, rerr := trace.ReadAll(r, cfg.count)
 		cerr := cleanup()
-		if n := skipped(); n > 0 {
+		if n := skips.Used(); n > 0 {
 			fmt.Printf("trace: skipped %d malformed records\n", n)
 		}
 		if rerr != nil {
@@ -424,11 +417,11 @@ func run(cfg config) error {
 
 	if cfg.pool > 1 {
 		if streaming {
-			r, cleanup, skipped, err := openTrace(&cfg, policy.Policy != core.FailFast, true)
+			r, cleanup, skips, err := openTrace(&cfg, policy.Policy != core.FailFast, true)
 			if err != nil {
 				return err
 			}
-			runErr := runPool(app, r, cfg.count, &cfg, policy, engine, inj, reg, tracer, true, skipped)
+			runErr := runPool(app, r, cfg.count, &cfg, policy, engine, inj, reg, tracer, true, skips)
 			cerr := cleanup()
 			if runErr != nil {
 				return runErr
@@ -821,12 +814,12 @@ func dumpTrace(bench *core.Bench, idx int, res core.Result) {
 // verdicts are counted exactly as in the single-core path. Stateful
 // applications (flow classification) keep per-core tables in this mode,
 // as real replicated-state engines would.
-func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy core.ErrorPolicy, engine core.EngineKind, inj *faultinject.Injector, reg *telemetry.Registry, tracer *ptrace.Tracer, streaming bool, skipped func() int) error {
-	if skipped != nil {
+func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy core.ErrorPolicy, engine core.EngineKind, inj *faultinject.Injector, reg *telemetry.Registry, tracer *ptrace.Tracer, streaming bool, skips *trace.SkipBudget) error {
+	if skips != nil {
 		// Reported on every exit, failed runs included; a resumed run
-		// adds the count restored from its checkpoint.
+		// counts the skips restored from its checkpoint.
 		defer func() {
-			if n := skipped(); n > 0 {
+			if n := skips.Used(); n > 0 {
 				fmt.Printf("trace: skipped %d malformed records\n", n)
 			}
 		}()
@@ -870,6 +863,7 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		if inj != nil {
 			ck.TearWrite = inj.CheckpointTearFunc()
 		}
+		restored := 0 // malformed records skipped before a resumed checkpoint
 		if cfg.resume {
 			cp, err := core.LoadCheckpoint(cfg.checkpoint)
 			if err != nil {
@@ -887,14 +881,21 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 			}
 			ck.Restore(cp)
 			fmt.Printf("resuming from %s: %d packets already committed\n", cfg.checkpoint, cp.NextIndex)
-			if skipped != nil {
-				// Records skipped before the checkpoint count too.
-				live := skipped
-				skipped = func() int { return cp.ReaderSkipped + live() }
+			if skips != nil {
+				// Records skipped before the checkpoint count too, and
+				// spent the same budget an uninterrupted run spends.
+				skips.Preload(cp.ReaderSkipped)
+				restored = cp.ReaderSkipped
 			}
 		}
-		if skipped != nil {
-			ck.SetSkippedFunc(skipped)
+		if skips != nil {
+			// A checkpoint stores the skips behind its reader position,
+			// not the budget's count: a merge's shards read one packet
+			// ahead, and a resume re-reads (and skips again) whatever
+			// lies past the position. src is the unwrapped reader that
+			// counts them.
+			src := reader
+			ck.SetSkippedFunc(func() int { return restored + trace.Skipped(src) })
 		}
 	}
 	// In streaming mode the injector's packet corruptions apply through a

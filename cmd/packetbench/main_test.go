@@ -288,10 +288,21 @@ func TestPacketFaultsKeepThreadedEngine(t *testing.T) {
 // the record length of each record listed in corrupt.
 func writeCorruptPcap(t *testing.T, n int, corrupt ...int) string {
 	t.Helper()
-	pkts := gen.Generate(gen.Profile{
+	return writeCorruptShard(t, corruptPackets(n), "corrupt.pcap", corrupt...)
+}
+
+func corruptPackets(n int) []*trace.Packet {
+	return gen.Generate(gen.Profile{
 		Name: "corrupt", Flows: 30, NewFlowProb: 0.1, TCP: 1,
 		Sizes: []gen.SizePoint{{Bytes: 80, Weight: 1}}, AddrBits: 12, Seed: 3,
 	}, n)
+}
+
+// writeCorruptShard writes pkts to the pcap file name in a temporary
+// directory and breaks the record length of each record listed in
+// corrupt.
+func writeCorruptShard(t *testing.T, pkts []*trace.Packet, name string, corrupt ...int) string {
+	t.Helper()
 	var buf bytes.Buffer
 	w, err := trace.NewPcapWriter(&buf)
 	if err != nil {
@@ -312,7 +323,7 @@ func writeCorruptPcap(t *testing.T, n int, corrupt ...int) string {
 		}
 		off += 16 + incl
 	}
-	path := filepath.Join(t.TempDir(), "corrupt.pcap")
+	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +425,126 @@ func TestResumeKeepsSkipCount(t *testing.T) {
 	}
 	if got := skipLine(out); got != want {
 		t.Errorf("resumed run reports %q, uninterrupted run %q", got, want)
+	}
+}
+
+// TestResumeKeepsSkipBudget: the readers' skip budget is spent across a
+// kill and resume exactly as in an uninterrupted run. With three skips
+// allowed and five corrupt records, the uninterrupted run fails at the
+// fourth, and so must a run stopped after the third and resumed, whether
+// the capture is one file or two shards drawing on the one budget.
+func TestResumeKeepsSkipBudget(t *testing.T) {
+	pkts := corruptPackets(2000)
+	var evens, odds []*trace.Packet
+	for i, p := range pkts {
+		if i%2 == 0 {
+			evens = append(evens, p)
+		} else {
+			odds = append(odds, p)
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		traces string
+	}{
+		{"one file", writeCorruptShard(t, pkts, "one.pcap", 100, 300, 500, 1300, 1600)},
+		// Shard 0 holds three of the corrupt records and shard 1 two, so
+		// only a budget the shards share runs out.
+		{"two shards", writeCorruptShard(t, evens, "s0.pcap", 50, 150, 650) + "," +
+			writeCorruptShard(t, odds, "s1.pcap", 250, 800)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := testConfig("tsa", "", 0)
+			base.traceFile = tc.traces
+			base.pool = 2
+			base.faultPolicy = "skip"
+			base.errorBudget = 3
+			_, fullErr := captureRun(t, base)
+			if fullErr == nil || !strings.Contains(fullErr.Error(), "malformed pcap record at offset") {
+				t.Fatalf("uninterrupted run: got %v, want the reader's malformed-record error", fullErr)
+			}
+
+			part := base
+			part.count = 1200
+			part.checkpoint = filepath.Join(t.TempDir(), "ck.json")
+			part.checkpointEvery = 100
+			if _, err := captureRun(t, part); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := core.LoadCheckpoint(part.checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.ReaderSkipped != 3 {
+				t.Fatalf("checkpoint at %d records %d skips, want the budget's 3", cp.NextIndex, cp.ReaderSkipped)
+			}
+			resumed := base
+			resumed.checkpoint = part.checkpoint
+			resumed.resume = true
+			out, err := captureRun(t, resumed)
+			if !strings.Contains(out, "resuming from") {
+				t.Fatalf("run did not resume:\n%s", out)
+			}
+			if err == nil || err.Error() != fullErr.Error() {
+				t.Errorf("resumed run: got %v, uninterrupted run %v", err, fullErr)
+			}
+		})
+	}
+}
+
+// TestResumeSkipsPastPendingHead: a merge reads one packet ahead on every
+// shard, so when a checkpoint is taken, a shard's buffered head may lie
+// past a corrupt record it already skipped. The checkpoint must not count
+// that skip: the resumed run re-reads and skips the record again, and
+// with a budget of one it would otherwise fail where the uninterrupted
+// run completes. Shard 1's first packet is the earliest of the run and
+// its next good one the latest, so its head waits past the corrupt
+// record while shard 0 supplies every packet up to the checkpoint.
+func TestResumeSkipsPastPendingHead(t *testing.T) {
+	pkts := corruptPackets(1000)
+	for i, p := range pkts {
+		p.Sec, p.Usec = uint32(1+i), 0
+	}
+	pkts[900].Sec = 0
+	traces := writeCorruptShard(t, pkts[:900], "s0.pcap") + "," +
+		writeCorruptShard(t, pkts[900:], "s1.pcap", 1)
+	base := testConfig("tsa", "", 0)
+	base.traceFile = traces
+	base.pool = 2
+	base.faultPolicy = "skip"
+	base.errorBudget = 1
+	full, err := captureRun(t, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "trace: skipped 1 malformed records"
+	if !strings.Contains(full, want) {
+		t.Fatalf("uninterrupted run does not report %q:\n%s", want, full)
+	}
+
+	part := base
+	part.count = 600
+	part.checkpoint = filepath.Join(t.TempDir(), "ck.json")
+	part.checkpointEvery = 100
+	if _, err := captureRun(t, part); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := core.LoadCheckpoint(part.checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.ReaderSkipped != 0 {
+		t.Errorf("checkpoint at %d counts %d skips past its reader position %v", cp.NextIndex, cp.ReaderSkipped, cp.ReaderPos)
+	}
+	resumed := base
+	resumed.checkpoint = part.checkpoint
+	resumed.resume = true
+	out, err := captureRun(t, resumed)
+	if err != nil {
+		t.Fatalf("resumed run: %v (the uninterrupted run completes)", err)
+	}
+	if !strings.Contains(out, "resuming from") || !strings.Contains(out, want) {
+		t.Errorf("resumed run does not resume and report %q:\n%s", want, out)
 	}
 }
 

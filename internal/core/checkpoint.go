@@ -79,8 +79,9 @@ type Checkpoint struct {
 	// Stats is the aggregate over all committed packets.
 	Stats stats.RunningState `json:"stats"`
 	// ReaderSkipped is how many malformed records the readers had
-	// skipped by ReaderPos, for reporting continuity: a resumed run
-	// reports and checkpoints it plus its own reader's count.
+	// skipped before ReaderPos: a resumed run counts them against its
+	// skip budget, and reports and checkpoints them plus its own
+	// reader's count.
 	ReaderSkipped int `json:"reader_skipped,omitempty"`
 }
 
@@ -160,8 +161,9 @@ func NewCheckpointer(path string, every int, agg *stats.Running) *Checkpointer {
 func (c *Checkpointer) SetTraceID(ids []TraceID) { c.ids = ids }
 
 // SetSkippedFunc wires the reader's malformed-record skip counter into
-// checkpoints for reporting continuity. The pool's producer calls it
-// right after each batch read, on the reader's goroutine.
+// checkpoints; f must count the skips behind the reader's PosState. The
+// pool's producer calls it right after each batch read, on the reader's
+// goroutine.
 func (c *Checkpointer) SetSkippedFunc(f func() int) { c.skipped = f }
 
 // Restore primes the checkpointer and its aggregate from a loaded

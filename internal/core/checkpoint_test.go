@@ -203,7 +203,7 @@ func TestCheckpointResumeAcrossResync(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fr.SetSkipMalformed(0)
+		fr.SetSkipMalformed(trace.NewSkipBudget(0))
 		t.Cleanup(func() { fr.Close() })
 		return fr
 	}

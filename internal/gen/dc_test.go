@@ -23,17 +23,67 @@ func TestLegacyProfilesByteIdentical(t *testing.T) {
 		"LAN": "c3e30b12df57b73a66c9d77e",
 	}
 	for name, fp := range want {
-		p, err := ProfileByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		for _, pkt := range Generate(p, 500) {
-			fmt.Fprintf(h, "%d.%06d %d ", pkt.Sec, pkt.Usec, pkt.WireLen)
-			h.Write(pkt.Data)
-		}
-		if got := fmt.Sprintf("%x", h.Sum(nil)[:12]); got != fp {
+		if got := fingerprint(t, name, 500)[:24]; got != fp {
 			t.Errorf("%s fingerprint = %s, want %s (legacy stream changed!)", name, got, fp)
+		}
+	}
+}
+
+// TestDCProfilesByteIdentical pins the data-centre profiles the same way,
+// over enough packets that generation crosses slab chunks and the random
+// source's wrap points many times. DCWEB feeds the tsa-min-stream
+// benchmark's inputs.
+func TestDCProfilesByteIdentical(t *testing.T) {
+	want := map[string]string{
+		"DCWEB":  "2daecce0165b5392bc8eeb3a95f678f34c88ea3e98e4e6a3536adb5eeec0a4b8",
+		"DCMINE": "a278cc4b28ed9841162b8b7d126395448f004ef5df3d5c9d5fcfe16bddb6af83",
+	}
+	for name, fp := range want {
+		if got := fingerprint(t, name, 2000); got != fp {
+			t.Errorf("%s fingerprint = %s, want %s (data-centre stream changed!)", name, got, fp)
+		}
+	}
+}
+
+// fingerprint is the hex sha256 of n packets of the named profile's
+// timestamps, wire lengths and bytes.
+func fingerprint(t *testing.T, name string, n int) string {
+	t.Helper()
+	p, err := ProfileByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, pkt := range Generate(p, n) {
+		fmt.Fprintf(h, "%d.%06d %d ", pkt.Sec, pkt.Usec, pkt.WireLen)
+		h.Write(pkt.Data)
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGenerateMatchesNext: Generate's batch-allocated packets are the
+// ones a generator's Next calls return, and every packet's bytes have
+// no spare capacity, so appending to one cannot overwrite its
+// neighbour in the shared slab.
+func TestGenerateMatchesNext(t *testing.T) {
+	const n = 3000
+	for _, p := range AllProfiles() {
+		pkts := Generate(p, n)
+		g := NewGenerator(p)
+		for i, got := range pkts {
+			want := g.Next()
+			if got.Sec != want.Sec || got.Usec != want.Usec || got.WireLen != want.WireLen || !bytes.Equal(got.Data, want.Data) {
+				t.Fatalf("%s packet %d: Generate gives %d.%06d/%d %x, Next gives %d.%06d/%d %x",
+					p.Name, i, got.Sec, got.Usec, got.WireLen, got.Data, want.Sec, want.Usec, want.WireLen, want.Data)
+			}
+			if cap(got.Data) != len(got.Data) || cap(want.Data) != len(want.Data) {
+				t.Fatalf("%s packet %d: cap %d/%d for len %d", p.Name, i, cap(got.Data), cap(want.Data), len(got.Data))
+			}
+		}
+		second := bytes.Clone(pkts[1].Data)
+		_ = append(pkts[0].Data, 0xAA, 0xBB, 0xCC, 0xDD)
+		if !bytes.Equal(pkts[1].Data, second) {
+			t.Fatalf("%s: appending to packet 0 changed packet 1", p.Name)
 		}
 	}
 }

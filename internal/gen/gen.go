@@ -219,8 +219,13 @@ type flowState struct {
 // enabled, so the legacy draw sequence is untouched (pinned by the
 // fingerprint test).
 type Generator struct {
-	prof  Profile
-	rng   *rand.Rand
+	prof Profile
+	// rng makes every draw but the payload bytes, which buildPacket takes
+	// straight from src, the source rng wraps; both read one state.
+	rng *rand.Rand
+	src *rngSource
+	// slab is the unused tail of the chunk packet bytes are carved from.
+	slab  []byte
 	flows []flowState
 	sec   uint32
 	usec  uint32
@@ -243,9 +248,12 @@ func NewGenerator(p Profile) *Generator {
 	if len(p.Sizes) == 0 {
 		p.Sizes = []SizePoint{{40, 1}}
 	}
+	src := new(rngSource)
+	src.Seed(p.Seed)
 	g := &Generator{
 		prof: p,
-		rng:  rand.New(rand.NewSource(p.Seed)),
+		rng:  rand.New(src),
+		src:  src,
 		sec:  1_000_000_000,
 	}
 	for _, s := range p.Sizes {
@@ -383,6 +391,13 @@ var wellKnownPorts = []uint16{80, 443, 25, 53, 110, 143, 22, 21, 123, 8080}
 
 // Next generates the next packet.
 func (g *Generator) Next() *trace.Packet {
+	p := new(trace.Packet)
+	g.next(p)
+	return p
+}
+
+// next generates the next packet into p.
+func (g *Generator) next(p *trace.Packet) {
 	var fl flowState
 	reused := -1
 	if g.rng.Float64() < g.prof.NewFlowProb {
@@ -430,7 +445,7 @@ func (g *Generator) Next() *trace.Packet {
 		g.usec -= 1_000_000
 		g.sec++
 	}
-	return &trace.Packet{Sec: g.sec, Usec: g.usec, Data: data, WireLen: len(data)}
+	*p = trace.Packet{Sec: g.sec, Usec: g.usec, Data: data, WireLen: len(data)}
 }
 
 func minPacketLen(proto uint8) int {
@@ -479,15 +494,12 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 		size += words * 4
 		h.TotalLen = uint16(size)
 	}
-	b := make([]byte, size)
+	b := g.carve(size)
 	// Fill the payload with deterministic pseudo-random bytes so payload
 	// processing applications have real content to chew on; the header
-	// fields are overwritten below. Int63() >> 32 is the Int31() whose
-	// low byte Intn(256) returns, so each byte is the same draw as
-	// byte(Intn(256)) without the two wrapper calls.
-	for i := range b {
-		b[i] = byte(g.rng.Int63() >> 32)
-	}
+	// fields are overwritten below. Each byte is the draw byte(Intn(256))
+	// would make (see fillBytes).
+	g.src.fillBytes(b)
 	h.MarshalInto(b)
 	l4 := b[h.HeaderLen():]
 	switch ft.Protocol {
@@ -511,12 +523,30 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 	return b
 }
 
-// Generate produces n packets from the profile.
+// slabChunk is the size of the chunks carve cuts packet bytes from.
+const slabChunk = 64 << 10
+
+// carve returns n bytes cut from the generator's slab. Its capacity is
+// its length, so an append to one packet copies rather than overwriting
+// the next packet's bytes.
+func (g *Generator) carve(n int) []byte {
+	if n > len(g.slab) {
+		g.slab = make([]byte, max(slabChunk, n))
+	}
+	b := g.slab[:n:n]
+	g.slab = g.slab[n:]
+	return b
+}
+
+// Generate produces n packets from the profile, the same packets n calls
+// of Next would return, stored in one backing array.
 func Generate(p Profile, n int) []*trace.Packet {
 	g := NewGenerator(p)
+	pkts := make([]trace.Packet, n)
 	out := make([]*trace.Packet, n)
 	for i := range out {
-		out[i] = g.Next()
+		g.next(&pkts[i])
+		out[i] = &pkts[i]
 	}
 	return out
 }

@@ -19,7 +19,7 @@ type FileReader interface {
 	Positioned
 	io.Closer
 	// SetSkipMalformed switches from fail-fast to skip-and-resync.
-	SetSkipMalformed(budget int)
+	SetSkipMalformed(b *SkipBudget)
 	// Skipped returns how many malformed records were skipped so far.
 	Skipped() int
 	// LinkType returns the capture's link type.

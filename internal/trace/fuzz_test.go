@@ -41,8 +41,8 @@ func FuzzPcapReader(f *testing.F) {
 				continue // bad magic or truncated global header
 			}
 			if budget >= 0 {
-				r.SetSkipMalformed(budget)
-				br.SetSkipMalformed(budget)
+				r.SetSkipMalformed(NewSkipBudget(budget))
+				br.SetSkipMalformed(NewSkipBudget(budget))
 			}
 			for n := 0; n < 1000; n++ {
 				p, err := r.Next()

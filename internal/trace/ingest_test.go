@@ -33,7 +33,7 @@ func TestPcapResyncExhaustedTyped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSkipMalformed(-1)
+	r.SetSkipMalformed(NewSkipBudget(-1))
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestPcapResyncRejectsUnconfirmableCandidate(t *testing.T) {
 	// so the end is not visible) before EOF.
 	raw := resyncCandidatePcap(pcapBufSize*2, pcapBufSize+1024, 0xFF)
 	for name, r := range pcapSources(t, raw) {
-		r.SetSkipMalformed(1)
+		r.SetSkipMalformed(NewSkipBudget(1))
 		if _, err := r.Next(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -137,7 +137,7 @@ func TestPcapResyncLookaheadRule(t *testing.T) {
 			want = 2
 		}
 		for name, r := range pcapSources(t, raw) {
-			r.SetSkipMalformed(1)
+			r.SetSkipMalformed(NewSkipBudget(1))
 			got, err := ReadAll(r, 0)
 			if err != nil {
 				t.Fatalf("incl=%d/%s: %v", incl, name, err)
@@ -198,7 +198,7 @@ func TestSkipBudgetSemanticsShared(t *testing.T) {
 	if s.consumeSkip() {
 		t.Error("skip consumed while disabled")
 	}
-	s.enableSkip(2)
+	s.SetSkipMalformed(NewSkipBudget(2))
 	for i := 0; i < 2; i++ {
 		if !s.consumeSkip() {
 			t.Fatalf("skip %d rejected within budget", i+1)
@@ -211,11 +211,36 @@ func TestSkipBudgetSemanticsShared(t *testing.T) {
 		t.Errorf("Skipped = %d, want 2", s.Skipped())
 	}
 	var unlimited skipState
-	unlimited.enableSkip(0)
+	unlimited.SetSkipMalformed(NewSkipBudget(0))
 	for i := 0; i < 100; i++ {
 		if !unlimited.consumeSkip() {
 			t.Fatalf("unlimited budget refused skip %d", i)
 		}
+	}
+
+	// A shared budget caps the readers together, preloaded skips count
+	// against it, and a budget preloaded to its limit refuses the next
+	// skip instead of turning unlimited.
+	shared := NewSkipBudget(4)
+	shared.Preload(1)
+	var a, b skipState
+	a.SetSkipMalformed(shared)
+	b.SetSkipMalformed(shared)
+	if !a.consumeSkip() || !b.consumeSkip() || !a.consumeSkip() {
+		t.Fatal("shared budget refused a skip within its limit")
+	}
+	if b.consumeSkip() || a.consumeSkip() {
+		t.Error("shared budget allowed a skip beyond its limit")
+	}
+	if a.Skipped() != 2 || b.Skipped() != 1 || shared.Used() != 4 {
+		t.Errorf("Skipped = %d, %d, Used = %d; want 2, 1, 4", a.Skipped(), b.Skipped(), shared.Used())
+	}
+	spent := NewSkipBudget(3)
+	spent.Preload(3)
+	var c skipState
+	c.SetSkipMalformed(spent)
+	if c.consumeSkip() {
+		t.Error("a budget preloaded to its limit allowed a skip")
 	}
 
 	// Cross-format parity: budget 2 against 3 malformed records behaves
@@ -238,7 +263,7 @@ func TestSkipBudgetSemanticsShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr.SetSkipMalformed(2)
+	pr.SetSkipMalformed(NewSkipBudget(2))
 
 	var tshBuf bytes.Buffer
 	tw := NewTSHWriter(&tshBuf)
@@ -250,7 +275,7 @@ func TestSkipBudgetSemanticsShared(t *testing.T) {
 		traw[i*TSHRecordLen+8] = 0x60 // IP version 6
 	}
 	tr := NewTSHReader(bytes.NewReader(traw))
-	tr.SetSkipMalformed(2)
+	tr.SetSkipMalformed(NewSkipBudget(2))
 
 	for name, r := range map[string]interface {
 		Reader
@@ -286,7 +311,7 @@ type pcapLike interface {
 	Reader
 	Positioned
 	Skipped() int
-	SetSkipMalformed(int)
+	SetSkipMalformed(*SkipBudget)
 }
 
 type drainResult struct {
@@ -299,7 +324,7 @@ type drainResult struct {
 func drain(r pcapLike, budget int, useBudget bool) drainResult {
 	var d drainResult
 	if useBudget {
-		r.SetSkipMalformed(budget)
+		r.SetSkipMalformed(NewSkipBudget(budget))
 	}
 	for i := 0; i < 100000; i++ {
 		p, err := r.Next()
@@ -686,7 +711,7 @@ func TestMergeReaderPositionedAndSkipped(t *testing.T) {
 	rawB := buildPcap(t, slicesOf(2, 4))
 	a, _ := NewBytesPcapReader(rawA)
 	b, _ := NewBytesPcapReader(rawB)
-	a.SetSkipMalformed(-1)
+	a.SetSkipMalformed(NewSkipBudget(-1))
 	m := NewMergeReader(a, b)
 	if m.Total() != int64(len(rawA)+len(rawB)) {
 		t.Errorf("Total = %d, want %d", m.Total(), len(rawA)+len(rawB))
@@ -704,6 +729,34 @@ func TestMergeReaderPositionedAndSkipped(t *testing.T) {
 	m2 := NewMergeReader(NewSliceReader(slicesOf(1)), opaqueReader{NewSliceReader(slicesOf(2))})
 	if m2.Total() != 0 {
 		t.Errorf("Total with opaque shard = %d, want 0", m2.Total())
+	}
+}
+
+// TestMergeReaderSkippedMatchesPosState: a shard whose buffered head lies
+// past a skipped record reports that skip only once the head is handed
+// out, so Skipped always counts the skips behind PosState.
+func TestMergeReaderSkippedMatchesPosState(t *testing.T) {
+	rawB := buildPcap(t, slicesOf(0, 50, 100, 101))
+	const rec = 16 + 28
+	binary.LittleEndian.PutUint32(rawB[pcapHeaderLen+rec+8:], 0xFFFFFFF0)
+	a, _ := NewBytesPcapReader(buildPcap(t, slicesOf(1, 2, 3)))
+	b, _ := NewBytesPcapReader(rawB)
+	b.SetSkipMalformed(NewSkipBudget(0))
+	m := NewMergeReader(a, b)
+	if p, err := m.Next(); err != nil || p.Sec != 0 {
+		t.Fatalf("first packet: %v, %v", p, err)
+	}
+	if b.Skipped() != 1 {
+		t.Fatalf("shard skipped %d records refilling its head, want 1", b.Skipped())
+	}
+	if got, pos := m.Skipped(), m.PosState(); got != 0 || pos[1] != pcapHeaderLen+rec {
+		t.Errorf("Skipped = %d at PosState %v, want 0 at shard 1 offset %d", got, pos, pcapHeaderLen+rec)
+	}
+	if _, err := ReadAll(m, 0); err != nil {
+		t.Fatal(err)
+	}
+	if m.Skipped() != 1 {
+		t.Errorf("Skipped at EOF = %d, want 1", m.Skipped())
 	}
 }
 

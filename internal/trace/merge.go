@@ -31,19 +31,22 @@ type MergeReader struct {
 	// buffered head was read. A merge sits one packet ahead of the caller
 	// on every shard, so the resumable position of a shard with a pending
 	// head is the offset that re-reads that head — not the shard's
-	// current position.
-	posBefore []int64
+	// current position. skipBefore[i] is shard i's Skipped count at the
+	// same moment, so Skipped can report the skips behind PosState.
+	posBefore  []int64
+	skipBefore []int
 }
 
 // NewMergeReader merges the given readers. With a single reader the
 // merge is a transparent pass-through (plus Positioned aggregation).
 func NewMergeReader(shards ...Reader) *MergeReader {
 	return &MergeReader{
-		shards:    shards,
-		heads:     make([]*Packet, len(shards)),
-		errs:      make([]error, len(shards)),
-		done:      make([]bool, len(shards)),
-		posBefore: make([]int64, len(shards)),
+		shards:     shards,
+		heads:      make([]*Packet, len(shards)),
+		errs:       make([]error, len(shards)),
+		done:       make([]bool, len(shards)),
+		posBefore:  make([]int64, len(shards)),
+		skipBefore: make([]int, len(shards)),
 	}
 }
 
@@ -55,6 +58,7 @@ func (m *MergeReader) refill(i int) {
 			m.posBefore[i] = st[0]
 		}
 	}
+	m.skipBefore[i] = Skipped(m.shards[i])
 	p, err := m.shards[i].Next()
 	switch {
 	case err == io.EOF:
@@ -218,13 +222,17 @@ func (m *MergeReader) SeekTo(state []int64) error {
 	return nil
 }
 
-// Skipped sums the skip counts of shards that track them, so callers can
-// report skip totals for a sharded replay the same way as for one file.
+// Skipped sums the skip counts of shards that track them, taken at the
+// positions PosState reports: a shard with a buffered head counts only
+// the records skipped before that head was read. A run resumed from
+// PosState re-reads, and skips again, exactly the records left out.
 func (m *MergeReader) Skipped() int {
 	n := 0
-	for _, s := range m.shards {
-		if sk, ok := s.(interface{ Skipped() int }); ok {
-			n += sk.Skipped()
+	for i, s := range m.shards {
+		if m.heads[i] != nil {
+			n += m.skipBefore[i]
+		} else {
+			n += Skipped(s)
 		}
 	}
 	return n

@@ -202,13 +202,6 @@ func (p *PcapReader) SetTotal(n int64) { p.total = n }
 // always knows its size.
 func (p *PcapReader) Total() int64 { return p.total }
 
-// SetSkipMalformed switches the reader from fail-fast to skip-and-resync:
-// malformed records no longer abort the read; the reader scans forward for
-// the next plausible record header instead. At most budget records are
-// skipped (budget <= 0 means unlimited); once the budget is exhausted the
-// next malformed record is returned as a *MalformedRecordError again.
-func (p *PcapReader) SetSkipMalformed(budget int) { p.enableSkip(budget) }
-
 // peek returns the next n <= pcapBufSize bytes without consuming them. A
 // shorter result means the input ended (io.EOF) or the stream failed.
 func (p *PcapReader) peek(n int) ([]byte, error) {

@@ -376,7 +376,7 @@ func TestPcapUndersizedOrigLenRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSkipMalformed(-1)
+	r.SetSkipMalformed(NewSkipBudget(-1))
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("skip-mode Next = %v, want EOF (sole record skipped)", err)
 	}
@@ -531,7 +531,7 @@ func TestPcapSkipMalformedResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSkipMalformed(10)
+	r.SetSkipMalformed(NewSkipBudget(10))
 	var got []*Packet
 	for {
 		p, err := r.Next()
@@ -576,7 +576,7 @@ func TestPcapSkipBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSkipMalformed(1)
+	r.SetSkipMalformed(NewSkipBudget(1))
 	var secs []uint32
 	var lastErr error
 	for {
@@ -622,7 +622,7 @@ func TestPcapSkipTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.SetSkipMalformed(0) // unlimited
+	r.SetSkipMalformed(NewSkipBudget(0)) // unlimited
 	if _, err := r.Next(); err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +663,7 @@ func TestTSHSkipMalformed(t *testing.T) {
 
 	// Skip mode: the two wrecked records are dropped.
 	r = NewTSHReader(bytes.NewReader(raw))
-	r.SetSkipMalformed(5)
+	r.SetSkipMalformed(NewSkipBudget(5))
 	var secs []uint32
 	for {
 		p, err := r.Next()
@@ -681,7 +681,7 @@ func TestTSHSkipMalformed(t *testing.T) {
 
 	// Budget 1: second corruption surfaces as a typed error.
 	r = NewTSHReader(bytes.NewReader(raw))
-	r.SetSkipMalformed(1)
+	r.SetSkipMalformed(NewSkipBudget(1))
 	var lastErr error
 	for {
 		if _, err := r.Next(); err != nil {

@@ -54,13 +54,6 @@ func (t *TSHReader) SetTotal(n int64) { t.total = n }
 // Total implements Positioned; 0 means unknown.
 func (t *TSHReader) Total() int64 { return t.total }
 
-// SetSkipMalformed enables IPv4 sanity validation of each record (version
-// nibble, header length, total length); records failing it are skipped, at
-// most budget of them (budget <= 0 means unlimited). Once the budget is
-// exhausted, the next malformed record is returned as a
-// *MalformedRecordError.
-func (t *TSHReader) SetSkipMalformed(budget int) { t.enableSkip(budget) }
-
 // recordProblem applies the skip-mode sanity checks to the captured IPv4
 // header bytes, returning a non-empty reason for a malformed record.
 func recordProblem(ip []byte) string {
@@ -102,7 +95,7 @@ func (t *TSHReader) Next() (*Packet, error) {
 			return nil, fmt.Errorf("trace: reading TSH record: %w", err)
 		}
 		t.off += TSHRecordLen
-		if t.skipEnabled {
+		if t.budget != nil {
 			if reason := recordProblem(rec[8:]); reason != "" {
 				if t.consumeSkip() {
 					continue // fixed-size records: resync is the next record
