@@ -308,7 +308,36 @@ func printVerdicts(verdicts map[uint32]int) {
 	}
 }
 
+// checkPool refuses -pool values the run cannot honour: fewer than one
+// core, or a pool with an output only the single-core path produces.
+func (cfg *config) checkPool() error {
+	if cfg.pool < 1 {
+		return fmt.Errorf("-pool %d: want at least 1 core", cfg.pool)
+	}
+	if cfg.pool == 1 {
+		return nil
+	}
+	for _, f := range []struct {
+		name string
+		set  bool
+	}{
+		{"-out", cfg.outFile != ""},
+		{"-microarch", cfg.uarch},
+		{"-dumppkt", cfg.dumpPkt >= 0},
+		{"-annotate", cfg.annotate},
+		{"-flowgraph", cfg.flowDot != ""},
+	} {
+		if f.set {
+			return fmt.Errorf("%s is single-core only: drop it or run with -pool 1", f.name)
+		}
+	}
+	return nil
+}
+
 func run(cfg config) error {
+	if err := cfg.checkPool(); err != nil {
+		return err
+	}
 	policy, err := cfg.errorPolicy()
 	if err != nil {
 		return err
@@ -362,7 +391,7 @@ func run(cfg config) error {
 
 	// Fault injection: the injector corrupts packets deterministically —
 	// up front for preloaded runs, through a reader wrapper for
-	// streaming ones — and arms execution-fault tracers on every core.
+	// streaming ones — and arms execution faults on every core.
 	var inj *faultinject.Injector
 	if cfg.inject != "" {
 		plan, err := faultinject.ParsePlan(cfg.inject)
@@ -444,9 +473,7 @@ func run(cfg config) error {
 		return describeVerifyError(err)
 	}
 	bench.Collector().CountPCs = cfg.annotate || cfg.profileOut != ""
-	if inj != nil && inj.HasExecFaults() {
-		bench.AddTracer(inj.Tracer())
-	}
+	bench.SetInjector(inj)
 
 	var prof *microarch.Profiler
 	if cfg.uarch {
@@ -575,12 +602,8 @@ func (cfg *config) buildTracer() (*ptrace.Tracer, error) {
 	if err != nil {
 		return nil, err
 	}
-	lanes := cfg.pool
-	if lanes < 1 {
-		lanes = 1
-	}
 	return ptrace.New(ptrace.Config{
-		Lanes:       lanes,
+		Lanes:       cfg.pool,
 		SampleEvery: every,
 		TailNS:      int64(cfg.traceTail),
 	}), nil
@@ -846,9 +869,7 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		pool.SetBatchSize(cfg.batch)
 	}
 	for i := 0; i < pool.Cores(); i++ {
-		if inj != nil && inj.HasExecFaults() {
-			pool.Bench(i).AddTracer(inj.Tracer())
-		}
+		pool.Bench(i).SetInjector(inj)
 		pool.Bench(i).Collector().CountPCs = cfg.profileOut != ""
 	}
 	agg := &stats.Running{KeepInstructionCounts: true}

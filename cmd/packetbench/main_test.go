@@ -165,6 +165,32 @@ func TestFlagHelp(t *testing.T) {
 	}
 }
 
+// TestPoolFlagChecks: -pool below 1, and a pool with an output only the
+// single-core path writes, exit with an error naming the flag.
+func TestPoolFlagChecks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		pool int
+		set  func(*config)
+		want string
+	}{
+		{"pool 0", 0, func(*config) {}, "-pool 0"},
+		{"pool -1", -1, func(*config) {}, "-pool -1"},
+		{"out", 2, func(c *config) { c.outFile = filepath.Join(t.TempDir(), "o.pcap") }, "-out"},
+		{"microarch", 2, func(c *config) { c.uarch = true }, "-microarch"},
+		{"dumppkt", 2, func(c *config) { c.dumpPkt = 3 }, "-dumppkt"},
+		{"annotate", 2, func(c *config) { c.annotate = true }, "-annotate"},
+		{"flowgraph", 2, func(c *config) { c.flowDot = filepath.Join(t.TempDir(), "f.dot") }, "-flowgraph"},
+	} {
+		cfg := testConfig("tsa", "LAN", 20)
+		cfg.pool = tc.pool
+		tc.set(&cfg)
+		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestRunPoolMode(t *testing.T) {
 	cfg := testConfig("tsa", "LAN", 80)
 	cfg.pool = 4
@@ -235,23 +261,18 @@ func TestRunWithFaultInjection(t *testing.T) {
 	}
 }
 
-// TestPacketFaultsKeepThreadedEngine: a plan of packet-surface faults
-// only corrupts packets as they are read, so the run keeps the threaded
-// engine; only an execution-surface fault attaches the per-instruction
-// tracer that sends it to the interpreter.
+// TestPacketFaultsKeepThreadedEngine: an injection plan, of packet- or
+// execution-surface faults, leaves the run on the threaded engine.
 func TestPacketFaultsKeepThreadedEngine(t *testing.T) {
-	for _, tc := range []struct {
-		inject string
-		want   core.EngineKind
-	}{{"flip@3,trunc@7:20", core.EngineThreaded}, {"flip@3,vmfault@500", core.EngineInterpreter}} {
+	for _, inject := range []string{"flip@3,trunc@7:20", "flip@3,vmfault@500"} {
 		for _, pool := range []int{1, 2} {
 			cfg := testConfig("radix", "MRA", 200)
 			cfg.pool = pool
-			cfg.inject = tc.inject
+			cfg.inject = inject
 			cfg.traceOut = filepath.Join(t.TempDir(), "journeys.json")
 			cfg.traceSample = "1"
 			if err := run(cfg); err != nil {
-				t.Fatalf("%s, pool %d: %v", tc.inject, pool, err)
+				t.Fatalf("%s, pool %d: %v", inject, pool, err)
 			}
 			data, err := os.ReadFile(cfg.traceOut)
 			if err != nil {
@@ -272,13 +293,13 @@ func TestPacketFaultsKeepThreadedEngine(t *testing.T) {
 					continue
 				}
 				spans++
-				if got := ev.Args["engine"]; got != float64(tc.want) {
+				if got := ev.Args["engine"]; got != float64(core.EngineThreaded) {
 					t.Fatalf("%s, pool %d: exec span of packet %v reports engine %v, want %d",
-						tc.inject, pool, ev.Args["index"], got, tc.want)
+						inject, pool, ev.Args["index"], got, core.EngineThreaded)
 				}
 			}
 			if spans == 0 {
-				t.Fatalf("%s, pool %d: no exec spans kept", tc.inject, pool)
+				t.Fatalf("%s, pool %d: no exec spans kept", inject, pool)
 			}
 		}
 	}

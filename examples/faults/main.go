@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench.AddTracer(inj.Tracer())
+	bench.SetInjector(inj)
 	_, err = bench.RunPackets(corrupted, nil)
 	fmt.Printf("fail-fast:       %v\n", err)
 
@@ -57,7 +57,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench.AddTracer(inj.Tracer())
+	bench.SetInjector(inj)
 	records, err := bench.RunPackets(corrupted, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -102,7 +102,7 @@ func main() {
 		log.Fatal(err)
 	}
 	inj = packetbench.NewFaultInjector(42, mustPlan("vmfault@3,vmfault@5"))
-	bench.AddTracer(inj.Tracer())
+	bench.SetInjector(inj)
 	if _, err := bench.RunPackets(pkts, nil); err != nil {
 		fmt.Printf("budget of 1:     %v (illegal instruction: %v)\n",
 			err, errors.Is(err, packetbench.FaultBadInstr))

@@ -39,6 +39,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -46,6 +47,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/asm"
+	"repro/internal/faultinject"
 	"repro/internal/isa"
 	"repro/internal/ptrace"
 	"repro/internal/staticcheck"
@@ -370,7 +372,6 @@ func verifyProg(prog *asm.Program, app *App, opts Options) staticcheck.List {
 // follows the assembled data segment; there is no free.
 type Loader struct {
 	mem     *vm.Memory
-	prog    *asm.Program
 	next    uint32
 	limit   uint32
 	symbols map[string]uint32
@@ -458,10 +459,6 @@ type Bench struct {
 	loader *Loader
 
 	engine EngineKind
-	// body is the engine that actually runs each packet: engine, or the
-	// interpreter when the tracer is not vm.Blockwise, which sends
-	// threaded runs there. Exec spans report it.
-	body EngineKind
 	// tprog is the block-threaded translation of the program, nil when
 	// the bench runs on the reference interpreter.
 	tprog *vm.Program
@@ -475,6 +472,12 @@ type Bench struct {
 	reg          *telemetry.Registry
 	metrics      *runMetrics  // nil when telemetry is disabled
 	lane         *ptrace.Lane // nil when journey tracing is disabled
+
+	// inj, when non-nil, arms execution-surface faults per packet (see
+	// SetInjector). runCtx is the run's context, which injected delays
+	// and stalls sleep on.
+	inj    *faultinject.Injector
+	runCtx context.Context
 
 	// dirtyLen is the number of bytes at PacketBase that may hold
 	// non-zero data from the previous packet: the previous placement
@@ -520,7 +523,6 @@ func New(app *App, opts Options) (*Bench, error) {
 
 	loader := &Loader{
 		mem:     mem,
-		prog:    prog,
 		next:    (prog.DataEnd() + 7) &^ 7,
 		limit:   prog.DataBase + heap,
 		symbols: prog.Symbols,
@@ -555,7 +557,7 @@ func New(app *App, opts Options) (*Bench, error) {
 		entry: entry, stepLimit: stepLimit,
 		policy: opts.Errors, budget: newErrorBudget(opts.Errors.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
-		lane: opts.Trace.Lane(0),
+		lane: opts.Trace.Lane(0), runCtx: context.Background(),
 	}
 	b.SetTracing(true)
 	return b, nil
@@ -590,12 +592,6 @@ func (b *Bench) Loader() *Loader { return b.loader }
 // how much work a core performed).
 func (b *Bench) Processed() int { return b.processed }
 
-// packetBoundaryTracer is implemented by extra tracers that key their
-// behavior on which trace packet is about to execute (fault injectors);
-// the bench notifies them with the packet's run index before it
-// executes.
-type packetBoundaryTracer interface{ BeginPacket(index int) }
-
 // ProcessPacket runs the application on one packet under the configured
 // error policy and returns its verdict and workload record. Under the
 // skip policy a faulted packet yields a quarantine Result (Faulted())
@@ -606,7 +602,7 @@ func (b *Bench) ProcessPacket(p *trace.Packet) (Result, error) {
 }
 
 // ProcessPacketAt is ProcessPacket for a packet at a known trace
-// position: idx labels errors and is fed to boundary-aware tracers, so an
+// position: idx labels errors and keys the injector's plan, so an
 // injection plan keyed on trace indexes fires on the right packets no
 // matter which core the packet was scheduled on.
 func (b *Bench) ProcessPacketAt(idx int, p *trace.Packet) (Result, error) {
@@ -673,13 +669,8 @@ func (b *Bench) processOnce(idx int, p *trace.Packet) (Result, *vm.Fault, error)
 	b.cpu.SetReg(isa.RA, vm.ReturnAddress)
 	b.cpu.PC = b.entry
 
-	for _, t := range b.extraTracers {
-		if bt, ok := t.(packetBoundaryTracer); ok {
-			bt.BeginPacket(idx)
-		}
-	}
 	b.col.BeginPacket()
-	err := b.runGuarded()
+	err := b.runGuarded(idx)
 	// Even a faulting run may have dirtied the buffer past the packet's
 	// length; widen the dirty window before reporting the error so a
 	// subsequent packet still gets a clean buffer.
@@ -696,13 +687,13 @@ func (b *Bench) processOnce(idx int, p *trace.Packet) (Result, *vm.Fault, error)
 		if f != nil {
 			fk = uint8(f.Kind) + 1
 		}
-		b.lane.ExecEnd(t0, int64(idx), uint8(b.body), 0, 0, fk)
+		b.lane.ExecEnd(t0, int64(idx), uint8(b.engine), 0, 0, fk)
 		return Result{}, f, fmt.Errorf("core: %s: packet %d: %w", b.app.Name, idx, err)
 	}
 	rec := b.col.EndPacket()
 	b.processed++
 	verdict := b.cpu.Reg(isa.A0)
-	b.lane.ExecEnd(t0, int64(idx), uint8(b.body), rec.Instructions, verdict, 0)
+	b.lane.ExecEnd(t0, int64(idx), uint8(b.engine), rec.Instructions, verdict, 0)
 	if b.metrics != nil {
 		d := uint64(time.Since(start))
 		if b.lane != nil {
@@ -717,29 +708,51 @@ func (b *Bench) processOnce(idx int, p *trace.Packet) (Result, *vm.Fault, error)
 	return Result{Verdict: verdict, Record: rec}, nil, nil
 }
 
-// runGuarded executes the simulator with a panic barrier: a panicking
-// tracer (a fault injector does this on purpose; an instrumentation bug
-// does it by accident) becomes a per-packet error the policy layer can
-// absorb, instead of killing the whole process. A panic carrying a
-// *vm.Fault keeps its identity; anything else surfaces as FaultHostPanic.
-func (b *Bench) runGuarded() (err error) {
+// runGuarded executes the simulator with a panic barrier: a panic (an
+// injected one on purpose, an instrumentation bug by accident) becomes a
+// per-packet FaultHostPanic the policy layer can absorb, instead of
+// killing the whole process.
+//
+// With an injector attached, the packet runs in step-budget segments,
+// one per injection armed for trace index idx. Each injection fires at
+// cpu.PC once exactly its instruction count has executed, and the
+// packet resumes from there; a packet that ends first never fires it.
+func (b *Bench) runGuarded(idx int) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			if f, ok := r.(*vm.Fault); ok {
-				err = f
-				return
-			}
 			err = fmt.Errorf("recovered panic %q: %w", fmt.Sprint(r),
 				&vm.Fault{Kind: vm.FaultHostPanic, PC: b.cpu.PC})
 		}
 	}()
-	switch {
-	case b.tprog != nil:
-		_, _, err = b.cpu.RunProgram(b.tprog, b.stepLimit)
-	default:
-		_, _, err = b.cpu.Run(b.stepLimit)
+	var done uint64
+	if b.inj != nil {
+		for _, e := range b.inj.Execs(idx) {
+			if e.After >= b.stepLimit {
+				break
+			}
+			n, err := b.run(e.After - done)
+			done += n
+			if !errors.Is(err, vm.FaultStepLimit) {
+				return err // the packet ended before the injection's count
+			}
+			if err := e.Fire(b.runCtx, b.cpu.PC); err != nil {
+				return err
+			}
+		}
 	}
+	_, err = b.run(b.stepLimit - done)
 	return err
+}
+
+// run executes the packet from cpu.PC for at most budget instructions
+// on the bench's engine.
+func (b *Bench) run(budget uint64) (uint64, error) {
+	if b.tprog != nil {
+		n, _, err := b.cpu.RunProgram(b.tprog, budget)
+		return n, err
+	}
+	n, _, err := b.cpu.Run(budget)
+	return n, err
 }
 
 // SetTracing attaches or detaches the statistics collector (and any
@@ -755,10 +768,6 @@ func (b *Bench) SetTracing(enabled bool) {
 	default:
 		b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
 	}
-	b.body = b.engine
-	if !vm.Blockwise(b.cpu.Tracer) {
-		b.body = EngineInterpreter
-	}
 }
 
 // programBoundTracer is implemented by extra tracers that precompute
@@ -769,9 +778,8 @@ type programBoundTracer interface {
 }
 
 // AddTracer attaches an additional tracer (for example a
-// microarch.Profiler) alongside the workload collector. The run stays on
-// the block-threaded loop only if every tracer is blockwise; see
-// vm.Tracer.
+// microarch.Profiler) alongside the workload collector, binding it to
+// the program first when it precomputes per-instruction tables.
 func (b *Bench) AddTracer(t vm.Tracer) {
 	if pt, ok := t.(programBoundTracer); ok {
 		pt.BindProgram(b.prog.Text, b.prog.TextBase)
@@ -779,6 +787,13 @@ func (b *Bench) AddTracer(t vm.Tracer) {
 	b.extraTracers = append(b.extraTracers, t)
 	b.SetTracing(true)
 }
+
+// SetInjector attaches a fault injector's execution-surface plan: each
+// packet then runs in step-budget segments, and every injection planned
+// for its trace index fires after exactly its instruction count (see
+// faultinject.Exec). Packet-surface injections belong to the trace
+// reader (Injector.Reader). A nil inj detaches the injector.
+func (b *Bench) SetInjector(inj *faultinject.Injector) { b.inj = inj }
 
 // PacketBytes reads back n bytes of the packet buffer (after processing,
 // to observe in-place modifications).

@@ -72,22 +72,20 @@ func TestBenchProcessPacket(t *testing.T) {
 }
 
 // TestExecSpansReportBodyThatRan checks that exec spans name the engine
-// that actually ran each packet: a threaded bench reports the threaded
-// engine unless an attached tracer is not blockwise, which sends its
-// runs to the interpreter, until tracing is detached again.
+// that ran each packet, which is the bench's engine whatever tracers are
+// attached.
 func TestExecSpansReportBodyThatRan(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		engine EngineKind
 		extra  vm.Tracer
 		detach bool
-		want   EngineKind
 	}{
-		{"threaded", EngineThreaded, nil, false, EngineThreaded},
-		{"threaded+blockwise extra", EngineThreaded, vm.MultiTracer{}, false, EngineThreaded},
-		{"threaded+per-instruction extra", EngineThreaded, &panicTracer{target: -1}, false, EngineInterpreter},
-		{"threaded+per-instruction extra, detached", EngineThreaded, &panicTracer{target: -1}, true, EngineThreaded},
-		{"interp", EngineInterpreter, nil, false, EngineInterpreter},
+		{"threaded", EngineThreaded, nil, false},
+		{"threaded+extra", EngineThreaded, &panicTracer{}, false},
+		{"threaded+extra, detached", EngineThreaded, &panicTracer{}, true},
+		{"interp", EngineInterpreter, nil, false},
+		{"interp+extra", EngineInterpreter, &panicTracer{}, false},
 	} {
 		tr := ptrace.New(ptrace.Config{Lanes: 1, SampleEvery: 1})
 		b, err := New(echoApp(0), Options{Engine: tc.engine, Trace: tr})
@@ -112,8 +110,8 @@ func TestExecSpansReportBodyThatRan(t *testing.T) {
 					continue
 				}
 				spans++
-				if got := EngineKind(ev.Engine); got != tc.want {
-					t.Errorf("%s: packet %d exec span reports %v, want %v", tc.name, ev.Index, got, tc.want)
+				if got := EngineKind(ev.Engine); got != tc.engine {
+					t.Errorf("%s: packet %d exec span reports %v, want %v", tc.name, ev.Index, got, tc.engine)
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/faultinject"
-	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -95,7 +94,7 @@ func TestSkipPolicyEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < skipPool.Cores(); i++ {
-		skipPool.Bench(i).AddTracer(inj.Tracer())
+		skipPool.Bench(i).SetInjector(inj)
 	}
 	faulty, err := collect(skipPool, inj.Reader(trace.NewSliceReader(pkts)))
 	if err != nil {
@@ -153,17 +152,17 @@ func TestSkipPolicyErrorBudget(t *testing.T) {
 	}
 }
 
-// panicTracer blows up with a non-Fault value partway through a chosen
-// packet, standing in for an instrumentation bug.
+// panicTracer blows up with a non-Fault value on the first pass of
+// derefPackets' packet target, which it knows by its loop-count byte in
+// the bench memory mem, standing in for an instrumentation bug. With a
+// nil mem it never panics.
 type panicTracer struct {
 	target int
-	armed  bool
+	mem    *vm.Memory
 }
 
-func (p *panicTracer) BeginPacket(index int) { p.armed = index == p.target }
-func (p *panicTracer) Instr(pc uint32, in isa.Instruction) {
-	if p.armed {
-		p.armed = false
+func (p *panicTracer) Pass(first, last int) {
+	if p.mem != nil && int(p.mem.Read8(PacketBase+2)) == 3*p.target {
 		panic("tracer bug")
 	}
 }
@@ -181,7 +180,7 @@ func TestPoolWorkerPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < pool.Cores(); i++ {
-		pool.Bench(i).AddTracer(&panicTracer{target: 3})
+		pool.Bench(i).AddTracer(&panicTracer{target: 3, mem: pool.Bench(i).Memory()})
 	}
 	_, err = pool.RunPackets(pkts, nil)
 	if err == nil || !strings.Contains(err.Error(), "tracer bug") {
@@ -196,7 +195,7 @@ func TestPoolWorkerPanicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < pool.Cores(); i++ {
-		pool.Bench(i).AddTracer(&panicTracer{target: 3})
+		pool.Bench(i).AddTracer(&panicTracer{target: 3, mem: pool.Bench(i).Memory()})
 	}
 	recs, err := pool.RunPackets(pkts, nil)
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/analysis"
@@ -27,28 +28,27 @@ import (
 // a bundled application run on a core.Bench over a generated trace. Each
 // column (a cell) combines
 //
-//   - body: the interpreter, or the threaded engine (RunProgram), which
-//     runs its block-threaded loop with no tracer or a blockwise one and
-//     hands any other tracer's run to the interpreter;
+//   - body: the interpreter, or the threaded engine (RunProgram);
 //   - step budget: the row's full budget and, for programs, every budget
-//     from 0 to min(steps, 64);
+//     k from 0 to min(steps, 64), alone and split: run to k, then resume
+//     from the stopped pc under the rest of the full budget, capped at
+//     splitCap steps;
 //   - observer: none; a stats.Collector with Detail, Coverage and
 //     CountPCs on; the same collector with Detail off ("accounting"); the
 //     Detail collector plus a microarch.Profiler with small caches; or
-//     the Detail collector plus a per-instruction extra tracer (a
-//     panicking event recorder for programs, a faultinject plan with
-//     vmfault and panic entries for applications).
+//     the Detail collector plus an extra observer (an event recorder for
+//     programs, a faultinject plan with vmfault, panic and delay entries
+//     for applications).
 //
-// Every observer but the extra tracer is blockwise, so threaded cells of
-// those columns report block passes, and their threaded program cells
-// (and application cells, through a trap tracer) panic on any Instr
-// call. Their records, coverage sizes, PCCounts, Detail traces
-// (InstrTrace, MemTrace with InstrNum, BlockSeq) and profiler state must
-// match the interpreter's per-instruction ones bit for bit. runCell
-// executes a cell and diff compares it with the interpreter's run of the
-// same row, budget and observer, and checkRow runs every cell of a row,
-// one subtest per observer. TestOracle (programs),
-// TestEngineEquivalenceApps (bundled applications),
+// The interpreter reports one-instruction passes and the threaded
+// engine block passes. The records, coverage sizes, PCCounts, Detail
+// traces (InstrTrace, MemTrace with InstrNum, BlockSeq), recorded events
+// and profiler state derived from either must match bit for bit.
+// runCell executes a cell and diff compares it with the interpreter's
+// run of the same row, budget and observer; a split cell is compared
+// with the interpreter's unsplit run under the same budget. checkRow
+// runs every cell of a row, one subtest per observer. TestOracle
+// (programs), TestEngineEquivalenceApps (bundled applications),
 // TestEngineEquivalenceFaults (NoVerify fault programs) and FuzzOracle
 // all drive rows through checkRow.
 
@@ -57,7 +57,7 @@ type observer int
 const (
 	obsNone       observer = iota // no tracer
 	obsCollector                  // the statistics collector in Detail mode
-	obsExtra                      // the Detail collector plus a per-instruction extra tracer
+	obsExtra                      // the Detail collector plus an extra observer
 	obsAccounting                 // the collector without Detail
 	obsMicroarch                  // the Detail collector plus a microarch.Profiler
 )
@@ -68,25 +68,25 @@ func (o observer) String() string {
 	return [...]string{"none", "collector", "collector+extra", "accounting", "microarch"}[o]
 }
 
-// cell is one column. The body follows from threaded and obs.
+// cell is one column. A split cell runs to splitAt steps, then resumes
+// under the rest of budget.
 type cell struct {
 	threaded bool
 	budget   uint64
+	split    bool
+	splitAt  uint64
 	obs      observer
 }
 
 func (c cell) String() string {
-	body := "interp"
-	switch {
-	case !c.threaded:
-	case c.obs == obsNone:
-		body = "fast"
-	case c.obs == obsExtra:
-		body = "threaded->interp"
-	default:
-		body = "fast+passes"
+	body, split := "interp", ""
+	if c.threaded {
+		body = "threaded"
 	}
-	return fmt.Sprintf("%s budget=%d observer=%s", body, c.budget, c.obs)
+	if c.split {
+		split = fmt.Sprintf(" split=%d", c.splitAt)
+	}
+	return fmt.Sprintf("%s budget=%d%s observer=%s", body, c.budget, split, c.obs)
 }
 
 // row is one input. Program rows set text; application rows set app.
@@ -108,9 +108,8 @@ type row struct {
 	noVerify bool // the verifier rejects the app, so NoVerify stays on
 	pkts     []*trace.Packet
 
-	blocks  *analysis.BlockMap
-	prog    *vm.Program // the threaded translation of text
-	panicAt int         // Instr event on which the extra program observer panics
+	blocks *analysis.BlockMap
+	prog   *vm.Program // the threaded translation of text
 }
 
 // outcome is everything one cell's run exposes.
@@ -121,7 +120,6 @@ type outcome struct {
 	Ret      uint64 // steps returned by the run
 	Reason   vm.StopReason
 	Fault    *vm.Fault
-	Panic    string
 	High     uint32 // packet-write watermark
 	Pages    int    // allocated memory pages
 	Events   []event
@@ -182,27 +180,35 @@ type event struct {
 }
 
 // eventTracer is the extra observer of program rows: it records every
-// event, and on Instr event number panicAt it panics with a non-Fault
-// value, standing in for an instrumentation bug.
+// event, expanding each pass into one entry per instruction followed by
+// that instruction's data access, if any. A pass is straight-line, so
+// each pc occurs in it once and its pending accesses sort by pc.
 type eventTracer struct {
-	panicAt, instrs int
-	events          []event
+	text    []isa.Instruction
+	base    uint32
+	pending []event // the Mem events of the coming pass
+	events  []event
 }
 
-func (e *eventTracer) Instr(pc uint32, in isa.Instruction) {
-	if e.instrs == e.panicAt {
-		panic("tracer bug")
+func (e *eventTracer) Pass(first, last int) {
+	for i := first; i <= last; i++ {
+		pc := e.base + uint32(i)*isa.WordSize
+		e.events = append(e.events, event{PC: pc, In: e.text[i]})
+		for _, m := range e.pending {
+			if m.PC == pc {
+				e.events = append(e.events, m)
+			}
+		}
 	}
-	e.instrs++
-	e.events = append(e.events, event{PC: pc, In: in})
+	e.pending = e.pending[:0]
 }
 
 func (e *eventTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {
-	e.events = append(e.events, event{PC: pc, Addr: addr, Size: size, Write: write, Region: region})
+	e.pending = append(e.pending, event{PC: pc, Addr: addr, Size: size, Write: write, Region: region})
 }
 
 // extraPlan is the extra observer of application rows.
-const extraPlan = "panic@1:0,vmfault@4:9,panic@7"
+const extraPlan = "delay@0:1,panic@1:0,vmfault@4:9,panic@7"
 
 // runCell executes one cell of a row.
 func runCell(t *testing.T, r *row, c cell) *outcome {
@@ -222,40 +228,38 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 	var prof *microarch.Profiler
 	if c.obs != obsNone {
 		col = observedCollector(stats.NewCollector(r.text, r.base, r.blocks, r.layout), c.obs)
-		trap := func(bt vm.BlockTracer) vm.BlockTracer {
-			if c.threaded {
-				return passesOnly{bt}
-			}
-			return bt
-		}
-		cpu.Tracer = trap(col)
+		cpu.Tracer = col
 		switch c.obs {
 		case obsExtra:
-			ev = &eventTracer{panicAt: r.panicAt}
+			ev = &eventTracer{text: r.text, base: r.base}
 			cpu.Tracer = vm.MultiTracer{col, ev}
 		case obsMicroarch:
 			prof = newProfiler(t)
 			prof.BindProgram(r.text, r.base)
-			cpu.Tracer = vm.MultiTracer{trap(col), trap(prof)}
+			cpu.Tracer = vm.MultiTracer{col, prof}
 		}
 		col.BeginPacket()
 	}
-	func() {
-		defer func() {
-			if p := recover(); p != nil {
-				o.Panic = fmt.Sprint(p)
-			}
-		}()
-		var err error
+	run := func(budget uint64) (uint64, vm.StopReason, error) {
 		if c.threaded {
-			o.Ret, o.Reason, err = cpu.RunProgram(r.prog, c.budget)
-		} else {
-			o.Ret, o.Reason, err = cpu.Run(c.budget)
+			return cpu.RunProgram(r.prog, budget)
 		}
-		if err != nil && !errors.As(err, &o.Fault) {
-			t.Fatalf("%v: non-Fault error: %v", c, err)
-		}
-	}()
+		return cpu.Run(budget)
+	}
+	first := c.budget
+	if c.split {
+		first = c.splitAt
+	}
+	var err error
+	o.Ret, o.Reason, err = run(first)
+	if c.split && errors.Is(err, vm.FaultStepLimit) {
+		var n uint64
+		n, o.Reason, err = run(c.budget - o.Ret)
+		o.Ret += n
+	}
+	if err != nil && !errors.As(err, &o.Fault) {
+		t.Fatalf("%v: non-Fault error: %v", c, err)
+	}
 	if cpu.Regs[isa.Zero] != 0 {
 		t.Fatalf("%v: zero register clobbered: %#x", c, cpu.Regs[isa.Zero])
 	}
@@ -268,7 +272,7 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 		o.collect(col)
 	}
 	if ev != nil {
-		o.Events = ev.events
+		o.Events = append(ev.events, ev.pending...)
 	}
 	if prof != nil {
 		o.Profile = profileOf(prof)
@@ -297,15 +301,10 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b.AddTracer(faultinject.New(1, plan).Tracer())
+		b.SetInjector(faultinject.New(1, plan))
 	case obsMicroarch:
 		prof = newProfiler(t)
 		b.AddTracer(prof) // the bench binds it to the program
-	}
-	if c.threaded && (c.obs == obsCollector || c.obs == obsMicroarch) {
-		// A trap that fails the cell if the run leaves block mode. The
-		// accounting column keeps the bare collector as the one tracer.
-		b.AddTracer(passesOnly{vm.MultiTracer{}})
 	}
 	o := &outcome{mem: b.Memory()}
 	for i, p := range r.pkts {
@@ -317,9 +316,6 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		traces(col, &po)
 		o.Packets = append(o.Packets, po)
 	}
-	if c.obs == obsExtra && !r.noVerify {
-		checkInjected(t, c, o.Packets)
-	}
 	o.collect(col)
 	o.Pages = b.Memory().PageCount()
 	if prof != nil {
@@ -328,27 +324,34 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 	return o
 }
 
-// checkInjected checks that extraPlan fired where it says, at the
-// instruction the Detail collector saw last: a host panic at packet 1's
-// first instruction and an injected vmfault at packet 4's tenth. Packet
+// checkInjected checks that extraPlan fired where it says, against the
+// collector column's run of the same packets. An injection at count k
+// fires after exactly k instructions, at the pc of the next instruction,
+// which does not execute: a host panic before packet 1's first
+// instruction and an injected vmfault before packet 4's tenth. Packet
 // 7's panic fires after a seeded count, unless the packet is shorter.
-// The diff against the interpreter then pins the post-fault state.
-func checkInjected(t *testing.T, c cell, pkts []packetOutcome) {
+// Packet 0's delay stops the packet and resumes it, so its record and
+// Detail traces are the collector column's.
+func checkInjected(t *testing.T, c cell, pkts, clean []packetOutcome) {
 	t.Helper()
 	for _, want := range []struct {
-		pkt    int
-		kind   vm.FaultKind
-		instrs int // 0: any, and the fault is optional
-	}{{1, vm.FaultHostPanic, 1}, {4, vm.FaultBadInstr, 10}, {7, vm.FaultHostPanic, 0}} {
-		po := pkts[want.pkt]
+		pkt      int
+		kind     vm.FaultKind
+		instrs   int
+		optional bool // the fault may not fire; instrs is then ignored
+	}{{1, vm.FaultHostPanic, 0, false}, {4, vm.FaultBadInstr, 9, false}, {7, vm.FaultHostPanic, 0, true}} {
+		po, ref := pkts[want.pkt], clean[want.pkt].InstrTrace
 		n := len(po.InstrTrace)
-		if want.instrs == 0 && po.Fault == nil {
+		if want.optional && po.Fault == nil {
 			continue
 		}
-		if po.Fault == nil || po.Fault.Kind != want.kind || n == 0 || po.Fault.PC != po.InstrTrace[n-1] ||
-			(want.instrs != 0 && n != want.instrs) {
+		if po.Fault == nil || po.Fault.Kind != want.kind || n >= len(ref) || po.Fault.PC != ref[n] ||
+			!slices.Equal(po.InstrTrace, ref[:n]) || (!want.optional && n != want.instrs) {
 			t.Fatalf("%v: packet %d: fault %+v after %d instructions, want %v", c, want.pkt, po.Fault, n, want.kind)
 		}
+	}
+	if err := firstDiff("delayed packet", reflect.ValueOf(clean[0]), reflect.ValueOf(pkts[0])); err != nil {
+		t.Fatalf("%v: %v", c, err)
 	}
 }
 
@@ -358,12 +361,6 @@ func observedCollector(col *stats.Collector, obs observer) *stats.Collector {
 	col.Detail, col.Coverage, col.CountPCs = obs != obsAccounting, true, true
 	return col
 }
-
-// passesOnly wraps a blockwise tracer of a threaded cell so that an
-// Instr call panics: a cell that falls back to the interpreter fails.
-type passesOnly struct{ vm.BlockTracer }
-
-func (passesOnly) Instr(uint32, isa.Instruction) { panic("Instr called in block mode") }
 
 // traces copies the collector's traces of the current packet into po.
 func traces(col *stats.Collector, po *packetOutcome) {
@@ -420,6 +417,9 @@ func firstDiff(path string, w, g reflect.Value) error {
 	return fmt.Errorf("%s differs:\n  interp   %s\n  threaded %s", path, clip(w), clip(g))
 }
 
+// splitCap caps the budget of split cells.
+const splitCap = 1024
+
 // checkRow runs every cell of a row against the interpreter, with one
 // subtest per observer.
 func checkRow(t *testing.T, r *row) {
@@ -434,20 +434,45 @@ func checkRow(t *testing.T, r *row) {
 			t.Fatalf("interpreter fails the independent check: %v", err)
 		}
 	}
-	budgets := []uint64{r.budget}
+	var splits []uint64
 	if r.app == nil {
-		r.panicAt = int(ref.Ret / 2)
-		for b := uint64(0); b <= min(ref.Ret, 64); b++ {
-			budgets = append(budgets, b)
+		for k := uint64(0); k <= min(ref.Ret, 64); k++ {
+			splits = append(splits, k)
 		}
+	}
+	// Split cells run under the full budget, capped so that a long
+	// row does not rerun its whole budget once per split.
+	splitBudget := r.budget
+	if ref.Ret > splitCap {
+		splitBudget = splitCap
+	}
+	var clean []packetOutcome // the collector column's packets, for checkInjected
+	if r.app != nil && !r.noVerify {
+		clean = runCell(t, r, cell{budget: r.budget, obs: obsCollector}).Packets
 	}
 	for _, obs := range observers {
 		t.Run(obs.String(), func(t *testing.T) {
-			for _, budget := range budgets {
-				want := runCell(t, r, cell{budget: budget, obs: obs})
-				c := cell{threaded: true, budget: budget, obs: obs}
-				if err := diff(want, runCell(t, r, c)); err != nil {
+			check := func(want *outcome, c cell) {
+				t.Helper()
+				got := runCell(t, r, c)
+				if err := diff(want, got); err != nil {
 					t.Fatalf("%v: %v", c, err)
+				}
+				if obs == obsExtra && clean != nil {
+					checkInjected(t, c, got.Packets, clean)
+				}
+			}
+			full := runCell(t, r, cell{budget: r.budget, obs: obs})
+			check(full, cell{threaded: true, budget: r.budget, obs: obs})
+			unsplit := full
+			if splitBudget != r.budget {
+				unsplit = runCell(t, r, cell{budget: splitBudget, obs: obs})
+			}
+			for _, k := range splits {
+				want := runCell(t, r, cell{budget: k, obs: obs})
+				check(want, cell{threaded: true, budget: k, obs: obs})
+				for _, threaded := range []bool{false, true} {
+					check(unsplit, cell{threaded: threaded, budget: splitBudget, split: true, splitAt: k, obs: obs})
 				}
 			}
 		})

@@ -246,12 +246,6 @@ type resumePoint struct {
 	skipped int
 }
 
-// runBoundTracer is implemented by extra tracers that want the run's
-// cancellation context (a fault injector's deliberate stalls select on
-// it, so cancellation unwedges the stuck worker). The pool broadcasts
-// the context to every core's tracers before the first packet executes.
-type runBoundTracer interface{ BeginRun(ctx context.Context) }
-
 // RunTrace streams packets from the reader through the pool (up to limit
 // packets; limit <= 0 means all) without ever materializing the trace in
 // memory: a producer feeds a bounded channel of packet batches (read via
@@ -310,15 +304,11 @@ func (p *Pool) runTrace(ctx context.Context, r trace.Reader, limit int, onResult
 		seek = sk
 	}
 
-	// Hand the run context to context-aware tracers before any packet
-	// executes, so an injected stall can block on it and cancellation
-	// (watchdog, deadline, external) unwedges the worker immediately.
+	// Hand every core the run context before any packet executes, so
+	// an injected stall sleeps on it and cancellation (watchdog,
+	// deadline, external) unwedges the worker immediately.
 	for _, b := range p.benches {
-		for _, t := range b.extraTracers {
-			if rt, ok := t.(runBoundTracer); ok {
-				rt.BeginRun(ctx)
-			}
-		}
+		b.runCtx = ctx
 	}
 
 	var stop atomic.Bool

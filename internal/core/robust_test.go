@@ -13,7 +13,7 @@ import (
 	"repro/internal/vm"
 )
 
-// poolWithPlan builds a pool with the injector's tracer on every core.
+// poolWithPlan builds a pool with the injector on every core.
 func poolWithPlan(t *testing.T, cores int, opts Options, inj *faultinject.Injector) *Pool {
 	t.Helper()
 	pool, err := NewPool(derefApp(), cores, opts)
@@ -22,7 +22,7 @@ func poolWithPlan(t *testing.T, cores int, opts Options, inj *faultinject.Inject
 	}
 	if inj != nil {
 		for i := 0; i < pool.Cores(); i++ {
-			pool.Bench(i).AddTracer(inj.Tracer())
+			pool.Bench(i).SetInjector(inj)
 		}
 	}
 	return pool

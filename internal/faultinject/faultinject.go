@@ -11,10 +11,12 @@
 //   - Injector.Reader wraps a trace.Reader and mutates packets as they
 //     are read: flipping header bytes, truncating the captured data or
 //     clamping the capture length.
-//   - Injector.Tracer returns a vm.Tracer that, armed at a packet
-//     boundary, fires mid-execution: a *vm.Fault panic, a plain host
-//     panic (simulating a worker bug), or an injected latency spike or
-//     full stall that exercises the pool's progress watchdog.
+//   - Injector.Execs lists a packet's execution-surface injections, each
+//     at an exact instruction count. The run engine
+//     (core.Bench.SetInjector) runs the packet in step-budget segments
+//     and fires each one between two instructions: a *vm.Fault, a plain
+//     host panic (simulating a worker bug), or an injected latency spike
+//     or full stall that exercises the pool's progress watchdog.
 //   - Injector.CheckpointTearFunc plugs into core.Checkpointer.TearWrite
 //     and simulates a crash mid-checkpoint at planned write ordinals.
 //
@@ -24,15 +26,16 @@
 package faultinject
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -51,7 +54,7 @@ const (
 	// aggressive snap length would.
 	ClampLen
 	// VMFault forces a *vm.Fault partway through the packet's simulated
-	// execution, via the tracer hook.
+	// execution.
 	VMFault
 	// WorkerPanic panics with a plain (non-fault) value partway through
 	// the packet's execution, simulating a host-side worker bug; the run
@@ -67,7 +70,7 @@ const (
 	Stall
 	// CkptTear makes checkpoint write ordinal Index crash mid-write,
 	// leaving a torn temp file and the previous checkpoint intact. It
-	// attaches via CheckpointTearFunc, not the reader or tracer.
+	// attaches via CheckpointTearFunc, not the reader or Execs.
 	CkptTear
 )
 
@@ -118,8 +121,8 @@ type resolved struct {
 }
 
 // Injector applies a plan. It is safe for concurrent use: the packet
-// mutations run inside the (sequential) trace reader, and the tracers
-// only read the plan.
+// mutations run inside the (sequential) trace reader, and Execs only
+// reads the plan.
 type Injector struct {
 	seed    int64
 	byIndex map[int][]*resolved
@@ -247,30 +250,6 @@ func (r *resolved) applyPacket(p *trace.Packet) *trace.Packet {
 	return p
 }
 
-// Tracer returns a vm.Tracer for one core. The run engine must call
-// BeginPacket with the trace index before each packet executes; when the
-// plan holds an execution-surface fault for that index, the tracer fires
-// once the armed instruction count elapses: VMFault panics with a
-// *vm.Fault, WorkerPanic panics with a plain string, Delay and Stall
-// sleep inside the instruction stream. Create one Tracer per core. The
-// tracer observes every instruction, so attaching it sends a threaded
-// bench to the interpreter: attach it only when HasExecFaults.
-func (inj *Injector) Tracer() *Tracer {
-	return &Tracer{inj: inj}
-}
-
-// HasExecFaults reports whether the plan holds an execution-surface
-// kind (VMFault, WorkerPanic, Delay, Stall), the only kinds Tracer
-// fires.
-func (inj *Injector) HasExecFaults() bool {
-	for _, in := range inj.plan {
-		if in.Kind.executes() {
-			return true
-		}
-	}
-	return false
-}
-
 // executes reports whether k fires inside a packet's execution.
 func (k Kind) executes() bool {
 	switch k {
@@ -280,98 +259,65 @@ func (k Kind) executes() bool {
 	return false
 }
 
-// armedFault is one execution-surface injection armed for the packet in
-// flight, with its remaining instruction countdown.
-type armedFault struct {
-	res       *resolved
-	countdown int
+// Exec is an execution-surface injection armed for one packet. It fires
+// after exactly After of the packet's instructions have executed, at
+// the pc of the next instruction, which has not executed yet.
+type Exec struct {
+	After uint64
+	res   *resolved
 }
 
-// Tracer forces execution-surface faults at planned packet indexes. It
-// implements vm.Tracer plus the BeginPacket boundary hook the run engine
-// feeds per-packet indexes through, and the BeginRun hook the pool uses
-// to hand it the run context so injected stalls unblock on cancellation.
-type Tracer struct {
-	inj   *Injector
-	ctx   context.Context
-	armed []armedFault
-}
-
-// BeginRun hands the tracer the run's context. Injected stalls and
-// delays select on its Done channel, so a watchdog-cancelled run
-// unwedges the stalled worker instead of leaking it for the full sleep.
-func (t *Tracer) BeginRun(ctx context.Context) { t.ctx = ctx }
-
-// BeginPacket arms the tracer's execution-surface injections for the
-// packet at the given trace index.
-func (t *Tracer) BeginPacket(index int) {
-	t.armed = t.armed[:0]
-	for _, res := range t.inj.byIndex[index] {
+// Execs returns the execution-surface injections planned for the packet
+// at trace index index, in firing order: by After, then in plan order.
+func (inj *Injector) Execs(index int) []Exec {
+	var armed []Exec
+	for _, res := range inj.byIndex[index] {
 		if !res.Kind.executes() {
 			continue
 		}
-		countdown := res.Arg
-		if res.Kind == Delay || res.Kind == Stall || countdown < 0 {
+		after := res.Arg
+		if res.Kind == Delay || res.Kind == Stall || after < 0 {
 			// A small seeded count keeps the fault inside even short
 			// applications' instruction budgets. For Delay/Stall the Arg
-			// is the sleep, never the countdown.
-			countdown = int(res.salt % 16)
+			// is the sleep, never the count.
+			after = int(res.salt % 16)
 		}
-		t.armed = append(t.armed, armedFault{res: res, countdown: countdown})
+		armed = append(armed, Exec{After: uint64(after), res: res})
 	}
+	slices.SortStableFunc(armed, func(a, b Exec) int { return cmp.Compare(a.After, b.After) })
+	return armed
 }
 
-// Instr implements vm.Tracer; it fires armed injections as their
-// countdowns elapse. Each entry is removed before firing, so a panic
-// that unwinds the VM cannot re-fire the same arming on a later
-// instruction.
-func (t *Tracer) Instr(pc uint32, in isa.Instruction) {
-	for i := 0; i < len(t.armed); {
-		a := &t.armed[i]
-		if a.countdown > 0 {
-			a.countdown--
-			i++
-			continue
-		}
-		res := a.res
-		t.armed = append(t.armed[:i], t.armed[i+1:]...)
-		t.fire(res, pc)
-	}
-}
-
-// fire executes one armed injection at the current pc.
-func (t *Tracer) fire(res *resolved, pc uint32) {
+// Fire executes the injection with the packet stopped at pc. VMFault
+// returns a *vm.Fault at pc and WorkerPanic panics with a plain string.
+// Delay and Stall sleep until their time is up or ctx is done, and
+// return nil: the packet resumes.
+func (e Exec) Fire(ctx context.Context, pc uint32) error {
+	res := e.res
 	switch res.Kind {
 	case VMFault:
-		panic(&vm.Fault{Kind: vm.FaultBadInstr, PC: pc})
+		return &vm.Fault{Kind: vm.FaultBadInstr, PC: pc}
 	case WorkerPanic:
 		panic(fmt.Sprintf("faultinject: injected worker panic at pc %#x", pc))
-	case Delay, Stall:
-		d := time.Duration(res.Arg) * time.Millisecond
-		if res.Arg < 0 {
-			if res.Kind == Delay {
-				d = time.Duration(1+res.salt%25) * time.Millisecond
-			} else {
-				// An unbounded stall: in practice "until the watchdog
-				// cancels the run", far past any sane stall timeout.
-				d = time.Hour
-			}
-		}
-		ctx := t.ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		timer := time.NewTimer(d)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
+	}
+	d := time.Duration(res.Arg) * time.Millisecond
+	if res.Arg < 0 {
+		if res.Kind == Delay {
+			d = time.Duration(1+res.salt%25) * time.Millisecond
+		} else {
+			// An unbounded stall: in practice "until the watchdog
+			// cancels the run", far past any sane stall timeout.
+			d = time.Hour
 		}
 	}
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-ctx.Done():
+	}
+	return nil
 }
-
-// Mem implements vm.Tracer.
-func (t *Tracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {}
 
 // CheckpointTearFunc returns a core.Checkpointer.TearWrite hook firing
 // the plan's CkptTear entries, or nil when the plan holds none. The

@@ -2,10 +2,11 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"slices"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/vm"
 )
@@ -102,58 +103,32 @@ func TestSeededChoicesAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestTracerForcesFault(t *testing.T) {
-	inj := New(1, []Injection{{Index: 5, Kind: VMFault, Arg: 2}})
-	tr := inj.Tracer()
-
-	step := func() (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = r.(*vm.Fault)
-			}
-		}()
-		tr.Instr(0x400000, isa.Instruction{})
-		return nil
+// TestExecsPerPacket: only the packet an execution-surface injection
+// names arms it, at its exact instruction count (seeded below 16 when
+// unspecified, and always for delay and stall), in firing order; a
+// vmfault fires as a FaultBadInstr at the given pc, every time.
+func TestExecsPerPacket(t *testing.T) {
+	inj := New(1, mustParse(t, "vmfault@5:20,flip@5,delay@5:3,vmfault@5:2,panic@6,tearckpt@4"))
+	if got := inj.Execs(4); len(got) != 0 {
+		t.Fatalf("packet 4 armed %v, want nothing", got)
 	}
-
-	// Packet 4 is not in the plan: nothing fires.
-	tr.BeginPacket(4)
-	for i := 0; i < 10; i++ {
-		if err := step(); err != nil {
-			t.Fatalf("unplanned packet faulted: %v", err)
-		}
-	}
-
-	// Packet 5: fault after 2 instructions, on every execution — the
-	// plan is deterministic, so a second run meets the same fault.
 	for run := 0; run < 2; run++ {
-		tr.BeginPacket(5)
-		if err := step(); err != nil {
-			t.Fatal("fired too early (instruction 1)")
+		got := inj.Execs(5)
+		var counts []uint64
+		for _, e := range got {
+			counts = append(counts, e.After)
 		}
-		if err := step(); err != nil {
-			t.Fatal("fired too early (instruction 2)")
+		if len(counts) != 3 || !slices.IsSorted(counts) || !slices.Contains(counts, 2) || counts[2] != 20 ||
+			counts[0]+counts[1]-2 >= 16 {
+			t.Fatalf("run %d: packet 5 armed counts %v, want 2, a seeded delay count and 20 in firing order", run, counts)
 		}
-		err := step()
-		if err == nil {
-			t.Fatalf("run %d: armed tracer never fired", run)
-		}
-		if !errors.Is(err, vm.FaultBadInstr) {
-			t.Errorf("fault kind = %v, want FaultBadInstr", err)
+		err := got[2].Fire(context.Background(), 0x400008)
+		if f := (*vm.Fault)(nil); !errors.As(err, &f) || *f != (vm.Fault{Kind: vm.FaultBadInstr, PC: 0x400008}) {
+			t.Errorf("run %d: vmfault fired %v, want FaultBadInstr at 0x400008", run, err)
 		}
 	}
-}
-
-// TestHasExecFaults: only execution-surface kinds need the
-// per-instruction tracer.
-func TestHasExecFaults(t *testing.T) {
-	if New(1, mustParse(t, "flip@3,trunc@7:20,clamp@2,tearckpt@1")).HasExecFaults() {
-		t.Error("packet-surface plan reports execution faults")
-	}
-	for _, spec := range []string{"vmfault@1", "panic@1", "delay@1:2", "stall@1"} {
-		if !New(1, mustParse(t, "flip@3,"+spec)).HasExecFaults() {
-			t.Errorf("%s: execution fault not reported", spec)
-		}
+	if got := inj.Execs(6); len(got) != 1 || got[0].After >= 16 {
+		t.Errorf("packet 6 armed %v, want one seeded panic count", got)
 	}
 }
 

@@ -8,15 +8,13 @@
 // model — the inputs the paper's follow-on performance models (Franklin
 // & Wolf) consume.
 //
-// The Profiler implements vm.BlockTracer and can be attached to a bench
+// The Profiler implements vm.Tracer and can be attached to a bench
 // alongside the workload collector (see core.Bench.AddTracer). Each
 // instruction's class and fixed cycle cost are static, so BindProgram
-// computes them once per program, and a block pass only pays for what
-// is dynamic: the I-cache access per line run, the branch outcome and
-// the D-cache access per data reference. A bound profiler is
-// blockwise and rides the threaded engine's block passes; an unbound one
-// takes Instr events, so a bare vm.CPU run without BindProgram goes to
-// the interpreter and still gets exact results.
+// computes them once per program, and a pass only pays for what is
+// dynamic: the I-cache access per line run, the branch outcome and the
+// D-cache access per data reference. A profiler must be bound before it
+// observes a run; Bench.AddTracer binds it.
 package microarch
 
 import (
@@ -202,10 +200,10 @@ func (cm CostModel) base(c Class) uint64 {
 	}
 }
 
-// Profiler is a vm.BlockTracer computing microarchitectural statistics.
-// The zero value profiles with the default cost model and no caches;
-// attach caches with NewProfiler or by assigning ICache/DCache before the
-// run.
+// Profiler is a vm.Tracer computing microarchitectural statistics.
+// The zero value, once bound with BindProgram, profiles with the default
+// cost model and no caches; attach caches with NewProfiler or by
+// assigning ICache/DCache before the run.
 type Profiler struct {
 	Mix      Mix
 	Branches BranchStats
@@ -261,8 +259,8 @@ func (cm CostModel) opCost(pc uint32, in isa.Instruction) opCost {
 }
 
 // BindProgram computes the per-instruction table of the text segment
-// the profiled runs execute, which makes the profiler blockwise. The
-// table holds the cost model's base cycles, so set Cost before binding.
+// the profiled runs execute. The table holds the cost model's base
+// cycles, so set Cost before binding.
 func (p *Profiler) BindProgram(text []isa.Instruction, textBase uint32) {
 	cm := p.cost()
 	p.textBase = textBase
@@ -272,22 +270,11 @@ func (p *Profiler) BindProgram(text []isa.Instruction, textBase uint32) {
 	}
 }
 
-// Blockwise implements vm.BlockTracer: a bound profiler needs nothing
-// from Instr that Pass does not carry.
-func (p *Profiler) Blockwise() bool { return p.table != nil }
-
-// Instr implements vm.Tracer.
-func (p *Profiler) Instr(pc uint32, in isa.Instruction) {
-	cm := p.cost()
-	p.exec(pc, cm.opCost(pc, in), &cm)
-}
-
-// Pass implements vm.BlockTracer: the instructions first..last executed
-// in order. A conditional branch always ends its pass, so only last can
+// Pass implements vm.Tracer: the instructions first..last executed in
+// order. A conditional branch always ends its pass, so only last can
 // leave a branch pending, and first's pc resolves the one the previous
-// pass left, exactly as the next Instr would. The I-cache and D-cache
-// are separate, so running a pass's I-cache accesses after its Mem
-// events changes nothing.
+// pass left. The I-cache and D-cache are separate, so running a pass's
+// I-cache accesses after its Mem events changes nothing.
 //
 // The I-cache is fetched per line, not per pc: the first pc of each
 // line run accesses the cache, and the rest of the run hits the line
@@ -341,23 +328,6 @@ func (p *Profiler) resolve(pc uint32, cm *CostModel) {
 		if taken {
 			p.Cycles += cm.TakenPenalty
 		}
-	}
-}
-
-// exec profiles one executed instruction: it resolves the pending branch
-// now that the successor pc is known, then adds the instruction's class,
-// cycles and I-cache access.
-func (p *Profiler) exec(pc uint32, op opCost, cm *CostModel) {
-	p.resolve(pc, cm)
-	p.Mix.Counts[op.class]++
-	p.Cycles += op.cycles
-	if op.class == ClassBranch {
-		p.havePending = true
-		p.pendingPC = pc
-		p.pendingBackward = op.backward
-	}
-	if p.ICache != nil && !p.ICache.Access(pc) {
-		p.Cycles += cm.MissPenalty
 	}
 }
 

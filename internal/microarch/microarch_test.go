@@ -2,6 +2,7 @@ package microarch
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -51,12 +52,27 @@ func TestMix(t *testing.T) {
 	}
 }
 
+// feed binds p to a program holding instrs[i] at pcs[i] (text base 0,
+// ALU no-ops elsewhere) and reports each pc in turn as a one-instruction
+// pass, as the interpreter does.
+func feed(p *Profiler, pcs []uint32, instrs []isa.Instruction) {
+	text := make([]isa.Instruction, slices.Max(pcs)/isa.WordSize+1)
+	for i := range text {
+		text[i] = isa.Instruction{Op: isa.ADDI}
+	}
+	for i, pc := range pcs {
+		text[pc/isa.WordSize] = instrs[i]
+	}
+	p.BindProgram(text, 0)
+	for _, pc := range pcs {
+		p.Pass(int(pc/isa.WordSize), int(pc/isa.WordSize))
+	}
+}
+
 // driveBranches feeds the profiler a synthetic instruction stream with
 // known branch behaviour.
 func driveBranches(p *Profiler, pcs []uint32, instrs []isa.Instruction) {
-	for i := range pcs {
-		p.Instr(pcs[i], instrs[i])
-	}
+	feed(p, pcs, instrs)
 	p.Flush()
 }
 
@@ -88,7 +104,7 @@ func TestBranchDetection(t *testing.T) {
 func TestBranchPendingAtEnd(t *testing.T) {
 	p := NewProfiler(nil, nil)
 	bne := isa.Instruction{Op: isa.BNE, Rs1: isa.T0, Rs2: isa.T1, Imm: 4}
-	p.Instr(0x100, bne)
+	feed(p, []uint32{0x100}, []isa.Instruction{bne})
 	// No successor instruction: Flush must resolve it as not taken.
 	p.Flush()
 	if p.Branches.Branches != 1 || p.Branches.Taken != 0 {
@@ -126,11 +142,13 @@ func TestBimodalConvergesOnLoop(t *testing.T) {
 
 func TestCycleModel(t *testing.T) {
 	p := NewProfiler(nil, nil)
-	p.Instr(0, isa.Instruction{Op: isa.ADD})  // 1
-	p.Instr(4, isa.Instruction{Op: isa.MUL})  // 2
-	p.Instr(8, isa.Instruction{Op: isa.LW})   // 3
-	p.Instr(12, isa.Instruction{Op: isa.SW})  // 2
-	p.Instr(16, isa.Instruction{Op: isa.JAL}) // 1 + 2 taken penalty
+	feed(p, []uint32{0, 4, 8, 12, 16}, []isa.Instruction{
+		{Op: isa.ADD}, // 1
+		{Op: isa.MUL}, // 2
+		{Op: isa.LW},  // 3
+		{Op: isa.SW},  // 2
+		{Op: isa.JAL}, // 1 + 2 taken penalty
+	})
 	want := uint64(1 + 2 + 3 + 2 + 1 + 2)
 	if p.Cycles != want {
 		t.Errorf("Cycles = %d, want %d", p.Cycles, want)
@@ -144,12 +162,8 @@ func TestCycleModelTakenBranchPenalty(t *testing.T) {
 	p := NewProfiler(nil, nil)
 	bne := isa.Instruction{Op: isa.BNE, Imm: 4}
 	nop := isa.Instruction{Op: isa.ADDI}
-	// Taken branch: successor pc != pc+4.
-	p.Instr(0x100, bne)
-	p.Instr(0x114, nop)
-	// Not-taken branch.
-	p.Instr(0x118, bne)
-	p.Instr(0x11C, nop)
+	// A taken branch (successor pc != pc+4), then a not-taken one.
+	feed(p, []uint32{0x100, 0x114, 0x118, 0x11C}, []isa.Instruction{bne, nop, bne, nop})
 	p.Flush()
 	// 2 branches (1 each) + 2 nops (1 each) + one taken penalty (2).
 	if p.Cycles != 2+2+2 {
@@ -263,14 +277,14 @@ func TestProfilerWithCaches(t *testing.T) {
 	ic, _ := NewCache(1024, 16, 2)
 	dc, _ := NewCache(1024, 16, 2)
 	p := NewProfiler(ic, dc)
-	p.Instr(0x100, isa.Instruction{Op: isa.LW})
 	p.Mem(0x100, 0x2000, 4, false, vm.RegionData)
+	feed(p, []uint32{0x100}, []isa.Instruction{{Op: isa.LW}})
 	// Load (3) + icache miss (20) + dcache miss (20).
 	if p.Cycles != 43 {
 		t.Errorf("Cycles = %d, want 43", p.Cycles)
 	}
-	p.Instr(0x100, isa.Instruction{Op: isa.LW})
 	p.Mem(0x100, 0x2000, 4, false, vm.RegionData)
+	feed(p, []uint32{0x100}, []isa.Instruction{{Op: isa.LW}})
 	// Second time both hit: +3 only.
 	if p.Cycles != 46 {
 		t.Errorf("Cycles = %d, want 46", p.Cycles)
@@ -285,7 +299,7 @@ func TestProfilerWithCaches(t *testing.T) {
 
 func TestZeroValueProfilerUsesDefaults(t *testing.T) {
 	var p Profiler
-	p.Instr(0, isa.Instruction{Op: isa.ADD})
+	feed(&p, []uint32{0}, []isa.Instruction{{Op: isa.ADD}})
 	if p.Cycles != DefaultCostModel.ALU {
 		t.Errorf("zero-value profiler cycles = %d", p.Cycles)
 	}

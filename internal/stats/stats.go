@@ -1,5 +1,5 @@
 // Package stats implements PacketBench's selective-accounting statistics
-// engine: a vm.Tracer that turns the simulator's per-instruction event
+// engine: a vm.Tracer that turns the simulator's execution event
 // stream into the per-packet workload records the paper's evaluation is
 // built from.
 //
@@ -19,10 +19,10 @@
 //     (Coverage), which the individual-packet figures (6, 9) and Table IV
 //     need but are too expensive to keep for bulk runs.
 //
-// The collector is a vm.BlockTracer: the threaded engine reports whole
-// block passes (Pass) plus every data access (Mem), and the collector
-// derives the same records, coverage, PCCounts and Detail traces the
-// interpreter's per-instruction Instr stream gives.
+// The collector is a vm.Tracer: both engines report executed passes
+// (whole block passes on the threaded engine, one-instruction passes on
+// the interpreter) plus every data access, and the collector derives the
+// same records, coverage, PCCounts and Detail traces from either.
 package stats
 
 import (
@@ -108,11 +108,8 @@ type Collector struct {
 	cur     PacketRecord
 	packets int
 
-	// stepped records that the current packet is observed through Instr
-	// (the interpreter) rather than block passes.
-	stepped bool
 	// memFixed is the number of MemTrace events whose InstrNum is final;
-	// in block mode the rest wait for their pass (see Mem).
+	// the rest wait for their pass (see Mem).
 	memFixed int
 
 	// Detail traces for the current packet.
@@ -202,7 +199,6 @@ func (c *Collector) BeginPacket() {
 		c.epoch = 1
 	}
 	c.cur = PacketRecord{Index: c.packets}
-	c.stepped = false
 	if c.Detail {
 		c.InstrTrace = c.InstrTrace[:0]
 		c.MemTrace = c.MemTrace[:0]
@@ -254,43 +250,7 @@ func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
 	return rec
 }
 
-// Instr implements vm.Tracer.
-func (c *Collector) Instr(pc uint32, in isa.Instruction) {
-	c.stepped = true
-	c.cur.Instructions++
-	idx := int(pc-c.textBase) / isa.WordSize
-	if idx >= 0 && idx < c.numText {
-		if c.seenInstr[idx] != c.epoch {
-			c.seenInstr[idx] = c.epoch
-			c.cur.Unique++
-			// A block executed in this packet iff one of its
-			// instructions did.
-			c.seenBlock[c.blocks.BlockOfIndex(idx)] = c.epoch
-		}
-		if c.Coverage {
-			c.instrTouched[idx] = true
-		}
-		if c.CountPCs {
-			c.PCCounts[idx]++
-		}
-		if c.Detail {
-			c.InstrTrace = append(c.InstrTrace, pc)
-			// A block is entered whenever its leader executes (all
-			// control-transfer targets are leaders), so self-loops
-			// count as re-entries.
-			if b := c.blocks.BlockOfIndex(idx); c.blocks.LeaderIndex(b) == idx {
-				c.BlockSeq = append(c.BlockSeq, b)
-			}
-		}
-	}
-}
-
-// Blockwise implements vm.BlockTracer: Pass carries everything the
-// collector takes from Instr.
-func (c *Collector) Blockwise() bool { return true }
-
-// Pass implements vm.BlockTracer. It updates everything Instr would for
-// each instruction of the pass.
+// Pass implements vm.Tracer: it counts each instruction of the pass.
 //
 // pblint:hotpath — runs once per block pass of every packet.
 func (c *Collector) Pass(first, last int) {
@@ -368,15 +328,12 @@ func (c *Collector) Mem(pc, addr uint32, size uint8, write bool, region vm.Regio
 		}
 	}
 	if c.Detail {
-		// Under Instr the access's instruction is already counted. In
-		// block mode its pass is not yet: number it by its text index
-		// past the pass start, and Pass subtracts the pass's first index.
-		n := c.cur.Instructions - 1
-		if !c.stepped {
-			n = c.cur.Instructions + uint64(pc-c.textBase)/isa.WordSize
-		}
+		// The access's pass is not counted yet: number it by its text
+		// index past the pass start, and Pass subtracts the pass's first
+		// index.
 		c.MemTrace = append(c.MemTrace, MemEvent{ //pblint:allow — Detail runs keep a per-packet trace
-			InstrNum: n, Addr: addr, Size: size, Write: write, Region: region,
+			InstrNum: c.cur.Instructions + uint64(pc-c.textBase)/isa.WordSize,
+			Addr:     addr, Size: size, Write: write, Region: region,
 		})
 	}
 }

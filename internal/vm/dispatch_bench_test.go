@@ -32,17 +32,15 @@ func dispatchProgram() []isa.Instruction {
 
 // countingTracer is the cheapest possible observer — a counter per
 // event kind — so the traced benchmarks measure dispatch + hook
-// overhead, not tracer work. It is a blockwise BlockTracer, so threaded
-// rows take block passes and the interpreter rows take Instr events.
+// overhead, not tracer work. Threaded rows take block passes and the
+// interpreter rows one-instruction passes.
 type countingTracer struct {
-	instrs, mems, passes, passed uint64
+	mems, passes, passed uint64
 }
 
-func (t *countingTracer) Instr(pc uint32, in isa.Instruction) { t.instrs++ }
 func (t *countingTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	t.mems++
 }
-func (t *countingTracer) Blockwise() bool { return true }
 func (t *countingTracer) Pass(first, last int) {
 	t.passes++
 	t.passed += uint64(last-first) + 1

@@ -19,13 +19,9 @@
 // target instruction index; only the indirect JALR pays a full PC
 // validation, exactly like the interpreter's fetch path.
 //
-// The engine has one dispatch loop and one body. It runs with no tracer,
-// or with a BlockTracer that reports Blockwise, and tells that tracer
-// about whole block passes and data accesses only; untraced, each hook
-// costs one nil test. Every in-tree observer (the statistics collector,
-// Detail included, and the microarch profiler) derives its per-instruction
-// statistics from those passes. A run observed by any other Tracer is
-// handed to the interpreter, which is exact by definition.
+// The engine has one dispatch loop and one body. It tells the tracer,
+// when one is attached, about whole block passes and data accesses only;
+// untraced, each hook costs one nil test.
 //
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
@@ -225,30 +221,16 @@ func staticTarget(target, textBase uint32, n int) int32 {
 // failure. p must have been translated from the text segment and base
 // this CPU was created with.
 //
-// The path is chosen once per run: when Blockwise(c.Tracer), the
-// block-threaded loop runs with per-block step accounting and
-// c.PC/c.packetWriteHigh updated only at run exit, and a BlockTracer sees
-// a Pass per block pass and a Mem per data access. Any other Tracer needs
-// the per-instruction event stream, so the run goes to the interpreter.
+// Steps are charged per block, and c.PC/c.packetWriteHigh are updated
+// only at run exit. The Tracer sees a Pass per block pass and a Mem per
+// data access.
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
-	if !Blockwise(c.Tracer) {
-		return c.Run(maxSteps)
-	}
-	bt, _ := c.Tracer.(BlockTracer)
-	return c.runFast(p, maxSteps, bt)
+	return c.runFast(p, maxSteps, c.Tracer)
 }
 
-// Blockwise reports whether RunProgram runs the block-threaded loop
-// under tracer t: t is nil, or a BlockTracer that reports Blockwise.
-func Blockwise(t Tracer) bool {
-	bt, ok := t.(BlockTracer)
-	return t == nil || ok && bt.Blockwise()
-}
-
-// runFast is the block-threaded dispatch loop over p's body. bt, when
-// non-nil, is told about every block pass and data access; see
-// BlockTracer for the contract.
-func (c *CPU) runFast(p *Program, maxSteps uint64, bt BlockTracer) (steps uint64, reason StopReason, rerr error) {
+// runFast is RunProgram's dispatch loop. bt, when non-nil, is told about
+// every block pass and data access; see Tracer for the contract.
+func (c *CPU) runFast(p *Program, maxSteps uint64, bt Tracer) (steps uint64, reason StopReason, rerr error) {
 	regs := &c.Regs
 	c.resetPageTable()
 	dirs := &c.pt.dirs
@@ -560,7 +542,7 @@ outer:
 
 // passEnd charges the block pass first..last to steps and reports it to
 // bt, when one is attached.
-func passEnd(bt BlockTracer, steps uint64, first, last int) uint64 {
+func passEnd(bt Tracer, steps uint64, first, last int) uint64 {
 	if bt != nil {
 		bt.Pass(first, last)
 	}
@@ -569,7 +551,7 @@ func passEnd(bt BlockTracer, steps uint64, first, last int) uint64 {
 
 // trap ends a run on fault f, raised by the last instruction of the
 // block pass first..last.
-func (c *CPU) trap(bt BlockTracer, steps uint64, first, last int, f *Fault) (uint64, StopReason, error) {
+func (c *CPU) trap(bt Tracer, steps uint64, first, last int, f *Fault) (uint64, StopReason, error) {
 	c.PC = f.PC
 	return passEnd(bt, steps, first, last), 0, f
 }

@@ -133,30 +133,22 @@ func TestThreadedStepsAccumulate(t *testing.T) {
 	}
 }
 
-// recorder logs every tracer event it receives, in order. It takes block
-// passes when blockwise is set.
-type recorder struct {
-	blockwise bool
-	log       []string
-}
+// recorder logs every tracer event it receives, in order.
+type recorder struct{ log []string }
 
-func (r *recorder) Instr(pc uint32, in isa.Instruction) {
-	r.log = append(r.log, fmt.Sprintf("instr %#x", pc))
-}
 func (r *recorder) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	r.log = append(r.log, fmt.Sprintf("mem %#x %#x", pc, addr))
 }
-func (r *recorder) Blockwise() bool { return r.blockwise }
 func (r *recorder) Pass(first, last int) {
 	r.log = append(r.log, fmt.Sprintf("pass %d-%d", first, last))
 }
 
-// TestRunProgramPicksBodyFromTracer checks that RunProgram picks the
-// body from the attached tracer alone: a blockwise BlockTracer, alone or
-// with only blockwise company in a MultiTracer, gets passes and no Instr
-// events; any other tracer gets exactly the interpreter's event stream,
-// step count and machine state.
-func TestRunProgramPicksBodyFromTracer(t *testing.T) {
+// TestTracerPassStreams pins both engines' event streams on a loop: the
+// threaded loop reports block passes and the interpreter
+// one-instruction passes, each after its instructions' Mem events, a
+// MultiTracer hands every member the same stream, and both engines end
+// in the same state.
+func TestTracerPassStreams(t *testing.T) {
 	const base = 0x00400000
 	text := []isa.Instruction{
 		ins(isa.ADDI, 4, 0, 0, 3),
@@ -166,61 +158,48 @@ func TestRunProgramPicksBodyFromTracer(t *testing.T) {
 		ins(isa.HALT, 0, 0, 0, 0),
 	}
 	const steps = 1 + 3*3 + 1
-	loop := []string{"mem 0x400004 0x20000000", "pass 1-3"}
-	passes := append(append(append(append([]string{"pass 0-0"}, loop...), loop...), loop...), "pass 4-4")
-	prog := Translate(text, base, analysis.NewBlockMap(text, base))
-	newCPU := func(tr Tracer) *CPU {
-		cpu := New(text, base, NewMemory())
-		cpu.Layout = testLayout(base, len(text))
-		cpu.Regs[1] = cpu.Layout.PacketBase
-		cpu.PC = base
-		cpu.Tracer = tr
-		return cpu
+	stream := func(loop ...string) []string {
+		s := []string{"pass 0-0"}
+		for i := 0; i < 3; i++ {
+			s = append(append(s, "mem 0x400004 0x20000000"), loop...)
+		}
+		return append(s, "pass 4-4")
 	}
-	for _, tc := range []struct {
-		name      string
-		blockwise []bool // one recorder each
-		tracer    func([]*recorder) Tracer
-		block     bool // true: block passes; false: the interpreter's stream
-	}{
-		{"blockwise", []bool{true}, func(r []*recorder) Tracer { return r[0] }, true},
-		{"not blockwise", []bool{false}, func(r []*recorder) Tracer { return r[0] }, false},
-		{"MultiTracer of blockwise members", []bool{true, true},
-			func(r []*recorder) Tracer { return MultiTracer{r[0], r[1]} }, true},
-		{"MultiTracer with a non-blockwise member", []bool{true, false},
-			func(r []*recorder) Tracer { return MultiTracer{r[0], r[1]} }, false},
-		{"MultiTracer with a plain Tracer", []bool{true, true},
-			func(r []*recorder) Tracer { return MultiTracer{r[0], struct{ Tracer }{r[1]}} }, false},
-	} {
-		recorders := func() []*recorder {
-			var rs []*recorder
-			for _, bw := range tc.blockwise {
-				rs = append(rs, &recorder{blockwise: bw})
+	want := map[bool][]string{
+		true:  stream("pass 1-3"),
+		false: stream("pass 1-1", "pass 2-2", "pass 3-3"),
+	}
+	prog := Translate(text, base, analysis.NewBlockMap(text, base))
+	for _, members := range []int{1, 2} {
+		var cpus []*CPU
+		for _, threaded := range []bool{true, false} {
+			rs := []*recorder{{}, {}}[:members]
+			var tr Tracer = rs[0]
+			if members > 1 {
+				tr = MultiTracer{rs[0], rs[1]}
 			}
-			return rs
-		}
-		got := recorders()
-		cpu := newCPU(tc.tracer(got))
-		if n, _, err := cpu.RunProgram(prog, 100); err != nil || n != steps {
-			t.Fatalf("%s: ran %d steps (%v), want %d", tc.name, n, err, steps)
-		}
-		want := recorders()
-		ref := newCPU(tc.tracer(want))
-		if _, _, err := ref.Run(100); err != nil {
-			t.Fatal(err)
-		}
-		if cpu.Regs != ref.Regs || cpu.PC != ref.PC || cpu.Steps() != ref.Steps() {
-			t.Errorf("%s: state regs=%v pc=%#x steps=%d, interpreter regs=%v pc=%#x steps=%d",
-				tc.name, cpu.Regs, cpu.PC, cpu.Steps(), ref.Regs, ref.PC, ref.Steps())
-		}
-		for i := range got {
-			w := want[i].log
-			if tc.block {
-				w = passes
+			cpu := New(text, base, NewMemory())
+			cpu.Layout = testLayout(base, len(text))
+			cpu.Regs[1] = cpu.Layout.PacketBase
+			cpu.PC = base
+			cpu.Tracer = tr
+			run := cpu.Run
+			if threaded {
+				run = func(max uint64) (uint64, StopReason, error) { return cpu.RunProgram(prog, max) }
 			}
-			if !reflect.DeepEqual(got[i].log, w) {
-				t.Errorf("%s: member %d saw %q, want %q", tc.name, i, got[i].log, w)
+			if n, _, err := run(100); err != nil || n != steps {
+				t.Fatalf("threaded=%v, %d members: ran %d steps (%v), want %d", threaded, members, n, err, steps)
 			}
+			for i, r := range rs {
+				if !reflect.DeepEqual(r.log, want[threaded]) {
+					t.Errorf("threaded=%v: member %d of %d saw %q, want %q", threaded, i, members, r.log, want[threaded])
+				}
+			}
+			cpus = append(cpus, cpu)
+		}
+		if a, b := cpus[0], cpus[1]; a.Regs != b.Regs || a.PC != b.PC || a.Steps() != b.Steps() {
+			t.Errorf("threaded regs=%v pc=%#x steps=%d, interpreter regs=%v pc=%#x steps=%d",
+				a.Regs, a.PC, a.Steps(), b.Regs, b.PC, b.Steps())
 		}
 	}
 }

@@ -95,41 +95,26 @@ func (l Layout) pageRegion(p uint32) Region {
 	return l.Classify(p)
 }
 
-// Tracer observes application execution. Implementations must be cheap;
-// the Instr hook runs once per simulated instruction. A nil Tracer on the
-// CPU disables tracing entirely.
+// Tracer observes application execution: which instructions ran and
+// which data memory each one touched. Implementations must be cheap; a
+// nil Tracer on the CPU disables tracing entirely.
 //
-// Only the interpreter (CPU.Run) calls Instr. CPU.RunProgram runs the
-// block-threaded loop only for a BlockTracer that reports Blockwise; a
-// run observed by any other Tracer goes to CPU.Run, which is exact by
-// definition and costs the interpreter's speed.
+// Both engines report the same stream. The interpreter (CPU.Run) reports
+// each instruction as a one-instruction pass; the block-threaded loop
+// (CPU.RunProgram) reports whole block passes.
 type Tracer interface {
-	// Instr is called before each instruction executes.
-	Instr(pc uint32, in isa.Instruction)
-	// Mem is called for each data memory access (never for instruction
-	// fetches). size is 1, 2 or 4; region is the classification of addr.
-	Mem(pc uint32, addr uint32, size uint8, write bool, region Region)
-}
-
-// BlockTracer is a Tracer that can also take execution a block pass at a
-// time. CPU.RunProgram asks Blockwise once per run: when it reports true,
-// the run takes the block-threaded loop, which calls Pass instead of
-// Instr and still calls Mem for every data access; when false, the run
-// goes to the interpreter (CPU.Run), which always calls Instr.
-type BlockTracer interface {
-	Tracer
-	// Blockwise reports whether the tracer needs nothing from Instr
-	// that Pass does not carry.
-	Blockwise() bool
 	// Pass reports that the instructions at text indexes first..last
 	// (inclusive) executed once each, in order, inside one basic block.
 	// A pass ends at the instruction that transfers control, halts or
-	// faults — a faulting instruction is included, since the interpreter
-	// calls Instr before it faults — or at the block end or the last
-	// instruction the step budget affords. A conditional branch ends its
-	// block, so it is always the last instruction of its pass. Mem events
-	// of the pass's instructions come before its Pass call.
+	// faults — a faulting instruction is included — or at the block end
+	// or the last instruction the step budget affords. A conditional
+	// branch ends its block, so it is always the last instruction of its
+	// pass. Mem events of the pass's instructions come before its Pass
+	// call.
 	Pass(first, last int)
+	// Mem is called for each data memory access (never for instruction
+	// fetches). size is 1, 2 or 4; region is the classification of addr.
+	Mem(pc uint32, addr uint32, size uint8, write bool, region Region)
 }
 
 // FaultKind enumerates the ways simulated execution can fail. It
@@ -291,7 +276,10 @@ func (c *CPU) SetReg(r isa.Reg, v uint32) {
 
 // Run executes instructions starting at c.PC until the application halts,
 // returns to ReturnAddress, faults, or exceeds maxSteps. It returns the
-// number of instructions executed by this call.
+// number of instructions executed by this call. Each executed
+// instruction, a faulting one included, reaches the Tracer as a
+// one-instruction pass after its Mem events. A run stopped by maxSteps
+// resumes from c.PC as if it had never stopped.
 func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) {
 	for {
 		if c.PC == ReturnAddress {
@@ -304,13 +292,13 @@ func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) 
 		if off%isa.WordSize != 0 || off/isa.WordSize >= uint32(len(c.text)) {
 			return steps, 0, &Fault{Kind: FaultBadFetch, PC: c.PC}
 		}
-		in := c.text[off/isa.WordSize]
-		if c.Tracer != nil {
-			c.Tracer.Instr(c.PC, in)
-		}
+		i := int(off / isa.WordSize)
 		steps++
 		c.steps++
-		halt, err := c.execute(in)
+		halt, err := c.execute(c.text[i])
+		if c.Tracer != nil {
+			c.Tracer.Pass(i, i)
+		}
 		if err != nil {
 			return steps, 0, err
 		}
@@ -511,17 +499,8 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 
 // MultiTracer fans tracer events out to several tracers, letting the
 // workload collector and a microarchitectural profiler observe the same
-// run. It is Blockwise iff every member is a BlockTracer that reports
-// Blockwise, so one per-instruction member sends the whole run to the
-// interpreter.
+// run.
 type MultiTracer []Tracer
-
-// Instr implements Tracer.
-func (m MultiTracer) Instr(pc uint32, in isa.Instruction) {
-	for _, t := range m {
-		t.Instr(pc, in)
-	}
-}
 
 // Mem implements Tracer.
 func (m MultiTracer) Mem(pc, addr uint32, size uint8, write bool, region Region) {
@@ -530,20 +509,9 @@ func (m MultiTracer) Mem(pc, addr uint32, size uint8, write bool, region Region)
 	}
 }
 
-// Blockwise implements BlockTracer.
-func (m MultiTracer) Blockwise() bool {
-	for _, t := range m {
-		if bt, ok := t.(BlockTracer); !ok || !bt.Blockwise() {
-			return false
-		}
-	}
-	return true
-}
-
-// Pass implements BlockTracer. RunProgram calls it only when Blockwise
-// holds, so every member is a BlockTracer.
+// Pass implements Tracer.
 func (m MultiTracer) Pass(first, last int) {
 	for _, t := range m {
-		t.(BlockTracer).Pass(first, last)
+		t.Pass(first, last)
 	}
 }

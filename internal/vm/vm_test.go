@@ -318,8 +318,10 @@ func TestStepLimit(t *testing.T) {
 	}
 }
 
-// traceRecorder captures tracer callbacks for assertions.
+// traceRecorder captures tracer callbacks for assertions, turning the
+// passes over the text at base into executed pcs.
 type traceRecorder struct {
+	base uint32
 	pcs  []uint32
 	mems []memEvent
 }
@@ -331,7 +333,11 @@ type memEvent struct {
 	region Region
 }
 
-func (r *traceRecorder) Instr(pc uint32, in isa.Instruction) { r.pcs = append(r.pcs, pc) }
+func (r *traceRecorder) Pass(first, last int) {
+	for i := first; i <= last; i++ {
+		r.pcs = append(r.pcs, r.base+uint32(i)*isa.WordSize)
+	}
+}
 func (r *traceRecorder) Mem(pc, addr uint32, size uint8, write bool, region Region) {
 	r.mems = append(r.mems, memEvent{addr, size, write, region})
 }
@@ -350,7 +356,7 @@ func TestTracerObservesEverything(t *testing.T) {
 		halt
 	`)
 	_ = p
-	rec := &traceRecorder{}
+	rec := &traceRecorder{base: p.TextBase}
 	cpu.Tracer = rec
 	cpu.SetReg(isa.A0, cpu.Layout.PacketBase)
 	steps, _ := run(t, cpu)

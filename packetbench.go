@@ -216,7 +216,9 @@ func FingerprintTraceFile(path string) (TraceID, error) { return core.Fingerprin
 // NewFaultInjector builds a deterministic injector: every unspecified
 // choice (byte offset, mask, step count) is drawn from seed at
 // construction, so runs are reproducible regardless of scheduling.
-// Attach FaultInjector.Tracer to each bench to arm forced VM faults.
+// Attach it to each bench with Bench.SetInjector to arm its execution
+// faults: each fires after exactly its instruction count, on either
+// engine.
 func NewFaultInjector(seed int64, plan []Injection) *FaultInjector {
 	return faultinject.New(seed, plan)
 }
