@@ -133,14 +133,17 @@ func BenchmarkAblationLookupStructures(b *testing.B) {
 // collector costs the simulator, by running the same application with
 // tracing detached (the paper's claim that PacketBench "does not
 // significantly reduce the performance" of the underlying simulator).
-// Both rows run the threaded engine's fast loop: attached, the collector
-// (no Detail) takes block passes and data accesses, so the difference
-// is the block-mode accounting cost.
+// Every row runs the threaded engine's loop. with-collector keeps the
+// collector's account inline with no tracer attached; coverage adds the
+// whole-run coverage sets, which is the path packetbench runs on one
+// core (the radix-mra benchmark workload); detail also attaches the
+// collector as a tracer for its per-packet traces; without-collector is
+// the untraced floor.
 func BenchmarkAblationTracerOverhead(b *testing.B) {
 	pkts := GenerateTrace("MRA", 500)
 	tbl := RouteTableFromTrace(pkts, 8192)
-	run := func(b *testing.B, traced bool) {
-		bench, err := core.New(apps.IPv4Radix(tbl), core.Options{})
+	run := func(b *testing.B, opts core.Options, traced bool) {
+		bench, err := core.New(apps.IPv4Radix(tbl), opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -152,8 +155,10 @@ func BenchmarkAblationTracerOverhead(b *testing.B) {
 			}
 		}
 	}
-	b.Run("with-collector", func(b *testing.B) { run(b, true) })
-	b.Run("without-collector", func(b *testing.B) { run(b, false) })
+	b.Run("with-collector", func(b *testing.B) { run(b, core.Options{}, true) })
+	b.Run("coverage", func(b *testing.B) { run(b, core.Options{Coverage: true}, true) })
+	b.Run("detail", func(b *testing.B) { run(b, core.Options{Coverage: true, Detail: true}, true) })
+	b.Run("without-collector", func(b *testing.B) { run(b, core.Options{}, false) })
 }
 
 // BenchmarkAblationPayloadScanSize shows the payload application's cost

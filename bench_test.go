@@ -388,9 +388,9 @@ func BenchmarkSimulatorMIPS(b *testing.B) {
 // optimization every packet paid a 64 KiB buffer memset; now placement
 // cost tracks the packet size. The threaded/traced=false row runs the
 // block-threaded loop with statistics off and is the one to watch for
-// hot-path regressions. threaded/traced=true is the path every CLI run
-// takes: the same loop with the collector attached, told about block
-// passes and data accesses. interp rows exist so the speedup of
+// hot-path regressions. threaded/traced=true is the path -pool runs
+// take: the same loop keeping the collector's account inline, with no
+// tracer attached. interp rows exist so the speedup of
 // the block-threaded engine over the reference interpreter stays
 // visible in plain -bench output.
 func BenchmarkProcessPacketSmall(b *testing.B) {

@@ -466,7 +466,9 @@ type Bench struct {
 	entry        uint32
 	stepLimit    uint64
 	processed    int
+	tracing      bool // attach the collector's account and a tracer (see observe)
 	extraTracers []vm.Tracer
+	tracers      [2]vm.Tracer // the extra tracers without and with the collector
 	policy       ErrorPolicy
 	budget       *errorBudget // for bare ProcessPacket calls; runs use their own
 	reg          *telemetry.Registry
@@ -558,8 +560,8 @@ func New(app *App, opts Options) (*Bench, error) {
 		policy: opts.Errors, budget: newErrorBudget(opts.Errors.ErrorBudget),
 		reg: opts.Metrics, metrics: newRunMetrics(opts.Metrics),
 		lane: opts.Trace.Lane(0), runCtx: context.Background(),
+		tracing: true, tracers: [2]vm.Tracer{nil, col},
 	}
-	b.SetTracing(true)
 	return b, nil
 }
 
@@ -670,6 +672,7 @@ func (b *Bench) processOnce(idx int, p *trace.Packet) (Result, *vm.Fault, error)
 	b.cpu.PC = b.entry
 
 	b.col.BeginPacket()
+	b.observe()
 	err := b.runGuarded(idx)
 	// Even a faulting run may have dirtied the buffer past the packet's
 	// length; widen the dirty window before reporting the error so a
@@ -755,18 +758,25 @@ func (b *Bench) run(budget uint64) (uint64, error) {
 	return n, err
 }
 
-// SetTracing attaches or detaches the statistics collector (and any
-// extra tracers) from the simulated core. Detached runs execute at full
+// SetTracing attaches or detaches the statistics collector's account
+// and every tracer (the collector's and any extra ones) from the
+// simulated core, from the next packet on. Detached runs execute at full
 // simulator speed but produce empty packet records; the tracer-overhead
 // ablation uses this.
-func (b *Bench) SetTracing(enabled bool) {
-	switch {
-	case !enabled:
-		b.cpu.Tracer = nil
-	case len(b.extraTracers) == 0:
-		b.cpu.Tracer = b.col
-	default:
-		b.cpu.Tracer = vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))
+func (b *Bench) SetTracing(enabled bool) { b.tracing = enabled }
+
+// observe wires the core for the next packet. With tracing on, the core
+// keeps the collector's account inline, and its tracer carries the
+// collector only while Detail or CountPCs needs the events, plus any
+// extra tracers: the default collector path runs with no tracer.
+func (b *Bench) observe() {
+	b.cpu.Account, b.cpu.Tracer = nil, nil
+	if b.tracing {
+		b.cpu.Account = b.col.Account()
+		b.cpu.Tracer = b.tracers[0]
+		if b.col.Detail || b.col.CountPCs {
+			b.cpu.Tracer = b.tracers[1]
+		}
 	}
 }
 
@@ -785,6 +795,10 @@ func (b *Bench) AddTracer(t vm.Tracer) {
 		pt.BindProgram(b.prog.Text, b.prog.TextBase)
 	}
 	b.extraTracers = append(b.extraTracers, t)
+	b.tracers = [2]vm.Tracer{t, vm.MultiTracer(append([]vm.Tracer{b.col}, b.extraTracers...))}
+	if len(b.extraTracers) > 1 {
+		b.tracers[0] = vm.MultiTracer(b.extraTracers)
+	}
 	b.SetTracing(true)
 }
 

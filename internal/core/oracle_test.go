@@ -34,16 +34,21 @@ import (
 //     from the stopped pc under the rest of the full budget, capped at
 //     splitCap steps;
 //   - observer: none; a stats.Collector with Detail, Coverage and
-//     CountPCs on; the same collector with Detail off ("accounting"); the
-//     Detail collector plus a microarch.Profiler with small caches; or
-//     the Detail collector plus an extra observer (an event recorder for
-//     programs, a faultinject plan with vmfault, panic and delay entries
-//     for applications).
+//     CountPCs on; the collector as the CLI runs it, with Coverage on and
+//     Detail and CountPCs off, so the core keeps its account with no
+//     tracer attached ("accounting"); the Detail collector plus a
+//     microarch.Profiler with small caches; or the Detail collector plus
+//     an extra observer (an event recorder for programs; for
+//     applications a faultinject plan with vmfault, panic and delay
+//     entries, or, on the observer-panic rows, a tracer that panics).
 //
-// The interpreter reports one-instruction passes and the threaded
-// engine block passes. The records, coverage sizes, PCCounts, Detail
-// traces (InstrTrace, MemTrace with InstrNum, BlockSeq), recorded events
-// and profiler state derived from either must match bit for bit.
+// Every collector column wires the collector the way a Bench does: the
+// core keeps the collector's vm.Account, and has the collector as its
+// tracer only while Detail or CountPCs is on. The interpreter reports
+// one-instruction passes and the threaded engine block passes. The
+// records, coverage sizes, PCCounts, Detail traces (InstrTrace, MemTrace
+// with InstrNum, BlockSeq), recorded events and profiler state derived
+// from either must match bit for bit.
 // runCell executes a cell and diff compares it with the interpreter's
 // run of the same row, budget and observer; a split cell is compared
 // with the interpreter's unsplit run under the same budget. checkRow
@@ -58,7 +63,7 @@ const (
 	obsNone       observer = iota // no tracer
 	obsCollector                  // the statistics collector in Detail mode
 	obsExtra                      // the Detail collector plus an extra observer
-	obsAccounting                 // the collector without Detail
+	obsAccounting                 // the collector with Coverage only: no tracer
 	obsMicroarch                  // the Detail collector plus a microarch.Profiler
 )
 
@@ -107,6 +112,9 @@ type row struct {
 	app      func() *core.App
 	noVerify bool // the verifier rejects the app, so NoVerify stays on
 	pkts     []*trace.Packet
+	// panics makes the extra observer a panicTracer instead of the
+	// faultinject plan.
+	panics bool
 
 	blocks *analysis.BlockMap
 	prog   *vm.Program // the threaded translation of text
@@ -127,7 +135,9 @@ type outcome struct {
 	Coverage [3]int // instruction, data and packet footprints
 	PCCounts []uint64
 	Profile  profile
+	Panics   []panicAt // a panicTracer's panics, in order
 	mem      *vm.Memory
+	blocks   *analysis.BlockMap // an observer-panic row's blocks
 }
 
 // profile is a microarch.Profiler's state after Flush.
@@ -210,6 +220,45 @@ func (e *eventTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Reg
 // extraPlan is the extra observer of application rows.
 const extraPlan = "delay@0:1,panic@1:0,vmfault@4:9,panic@7"
 
+// panicTracer is the extra observer of the observer-panic rows. Counting
+// over the whole run, it panics at every panicPassEvery-th pass that
+// ends at its block's last instruction, which both bodies report (the
+// interpreter as a one-instruction pass), and at every panicMemEvery-th
+// data access. The FaultHostPanic that quarantines the packet must name
+// the pc the interpreter holds: the pc after the pass, and the accessing
+// instruction's pc.
+type panicTracer struct {
+	blocks       *analysis.BlockMap
+	passes, mems int
+	panics       []panicAt
+}
+
+// panicAt is one panic of a panicTracer: at a pass, or at the access
+// made by the instruction at PC.
+type panicAt struct {
+	Mem bool
+	PC  uint32
+}
+
+const panicPassEvery, panicMemEvery = 251, 397
+
+func (p *panicTracer) Pass(first, last int) {
+	if last+1 != p.blocks.EndIndex(p.blocks.BlockOfIndex(last)) {
+		return
+	}
+	if p.passes++; p.passes%panicPassEvery == 0 {
+		p.panics = append(p.panics, panicAt{})
+		panic("observer panics at a pass")
+	}
+}
+
+func (p *panicTracer) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {
+	if p.mems++; p.mems%panicMemEvery == 0 {
+		p.panics = append(p.panics, panicAt{Mem: true, PC: pc})
+		panic("observer panics at an access")
+	}
+}
+
 // runCell executes one cell of a row.
 func runCell(t *testing.T, r *row, c cell) *outcome {
 	t.Helper()
@@ -227,8 +276,12 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 	var ev *eventTracer
 	var prof *microarch.Profiler
 	if c.obs != obsNone {
+		// Wired the way a Bench wires its core.
 		col = observedCollector(stats.NewCollector(r.text, r.base, r.blocks, r.layout), c.obs)
-		cpu.Tracer = col
+		cpu.Account = col.Account()
+		if col.Detail || col.CountPCs {
+			cpu.Tracer = col
+		}
 		switch c.obs {
 		case obsExtra:
 			ev = &eventTracer{text: r.text, base: r.base}
@@ -293,10 +346,22 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 	}
 	col := observedCollector(b.Collector(), c.obs)
 	var prof *microarch.Profiler
+	var pt *panicTracer
 	switch c.obs {
 	case obsNone:
 		b.SetTracing(false)
 	case obsExtra:
+		if r.panics {
+			// A panic inside a block pass finds the interpreter past
+			// the pass's earlier instructions and the threaded engine
+			// not yet reporting them, so Detail traces, PCCounts and
+			// instruction coverage legitimately differ there. This
+			// column reads the records and the fault state only.
+			col.Detail, col.Coverage, col.CountPCs = false, false, false
+			pt = &panicTracer{blocks: b.BlockMap()}
+			b.AddTracer(pt)
+			break
+		}
 		plan, err := faultinject.ParsePlan(extraPlan)
 		if err != nil {
 			t.Fatal(err)
@@ -313,6 +378,9 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		if err != nil && !errors.As(err, &po.Fault) {
 			t.Fatalf("%v: packet %d: non-Fault error: %v", c, i, err)
 		}
+		if c.obs == obsAccounting && b.CoreTracer() != nil {
+			t.Fatalf("%v: packet %d ran with tracer %T, want none", c, i, b.CoreTracer())
+		}
 		traces(col, &po)
 		o.Packets = append(o.Packets, po)
 	}
@@ -320,6 +388,9 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 	o.Pages = b.Memory().PageCount()
 	if prof != nil {
 		o.Profile = profileOf(prof)
+	}
+	if pt != nil {
+		o.Panics, o.blocks = pt.panics, b.BlockMap()
 	}
 	return o
 }
@@ -355,10 +426,41 @@ func checkInjected(t *testing.T, c cell, pkts, clean []packetOutcome) {
 	}
 }
 
-// observedCollector turns on every collector output the matrix reads:
-// all of them, except Detail in the accounting column.
+// checkPanics checks a panicTracer's run: each panic quarantines one
+// packet with a FaultHostPanic, at the accessing instruction for an
+// access, and for a pass at the next block's leader or the return
+// address. Both kinds must fire.
+func checkPanics(t *testing.T, c cell, o *outcome) {
+	t.Helper()
+	blocks := o.blocks
+	var faulted, mems int
+	for i, po := range o.Packets {
+		if po.Fault == nil {
+			continue
+		}
+		if faulted >= len(o.Panics) {
+			t.Fatalf("%v: packet %d faulted (%+v) with no panic left to explain it", c, i, po.Fault)
+		}
+		p, pc := o.Panics[faulted], po.Fault.PC
+		faulted++
+		if po.Fault.Kind != vm.FaultHostPanic || p.Mem && pc != p.PC ||
+			!p.Mem && pc != vm.ReturnAddress && blocks.Leader(max(blocks.BlockOf(pc), 0)) != pc {
+			t.Fatalf("%v: packet %d: fault %+v for panic %+v", c, i, po.Fault, p)
+		}
+		if p.Mem {
+			mems++
+		}
+	}
+	if faulted != len(o.Panics) || mems == 0 || mems == faulted {
+		t.Fatalf("%v: %d quarantined packets for %d panics, %d at accesses; want both kinds", c, faulted, len(o.Panics), mems)
+	}
+}
+
+// observedCollector turns on every collector output the matrix reads,
+// except in the accounting column, which runs the CLI's default: Coverage
+// on, Detail and CountPCs off.
 func observedCollector(col *stats.Collector, obs observer) *stats.Collector {
-	col.Detail, col.Coverage, col.CountPCs = obs != obsAccounting, true, true
+	col.Detail, col.Coverage, col.CountPCs = obs != obsAccounting, true, obs != obsAccounting
 	return col
 }
 
@@ -458,7 +560,11 @@ func checkRow(t *testing.T, r *row) {
 				if err := diff(want, got); err != nil {
 					t.Fatalf("%v: %v", c, err)
 				}
-				if obs == obsExtra && clean != nil {
+				switch {
+				case obs != obsExtra || clean == nil:
+				case r.panics:
+					checkPanics(t, c, got)
+				default:
 					checkInjected(t, c, got.Packets, clean)
 				}
 			}
@@ -1028,6 +1134,8 @@ func appRows(t *testing.T) []*row {
 		{name: "tsa", app: func() *core.App { return apps.TSAApp(0x5453412D31363A31) }},
 		{name: "payload-scan", app: func() *core.App { return apps.PayloadScan([4]byte{0xDE, 0xAD, 0xBE, 0xEF}) }},
 		{name: "frag", app: func() *core.App { return apps.Frag(576) }},
+		{name: "radix-observer-panics", app: func() *core.App { return apps.IPv4Radix(tbl) }, panics: true},
+		{name: "tsa-observer-panics", app: func() *core.App { return apps.TSAApp(0x5453412D31363A31) }, panics: true},
 	}
 	for _, r := range rows {
 		r.pkts, r.budget = pkts, core.DefaultStepLimit

@@ -1,9 +1,9 @@
 // Package stats implements PacketBench's selective-accounting statistics
-// engine: a vm.Tracer that turns the simulator's execution event
-// stream into the per-packet workload records the paper's evaluation is
+// engine: it turns what the simulator observed while application code
+// ran into the per-packet workload records the paper's evaluation is
 // built from.
 //
-// Because the tracer is attached only while application code runs (the
+// Because accounting is attached only while application code runs (the
 // framework itself executes natively, outside the simulator), every
 // number collected here reflects application processing alone — the
 // paper's "statistics as if the application had run by itself on the
@@ -12,22 +12,19 @@
 // The collector has two cost tiers:
 //
 //   - summary counting (always on): per-packet instruction counts, unique
-//     instruction counts, region-split memory access counts, and executed
-//     basic-block sets, using epoch-stamped arrays so per-packet reset is
-//     O(1);
-//   - optional detail traces (Detail) and whole-run memory coverage maps
-//     (Coverage), which the individual-packet figures (6, 9) and Table IV
-//     need but are too expensive to keep for bulk runs.
-//
-// The collector is a vm.Tracer: both engines report executed passes
-// (whole block passes on the threaded engine, one-instruction passes on
-// the interpreter) plus every data access, and the collector derives the
-// same records, coverage, PCCounts and Detail traces from either.
+//     instruction counts, region-split memory access counts, executed
+//     basic-block sets and, with Coverage, whole-run memory coverage
+//     (Table IV), which both engines keep inline in the collector's
+//     vm.Account with no tracer;
+//   - optional detail traces (Detail) for the individual-packet figures
+//     (6, 9) and per-instruction counts (CountPCs), for which the
+//     collector is a vm.Tracer: both engines report executed passes
+//     (whole block passes on the threaded engine, one-instruction passes
+//     on the interpreter) plus every data access, and the collector
+//     derives the same traces and PCCounts from either.
 package stats
 
 import (
-	"math/bits"
-
 	"repro/internal/analysis"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -75,7 +72,9 @@ type MemEvent struct {
 	Region   vm.Region
 }
 
-// Collector accumulates workload statistics. It implements vm.Tracer.
+// Collector accumulates workload statistics from its Account, which the
+// CPU must carry as CPU.Account. It is the CPU's vm.Tracer only while
+// Detail or CountPCs is on.
 type Collector struct {
 	// Detail enables per-packet instruction and memory event traces
 	// (InstrTrace, MemTrace, BlockSeq), reset at BeginPacket.
@@ -88,24 +87,12 @@ type Collector struct {
 
 	blocks   *analysis.BlockMap
 	textBase uint32
-	numText  int
-	layout   vm.Layout
-
-	// Epoch-stamped uniqueness tracking: seenInstr[i] == epoch means
-	// instruction i already executed for the current packet. Epoch 0 is
-	// never current, so the zeroed arrays start out unseen.
-	epoch     uint32
-	seenInstr []uint32
-	seenBlock []uint32
-	// fullBlock[b] == epoch means a pass covered all of block b in the
-	// current packet, so every instruction of b is already seen.
-	fullBlock []uint32
+	acct     *vm.Account
 
 	// slab is the chunk the executed-block sets of records are carved
 	// from; records share it through capped sub-slices.
 	slab []int
 
-	cur     PacketRecord
 	packets int
 
 	// memFixed is the number of MemTrace events whose InstrNum is final;
@@ -121,59 +108,16 @@ type Collector struct {
 	// PCCounts[i] is how many times instruction i executed across the
 	// whole run (enabled by CountPCs).
 	PCCounts []uint64
-
-	// Whole-run coverage sets (enabled by Coverage). Data/stack/packet
-	// coverage is tracked at word granularity with one bit per 32-bit
-	// word, keyed off the layout — Table IV only needs counts, and the
-	// bitset update is a shift and an OR where the old per-byte map
-	// insert dominated -coverage runs. Allocated at the first
-	// BeginPacket after Coverage is set.
-	instrTouched []bool // per text instruction
-	dataTouched  wordBitset
-	stackTouched wordBitset
-	pktTouched   wordBitset
-}
-
-// wordBitset tracks the touched 32-bit words of one contiguous address
-// region, one bit per word.
-type wordBitset struct {
-	base uint32
-	bits []uint64
-}
-
-func newWordBitset(base, end uint32) wordBitset {
-	words := (end - base + 3) / 4
-	return wordBitset{base: base, bits: make([]uint64, (words+63)/64)}
-}
-
-// set marks the word containing addr, which must lie inside the region.
-func (s *wordBitset) set(addr uint32) {
-	w := (addr - s.base) / 4
-	s.bits[w>>6] |= 1 << (w & 63)
-}
-
-// count returns the number of marked words.
-func (s *wordBitset) count() int {
-	n := 0
-	for _, b := range s.bits {
-		n += bits.OnesCount64(b)
-	}
-	return n
 }
 
 // NewCollector creates a collector for a program's text segment. The
-// layout supplies the region bounds the coverage bitsets are keyed off;
-// it must be the layout the CPU classifies accesses with.
+// layout supplies the region bounds the coverage sets are keyed off; it
+// must be the layout the CPU classifies accesses with.
 func NewCollector(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMap, layout vm.Layout) *Collector {
 	return &Collector{
-		blocks:       blocks,
-		textBase:     textBase,
-		numText:      len(text),
-		layout:       layout,
-		seenInstr:    make([]uint32, len(text)),
-		seenBlock:    make([]uint32, blocks.NumBlocks()),
-		fullBlock:    make([]uint32, blocks.NumBlocks()),
-		instrTouched: make([]bool, len(text)),
+		blocks:   blocks,
+		textBase: textBase,
+		acct:     vm.NewAccount(blocks, layout),
 		// PCCounts is eagerly allocated (one counter per text
 		// instruction is a few KiB at most) so the per-instruction hot
 		// path never has to test for a nil slice.
@@ -184,31 +128,21 @@ func NewCollector(text []isa.Instruction, textBase uint32, blocks *analysis.Bloc
 // Blocks returns the block map the collector was built with.
 func (c *Collector) Blocks() *analysis.BlockMap { return c.blocks }
 
+// Account returns the account the records are read from; packets run
+// without it on the CPU get records holding only their Index.
+func (c *Collector) Account() *vm.Account { return c.acct }
+
 // Packets returns the number of completed packets.
 func (c *Collector) Packets() int { return c.packets }
 
 // BeginPacket starts accounting for the next packet.
 func (c *Collector) BeginPacket() {
-	c.epoch++
-	if c.epoch == 0 {
-		// The stamp wrapped: every stamp left from 2^32 packets ago
-		// would read as current. Forget them all.
-		clear(c.seenInstr)
-		clear(c.seenBlock)
-		clear(c.fullBlock)
-		c.epoch = 1
-	}
-	c.cur = PacketRecord{Index: c.packets}
+	c.acct.Begin(c.Coverage)
 	if c.Detail {
 		c.InstrTrace = c.InstrTrace[:0]
 		c.MemTrace = c.MemTrace[:0]
 		c.BlockSeq = c.BlockSeq[:0]
 		c.memFixed = 0
-	}
-	if c.Coverage && c.dataTouched.bits == nil {
-		c.dataTouched = newWordBitset(c.layout.DataBase, c.layout.DataEnd)
-		c.stackTouched = newWordBitset(c.layout.StackBase, c.layout.StackEnd)
-		c.pktTouched = newWordBitset(c.layout.PacketBase, c.layout.PacketEnd)
 	}
 }
 
@@ -218,23 +152,28 @@ const blockSlabChunk = 8192
 
 // EndPacket finalizes the current packet and returns its record.
 func (c *Collector) EndPacket() PacketRecord {
-	// Gather the executed block set from the epoch stamps (ascending ids,
-	// hence sorted) into the slab. A chunk with room for every block
-	// never reallocates mid-set, and the capped sub-slice keeps a
-	// caller's append from overwriting the next record's set.
-	if cap(c.slab)-len(c.slab) < len(c.seenBlock) {
-		c.slab = make([]int, 0, max(blockSlabChunk, len(c.seenBlock)))
+	a := c.acct
+	rec := PacketRecord{
+		Index:           c.packets,
+		Instructions:    a.Instructions,
+		Unique:          a.Unique,
+		PacketReads:     a.Accesses[vm.RegionPacket][0],
+		PacketWrites:    a.Accesses[vm.RegionPacket][1],
+		NonPacketReads:  a.Accesses[vm.RegionData][0] + a.Accesses[vm.RegionStack][0],
+		NonPacketWrites: a.Accesses[vm.RegionData][1] + a.Accesses[vm.RegionStack][1],
+	}
+	// Gather the executed block set (ascending ids, hence sorted) into
+	// the slab. A chunk with room for every block never reallocates
+	// mid-set, and the capped sub-slice keeps a caller's append from
+	// overwriting the next record's set.
+	if n := c.blocks.NumBlocks(); cap(c.slab)-len(c.slab) < n {
+		c.slab = make([]int, 0, max(blockSlabChunk, n))
 	}
 	start := len(c.slab)
-	for b, e := range c.seenBlock {
-		if e == c.epoch {
-			c.slab = append(c.slab, b)
-		}
-	}
+	c.slab = a.AppendBlocks(c.slab)
 	if end := len(c.slab); end > start {
-		c.cur.Blocks = c.slab[start:end:end]
+		rec.Blocks = c.slab[start:end:end]
 	}
-	rec := c.cur
 	c.packets++
 	return rec
 }
@@ -245,41 +184,21 @@ func (c *Collector) EndPacket() PacketRecord {
 // describe an execution that never completed. Any partial detail traces
 // are reset by the next BeginPacket as usual.
 func (c *Collector) AbortPacket(kind vm.FaultKind) PacketRecord {
-	rec := PacketRecord{Index: c.cur.Index, Fault: kind}
+	rec := PacketRecord{Index: c.packets, Fault: kind}
 	c.packets++
 	return rec
 }
 
-// Pass implements vm.Tracer: it counts each instruction of the pass.
+// Pass implements vm.Tracer: it counts each instruction of the pass
+// under CountPCs and traces it under Detail.
 //
-// pblint:hotpath — runs once per block pass of every packet.
+// pblint:hotpath — runs once per block pass of every packet it observes.
 func (c *Collector) Pass(first, last int) {
-	c.cur.Instructions += uint64(last-first) + 1
 	if c.CountPCs {
 		for i := first; i <= last; i++ {
 			c.PCCounts[i]++
 		}
 	}
-	// A pass lies inside one block. Once a pass has covered the whole
-	// block in this packet, every later pass over it finds nothing new,
-	// so only a block not yet stamped full is scanned. A partial pass
-	// scans and never stamps.
-	b := c.blocks.BlockOfIndex(first)
-	if c.fullBlock[b] != c.epoch {
-		for i := first; i <= last; i++ {
-			if c.seenInstr[i] != c.epoch {
-				c.seenInstr[i] = c.epoch
-				c.cur.Unique++
-				if c.Coverage {
-					c.instrTouched[i] = true
-				}
-			}
-		}
-		if first == c.blocks.LeaderIndex(b) && last+1 == c.blocks.EndIndex(b) {
-			c.fullBlock[b] = c.epoch
-		}
-	}
-	c.seenBlock[b] = c.epoch
 	if c.Detail {
 		// The pass's Mem events came first and were numbered as if the
 		// pass started at text index 0 (see Mem).
@@ -292,47 +211,22 @@ func (c *Collector) Pass(first, last int) {
 		}
 		// Only first can be a leader inside one pass: a block is entered
 		// whenever its leader executes, so self-loops count as re-entries.
-		if c.blocks.LeaderIndex(b) == first {
+		if b := c.blocks.BlockOfIndex(first); c.blocks.LeaderIndex(b) == first {
 			c.BlockSeq = append(c.BlockSeq, b) //pblint:allow — Detail runs keep a per-packet trace
 		}
 	}
 }
 
-// Mem implements vm.Tracer.
+// Mem implements vm.Tracer: it traces the access under Detail.
 //
-// pblint:hotpath — runs once per data access of every packet.
+// pblint:hotpath — runs once per data access of every packet it observes.
 func (c *Collector) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {
-	if region == vm.RegionPacket {
-		if write {
-			c.cur.PacketWrites++
-		} else {
-			c.cur.PacketReads++
-		}
-	} else {
-		if write {
-			c.cur.NonPacketWrites++
-		} else {
-			c.cur.NonPacketReads++
-		}
-	}
-	if c.Coverage {
-		// Aligned accesses never span a word, so marking the word of
-		// addr covers the whole access.
-		switch region {
-		case vm.RegionPacket:
-			c.pktTouched.set(addr)
-		case vm.RegionStack:
-			c.stackTouched.set(addr)
-		default:
-			c.dataTouched.set(addr)
-		}
-	}
 	if c.Detail {
-		// The access's pass is not counted yet: number it by its text
+		// The access's pass is not traced yet: number it by its text
 		// index past the pass start, and Pass subtracts the pass's first
 		// index.
 		c.MemTrace = append(c.MemTrace, MemEvent{ //pblint:allow — Detail runs keep a per-packet trace
-			InstrNum: c.cur.Instructions + uint64(pc-c.textBase)/isa.WordSize,
+			InstrNum: uint64(len(c.InstrTrace)) + uint64(pc-c.textBase)/isa.WordSize,
 			Addr:     addr, Size: size, Write: write, Region: region,
 		})
 	}
@@ -340,27 +234,19 @@ func (c *Collector) Mem(pc, addr uint32, size uint8, write bool, region vm.Regio
 
 // InstrMemSize returns the touched instruction-memory footprint in bytes
 // (Table IV). Requires Coverage.
-func (c *Collector) InstrMemSize() int {
-	n := 0
-	for _, t := range c.instrTouched {
-		if t {
-			n++
-		}
-	}
-	return n * isa.WordSize
-}
+func (c *Collector) InstrMemSize() int { return c.acct.Touched(vm.RegionText) * isa.WordSize }
 
 // DataMemSize returns the touched data-memory footprint in bytes at
 // word granularity, counting non-packet data only (routing tables, flow
 // state, stack), which is the application-owned memory Table IV
 // reports. Requires Coverage.
 func (c *Collector) DataMemSize() int {
-	return (c.dataTouched.count() + c.stackTouched.count()) * isa.WordSize
+	return (c.acct.Touched(vm.RegionData) + c.acct.Touched(vm.RegionStack)) * isa.WordSize
 }
 
 // PacketMemSize returns the touched packet-buffer footprint in bytes at
 // word granularity. Requires Coverage.
-func (c *Collector) PacketMemSize() int { return c.pktTouched.count() * isa.WordSize }
+func (c *Collector) PacketMemSize() int { return c.acct.Touched(vm.RegionPacket) * isa.WordSize }
 
 // Summary aggregates a run's records. Quarantined (faulted) records are
 // counted in Packets and broken out per fault kind, but contribute

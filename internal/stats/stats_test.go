@@ -2,7 +2,6 @@ package stats
 
 import (
 	"encoding/json"
-	"math"
 	"reflect"
 	"testing"
 
@@ -12,8 +11,9 @@ import (
 	"repro/internal/vm"
 )
 
-// harness assembles src and wires a CPU to a collector with the given
-// options pre-set by the caller.
+// harness assembles src and wires a CPU to a collector the way a bench
+// does: the CPU keeps the collector's account, and reports its events to
+// the collector for the Detail and CountPCs options the caller sets.
 type harness struct {
 	prog  *asm.Program
 	tprog *vm.Program
@@ -38,7 +38,7 @@ func newHarness(t *testing.T, src string) *harness {
 	cpu.Layout.StackEnd = 0x80000000
 	blocks := analysis.NewBlockMap(p.Text, p.TextBase)
 	col := NewCollector(p.Text, p.TextBase, blocks, cpu.Layout)
-	cpu.Tracer = col
+	cpu.Account, cpu.Tracer = col.Account(), col
 	return &harness{prog: p, tprog: vm.Translate(p.Text, p.TextBase, blocks), cpu: cpu, col: col}
 }
 
@@ -49,8 +49,7 @@ func (h *harness) runPacket(t *testing.T) PacketRecord {
 }
 
 // run simulates one framework dispatch on the interpreter or, when
-// threaded, on the block-threaded engine, which reports block passes to
-// the collector outside Detail mode.
+// threaded, on the block-threaded engine.
 func (h *harness) run(t *testing.T, threaded bool) PacketRecord {
 	t.Helper()
 	for r := range h.cpu.Regs {
@@ -245,27 +244,6 @@ const skipSrc = `
 skip:
 	ret
 `
-
-// TestCollectorEpochWrap runs the packet whose epoch stamp wraps past
-// 2^32, first on a fresh collector and then after a packet stamped
-// epoch 1: its record must be the one a fresh collector gives.
-func TestCollectorEpochWrap(t *testing.T) {
-	for _, threaded := range []bool{false, true} {
-		want := newHarness(t, skipSrc).run(t, threaded)
-		for _, warm := range []bool{false, true} {
-			h := newHarness(t, skipSrc)
-			if warm {
-				h.run(t, threaded)
-			}
-			h.col.epoch = math.MaxUint32
-			got := h.run(t, threaded)
-			got.Index = want.Index
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("threaded=%v warm=%v: wrapped record %+v, want %+v", threaded, warm, got, want)
-			}
-		}
-	}
-}
 
 // TestCollectorBlocksSlab pins how records share the collector's block
 // slab: each set is capped so a caller's append cannot reach the next

@@ -19,9 +19,10 @@
 // target instruction index; only the indirect JALR pays a full PC
 // validation, exactly like the interpreter's fetch path.
 //
-// The engine has one dispatch loop and one body. It tells the tracer,
-// when one is attached, about whole block passes and data accesses only;
-// untraced, each hook costs one nil test.
+// The engine has one dispatch loop and one body. It keeps the CPU's
+// Account inline, and tells the tracer, when one is attached, about
+// whole block passes and data accesses only; with neither attached, each
+// hook costs a nil test.
 //
 // The interpreter remains the oracle: for any program and input the two
 // engines produce identical register files, memory images, step counts,
@@ -222,15 +223,17 @@ func staticTarget(target, textBase uint32, n int) int32 {
 // this CPU was created with.
 //
 // Steps are charged per block, and c.PC/c.packetWriteHigh are updated
-// only at run exit. The Tracer sees a Pass per block pass and a Mem per
-// data access.
+// only at run exit, except that a Tracer finds c.PC at the pc the
+// interpreter would hold at each of its calls. The Tracer sees a Pass
+// per block pass and a Mem per data access.
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
-	return c.runFast(p, maxSteps, c.Tracer)
+	return c.runFast(p, maxSteps)
 }
 
-// runFast is RunProgram's dispatch loop. bt, when non-nil, is told about
-// every block pass and data access; see Tracer for the contract.
-func (c *CPU) runFast(p *Program, maxSteps uint64, bt Tracer) (steps uint64, reason StopReason, rerr error) {
+// runFast is RunProgram's dispatch loop. It keeps the CPU's account
+// inline and tells its tracer about every block pass and data access;
+// see Tracer for the contract.
+func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
 	regs := &c.Regs
 	c.resetPageTable()
 	dirs := &c.pt.dirs
@@ -239,8 +242,9 @@ func (c *CPU) runFast(p *Program, maxSteps uint64, bt Tracer) (steps uint64, rea
 	textBase := p.textBase
 	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
+	a, bt := c.Account, c.Tracer
 	defer func() { //pblint:allow — once per run, not per dispatch
-		c.steps += steps
+		c.charge(steps)
 		if pktHigh > c.packetWriteHigh {
 			c.packetWriteHigh = pktHigh
 		}
@@ -288,7 +292,8 @@ outer:
 			end = len(ops)
 		}
 		pc := textBase + uint32(idx)*isa.WordSize
-		for j := idx; j < end; j++ {
+		j := idx
+		for ; j < end; j++ {
 			op := &ops[j]
 			switch op.code {
 			case uNOP:
@@ -341,12 +346,11 @@ outer:
 				if e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 1, false, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 1, false, e.r)
-				}
+				a.access(e.r, addr, false)
+				c.reportMem(bt, pc, addr, 1, false, e.r)
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(int32(int8(e.pg[addr&(pageSize-1)])))
 				}
@@ -356,12 +360,11 @@ outer:
 				if e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 1, false, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 1, false, e.r)
-				}
+				a.access(e.r, addr, false)
+				c.reportMem(bt, pc, addr, 1, false, e.r)
 				if op.rd != 0 {
 					regs[op.rd&15] = uint32(e.pg[addr&(pageSize-1)])
 				}
@@ -371,12 +374,11 @@ outer:
 				if addr&1 != 0 || e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 2, false, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 2, false, e.r)
-				}
+				a.access(e.r, addr, false)
+				c.reportMem(bt, pc, addr, 2, false, e.r)
 				if op.rd != 0 {
 					o := addr & (pageSize - 2) // addr is aligned: the mask proves o+2 <= pageSize
 					regs[op.rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(e.pg[o:]))))
@@ -387,12 +389,11 @@ outer:
 				if addr&1 != 0 || e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 2, false, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 2, false, e.r)
-				}
+				a.access(e.r, addr, false)
+				c.reportMem(bt, pc, addr, 2, false, e.r)
 				if op.rd != 0 {
 					o := addr & (pageSize - 2)
 					regs[op.rd&15] = uint32(binary.LittleEndian.Uint16(e.pg[o:]))
@@ -403,12 +404,11 @@ outer:
 				if addr&3 != 0 || e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 4, false, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 4, false, e.r)
-				}
+				a.access(e.r, addr, false)
+				c.reportMem(bt, pc, addr, 4, false, e.r)
 				if op.rd != 0 {
 					o := addr & (pageSize - 4)
 					regs[op.rd&15] = binary.LittleEndian.Uint32(e.pg[o:])
@@ -420,15 +420,14 @@ outer:
 				if e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 1, true, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
 				if e.r == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 1, true, e.r)
-				}
+				a.access(e.r, addr, true)
+				c.reportMem(bt, pc, addr, 1, true, e.r)
 				e.pg[addr&(pageSize-1)] = uint8(regs[op.rd&15])
 			case uSH:
 				addr := regs[op.rs1&15] + op.imm
@@ -436,15 +435,14 @@ outer:
 				if addr&1 != 0 || e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 2, true, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
 				if e.r == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 2, true, e.r)
-				}
+				a.access(e.r, addr, true)
+				c.reportMem(bt, pc, addr, 2, true, e.r)
 				o := addr & (pageSize - 2)
 				binary.LittleEndian.PutUint16(e.pg[o:], uint16(regs[op.rd&15]))
 			case uSW:
@@ -453,77 +451,64 @@ outer:
 				if addr&3 != 0 || e.r == RegionNone {
 					var f *Fault
 					if e, f = c.miss(addr, 4, true, pc); f != nil {
-						return c.trap(bt, steps, idx, j, f)
+						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
 				if e.r == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
 				}
-				if bt != nil {
-					bt.Mem(pc, addr, 4, true, e.r)
-				}
+				a.access(e.r, addr, true)
+				c.reportMem(bt, pc, addr, 4, true, e.r)
 				o := addr & (pageSize - 4)
 				binary.LittleEndian.PutUint32(e.pg[o:], regs[op.rd&15])
 
 			case uBEQ:
 				if regs[op.rs1&15] == regs[op.rs2&15] {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 			case uBNE:
 				if regs[op.rs1&15] != regs[op.rs2&15] {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 			case uBLT:
 				if int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]) {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 			case uBGE:
 				if int32(regs[op.rs1&15]) >= int32(regs[op.rs2&15]) {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 			case uBLTU:
 				if regs[op.rs1&15] < regs[op.rs2&15] {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 			case uBGEU:
 				if regs[op.rs1&15] >= regs[op.rs2&15] {
-					steps = passEnd(bt, steps, idx, j)
-					idx, pcv = branchTo(op, pc)
-					continue outer
+					goto taken
 				}
 
 			case uJAL:
 				if op.rd != 0 {
 					regs[op.rd&15] = pc + isa.WordSize
 				}
-				steps = passEnd(bt, steps, idx, j)
-				idx, pcv = branchTo(op, pc)
-				continue outer
+				goto taken
 			case uJALR:
 				target := (regs[op.rs1&15] + op.imm) &^ 3
 				if op.rd != 0 {
 					regs[op.rd&15] = pc + isa.WordSize
 				}
-				steps = passEnd(bt, steps, idx, j)
+				steps += uint64(j-idx) + 1
+				c.passEnd(a, bt, idx, j, target)
 				idx, pcv = -1, target
 				continue outer
 
 			case uHALT:
-				steps = passEnd(bt, steps, idx, j)
+				steps += uint64(j-idx) + 1
+				c.passEnd(a, bt, idx, j, pc)
 				c.PC = pc
 				return steps, StopHalt, nil
 			case uBAD:
-				return c.trap(bt, steps, idx, j, &Fault{Kind: FaultBadInstr, PC: pc})
+				return c.trap(a, bt, steps, idx, j, &Fault{Kind: FaultBadInstr, PC: pc})
 			}
 			pc += isa.WordSize
 		}
@@ -531,29 +516,61 @@ outer:
 		// budget truncated it, the block was split by a following leader,
 		// or execution ran past the last instruction. The re-entry checks
 		// sort the three cases out (step limit / next block / bad fetch).
-		steps = passEnd(bt, steps, idx, end-1)
+		steps += uint64(end - idx)
+		c.passEnd(a, bt, idx, end-1, pc)
 		if uint32(end) < n {
 			idx = end
 		} else {
 			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
 		}
+		continue
+	taken:
+		// A taken branch or JAL at j ends the pass; its static target is
+		// pc+imm.
+		steps += uint64(j-idx) + 1
+		c.passEnd(a, bt, idx, j, pc+ops[j].imm)
+		idx, pcv = branchTo(&ops[j], pc)
 	}
 }
 
-// passEnd charges the block pass first..last to steps and reports it to
-// bt, when one is attached.
-func passEnd(bt Tracer, steps uint64, first, last int) uint64 {
-	if bt != nil {
-		bt.Pass(first, last)
+// passEnd ends the block pass first..last, whose steps are charged: it
+// accounts the pass in a and reports it to bt, when they are attached.
+// Once a pass is known to run nothing new in the packet, the account
+// costs one stamp compare. next is the pc the interpreter holds after
+// last, which a tracer that panics sees as the fault pc. passEnd runs on
+// every block pass, so it must stay within the compiler's inlining
+// budget, with the rest in reportPass.
+func (c *CPU) passEnd(a *Account, bt Tracer, first, last int, next uint32) {
+	if bt != nil || a != nil && a.whole[first] != a.epoch {
+		c.reportPass(first, last, next)
 	}
-	return steps + uint64(last-first) + 1
+}
+
+// reportPass is passEnd's slow path, for the CPU's account and tracer.
+func (c *CPU) reportPass(first, last int, next uint32) {
+	c.Account.pass(first, last)
+	if c.Tracer != nil {
+		c.PC = next
+		c.Tracer.Pass(first, last)
+	}
+}
+
+// reportMem reports a data access to bt, when one is attached, at the pc
+// of the accessing instruction, as the interpreter does.
+func (c *CPU) reportMem(bt Tracer, pc, addr uint32, size uint8, write bool, r Region) {
+	if bt != nil {
+		c.PC = pc
+		bt.Mem(pc, addr, size, write, r)
+	}
 }
 
 // trap ends a run on fault f, raised by the last instruction of the
 // block pass first..last.
-func (c *CPU) trap(bt Tracer, steps uint64, first, last int, f *Fault) (uint64, StopReason, error) {
+func (c *CPU) trap(a *Account, bt Tracer, steps uint64, first, last int, f *Fault) (uint64, StopReason, error) {
 	c.PC = f.PC
-	return passEnd(bt, steps, first, last), 0, f
+	steps += uint64(last-first) + 1
+	c.passEnd(a, bt, first, last, f.PC)
+	return steps, 0, f
 }
 
 // branchTo turns a taken static control transfer into the next dispatch

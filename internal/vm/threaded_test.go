@@ -1,7 +1,9 @@
 package vm
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -228,5 +230,78 @@ func TestReadBytesPageRuns(t *testing.T) {
 	}
 	if span[3*pageSize+7] != 0xAB {
 		t.Fatal("span lost the fourth-page byte")
+	}
+}
+
+// TestAccountEpochWrap runs the packet whose epoch stamp wraps past
+// 2^32 on each engine, first on a fresh account and then after a packet
+// stamped epoch 1 left its stamps behind: the account must read as a
+// fresh account's, the stale stamps forgotten.
+func TestAccountEpochWrap(t *testing.T) {
+	// A branch over one block, skipped when the packet's first word is
+	// zero, so the earlier packet ran a block the wrapped one does not.
+	const src = "lw t0, 0(a0)\nbeq t0, zero, skip\naddi t1, t1, 1\nskip:\nret"
+	type state struct {
+		Instructions uint64
+		Unique       int
+		Accesses     [RegionStack + 1][2]uint64
+		Blocks       []int
+	}
+	run := func(threaded, warm bool, epoch uint32) state {
+		c, p := buildCPU(t, src)
+		blocks := analysis.NewBlockMap(p.Text, p.TextBase)
+		prog := Translate(p.Text, p.TextBase, blocks)
+		c.Account = NewAccount(blocks, c.Layout)
+		packet := func(word uint32) {
+			c.Mem.Write32(c.Layout.PacketBase, word)
+			c.Regs[isa.A0], c.Regs[isa.RA], c.PC = c.Layout.PacketBase, ReturnAddress, p.TextBase
+			c.Account.Begin(false)
+			var err error
+			if threaded {
+				_, _, err = c.RunProgram(prog, 100)
+			} else {
+				_, _, err = c.Run(100)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if warm {
+			packet(1)
+		}
+		c.Account.epoch = epoch
+		packet(0)
+		a := c.Account
+		return state{a.Instructions, a.Unique, a.Accesses, a.AppendBlocks(nil)}
+	}
+	for _, threaded := range []bool{false, true} {
+		want := run(threaded, false, 0)
+		for _, warm := range []bool{false, true} {
+			if got := run(threaded, warm, math.MaxUint32); !reflect.DeepEqual(got, want) {
+				t.Errorf("threaded=%v warm=%v: wrapped account %+v, want %+v", threaded, warm, got, want)
+			}
+		}
+	}
+}
+
+// TestAccountRestartedPass stops a packet one instruction into a block,
+// restarts it from the entry on the block-threaded engine, and checks
+// that the restarted whole-block pass still counts every instruction:
+// a pass that stopped short of its block's end must not mark the block
+// as fully seen.
+func TestAccountRestartedPass(t *testing.T) {
+	c, p := buildCPU(t, "addi t0, t0, 1\naddi t0, t0, 1\naddi t0, t0, 1\nhalt")
+	blocks := analysis.NewBlockMap(p.Text, p.TextBase)
+	c.Account = NewAccount(blocks, c.Layout)
+	c.Account.Begin(false)
+	if _, _, err := c.Run(1); !errors.Is(err, FaultStepLimit) {
+		t.Fatalf("first run: %v, want a step-limit stop", err)
+	}
+	c.PC = p.TextBase
+	if _, _, err := c.RunProgram(Translate(p.Text, p.TextBase, blocks), 100); err != nil {
+		t.Fatal(err)
+	}
+	if a := c.Account; a.Instructions != 5 || a.Unique != 4 {
+		t.Errorf("Instructions, Unique = %d, %d, want 5, 4", a.Instructions, a.Unique)
 	}
 }

@@ -16,9 +16,9 @@
 // PacketBench framework (trace parsing, packet placement, route-table
 // construction) runs as native host code that writes directly into
 // simulated memory via the Memory type, while only application code is
-// fetched and executed by the CPU. The Tracer hook therefore observes
-// exactly the instructions the application itself would execute on a
-// network processor core, and nothing else.
+// fetched and executed by the CPU. The Account and the Tracer hook
+// therefore observe exactly the instructions the application itself
+// would execute on a network processor core, and nothing else.
 package vm
 
 import (
@@ -96,12 +96,17 @@ func (l Layout) pageRegion(p uint32) Region {
 }
 
 // Tracer observes application execution: which instructions ran and
-// which data memory each one touched. Implementations must be cheap; a
-// nil Tracer on the CPU disables tracing entirely.
+// which data memory each one touched. Selective accounting's counts come
+// from the CPU's Account with no call per event; a tracer is for
+// observers that need the events themselves, such as per-packet traces,
+// per-instruction counts or a microarchitectural model. Implementations
+// must be cheap; a nil Tracer costs the run a nil test per event.
 //
 // Both engines report the same stream. The interpreter (CPU.Run) reports
 // each instruction as a one-instruction pass; the block-threaded loop
-// (CPU.RunProgram) reports whole block passes.
+// (CPU.RunProgram) reports whole block passes. At each call CPU.PC holds
+// the interpreter's pc: the accessing instruction's for Mem, the one
+// after the pass for Pass (the last instruction's if it halts or faults).
 type Tracer interface {
 	// Pass reports that the instructions at text indexes first..last
 	// (inclusive) executed once each, in order, inside one basic block.
@@ -220,8 +225,13 @@ type CPU struct {
 
 	Mem    *Memory
 	Layout Layout
-	// Tracer, when non-nil, observes every executed instruction and data
-	// access.
+	// Account, when non-nil, keeps the per-packet account of every run
+	// inline (see Account).
+	Account *Account
+	// Tracer, when non-nil, observes every executed pass and data
+	// access. Only observers that need the events themselves attach
+	// one: the statistics collector for its Detail traces and PCCounts,
+	// the microarch profiler, and third-party tracers.
 	Tracer Tracer
 
 	text     []isa.Instruction
@@ -277,10 +287,11 @@ func (c *CPU) SetReg(r isa.Reg, v uint32) {
 // Run executes instructions starting at c.PC until the application halts,
 // returns to ReturnAddress, faults, or exceeds maxSteps. It returns the
 // number of instructions executed by this call. Each executed
-// instruction, a faulting one included, reaches the Tracer as a
-// one-instruction pass after its Mem events. A run stopped by maxSteps
-// resumes from c.PC as if it had never stopped.
+// instruction, a faulting one included, reaches the Account and the
+// Tracer as a one-instruction pass after its Mem events. A run stopped
+// by maxSteps resumes from c.PC as if it had never stopped.
 func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) {
+	defer func() { c.charge(steps) }()
 	for {
 		if c.PC == ReturnAddress {
 			return steps, StopReturn, nil
@@ -294,8 +305,8 @@ func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) 
 		}
 		i := int(off / isa.WordSize)
 		steps++
-		c.steps++
 		halt, err := c.execute(c.text[i])
+		c.Account.pass(i, i)
 		if c.Tracer != nil {
 			c.Tracer.Pass(i, i)
 		}
@@ -305,6 +316,15 @@ func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) 
 		if halt {
 			return steps, StopHalt, nil
 		}
+	}
+}
+
+// charge adds a run's steps to the CPU's lifetime count and to its
+// account.
+func (c *CPU) charge(steps uint64) {
+	c.steps += steps
+	if c.Account != nil {
+		c.Account.Instructions += steps
 	}
 }
 
@@ -446,6 +466,7 @@ func (c *CPU) load(pc, addr uint32, op isa.Opcode) (uint32, error) {
 		// almost always indicates a pointer bug in the application.
 		return 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 	}
+	c.Account.access(region, addr, false)
 	if c.Tracer != nil {
 		c.Tracer.Mem(pc, addr, uint8(size), false, region)
 	}
@@ -483,6 +504,7 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 			c.packetWriteHigh = end
 		}
 	}
+	c.Account.access(region, addr, true)
 	if c.Tracer != nil {
 		c.Tracer.Mem(pc, addr, uint8(size), true, region)
 	}
