@@ -494,7 +494,7 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 		size += words * 4
 		h.TotalLen = uint16(size)
 	}
-	b := g.carve(size)
+	b := trace.Carve(&g.slab, size, slabChunk)
 	// Fill the payload with deterministic pseudo-random bytes so payload
 	// processing applications have real content to chew on; the header
 	// fields are overwritten below. Each byte is the draw byte(Intn(256))
@@ -523,20 +523,8 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 	return b
 }
 
-// slabChunk is the size of the chunks carve cuts packet bytes from.
+// slabChunk is the size of the chunks packet bytes are carved from.
 const slabChunk = 64 << 10
-
-// carve returns n bytes cut from the generator's slab. Its capacity is
-// its length, so an append to one packet copies rather than overwriting
-// the next packet's bytes.
-func (g *Generator) carve(n int) []byte {
-	if n > len(g.slab) {
-		g.slab = make([]byte, max(slabChunk, n))
-	}
-	b := g.slab[:n:n]
-	g.slab = g.slab[n:]
-	return b
-}
 
 // Generate produces n packets from the profile, the same packets n calls
 // of Next would return, stored in one backing array.

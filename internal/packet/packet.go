@@ -69,12 +69,22 @@ func AddrValue(a netip.Addr) uint32 {
 	return binary.BigEndian.Uint32(b[:])
 }
 
-// ParseIPv4 parses the IPv4 header at the front of b.
+// ParseIPv4 parses the IPv4 header at the front of b. It inlines, so a
+// caller that only reads fields of the header keeps it on its stack.
 func ParseIPv4(b []byte) (*IPv4Header, error) {
-	if len(b) < IPv4HeaderLen {
-		return nil, fmt.Errorf("packet: IPv4 header truncated: %d bytes", len(b))
+	h := new(IPv4Header)
+	if err := h.parse(b); err != nil {
+		return nil, err
 	}
-	h := &IPv4Header{
+	return h, nil
+}
+
+// parse fills h from the IPv4 header at the front of b.
+func (h *IPv4Header) parse(b []byte) error {
+	if len(b) < IPv4HeaderLen {
+		return fmt.Errorf("packet: IPv4 header truncated: %d bytes", len(b))
+	}
+	*h = IPv4Header{
 		Version:  b[0] >> 4,
 		IHL:      b[0] & 0xF,
 		TOS:      b[1],
@@ -89,19 +99,19 @@ func ParseIPv4(b []byte) (*IPv4Header, error) {
 		Dst:      binary.BigEndian.Uint32(b[16:]),
 	}
 	if h.Version != 4 {
-		return nil, fmt.Errorf("packet: not IPv4: version %d", h.Version)
+		return fmt.Errorf("packet: not IPv4: version %d", h.Version)
 	}
 	if h.IHL < 5 {
-		return nil, fmt.Errorf("packet: bad IHL %d", h.IHL)
+		return fmt.Errorf("packet: bad IHL %d", h.IHL)
 	}
 	hlen := int(h.IHL) * 4
 	if len(b) < hlen {
-		return nil, fmt.Errorf("packet: header with options truncated: have %d, need %d", len(b), hlen)
+		return fmt.Errorf("packet: header with options truncated: have %d, need %d", len(b), hlen)
 	}
 	if h.IHL > 5 {
 		h.Options = append([]byte(nil), b[IPv4HeaderLen:hlen]...)
 	}
-	return h, nil
+	return nil
 }
 
 // HeaderLen returns the header length in bytes.

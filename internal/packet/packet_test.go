@@ -107,6 +107,10 @@ func TestParseIPv4WithOptions(t *testing.T) {
 	if got.HeaderLen() != 28 || len(got.Options) != 8 {
 		t.Errorf("options lost: %+v", got)
 	}
+	if b[20] = 0xEE; got.Options[0] != 1 {
+		t.Error("Options aliases the parsed bytes instead of copying them")
+	}
+	b[20] = 1
 	if !VerifyChecksum(b) {
 		t.Error("checksum over options invalid")
 	}
@@ -116,18 +120,18 @@ func TestParseIPv4Errors(t *testing.T) {
 	cases := []struct {
 		name string
 		b    []byte
-		frag string
+		want string
 	}{
-		{"short", make([]byte, 19), "truncated"},
-		{"version", append([]byte{0x65}, make([]byte, 19)...), "not IPv4"},
-		{"bad ihl", append([]byte{0x44}, make([]byte, 19)...), "bad IHL"},
-		{"options truncated", append([]byte{0x46}, make([]byte, 19)...), "options truncated"},
+		{"short", make([]byte, 19), "packet: IPv4 header truncated: 19 bytes"},
+		{"version", append([]byte{0x65}, make([]byte, 19)...), "packet: not IPv4: version 6"},
+		{"bad ihl", append([]byte{0x44}, make([]byte, 19)...), "packet: bad IHL 4"},
+		{"options truncated", append([]byte{0x46}, make([]byte, 19)...), "packet: header with options truncated: have 20, need 24"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			_, err := ParseIPv4(c.b)
-			if err == nil || !strings.Contains(err.Error(), c.frag) {
-				t.Errorf("ParseIPv4 = %v, want error containing %q", err, c.frag)
+			h, err := ParseIPv4(c.b)
+			if h != nil || err == nil || err.Error() != c.want {
+				t.Errorf("ParseIPv4 = %v, %v; want nil, %q", h, err, c.want)
 			}
 		})
 	}
@@ -269,5 +273,27 @@ func TestAddrConversions(t *testing.T) {
 	f := func(v uint32) bool { return AddrValue(V4Addr(v)) == v }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestParseIPv4DstOnlyAllocatesNothing: ParseIPv4 inlines, so the route
+// derivation loop, which reads only Dst, keeps every header on its stack.
+func TestParseIPv4DstOnlyAllocatesNothing(t *testing.T) {
+	var pkts [][]byte
+	for i := 0; i < 8; i++ {
+		h := IPv4Header{Version: 4, IHL: 5, TotalLen: 40, Dst: uint32(i) << 24}
+		pkts = append(pkts, h.Marshal())
+	}
+	dsts := make([]uint32, 0, len(pkts))
+	allocs := testing.AllocsPerRun(100, func() {
+		dsts = dsts[:0]
+		for _, p := range pkts {
+			if h, err := ParseIPv4(p); err == nil {
+				dsts = append(dsts, h.Dst)
+			}
+		}
+	})
+	if allocs != 0 || len(dsts) != len(pkts) {
+		t.Errorf("%v allocs per pass over %d headers (%d parsed), want 0", allocs, len(pkts), len(dsts))
 	}
 }

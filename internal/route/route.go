@@ -19,11 +19,12 @@ package route
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/netip"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -94,12 +95,11 @@ func (t *Table) Add(prefix uint32, length int, nexthop uint32) error {
 // Dedup removes duplicate (prefix, len) pairs, keeping the last
 // occurrence, and sorts the table.
 func (t *Table) Dedup() {
-	sort.SliceStable(t.Entries, func(i, j int) bool {
-		a, b := t.Entries[i], t.Entries[j]
-		if a.Prefix != b.Prefix {
-			return a.Prefix < b.Prefix
+	slices.SortStableFunc(t.Entries, func(a, b Entry) int {
+		if c := cmp.Compare(a.Prefix, b.Prefix); c != 0 {
+			return c
 		}
-		return a.Len < b.Len
+		return cmp.Compare(a.Len, b.Len)
 	})
 	out := t.Entries[:0]
 	for _, e := range t.Entries {
@@ -201,7 +201,7 @@ func TableFromTraffic(dsts []uint32, maxPrefixes int, nextHops int, seed int64) 
 		total += d.weight
 	}
 	t := &Table{}
-	seen := make(map[uint64]bool)
+	seen := make(map[uint64]bool, min(len(dsts), max(maxPrefixes, 0)))
 	for _, dst := range dsts {
 		if maxPrefixes > 0 && len(t.Entries) >= maxPrefixes {
 			break

@@ -509,3 +509,48 @@ func TestRadixSerializePinned(t *testing.T) {
 		t.Errorf("image sha256 %s, want %s", got, want)
 	}
 }
+
+// TestTablesPinned pins the entries of the three table builders, bit for
+// bit, to digests recorded from the sort.SliceStable-based Dedup. The
+// ParseTable input repeats (prefix, len) pairs with different next hops
+// and unmasked host bits, so the stable "last one wins" order is pinned
+// too; TableFromTraffic draws destinations from a small set, so most are
+// seen before.
+func TestTablesPinned(t *testing.T) {
+	digest := func(tbl *Table) string {
+		h := sha256.New()
+		for _, e := range tbl.Entries {
+			fmt.Fprintf(h, "%08x/%d>%d ", e.Prefix, e.Len, e.NextHop)
+		}
+		return fmt.Sprintf("%d:%x", len(tbl.Entries), h.Sum(nil)[:16])
+	}
+	rng := rand.New(rand.NewSource(7))
+	dsts := make([]uint32, 30000)
+	for i := range dsts {
+		dsts[i] = uint32(10+rng.Intn(4))<<24 | uint32(rng.Intn(8))<<16 | uint32(rng.Intn(4096))
+	}
+	var text strings.Builder
+	for i := 0; i < 5000; i++ {
+		a := uint32(10+rng.Intn(3))<<24 | uint32(rng.Intn(4))<<16 | uint32(rng.Intn(1<<16))
+		fmt.Fprintf(&text, "%d.%d.%d.%d/%d %d\n", a>>24, a>>16&0xFF, a>>8&0xFF, a&0xFF,
+			[]int{8, 16, 24, 32}[rng.Intn(4)], 1+rng.Intn(9))
+	}
+	parsed, err := ParseTable(strings.NewReader(text.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		tbl  *Table
+		want string
+	}{
+		{"TableFromTraffic/limit", TableFromTraffic(dsts, 1000, 16, 1), "1000:398332908f1b77bd0f9ffe4f0fdd3c29"},
+		{"TableFromTraffic/all", TableFromTraffic(dsts, 0, 16, 2), "2510:d1c492bbf413ee67bfb07a7bcd10d308"},
+		{"GenerateTable", GenerateTable(GenOptions{Prefixes: 2000, Seed: 3, IncludeDefault: true}), "2000:6dce05e05874e998f01bac9509713881"},
+		{"ParseTable", parsed, "2352:07aaf3dbfa926ba4aeb82ce5cc03d1a5"},
+	} {
+		if got := digest(c.tbl); got != c.want {
+			t.Errorf("%s: entries digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}

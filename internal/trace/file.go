@@ -47,7 +47,10 @@ func OpenPcap(path string) (FileReader, error) {
 
 // OpenPcapBuffered opens a pcap trace with the buffered reader, never
 // mmap. Use it when packets must not alias a shared mapping — for
-// example when they outlive the reader's Close.
+// example when they outlive the reader's Close. Its packets and their
+// bodies are cut from chunks the reader allocates and never reuses, so
+// they stay valid after Close, and a preload allocates per chunk, not
+// per packet.
 func OpenPcapBuffered(path string) (FileReader, error) {
 	return openPcap(path, false)
 }

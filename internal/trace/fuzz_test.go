@@ -15,7 +15,9 @@ import (
 // It also runs the decoder's two byte sources in lockstep as a
 // differential oracle: the in-memory source (NewBytesPcapReader) and the
 // stream source (NewPcapReader) must produce the same packets, the same
-// positions, and the same errors on every input.
+// positions, and the same errors on every input. Every packet returned
+// is kept and re-checked at the end of the input, so a body or Packet
+// that overlaps another, or a reused chunk, shows.
 func FuzzPcapReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewPcapWriter(&buf)
@@ -44,6 +46,7 @@ func FuzzPcapReader(f *testing.F) {
 				r.SetSkipMalformed(NewSkipBudget(budget))
 				br.SetSkipMalformed(NewSkipBudget(budget))
 			}
+			var kept keptPackets
 			for n := 0; n < 1000; n++ {
 				p, err := r.Next()
 				bp, berr := br.Next()
@@ -67,10 +70,13 @@ func FuzzPcapReader(f *testing.F) {
 				if p.Sec != bp.Sec || p.Usec != bp.Usec || p.WireLen != bp.WireLen || !bytes.Equal(p.Data, bp.Data) {
 					t.Fatalf("packet %d diverges: buffered %+v, bytes %+v", n, p, bp)
 				}
+				kept.add(p)
+				kept.add(bp)
 				if r.Pos() != br.Pos() {
 					t.Fatalf("Pos diverges at packet %d: buffered %d, bytes %d", n, r.Pos(), br.Pos())
 				}
 			}
+			kept.check(t)
 			if budget > 0 && r.Skipped() > budget {
 				t.Fatalf("Skipped %d exceeds budget %d", r.Skipped(), budget)
 			}
@@ -88,14 +94,46 @@ func FuzzTSHReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := NewTSHReader(bytes.NewReader(b))
+		var kept keptPackets
 		for {
 			p, err := r.Next()
 			if err != nil {
-				return
+				break
 			}
 			if len(p.Data) != 36 {
 				t.Fatalf("TSH packet with %d bytes", len(p.Data))
 			}
+			kept.add(p)
 		}
+		kept.check(t)
 	})
+}
+
+// keptPackets holds every packet a reader returned with a copy of what
+// it held then.
+type keptPackets struct {
+	pkts []*Packet
+	want []Packet
+}
+
+func (k *keptPackets) add(p *Packet) {
+	k.pkts = append(k.pkts, p)
+	k.want = append(k.want, Packet{Sec: p.Sec, Usec: p.Usec, Data: bytes.Clone(p.Data), WireLen: p.WireLen})
+}
+
+// check appends to every kept packet's Data, which must copy, and then
+// fails unless every kept packet still holds what it held when
+// returned: a body whose capacity runs into another body, or a chunk
+// reused by a later read, shows here.
+func (k *keptPackets) check(t *testing.T) {
+	t.Helper()
+	for _, p := range k.pkts {
+		_ = append(p.Data, 0xEE, 0xEE, 0xEE, 0xEE)
+	}
+	for i, p := range k.pkts {
+		w := k.want[i]
+		if p.Sec != w.Sec || p.Usec != w.Usec || p.WireLen != w.WireLen || !bytes.Equal(p.Data, w.Data) {
+			t.Fatalf("kept packet %d changed after it was returned: %+v, want %+v", i, p, w)
+		}
+	}
 }

@@ -125,12 +125,16 @@ func pcapResyncExhaustedErr(off int64) *MalformedRecordError {
 // captures).
 //
 // One decoder serves two byte sources. NewPcapReader reads a stream
-// through a buffer and copies each record body into a fresh slice.
-// NewBytesPcapReader reads a capture held in memory — in practice a
-// read-only mmap of the trace file (see OpenPcap) — and hands out bodies
-// as sub-slices of that buffer, with no copy. The source changes where
-// the bytes come from, never which packets, positions or errors the
-// decoder produces.
+// through a buffer and copies each record body into a cut from a body
+// chunk the reader owns. NewBytesPcapReader reads a capture held in
+// memory — in practice a read-only mmap of the trace file (see OpenPcap)
+// — and hands out bodies as sub-slices of that buffer, with no copy. The
+// source changes where the bytes come from, never which packets,
+// positions or errors the decoder produces. On both sources the returned
+// Packet structs are cut from Packet chunks (see Carve) and every body is
+// cap-clipped. No chunk is reused, so a retained packet stays valid: its
+// body pins the one chunk it was cut from, and its Packet pins its Packet
+// chunk, with the bodies of the packets beside it.
 //
 // By default the reader fail-fasts on the first malformed record with a
 // *MalformedRecordError. SetSkipMalformed switches it to skip-and-resync:
@@ -139,6 +143,7 @@ func pcapResyncExhaustedErr(off int64) *MalformedRecordError {
 type PcapReader struct {
 	pcapMeta
 	skipState
+	slabs
 	// Exactly one source is set: mem holds the whole capture, or r
 	// buffers src.
 	mem []byte
@@ -224,9 +229,9 @@ func (p *PcapReader) advance(n int) {
 }
 
 // body consumes a record body of n bytes: a cap-clipped sub-slice of
-// mem, or a fresh copy from the stream. When the input ends first it
-// consumes and returns the partial bytes with io.ErrUnexpectedEOF; a
-// stream failure consumes nothing.
+// mem, or a copy from the stream into n bytes cut from the body chunk.
+// When the input ends first it consumes and returns the partial bytes
+// with io.ErrUnexpectedEOF; a stream failure consumes nothing.
 func (p *PcapReader) body(n int) ([]byte, error) {
 	if p.r == nil {
 		rest := p.mem[p.off:]
@@ -237,7 +242,7 @@ func (p *PcapReader) body(n int) ([]byte, error) {
 		p.off += int64(n)
 		return rest[:n:n], nil
 	}
-	data := make([]byte, n)
+	data := Carve(&p.bodies, n, bodyChunk)
 	k, err := io.ReadFull(p.r, data)
 	if err == io.EOF {
 		err = io.ErrUnexpectedEOF
@@ -366,9 +371,9 @@ func (p *PcapReader) Next() (*Packet, error) {
 // finishPacket applies link-layer stripping and the WireLen invariant to
 // a decoded record. ok is false when the frame is not an IPv4 packet and
 // must be skipped.
-func (m *pcapMeta) finishPacket(sec, usec, origLen uint32, data []byte) (*Packet, bool) {
+func (p *PcapReader) finishPacket(sec, usec, origLen uint32, data []byte) (*Packet, bool) {
 	wire := int(origLen)
-	if m.linkType == LinkTypeEthernet {
+	if p.linkType == LinkTypeEthernet {
 		if len(data) < ethernetHeaderLen {
 			return nil, false // runt frame
 		}
@@ -388,7 +393,7 @@ func (m *pcapMeta) finishPacket(sec, usec, origLen uint32, data []byte) (*Packet
 	if wire < len(data) {
 		wire = len(data)
 	}
-	return &Packet{Sec: sec, Usec: usec, Data: data, WireLen: wire}, true
+	return p.packet(Packet{Sec: sec, Usec: usec, Data: data, WireLen: wire}), true
 }
 
 // PcapWriter writes libpcap capture files with raw-IP framing, so records

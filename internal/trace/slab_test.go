@@ -1,0 +1,111 @@
+package trace
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"runtime"
+	"testing"
+)
+
+// slabCorpus returns n raw-IP packets of 28 to 1,499 bytes, enough to
+// span several body chunks and, past packetChunk, several Packet chunks.
+func slabCorpus(n int) []*Packet {
+	pkts := make([]*Packet, n)
+	for i := range pkts {
+		pkts[i] = &Packet{Sec: uint32(i), Usec: uint32(i % 1000), Data: ipv4Packet(uint32(i), 2, i*7%1472)}
+	}
+	return pkts
+}
+
+// TestCarvedPacketsDoNotAlias: on the pcap stream source, the pcap bytes
+// source and TSH, appending to one packet's Data never changes another
+// packet.
+func TestCarvedPacketsDoNotAlias(t *testing.T) {
+	src := slabCorpus(packetChunk + 300)
+	raw := buildPcap(t, src)
+	var tsh bytes.Buffer
+	w := NewTSHWriter(&tsh)
+	for i := 0; i < bodyChunk/tshHeaderBytes+100; i++ {
+		if err := w.WritePacket(&Packet{Sec: uint32(i), Data: ipv4Packet(uint32(i), 2, 16)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	readers := map[string]Reader{"tsh": NewTSHReader(bytes.NewReader(tsh.Bytes()))}
+	for name, r := range pcapSources(t, raw) {
+		readers["pcap-"+name] = r
+	}
+	for name, r := range readers {
+		got, err := ReadAll(r, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if name != "tsh" {
+			if len(got) != len(src) {
+				t.Fatalf("%s: %d packets, want %d", name, len(got), len(src))
+			}
+			for i := range src {
+				if !bytes.Equal(got[i].Data, src[i].Data) {
+					t.Fatalf("%s: packet %d read back wrong", name, i)
+				}
+			}
+		}
+		var kept keptPackets
+		for _, p := range got {
+			kept.add(p)
+		}
+		kept.check(t)
+	}
+}
+
+// TestBufferedPacketsOutliveClose: packets from OpenPcapBuffered keep
+// their bytes after Close, a collection, and a rewrite of the file.
+func TestBufferedPacketsOutliveClose(t *testing.T) {
+	src := slabCorpus(600)
+	path := filepath.Join(t.TempDir(), "t.pcap")
+	if err := os.WriteFile(path, buildPcap(t, src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenPcapBuffered(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, make([]byte, 1<<20), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	if len(got) != len(src) {
+		t.Fatalf("%d packets, want %d", len(got), len(src))
+	}
+	for i, p := range got {
+		if p.Sec != src[i].Sec || p.Usec != src[i].Usec || !bytes.Equal(p.Data, src[i].Data) {
+			t.Fatalf("packet %d changed after Close", i)
+		}
+	}
+}
+
+// TestBufferedReadAllAllocatesPerChunk: a buffered preload allocates per
+// chunk, not per packet: at most N/100 + c allocations for N packets.
+func TestBufferedReadAllAllocatesPerChunk(t *testing.T) {
+	const n = 10000
+	raw := buildPcap(t, slabCorpus(n))
+	allocs := testing.AllocsPerRun(2, func() {
+		r, err := NewPcapReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pkts, err := ReadAll(r, 0); err != nil || len(pkts) != n {
+			t.Fatalf("read %d packets, %v", len(pkts), err)
+		}
+	})
+	if allocs > n/100+16 {
+		t.Errorf("ReadAll of %d buffered packets made %v allocations, want <= %d", n, allocs, n/100+16)
+	}
+}

@@ -28,6 +28,43 @@ type Packet struct {
 	WireLen int
 }
 
+// Chunk sizes for Carve: packet bodies and Packet structs are cut from
+// chunks of these sizes, so a reader allocates once per chunk, not once
+// per packet.
+const (
+	bodyChunk   = 256 << 10 // bytes
+	packetChunk = 1024      // Packets
+)
+
+// Carve cuts n elements from the front of *slab, first replacing *slab
+// with a fresh chunk of max(n, chunk) elements when it holds fewer than
+// n. The result's capacity is its length, so an append to it copies
+// rather than overwriting the next cut, and a chunk is never reused: a
+// cut stays valid, and keeps its chunk alive, for as long as it is
+// referenced.
+func Carve[T any](slab *[]T, n, chunk int) []T {
+	if n > len(*slab) {
+		*slab = make([]T, max(n, chunk))
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// slabs is a reader's carving state: the unused tails of the chunks its
+// packet bodies and Packet structs are cut from.
+type slabs struct {
+	bodies []byte
+	pkts   []Packet
+}
+
+// packet returns a copy of p cut from the Packet chunk.
+func (s *slabs) packet(p Packet) *Packet {
+	q := &Carve(&s.pkts, 1, packetChunk)[0]
+	*q = p
+	return q
+}
+
 // Reader yields packets from a trace. Next returns io.EOF after the final
 // packet.
 type Reader interface {

@@ -25,7 +25,8 @@ const tshHeaderBytes = 36
 //	bytes 8-27  IPv4 header (no options; TSH captures truncate them)
 //	bytes 28-43 first 16 bytes of the transport header
 //
-// The packet handed to applications is the 36 captured header bytes; the
+// The packet handed to applications is the 36 captured header bytes,
+// copied into a cut from a chunk as PcapReader's stream source does; the
 // wire length comes from the IP header's total-length field.
 //
 // The reader accepts any 44-byte record by default (the format has no
@@ -34,6 +35,7 @@ const tshHeaderBytes = 36
 // size makes resync trivial: advance one record.
 type TSHReader struct {
 	skipState
+	slabs
 	r     io.Reader
 	off   int64
 	total int64
@@ -105,13 +107,13 @@ func (t *TSHReader) Next() (*Packet, error) {
 		}
 		sec := binary.BigEndian.Uint32(rec[0:])
 		usec := binary.BigEndian.Uint32(rec[4:]) & 0x00FFFFFF
-		data := make([]byte, tshHeaderBytes)
+		data := Carve(&t.bodies, tshHeaderBytes, bodyChunk)
 		copy(data, rec[8:])
 		wire := int(binary.BigEndian.Uint16(data[2:])) // IP total length
 		if wire < tshHeaderBytes {
 			wire = tshHeaderBytes
 		}
-		return &Packet{Sec: sec, Usec: usec, Data: data, WireLen: wire}, nil
+		return t.packet(Packet{Sec: sec, Usec: usec, Data: data, WireLen: wire}), nil
 	}
 }
 
