@@ -508,7 +508,7 @@ func TestSlowPathsExecute(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := b.Memory().Read8(icmpAddr); got != 11 {
+		if got := b.Memory().ReadBytes(icmpAddr, 1)[0]; got != 11 {
 			t.Errorf("%s: ICMP type = %d, want 11 (time exceeded)", app.Name, got)
 		}
 

@@ -68,8 +68,9 @@ const (
 	StackSize uint32 = 64 * 1024
 	// StackTop is the initial stack pointer (stack grows down).
 	StackTop uint32 = 0x80000000
-	// DefaultHeapSize is the simulated-memory budget for application data
-	// structures beyond the assembled data segment.
+	// DefaultHeapSize is the simulated-memory budget for application
+	// data: the assembled data segment plus the heap Init allocates
+	// application structures from.
 	DefaultHeapSize uint32 = 64 * 1024 * 1024
 	// DefaultStepLimit bounds instructions per packet; network processing
 	// tasks are short, so hitting this means a broken application.
@@ -261,7 +262,9 @@ func (e *errorBudget) preload(n int64) { e.used.Store(n) }
 
 // Options configures a Bench.
 type Options struct {
-	// HeapSize overrides DefaultHeapSize when nonzero.
+	// HeapSize overrides DefaultHeapSize when nonzero. It is the size of
+	// the data region, the assembled data segment included, so New
+	// refuses a data segment larger than it.
 	HeapSize uint32
 	// StepLimit overrides DefaultStepLimit when nonzero.
 	StepLimit uint64
@@ -331,9 +334,9 @@ func (e *VerifyError) Error() string {
 
 // LayoutFor is the memory map a Bench gives a program assembled from an
 // application: the framework constants (packet buffer, stack) plus the
-// program's own text and data segments with heapSize bytes of heap. It
-// is exported so the static verifier and CLIs check programs against
-// the exact map they will run under.
+// program's own text segment and a data region of heapSize bytes that
+// starts with its data segment. It is exported so the static verifier
+// and CLIs check programs against the exact map they will run under.
 func LayoutFor(prog *asm.Program, heapSize uint32) vm.Layout {
 	if heapSize == 0 {
 		heapSize = DefaultHeapSize
@@ -514,19 +517,26 @@ func New(app *App, opts Options) (*Bench, error) {
 		stepLimit = DefaultStepLimit
 	}
 
+	if uint64(len(prog.Data)) > uint64(heap) {
+		return nil, fmt.Errorf("core: application %q: its %d-byte data segment does not fit the %d-byte heap", app.Name, len(prog.Data), heap)
+	}
+	layout := LayoutFor(prog, heap)
+	if err := layout.Check(); err != nil {
+		return nil, fmt.Errorf("core: application %q: %w", app.Name, err)
+	}
 	if !opts.NoVerify {
 		if ds := verifyProg(prog, app, opts); ds.HasErrors() {
 			return nil, &VerifyError{App: app.Name, Diags: ds}
 		}
 	}
 
-	mem := vm.NewMemory()
+	mem := vm.NewMemory(layout)
 	mem.WriteBytes(prog.DataBase, prog.Data)
 
 	loader := &Loader{
 		mem:     mem,
 		next:    (prog.DataEnd() + 7) &^ 7,
-		limit:   prog.DataBase + heap,
+		limit:   layout.DataEnd,
 		symbols: prog.Symbols,
 	}
 	if app.Init != nil {
@@ -536,10 +546,9 @@ func New(app *App, opts Options) (*Bench, error) {
 	}
 
 	cpu := vm.New(prog.Text, prog.TextBase, mem)
-	cpu.Layout = LayoutFor(prog, heap)
 
 	blocks := analysis.NewBlockMap(prog.Text, prog.TextBase)
-	col := stats.NewCollector(prog.Text, prog.TextBase, blocks, cpu.Layout)
+	col := stats.NewCollector(prog.Text, prog.TextBase, blocks, layout)
 	col.Detail = opts.Detail
 	col.Coverage = opts.Coverage
 

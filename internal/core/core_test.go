@@ -306,6 +306,37 @@ func TestLayoutFor(t *testing.T) {
 	}
 }
 
+// TestNewRefusesDataBeyondHeap pins that New refuses a data segment the
+// heap budget cannot hold, whether or not the verifier runs, and a heap
+// size the memory cannot back; a segment that fills the budget exactly
+// loads.
+func TestNewRefusesDataBeyondHeap(t *testing.T) {
+	app := &App{Name: "big-data", Entry: "e", Source: `
+	.data
+blob:	.space 8192
+	.text
+	.global e
+e:	la   t0, blob
+	li   t1, 8188
+	add  t0, t0, t1
+	lw   a0, 0(t0)
+	ret
+`}
+	for _, noVerify := range []bool{false, true} {
+		_, err := New(app, Options{HeapSize: 4096, NoVerify: noVerify})
+		var verr *VerifyError
+		if err == nil || errors.As(err, &verr) || !strings.Contains(err.Error(), "8192-byte data segment does not fit the 4096-byte heap") {
+			t.Errorf("NoVerify=%v: err = %v, want the data segment refused before verification", noVerify, err)
+		}
+	}
+	if _, err := New(app, Options{HeapSize: 8194}); err == nil || !strings.Contains(err.Error(), "not word aligned") {
+		t.Errorf("an unaligned heap size: err = %v, want it refused", err)
+	}
+	if _, err := New(app, Options{HeapSize: 8192}); err != nil {
+		t.Errorf("a data segment that fills the heap: %v", err)
+	}
+}
+
 func TestLoaderAlloc(t *testing.T) {
 	b, err := New(echoApp(0), Options{HeapSize: 1 << 16})
 	if err != nil {
@@ -386,7 +417,7 @@ func TestLayoutRegionsDisjoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := b.cpu.Layout
+	l := b.mem.Layout()
 	regions := []struct {
 		name      string
 		base, end uint32
@@ -522,7 +553,7 @@ func TestLoaderAllocAtLimit(t *testing.T) {
 	}
 	ld := b.Loader()
 	// Consume almost everything, leaving less than one alignment unit.
-	remaining := b.cpu.Layout.DataEnd - ld.HeapNext()
+	remaining := b.mem.Layout().DataEnd - ld.HeapNext()
 	if _, err := ld.Alloc(remaining-2, 4); err != nil {
 		t.Fatal(err)
 	}

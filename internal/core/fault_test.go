@@ -162,7 +162,7 @@ type panicTracer struct {
 }
 
 func (p *panicTracer) Pass(first, last int) {
-	if p.mem != nil && int(p.mem.Read8(PacketBase+2)) == 3*p.target {
+	if p.mem != nil && int(p.mem.ReadBytes(PacketBase+2, 1)[0]) == 3*p.target {
 		panic("tracer bug")
 	}
 }

@@ -129,7 +129,7 @@ type outcome struct {
 	Reason   vm.StopReason
 	Fault    *vm.Fault
 	High     uint32 // packet-write watermark
-	Pages    int    // allocated memory pages
+	Extents  [3]int // grown packet, data and stack bytes
 	Events   []event
 	Packets  []packetOutcome
 	Coverage [3]int // instruction, data and packet footprints
@@ -265,10 +265,9 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 	if r.app != nil {
 		return runApp(t, r, c)
 	}
-	mem := vm.NewMemory()
+	mem := vm.NewMemory(r.layout)
 	mem.WriteBytes(r.layout.DataBase, r.data)
 	cpu := vm.New(r.text, r.base, mem)
-	cpu.Layout = r.layout
 	cpu.Regs = r.regs
 	cpu.PC = r.entry
 	o := &outcome{mem: mem}
@@ -317,7 +316,7 @@ func runCell(t *testing.T, r *row, c cell) *outcome {
 		t.Fatalf("%v: zero register clobbered: %#x", c, cpu.Regs[isa.Zero])
 	}
 	o.Regs, o.PC, o.Steps, o.High = cpu.Regs, cpu.PC, cpu.Steps(), cpu.PacketWriteHigh()
-	o.Pages = mem.PageCount()
+	o.Extents = extents(mem)
 	if col != nil {
 		po := packetOutcome{Record: col.EndPacket()}
 		traces(col, &po)
@@ -385,7 +384,7 @@ func runApp(t *testing.T, r *row, c cell) *outcome {
 		o.Packets = append(o.Packets, po)
 	}
 	o.collect(col)
-	o.Pages = b.Memory().PageCount()
+	o.Extents = extents(b.Memory())
 	if prof != nil {
 		o.Profile = profileOf(prof)
 	}
@@ -469,6 +468,11 @@ func traces(col *stats.Collector, po *packetOutcome) {
 	po.BlockSeq = append([]int(nil), col.BlockSeq...)
 	po.InstrTrace = append([]uint32(nil), col.InstrTrace...)
 	po.MemTrace = append([]stats.MemEvent(nil), col.MemTrace...)
+}
+
+// extents returns how many bytes mem holds for each data region.
+func extents(mem *vm.Memory) [3]int {
+	return [3]int{mem.Extent(vm.RegionPacket), mem.Extent(vm.RegionData), mem.Extent(vm.RegionStack)}
 }
 
 // collect copies the collector's whole-run state into o.
@@ -594,11 +598,11 @@ func checkRows(t *testing.T, rows []*row) {
 
 // TestOracle runs the matrix over the program rows: hand-built programs
 // covering every control-flow and fault shape and the edges of the
-// threaded engine's page table, and random ALU and memory programs.
+// memory's regions, and random ALU and memory programs.
 func TestOracle(t *testing.T) {
 	rows := append(shapeRows(), provenZeroLoadRow())
 	rows = append(rows, passRows()...)
-	rows = append(rows, pageTableRows()...)
+	rows = append(rows, regionEdgeRows()...)
 	checkRows(t, append(rows, randomRows()...))
 }
 
@@ -700,10 +704,13 @@ func decodeRaw(b []byte) *row {
 // the packet buffer, a1 = 64, sp at the stack top, ra at the magic return
 // address, pc at the verifier's default entry (the first text-segment
 // global, else the text base). Nil when src does not assemble to 1-4096
-// instructions.
+// instructions and at most 1 MiB of data.
 func asmRow(name, src string) *row {
 	prog, err := asm.Assemble(src, asm.Options{})
 	if err != nil || len(prog.Text) == 0 || len(prog.Text) > 4096 {
+		return nil
+	}
+	if len(prog.Data) > 1<<20 {
 		return nil
 	}
 	layout := core.LayoutFor(prog, 1<<20)
@@ -915,18 +922,18 @@ func passRows() []*row {
 	return rows
 }
 
-// pageTableRows probe the edges of the threaded engine's page table,
-// which serves only allocated pages lying wholly inside the packet, data
-// or stack region and sends every other access down the interpreter's
-// checks. Rows that reach an in-region page touch it at least twice, to
-// fill its entry and then hit it, before the access under test: stores
-// into the text page and loads and stores in its tail past TextEnd (a
-// text page never fills), the last word of each region and the first
-// word past it, a page the data and stack regions share, a data region
-// ending mid-page, misaligned accesses on a filled page, and loads from
-// a page nothing touched, which must read 0 and allocate nothing. Each
-// row's check pins the fault or values it was built to produce.
-func pageTableRows() []*row {
+// regionEdgeRows probe the edges of the memory's regions, where an
+// access leaves the grown slices Memory.find serves and takes CPU.miss,
+// the interpreter's checks: stores into the text segment and loads and
+// stores in its page's tail past TextEnd, the last word of each region
+// and the first word past it, a data region that ends where the stack
+// region starts, inside a 4 KiB page, a data region ending mid-page,
+// misaligned accesses inside grown memory, loads from untouched memory,
+// which must read 0 and grow nothing, a store past the data extent loaded
+// back in the same block, and a load of the data region's last word
+// while its slice is still short. Each row's check pins the fault or
+// values it was built to produce.
+func regionEdgeRows() []*row {
 	fault := func(r *row, kind vm.FaultKind, pc, addr uint32) *row {
 		r.check = func(o *outcome) error {
 			if f := o.Fault; f == nil || *f != (vm.Fault{Kind: kind, PC: pc, Addr: addr}) {
@@ -949,8 +956,8 @@ func pageTableRows() []*row {
 			vm.FaultUnmapped, rawBase+8, rawBase+0xFFC),
 	}
 
-	// The last word of each region: load (from an unallocated page, so no
-	// fill), store (allocates and fills), load and store again (hits),
+	// The last word of each region: load (past the grown slice, so it
+	// reads 0), store (grows the slice), load and store again (inside it),
 	// then the first word past the end.
 	std := rawRow("", 0).layout
 	for _, end := range []struct {
@@ -966,9 +973,9 @@ func pageTableRows() []*row {
 		}
 	}
 
-	// One page holds data [0x10000000, 0x10000800) and stack
-	// [0x10000800, ...): it never fills, and each access must still get
-	// its own region, in either order.
+	// Data [0x10000000, 0x10000800) meets stack [0x10000800, ...) inside
+	// one 4 KiB page: each access must still get its own region, in
+	// either order.
 	const bound = 0x10000800
 	shared := func(name string, text ...isa.Instruction) *row {
 		r := rawRow(name, 100, append(text, halt)...)
@@ -996,7 +1003,8 @@ func pageTableRows() []*row {
 	gap.layout.StackBase, gap.layout.StackEnd = std.StackBase, std.StackEnd
 	rows = append(rows, fault(gap, vm.FaultUnmapped, rawBase+12, bound))
 
-	// A misaligned access on a page the two accesses before it filled.
+	// A misaligned access inside the packet slice the two accesses
+	// before it grew.
 	for _, m := range []struct {
 		op  isa.Opcode
 		off int32
@@ -1006,7 +1014,7 @@ func pageTableRows() []*row {
 		rows = append(rows, fault(r, vm.FaultUnaligned, rawBase+8, 0x20000000+uint32(m.off)))
 	}
 
-	// Loads from an untouched data page read 0 and allocate nothing.
+	// Loads from untouched data read 0 and grow nothing.
 	untouched := rawRow("untouched-page-loads", 100,
 		ins(isa.LW, 5, 4, 0, 0), ins(isa.LBU, 6, 4, 0, 3), ins(isa.LHU, 7, 4, 0, 2), ins(isa.LW, 8, 4, 0, 0), halt)
 	untouched.regs[4] = std.DataBase + 0x8000
@@ -1014,12 +1022,40 @@ func pageTableRows() []*row {
 		untouched.regs[i] = 0xFFFFFFFF
 	}
 	untouched.check = func(o *outcome) error {
-		if o.Fault != nil || o.Regs[5]|o.Regs[6]|o.Regs[7]|o.Regs[8] != 0 || o.Pages != 0 {
-			return fmt.Errorf("fault %v, r5-r8 = %#x, %d pages, want 0s and no page", o.Fault, o.Regs[5:9], o.Pages)
+		if o.Fault != nil || o.Regs[5]|o.Regs[6]|o.Regs[7]|o.Regs[8] != 0 || o.Extents != [3]int{} {
+			return fmt.Errorf("fault %v, r5-r8 = %#x, extents %v, want 0s and none", o.Fault, o.Regs[5:9], o.Extents)
 		}
 		return nil
 	}
-	return append(rows, untouched)
+
+	// A store past the data extent the run started with, then a store
+	// and loads in the same block: every access after the growth must
+	// reach the slice the store grew, not the one the run started with.
+	grown := rawRow("store-past-data-extent-then-load", 100,
+		ins(isa.SW, 5, 4, 0, 0), ins(isa.SW, 5, 2, 0, 4), ins(isa.LW, 6, 4, 0, 0), ins(isa.LW, 7, 2, 0, 0), halt)
+	grown.data = []byte{1, 2, 3, 4}
+	grown.regs[4], grown.regs[5] = std.DataBase+0x8000, 0x5EED
+	grown.check = func(o *outcome) error {
+		if o.Fault != nil || o.Regs[6] != 0x5EED || o.Regs[7] != 0x04030201 || o.Extents[1] != 0x10000 ||
+			o.mem.Read32(std.DataBase+4) != 0x5EED {
+			return fmt.Errorf("fault %v, r6 r7 = %#x %#x, data extent %#x, want 0x5eed 0x4030201 0x10000 and 0x5eed at +4",
+				o.Fault, o.Regs[6], o.Regs[7], o.Extents[1])
+		}
+		return nil
+	}
+
+	// The data region's last word, loaded while its slice holds only the
+	// first 4 KiB, reads 0 and grows nothing.
+	short := rawRow("data-last-word-load-short-slice", 100,
+		ins(isa.SW, 5, 2, 0, 0), ins(isa.LW, 6, 4, 0, 0), ins(isa.LHU, 7, 4, 0, 2), halt)
+	short.regs[4], short.regs[5], short.regs[6], short.regs[7] = std.DataEnd-4, 1, 0xFFFFFFFF, 0xFFFFFFFF
+	short.check = func(o *outcome) error {
+		if o.Fault != nil || o.Regs[6]|o.Regs[7] != 0 || o.Extents[1] != 4096 {
+			return fmt.Errorf("fault %v, r6 r7 = %#x %#x, data extent %d, want 0s and 4096", o.Fault, o.Regs[6], o.Regs[7], o.Extents[1])
+		}
+		return nil
+	}
+	return append(rows, untouched, grown, short)
 }
 
 // rawSeeds are FuzzOracle's raw-instruction seeds: structured idioms
@@ -1265,7 +1301,7 @@ func randomRows() []*row {
 				return fmt.Errorf("registers %#x, oracle %#x", o.Regs, want)
 			}
 			for i := range mem {
-				if got := o.mem.Read8(dataBase + uint32(i)); got != mem[i] {
+				if got := o.mem.ReadBytes(dataBase+uint32(i), 1)[0]; got != mem[i] {
 					return fmt.Errorf("memory[%d] = %#x, oracle %#x", i, got, mem[i])
 				}
 			}

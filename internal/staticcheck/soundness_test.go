@@ -39,10 +39,9 @@ func runsClean(prog *asm.Program, layout vm.Layout) bool {
 	if len(prog.Text) == 0 {
 		return false
 	}
-	mem := vm.NewMemory()
+	mem := vm.NewMemory(layout)
 	mem.WriteBytes(prog.DataBase, prog.Data)
 	cpu := vm.New(prog.Text, prog.TextBase, mem)
-	cpu.Layout = layout
 	cpu.SetReg(isa.A0, layout.PacketBase)
 	cpu.SetReg(isa.A1, 64)
 	cpu.SetReg(isa.SP, layout.StackEnd)

@@ -10,7 +10,7 @@ import "testing"
 // allocates, hence the build tag.
 func TestCollectorBlocksAllocs(t *testing.T) {
 	h := newHarness(t, skipSrc)
-	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 1)
+	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 1)
 	const packets = 256
 	a := testing.AllocsPerRun(10, func() {
 		for i := 0; i < packets; i++ {

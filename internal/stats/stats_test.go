@@ -27,17 +27,17 @@ func newHarness(t *testing.T, src string) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem := vm.NewMemory()
+	layout := vm.Layout{
+		TextBase: p.TextBase, TextEnd: p.TextEnd(),
+		PacketBase: 0x20000000, PacketEnd: 0x20001000,
+		DataBase: p.DataBase, DataEnd: p.DataBase + 1<<20,
+		StackBase: 0x7FFF0000, StackEnd: 0x80000000,
+	}
+	mem := vm.NewMemory(layout)
 	mem.WriteBytes(p.DataBase, p.Data)
 	cpu := vm.New(p.Text, p.TextBase, mem)
-	cpu.Layout.PacketBase = 0x20000000
-	cpu.Layout.PacketEnd = 0x20001000
-	cpu.Layout.DataBase = p.DataBase
-	cpu.Layout.DataEnd = p.DataBase + 1<<20
-	cpu.Layout.StackBase = 0x7FFF0000
-	cpu.Layout.StackEnd = 0x80000000
 	blocks := analysis.NewBlockMap(p.Text, p.TextBase)
-	col := NewCollector(p.Text, p.TextBase, blocks, cpu.Layout)
+	col := NewCollector(p.Text, p.TextBase, blocks, layout)
 	cpu.Account, cpu.Tracer = col.Account(), col
 	return &harness{prog: p, tprog: vm.Translate(p.Text, p.TextBase, blocks), cpu: cpu, col: col}
 }
@@ -55,8 +55,8 @@ func (h *harness) run(t *testing.T, threaded bool) PacketRecord {
 	for r := range h.cpu.Regs {
 		h.cpu.Regs[r] = 0
 	}
-	h.cpu.SetReg(isa.A0, h.cpu.Layout.PacketBase)
-	h.cpu.SetReg(isa.SP, h.cpu.Layout.StackEnd)
+	h.cpu.SetReg(isa.A0, h.cpu.Mem.Layout().PacketBase)
+	h.cpu.SetReg(isa.SP, h.cpu.Mem.Layout().StackEnd)
 	h.cpu.SetReg(isa.RA, vm.ReturnAddress)
 	h.cpu.PC = h.prog.TextBase
 	h.col.BeginPacket()
@@ -142,7 +142,7 @@ loop:
 
 func TestCollectorUniqueVsTotal(t *testing.T) {
 	h := newHarness(t, loopSrc)
-	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 10)
+	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 10)
 	rec := h.runPacket(t)
 	// Total: 2 prologue + 10 iterations * 2 + ret = 23. Unique: 5.
 	if rec.Instructions != 23 {
@@ -193,7 +193,7 @@ func TestCollectorDetailTraces(t *testing.T) {
 func TestCollectorBlockSeqLoops(t *testing.T) {
 	h := newHarness(t, loopSrc)
 	h.col.Detail = true
-	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 3)
+	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 3)
 	h.runPacket(t)
 	// Blocks: b0 = prologue, b1 = loop body, b2 = ret. Sequence should
 	// enter b1 three times: b0 b1 b1 b1 b2.
@@ -250,7 +250,7 @@ skip:
 // record's, and a packet that ran no block gets nil.
 func TestCollectorBlocksSlab(t *testing.T) {
 	h := newHarness(t, skipSrc)
-	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 1)
+	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 1)
 	a := h.run(t, true)
 	b := h.run(t, true)
 	if len(a.Blocks) != 3 || cap(a.Blocks) != len(a.Blocks) {
@@ -306,7 +306,7 @@ func TestExtractors(t *testing.T) {
 func TestPCCounts(t *testing.T) {
 	h := newHarness(t, loopSrc)
 	h.col.CountPCs = true
-	h.cpu.Mem.Write32(h.cpu.Layout.PacketBase, 5)
+	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 5)
 	h.runPacket(t)
 	h.runPacket(t)
 	if h.col.PCCounts == nil {

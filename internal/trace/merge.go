@@ -53,10 +53,8 @@ func NewMergeReader(shards ...Reader) *MergeReader {
 // refill pulls the next packet from shard i into heads, recording EOF or
 // a pending error.
 func (m *MergeReader) refill(i int) {
-	if sk, ok := m.shards[i].(Seeker); ok {
-		if st := sk.PosState(); len(st) == 1 {
-			m.posBefore[i] = st[0]
-		}
+	if pos, ok := position(m.shards[i]); ok {
+		m.posBefore[i] = pos
 	}
 	m.skipBefore[i] = Skipped(m.shards[i])
 	p, err := m.shards[i].Next()
@@ -181,19 +179,14 @@ func (m *MergeReader) Progress() (float64, bool) {
 func (m *MergeReader) PosState() []int64 {
 	out := make([]int64, len(m.shards))
 	for i, s := range m.shards {
-		sk, ok := s.(Seeker)
+		pos, ok := position(s)
 		if !ok {
 			return nil
 		}
-		st := sk.PosState()
-		if len(st) != 1 {
-			return nil
-		}
 		if m.heads[i] != nil {
-			out[i] = m.posBefore[i]
-		} else {
-			out[i] = st[0]
+			pos = m.posBefore[i]
 		}
+		out[i] = pos
 	}
 	return out
 }

@@ -399,7 +399,8 @@ func (p *PcapReader) finishPacket(sec, usec, origLen uint32, data []byte) (*Pack
 // PcapWriter writes libpcap capture files with raw-IP framing, so records
 // begin at the layer-3 header exactly as PacketBench applications see them.
 type PcapWriter struct {
-	w io.Writer
+	w   io.Writer
+	rec [pcapRecordLen]byte // the record header, kept here so it does not escape per packet
 }
 
 // NewPcapWriter writes the global header and returns the writer.
@@ -427,7 +428,7 @@ func (p *PcapWriter) WritePacket(pkt *Packet) error {
 	if len(pkt.Data) > pcapMaxRecordLen {
 		return fmt.Errorf("trace: packet of %d bytes exceeds the pcap snap length %d", len(pkt.Data), pcapMaxRecordLen)
 	}
-	var rec [pcapRecordLen]byte
+	rec := &p.rec
 	binary.LittleEndian.PutUint32(rec[0:], pkt.Sec)
 	binary.LittleEndian.PutUint32(rec[4:], pkt.Usec)
 	binary.LittleEndian.PutUint32(rec[8:], uint32(len(pkt.Data)))

@@ -24,6 +24,35 @@ type Seeker interface {
 	SeekTo(state []int64) error
 }
 
+// positioner is a single-stream Seeker whose position reads without
+// allocating: pos returns PosState's one element, or false where
+// PosState is nil.
+type positioner interface {
+	pos() (int64, bool)
+}
+
+// position returns r's single-stream resumable position, through pos
+// where r has it.
+func position(r Reader) (int64, bool) {
+	switch s := r.(type) {
+	case positioner:
+		return s.pos()
+	case Seeker:
+		if st := s.PosState(); len(st) == 1 {
+			return st[0], true
+		}
+	}
+	return 0, false
+}
+
+// posState is PosState for a positioner.
+func posState(p positioner) []int64 {
+	if v, ok := p.pos(); ok {
+		return []int64{v}
+	}
+	return nil
+}
+
 // Progresser is implemented by readers that can report their completed
 // fraction directly. Progress prefers it over the Positioned-derived
 // ratio; MergeReader uses it to report progress even when only some
@@ -35,7 +64,9 @@ type Progresser interface {
 }
 
 // PosState implements Seeker; the unit is packets.
-func (s *SliceReader) PosState() []int64 { return []int64{int64(s.next)} }
+func (s *SliceReader) PosState() []int64 { return posState(s) }
+
+func (s *SliceReader) pos() (int64, bool) { return int64(s.next), true }
 
 // SeekTo implements Seeker.
 func (s *SliceReader) SeekTo(state []int64) error {
@@ -51,13 +82,15 @@ func (s *SliceReader) SeekTo(state []int64) error {
 // only when its source is an io.Seeker (a file), and PosState returns nil
 // for an unseekable one (a network stream), marking the reader
 // non-resumable.
-func (p *PcapReader) PosState() []int64 {
+func (p *PcapReader) PosState() []int64 { return posState(p) }
+
+func (p *PcapReader) pos() (int64, bool) {
 	if p.r != nil {
 		if _, ok := p.src.(io.Seeker); !ok {
-			return nil
+			return 0, false
 		}
 	}
-	return []int64{p.off}
+	return p.off, true
 }
 
 // SeekTo implements Seeker: a stream's source is repositioned and its
@@ -82,11 +115,11 @@ func (p *PcapReader) SeekTo(state []int64) error {
 }
 
 // PosState implements Seeker when the underlying source is seekable.
-func (t *TSHReader) PosState() []int64 {
-	if _, ok := t.r.(io.Seeker); !ok {
-		return nil
-	}
-	return []int64{t.off}
+func (t *TSHReader) PosState() []int64 { return posState(t) }
+
+func (t *TSHReader) pos() (int64, bool) {
+	_, ok := t.r.(io.Seeker)
+	return t.off, ok
 }
 
 // SeekTo implements Seeker.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -107,5 +108,45 @@ func TestBufferedReadAllAllocatesPerChunk(t *testing.T) {
 	})
 	if allocs > n/100+16 {
 		t.Errorf("ReadAll of %d buffered packets made %v allocations, want <= %d", n, allocs, n/100+16)
+	}
+}
+
+// TestMergeNextAllocatesNothing: a merge reads each shard's position
+// without allocating, so a 2-shard merge of in-memory pcaps makes no
+// allocation per Next beyond its shards' packet chunks.
+func TestMergeNextAllocatesNothing(t *testing.T) {
+	var shards []Reader
+	for s := 0; s < 2; s++ {
+		r, err := NewBytesPcapReader(buildPcap(t, seekTestPackets(4096, s)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards = append(shards, r)
+	}
+	m := NewMergeReader(shards...)
+	allocs := testing.AllocsPerRun(4000, func() {
+		if _, err := m.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per merged Next, want 0", allocs)
+	}
+}
+
+// TestPcapWriterAllocatesNothing: writing a record allocates nothing.
+func TestPcapWriterAllocatesNothing(t *testing.T) {
+	w, err := NewPcapWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := seekTestPackets(1, 0)[0]
+	allocs := testing.AllocsPerRun(1000, func() {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%v allocations per written packet, want 0", allocs)
 	}
 }

@@ -25,7 +25,7 @@ type Account struct {
 	Accesses [RegionStack + 1][2]uint64
 
 	blocks *analysis.BlockMap
-	layout Layout
+	layout Layout // sizes the coverage sets
 
 	// Epoch stamps make the per-packet reset O(1); epoch 0 is never
 	// current. ran[b] means block b ran in the packet and full[b] that a
@@ -38,14 +38,13 @@ type Account struct {
 
 	// Whole-run coverage, marked while cover is set: touched[RegionText]
 	// has a bit per instruction, touched[r] a bit per 32-bit word of
-	// region r from base[r]. Allocated by the first Begin with coverage.
+	// region r. Allocated by the first Begin with coverage.
 	cover   bool
-	base    [RegionStack + 1]uint32
 	touched [RegionStack + 1][]uint64
 }
 
 // NewAccount creates the account of a program with the given basic
-// blocks, running under layout.
+// blocks, running over a memory with the given layout.
 func NewAccount(blocks *analysis.BlockMap, layout Layout) *Account {
 	n, nb := blocks.NumInstructions(), blocks.NumBlocks()
 	return &Account{blocks: blocks, layout: layout, seen: make([]uint32, n), whole: make([]uint32, n),
@@ -68,22 +67,21 @@ func (a *Account) Begin(coverage bool) {
 	if a.cover = coverage; coverage && a.touched[RegionText] == nil {
 		l := a.layout
 		words := func(base, end uint32) []uint64 { return make([]uint64, ((end-base+3)/4+63)/64) }
-		a.base = [RegionStack + 1]uint32{RegionPacket: l.PacketBase, RegionData: l.DataBase, RegionStack: l.StackBase}
 		a.touched = [RegionStack + 1][]uint64{RegionText: make([]uint64, (len(a.seen)+63)/64),
 			RegionPacket: words(l.PacketBase, l.PacketEnd), RegionData: words(l.DataBase, l.DataEnd),
 			RegionStack: words(l.StackBase, l.StackEnd)}
 	}
 }
 
-// access accounts a data access to addr in region r (packet, data or
-// stack). An aligned access never spans a word.
-func (a *Account) access(r Region, addr uint32, write bool) {
+// access accounts a data access at offset off of region r (packet, data
+// or stack). An aligned access never spans a word.
+func (a *Account) access(r Region, off uint32, write bool) {
 	if a == nil {
 		return
 	}
 	a.Accesses[r][b2u(write)]++
 	if a.cover {
-		w := (addr - a.base[r]) >> 2
+		w := off >> 2
 		a.touched[r][w>>6] |= 1 << (w & 63)
 	}
 }

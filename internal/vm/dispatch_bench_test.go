@@ -59,20 +59,14 @@ func BenchmarkVMDispatch(b *testing.B) {
 	for _, engine := range []string{"threaded", "interp"} {
 		for _, traced := range []bool{false, true} {
 			b.Run(fmt.Sprintf("%s/traced=%v", engine, traced), func(b *testing.B) {
-				mem := NewMemory()
+				mem := NewMemory(testLayout(textBase, len(text)))
 				cpu := New(text, textBase, mem)
-				cpu.Layout.PacketBase = 0x20000000
-				cpu.Layout.PacketEnd = 0x20010000
-				cpu.Layout.DataBase = 0x10000000
-				cpu.Layout.DataEnd = 0x10100000
-				cpu.Layout.StackBase = 0x7FFF0000
-				cpu.Layout.StackEnd = 0x80000000
 				if traced {
 					cpu.Tracer = &countingTracer{}
 				}
 				// Place a payload at the packet base, like the framework
 				// does before every ProcessPacket: the kernel's loads hit
-				// allocated pages, not the never-written nil-page path.
+				// the grown packet slice, not the zero-read path past it.
 				payload := make([]byte, 64)
 				for i := range payload {
 					payload[i] = byte(i*7 + 3)

@@ -1,167 +1,185 @@
 package vm
 
-// pageBits selects a 4 KiB page size for the sparse memory.
-const pageBits = 12
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+)
 
-const pageSize = 1 << pageBits
+// minGrow is the length a region's slice first grows to.
+const minGrow = 4 << 10
 
-type page [pageSize]byte
-
-// Memory is the sparse, little-endian, byte-addressed memory of a
-// simulated core. Pages are allocated on first touch, so multi-megabyte
-// data structures (routing tables, flow tables) cost only the pages they
-// actually use.
+// Memory is the little-endian, byte-addressed memory of a simulated core,
+// made for one Layout: one contiguous slice for each of the packet, data
+// and stack regions. A slice holds the prefix of its region that writes
+// have reached so far. A write past it grows it, doubling from 4 KiB up
+// to the region's size, and bytes past it read as zero, so a
+// multi-megabyte heap costs only what the application writes.
 //
-// Memory performs no bounds or region checking of its own: the CPU applies
-// the Layout before every application access, and host (framework) code is
-// trusted. All accessors tolerate any address.
+// Both engines resolve an application access the same way: find serves
+// an access inside a grown slice, and CPU.miss applies the interpreter's
+// checks to every other one. Host (framework) code is trusted: its
+// accessors panic on an access that lies outside every region.
 type Memory struct {
-	pages map[uint32]*page
+	// The pads keep seg, which every access reads, off the cache lines
+	// of neighbouring heap objects: another core writing one of those,
+	// such as its Bench, would evict seg on every packet.
+	_      [64]byte
+	layout Layout
+	seg    [RegionStack + 1]segment // by Region; text and none stay empty
+	_      [64]byte
 }
 
-// NewMemory creates an empty memory.
-func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint32]*page)}
+// segment is one region's bounds and the grown prefix of its bytes.
+type segment struct {
+	r          Region
+	base, size uint32
+	b          []byte
 }
 
-func (m *Memory) pageFor(addr uint32) *page {
-	idx := addr >> pageBits
-	p := m.pages[idx]
-	if p == nil {
-		p = new(page)
-		m.pages[idx] = p
+// NewMemory creates an empty memory for the given layout. It panics if
+// the layout fails Check.
+func NewMemory(l Layout) *Memory {
+	if err := l.Check(); err != nil {
+		panic(err)
 	}
-	return p
+	m := &Memory{layout: l}
+	m.seg[RegionPacket] = segment{r: RegionPacket, base: l.PacketBase, size: l.PacketEnd - l.PacketBase}
+	m.seg[RegionData] = segment{r: RegionData, base: l.DataBase, size: l.DataEnd - l.DataBase}
+	m.seg[RegionStack] = segment{r: RegionStack, base: l.StackBase, size: l.StackEnd - l.StackBase}
+	return m
 }
 
-// peek returns the byte at addr without allocating a page.
-func (m *Memory) peek(addr uint32) byte {
-	if p := m.pages[addr>>pageBits]; p != nil {
-		return p[addr&(pageSize-1)]
+// Layout returns the layout the memory was made for.
+func (m *Memory) Layout() Layout { return m.layout }
+
+// Extent returns the length of region r's grown prefix: the bytes the
+// memory holds for it.
+func (m *Memory) Extent(r Region) int { return len(m.seg[r].b) }
+
+// find resolves an application access at addr to the region whose grown
+// slice holds addr and addr's offset in it, or to nil when no grown
+// slice does. Slice lengths are word multiples, so an aligned access that
+// starts inside a slice ends inside it.
+func (m *Memory) find(addr uint32) (*segment, uint32) {
+	if s := &m.seg[RegionData]; addr-s.base < uint32(len(s.b)) {
+		return s, addr - s.base
+	}
+	if s := &m.seg[RegionPacket]; addr-s.base < uint32(len(s.b)) {
+		return s, addr - s.base
+	}
+	if s := &m.seg[RegionStack]; addr-s.base < uint32(len(s.b)) {
+		return s, addr - s.base
+	}
+	return nil, 0
+}
+
+// grow extends the slice to hold at least need bytes.
+func (s *segment) grow(need uint32) {
+	if int(need) <= len(s.b) {
+		return
+	}
+	n := max(2*len(s.b), minGrow)
+	for n < int(need) {
+		n *= 2
+	}
+	b := make([]byte, min(n, int(s.size)))
+	copy(b, s.b)
+	s.b = b
+}
+
+// The readers of an application access at off in a region's slice b.
+// Offsets past the slice read as zero.
+
+func read8(b []byte, off uint32) uint8 {
+	if off < uint32(len(b)) {
+		return b[off]
 	}
 	return 0
 }
 
-// Read8 returns the byte at addr; untouched memory reads as zero.
-func (m *Memory) Read8(addr uint32) uint8 { return m.peek(addr) }
+func read16(b []byte, off uint32) uint16 {
+	if off < uint32(len(b)) {
+		return binary.LittleEndian.Uint16(b[off:])
+	}
+	return 0
+}
 
-// Read16 returns the little-endian 16-bit value at addr.
-func (m *Memory) Read16(addr uint32) uint16 {
-	return uint16(m.peek(addr)) | uint16(m.peek(addr+1))<<8
+func read32(b []byte, off uint32) uint32 {
+	if off < uint32(len(b)) {
+		return binary.LittleEndian.Uint32(b[off:])
+	}
+	return 0
+}
+
+// span returns the region holding the n host bytes at addr and addr's
+// offset in it.
+func (m *Memory) span(addr uint32, n int) (*segment, uint32) {
+	for i := range m.seg {
+		s := &m.seg[i]
+		if off := addr - s.base; off <= s.size && uint64(n) <= uint64(s.size-off) {
+			return s, off
+		}
+	}
+	panic(fmt.Sprintf("vm: host access of %d bytes at %#x lies outside every region", n, addr))
 }
 
 // Read32 returns the little-endian 32-bit value at addr.
 func (m *Memory) Read32(addr uint32) uint32 {
-	// Fast path: the word lies within one page (always true for aligned
-	// accesses, which is all the CPU issues).
-	if addr&(pageSize-1) <= pageSize-4 {
-		if p := m.pages[addr>>pageBits]; p != nil {
-			o := addr & (pageSize - 1)
-			return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24
-		}
-		return 0
-	}
-	return uint32(m.Read16(addr)) | uint32(m.Read16(addr+2))<<16
-}
-
-// Write8 stores one byte at addr.
-func (m *Memory) Write8(addr uint32, v uint8) {
-	m.pageFor(addr)[addr&(pageSize-1)] = v
-}
-
-// Write16 stores a little-endian 16-bit value at addr.
-func (m *Memory) Write16(addr uint32, v uint16) {
-	m.Write8(addr, uint8(v))
-	m.Write8(addr+1, uint8(v>>8))
+	var w [4]byte
+	m.read(addr, w[:])
+	return binary.LittleEndian.Uint32(w[:])
 }
 
 // Write32 stores a little-endian 32-bit value at addr.
 func (m *Memory) Write32(addr uint32, v uint32) {
-	if addr&(pageSize-1) <= pageSize-4 {
-		p := m.pageFor(addr)
-		o := addr & (pageSize - 1)
-		p[o] = uint8(v)
-		p[o+1] = uint8(v >> 8)
-		p[o+2] = uint8(v >> 16)
-		p[o+3] = uint8(v >> 24)
-		return
-	}
-	m.Write16(addr, uint16(v))
-	m.Write16(addr+2, uint16(v>>16))
+	var w [4]byte
+	binary.LittleEndian.PutUint32(w[:], v)
+	m.WriteBytes(addr, w[:])
 }
 
 // WriteBytes copies b into memory starting at addr. It is intended for
 // host (framework) use: loading segments, placing packets.
 func (m *Memory) WriteBytes(addr uint32, b []byte) {
-	for len(b) > 0 {
-		p := m.pageFor(addr)
-		o := addr & (pageSize - 1)
-		n := copy(p[o:], b)
-		b = b[n:]
-		addr += uint32(n)
-	}
+	s, off := m.span(addr, len(b))
+	s.grow(off + uint32(len(b)))
+	copy(s.b[off:], b)
 }
 
 // ReadBytes copies n bytes starting at addr into a fresh slice. It is
-// intended for host (framework) use: retrieving modified packets. Like
-// WriteBytes it copies page-sized runs; unallocated pages read as zero.
+// intended for host (framework) use: retrieving modified packets.
 func (m *Memory) ReadBytes(addr uint32, n int) []byte {
 	out := make([]byte, n)
-	for i := 0; i < n; {
-		a := addr + uint32(i)
-		o := a & (pageSize - 1)
-		run := pageSize - int(o)
-		if run > n-i {
-			run = n - i
-		}
-		if p := m.pages[a>>pageBits]; p != nil {
-			copy(out[i:i+run], p[o:int(o)+run])
-		}
-		i += run
-	}
+	m.read(addr, out)
 	return out
 }
 
-// Zero clears n bytes starting at addr without allocating pages for
-// regions that were never written.
-func (m *Memory) Zero(addr uint32, n int) {
-	for i := 0; i < n; {
-		idx := (addr + uint32(i)) >> pageBits
-		p := m.pages[idx]
-		o := (addr + uint32(i)) & (pageSize - 1)
-		run := pageSize - int(o)
-		if run > n-i {
-			run = n - i
-		}
-		if p != nil {
-			clear(p[o : int(o)+run])
-		}
-		i += run
+// read fills dst, which reads as zero, from the bytes at addr.
+func (m *Memory) read(addr uint32, dst []byte) {
+	if s, off := m.span(addr, len(dst)); int(off) < len(s.b) {
+		copy(dst, s.b[off:])
 	}
 }
 
-// PageCount returns the number of allocated pages (useful for memory
-// footprint assertions in tests).
-func (m *Memory) PageCount() int { return len(m.pages) }
-
-// Equal reports whether two memories hold identical contents. Pages
-// allocated in one but not the other count as equal when all-zero, since
-// unallocated memory reads as zero.
-func (m *Memory) Equal(o *Memory) bool {
-	for idx, p := range m.pages {
-		q := o.pages[idx]
-		if q == nil {
-			if *p != (page{}) {
-				return false
-			}
-			continue
-		}
-		if *p != *q {
-			return false
-		}
+// Zero clears n bytes starting at addr; it grows nothing.
+func (m *Memory) Zero(addr uint32, n int) {
+	if s, off := m.span(addr, n); int(off) < len(s.b) {
+		clear(s.b[off:min(len(s.b), int(off)+n)])
 	}
-	for idx, q := range o.pages {
-		if m.pages[idx] == nil && *q != (page{}) {
+}
+
+// Equal reports whether two memories have the same layout and contents.
+// A region's bytes past one memory's extent compare as zero.
+func (m *Memory) Equal(o *Memory) bool {
+	if m.layout != o.layout {
+		return false
+	}
+	for r := range m.seg {
+		a, b := m.seg[r].b, o.seg[r].b
+		if len(a) > len(b) {
+			a, b = b, a
+		}
+		if !bytes.Equal(a, b[:len(a)]) || len(bytes.TrimRight(b[len(a):], "\x00")) != 0 {
 			return false
 		}
 	}

@@ -222,10 +222,12 @@ func staticTarget(target, textBase uint32, n int) int32 {
 // failure. p must have been translated from the text segment and base
 // this CPU was created with.
 //
-// Steps are charged per block, and c.PC/c.packetWriteHigh are updated
-// only at run exit, except that a Tracer finds c.PC at the pc the
-// interpreter would hold at each of its calls. The Tracer sees a Pass
-// per block pass and a Mem per data access.
+// Steps are charged per block, and c.Regs, c.PC and c.packetWriteHigh
+// are updated only at run exit, except that a Tracer finds c.PC at the
+// pc the interpreter would hold at each of its calls. (A local register
+// file keeps the writes of nearly every instruction off the CPU, whose
+// cache lines it may share with objects other cores write.) The Tracer
+// sees a Pass per block pass and a Mem per data access.
 func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason StopReason, err error) {
 	return c.runFast(p, maxSteps)
 }
@@ -234,9 +236,8 @@ func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason Stop
 // inline and tells its tracer about every block pass and data access;
 // see Tracer for the contract.
 func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
-	regs := &c.Regs
-	c.resetPageTable()
-	dirs := &c.pt.dirs
+	regs := c.Regs
+	mem := c.Mem
 	ops := p.ops
 	endAt := p.endAt
 	textBase := p.textBase
@@ -244,6 +245,7 @@ func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopRea
 	pktHigh := c.packetWriteHigh
 	a, bt := c.Account, c.Tracer
 	defer func() { //pblint:allow — once per run, not per dispatch
+		c.Regs = regs
 		c.charge(steps)
 		if pktHigh > c.packetWriteHigh {
 			c.packetWriteHigh = pktHigh
@@ -342,125 +344,120 @@ outer:
 
 			case uLB:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if e.r == RegionNone {
+				s, off := mem.find(addr)
+				if s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 1, false, pc); f != nil {
+					if s, off, f = c.miss(addr, 1, false, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				a.access(e.r, addr, false)
-				c.reportMem(bt, pc, addr, 1, false, e.r)
+				a.access(s.r, off, false)
+				c.reportMem(bt, pc, addr, 1, false, s.r)
 				if op.rd != 0 {
-					regs[op.rd&15] = uint32(int32(int8(e.pg[addr&(pageSize-1)])))
+					regs[op.rd&15] = uint32(int32(int8(read8(s.b, off))))
 				}
 			case uLBU:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if e.r == RegionNone {
+				s, off := mem.find(addr)
+				if s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 1, false, pc); f != nil {
+					if s, off, f = c.miss(addr, 1, false, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				a.access(e.r, addr, false)
-				c.reportMem(bt, pc, addr, 1, false, e.r)
+				a.access(s.r, off, false)
+				c.reportMem(bt, pc, addr, 1, false, s.r)
 				if op.rd != 0 {
-					regs[op.rd&15] = uint32(e.pg[addr&(pageSize-1)])
+					regs[op.rd&15] = uint32(read8(s.b, off))
 				}
 			case uLH:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if addr&1 != 0 || e.r == RegionNone {
+				s, off := mem.find(addr)
+				if addr&1 != 0 || s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 2, false, pc); f != nil {
+					if s, off, f = c.miss(addr, 2, false, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				a.access(e.r, addr, false)
-				c.reportMem(bt, pc, addr, 2, false, e.r)
+				a.access(s.r, off, false)
+				c.reportMem(bt, pc, addr, 2, false, s.r)
 				if op.rd != 0 {
-					o := addr & (pageSize - 2) // addr is aligned: the mask proves o+2 <= pageSize
-					regs[op.rd&15] = uint32(int32(int16(binary.LittleEndian.Uint16(e.pg[o:]))))
+					regs[op.rd&15] = uint32(int32(int16(read16(s.b, off))))
 				}
 			case uLHU:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if addr&1 != 0 || e.r == RegionNone {
+				s, off := mem.find(addr)
+				if addr&1 != 0 || s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 2, false, pc); f != nil {
+					if s, off, f = c.miss(addr, 2, false, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				a.access(e.r, addr, false)
-				c.reportMem(bt, pc, addr, 2, false, e.r)
+				a.access(s.r, off, false)
+				c.reportMem(bt, pc, addr, 2, false, s.r)
 				if op.rd != 0 {
-					o := addr & (pageSize - 2)
-					regs[op.rd&15] = uint32(binary.LittleEndian.Uint16(e.pg[o:]))
+					regs[op.rd&15] = uint32(read16(s.b, off))
 				}
 			case uLW:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if addr&3 != 0 || e.r == RegionNone {
+				s, off := mem.find(addr)
+				if addr&3 != 0 || s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 4, false, pc); f != nil {
+					if s, off, f = c.miss(addr, 4, false, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				a.access(e.r, addr, false)
-				c.reportMem(bt, pc, addr, 4, false, e.r)
+				a.access(s.r, off, false)
+				c.reportMem(bt, pc, addr, 4, false, s.r)
 				if op.rd != 0 {
-					o := addr & (pageSize - 4)
-					regs[op.rd&15] = binary.LittleEndian.Uint32(e.pg[o:])
+					regs[op.rd&15] = read32(s.b, off)
 				}
 
 			case uSB:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if e.r == RegionNone {
+				s, off := mem.find(addr)
+				if s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 1, true, pc); f != nil {
+					if s, off, f = c.miss(addr, 1, true, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if e.r == RegionPacket && addr+1 > pktHigh {
+				if s.r == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
 				}
-				a.access(e.r, addr, true)
-				c.reportMem(bt, pc, addr, 1, true, e.r)
-				e.pg[addr&(pageSize-1)] = uint8(regs[op.rd&15])
+				a.access(s.r, off, true)
+				c.reportMem(bt, pc, addr, 1, true, s.r)
+				s.b[off] = uint8(regs[op.rd&15])
 			case uSH:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if addr&1 != 0 || e.r == RegionNone {
+				s, off := mem.find(addr)
+				if addr&1 != 0 || s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 2, true, pc); f != nil {
+					if s, off, f = c.miss(addr, 2, true, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if e.r == RegionPacket && addr+2 > pktHigh {
+				if s.r == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
 				}
-				a.access(e.r, addr, true)
-				c.reportMem(bt, pc, addr, 2, true, e.r)
-				o := addr & (pageSize - 2)
-				binary.LittleEndian.PutUint16(e.pg[o:], uint16(regs[op.rd&15]))
+				a.access(s.r, off, true)
+				c.reportMem(bt, pc, addr, 2, true, s.r)
+				binary.LittleEndian.PutUint16(s.b[off:], uint16(regs[op.rd&15]))
 			case uSW:
 				addr := regs[op.rs1&15] + op.imm
-				e := dirs[addr>>dirShift][addr>>pageBits&dirMask]
-				if addr&3 != 0 || e.r == RegionNone {
+				s, off := mem.find(addr)
+				if addr&3 != 0 || s == nil {
 					var f *Fault
-					if e, f = c.miss(addr, 4, true, pc); f != nil {
+					if s, off, f = c.miss(addr, 4, true, pc); f != nil {
 						return c.trap(a, bt, steps, idx, j, f)
 					}
 				}
-				if e.r == RegionPacket && addr+4 > pktHigh {
+				if s.r == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
 				}
-				a.access(e.r, addr, true)
-				c.reportMem(bt, pc, addr, 4, true, e.r)
-				o := addr & (pageSize - 4)
-				binary.LittleEndian.PutUint32(e.pg[o:], regs[op.rd&15])
+				a.access(s.r, off, true)
+				c.reportMem(bt, pc, addr, 4, true, s.r)
+				binary.LittleEndian.PutUint32(s.b[off:], regs[op.rd&15])
 
 			case uBEQ:
 				if regs[op.rs1&15] == regs[op.rs2&15] {
@@ -584,90 +581,4 @@ func branchTo(op *microOp, pc uint32) (idx int, pcv uint32) {
 		return -1, ReturnAddress
 	}
 	return -1, pc + op.imm
-}
-
-// Region-tagged page table ------------------------------------------------
-
-// The page table is two levels of 1<<dirBits entries indexed by
-// addr>>pageBits: the top dirBits bits pick a directory, the next
-// dirBits an entry.
-const (
-	dirBits  = 10
-	dirShift = pageBits + dirBits
-	dirMask  = 1<<dirBits - 1
-)
-
-// pte is one page-table entry: an allocated page lying wholly inside the
-// packet, data or stack region, and that region; RegionNone is a miss.
-type pte struct {
-	pg *page
-	r  Region
-}
-
-type ptDir [1 << dirBits]pte
-
-// emptyDir stands in for every directory with no filled entry, so a
-// lookup needs no nil test, and zeroPage is what a load from an
-// unallocated page reads. Neither is ever written.
-var (
-	emptyDir ptDir
-	zeroPage page
-)
-
-// pageTable resolves a data access to its region and page with one
-// indexed load. Only allocated pages lying wholly inside one data region
-// are entered; text, unmapped, region-straddling and unallocated pages
-// always miss and take CPU.miss, the interpreter's checks. Entries stay
-// valid because Memory never frees or replaces a page, and the table is
-// reset when the CPU's Layout or Mem is not the pair it was filled under.
-type pageTable struct {
-	dirs   [1 << (32 - dirShift)]*ptDir
-	layout Layout
-	mem    *Memory
-}
-
-// resetPageTable empties the table if it was never set up or was filled
-// under another layout or memory.
-func (c *CPU) resetPageTable() {
-	t := &c.pt
-	if t.dirs[0] != nil && t.layout == c.Layout && t.mem == c.Mem {
-		return
-	}
-	for i := range t.dirs {
-		t.dirs[i] = &emptyDir
-	}
-	t.layout, t.mem = c.Layout, c.Mem
-}
-
-// miss resolves a data access of size bytes that the page table did not
-// serve, with the interpreter's checks in its order: alignment, then
-// region. It returns the access's region and page — the shared zero page
-// for a load from an unallocated page, which allocates nothing — and
-// enters the page into the table when it is allocated and lies wholly
-// inside that region.
-func (c *CPU) miss(addr, size uint32, write bool, pc uint32) (pte, *Fault) {
-	if addr&(size-1) != 0 {
-		return pte{}, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-	}
-	r := c.Layout.Classify(addr)
-	if r == RegionText && write {
-		return pte{}, &Fault{Kind: FaultTextWrite, PC: pc, Addr: addr}
-	}
-	if r == RegionNone || r == RegionText {
-		return pte{}, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
-	}
-	e := pte{c.Mem.pages[addr>>pageBits], r}
-	if write {
-		e.pg = c.Mem.pageFor(addr)
-	} else if e.pg == nil {
-		return pte{&zeroPage, r}, nil
-	}
-	if c.Layout.pageRegion(addr&^(pageSize-1)) == r {
-		d := &c.pt.dirs[addr>>dirShift]
-		if *d == &emptyDir {
-			*d = new(ptDir)
-		}
-		(*d)[addr>>pageBits&dirMask] = e
-	}
-	return e, nil
 }

@@ -30,86 +30,45 @@ func ins(op isa.Opcode, rd, rs1, rs2 isa.Reg, imm int32) isa.Instruction {
 	return isa.Instruction{Op: op, Rd: rd, Rs1: rs1, Rs2: rs2, Imm: imm}
 }
 
-// TestPageCacheSeesHostWrites runs the threaded engine twice with a host
-// write in between, on a page the first run read while unallocated: the
-// page table must not serve a stale zero page.
+// TestPageCacheSeesHostWrites runs a data load on each engine from
+// memory nothing wrote, after a host write grows it, and after the CPU's
+// memory is swapped for one whose data region ends at the load's address
+// and then for an empty one: each run must read, or fault on, the memory
+// the CPU holds.
 func TestPageCacheSeesHostWrites(t *testing.T) {
 	const base = 0x00400000
 	text := []isa.Instruction{
-		ins(isa.LW, 4, 1, 0, 0), // read packet[0]
-		ins(isa.HALT, 0, 0, 0, 0),
-	}
-	cpu := New(text, base, NewMemory())
-	cpu.Layout = testLayout(base, len(text))
-	prog := Translate(text, base, analysis.NewBlockMap(text, base))
-
-	cpu.Regs[1] = cpu.Layout.PacketBase
-	cpu.PC = base
-	if _, _, err := cpu.RunProgram(prog, 100); err != nil {
-		t.Fatal(err)
-	}
-	if cpu.Regs[4] != 0 {
-		t.Fatalf("unallocated page read %#x, want 0", cpu.Regs[4])
-	}
-
-	// Host allocates and fills the page between runs.
-	cpu.Mem.Write32(cpu.Layout.PacketBase, 0xCAFEF00D)
-	cpu.Regs[1] = cpu.Layout.PacketBase
-	cpu.PC = base
-	if _, _, err := cpu.RunProgram(prog, 100); err != nil {
-		t.Fatal(err)
-	}
-	if cpu.Regs[4] != 0xCAFEF00D {
-		t.Fatalf("second run read %#x, want 0xCAFEF00D", cpu.Regs[4])
-	}
-}
-
-// TestPageTableFollowsLayoutAndMemory reruns a program on one CPU after
-// changing its public Layout and Mem fields: first shrinking the data
-// region below an address a run already read through the page table,
-// then swapping in another memory. Each rerun must fault or read exactly
-// as the interpreter does on the same state.
-func TestPageTableFollowsLayoutAndMemory(t *testing.T) {
-	const base = 0x00400000
-	text := []isa.Instruction{
 		ins(isa.LW, 4, 1, 0, 0),
-		ins(isa.LW, 5, 1, 0, 0),
 		ins(isa.HALT, 0, 0, 0, 0),
 	}
+	layout := testLayout(base, len(text))
+	short := layout
+	addr := layout.DataBase + 0x2000
+	short.DataEnd = addr
 	prog := Translate(text, base, analysis.NewBlockMap(text, base))
-	cpu := New(text, base, NewMemory())
-	cpu.Layout = testLayout(base, len(text))
-	addr := cpu.Layout.DataBase + 0x2000
-	cpu.Mem.Write32(addr, 0x600D)
-
-	run := func(step string, want uint32, wantErr error) {
-		t.Helper()
-		ref := New(text, base, cpu.Mem)
-		ref.Layout = cpu.Layout
-		for _, c := range []*CPU{cpu, ref} {
-			c.Regs = [isa.NumRegs]uint32{1: addr}
-			c.PC = base
+	for _, threaded := range []bool{false, true} {
+		cpu := New(text, base, NewMemory(layout))
+		run := func(step string, want uint32, wantErr error) {
+			t.Helper()
+			cpu.Regs[1], cpu.Regs[4], cpu.PC = addr, 0xFFFFFFFF, base
+			var err error
+			if threaded {
+				_, _, err = cpu.RunProgram(prog, 100)
+			} else {
+				_, _, err = cpu.Run(100)
+			}
+			if !reflect.DeepEqual(err, wantErr) || (err == nil && cpu.Regs[4] != want) {
+				t.Fatalf("threaded=%v, %s: err=%v r4=%#x, want err=%v r4=%#x", threaded, step, err, cpu.Regs[4], wantErr, want)
+			}
 		}
-		_, _, err := cpu.RunProgram(prog, 100)
-		_, _, refErr := ref.Run(100)
-		if !reflect.DeepEqual(err, refErr) || cpu.Regs != ref.Regs || cpu.PC != ref.PC {
-			t.Fatalf("%s: threaded err=%v regs=%#x pc=%#x, interpreter err=%v regs=%#x pc=%#x",
-				step, err, cpu.Regs, cpu.PC, refErr, ref.Regs, ref.PC)
-		}
-		if !reflect.DeepEqual(err, wantErr) || (err == nil && cpu.Regs[5] != want) {
-			t.Fatalf("%s: err=%v r5=%#x, want err=%v r5=%#x", step, err, cpu.Regs[5], wantErr, want)
-		}
+		run("untouched memory", 0, nil)
+		cpu.Mem.Write32(addr, 0xCAFEF00D)
+		run("after a host write", 0xCAFEF00D, nil)
+		cpu.Mem = NewMemory(short)
+		run("memory with a shorter data region", 0, &Fault{Kind: FaultUnmapped, PC: base, Addr: addr})
+		cpu.Mem = NewMemory(layout)
+		run("memory replaced by an empty one", 0, nil)
 	}
-	run("first run", 0x600D, nil)
-	cpu.Layout.DataEnd = addr
-	run("data region shrunk", 0, &Fault{Kind: FaultUnmapped, PC: base, Addr: addr})
-	cpu.Layout.DataEnd = testLayout(base, len(text)).DataEnd
-	run("data region restored", 0x600D, nil)
-	cpu.Mem = NewMemory()
-	cpu.Mem.Write32(addr, 0xBEEF)
-	run("memory replaced", 0xBEEF, nil)
-	cpu.Mem = NewMemory()
-	run("memory replaced by an empty one", 0, nil)
 }
 
 // TestThreadedStepsAccumulate checks the lifetime step counter matches
@@ -121,8 +80,7 @@ func TestThreadedStepsAccumulate(t *testing.T) {
 		ins(isa.ADDI, 4, 4, 0, 1),
 		ins(isa.HALT, 0, 0, 0, 0),
 	}
-	cpu := New(text, base, NewMemory())
-	cpu.Layout = testLayout(base, len(text))
+	cpu := New(text, base, NewMemory(testLayout(base, len(text))))
 	prog := Translate(text, base, analysis.NewBlockMap(text, base))
 	for i := 0; i < 3; i++ {
 		cpu.PC = base
@@ -180,9 +138,8 @@ func TestTracerPassStreams(t *testing.T) {
 			if members > 1 {
 				tr = MultiTracer{rs[0], rs[1]}
 			}
-			cpu := New(text, base, NewMemory())
-			cpu.Layout = testLayout(base, len(text))
-			cpu.Regs[1] = cpu.Layout.PacketBase
+			cpu := New(text, base, NewMemory(testLayout(base, len(text))))
+			cpu.Regs[1] = cpu.Mem.Layout().PacketBase
 			cpu.PC = base
 			cpu.Tracer = tr
 			run := cpu.Run
@@ -206,30 +163,28 @@ func TestTracerPassStreams(t *testing.T) {
 	}
 }
 
-// TestReadBytesPageRuns covers the page-run ReadBytes across page
-// boundaries and unallocated holes.
+// TestReadBytesPageRuns covers ReadBytes over runs inside the packet
+// slice, across its end and wholly past it.
 func TestReadBytesPageRuns(t *testing.T) {
-	m := NewMemory()
-	// Write a run straddling the first/second page boundary, leave the
-	// third page unallocated, write again in the fourth.
-	base := uint32(pageSize - 3)
-	m.WriteBytes(base, []byte{1, 2, 3, 4, 5, 6})
-	m.Write8(3*pageSize+7, 0xAB)
-
-	got := m.ReadBytes(base, 6)
-	if want := []byte{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("boundary read = %v, want %v", got, want)
+	m := NewMemory(memLayout)
+	base := memLayout.PacketBase
+	m.WriteBytes(base+minGrow-3, []byte{1, 2, 3, 4, 5, 6})
+	m.WriteBytes(base+3*minGrow+7, []byte{0xAB})
+	if got, want := m.ReadBytes(base+minGrow-3, 6), []byte{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("read across 4 KiB = %v, want %v", got, want)
 	}
-	// Read a span covering written, unallocated, and written pages.
-	span := m.ReadBytes(0, 4*pageSize)
-	if span[base] != 1 || span[base+5] != 6 {
-		t.Fatal("span lost the boundary run")
+	// A run over written and untouched bytes, ending past the slice.
+	span := m.ReadBytes(base, 8*minGrow)
+	if span[minGrow-3] != 1 || span[minGrow+2] != 6 || span[3*minGrow+7] != 0xAB {
+		t.Fatal("span lost a written byte")
 	}
-	if span[2*pageSize+100] != 0 {
-		t.Fatal("unallocated page not zero")
+	for _, i := range []int{2 * minGrow, 6 * minGrow, 8*minGrow - 1} {
+		if span[i] != 0 {
+			t.Fatalf("untouched byte %#x reads %#x", i, span[i])
+		}
 	}
-	if span[3*pageSize+7] != 0xAB {
-		t.Fatal("span lost the fourth-page byte")
+	if m.Extent(RegionPacket) != 4*minGrow {
+		t.Fatalf("extent %#x, want %#x", m.Extent(RegionPacket), 4*minGrow)
 	}
 }
 
@@ -251,10 +206,10 @@ func TestAccountEpochWrap(t *testing.T) {
 		c, p := buildCPU(t, src)
 		blocks := analysis.NewBlockMap(p.Text, p.TextBase)
 		prog := Translate(p.Text, p.TextBase, blocks)
-		c.Account = NewAccount(blocks, c.Layout)
+		c.Account = NewAccount(blocks, c.Mem.Layout())
 		packet := func(word uint32) {
-			c.Mem.Write32(c.Layout.PacketBase, word)
-			c.Regs[isa.A0], c.Regs[isa.RA], c.PC = c.Layout.PacketBase, ReturnAddress, p.TextBase
+			c.Mem.Write32(c.Mem.Layout().PacketBase, word)
+			c.Regs[isa.A0], c.Regs[isa.RA], c.PC = c.Mem.Layout().PacketBase, ReturnAddress, p.TextBase
 			c.Account.Begin(false)
 			var err error
 			if threaded {
@@ -292,7 +247,7 @@ func TestAccountEpochWrap(t *testing.T) {
 func TestAccountRestartedPass(t *testing.T) {
 	c, p := buildCPU(t, "addi t0, t0, 1\naddi t0, t0, 1\naddi t0, t0, 1\nhalt")
 	blocks := analysis.NewBlockMap(p.Text, p.TextBase)
-	c.Account = NewAccount(blocks, c.Layout)
+	c.Account = NewAccount(blocks, c.Mem.Layout())
 	c.Account.Begin(false)
 	if _, _, err := c.Run(1); !errors.Is(err, FaultStepLimit) {
 		t.Fatalf("first run: %v, want a step-limit stop", err)

@@ -2,9 +2,10 @@
 // PacketBench applications.
 //
 // The simulator models a single network-processor core: sixteen 32-bit
-// registers, a program counter, and a flat little-endian byte-addressed
-// memory divided into semantically tagged regions (text, packet data,
-// program data, stack). The region tags are what make PacketBench-style
+// registers, a program counter, and a little-endian byte-addressed
+// memory of semantically tagged regions (text, packet data, program
+// data, stack), each data region backed by one growable slice (see
+// Memory). The region tags are what make PacketBench-style
 // workload characterization possible: every memory reference the
 // application performs is classified as a packet-memory or non-packet-
 // memory access, a distinction the paper identifies as essential for
@@ -22,6 +23,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -82,17 +84,23 @@ func (l Layout) Classify(addr uint32) Region {
 	return RegionNone
 }
 
-// pageRegion returns the region of every address on the page at base p,
-// or RegionNone when a region bound falls inside the page, after its
-// first byte.
-func (l Layout) pageRegion(p uint32) Region {
-	for _, b := range [...]uint32{l.TextBase, l.TextEnd, l.PacketBase, l.PacketEnd,
-		l.DataBase, l.DataEnd, l.StackBase, l.StackEnd} {
-		if b-p-1 < pageSize-1 {
-			return RegionNone
+// Check reports why the layout cannot back a Memory: a region whose
+// bounds are not word aligned or are reversed, or two regions that
+// overlap.
+func (l Layout) Check() error {
+	spans := [...][2]uint32{{l.TextBase, l.TextEnd}, {l.PacketBase, l.PacketEnd},
+		{l.DataBase, l.DataEnd}, {l.StackBase, l.StackEnd}}
+	for i, s := range spans {
+		if s[0]%4|s[1]%4 != 0 || s[1] < s[0] {
+			return fmt.Errorf("vm: %v region [%#x, %#x) is reversed or not word aligned", Region(i+1), s[0], s[1])
+		}
+		for j, t := range spans[:i] {
+			if s[0] < t[1] && t[0] < s[1] {
+				return fmt.Errorf("vm: %v region [%#x, %#x) overlaps the %v region", Region(i+1), s[0], s[1], Region(j+1))
+			}
 		}
 	}
-	return l.Classify(p)
+	return nil
 }
 
 // Tracer observes application execution: which instructions ran and
@@ -223,8 +231,8 @@ type CPU struct {
 	Regs [isa.NumRegs]uint32
 	PC   uint32
 
-	Mem    *Memory
-	Layout Layout
+	// Mem is the core's memory; its layout classifies every access.
+	Mem *Memory
 	// Account, when non-nil, keeps the per-packet account of every run
 	// inline (see Account).
 	Account *Account
@@ -244,20 +252,13 @@ type CPU struct {
 	// have dirtied, so the next packet placement only has to clear bytes
 	// that were actually written.
 	packetWriteHigh uint32
-
-	// pt resolves the block-threaded engine's data accesses to a region
-	// and a page in one lookup; see pageTable.
-	pt pageTable
 }
 
-// New creates a CPU executing the given pre-decoded text segment. The
-// layout's text bounds are derived from textBase and len(text); packet,
-// data and stack bounds must be assigned by the caller before Run.
+// New creates a CPU executing the given pre-decoded text segment over
+// mem, whose layout gives the text bounds a data access is classified
+// against.
 func New(text []isa.Instruction, textBase uint32, mem *Memory) *CPU {
-	c := &CPU{Mem: mem, text: text, textBase: textBase}
-	c.Layout.TextBase = textBase
-	c.Layout.TextEnd = textBase + uint32(len(text))*isa.WordSize
-	return c
+	return &CPU{Mem: mem, text: text, textBase: textBase}
 }
 
 // Steps returns the total number of instructions executed by this CPU
@@ -452,71 +453,90 @@ func b2u(b bool) uint32 {
 	return 0
 }
 
-// load performs a data read with region classification, alignment checking
-// and tracing.
+// load performs a data read with alignment checking, region
+// classification and tracing.
 func (c *CPU) load(pc, addr uint32, op isa.Opcode) (uint32, error) {
 	size := uint32(op.MemSize())
-	if addr%size != 0 {
-		return 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+	s, off := c.Mem.find(addr)
+	if addr%size != 0 || s == nil {
+		var f *Fault
+		if s, off, f = c.miss(addr, size, false, pc); f != nil {
+			return 0, f
+		}
 	}
-	region := c.Layout.Classify(addr)
-	if region == RegionNone || region == RegionText {
+	c.Account.access(s.r, off, false)
+	if c.Tracer != nil {
+		c.Tracer.Mem(pc, addr, uint8(size), false, s.r)
+	}
+	b := s.b
+	switch op {
+	case isa.LB:
+		return uint32(int32(int8(read8(b, off)))), nil
+	case isa.LBU:
+		return uint32(read8(b, off)), nil
+	case isa.LH:
+		return uint32(int32(int16(read16(b, off)))), nil
+	case isa.LHU:
+		return uint32(read16(b, off)), nil
+	}
+	return read32(b, off), nil
+}
+
+// store performs a data write with alignment checking, region
+// classification and tracing.
+func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
+	size := uint32(op.MemSize())
+	s, off := c.Mem.find(addr)
+	if addr%size != 0 || s == nil {
+		var f *Fault
+		if s, off, f = c.miss(addr, size, true, pc); f != nil {
+			return f
+		}
+	}
+	if s.r == RegionPacket && addr+size > c.packetWriteHigh {
+		c.packetWriteHigh = addr + size
+	}
+	c.Account.access(s.r, off, true)
+	if c.Tracer != nil {
+		c.Tracer.Mem(pc, addr, uint8(size), true, s.r)
+	}
+	b := s.b
+	switch op {
+	case isa.SB:
+		b[off] = uint8(v)
+	case isa.SH:
+		binary.LittleEndian.PutUint16(b[off:], uint16(v))
+	case isa.SW:
+		binary.LittleEndian.PutUint32(b[off:], v)
+	}
+	return nil
+}
+
+// miss resolves a data access of size bytes that Memory.find did not
+// serve, with the interpreter's checks in its order: alignment, then
+// region. It returns the access's region and the offset in it. A store
+// past the region's slice grows it; a load there reads zero and grows
+// nothing.
+func (c *CPU) miss(addr, size uint32, write bool, pc uint32) (*segment, uint32, *Fault) {
+	if addr&(size-1) != 0 {
+		return nil, 0, &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
+	}
+	r := c.Mem.layout.Classify(addr)
+	if r == RegionText && write {
+		return nil, 0, &Fault{Kind: FaultTextWrite, PC: pc, Addr: addr}
+	}
+	if r == RegionNone || r == RegionText {
 		// Reading the text segment as data is disallowed: PacketBench
 		// applications keep constants in the data segment, and a text read
 		// almost always indicates a pointer bug in the application.
-		return 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
+		return nil, 0, &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
 	}
-	c.Account.access(region, addr, false)
-	if c.Tracer != nil {
-		c.Tracer.Mem(pc, addr, uint8(size), false, region)
+	s := &c.Mem.seg[r]
+	off := addr - s.base
+	if write {
+		s.grow(off + size)
 	}
-	var v uint32
-	switch op {
-	case isa.LB:
-		v = uint32(int32(int8(c.Mem.Read8(addr))))
-	case isa.LBU:
-		v = uint32(c.Mem.Read8(addr))
-	case isa.LH:
-		v = uint32(int32(int16(c.Mem.Read16(addr))))
-	case isa.LHU:
-		v = uint32(c.Mem.Read16(addr))
-	case isa.LW:
-		v = c.Mem.Read32(addr)
-	}
-	return v, nil
-}
-
-// store performs a data write with region classification, alignment
-// checking and tracing.
-func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
-	size := uint32(op.MemSize())
-	if addr%size != 0 {
-		return &Fault{Kind: FaultUnaligned, PC: pc, Addr: addr}
-	}
-	region := c.Layout.Classify(addr)
-	switch region {
-	case RegionText:
-		return &Fault{Kind: FaultTextWrite, PC: pc, Addr: addr}
-	case RegionNone:
-		return &Fault{Kind: FaultUnmapped, PC: pc, Addr: addr}
-	case RegionPacket:
-		if end := addr + size; end > c.packetWriteHigh {
-			c.packetWriteHigh = end
-		}
-	}
-	c.Account.access(region, addr, true)
-	if c.Tracer != nil {
-		c.Tracer.Mem(pc, addr, uint8(size), true, region)
-	}
-	switch op {
-	case isa.SB:
-		c.Mem.Write8(addr, uint8(v))
-	case isa.SH:
-		c.Mem.Write16(addr, uint16(v))
-	case isa.SW:
-		c.Mem.Write32(addr, v)
-	}
-	return nil
+	return s, off, nil
 }
 
 // MultiTracer fans tracer events out to several tracers, letting the

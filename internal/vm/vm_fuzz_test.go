@@ -40,13 +40,7 @@ func FuzzVM(f *testing.F) {
 			}
 		}
 		const textBase = 0x00400000
-		cpu := New(text, textBase, NewMemory())
-		cpu.Layout.PacketBase = 0x20000000
-		cpu.Layout.PacketEnd = 0x20010000
-		cpu.Layout.DataBase = 0x10000000
-		cpu.Layout.DataEnd = 0x10100000
-		cpu.Layout.StackBase = 0x7FFF0000
-		cpu.Layout.StackEnd = 0x80000000
+		cpu := New(text, textBase, NewMemory(testLayout(textBase, len(text))))
 		cpu.Regs[1] = 0x20000000
 		cpu.Regs[2] = 0x10000000
 		cpu.Regs[3] = 0x7FFF8000

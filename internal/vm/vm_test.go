@@ -20,17 +20,16 @@ func buildCPU(t *testing.T, src string) (*CPU, *asm.Program) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	mem := NewMemory()
+	mem := NewMemory(Layout{
+		TextBase: p.TextBase, TextEnd: p.TextEnd(),
+		PacketBase: 0x20000000, PacketEnd: 0x20010000,
+		DataBase: p.DataBase, DataEnd: p.DataBase + 1<<20,
+		StackBase: 0x7FFF0000, StackEnd: 0x80000000,
+	})
 	mem.WriteBytes(p.DataBase, p.Data)
 	c := New(p.Text, p.TextBase, mem)
-	c.Layout.PacketBase = 0x20000000
-	c.Layout.PacketEnd = 0x20010000
-	c.Layout.DataBase = p.DataBase
-	c.Layout.DataEnd = p.DataBase + 1<<20
-	c.Layout.StackBase = 0x7FFF0000
-	c.Layout.StackEnd = 0x80000000
 	c.PC = p.TextBase
-	c.Regs[isa.SP] = c.Layout.StackEnd
+	c.Regs[isa.SP] = mem.Layout().StackEnd
 	c.Regs[isa.RA] = ReturnAddress
 	return c, p
 }
@@ -254,7 +253,7 @@ func TestPacketRegionAccess(t *testing.T) {
 		sw   a1, 0(a0)       ; write it back
 		halt
 	`)
-	pkt := cpu.Layout.PacketBase
+	pkt := cpu.Mem.Layout().PacketBase
 	cpu.Mem.Write32(pkt, 41)
 	cpu.SetReg(isa.A0, pkt)
 	run(t, cpu)
@@ -358,7 +357,7 @@ func TestTracerObservesEverything(t *testing.T) {
 	_ = p
 	rec := &traceRecorder{base: p.TextBase}
 	cpu.Tracer = rec
-	cpu.SetReg(isa.A0, cpu.Layout.PacketBase)
+	cpu.SetReg(isa.A0, cpu.Mem.Layout().PacketBase)
 	steps, _ := run(t, cpu)
 	if uint64(len(rec.pcs)) != steps {
 		t.Errorf("tracer saw %d instructions, run reported %d", len(rec.pcs), steps)
@@ -373,9 +372,9 @@ func TestTracerObservesEverything(t *testing.T) {
 	}
 	wantMems := []memEvent{
 		{p.DataBase, 4, false, RegionData},
-		{cpu.Layout.PacketBase, 4, false, RegionPacket},
-		{cpu.Layout.PacketBase + 4, 4, true, RegionPacket},
-		{cpu.Layout.StackEnd - 4, 4, true, RegionStack},
+		{cpu.Mem.Layout().PacketBase, 4, false, RegionPacket},
+		{cpu.Mem.Layout().PacketBase + 4, 4, true, RegionPacket},
+		{cpu.Mem.Layout().StackEnd - 4, 4, true, RegionStack},
 	}
 	if len(rec.mems) != len(wantMems) {
 		t.Fatalf("tracer saw %d mem events, want %d: %+v", len(rec.mems), len(wantMems), rec.mems)
@@ -384,6 +383,35 @@ func TestTracerObservesEverything(t *testing.T) {
 		if rec.mems[i] != w {
 			t.Errorf("mem[%d] = %+v, want %+v", i, rec.mems[i], w)
 		}
+	}
+}
+
+// TestLayoutCheck pins the layouts a Memory refuses: region bounds that
+// are not word aligned or reversed, and regions that overlap.
+func TestLayoutCheck(t *testing.T) {
+	if err := memLayout.Check(); err != nil {
+		t.Fatalf("test layout refused: %v", err)
+	}
+	for name, edit := range map[string]func(*Layout){
+		"unaligned data end":   func(l *Layout) { l.DataEnd -= 2 },
+		"reversed packet":      func(l *Layout) { l.PacketEnd = l.PacketBase - 4 },
+		"data overlaps packet": func(l *Layout) { l.DataEnd = l.PacketBase + 4 },
+		"stack overlaps text":  func(l *Layout) { l.StackBase, l.StackEnd = l.TextBase, l.TextEnd },
+		"data wraps the space": func(l *Layout) { l.DataEnd = l.DataBase + 0xF0000000 },
+	} {
+		l := memLayout
+		edit(&l)
+		if l.Check() == nil {
+			t.Errorf("%s: Check accepted %+v", name, l)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewMemory accepted the layout", name)
+				}
+			}()
+			NewMemory(l)
+		}()
 	}
 }
 
@@ -419,11 +447,18 @@ func TestLayoutClassify(t *testing.T) {
 	}
 }
 
+// memLayout is the layout the Memory tests run under: testLayout with a
+// 1 MiB data region and 64 KiB packet and stack regions.
+var memLayout = testLayout(0x00400000, 16)
+
 func TestMemoryRoundTrip(t *testing.T) {
-	m := NewMemory()
-	// Property: Write32 then Read32 round-trips at any aligned address.
+	m := NewMemory(memLayout)
+	l := memLayout
+	// Property: Write32 then Read32 round-trips at any aligned address of
+	// any region.
 	f := func(addr uint32, v uint32) bool {
-		addr &^= 3
+		span := [3][2]uint32{{l.PacketBase, l.PacketEnd}, {l.DataBase, l.DataEnd}, {l.StackBase, l.StackEnd}}[addr%3]
+		addr = span[0] + addr%(span[1]-span[0])&^3
 		m.Write32(addr, v)
 		return m.Read32(addr) == v
 	}
@@ -433,80 +468,109 @@ func TestMemoryRoundTrip(t *testing.T) {
 }
 
 func TestMemoryLittleEndian(t *testing.T) {
-	m := NewMemory()
-	m.Write32(0x100, 0x04030201)
-	for i := uint32(0); i < 4; i++ {
-		if got := m.Read8(0x100 + i); got != uint8(i+1) {
-			t.Errorf("byte %d = %d, want %d", i, got, i+1)
-		}
+	m := NewMemory(memLayout)
+	a := memLayout.DataBase + 0x100
+	m.Write32(a, 0x04030201)
+	if got := m.ReadBytes(a, 4); string(got) != "\x01\x02\x03\x04" {
+		t.Errorf("bytes = %v, want [1 2 3 4]", got)
 	}
-	if got := m.Read16(0x100); got != 0x0201 {
-		t.Errorf("Read16 = %#x", got)
-	}
-	if got := m.Read16(0x102); got != 0x0403 {
-		t.Errorf("Read16+2 = %#x", got)
+	m.WriteBytes(a+1, []byte{0xAA})
+	if got := m.Read32(a); got != 0x0403AA01 {
+		t.Errorf("Read32 = %#x, want 0x0403aa01", got)
 	}
 }
 
+// TestMemoryCrossPageAccess writes and reads host runs that cross the
+// data slice's current length, which grows to hold them.
 func TestMemoryCrossPageAccess(t *testing.T) {
-	m := NewMemory()
-	boundary := uint32(2 * pageSize)
-	m.WriteBytes(boundary-2, []byte{1, 2, 3, 4})
-	if got := m.ReadBytes(boundary-2, 4); got[0] != 1 || got[3] != 4 {
-		t.Errorf("cross-page bytes = %v", got)
+	m := NewMemory(memLayout)
+	base := memLayout.DataBase
+	m.Write32(base, 1)
+	end := uint32(m.Extent(RegionData))
+	m.WriteBytes(base+end-2, []byte{1, 2, 3, 4})
+	if got := m.ReadBytes(base+end-2, 4); string(got) != "\x01\x02\x03\x04" {
+		t.Errorf("bytes across the slice end = %v", got)
 	}
-	// Unaligned word access straddling pages via Read32 (host side; the
-	// CPU would fault first).
-	m.Write32(boundary-2, 0xAABBCCDD)
-	if got := m.Read32(boundary - 2); got != 0xAABBCCDD {
-		t.Errorf("cross-page word = %#x", got)
+	if m.Extent(RegionData) != 2*int(end) {
+		t.Errorf("extent %d, want %d", m.Extent(RegionData), 2*end)
+	}
+	// An unaligned host word straddling the slice end (the CPU would
+	// fault first).
+	end = uint32(m.Extent(RegionData))
+	m.Write32(base+end-2, 0xAABBCCDD)
+	if got := m.Read32(base + end - 2); got != 0xAABBCCDD {
+		t.Errorf("word across the slice end = %#x", got)
 	}
 }
 
+// TestMemoryZeroAndSparse checks that reads and Zero grow nothing, that
+// a write grows its region's slice by doubling from 4 KiB, and that a
+// slice never grows past its region.
 func TestMemoryZeroAndSparse(t *testing.T) {
-	m := NewMemory()
-	if m.Read32(0x5000) != 0 {
+	m := NewMemory(memLayout)
+	a := memLayout.DataBase + 0x5000
+	if m.Read32(a) != 0 || len(m.ReadBytes(memLayout.DataBase, 1<<20)) != 1<<20 {
 		t.Error("untouched memory not zero")
 	}
-	if m.PageCount() != 0 {
-		t.Error("read allocated a page")
+	if m.Extent(RegionData) != 0 {
+		t.Error("a read grew the slice")
 	}
-	m.Write32(0x5000, 7)
-	if m.PageCount() != 1 {
-		t.Errorf("PageCount = %d, want 1", m.PageCount())
+	m.Write32(a, 7)
+	if got := m.Extent(RegionData); got != 0x8000 {
+		t.Errorf("extent %#x after a write at 0x5000, want 0x8000", got)
 	}
-	m.Zero(0x5000, 4)
-	if m.Read32(0x5000) != 0 {
-		t.Error("Zero did not clear")
+	m.Write32(memLayout.DataBase+0x7FFC, 9)
+	m.Zero(a, 4)
+	if m.Read32(a) != 0 || m.Read32(memLayout.DataBase+0x7FFC) != 9 {
+		t.Error("Zero did not clear exactly its bytes")
 	}
-	// Zeroing unallocated regions must not allocate.
-	m.Zero(0x100000, 1<<16)
-	if m.PageCount() != 1 {
-		t.Errorf("Zero allocated pages: %d", m.PageCount())
+	// A Zero run that crosses the slice's end clears the part inside it
+	// and grows nothing.
+	m.Zero(memLayout.DataBase+0x7000, 1<<16)
+	if m.Read32(memLayout.DataBase+0x7FFC) != 0 || m.Extent(RegionData) != 0x8000 {
+		t.Errorf("Zero across the slice end: word %#x, extent %#x", m.Read32(memLayout.DataBase+0x7FFC), m.Extent(RegionData))
+	}
+	m.Write32(memLayout.StackEnd-4, 1)
+	if got := m.Extent(RegionStack); got != int(memLayout.StackEnd-memLayout.StackBase) {
+		t.Errorf("stack extent %#x, want the whole region", got)
 	}
 }
 
 func TestWriteBytesReadBytesRoundTrip(t *testing.T) {
-	m := NewMemory()
+	m := NewMemory(memLayout)
+	size := memLayout.DataEnd - memLayout.DataBase
 	f := func(addr uint32, data []byte) bool {
 		if len(data) > 1<<16 {
 			data = data[:1<<16]
 		}
-		// Avoid wrapping the 32-bit address space.
-		if addr > 0xFFFF0000 {
-			addr = 0xFFFF0000
-		}
+		addr = memLayout.DataBase + addr%(size-uint32(len(data)))
 		m.WriteBytes(addr, data)
 		got := m.ReadBytes(addr, len(data))
-		for i := range data {
-			if got[i] != data[i] {
-				return false
-			}
-		}
-		return true
+		return string(got) == string(data)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHostAccessOutsideRegionsPanics pins that a host access that does
+// not lie wholly inside one region panics, naming the access.
+func TestHostAccessOutsideRegionsPanics(t *testing.T) {
+	m := NewMemory(memLayout)
+	for name, access := range map[string]func(){
+		"text write":         func() { m.Write32(memLayout.TextBase, 1) },
+		"unmapped read":      func() { m.Read32(0x30000000) },
+		"run past data end":  func() { m.WriteBytes(memLayout.DataEnd-2, []byte{1, 2, 3, 4}) },
+		"zero past data end": func() { m.Zero(memLayout.DataEnd-4, 8) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "outside every region") {
+					t.Errorf("%s: recovered %q, want a panic naming the access", name, msg)
+				}
+			}()
+			access()
+		}()
 	}
 }
 
