@@ -13,11 +13,9 @@ type Cache struct {
 	lineBits uint32
 	setBits  uint32
 	ways     int
-	// sets[s][w] holds the tag; order within a set is LRU (index 0 is
-	// most recently used). valid bit packed as tag|1 offset avoided by a
-	// parallel slice.
-	tags  [][]uint32
-	valid [][]bool
+	// slots holds set s in slots[s*ways:(s+1)*ways], most recently used
+	// first. A slot holds tag<<1|1, or 0 when empty.
+	slots []uint64
 
 	Accesses uint64
 	Misses   uint64
@@ -38,58 +36,46 @@ func NewCache(totalBytes, lineBytes, ways int) (*Cache, error) {
 	if sets < 1 {
 		return nil, fmt.Errorf("microarch: %dB/%dB-line/%d-way leaves no sets", totalBytes, lineBytes, ways)
 	}
-	c := &Cache{
-		ways:  ways,
-		tags:  make([][]uint32, sets),
-		valid: make([][]bool, sets),
-	}
+	c := &Cache{ways: ways, slots: make([]uint64, sets*ways)}
 	for lineBytes>>c.lineBits != 1 {
 		c.lineBits++
 	}
 	for sets>>c.setBits != 1 {
 		c.setBits++
 	}
-	for i := range c.tags {
-		c.tags[i] = make([]uint32, ways)
-		c.valid[i] = make([]bool, ways)
-	}
 	return c, nil
 }
 
 // Access touches addr, returning whether it hit. Misses install the
 // line, evicting the LRU way.
-func (c *Cache) Access(addr uint32) bool {
+//
+// pblint:hotpath — runs once per data access of every profiled packet.
+func (c *Cache) Access(addr uint32) bool { return c.accessLine(addr >> c.lineBits) }
+
+// accessLine is Access for line number line (an address >> lineBits).
+func (c *Cache) accessLine(line uint32) bool {
 	c.Accesses++
-	line := addr >> c.lineBits
-	set := line & (1<<c.setBits - 1)
-	tag := line >> c.setBits
-	tags, valid := c.tags[set], c.valid[set]
-	for w := 0; w < c.ways; w++ {
-		if valid[w] && tags[w] == tag {
-			// Move to MRU position.
-			copy(tags[1:w+1], tags[:w])
-			copy(valid[1:w+1], valid[:w])
-			tags[0], valid[0] = tag, true
+	set := int(line&(1<<c.setBits-1)) * c.ways
+	slots := c.slots[set : set+c.ways]
+	want := uint64(line>>c.setBits)<<1 | 1
+	for w, s := range slots {
+		if s == want {
+			copy(slots[1:w+1], slots[:w])
+			slots[0] = want
 			return true
 		}
 	}
 	c.Misses++
-	copy(tags[1:], tags[:c.ways-1])
-	copy(valid[1:], valid[:c.ways-1])
-	tags[0], valid[0] = tag, true
+	copy(slots[1:], slots)
+	slots[0] = want
 	return false
 }
-
-// hitMRU counts n more accesses to the line the last Access touched.
-// They hit, and that line is already most recently used, so the LRU
-// order stays as it is.
-func (c *Cache) hitMRU(n uint64) { c.Accesses += n }
 
 // MissRate returns misses/accesses.
 func (c *Cache) MissRate() float64 { return rate(c.Misses, c.Accesses) }
 
 // Sets returns the number of sets.
-func (c *Cache) Sets() int { return len(c.tags) }
+func (c *Cache) Sets() int { return len(c.slots) / c.ways }
 
 // String summarizes geometry and behaviour.
 func (c *Cache) String() string {
@@ -99,10 +85,6 @@ func (c *Cache) String() string {
 
 // Reset clears contents and counters.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		for w := range c.valid[i] {
-			c.valid[i][w] = false
-		}
-	}
+	clear(c.slots)
 	c.Accesses, c.Misses = 0, 0
 }

@@ -11,10 +11,11 @@
 // The Profiler implements vm.Tracer and can be attached to a bench
 // alongside the workload collector (see core.Bench.AddTracer). Each
 // instruction's class and fixed cycle cost are static, so BindProgram
-// computes them once per program, and a pass only pays for what is
-// dynamic: the I-cache access per line run, the branch outcome and the
-// D-cache access per data reference. A profiler must be bound before it
-// observes a run; Bench.AddTracer binds it.
+// sums them once per program into per-instruction prefix sums, and a
+// pass adds the difference of two of them. Beyond that a pass pays only
+// for what is dynamic: one I-cache access per line it spans, the branch
+// outcome and the D-cache access per data reference. A profiler must be
+// bound before it observes a run; Bench.AddTracer binds it.
 package microarch
 
 import (
@@ -138,11 +139,9 @@ func rate(n, d uint64) float64 {
 	return float64(n) / float64(d)
 }
 
-// record updates the statistics for one executed branch.
+// record updates the statistics for one executed branch. The profiler
+// makes the counter table when it is bound.
 func (b *BranchStats) record(pc uint32, backward, taken bool) {
-	if b.counters == nil {
-		b.counters = make([]uint8, bimodalEntries)
-	}
 	b.Branches++
 	if taken {
 		b.Taken++
@@ -209,7 +208,9 @@ type Profiler struct {
 	Branches BranchStats
 	// ICache and DCache, when non-nil, model first-level caches.
 	ICache, DCache *Cache
-	Cost           CostModel
+	// Cost is the cycle model (zero: DefaultCostModel). It is read when
+	// the profiler is bound, so a change after BindProgram is not seen.
+	Cost CostModel
 	// Cycles is the accumulated cycle estimate.
 	Cycles uint64
 
@@ -219,54 +220,54 @@ type Profiler struct {
 	pendingPC       uint32
 	pendingBackward bool
 
-	// The program table BindProgram builds: one entry per text
-	// instruction.
+	// cm is the bound cost model. The program table BindProgram builds
+	// has one entry per text instruction, plus one past the end.
+	cm       CostModel
 	textBase uint32
-	table    []opCost
+	sums     []opSums
 }
 
-// opCost is the static part of one instruction's profile.
-type opCost struct {
-	class    Class
-	backward bool   // a conditional branch whose target is not after it
-	cycles   uint64 // base cost, plus the taken penalty for jumps
+// opSums is one program table entry: the class counts and base cycles
+// (plus each jump's taken penalty) of the instructions before this one,
+// and whether this one is a conditional branch.
+type opSums struct {
+	counts   [NumClasses]uint64
+	cycles   uint64
+	branch   bool
+	backward bool // a conditional branch whose target is not after it
 }
 
 // NewProfiler builds a profiler with the default cost model and the
 // given caches (either may be nil).
 func NewProfiler(icache, dcache *Cache) *Profiler {
-	return &Profiler{ICache: icache, DCache: dcache, Cost: DefaultCostModel}
+	return &Profiler{ICache: icache, DCache: dcache, Cost: DefaultCostModel, cm: DefaultCostModel}
 }
 
-func (p *Profiler) cost() CostModel {
-	if p.Cost == (CostModel{}) {
-		return DefaultCostModel
-	}
-	return p.Cost
-}
-
-// opCost computes the static profile of instruction in at pc.
-func (cm CostModel) opCost(pc uint32, in isa.Instruction) opCost {
-	c := Classify(in.Op)
-	op := opCost{class: c, cycles: cm.base(c)}
-	if c == ClassJump {
-		op.cycles += cm.TakenPenalty
-	}
-	if c == ClassBranch {
-		op.backward = pc+isa.WordSize+uint32(in.Imm)*isa.WordSize <= pc
-	}
-	return op
-}
-
-// BindProgram computes the per-instruction table of the text segment
-// the profiled runs execute. The table holds the cost model's base
-// cycles, so set Cost before binding.
+// BindProgram binds Cost and builds the program table of the text
+// segment the profiled runs execute. It keeps the counts gathered so
+// far, so a profiler may be bound again.
 func (p *Profiler) BindProgram(text []isa.Instruction, textBase uint32) {
-	cm := p.cost()
+	if p.cm = p.Cost; p.cm == (CostModel{}) {
+		p.cm = DefaultCostModel
+	}
+	if p.Branches.counters == nil {
+		p.Branches.counters = make([]uint8, bimodalEntries)
+	}
 	p.textBase = textBase
-	p.table = make([]opCost, len(text))
+	p.sums = make([]opSums, len(text)+1)
 	for i, in := range text {
-		p.table[i] = cm.opCost(textBase+uint32(i)*isa.WordSize, in)
+		c := Classify(in.Op)
+		next, op := &p.sums[i+1], &p.sums[i]
+		next.counts, next.cycles = op.counts, op.cycles+p.cm.base(c)
+		next.counts[c]++
+		switch c {
+		case ClassJump:
+			next.cycles += p.cm.TakenPenalty
+		case ClassBranch:
+			pc := textBase + uint32(i)*isa.WordSize
+			op.branch = true
+			op.backward = pc+isa.WordSize+uint32(in.Imm)*isa.WordSize <= pc
+		}
 	}
 }
 
@@ -276,22 +277,22 @@ func (p *Profiler) BindProgram(text []isa.Instruction, textBase uint32) {
 // pass left. The I-cache and D-cache are separate, so running a pass's
 // I-cache accesses after its Mem events changes nothing.
 //
-// The I-cache is fetched per line, not per pc: the first pc of each
-// line run accesses the cache, and the rest of the run hits the line
-// that access just made most recently used, so they are counted as
-// hits without touching the LRU order.
+// The I-cache is fetched once per line the pass spans, not per pc: the
+// other pcs of each line hit the line that access just made most
+// recently used, so they are counted as hits without touching the LRU
+// order.
 //
 // pblint:hotpath — runs once per block pass of every profiled packet.
 func (p *Profiler) Pass(first, last int) {
-	cm := p.cost()
 	pc := p.textBase + uint32(first)*isa.WordSize
-	lastPC := p.textBase + uint32(last)*isa.WordSize
-	p.resolve(pc, &cm)
-	for _, op := range p.table[first : last+1] {
-		p.Mix.Counts[op.class]++
-		p.Cycles += op.cycles
+	p.resolve(pc)
+	lo, hi := &p.sums[first], &p.sums[last+1]
+	for c := range p.Mix.Counts {
+		p.Mix.Counts[c] += hi.counts[c] - lo.counts[c]
 	}
-	if op := p.table[last]; op.class == ClassBranch {
+	p.Cycles += hi.cycles - lo.cycles
+	lastPC := pc + uint32(last-first)*isa.WordSize
+	if op := &p.sums[last]; op.branch {
 		p.havePending = true
 		p.pendingPC = lastPC
 		p.pendingBackward = op.backward
@@ -300,41 +301,36 @@ func (p *Profiler) Pass(first, last int) {
 	if ic == nil {
 		return
 	}
-	if !ic.Access(pc) {
-		p.Cycles += cm.MissPenalty
-	}
-	line := pc >> ic.lineBits
-	var hits uint64
-	for pc += isa.WordSize; pc <= lastPC; pc += isa.WordSize {
-		if pc>>ic.lineBits == line {
-			hits++
-			continue
-		}
-		line = pc >> ic.lineBits
-		if !ic.Access(pc) {
-			p.Cycles += cm.MissPenalty
+	line, end := pc>>ic.lineBits, lastPC>>ic.lineBits
+	ic.Accesses += uint64(last-first) - uint64(end-line)
+	for ; line <= end; line++ { // pcs are word-aligned, so end < MaxUint32
+		if !ic.accessLine(line) {
+			p.Cycles += p.cm.MissPenalty
 		}
 	}
-	ic.hitMRU(hits)
 }
 
 // resolve settles the pending conditional branch, if any, now that the
 // pc of the instruction after it is known.
-func (p *Profiler) resolve(pc uint32, cm *CostModel) {
+//
+// pblint:hotpath — runs once per profiled pass.
+func (p *Profiler) resolve(pc uint32) {
 	if p.havePending {
 		p.havePending = false
 		taken := pc != p.pendingPC+isa.WordSize
 		p.Branches.record(p.pendingPC, p.pendingBackward, taken)
 		if taken {
-			p.Cycles += cm.TakenPenalty
+			p.Cycles += p.cm.TakenPenalty
 		}
 	}
 }
 
 // Mem implements vm.Tracer.
+//
+// pblint:hotpath — runs once per data access of every profiled packet.
 func (p *Profiler) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {
 	if p.DCache != nil && !p.DCache.Access(addr) {
-		p.Cycles += p.cost().MissPenalty
+		p.Cycles += p.cm.MissPenalty
 	}
 }
 

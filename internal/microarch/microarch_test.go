@@ -304,3 +304,36 @@ func TestZeroValueProfilerUsesDefaults(t *testing.T) {
 		t.Errorf("zero-value profiler cycles = %d", p.Cycles)
 	}
 }
+
+// TestCustomCostModel sets a cost model before binding: base cycles, the
+// taken penalty and the miss penalty all follow it. The model is read at
+// binding, so one assigned afterwards is seen only after binding again.
+func TestCustomCostModel(t *testing.T) {
+	ic, _ := NewCache(1024, 16, 2)
+	dc, _ := NewCache(1024, 16, 2)
+	p := &Profiler{ICache: ic, DCache: dc,
+		Cost: CostModel{ALU: 5, Load: 7, Branch: 11, TakenPenalty: 13, MissPenalty: 100}}
+	text := make([]isa.Instruction, 9)
+	text[0] = isa.Instruction{Op: isa.LW}
+	text[1] = isa.Instruction{Op: isa.BNE, Imm: 6} // to pc 0x20
+	text[8] = isa.Instruction{Op: isa.ADD}
+	p.BindProgram(text, 0)
+	p.Mem(0, 0x2000, 4, false, vm.RegionData) // D-cache miss: 100
+	p.Pass(0, 1)                              // load 7 + branch 11 + I-cache miss 100
+	p.Pass(8, 8)                              // taken 13 + ALU 5 + I-cache miss 100
+	if want := uint64(100 + 7 + 11 + 100 + 13 + 5 + 100); p.Cycles != want {
+		t.Errorf("Cycles = %d, want %d", p.Cycles, want)
+	}
+	p.Cost = DefaultCostModel
+	before := p.Cycles
+	p.Pass(8, 8) // I-cache hit; ALU still costs the bound 5
+	if p.Cycles != before+5 {
+		t.Errorf("a model assigned after binding changed the cost: %d cycles, want %d", p.Cycles-before, 5)
+	}
+	p.BindProgram(text, 0)
+	before = p.Cycles
+	p.Pass(8, 8)
+	if p.Cycles != before+DefaultCostModel.ALU {
+		t.Errorf("after binding again: %d cycles, want %d", p.Cycles-before, DefaultCostModel.ALU)
+	}
+}

@@ -25,12 +25,12 @@
 // equals a fresh run, even for stateful Flow Classification. The four
 // applications are built once per Env, so the forwarding apps build
 // their route images on the first load only (see apps.IPv4Radix).
-// Experiments with other options stay uncached: Run,
-// Profile, HotBlocks, Spans, Table4 (Coverage), Figure6 and Figure9
-// (Detail) and Microarch (an extra tracer). Each multi-cell experiment
-// runs its independent cells across GOMAXPROCS goroutines into fixed
-// result slots, so results, and the error reported, do not depend on
-// the core count.
+// Microarch reads profiles the MRA runs keep at TablePackets.
+// Experiments with other options stay uncached: Run, Profile,
+// HotBlocks, Spans, Table4 (Coverage), Figure6 and Figure9 (Detail).
+// Each multi-cell experiment runs its independent cells across
+// GOMAXPROCS goroutines into fixed result slots, so results, and the
+// error reported, do not depend on the core count.
 package report
 
 import (
@@ -838,51 +838,40 @@ type MicroarchRow struct {
 	CPI            float64
 }
 
-// Microarch profiles every application over MRA with 4 KiB / 8 KiB
-// two-way caches — the "traditional microarchitectural statistics" the
-// paper says PacketBench can also produce.
+// Microarch profiles every application over the first packets of MRA
+// with 4 KiB / 8 KiB two-way caches — the "traditional
+// microarchitectural statistics" the paper says PacketBench can also
+// produce. The profiler rides the shared MRA runs: at TablePackets, the
+// default, it reads the rows of the Tables II/III matrix's own runs.
 func (e *Env) Microarch(packets int) ([]MicroarchRow, error) {
 	if packets == 0 {
 		packets = e.cfg.TablePackets
 	}
 	rows := make([]MicroarchRow, len(AppNames))
-	err := forCells(len(rows), func(i int) error {
-		b, err := core.New(e.app(AppNames[i]), core.Options{})
-		if err != nil {
-			return err
-		}
-		ic, err := microarch.NewCache(4096, 16, 2)
-		if err != nil {
-			return err
-		}
-		dc, err := microarch.NewCache(8192, 16, 2)
-		if err != nil {
-			return err
-		}
-		prof := microarch.NewProfiler(ic, dc)
-		b.AddTracer(prof)
-		if _, err := b.RunPackets(e.Trace("MRA", packets), nil); err != nil {
-			return err
-		}
-		prof.Flush()
-		rows[i] = MicroarchRow{
-			App:            AppNames[i],
-			ALUFrac:        prof.Mix.Frac(microarch.ClassALU),
-			LoadFrac:       prof.Mix.Frac(microarch.ClassLoad),
-			StoreFrac:      prof.Mix.Frac(microarch.ClassStore),
-			BranchFrac:     prof.Mix.Frac(microarch.ClassBranch),
-			TakenRate:      prof.Branches.TakenRate(),
-			BimodalAcc:     prof.Branches.BimodalAccuracy(),
-			ICacheMissRate: ic.MissRate(),
-			DCacheMissRate: dc.MissRate(),
-			CPI:            prof.CPI(),
-		}
-		return nil
+	err := forCells(len(rows), func(i int) (err error) {
+		_, rows[i], err = e.cached(runKey{AppNames[i], "MRA", packets}, packets)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// microarchRow summarizes a flushed profile of app.
+func microarchRow(app string, prof *microarch.Profiler) MicroarchRow {
+	return MicroarchRow{
+		App:            app,
+		ALUFrac:        prof.Mix.Frac(microarch.ClassALU),
+		LoadFrac:       prof.Mix.Frac(microarch.ClassLoad),
+		StoreFrac:      prof.Mix.Frac(microarch.ClassStore),
+		BranchFrac:     prof.Mix.Frac(microarch.ClassBranch),
+		TakenRate:      prof.Branches.TakenRate(),
+		BimodalAcc:     prof.Branches.BimodalAccuracy(),
+		ICacheMissRate: prof.ICache.MissRate(),
+		DCacheMissRate: prof.DCache.MissRate(),
+		CPI:            prof.CPI(),
+	}
 }
 
 // FormatMicroarch renders the microarchitectural profile table.

@@ -7,12 +7,17 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/microarch"
 	"repro/internal/stats"
 )
 
 // runKey names one shared simulation: an application over a trace under
-// default core.Options.
-type runKey struct{ app, trace string }
+// default core.Options, with a microarch.Profiler over its first profile
+// packets (0: none), which is part of the run's output.
+type runKey struct {
+	app, trace string
+	profile    int
+}
 
 // packetScalars is what the run cache keeps of one packet record. The
 // default step limit (10M instructions per packet) bounds every count,
@@ -80,18 +85,32 @@ type cacheEntry struct {
 	// before the first request, after a failure and once the run covers
 	// its whole trace.
 	bench *core.Bench
+	// prof profiles the run; row is its profile once the run is long
+	// enough, and prof observes the rest of the run unread.
+	prof *microarch.Profiler
+	row  MicroarchRow
 }
 
-// shared returns the first n packets of appName over traceName under
-// default options. A request no longer than the cached run reads its
-// prefix; a longer one continues the cached run's bench from its next
-// packet. Runs are deterministic, so a prefix, and an extension, equals
-// a fresh run of that length, even for the stateful Flow
-// Classification. A run that failed at packet k serves the k packets
-// before it and answers longer requests with its error.
+// shared returns the first n packets of appName over traceName. MRA runs
+// carry the profiler over TablePackets, so Microarch reads them too.
 func (e *Env) shared(appName, traceName string, n int) (*sharedRun, error) {
-	n = min(n, len(e.traces[traceName]))
-	k := runKey{appName, traceName}
+	k := runKey{appName, traceName, 0}
+	if traceName == "MRA" {
+		k.profile = e.cfg.TablePackets
+	}
+	r, _, err := e.cached(k, n)
+	return r, err
+}
+
+// cached returns the first n packets of k's run, and its profile once
+// it has one. A request no longer than the cached run reads its prefix;
+// a longer one continues the cached run's bench from its next packet.
+// Runs are deterministic, so a prefix, and an extension, equals a fresh
+// run of that length, even for the stateful Flow Classification. A run
+// that failed at packet k serves the k packets before it and answers
+// longer requests with its error.
+func (e *Env) cached(k runKey, n int) (*sharedRun, MicroarchRow, error) {
+	n = min(n, len(e.traces[k.trace]))
 	e.runs.mu.Lock()
 	ent := e.runs.entries[k]
 	if ent == nil {
@@ -107,16 +126,17 @@ func (e *Env) shared(appName, traceName string, n int) (*sharedRun, error) {
 		e.extend(ent, k, n)
 	}
 	if len(r.scalars) < n {
-		return nil, r.err
+		return nil, MicroarchRow{}, r.err
 	}
-	return r.prefix(n), nil
+	return r.prefix(n), ent.row, nil
 }
 
 // extend simulates packets len(scalars)..n-1 of the entry's run packet
 // by packet on its bench, loading the bench on the first request, so a
 // long run holds one packet's record at a time rather than the whole
 // slice. Packet indexes are the trace's, as in a RunPackets call over
-// the same prefix. The caller holds ent.mu.
+// the same prefix. A profiled run keeps its row the moment it is
+// min(profile, len(trace)) packets long. The caller holds ent.mu.
 func (e *Env) extend(ent *cacheEntry, k runKey, n int) {
 	r := ent.run
 	if ent.bench == nil {
@@ -125,9 +145,16 @@ func (e *Env) extend(ent *cacheEntry, k runKey, n int) {
 			r.err = err
 			return
 		}
+		if k.profile > 0 {
+			ic, _ := microarch.NewCache(4096, 16, 2) // valid geometries
+			dc, _ := microarch.NewCache(8192, 16, 2)
+			ent.prof = microarch.NewProfiler(ic, dc)
+			b.AddTracer(ent.prof)
+		}
 		ent.bench = b
 		r.numBlocks = b.BlockMap().NumBlocks()
 	}
+	profiled := min(k.profile, len(e.traces[k.trace]))
 	r.scalars = slices.Grow(r.scalars, n-len(r.scalars))
 	pkts := e.Trace(k.trace, n)
 	for i := len(r.scalars); i < n; i++ {
@@ -146,6 +173,10 @@ func (e *Env) extend(ent *cacheEntry, k runKey, n int) {
 		})
 		if len(r.head) < e.cfg.FigurePackets {
 			r.head = append(r.head, *rec)
+		}
+		if len(r.scalars) == profiled {
+			ent.prof.Flush()
+			ent.row = microarchRow(k.app, ent.prof)
 		}
 	}
 	if n == len(e.traces[k.trace]) {

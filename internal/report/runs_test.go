@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/microarch"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/vm"
@@ -60,7 +61,7 @@ func TestSharedRunsMatchFreshRuns(t *testing.T) {
 			// The last matrix read prefixes: the COS runs are still the
 			// variation tables' full-length ones.
 			for _, app := range AppNames {
-				r := env.runs.entries[runKey{app, "COS"}].run
+				r := env.runs.entries[runKey{app, "COS", 0}].run
 				if len(r.scalars) != testConfig.VariationPackets {
 					t.Errorf("%s on COS: cache holds %d packets, want %d", app, len(r.scalars), testConfig.VariationPackets)
 				}
@@ -90,12 +91,12 @@ func TestSharedRunFailure(t *testing.T) {
 	if _, err := env.shared("TSA", "MRA", 50); err == nil || err.Error() != wantErr.Error() {
 		t.Fatalf("shared run: err %v, want %v", err, wantErr)
 	}
-	cached := env.runs.entries[runKey{"TSA", "MRA"}].run
+	cached := env.runs.entries[runKey{"TSA", "MRA", testConfig.TablePackets}].run
 	r, err := env.shared("TSA", "MRA", bad)
 	if err != nil {
 		t.Fatalf("prefix before the fault: %v", err)
 	}
-	if env.runs.entries[runKey{"TSA", "MRA"}].run != cached {
+	if env.runs.entries[runKey{"TSA", "MRA", testConfig.TablePackets}].run != cached {
 		t.Error("a prefix of the failed run was simulated again")
 	}
 	if got, want := r.summary(), stats.Summarize(freshRecs); !reflect.DeepEqual(got, want) {
@@ -109,6 +110,42 @@ func TestSharedRunFailure(t *testing.T) {
 	var f *vm.Fault
 	if err == nil || !strings.HasPrefix(err.Error(), "IPv4-radix on MRA: ") || !errors.As(err, &f) {
 		t.Errorf("matrix error %v, want IPv4-radix on MRA's fault", err)
+	}
+
+	// Microarch rides the failed MRA runs: it reports the error of a
+	// fresh profile, the first application's in table order.
+	if _, wantErr = freshMicroarch(env, testConfig.TablePackets); wantErr == nil {
+		t.Fatal("fresh profile succeeded over the faulting packet")
+	}
+	if _, err := env.Microarch(0); err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("microarch: err %v, want %v", err, wantErr)
+	}
+}
+
+// TestSharedRunFailsAfterProfile runs every MRA run into a faulting
+// packet past TablePackets: the runs keep the profile they snapshotted
+// at TablePackets, so Microarch still serves a fresh profile's rows.
+func TestSharedRunFailsAfterProfile(t *testing.T) {
+	n := testConfig.TablePackets
+	env := NewEnv(testConfig)
+	mra := append([]*trace.Packet(nil), env.traces["MRA"]...)
+	mra[n+5] = &trace.Packet{Data: make([]byte, core.MaxPacketLen+1)}
+	env.traces["MRA"] = mra
+	want, err := freshMicroarch(env, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, app := range AppNames {
+		if _, err := env.shared(app, "MRA", n+10); err == nil {
+			t.Fatalf("%s: the run past the faulting packet succeeded", app)
+		}
+	}
+	got, err := env.Microarch(n)
+	if err != nil {
+		t.Fatalf("microarch after the runs failed past its packets: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("microarch rows differ from a fresh profile\nshared: %+v\nfresh:  %+v", got, want)
 	}
 }
 
@@ -174,7 +211,7 @@ func TestSharedRunExtends(t *testing.T) {
 				head:      slices.Clone(before.head),
 				numBlocks: before.numBlocks,
 			}
-			ent := env.runs.entries[runKey{app, c.trace}]
+			ent := env.runs.entries[sharedKey(app, c.trace)]
 			run, bench := ent.run, ent.bench
 			done := make(chan struct{})
 			go func() {
@@ -234,7 +271,7 @@ func TestSharedRunExtensionFails(t *testing.T) {
 	if _, err := env.shared("Flow Classification", "MRA", bad-5); err != nil {
 		t.Fatal(err)
 	}
-	ent := env.runs.entries[runKey{"Flow Classification", "MRA"}]
+	ent := env.runs.entries[runKey{"Flow Classification", "MRA", testConfig.TablePackets}]
 	for _, n := range []int{50, 100, bad + 1} {
 		if _, err := env.shared("Flow Classification", "MRA", n); err == nil || err.Error() != wantErr.Error() {
 			t.Errorf("%d packets: err %v, want %v", n, err, wantErr)
@@ -250,5 +287,143 @@ func TestSharedRunExtensionFails(t *testing.T) {
 	_, recs, _ := env.Run("Flow Classification", "MRA", bad, core.Options{})
 	if got, want := r.summary(), stats.Summarize(recs); !reflect.DeepEqual(got, want) {
 		t.Errorf("prefix summary %+v, fresh %+v", got, want)
+	}
+}
+
+// sharedKey is the key Env.shared caches appName over traceName under.
+func sharedKey(appName, traceName string) runKey {
+	if traceName == "MRA" {
+		return runKey{appName, traceName, testConfig.TablePackets}
+	}
+	return runKey{appName, traceName, 0}
+}
+
+// freshMicroarch is the microarchitectural table as a standalone run
+// computes it: its own bench and profiler per application, over the
+// first packets of MRA. Env.Microarch must equal it.
+func freshMicroarch(e *Env, packets int) ([]MicroarchRow, error) {
+	rows := make([]MicroarchRow, len(AppNames))
+	err := forCells(len(rows), func(i int) error {
+		b, err := core.New(e.app(AppNames[i]), core.Options{})
+		if err != nil {
+			return err
+		}
+		ic, err := microarch.NewCache(4096, 16, 2)
+		if err != nil {
+			return err
+		}
+		dc, err := microarch.NewCache(8192, 16, 2)
+		if err != nil {
+			return err
+		}
+		prof := microarch.NewProfiler(ic, dc)
+		b.AddTracer(prof)
+		if _, err := b.RunPackets(e.Trace("MRA", packets), nil); err != nil {
+			return err
+		}
+		prof.Flush()
+		rows[i] = MicroarchRow{
+			App:            AppNames[i],
+			ALUFrac:        prof.Mix.Frac(microarch.ClassALU),
+			LoadFrac:       prof.Mix.Frac(microarch.ClassLoad),
+			StoreFrac:      prof.Mix.Frac(microarch.ClassStore),
+			BranchFrac:     prof.Mix.Frac(microarch.ClassBranch),
+			TakenRate:      prof.Branches.TakenRate(),
+			BimodalAcc:     prof.Branches.BimodalAccuracy(),
+			ICacheMissRate: ic.MissRate(),
+			DCacheMissRate: dc.MissRate(),
+			CPI:            prof.CPI(),
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
+}
+
+// TestMicroarchRidesSharedRuns diffs Env.Microarch against
+// freshMicroarch in four orders: pbreport's, where the figures read a
+// prefix of the profiled MRA runs and Microarch reads the matrix's runs;
+// Microarch first, so the matrix reads the runs Microarch made; a
+// length other than TablePackets first, which gets runs of its own; and
+// all of them at once. The matrix's MRA cells, read from profiled runs,
+// must equal unprofiled runs'.
+func TestMicroarchRidesSharedRuns(t *testing.T) {
+	n, short := testConfig.TablePackets, testConfig.TablePackets/3
+	want, err := freshMicroarch(sharedEnv, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantShort, err := freshMicroarch(sharedEnv, short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unprofiled := map[string]MatrixCell{}
+	for _, app := range AppNames {
+		_, recs, err := sharedEnv.Run(app, "MRA", n, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := stats.Summarize(recs)
+		unprofiled[app] = MatrixCell{s.MeanInstructions, s.MeanPacketAcc, s.MeanNonPacketAcc}
+	}
+	steps := map[string]func(t *testing.T, e *Env){
+		"matrix": func(t *testing.T, e *Env) {
+			m, err := e.RunMatrix(n)
+			if err != nil {
+				t.Error(err)
+			} else if !reflect.DeepEqual(m.Cells["MRA"], unprofiled) {
+				t.Errorf("matrix MRA cells %+v, unprofiled runs %+v", m.Cells["MRA"], unprofiled)
+			}
+		},
+		"figures": func(t *testing.T, e *Env) {
+			if _, err := e.FigureSeries(MetricInstructions); err != nil {
+				t.Error(err)
+			}
+		},
+		"microarch": func(t *testing.T, e *Env) {
+			if got, err := e.Microarch(n); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("microarch: err %v, rows differ from a fresh profile\nshared: %+v\nfresh:  %+v", err, got, want)
+			}
+		},
+		"short microarch": func(t *testing.T, e *Env) {
+			if got, err := e.Microarch(short); err != nil || !reflect.DeepEqual(got, wantShort) {
+				t.Errorf("%d-packet microarch: err %v, rows differ from a fresh profile\nshared: %+v\nfresh:  %+v", short, err, got, wantShort)
+			}
+		},
+	}
+	steps["all at once"] = func(t *testing.T, e *Env) {
+		var wg sync.WaitGroup
+		for _, st := range []string{"microarch", "matrix", "figures", "short microarch"} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				steps[st](t, e)
+			}()
+		}
+		wg.Wait()
+	}
+	orders := [][]string{
+		{"matrix", "figures", "microarch", "short microarch"},
+		{"microarch", "matrix", "short microarch"},
+		{"short microarch", "figures", "microarch", "matrix"},
+		{"all at once"},
+	}
+	for _, procs := range []int{1, 4} {
+		for _, order := range orders {
+			t.Run(fmt.Sprintf("GOMAXPROCS=%d/%s", procs, strings.Join(order, ",")), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				env := NewEnv(testConfig)
+				for _, st := range order {
+					steps[st](t, env)
+				}
+				// One run per matrix cell, which the figures and
+				// Microarch(n) share, plus Microarch(short)'s own.
+				if got, want := len(env.runs.entries), len(AppNames)*(len(TraceNames)+1); got != want {
+					t.Errorf("%d cached runs, want %d", got, want)
+				}
+			})
+		}
 	}
 }
