@@ -151,13 +151,12 @@ func (cfg *config) errorPolicy() (core.ErrorPolicy, error) {
 
 // openTrace opens cfg.traceFile — one capture or a comma-separated shard
 // list replayed in timestamp order through a trace.MergeReader — and
-// returns the reader, a cleanup closing every underlying file (and
-// mapping), and the run's malformed-record budget. Under a skip policy
-// every shard draws on that one budget of cfg.errorBudget skips, so it
-// bounds the run, not each shard; its count is the run's total. Pcap
-// shards are memory-mapped when useMmap is set, serving packet bytes
-// zero-copy from the page cache; TSH shards always read buffered.
-func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() error, *trace.SkipBudget, error) {
+// returns the reader, a cleanup closing every underlying file, and the
+// run's malformed-record budget. Under a skip policy every shard draws
+// on that one budget of cfg.errorBudget skips, so it bounds the run, not
+// each shard; its count is the run's total. Every packet outlives the
+// cleanup.
+func openTrace(cfg *config, skipMalformed bool) (trace.Reader, func() error, *trace.SkipBudget, error) {
 	var (
 		readers []trace.Reader
 		closers []func() error
@@ -195,11 +194,7 @@ func openTrace(cfg *config, skipMalformed, useMmap bool) (trace.Reader, func() e
 			readers = append(readers, tr)
 			continue
 		}
-		open := trace.OpenPcapBuffered
-		if useMmap {
-			open = trace.OpenPcap
-		}
-		fr, err := open(path)
+		fr, err := trace.OpenPcap(path)
 		if err != nil {
 			cleanup()
 			return nil, nil, nil, err
@@ -244,9 +239,7 @@ func traceFingerprints(cfg *config) ([]core.TraceID, error) {
 
 func loadPackets(cfg *config, skipMalformed bool) ([]*trace.Packet, error) {
 	if cfg.traceFile != "" {
-		// Preloaded packets outlive the reader, so never mmap here: a
-		// zero-copy packet must not alias an unmapped file.
-		r, cleanup, skips, err := openTrace(cfg, skipMalformed, false)
+		r, cleanup, skips, err := openTrace(cfg, skipMalformed)
 		if err != nil {
 			return nil, err
 		}
@@ -309,27 +302,34 @@ func printVerdicts(verdicts map[uint32]int) {
 }
 
 // checkPool refuses -pool values the run cannot honour: fewer than one
-// core, or a pool with an output only the single-core path produces.
+// core, a pool with an output only the single-core path produces, or one
+// core with a setting only the pool scheduler reads.
 func (cfg *config) checkPool() error {
 	if cfg.pool < 1 {
 		return fmt.Errorf("-pool %d: want at least 1 core", cfg.pool)
 	}
-	if cfg.pool == 1 {
-		return nil
-	}
 	for _, f := range []struct {
-		name string
-		set  bool
+		name     string
+		set      bool
+		poolOnly bool
 	}{
-		{"-out", cfg.outFile != ""},
-		{"-microarch", cfg.uarch},
-		{"-dumppkt", cfg.dumpPkt >= 0},
-		{"-annotate", cfg.annotate},
-		{"-flowgraph", cfg.flowDot != ""},
+		{"-out", cfg.outFile != "", false},
+		{"-microarch", cfg.uarch, false},
+		{"-dumppkt", cfg.dumpPkt >= 0, false},
+		{"-annotate", cfg.annotate, false},
+		{"-flowgraph", cfg.flowDot != "", false},
+		{"-deadline", cfg.deadline != 0, true},
+		{"-stall-timeout", cfg.stallTimeout != 0, true},
+		{"-shed", cfg.shed != "" && cfg.shed != "block", true},
+		{"-batch", cfg.batch != 0, true},
 	} {
-		if f.set {
-			return fmt.Errorf("%s is single-core only: drop it or run with -pool 1", f.name)
+		if !f.set || f.poolOnly != (cfg.pool == 1) {
+			continue
 		}
+		if f.poolOnly {
+			return fmt.Errorf("%s needs the pool scheduler: drop it or run with -pool 2 or more", f.name)
+		}
+		return fmt.Errorf("%s is single-core only: drop it or run with -pool 1", f.name)
 	}
 	return nil
 }
@@ -446,7 +446,7 @@ func run(cfg config) error {
 
 	if cfg.pool > 1 {
 		if streaming {
-			r, cleanup, skips, err := openTrace(&cfg, policy.Policy != core.FailFast, true)
+			r, cleanup, skips, err := openTrace(&cfg, policy.Policy != core.FailFast)
 			if err != nil {
 				return err
 			}

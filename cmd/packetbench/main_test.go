@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/gen"
@@ -165,8 +166,9 @@ func TestFlagHelp(t *testing.T) {
 	}
 }
 
-// TestPoolFlagChecks: -pool below 1, and a pool with an output only the
-// single-core path writes, exit with an error naming the flag.
+// TestPoolFlagChecks: -pool below 1, a pool with an output only the
+// single-core path writes, and one core with a setting only the pool
+// scheduler reads, exit with an error naming the flag.
 func TestPoolFlagChecks(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -181,6 +183,10 @@ func TestPoolFlagChecks(t *testing.T) {
 		{"dumppkt", 2, func(c *config) { c.dumpPkt = 3 }, "-dumppkt"},
 		{"annotate", 2, func(c *config) { c.annotate = true }, "-annotate"},
 		{"flowgraph", 2, func(c *config) { c.flowDot = filepath.Join(t.TempDir(), "f.dot") }, "-flowgraph"},
+		{"deadline", 1, func(c *config) { c.deadline = time.Nanosecond }, "-deadline"},
+		{"stall-timeout", 1, func(c *config) { c.stallTimeout = time.Nanosecond }, "-stall-timeout"},
+		{"shed", 1, func(c *config) { c.shed = "drop-newest" }, "-shed"},
+		{"batch", 1, func(c *config) { c.batch = 7 }, "-batch"},
 	} {
 		cfg := testConfig("tsa", "LAN", 20)
 		cfg.pool = tc.pool
@@ -188,6 +194,11 @@ func TestPoolFlagChecks(t *testing.T) {
 		if err := run(cfg); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.want)
 		}
+	}
+	cfg := testConfig("tsa", "LAN", 20)
+	cfg.shed = "block" // the flag's default
+	if err := run(cfg); err != nil {
+		t.Errorf("-shed block at -pool 1: %v", err)
 	}
 }
 
@@ -201,8 +212,7 @@ func TestRunPoolMode(t *testing.T) {
 
 // TestRunPoolStreamsShardedTrace exercises the streaming ingestion path:
 // a multi-core pool fed straight from a timestamp-merged pair of pcap
-// shards (memory-mapped, as every streaming run reads them), with an
-// explicit batch size.
+// shards, with an explicit batch size.
 func TestRunPoolStreamsShardedTrace(t *testing.T) {
 	dir := t.TempDir()
 	pkts := gen.Generate(gen.Profile{

@@ -144,9 +144,9 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 	shardA := writeCkptPcap(t, dir, "even.pcap", even)
 	shardB := writeCkptPcap(t, dir, "odd.pcap", odd)
 
-	openFile := func(open func(string) (trace.FileReader, error), path string) func(t *testing.T) trace.Reader {
+	openFile := func(path string) func(t *testing.T) trace.Reader {
 		return func(t *testing.T) trace.Reader {
-			fr, err := open(path)
+			fr, err := trace.OpenPcap(path)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,12 +155,11 @@ func TestCheckpointResumeEquivalence(t *testing.T) {
 		}
 	}
 	readers := map[string]func(t *testing.T) trace.Reader{
-		"slice":    func(t *testing.T) trace.Reader { return trace.NewSliceReader(pkts) },
-		"pcap":     openFile(trace.OpenPcapBuffered, single),
-		"pcapmmap": openFile(trace.OpenPcap, single),
+		"slice": func(t *testing.T) trace.Reader { return trace.NewSliceReader(pkts) },
+		"pcap":  openFile(single),
 		"merge": func(t *testing.T) trace.Reader {
-			ra := openFile(trace.OpenPcapBuffered, shardA)(t)
-			rb := openFile(trace.OpenPcapBuffered, shardB)(t)
+			ra := openFile(shardA)(t)
+			rb := openFile(shardB)(t)
 			return trace.NewMergeReader(ra, rb)
 		},
 	}
@@ -199,7 +198,7 @@ func TestCheckpointResumeAcrossResync(t *testing.T) {
 		t.Fatal(err)
 	}
 	mk := func(t *testing.T) trace.Reader {
-		fr, err := trace.OpenPcapBuffered(path)
+		fr, err := trace.OpenPcap(path)
 		if err != nil {
 			t.Fatal(err)
 		}

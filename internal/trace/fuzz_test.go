@@ -12,12 +12,8 @@ import (
 // arbitrary input, in both fail-fast and skip-and-resync modes: every
 // corruption surfaces as a typed *MalformedRecordError (or a clean io
 // error), packet invariants hold, and skip mode never exceeds its budget.
-// It also runs the decoder's two byte sources in lockstep as a
-// differential oracle: the in-memory source (NewBytesPcapReader) and the
-// stream source (NewPcapReader) must produce the same packets, the same
-// positions, and the same errors on every input. Every packet returned
-// is kept and re-checked at the end of the input, so a body or Packet
-// that overlaps another, or a reused chunk, shows.
+// Every packet returned is kept and re-checked at the end of the input,
+// so a body or Packet that overlaps another, or a reused chunk, shows.
 func FuzzPcapReader(f *testing.F) {
 	var buf bytes.Buffer
 	w, _ := NewPcapWriter(&buf)
@@ -35,25 +31,15 @@ func FuzzPcapReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, budget := range []int{-1, 0, 2} {
 			r, err := NewPcapReader(bytes.NewReader(b))
-			br, berr := NewBytesPcapReader(b)
-			if (err == nil) != (berr == nil) {
-				t.Fatalf("construction diverges: buffered %v, bytes %v", err, berr)
-			}
 			if err != nil {
 				continue // bad magic or truncated global header
 			}
 			if budget >= 0 {
 				r.SetSkipMalformed(NewSkipBudget(budget))
-				br.SetSkipMalformed(NewSkipBudget(budget))
 			}
 			var kept keptPackets
 			for n := 0; n < 1000; n++ {
 				p, err := r.Next()
-				bp, berr := br.Next()
-				if (err == nil) != (berr == nil) ||
-					(err != nil && err.Error() != berr.Error()) {
-					t.Fatalf("error diverges at packet %d: buffered %v, bytes %v", n, err, berr)
-				}
 				if err == io.EOF {
 					break
 				}
@@ -67,21 +53,14 @@ func FuzzPcapReader(f *testing.F) {
 				if len(p.Data) == 0 || p.WireLen < len(p.Data) {
 					t.Fatalf("invariant broken: len(Data)=%d WireLen=%d", len(p.Data), p.WireLen)
 				}
-				if p.Sec != bp.Sec || p.Usec != bp.Usec || p.WireLen != bp.WireLen || !bytes.Equal(p.Data, bp.Data) {
-					t.Fatalf("packet %d diverges: buffered %+v, bytes %+v", n, p, bp)
-				}
 				kept.add(p)
-				kept.add(bp)
-				if r.Pos() != br.Pos() {
-					t.Fatalf("Pos diverges at packet %d: buffered %d, bytes %d", n, r.Pos(), br.Pos())
-				}
 			}
 			kept.check(t)
 			if budget > 0 && r.Skipped() > budget {
 				t.Fatalf("Skipped %d exceeds budget %d", r.Skipped(), budget)
 			}
-			if r.Skipped() != br.Skipped() {
-				t.Fatalf("Skipped diverges: buffered %d, bytes %d", r.Skipped(), br.Skipped())
+			if r.Pos() > int64(len(b)) {
+				t.Fatalf("Pos %d past the input's %d bytes", r.Pos(), len(b))
 			}
 		}
 	})

@@ -53,18 +53,16 @@ func TestPcapResyncExhaustedTyped(t *testing.T) {
 	}
 }
 
-// pcapSources opens raw on each of the decoder's two byte sources.
-func pcapSources(t *testing.T, raw []byte) map[string]*PcapReader {
+// pcapOf opens raw as OpenPcap opens a file: a PcapReader over a
+// seekable source, with Total set to the input's size.
+func pcapOf(t *testing.T, raw []byte) *PcapReader {
 	t.Helper()
-	stream, err := NewPcapReader(bytes.NewReader(raw))
+	r, err := NewPcapReader(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	mem, err := NewBytesPcapReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return map[string]*PcapReader{"stream": stream, "mem": mem}
+	r.SetTotal(int64(len(raw)))
+	return r
 }
 
 // resyncCandidatePcap builds a capture with no snap bound (so oversize
@@ -99,7 +97,7 @@ func resyncCandidatePcap(incl uint32, body int, filler byte) []byte {
 // TestPcapResyncRejectsUnconfirmableCandidate covers the stale-recOff /
 // unconfirmed-candidate interaction: a resync scan that slides onto a
 // header whose claimed body exceeds the lookahead must reject it (it
-// cannot be confirmed) rather than lock on, on both byte sources. On the
+// cannot be confirmed) rather than lock on. On the
 // pre-fix reader the candidate was accepted unconfirmed and its truncated
 // body surfaced as a malformed-body error attributed to the original
 // corrupt record's offset — both the acceptance and the offset were wrong.
@@ -107,27 +105,25 @@ func TestPcapResyncRejectsUnconfirmableCandidate(t *testing.T) {
 	// Only part of the claimed body follows (enough to fill the lookahead
 	// so the end is not visible) before EOF.
 	raw := resyncCandidatePcap(pcapBufSize*2, pcapBufSize+1024, 0xFF)
-	for name, r := range pcapSources(t, raw) {
-		r.SetSkipMalformed(NewSkipBudget(1))
-		if _, err := r.Next(); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		// The candidate is unconfirmable, the scan runs to EOF, and the
-		// corrupt tail is absorbed by the skip that was already consumed.
-		if _, err := r.Next(); err != io.EOF {
-			t.Errorf("%s: Next = %v, want EOF (unconfirmable candidate rejected)", name, err)
-		}
-		if r.Skipped() != 1 {
-			t.Errorf("%s: Skipped = %d, want 1", name, r.Skipped())
-		}
+	r := pcapOf(t, raw)
+	r.SetSkipMalformed(NewSkipBudget(1))
+	if _, err := r.Next(); err != nil {
+		t.Fatal(err)
+	}
+	// The candidate is unconfirmable, the scan runs to EOF, and the
+	// corrupt tail is absorbed by the skip that was already consumed.
+	if _, err := r.Next(); err != io.EOF {
+		t.Errorf("Next = %v, want EOF (unconfirmable candidate rejected)", err)
+	}
+	if r.Skipped() != 1 {
+		t.Errorf("Skipped = %d, want 1", r.Skipped())
 	}
 }
 
-// TestPcapResyncLookaheadRule pins the lookahead rule at its boundary on
-// both byte sources: a resync candidate that is exactly the final record
-// is confirmed only while its body plus one record header fits in
-// pcapBufSize bytes. The in-memory source can see the whole body, but it
-// must still reject from pcapBufSize-15 upward, as the stream source does.
+// TestPcapResyncLookaheadRule pins the lookahead rule at its boundary: a
+// resync candidate that is exactly the final record is confirmed only
+// while its body plus one record header fits in pcapBufSize bytes, so it
+// is rejected from pcapBufSize-15 upward.
 func TestPcapResyncLookaheadRule(t *testing.T) {
 	const c = pcapBufSize
 	for _, incl := range []int{c - 16, c - 15, c - 8, c - 1, c, c + 8} {
@@ -136,18 +132,17 @@ func TestPcapResyncLookaheadRule(t *testing.T) {
 		if incl+pcapRecordLen <= pcapBufSize {
 			want = 2
 		}
-		for name, r := range pcapSources(t, raw) {
-			r.SetSkipMalformed(NewSkipBudget(1))
-			got, err := ReadAll(r, 0)
-			if err != nil {
-				t.Fatalf("incl=%d/%s: %v", incl, name, err)
-			}
-			if len(got) != want {
-				t.Errorf("incl=%d/%s: %d packets, want %d", incl, name, len(got), want)
-			}
-			if r.Pos() != int64(len(raw)) || r.Skipped() != 1 {
-				t.Errorf("incl=%d/%s: Pos %d Skipped %d, want %d and 1", incl, name, r.Pos(), r.Skipped(), len(raw))
-			}
+		r := pcapOf(t, raw)
+		r.SetSkipMalformed(NewSkipBudget(1))
+		got, err := ReadAll(r, 0)
+		if err != nil {
+			t.Fatalf("incl=%d: %v", incl, err)
+		}
+		if len(got) != want {
+			t.Errorf("incl=%d: %d packets, want %d", incl, len(got), want)
+		}
+		if r.Pos() != int64(len(raw)) || r.Skipped() != 1 {
+			t.Errorf("incl=%d: Pos %d Skipped %d, want %d and 1", incl, r.Pos(), r.Skipped(), len(raw))
 		}
 	}
 }
@@ -305,209 +300,7 @@ func TestSkipBudgetSemanticsShared(t *testing.T) {
 	}
 }
 
-// --- batch / bytes / file reader equivalence ---------------------------
-
-type pcapLike interface {
-	Reader
-	Positioned
-	Skipped() int
-	SetSkipMalformed(*SkipBudget)
-}
-
-type drainResult struct {
-	pkts    []*Packet
-	pos     []int64
-	err     error
-	skipped int
-}
-
-func drain(r pcapLike, budget int, useBudget bool) drainResult {
-	var d drainResult
-	if useBudget {
-		r.SetSkipMalformed(NewSkipBudget(budget))
-	}
-	for i := 0; i < 100000; i++ {
-		p, err := r.Next()
-		if err != nil {
-			if err != io.EOF {
-				d.err = err
-			}
-			break
-		}
-		d.pkts = append(d.pkts, p)
-		d.pos = append(d.pos, r.Pos())
-	}
-	d.skipped = r.Skipped()
-	return d
-}
-
-func errString(e error) string {
-	if e == nil {
-		return "<nil>"
-	}
-	return e.Error()
-}
-
-func compareDrains(t *testing.T, name string, want, got drainResult) {
-	t.Helper()
-	if errString(want.err) != errString(got.err) {
-		t.Errorf("%s: err = %q, want %q", name, errString(got.err), errString(want.err))
-	}
-	var wantMR, gotMR *MalformedRecordError
-	if errors.As(want.err, &wantMR) != errors.As(got.err, &gotMR) {
-		t.Errorf("%s: typed-error shape diverges", name)
-	} else if wantMR != nil && (wantMR.Offset != gotMR.Offset || wantMR.Reason != gotMR.Reason) {
-		t.Errorf("%s: malformed error %v vs %v", name, gotMR, wantMR)
-	}
-	if want.skipped != got.skipped {
-		t.Errorf("%s: skipped = %d, want %d", name, got.skipped, want.skipped)
-	}
-	if len(want.pkts) != len(got.pkts) {
-		t.Fatalf("%s: %d packets, want %d", name, len(got.pkts), len(want.pkts))
-	}
-	for i := range want.pkts {
-		if !reflect.DeepEqual(want.pkts[i], got.pkts[i]) {
-			t.Fatalf("%s: packet %d = %+v, want %+v", name, i, got.pkts[i], want.pkts[i])
-		}
-		if want.pos[i] != got.pos[i] {
-			t.Errorf("%s: Pos after packet %d = %d, want %d", name, i, got.pos[i], want.pos[i])
-		}
-	}
-}
-
-// equivalenceCorpora builds captures covering the interesting reader
-// paths: clean files, both link types, mixed/non-IP frames, corruption
-// with and without recoverable records, and truncated tails.
-func equivalenceCorpora(t *testing.T) map[string][]byte {
-	t.Helper()
-	corp := map[string][]byte{}
-
-	var pkts []*Packet
-	for i := 0; i < 50; i++ {
-		pkts = append(pkts, &Packet{Sec: uint32(i), Usec: uint32(i * 7 % 1000000),
-			Data: ipv4Packet(uint32(i), uint32(i+1), i%64), WireLen: 2000})
-	}
-	clean := buildPcap(t, pkts)
-	corp["clean"] = clean
-
-	corrupt := bytes.Clone(clean)
-	recLen := func(i int) int { return pcapRecordLen + len(pkts[i].Data) }
-	off := pcapHeaderLen
-	for i := 0; i < 3; i++ {
-		off += recLen(i)
-	}
-	binary.LittleEndian.PutUint32(corrupt[off+8:], 0xFFFFFFFF)
-	corp["corrupt-mid"] = corrupt
-
-	corp["trunc-header"] = clean[:len(clean)-len(pkts[len(pkts)-1].Data)-3]
-	corp["trunc-body"] = clean[:len(clean)-5]
-	corp["empty-records"] = clean[:pcapHeaderLen]
-	corp["garbage-tail"] = append(bytes.Clone(clean), 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x02)
-
-	// Ethernet link type with IPv4, non-IPv4, and runt frames mixed in.
-	var eth bytes.Buffer
-	hdr := make([]byte, pcapHeaderLen)
-	binary.LittleEndian.PutUint32(hdr[0:], pcapMagic)
-	binary.LittleEndian.PutUint32(hdr[16:], 65536)
-	binary.LittleEndian.PutUint32(hdr[20:], LinkTypeEthernet)
-	eth.Write(hdr)
-	writeEthRec := func(etherType uint16, payload []byte, runt bool) {
-		frame := make([]byte, ethernetHeaderLen+len(payload))
-		binary.BigEndian.PutUint16(frame[12:], etherType)
-		copy(frame[ethernetHeaderLen:], payload)
-		if runt {
-			frame = frame[:8]
-		}
-		rec := make([]byte, pcapRecordLen)
-		binary.LittleEndian.PutUint32(rec[0:], 9)
-		binary.LittleEndian.PutUint32(rec[8:], uint32(len(frame)))
-		binary.LittleEndian.PutUint32(rec[12:], uint32(len(frame)))
-		eth.Write(rec)
-		eth.Write(frame)
-	}
-	writeEthRec(etherTypeIPv4, ipv4Packet(1, 2, 10), false)
-	writeEthRec(0x0806, make([]byte, 28), false) // ARP: skipped
-	writeEthRec(etherTypeIPv4, nil, true)        // runt: skipped
-	writeEthRec(etherTypeIPv4, ipv4Packet(3, 4, 0), false)
-	corp["ethernet-mixed"] = eth.Bytes()
-
-	// Big-endian capture, hand-rolled.
-	var be bytes.Buffer
-	behdr := make([]byte, pcapHeaderLen)
-	binary.BigEndian.PutUint32(behdr[0:], pcapMagic)
-	binary.BigEndian.PutUint32(behdr[16:], 65536)
-	binary.BigEndian.PutUint32(behdr[20:], LinkTypeRaw)
-	be.Write(behdr)
-	for i := 0; i < 5; i++ {
-		body := ipv4Packet(uint32(i), 9, 4)
-		rec := make([]byte, pcapRecordLen)
-		binary.BigEndian.PutUint32(rec[0:], uint32(i))
-		binary.BigEndian.PutUint32(rec[8:], uint32(len(body)))
-		binary.BigEndian.PutUint32(rec[12:], uint32(len(body)))
-		be.Write(rec)
-		be.Write(body)
-	}
-	corp["big-endian"] = be.Bytes()
-
-	under := bytes.Clone(clean)
-	binary.LittleEndian.PutUint32(under[pcapHeaderLen+12:], 1) // origLen < inclLen
-	corp["undersized-origlen"] = under
-
-	return corp
-}
-
-// TestBytesPcapReaderEquivalence locksteps the decoder's in-memory source
-// against its stream source over every corpus and skip configuration:
-// same packets, same Pos accounting, same typed errors, same skip counts.
-func TestBytesPcapReaderEquivalence(t *testing.T) {
-	budgets := []struct {
-		name      string
-		budget    int
-		useBudget bool
-	}{
-		{"failfast", 0, false},
-		{"skip-unlimited", -1, true},
-		{"skip-1", 1, true},
-		{"skip-2", 2, true},
-	}
-	for name, raw := range equivalenceCorpora(t) {
-		for _, b := range budgets {
-			br, err := NewPcapReader(bytes.NewReader(raw))
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			mr, err := NewBytesPcapReader(raw)
-			if err != nil {
-				t.Fatalf("%s: bytes reader: %v", name, err)
-			}
-			want := drain(br, b.budget, b.useBudget)
-			got := drain(mr, b.budget, b.useBudget)
-			compareDrains(t, name+"/"+b.name, want, got)
-		}
-	}
-}
-
-// TestBytesPcapReaderZeroCopy pins the aliasing contract: packet data
-// must be sub-slices of the input buffer, not copies.
-func TestBytesPcapReaderZeroCopy(t *testing.T) {
-	raw := buildPcap(t, []*Packet{{Sec: 1, Data: ipv4Packet(1, 2, 32)}})
-	r, err := NewBytesPcapReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := r.Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Mutating the backing buffer must show through the packet.
-	raw[pcapHeaderLen+pcapRecordLen] ^= 0xFF
-	if p.Data[0] != 0x45^0xFF {
-		t.Error("packet data does not alias the input buffer")
-	}
-	if cap(p.Data) != len(p.Data) {
-		t.Errorf("alias cap %d not clipped to len %d", cap(p.Data), len(p.Data))
-	}
-}
+// --- batch / file reader equivalence ------------------------------------
 
 // TestReadBatchEquivalence checks ReadBatch yields the same stream as
 // Next on every reader, for batch sizes around the interesting
@@ -527,14 +320,10 @@ func TestReadBatchEquivalence(t *testing.T) {
 	}
 
 	readers := map[string]func() Reader{
-		"pcap":  func() Reader { r, _ := NewPcapReader(bytes.NewReader(raw)); return r },
-		"bytes": func() Reader { r, _ := NewBytesPcapReader(raw); return r },
+		"pcap":  func() Reader { return pcapOf(t, raw) },
 		"tsh":   func() Reader { return NewTSHReader(bytes.NewReader(tshBuf.Bytes())) },
 		"slice": func() Reader { return NewSliceReader(pkts) },
-		"merge": func() Reader {
-			a, _ := NewBytesPcapReader(raw)
-			return NewMergeReader(a)
-		},
+		"merge": func() Reader { return NewMergeReader(pcapOf(t, raw)) },
 	}
 	for name, mk := range readers {
 		want, err := ReadAll(mk(), 0)
@@ -567,8 +356,8 @@ func TestReadBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestOpenPcapEquivalence checks the file-level entry points (mmap and
-// buffered) agree with each other and with reading the raw bytes.
+// TestOpenPcapEquivalence checks the file-level entry point agrees with
+// reading the raw bytes.
 func TestOpenPcapEquivalence(t *testing.T) {
 	var pkts []*Packet
 	for i := 0; i < 20; i++ {
@@ -579,42 +368,33 @@ func TestOpenPcapEquivalence(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name string
-		open func(string) (FileReader, error)
-	}{
-		{"mmap", OpenPcap},
-		{"buffered", OpenPcapBuffered},
-	} {
-		r, err := tc.open(path)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	r, err := OpenPcap(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Total() != int64(len(raw)) {
+		t.Errorf("Total = %d, want %d", r.Total(), len(raw))
+	}
+	if lt := r.LinkType(); lt != LinkTypeRaw {
+		t.Errorf("LinkType = %d, want %d", lt, LinkTypeRaw)
+	}
+	got, err := ReadAll(r, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(pkts) {
+		t.Fatalf("%d packets, want %d", len(got), len(pkts))
+	}
+	for i := range pkts {
+		if !bytes.Equal(got[i].Data, pkts[i].Data) {
+			t.Fatalf("packet %d data differs", i)
 		}
-		if r.Total() != int64(len(raw)) {
-			t.Errorf("%s: Total = %d, want %d", tc.name, r.Total(), len(raw))
-		}
-		if lt := r.LinkType(); lt != LinkTypeRaw {
-			t.Errorf("%s: LinkType = %d, want %d", tc.name, lt, LinkTypeRaw)
-		}
-		got, err := ReadAll(r, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if len(got) != len(pkts) {
-			t.Fatalf("%s: %d packets, want %d", tc.name, len(got), len(pkts))
-		}
-		for i := range pkts {
-			if !bytes.Equal(got[i].Data, pkts[i].Data) {
-				t.Fatalf("%s: packet %d data differs", tc.name, i)
-			}
-		}
-		if r.Pos() != int64(len(raw)) {
-			t.Errorf("%s: Pos at EOF = %d, want %d", tc.name, r.Pos(), len(raw))
-		}
-		if err := r.Close(); err != nil {
-			t.Errorf("%s: Close: %v", tc.name, err)
-		}
+	}
+	if r.Pos() != int64(len(raw)) {
+		t.Errorf("Pos at EOF = %d, want %d", r.Pos(), len(raw))
+	}
+	if err := r.Close(); err != nil {
+		t.Errorf("Close: %v", err)
 	}
 }
 
@@ -687,11 +467,7 @@ func TestMergeReaderSingleShardTransparent(t *testing.T) {
 func TestMergeReaderErrorPropagation(t *testing.T) {
 	raw := buildPcap(t, slicesOf(1, 2, 3))
 	binary.LittleEndian.PutUint32(raw[pcapHeaderLen+8:], 0xFFFFFFFF) // corrupt shard B's first record
-	bad, err := NewBytesPcapReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := NewMergeReader(NewSliceReader(slicesOf(10, 11)), bad)
+	m := NewMergeReader(NewSliceReader(slicesOf(10, 11)), pcapOf(t, raw))
 	var mr *MalformedRecordError
 	if _, err := m.Next(); !errors.As(err, &mr) {
 		t.Fatalf("merge Next = %v, want shard's typed malformed error", err)
@@ -709,8 +485,7 @@ func TestMergeReaderErrorPropagation(t *testing.T) {
 func TestMergeReaderPositionedAndSkipped(t *testing.T) {
 	rawA := buildPcap(t, slicesOf(1, 3))
 	rawB := buildPcap(t, slicesOf(2, 4))
-	a, _ := NewBytesPcapReader(rawA)
-	b, _ := NewBytesPcapReader(rawB)
+	a, b := pcapOf(t, rawA), pcapOf(t, rawB)
 	a.SetSkipMalformed(NewSkipBudget(-1))
 	m := NewMergeReader(a, b)
 	if m.Total() != int64(len(rawA)+len(rawB)) {
@@ -739,8 +514,7 @@ func TestMergeReaderSkippedMatchesPosState(t *testing.T) {
 	rawB := buildPcap(t, slicesOf(0, 50, 100, 101))
 	const rec = 16 + 28
 	binary.LittleEndian.PutUint32(rawB[pcapHeaderLen+rec+8:], 0xFFFFFFF0)
-	a, _ := NewBytesPcapReader(buildPcap(t, slicesOf(1, 2, 3)))
-	b, _ := NewBytesPcapReader(rawB)
+	a, b := pcapOf(t, buildPcap(t, slicesOf(1, 2, 3))), pcapOf(t, rawB)
 	b.SetSkipMalformed(NewSkipBudget(0))
 	m := NewMergeReader(a, b)
 	if p, err := m.Next(); err != nil || p.Sec != 0 {

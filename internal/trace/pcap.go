@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -16,7 +15,7 @@ const (
 	pcapHeaderLen    = 24
 	pcapRecordLen    = 16
 
-	// pcapMaxRecordLen is the largest record body either pcap reader
+	// pcapMaxRecordLen is the largest record body the pcap reader
 	// accepts, and the snap length the writer declares; keeping the two
 	// equal is what guarantees every written record reads back.
 	pcapMaxRecordLen = 1 << 24
@@ -36,10 +35,10 @@ const (
 // scan for the next plausible record header before giving up.
 const pcapResyncWindow = 1 << 20
 
-// pcapBufSize is the stream source's buffer size and the decoder's
+// pcapBufSize is the source's buffer size and the pcap decoder's
 // lookahead rule: resync confirms a candidate record by peeking at its
 // body and the header after it, and a candidate whose body plus that
-// header exceeds pcapBufSize bytes is unconfirmable on every source.
+// header exceeds pcapBufSize bytes is unconfirmable.
 const pcapBufSize = 128 << 10
 
 // pcapMeta is the parsed global header; record-header validation lives
@@ -124,17 +123,13 @@ func pcapResyncExhaustedErr(off int64) *MalformedRecordError {
 // skipped silently (matching how header-processing tools consume mixed
 // captures).
 //
-// One decoder serves two byte sources. NewPcapReader reads a stream
-// through a buffer and copies each record body into a cut from a body
-// chunk the reader owns. NewBytesPcapReader reads a capture held in
-// memory — in practice a read-only mmap of the trace file (see OpenPcap)
-// — and hands out bodies as sub-slices of that buffer, with no copy. The
-// source changes where the bytes come from, never which packets,
-// positions or errors the decoder produces. On both sources the returned
-// Packet structs are cut from Packet chunks (see Carve) and every body is
-// cap-clipped. No chunk is reused, so a retained packet stays valid: its
-// body pins the one chunk it was cut from, and its Packet pins its Packet
-// chunk, with the bodies of the packets beside it.
+// The reader decodes from the buffered source it shares with TSHReader
+// and copies each record body into a cut from a body chunk it owns. The
+// returned Packet structs are cut from Packet chunks (see Carve) and
+// every body is cap-clipped. No chunk is reused, so a retained packet
+// stays valid, after Close too: its body pins the one chunk it was cut
+// from, and its Packet pins its Packet chunk, with the bodies of the
+// packets beside it.
 //
 // By default the reader fail-fasts on the first malformed record with a
 // *MalformedRecordError. SetSkipMalformed switches it to skip-and-resync:
@@ -144,104 +139,31 @@ type PcapReader struct {
 	pcapMeta
 	skipState
 	slabs
-	// Exactly one source is set: mem holds the whole capture, or r
-	// buffers src.
-	mem []byte
-	r   *bufio.Reader
-	src io.Reader // r's unbuffered source, retained so SeekTo can reposition it
-
-	off   int64 // bytes consumed so far; the read position within mem
-	total int64 // input size in bytes; 0 when unknown
+	source
 }
 
 // NewPcapReader parses the global header and returns a reader positioned
 // at the first record of the stream.
 func NewPcapReader(r io.Reader) (*PcapReader, error) {
-	br := bufio.NewReaderSize(r, pcapBufSize)
 	var hdr [pcapHeaderLen]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: reading pcap header: %w", err)
 	}
 	meta, err := parsePcapMeta(hdr[:])
 	if err != nil {
 		return nil, err
 	}
-	return &PcapReader{pcapMeta: meta, r: br, src: r, off: pcapHeaderLen}, nil
-}
-
-// NewBytesPcapReader parses the global header of a capture held in
-// memory and returns a reader positioned at the first record. The buffer
-// is retained and aliased by every returned packet. That aliasing is safe
-// for PacketBench because the VM copies packet bytes into simulated
-// packet memory at load time and never writes through the input slice;
-// callers holding packets must keep the buffer (the mapping) alive and
-// unmodified while any packet is in use.
-func NewBytesPcapReader(buf []byte) (*PcapReader, error) {
-	if len(buf) < pcapHeaderLen {
-		err := io.ErrUnexpectedEOF
-		if len(buf) == 0 {
-			err = io.EOF
-		}
-		return nil, fmt.Errorf("trace: reading pcap header: %w", err)
-	}
-	meta, err := parsePcapMeta(buf[:pcapHeaderLen])
-	if err != nil {
-		return nil, err
-	}
-	return &PcapReader{pcapMeta: meta, mem: buf, off: pcapHeaderLen, total: int64(len(buf))}, nil
+	return &PcapReader{pcapMeta: meta, source: newSource(r, "pcap", pcapHeaderLen)}, nil
 }
 
 // LinkType returns the capture's link type.
 func (p *PcapReader) LinkType() uint32 { return p.linkType }
 
-// Pos implements Positioned: the number of input bytes consumed,
-// including the global header, skipped bytes, and the partial bytes of
-// a truncated trailing record.
-func (p *PcapReader) Pos() int64 { return p.off }
-
-// SetTotal records the input size in bytes (for example from the file's
-// stat), enabling progress reporting through Total.
-func (p *PcapReader) SetTotal(n int64) { p.total = n }
-
-// Total implements Positioned; 0 means unknown. An in-memory capture
-// always knows its size.
-func (p *PcapReader) Total() int64 { return p.total }
-
-// peek returns the next n <= pcapBufSize bytes without consuming them. A
-// shorter result means the input ended (io.EOF) or the stream failed.
-func (p *PcapReader) peek(n int) ([]byte, error) {
-	if p.r != nil {
-		return p.r.Peek(n)
-	}
-	rest := p.mem[p.off:]
-	if len(rest) < n {
-		return rest, io.EOF
-	}
-	return rest[:n], nil
-}
-
-// advance consumes n bytes that peek returned.
-func (p *PcapReader) advance(n int) {
-	if p.r != nil {
-		p.r.Discard(n) // cannot fail: peek already buffered the n bytes
-	}
-	p.off += int64(n)
-}
-
-// body consumes a record body of n bytes: a cap-clipped sub-slice of
-// mem, or a copy from the stream into n bytes cut from the body chunk.
-// When the input ends first it consumes and returns the partial bytes
-// with io.ErrUnexpectedEOF; a stream failure consumes nothing.
+// body consumes a record body of n bytes, copied from the source into n
+// bytes cut from the body chunk. When the input ends first it consumes
+// and returns the partial bytes with io.ErrUnexpectedEOF; a stream
+// failure consumes nothing.
 func (p *PcapReader) body(n int) ([]byte, error) {
-	if p.r == nil {
-		rest := p.mem[p.off:]
-		if len(rest) < n {
-			p.off += int64(len(rest))
-			return rest, io.ErrUnexpectedEOF
-		}
-		p.off += int64(n)
-		return rest[:n:n], nil
-	}
 	data := Carve(&p.bodies, n, bodyChunk)
 	k, err := io.ReadFull(p.r, data)
 	if err == io.EOF {
@@ -261,9 +183,8 @@ func (p *PcapReader) body(n int) ([]byte, error) {
 // all such aliases. The cost of that strictness: a genuine record whose
 // immediate successor is also corrupt fails confirmation and is
 // sacrificed to the same resync scan, and so is a genuine record whose
-// body plus the following header exceeds the pcapBufSize lookahead — on
-// every source, so an in-memory capture resyncs exactly as the stream
-// does. Skip-and-resync is best-effort recovery, and losing a record
+// body plus the following header exceeds the pcapBufSize lookahead.
+// Skip-and-resync is best-effort recovery, and losing a record
 // adjacent to corruption is the cheaper failure mode than locking onto an
 // alias mid-body and desynchronizing the rest of the stream.
 func (p *PcapReader) confirmCandidate(w []byte) bool {
@@ -310,13 +231,11 @@ func (p *PcapReader) resync(rec []byte, recOff int64) ([]byte, error) {
 }
 
 // Next returns the next IPv4 packet, skipping non-IP frames. It returns
-// io.EOF at the end of the input. On an in-memory capture the packet's
-// Data aliases the buffer.
+// io.EOF at the end of the input.
 func (p *PcapReader) Next() (*Packet, error) {
 	for {
 		recOff := p.off
-		// rec stays valid until the next read: peek aliases mem or the
-		// stream's buffer, and advance only moves past it.
+		// rec stays valid until the next read (see peek).
 		rec, err := p.peek(pcapRecordLen)
 		if len(rec) < pcapRecordLen {
 			if err != io.EOF {

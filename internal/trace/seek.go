@@ -1,9 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"io"
-)
+import "fmt"
 
 // Seeker is implemented by readers whose position can be captured and
 // later restored — the substrate of run checkpointing. PosState returns
@@ -74,66 +71,5 @@ func (s *SliceReader) SeekTo(state []int64) error {
 		return fmt.Errorf("trace: bad slice seek state %v for %d packets", state, len(s.pkts))
 	}
 	s.next = int(state[0])
-	return nil
-}
-
-// PosState implements Seeker: one element, the byte offset of the next
-// unread record. An in-memory capture is always resumable; a stream is
-// only when its source is an io.Seeker (a file), and PosState returns nil
-// for an unseekable one (a network stream), marking the reader
-// non-resumable.
-func (p *PcapReader) PosState() []int64 { return posState(p) }
-
-func (p *PcapReader) pos() (int64, bool) {
-	if p.r != nil {
-		if _, ok := p.src.(io.Seeker); !ok {
-			return 0, false
-		}
-	}
-	return p.off, true
-}
-
-// SeekTo implements Seeker: a stream's source is repositioned and its
-// read buffer discarded, so the next record read starts exactly at the
-// checkpointed boundary.
-func (p *PcapReader) SeekTo(state []int64) error {
-	if len(state) != 1 || state[0] < pcapHeaderLen || (p.r == nil && state[0] > int64(len(p.mem))) {
-		return fmt.Errorf("trace: bad pcap seek state %v", state)
-	}
-	if p.r != nil {
-		sk, ok := p.src.(io.Seeker)
-		if !ok {
-			return fmt.Errorf("trace: pcap source %T is not seekable", p.src)
-		}
-		if _, err := sk.Seek(state[0], io.SeekStart); err != nil {
-			return fmt.Errorf("trace: seeking pcap source: %w", err)
-		}
-		p.r.Reset(p.src)
-	}
-	p.off = state[0]
-	return nil
-}
-
-// PosState implements Seeker when the underlying source is seekable.
-func (t *TSHReader) PosState() []int64 { return posState(t) }
-
-func (t *TSHReader) pos() (int64, bool) {
-	_, ok := t.r.(io.Seeker)
-	return t.off, ok
-}
-
-// SeekTo implements Seeker.
-func (t *TSHReader) SeekTo(state []int64) error {
-	sk, ok := t.r.(io.Seeker)
-	if !ok {
-		return fmt.Errorf("trace: TSH source %T is not seekable", t.r)
-	}
-	if len(state) != 1 || state[0] < 0 {
-		return fmt.Errorf("trace: bad TSH seek state %v", state)
-	}
-	if _, err := sk.Seek(state[0], io.SeekStart); err != nil {
-		return fmt.Errorf("trace: seeking TSH source: %w", err)
-	}
-	t.off = state[0]
 	return nil
 }

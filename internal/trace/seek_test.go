@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -115,19 +116,14 @@ func TestSliceReaderSeekRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBytesPcapReaderSeekRoundTrip: a PcapReader over a bytes.Reader.
 func TestBytesPcapReaderSeekRoundTrip(t *testing.T) {
 	raw := buildPcap(t, seekTestPackets(13, 5))
-	mk := func(t *testing.T) Reader {
-		r, err := NewBytesPcapReader(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
+	mk := func(t *testing.T) Reader { return pcapOf(t, raw) }
 	for _, k := range []int{0, 1, 6, 13} {
 		testSeekRoundTrip(t, "bytespcap", k, mk)
 	}
-	r := mk(t).(*PcapReader)
+	r := pcapOf(t, raw)
 	if err := r.SeekTo([]int64{3}); err == nil {
 		t.Error("seek into the pcap header accepted")
 	}
@@ -135,21 +131,16 @@ func TestBytesPcapReaderSeekRoundTrip(t *testing.T) {
 
 func TestPcapFileReaderSeekRoundTrip(t *testing.T) {
 	path := writePcapFile(t, seekTestPackets(13, 9))
-	for name, open := range map[string]func(string) (FileReader, error){
-		"buffered": OpenPcapBuffered,
-		"mmap":     OpenPcap,
-	} {
-		mk := func(t *testing.T) Reader {
-			fr, err := open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { fr.Close() })
-			return fr
+	mk := func(t *testing.T) Reader {
+		fr, err := OpenPcap(path)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range []int{0, 1, 7, 13} {
-			testSeekRoundTrip(t, "pcapfile/"+name, k, mk)
-		}
+		t.Cleanup(func() { fr.Close() })
+		return fr
+	}
+	for _, k := range []int{0, 1, 7, 13} {
+		testSeekRoundTrip(t, "pcapfile", k, mk)
 	}
 }
 
@@ -165,6 +156,42 @@ func TestTSHReaderSeekRoundTrip(t *testing.T) {
 	mk := func(t *testing.T) Reader { return NewTSHReader(bytes.NewReader(raw)) }
 	for _, k := range []int{0, 1, 5, 11} {
 		testSeekRoundTrip(t, "tsh", k, mk)
+	}
+}
+
+// TestSeekAfterReadAhead seeks a reader back to a state it passed while
+// its source holds buffered bytes past its position, for both formats:
+// SeekTo must discard them, or the reader would go on from where its
+// buffer stopped.
+func TestSeekAfterReadAhead(t *testing.T) {
+	pkts := seekTestPackets(3000, 7)
+	var tsh bytes.Buffer
+	w := NewTSHWriter(&tsh)
+	for _, p := range pkts {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pcapRaw := buildPcap(t, pkts)
+	for name, mk := range map[string]func() Reader{
+		"pcap": func() Reader { return pcapOf(t, pcapRaw) },
+		"tsh":  func() Reader { return NewTSHReader(bytes.NewReader(tsh.Bytes())) },
+	} {
+		for _, k := range []int{0, 5, 1500} {
+			first := mk()
+			readN(t, first, k)
+			state := first.(Seeker).PosState()
+			want := drainReader(t, first)
+			r := mk()
+			readN(t, r, k+7)
+			if err := r.(Seeker).SeekTo(state); err != nil {
+				t.Fatalf("%s/k=%d: SeekTo(%v): %v", name, k, state, err)
+			}
+			if got := r.(Positioned).Pos(); got != state[0] {
+				t.Errorf("%s/k=%d: Pos after SeekTo = %d, want %d", name, k, got, state[0])
+			}
+			comparePackets(t, fmt.Sprintf("%s/k=%d", name, k), drainReader(t, r), want)
+		}
 	}
 }
 
@@ -199,12 +226,12 @@ func TestMergeReaderSeekRoundTrip(t *testing.T) {
 	b := seekTestPackets(7, 1) // Sec 1,3,5,...
 	pathA, pathB := writePcapFile(t, a), writePcapFile(t, b)
 	mk := func(t *testing.T) Reader {
-		ra, err := OpenPcapBuffered(pathA)
+		ra, err := OpenPcap(pathA)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { ra.Close() })
-		rb, err := OpenPcapBuffered(pathB)
+		rb, err := OpenPcap(pathB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,10 +272,7 @@ func TestMergeReaderPosStateNilShard(t *testing.T) {
 // over the shards that know their size, and unknown only when none do.
 func TestMergeReaderProgressPartialTotals(t *testing.T) {
 	raw := buildPcap(t, seekTestPackets(8, 0))
-	known, err := NewBytesPcapReader(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
+	known := pcapOf(t, raw)
 	unknown := NewTSHReader(&bytes.Buffer{}) // no SetTotal: size unknown
 	m := NewMergeReader(known, unknown)
 	if f, ok := m.Progress(); !ok || f < 0 || f > 1 {

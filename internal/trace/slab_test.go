@@ -19,9 +19,8 @@ func slabCorpus(n int) []*Packet {
 	return pkts
 }
 
-// TestCarvedPacketsDoNotAlias: on the pcap stream source, the pcap bytes
-// source and TSH, appending to one packet's Data never changes another
-// packet.
+// TestCarvedPacketsDoNotAlias: on pcap and TSH, appending to one
+// packet's Data never changes another packet.
 func TestCarvedPacketsDoNotAlias(t *testing.T) {
 	src := slabCorpus(packetChunk + 300)
 	raw := buildPcap(t, src)
@@ -32,9 +31,9 @@ func TestCarvedPacketsDoNotAlias(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	readers := map[string]Reader{"tsh": NewTSHReader(bytes.NewReader(tsh.Bytes()))}
-	for name, r := range pcapSources(t, raw) {
-		readers["pcap-"+name] = r
+	readers := map[string]Reader{
+		"tsh":  NewTSHReader(bytes.NewReader(tsh.Bytes())),
+		"pcap": pcapOf(t, raw),
 	}
 	for name, r := range readers {
 		got, err := ReadAll(r, 0)
@@ -59,36 +58,66 @@ func TestCarvedPacketsDoNotAlias(t *testing.T) {
 	}
 }
 
-// TestBufferedPacketsOutliveClose: packets from OpenPcapBuffered keep
-// their bytes after Close, a collection, and a rewrite of the file.
+// TestBufferedPacketsOutliveClose: packets from a pcap file opened with
+// OpenPcap and from a TSH file keep the bytes they were returned with
+// through later reads, Close, a collection, and a rewrite of the file.
+// Both files are larger than the source's buffer, so a packet that
+// aliased the buffer would change when it refills.
 func TestBufferedPacketsOutliveClose(t *testing.T) {
-	src := slabCorpus(600)
-	path := filepath.Join(t.TempDir(), "t.pcap")
-	if err := os.WriteFile(path, buildPcap(t, src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	r, err := OpenPcapBuffered(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadAll(r, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, make([]byte, 1<<20), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	runtime.GC()
-	if len(got) != len(src) {
-		t.Fatalf("%d packets, want %d", len(got), len(src))
-	}
-	for i, p := range got {
-		if p.Sec != src[i].Sec || p.Usec != src[i].Usec || !bytes.Equal(p.Data, src[i].Data) {
-			t.Fatalf("packet %d changed after Close", i)
+	src := slabCorpus(4000)
+	var tsh bytes.Buffer
+	w := NewTSHWriter(&tsh)
+	for _, p := range src {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
 		}
+	}
+	dir := t.TempDir()
+	pcapPath, tshPath := filepath.Join(dir, "t.pcap"), filepath.Join(dir, "t.tsh")
+	if err := os.WriteFile(pcapPath, buildPcap(t, src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tshPath, tsh.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	openTSH := func(path string) (Reader, io.Closer, error) {
+		f, err := os.Open(path)
+		return NewTSHReader(f), f, err
+	}
+	openPcap := func(path string) (Reader, io.Closer, error) {
+		r, err := OpenPcap(path)
+		return r, r, err
+	}
+	for _, tc := range []struct {
+		path string
+		open func(string) (Reader, io.Closer, error)
+	}{{pcapPath, openPcap}, {tshPath, openTSH}} {
+		r, c, err := tc.open(tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var kept keptPackets
+		for {
+			p, err := r.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept.add(p)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(tc.path, make([]byte, 1<<20), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		if len(kept.pkts) != len(src) {
+			t.Fatalf("%s: %d packets, want %d", tc.path, len(kept.pkts), len(src))
+		}
+		kept.check(t)
 	}
 }
 
@@ -113,15 +142,11 @@ func TestBufferedReadAllAllocatesPerChunk(t *testing.T) {
 
 // TestMergeNextAllocatesNothing: a merge reads each shard's position
 // without allocating, so a 2-shard merge of in-memory pcaps makes no
-// allocation per Next beyond its shards' packet chunks.
+// allocation per Next beyond its shards' chunks.
 func TestMergeNextAllocatesNothing(t *testing.T) {
 	var shards []Reader
 	for s := 0; s < 2; s++ {
-		r, err := NewBytesPcapReader(buildPcap(t, seekTestPackets(4096, s)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, r)
+		shards = append(shards, pcapOf(t, buildPcap(t, seekTestPackets(4096, s))))
 	}
 	m := NewMergeReader(shards...)
 	allocs := testing.AllocsPerRun(4000, func() {

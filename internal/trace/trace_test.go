@@ -280,6 +280,43 @@ func TestTSHPartialRecord(t *testing.T) {
 	}
 }
 
+// countingSource is a seekable source that counts its Read calls.
+type countingSource struct {
+	*bytes.Reader
+	reads int
+}
+
+func (c *countingSource) Read(p []byte) (int, error) {
+	c.reads++
+	return c.Reader.Read(p)
+}
+
+// TestTSHReaderBuffersReads: the TSH reader reads its source through the
+// buffered source, not once per 44-byte record, and stays resumable over
+// a seekable source.
+func TestTSHReaderBuffersReads(t *testing.T) {
+	const n = 10000
+	var buf bytes.Buffer
+	w := NewTSHWriter(&buf)
+	for i := 0; i < n; i++ {
+		if err := w.WritePacket(&Packet{Sec: uint32(i), Data: ipv4Packet(uint32(i), 2, 16)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &countingSource{Reader: bytes.NewReader(buf.Bytes())}
+	r := NewTSHReader(src)
+	pkts, err := ReadAll(r, 0)
+	if err != nil || len(pkts) != n {
+		t.Fatalf("read %d records, %v; want %d", len(pkts), err, n)
+	}
+	if max := n/1000 + 4; src.reads > max {
+		t.Errorf("%d records took %d Read calls on the source, want <= %d", n, src.reads, max)
+	}
+	if st := r.PosState(); len(st) != 1 || st[0] != int64(buf.Len()) {
+		t.Errorf("PosState at EOF = %v, want [%d]", st, buf.Len())
+	}
+}
+
 func TestFormatDispatch(t *testing.T) {
 	var buf bytes.Buffer
 	w, err := NewWriter(&buf, FormatTSH)

@@ -25,9 +25,11 @@ const tshHeaderBytes = 36
 //	bytes 8-27  IPv4 header (no options; TSH captures truncate them)
 //	bytes 28-43 first 16 bytes of the transport header
 //
+// The reader decodes from the buffered source it shares with PcapReader.
 // The packet handed to applications is the 36 captured header bytes,
-// copied into a cut from a chunk as PcapReader's stream source does; the
-// wire length comes from the IP header's total-length field.
+// copied into a cut from a chunk as PcapReader copies its bodies, so
+// packets outlive Close; the wire length comes from the IP header's
+// total-length field.
 //
 // The reader accepts any 44-byte record by default (the format has no
 // per-record magic to validate against). SetSkipMalformed turns on IPv4
@@ -36,25 +38,11 @@ const tshHeaderBytes = 36
 type TSHReader struct {
 	skipState
 	slabs
-	r     io.Reader
-	off   int64
-	total int64
+	source
 }
 
-// NewTSHReader wraps r.
-func NewTSHReader(r io.Reader) *TSHReader { return &TSHReader{r: r} }
-
-// Pos implements Positioned: the number of input bytes consumed,
-// including skipped records and the partial bytes of a truncated
-// trailing record.
-func (t *TSHReader) Pos() int64 { return t.off }
-
-// SetTotal records the input size in bytes (for example from the file's
-// stat), enabling progress reporting through Total.
-func (t *TSHReader) SetTotal(n int64) { t.total = n }
-
-// Total implements Positioned; 0 means unknown.
-func (t *TSHReader) Total() int64 { return t.total }
+// NewTSHReader returns a reader over r.
+func NewTSHReader(r io.Reader) *TSHReader { return &TSHReader{source: newSource(r, "TSH", 0)} }
 
 // recordProblem applies the skip-mode sanity checks to the captured IPv4
 // header bytes, returning a non-empty reason for a malformed record.
@@ -77,26 +65,24 @@ func recordProblem(ip []byte) string {
 func (t *TSHReader) Next() (*Packet, error) {
 	for {
 		recOff := t.off
-		var rec [TSHRecordLen]byte
-		if n, err := io.ReadFull(t.r, rec[:]); err != nil {
-			if err == io.EOF {
+		rec, err := t.peek(TSHRecordLen)
+		if len(rec) < TSHRecordLen {
+			if err != io.EOF {
+				return nil, fmt.Errorf("trace: reading TSH record: %w", err)
+			}
+			if len(rec) == 0 {
 				return nil, io.EOF
 			}
-			if err == io.ErrUnexpectedEOF {
-				// The partial bytes were consumed from the stream, so Pos
-				// must advance past them; the error still reports the
-				// tracked start of the truncated record, not a recomputed
-				// position.
-				t.off += int64(n)
-				if t.consumeSkip() {
-					return nil, io.EOF
-				}
-				return nil, &MalformedRecordError{Format: FormatTSH, Offset: recOff,
-					Reason: "truncated record", Err: err}
+			// The partial bytes are consumed, so Pos advances past them;
+			// the error still reports the start of the truncated record.
+			t.advance(len(rec))
+			if t.consumeSkip() {
+				return nil, io.EOF
 			}
-			return nil, fmt.Errorf("trace: reading TSH record: %w", err)
+			return nil, &MalformedRecordError{Format: FormatTSH, Offset: recOff,
+				Reason: "truncated record", Err: io.ErrUnexpectedEOF}
 		}
-		t.off += TSHRecordLen
+		t.advance(TSHRecordLen)
 		if t.budget != nil {
 			if reason := recordProblem(rec[8:]); reason != "" {
 				if t.consumeSkip() {
