@@ -19,8 +19,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -140,13 +141,15 @@ func registerFlags(fs *flag.FlagSet, cfg *config) {
 	fs.StringVar(&cfg.flightPath, "flight-dump", "", "arm the flight recorder and write a post-mortem ring dump (Chrome trace JSON) to this file when the run aborts")
 }
 
-// errorPolicy translates the CLI fault flags.
-func (cfg *config) errorPolicy() (core.ErrorPolicy, error) {
-	p, err := core.ParseFaultPolicy(cfg.faultPolicy)
-	if err != nil {
-		return core.ErrorPolicy{}, err
+// tracePaths lists the shard paths of cfg.traceFile in shard order.
+func (cfg *config) tracePaths() []string {
+	var paths []string
+	for _, path := range strings.Split(cfg.traceFile, ",") {
+		if path = strings.TrimSpace(path); path != "" {
+			paths = append(paths, path)
+		}
 	}
-	return core.ErrorPolicy{Policy: p, ErrorBudget: cfg.errorBudget}, nil
+	return paths
 }
 
 // openTrace opens cfg.traceFile — one capture or a comma-separated shard
@@ -156,105 +159,76 @@ func (cfg *config) errorPolicy() (core.ErrorPolicy, error) {
 // on that one budget of cfg.errorBudget skips, so it bounds the run, not
 // each shard; its count is the run's total. Every packet outlives the
 // cleanup.
-func openTrace(cfg *config, skipMalformed bool) (trace.Reader, func() error, *trace.SkipBudget, error) {
+func openTrace(cfg *config, skipMalformed bool) (_ trace.Reader, _ func() error, skips *trace.SkipBudget, err error) {
 	var (
 		readers []trace.Reader
-		closers []func() error
+		files   []*os.File
 	)
-	skips := trace.NewSkipBudget(cfg.errorBudget)
 	cleanup := func() error {
 		var first error
-		for _, c := range closers {
-			if err := c(); first == nil {
+		for _, f := range files {
+			if err := f.Close(); first == nil {
 				first = err
 			}
 		}
 		return first
 	}
-	for _, path := range strings.Split(cfg.traceFile, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		if strings.HasSuffix(path, ".tsh") {
-			f, err := os.Open(path)
-			if err != nil {
-				cleanup()
-				return nil, nil, nil, err
-			}
-			closers = append(closers, f.Close)
-			tr := trace.NewTSHReader(f)
-			// Let the reader report progress in input bytes.
-			if fi, err := f.Stat(); err == nil {
-				tr.SetTotal(fi.Size())
-			}
-			if skipMalformed {
-				tr.SetSkipMalformed(skips)
-			}
-			readers = append(readers, tr)
-			continue
-		}
-		fr, err := trace.OpenPcap(path)
+	defer func() {
 		if err != nil {
 			cleanup()
+		}
+	}()
+	skips = trace.NewSkipBudget(cfg.errorBudget)
+	for _, path := range cfg.tracePaths() {
+		f, err := os.Open(path)
+		if err != nil {
 			return nil, nil, nil, err
 		}
-		closers = append(closers, fr.Close)
+		files = append(files, f)
+		format := trace.FormatPcap
+		if strings.HasSuffix(path, ".tsh") {
+			format = trace.FormatTSH
+		}
+		r, err := trace.NewReader(f, format)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		fr := r.(interface {
+			SetTotal(int64)
+			SetSkipMalformed(*trace.SkipBudget)
+		})
+		// Let the reader report progress in input bytes.
+		if fi, err := f.Stat(); err == nil {
+			fr.SetTotal(fi.Size())
+		}
 		// Under a skip policy the readers degrade the same way the run
 		// engine does: malformed records are skipped (resyncing the
 		// stream) under the run's budget instead of aborting.
 		if skipMalformed {
 			fr.SetSkipMalformed(skips)
 		}
-		readers = append(readers, fr)
+		readers = append(readers, r)
 	}
-	if len(readers) == 0 {
-		cleanup()
+	switch len(readers) {
+	case 0:
 		return nil, nil, nil, fmt.Errorf("no trace files in %q", cfg.traceFile)
-	}
-	if len(readers) == 1 {
+	case 1:
 		return readers[0], cleanup, skips, nil
 	}
 	return trace.NewMergeReader(readers...), cleanup, skips, nil
 }
 
-// traceFingerprints fingerprints every shard of cfg.traceFile in shard
-// order — the same order openTrace builds its readers — so checkpoints
-// refuse to resume against a different or rewritten capture.
-func traceFingerprints(cfg *config) ([]core.TraceID, error) {
-	var ids []core.TraceID
-	for _, path := range strings.Split(cfg.traceFile, ",") {
-		path = strings.TrimSpace(path)
-		if path == "" {
-			continue
-		}
-		id, err := core.FingerprintFile(path)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
-}
+// opener opens a fresh reader over the run's packets, with a cleanup
+// closing whatever it opened and the reader's malformed-record budget.
+type opener func() (trace.Reader, func() error, *trace.SkipBudget, error)
 
-func loadPackets(cfg *config, skipMalformed bool) ([]*trace.Packet, error) {
+// source returns the opener of the run's packets: the -trace files, or
+// the -gen trace, generated once and read from memory.
+func (cfg *config) source(skipMalformed bool) (opener, error) {
 	if cfg.traceFile != "" {
-		r, cleanup, skips, err := openTrace(cfg, skipMalformed)
-		if err != nil {
-			return nil, err
-		}
-		pkts, rerr := trace.ReadAll(r, cfg.count)
-		cerr := cleanup()
-		if n := skips.Used(); n > 0 {
-			fmt.Printf("trace: skipped %d malformed records\n", n)
-		}
-		if rerr != nil {
-			return nil, rerr
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		return pkts, nil
+		return func() (trace.Reader, func() error, *trace.SkipBudget, error) {
+			return openTrace(cfg, skipMalformed)
+		}, nil
 	}
 	genName := cfg.gen
 	if genName == "" {
@@ -269,36 +243,47 @@ func loadPackets(cfg *config, skipMalformed bool) ([]*trace.Packet, error) {
 		gen.RenumberNLANR(pkts)
 		gen.ScrambleAddrs(pkts)
 	}
-	return pkts, nil
+	return func() (trace.Reader, func() error, *trace.SkipBudget, error) {
+		return trace.NewSliceReader(pkts), func() error { return nil }, trace.NewSkipBudget(cfg.errorBudget), nil
+	}, nil
 }
 
-// reportFaults prints the quarantine breakdown of a finished run.
-func reportFaults(s stats.Summary) {
-	if s.Faulted == 0 {
-		return
+// routeTable loads -table, or derives the forwarding table from the
+// destinations of the run's packets in a first pass over a fresh reader.
+// The pass reads through the injector and stops at -n packets, as the
+// run does, or once the table is full. Its skips draw on a budget of
+// their own that is then dropped, so the run reports each skip once.
+func (cfg *config) routeTable(src opener, inj *faultinject.Injector) (*route.Table, error) {
+	if cfg.tableFile != "" {
+		f, err := os.Open(cfg.tableFile)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		return route.ParseTable(f)
 	}
-	fmt.Printf("  quarantined packets:        %10d\n", s.Faulted)
-	kinds := make([]vm.FaultKind, 0, len(s.FaultCounts))
-	for k := range s.FaultCounts {
-		kinds = append(kinds, k)
+	r, cleanup, _, err := src()
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
-	for _, k := range kinds {
-		fmt.Printf("    %-26s %10d\n", k.String()+":", s.FaultCounts[k])
+	defer cleanup()
+	if inj != nil {
+		r = inj.Reader(r)
 	}
-}
-
-// printVerdicts prints the per-verdict packet tally in verdict order.
-func printVerdicts(verdicts map[uint32]int) {
-	fmt.Printf("\n  verdicts:\n")
-	vs := make([]uint32, 0, len(verdicts))
-	for v := range verdicts {
-		vs = append(vs, v)
+	tt := route.NewTrafficTable(cfg.prefixes, 16, 1)
+	for i := 0; cfg.count <= 0 || i < cfg.count; i++ {
+		p, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if h, err := packet.ParseIPv4(p.Data); err == nil && tt.Add(h.Dst) {
+			break
+		}
 	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	for _, v := range vs {
-		fmt.Printf("    %4d: %d packets\n", v, verdicts[v])
-	}
+	return tt.Table(), nil
 }
 
 // checkPool refuses -pool values the run cannot honour: fewer than one
@@ -322,6 +307,7 @@ func (cfg *config) checkPool() error {
 		{"-stall-timeout", cfg.stallTimeout != 0, true},
 		{"-shed", cfg.shed != "" && cfg.shed != "block", true},
 		{"-batch", cfg.batch != 0, true},
+		{"-checkpoint", cfg.checkpoint != "", true},
 	} {
 		if !f.set || f.poolOnly != (cfg.pool == 1) {
 			continue
@@ -338,7 +324,7 @@ func run(cfg config) error {
 	if err := cfg.checkPool(); err != nil {
 		return err
 	}
-	policy, err := cfg.errorPolicy()
+	faultPolicy, err := core.ParseFaultPolicy(cfg.faultPolicy)
 	if err != nil {
 		return err
 	}
@@ -365,33 +351,38 @@ func run(cfg config) error {
 		defer dbg.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/ (/metrics, /debug/vars, /debug/pprof)\n", dbg.Addr)
 	}
-	// Streaming ingestion: with a multi-core pool reading from trace
-	// files and an application that does not need the packets up front
-	// to derive its routing table, the trace flows from the reader
-	// straight into the pool without ever materializing in memory.
-	streaming := cfg.pool > 1 && cfg.traceFile != "" &&
-		(cfg.tableFile != "" || cfg.app == "flow" || cfg.app == "tsa")
 	if cfg.resume && cfg.checkpoint == "" {
 		return fmt.Errorf("-resume requires -checkpoint")
 	}
-	if cfg.checkpoint != "" && !streaming {
-		return fmt.Errorf("-checkpoint needs a streaming pool run: -pool > 1, -trace, and an application that does not preload the trace (-table, flow, or tsa)")
+	if cfg.checkpoint != "" && cfg.traceFile == "" {
+		return fmt.Errorf("-checkpoint needs -trace: a resume seeks back into the trace files")
+	}
+	shed, err := core.ParseShedPolicy(cfg.shed)
+	if err != nil {
+		return err
+	}
+	// Both run paths build their cores from these options; Bench ignores
+	// the pool's, and checkPool keeps the detail outputs off pools.
+	opts := core.Options{
+		Coverage:     true,
+		Detail:       cfg.dumpPkt >= 0 || cfg.flowDot != "",
+		Errors:       core.ErrorPolicy{Policy: faultPolicy, ErrorBudget: cfg.errorBudget},
+		Engine:       engine,
+		NoVerify:     cfg.noVerify,
+		Metrics:      reg,
+		RunDeadline:  cfg.deadline,
+		StallTimeout: cfg.stallTimeout,
+		Shed:         shed,
+		Trace:        tracer,
+		FlightPath:   cfg.flightPath,
+	}
+	src, err := cfg.source(faultPolicy != core.FailFast)
+	if err != nil {
+		return err
 	}
 
-	var pkts []*trace.Packet
-	if !streaming {
-		pkts, err = loadPackets(&cfg, policy.Policy != core.FailFast)
-		if err != nil {
-			return err
-		}
-		if len(pkts) == 0 {
-			return fmt.Errorf("no packets to process")
-		}
-	}
-
-	// Fault injection: the injector corrupts packets deterministically —
-	// up front for preloaded runs, through a reader wrapper for
-	// streaming ones — and arms execution faults on every core.
+	// Fault injection: the injector corrupts packets deterministically
+	// through a reader wrapper and arms execution faults on every core.
 	var inj *faultinject.Injector
 	if cfg.inject != "" {
 		plan, err := faultinject.ParsePlan(cfg.inject)
@@ -399,36 +390,15 @@ func run(cfg config) error {
 			return err
 		}
 		inj = faultinject.New(cfg.seed, plan)
-		if !streaming {
-			if pkts, err = trace.ReadAll(inj.Reader(trace.NewSliceReader(pkts)), 0); err != nil {
-				return err
-			}
-		}
 		fmt.Printf("fault injection: %d planned injections, seed %d\n", len(inj.Plan()), cfg.seed)
 	}
 
 	var app *core.App
 	switch cfg.app {
 	case "radix", "trie":
-		var tbl *route.Table
-		if cfg.tableFile != "" {
-			f, err := os.Open(cfg.tableFile)
-			if err != nil {
-				return err
-			}
-			tbl, err = route.ParseTable(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-		} else {
-			var dsts []uint32
-			for _, p := range pkts {
-				if h, err := packet.ParseIPv4(p.Data); err == nil {
-					dsts = append(dsts, h.Dst)
-				}
-			}
-			tbl = route.TableFromTraffic(dsts, cfg.prefixes, 16, 1)
+		tbl, err := cfg.routeTable(src, inj)
+		if err != nil {
+			return err
 		}
 		if cfg.app == "radix" {
 			app = apps.IPv4Radix(tbl)
@@ -444,132 +414,128 @@ func run(cfg config) error {
 		return fmt.Errorf("unknown application %q (want radix, trie, flow or tsa)", cfg.app)
 	}
 
-	if cfg.pool > 1 {
-		if streaming {
-			r, cleanup, skips, err := openTrace(&cfg, policy.Policy != core.FailFast)
-			if err != nil {
-				return err
-			}
-			runErr := runPool(app, r, cfg.count, &cfg, policy, engine, inj, reg, tracer, true, skips)
-			cerr := cleanup()
-			if runErr != nil {
-				return runErr
-			}
-			return cerr
-		}
-		return runPool(app, trace.NewSliceReader(pkts), 0, &cfg, policy, engine, inj, reg, tracer, false, nil)
+	// Every run streams: the reader feeds one core or the pool, which
+	// aggregate into a stats.Running and keep no packet.
+	r, cleanup, skips, err := src()
+	if err != nil {
+		return err
 	}
+	if cfg.progress {
+		defer startProgress(reg, func() (float64, bool) { return trace.Progress(r) })()
+	}
+	if cfg.pool > 1 {
+		err = runPool(app, r, &cfg, opts, inj, skips)
+	} else {
+		err = runBench(app, r, &cfg, opts, inj)
+	}
+	cerr := cleanup()
+	// Reported on every exit, failed runs included; a resumed run counts
+	// the skips restored from its checkpoint.
+	if n := skips.Used(); n > 0 {
+		fmt.Printf("trace: skipped %d malformed records\n", n)
+	}
+	if err != nil {
+		return err
+	}
+	return cerr
+}
 
-	bench, err := core.New(app, core.Options{
-		Coverage: true,
-		Detail:   cfg.dumpPkt >= 0 || cfg.flowDot != "",
-		Errors:   policy,
-		Engine:   engine,
-		NoVerify: cfg.noVerify,
-		Metrics:  reg,
-		Trace:    tracer,
-	})
+// tally is the result callback of both run paths: it folds one packet's
+// result into the run's aggregate.
+func tally(agg *stats.Running) func(int, core.Result) {
+	return func(_ int, res core.Result) {
+		if res.Shed {
+			agg.AddShed(1)
+			return
+		}
+		agg.Add(&res.Record)
+		if !res.Faulted() {
+			agg.AddVerdict(res.Verdict)
+		}
+	}
+}
+
+// runBench streams the reader through one simulated core, up to -n
+// packets. The per-packet outputs (-dumppkt, -flowgraph, -out) read the
+// core right after each packet, before the next one overwrites it.
+func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj *faultinject.Injector) error {
+	bench, err := core.New(app, opts)
 	if err != nil {
 		return describeVerifyError(err)
 	}
 	bench.Collector().CountPCs = cfg.annotate || cfg.profileOut != ""
 	bench.SetInjector(inj)
+	if inj != nil {
+		r = inj.Reader(r)
+	}
 
 	var prof *microarch.Profiler
 	if cfg.uarch {
-		icache, err := microarch.NewCache(4096, 16, 2)
-		if err != nil {
-			return err
-		}
-		dcache, err := microarch.NewCache(8192, 16, 2)
-		if err != nil {
-			return err
-		}
-		prof = microarch.NewProfiler(icache, dcache)
+		ic, _ := microarch.NewCache(4096, 16, 2) // valid geometries
+		dc, _ := microarch.NewCache(8192, 16, 2)
+		prof = microarch.NewProfiler(ic, dc)
 		bench.AddTracer(prof)
 	}
 
 	var outW trace.Writer
-	var outClose func() error
+	var outFile *os.File
 	if cfg.outFile != "" {
 		f, err := os.Create(cfg.outFile)
 		if err != nil {
 			return err
 		}
-		w, err := trace.NewPcapWriter(f)
-		if err != nil {
-			f.Close()
+		defer f.Close() // for the error returns; a finished run closes it checked
+		if outW, err = trace.NewPcapWriter(f); err != nil {
 			return err
 		}
-		outW, outClose = w, f.Close
+		outFile = f
 	}
 
-	if cfg.progress {
-		total := len(pkts)
-		stopProgress := startProgress(reg, func() (float64, bool) {
-			s := reg.Snapshot()
-			done := s.CounterTotal(telemetry.MetricPacketsProcessed) +
-				s.CounterTotal(telemetry.MetricPacketsFaulted)
-			return float64(done) / float64(total), total > 0
-		})
-		defer stopProgress()
-	}
-
-	verdicts := make(map[uint32]int)
+	agg := &stats.Running{}
+	onResult := tally(agg)
 	var blockSeqs [][]int
-	records, err := bench.RunPackets(pkts, func(i int, res core.Result) {
-		if res.Faulted() {
-			// Quarantined packets have no verdict and no coherent
-			// post-run packet memory to dump or write out.
-			return
+	for i := 0; cfg.count <= 0 || i < cfg.count; i++ {
+		p, err := r.Next()
+		if err == io.EOF {
+			break
 		}
-		verdicts[res.Verdict]++
-		if i == cfg.dumpPkt {
-			dumpTrace(bench, i, res)
+		var res core.Result
+		if err == nil {
+			res, err = bench.ProcessPacketAt(i, p)
 		}
-		if cfg.flowDot != "" {
-			blockSeqs = append(blockSeqs, append([]int(nil), bench.Collector().BlockSeq...))
+		if err != nil {
+			// Single-core aborts dump the flight recorder here; pool runs
+			// dump from inside the scheduler, closer to the failure.
+			writeFlightDump(cfg, opts.Trace, err)
+			return err
 		}
-		if outW != nil {
-			out := *pkts[i]
-			out.Data = bench.PacketBytes(len(pkts[i].Data))
-			if err := outW.WritePacket(&out); err != nil {
-				fmt.Fprintln(os.Stderr, "packetbench: write:", err)
+		// Quarantined packets have no verdict and no coherent post-run
+		// packet memory to dump or write out.
+		if !res.Faulted() {
+			if i == cfg.dumpPkt {
+				dumpTrace(bench, i, res)
+			}
+			if cfg.flowDot != "" {
+				blockSeqs = append(blockSeqs, append([]int(nil), bench.Collector().BlockSeq...))
+			}
+			if outW != nil {
+				out := *p
+				out.Data = bench.PacketBytes(len(p.Data))
+				if err := outW.WritePacket(&out); err != nil {
+					fmt.Fprintln(os.Stderr, "packetbench: write:", err)
+				}
 			}
 		}
-	})
-	if err != nil {
-		// Single-core aborts dump the flight recorder here; pool runs
-		// dump from inside the scheduler, closer to the failure.
-		writeFlightDump(&cfg, tracer, err)
-		return err
+		onResult(i, res)
 	}
-	if outClose != nil {
-		if err := outClose(); err != nil {
+	if outFile != nil {
+		if err := outFile.Close(); err != nil {
 			return err
 		}
 	}
-
-	s := stats.Summarize(records)
-	fmt.Printf("\n%s over %d packets\n", app.Name, s.Packets)
-	fmt.Printf("  instructions/packet:        %10.1f\n", s.MeanInstructions)
-	fmt.Printf("  unique instructions/packet: %10.1f\n", s.MeanUnique)
-	fmt.Printf("  packet mem accesses/packet: %10.1f\n", s.MeanPacketAcc)
-	fmt.Printf("  non-packet accesses/packet: %10.1f\n", s.MeanNonPacketAcc)
-	fmt.Printf("  instruction memory touched: %10d bytes\n", bench.Collector().InstrMemSize())
-	fmt.Printf("  data memory touched:        %10d bytes\n", bench.Collector().DataMemSize())
-	reportFaults(s)
-
-	occ := analysis.Occurrences(stats.InstructionCounts(records), cfg.topK)
-	fmt.Printf("\n  most frequent instruction counts:\n")
-	for _, o := range occ.Top {
-		fmt.Printf("    %8d instructions: %6d packets (%.2f%%)\n", o.Value, o.Count, o.Pct(occ.Total))
+	if err := printSummary(cfg, app.Name, agg, bench.Collector(), false); err != nil {
+		return err
 	}
-	fmt.Printf("    min %d (%.2f%%), max %d (%.2f%%), mean %.1f\n",
-		occ.Min.Value, occ.Min.Pct(occ.Total), occ.Max.Value, occ.Max.Pct(occ.Total), occ.Mean)
-
-	printVerdicts(verdicts)
-
 	if prof != nil {
 		prof.Flush()
 		fmt.Printf("\nmicroarchitectural profile:\n%s", prof.Report())
@@ -584,12 +550,78 @@ func run(cfg config) error {
 		}
 		fmt.Printf("\nwrote weighted flow graph (%d edges) to %s\n", len(g.Edges), cfg.flowDot)
 	}
+	return writeOutputs(cfg, app, bench, opts)
+}
+
+// printSummary prints a finished run's summary, the same on every core
+// count but for the header: the per-packet means, the memory touched by
+// the cores, whose coverage col holds, any sheds and quarantines, the
+// instruction-count occurrence table and the verdicts. A checkpoint does
+// not carry the coverage sets, so a resumed run leaves memory touched
+// out rather than report only its own share.
+func printSummary(cfg *config, name string, agg *stats.Running, col *stats.Collector, resumed bool) error {
+	s := agg.Summary()
+	if s.Packets == 0 && s.Shed == 0 {
+		return fmt.Errorf("no packets to process")
+	}
+	if cfg.pool > 1 {
+		fmt.Printf("\n%s over %d packets on %d simulated cores\n", name, s.Packets, cfg.pool)
+	} else {
+		fmt.Printf("\n%s over %d packets\n", name, s.Packets)
+	}
+	fmt.Printf("  instructions/packet:        %10.1f\n", s.MeanInstructions)
+	fmt.Printf("  unique instructions/packet: %10.1f\n", s.MeanUnique)
+	fmt.Printf("  packet mem accesses/packet: %10.1f\n", s.MeanPacketAcc)
+	fmt.Printf("  non-packet accesses/packet: %10.1f\n", s.MeanNonPacketAcc)
+	if !resumed {
+		fmt.Printf("  instruction memory touched: %10d bytes\n", col.InstrMemSize())
+		fmt.Printf("  data memory touched:        %10d bytes\n", col.DataMemSize())
+	}
+	if s.Shed > 0 {
+		fmt.Printf("  shed packets (overload):    %10d\n", s.Shed)
+	}
+	if s.Faulted > 0 {
+		fmt.Printf("  quarantined packets:        %10d\n", s.Faulted)
+		kinds := make([]vm.FaultKind, 0, len(s.FaultCounts))
+		for k := range s.FaultCounts {
+			kinds = append(kinds, k)
+		}
+		slices.Sort(kinds)
+		for _, k := range kinds {
+			fmt.Printf("    %-26s %10d\n", k.String()+":", s.FaultCounts[k])
+		}
+	}
+
+	occ := analysis.OccurrencesOf(agg.InstructionHistogram(), cfg.topK)
+	fmt.Printf("\n  most frequent instruction counts:\n")
+	for _, o := range occ.Top {
+		fmt.Printf("    %8d instructions: %6d packets (%.2f%%)\n", o.Value, o.Count, o.Pct(occ.Total))
+	}
+	fmt.Printf("    min %d (%.2f%%), max %d (%.2f%%), mean %.1f\n",
+		occ.Min.Value, occ.Min.Pct(occ.Total), occ.Max.Value, occ.Max.Pct(occ.Total), occ.Mean)
+
+	fmt.Printf("\n  verdicts:\n")
+	verdicts := agg.Verdicts()
+	vs := make([]uint32, 0, len(verdicts))
+	for v := range verdicts {
+		vs = append(vs, v)
+	}
+	slices.Sort(vs)
+	for _, v := range vs {
+		fmt.Printf("    %4d: %d packets\n", v, verdicts[v])
+	}
+	return nil
+}
+
+// writeOutputs writes the run's guest profile, from bench's PC counts,
+// and its packet-journey trace, for whichever was asked for.
+func writeOutputs(cfg *config, app *core.App, bench *core.Bench, opts core.Options) error {
 	if cfg.profileOut != "" {
 		if err := writeProfiles(cfg.profileOut, app, bench.Program(), bench.Collector().PCCounts); err != nil {
 			return err
 		}
 	}
-	return writeTraceOut(&cfg, tracer, reg, app.Name)
+	return writeTraceOut(cfg, opts.Trace, opts.Metrics, app.Name)
 }
 
 // buildTracer arms the packet-journey tracer when any consumer of its
@@ -832,36 +864,12 @@ func dumpTrace(bench *core.Bench, idx int, res core.Result) {
 }
 
 // runPool streams the trace reader through several simulated cores (up
-// to limit packets; <= 0 means all) and prints the pooled summary.
-// Records are aggregated on the fly (no in-memory record slice), and
-// verdicts are counted exactly as in the single-core path. Stateful
-// applications (flow classification) keep per-core tables in this mode,
-// as real replicated-state engines would.
-func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy core.ErrorPolicy, engine core.EngineKind, inj *faultinject.Injector, reg *telemetry.Registry, tracer *ptrace.Tracer, streaming bool, skips *trace.SkipBudget) error {
-	if skips != nil {
-		// Reported on every exit, failed runs included; a resumed run
-		// counts the skips restored from its checkpoint.
-		defer func() {
-			if n := skips.Used(); n > 0 {
-				fmt.Printf("trace: skipped %d malformed records\n", n)
-			}
-		}()
-	}
-	shed, err := core.ParseShedPolicy(cfg.shed)
-	if err != nil {
-		return err
-	}
-	pool, err := core.NewPool(app, cfg.pool, core.Options{
-		Errors:       policy,
-		Engine:       engine,
-		NoVerify:     cfg.noVerify,
-		Metrics:      reg,
-		RunDeadline:  cfg.deadline,
-		StallTimeout: cfg.stallTimeout,
-		Shed:         shed,
-		Trace:        tracer,
-		FlightPath:   cfg.flightPath,
-	})
+// to -n packets) and prints the summary runBench prints, with memory
+// touched the union of the cores' coverage. Stateful applications (flow
+// classification) keep per-core tables in this mode, as real
+// replicated-state engines would.
+func runPool(app *core.App, reader trace.Reader, cfg *config, opts core.Options, inj *faultinject.Injector, skips *trace.SkipBudget) error {
+	pool, err := core.NewPool(app, cfg.pool, opts)
 	if err != nil {
 		return describeVerifyError(err)
 	}
@@ -872,13 +880,19 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		pool.Bench(i).SetInjector(inj)
 		pool.Bench(i).Collector().CountPCs = cfg.profileOut != ""
 	}
-	agg := &stats.Running{KeepInstructionCounts: true}
+	agg := &stats.Running{}
 	var ck *core.Checkpointer
 	if cfg.checkpoint != "" {
 		ck = core.NewCheckpointer(cfg.checkpoint, cfg.checkpointEvery, agg)
-		ids, err := traceFingerprints(cfg)
-		if err != nil {
-			return err
+		// Fingerprint every shard in the order openTrace reads them, so a
+		// resume refuses a different or rewritten capture.
+		var ids []core.TraceID
+		for _, path := range cfg.tracePaths() {
+			id, err := core.FingerprintFile(path)
+			if err != nil {
+				return err
+			}
+			ids = append(ids, id)
 		}
 		ck.SetTraceID(ids)
 		if inj != nil {
@@ -902,49 +916,30 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 			}
 			ck.Restore(cp)
 			fmt.Printf("resuming from %s: %d packets already committed\n", cfg.checkpoint, cp.NextIndex)
-			if skips != nil {
-				// Records skipped before the checkpoint count too, and
-				// spent the same budget an uninterrupted run spends.
-				skips.Preload(cp.ReaderSkipped)
-				restored = cp.ReaderSkipped
-			}
+			// Records skipped before the checkpoint count too, and spent
+			// the same budget an uninterrupted run spends.
+			skips.Preload(cp.ReaderSkipped)
+			restored = cp.ReaderSkipped
 		}
-		if skips != nil {
-			// A checkpoint stores the skips behind its reader position,
-			// not the budget's count: a merge's shards read one packet
-			// ahead, and a resume re-reads (and skips again) whatever
-			// lies past the position. src is the unwrapped reader that
-			// counts them.
-			src := reader
-			ck.SetSkippedFunc(func() int { return restored + trace.Skipped(src) })
-		}
+		// A checkpoint stores the skips behind its reader position, not
+		// the budget's count: a merge's shards read one packet ahead, and
+		// a resume re-reads (and skips again) whatever lies past the
+		// position. src is the unwrapped reader that counts them.
+		src := reader
+		ck.SetSkippedFunc(func() int { return restored + trace.Skipped(src) })
 	}
-	// In streaming mode the injector's packet corruptions apply through a
-	// reader wrapper (preloaded runs corrupt up front instead). The wrap
-	// happens after any resume seek, with the restored start index, so
+	// The injector's packet corruptions apply through a reader wrapper,
+	// wrapped after any resume seek with the restored start index, so
 	// plan entries keep their absolute trace positions.
-	if inj != nil && streaming {
+	if inj != nil {
 		start := 0
 		if ck != nil {
 			start = ck.StartIndex()
 		}
 		reader = inj.ReaderFrom(reader, start)
 	}
-	if cfg.progress {
-		stopProgress := startProgress(reg, func() (float64, bool) { return trace.Progress(reader) })
-		defer stopProgress()
-	}
-	if _, err := pool.RunTraceCheckpointed(context.Background(), reader, limit, func(i int, res core.Result) {
-		if res.Shed {
-			agg.AddShed(1)
-			return
-		}
-		agg.Add(&res.Record)
-		if !res.Faulted() {
-			agg.AddVerdict(res.Verdict)
-		}
-	}, ck); err != nil {
-		if cfg.flightPath != "" && tracer != nil {
+	if _, err := pool.RunTraceCheckpointed(context.Background(), reader, cfg.count, tally(agg), ck); err != nil {
+		if cfg.flightPath != "" && opts.Trace != nil {
 			// The pool dumps the flight recorder itself before the run
 			// error surfaces; just point the operator at the file.
 			if _, serr := os.Stat(cfg.flightPath); serr == nil {
@@ -953,39 +948,21 @@ func runPool(app *core.App, reader trace.Reader, limit int, cfg *config, policy 
 		}
 		return err
 	}
-	s := agg.Summary()
-	if s.Packets == 0 && s.Shed == 0 {
-		return fmt.Errorf("no packets to process")
+	// Fold every core's coverage and PC counts into core 0's collector:
+	// one footprint and one profile for the pooled run.
+	col := pool.Bench(0).Collector()
+	for i := 1; i < pool.Cores(); i++ {
+		c := pool.Bench(i).Collector()
+		col.Account().Union(c.Account())
+		for j, n := range c.PCCounts {
+			col.PCCounts[j] += n
+		}
 	}
-	fmt.Printf("\n%s over %d packets on %d simulated cores\n", app.Name, s.Packets, cfg.pool)
-	fmt.Printf("  instructions/packet:        %10.1f\n", s.MeanInstructions)
-	fmt.Printf("  unique instructions/packet: %10.1f\n", s.MeanUnique)
-	fmt.Printf("  packet mem accesses/packet: %10.1f\n", s.MeanPacketAcc)
-	fmt.Printf("  non-packet accesses/packet: %10.1f\n", s.MeanNonPacketAcc)
-	if s.Shed > 0 {
-		fmt.Printf("  shed packets (overload):    %10d\n", s.Shed)
+	if err := printSummary(cfg, app.Name, agg, col, cfg.resume); err != nil {
+		return err
 	}
-	reportFaults(s)
-	occ := analysis.Occurrences(agg.InstructionCounts(), cfg.topK)
-	if len(occ.Top) > 0 {
-		fmt.Printf("  most frequent count: %d instructions (%.2f%%)\n",
-			occ.Top[0].Value, occ.Top[0].Pct(occ.Total))
-	}
-	printVerdicts(agg.Verdicts())
 	if ck != nil && ck.Written() > 0 {
 		fmt.Printf("\ncheckpoints: %d written to %s\n", ck.Written(), cfg.checkpoint)
 	}
-	if cfg.profileOut != "" {
-		// Sum the per-core PC counters: one profile for the pooled run.
-		counts := make([]uint64, len(pool.Bench(0).Collector().PCCounts))
-		for i := 0; i < pool.Cores(); i++ {
-			for j, c := range pool.Bench(i).Collector().PCCounts {
-				counts[j] += c
-			}
-		}
-		if err := writeProfiles(cfg.profileOut, app, pool.Bench(0).Program(), counts); err != nil {
-			return err
-		}
-	}
-	return writeTraceOut(cfg, tracer, reg, app.Name)
+	return writeOutputs(cfg, app, pool.Bench(0), opts)
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -187,6 +188,8 @@ func TestPoolFlagChecks(t *testing.T) {
 		{"stall-timeout", 1, func(c *config) { c.stallTimeout = time.Nanosecond }, "-stall-timeout"},
 		{"shed", 1, func(c *config) { c.shed = "drop-newest" }, "-shed"},
 		{"batch", 1, func(c *config) { c.batch = 7 }, "-batch"},
+		{"checkpoint", 1, func(c *config) { c.checkpoint = filepath.Join(t.TempDir(), "ck.json") }, "-checkpoint needs the pool scheduler"},
+		{"checkpoint gen", 2, func(c *config) { c.checkpoint = filepath.Join(t.TempDir(), "ck.json") }, "-checkpoint needs -trace"},
 	} {
 		cfg := testConfig("tsa", "LAN", 20)
 		cfg.pool = tc.pool
@@ -405,57 +408,69 @@ func TestCorruptTraceSameErrorOnEveryPath(t *testing.T) {
 }
 
 // TestResumeKeepsSkipCount: a run interrupted after its checkpoint and
-// resumed reports the same malformed-record count as an uninterrupted
-// run, and checkpoints the restored count plus its own.
+// resumed prints the summary of an uninterrupted run, its malformed-record
+// count included, and checkpoints the restored count plus its own. Radix
+// derives its table in a pass that reads the trace again from its start.
+// A checkpoint does not carry the coverage sets, so the resumed run
+// leaves memory touched out.
 func TestResumeKeepsSkipCount(t *testing.T) {
 	path := writeCorruptPcap(t, 1200, 100, 350, 700, 1000)
-	base := testConfig("tsa", "", 0)
-	base.traceFile = path
-	base.pool = 2
-	base.faultPolicy = "skip"
-	skipLine := func(out string) string {
+	summary := func(out string) string {
+		var keep []string
 		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, "trace: skipped") {
-				return line
+			if line != "" && !strings.Contains(line, "memory touched") &&
+				!strings.HasPrefix(line, "resuming from") && !strings.HasPrefix(line, "checkpoints:") {
+				keep = append(keep, line)
 			}
 		}
-		return ""
+		return strings.Join(keep, "\n")
 	}
-	full, err := captureRun(t, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := skipLine(full)
-	if want == "" {
-		t.Fatalf("uninterrupted run skipped nothing:\n%s", full)
-	}
+	for _, app := range []string{"tsa", "radix"} {
+		t.Run(app, func(t *testing.T) {
+			base := testConfig(app, "", 0)
+			base.traceFile = path
+			base.pool = 2
+			base.faultPolicy = "skip"
+			// The interrupted run stops at -n 600, and its table pass with
+			// it: a table that fills within 600 packets is the one the
+			// full run derives too.
+			base.prefixes = 64
+			full, err := captureRun(t, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(full, "trace: skipped 4 malformed records") {
+				t.Fatalf("uninterrupted run does not skip the 4 corrupt records:\n%s", full)
+			}
 
-	part := base
-	part.count = 600
-	part.checkpoint = filepath.Join(t.TempDir(), "ck.json")
-	part.checkpointEvery = 100
-	if _, err := captureRun(t, part); err != nil {
-		t.Fatal(err)
-	}
-	cp, err := core.LoadCheckpoint(part.checkpoint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.ReaderSkipped == 0 {
-		t.Fatalf("checkpoint at %d records no skips", cp.NextIndex)
-	}
-	resumed := base
-	resumed.checkpoint = part.checkpoint
-	resumed.resume = true
-	out, err := captureRun(t, resumed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out, "resuming from") {
-		t.Fatalf("run did not resume:\n%s", out)
-	}
-	if got := skipLine(out); got != want {
-		t.Errorf("resumed run reports %q, uninterrupted run %q", got, want)
+			part := base
+			part.count = 600
+			part.checkpoint = filepath.Join(t.TempDir(), "ck.json")
+			part.checkpointEvery = 100
+			if _, err := captureRun(t, part); err != nil {
+				t.Fatal(err)
+			}
+			cp, err := core.LoadCheckpoint(part.checkpoint)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cp.ReaderSkipped == 0 {
+				t.Fatalf("checkpoint at %d records no skips", cp.NextIndex)
+			}
+			resumed := base
+			resumed.checkpoint = part.checkpoint
+			resumed.resume = true
+			out, err := captureRun(t, resumed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, "resuming from") || strings.Contains(out, "memory touched") {
+				t.Fatalf("run did not resume, or reports memory touched:\n%s", out)
+			}
+			if got, want := summary(out), summary(full); got != want {
+				t.Errorf("resumed run:\n%s\nuninterrupted run:\n%s", got, want)
+			}
+		})
 	}
 }
 
@@ -639,3 +654,147 @@ func TestRunPoolObservability(t *testing.T) {
 		t.Errorf("pool folded output missing: %v", err)
 	}
 }
+
+// writeTracePcap writes n packets of the named generator profile to a
+// pcap file in a temporary directory.
+func writeTracePcap(t *testing.T, profile string, n int) string {
+	t.Helper()
+	prof, err := gen.ProfileByName(profile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), profile+".pcap")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := trace.NewPcapWriter(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range gen.Generate(prof, n) {
+		if err := w.WritePacket(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// coreCountLine matches the summary header, the one line that names the
+// core count.
+var coreCountLine = regexp.MustCompile(`(?m)^.* over [0-9]+ packets( on [0-9]+ simulated cores)?\n`)
+
+// summaryLines are the lines every run's summary prints.
+var summaryLines = []string{
+	"instructions/packet:", "unique instructions/packet:", "packet mem accesses/packet:",
+	"non-packet accesses/packet:", "instruction memory touched:", "data memory touched:",
+	"most frequent instruction counts:", "    min ", "verdicts:",
+}
+
+// TestSingleCoreMatchesPool: one core and a pool of two print the same
+// summary for the stateless applications, apart from the header naming
+// the core count, on a pcap and on a generated trace, with a table the
+// run derives from the trace. Flow classification keeps per-core tables,
+// so both of its runs need only print every summary line.
+func TestSingleCoreMatchesPool(t *testing.T) {
+	pcap := writeTracePcap(t, "MRA", 400)
+	corrupt := writeCorruptPcap(t, 1200, 100, 350, 700, 1000)
+	for _, tc := range []struct {
+		name   string
+		set    func(*config)
+		want   string // a line both runs print, when set
+		golden string // both runs' output, header aside, when set
+	}{
+		{"radix pcap", func(c *config) { c.traceFile = pcap }, "", ""},
+		{"trie pcap", func(c *config) { c.traceFile = pcap }, "", ""},
+		{"tsa pcap", func(c *config) { c.traceFile = pcap }, "", ""},
+		{"flow pcap", func(c *config) { c.traceFile = pcap }, "", ""},
+		{"radix gen", func(c *config) { c.gen, c.count = "MRA", 400 }, "", ""},
+		{"trie gen", func(c *config) { c.gen, c.count = "MRA", 400 }, "", ""},
+		{"tsa gen", func(c *config) { c.gen, c.count = "MRA", 400 }, "", ""},
+		{"flow gen", func(c *config) { c.gen, c.count = "MRA", 400 }, "", ""},
+		{"radix corrupt pcap", func(c *config) {
+			c.traceFile = corrupt
+			c.faultPolicy = "skip"
+		}, "trace: skipped 4 malformed records", ""},
+		// The table pass reads through the injector, as the run does: the
+		// flips at 3 and 7 land in destination addresses and move the
+		// derived table (267 prefixes without them).
+		{"radix inject", func(c *config) {
+			c.gen, c.count = "MRA", 300
+			c.inject = "flip@3:17,flip@7:19,flip@40"
+			c.faultPolicy = "skip"
+		}, "", injectedRadixGolden},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			app, _, _ := strings.Cut(tc.name, " ")
+			var outs []string
+			for _, pool := range []int{1, 2} {
+				cfg := testConfig(app, "", 0)
+				tc.set(&cfg)
+				cfg.pool = pool
+				out, err := captureRun(t, cfg)
+				if err != nil {
+					t.Fatalf("pool %d: %v", pool, err)
+				}
+				for _, line := range summaryLines {
+					if !strings.Contains(out, line) {
+						t.Errorf("pool %d prints no %q line:\n%s", pool, line, out)
+					}
+				}
+				if tc.want != "" && strings.Count(out, tc.want+"\n") != 1 {
+					t.Errorf("pool %d does not print %q once:\n%s", pool, tc.want, out)
+				}
+				outs = append(outs, coreCountLine.ReplaceAllString(out, ""))
+			}
+			if app != "flow" && outs[0] != outs[1] {
+				t.Errorf("one core and a pool disagree:\n--- pool 1\n%s\n--- pool 2\n%s", outs[0], outs[1])
+			}
+			if want := coreCountLine.ReplaceAllString(tc.golden, ""); tc.golden != "" && outs[0] != want {
+				t.Errorf("output differs from the preloading run's:\n--- got\n%s\n--- want\n%s", outs[0], want)
+			}
+		})
+	}
+}
+
+// injectedRadixGolden is the output of the "radix inject" case from the
+// single-core path that preloaded the trace and corrupted it up front.
+const injectedRadixGolden = `fault injection: 3 planned injections, seed 1
+routing table: 268 prefixes
+
+IPv4-radix over 300 packets
+  instructions/packet:             700.2
+  unique instructions/packet:      127.4
+  packet mem accesses/packet:       33.9
+  non-packet accesses/packet:      174.6
+  instruction memory touched:        576 bytes
+  data memory touched:             58044 bytes
+
+  most frequent instruction counts:
+         730 instructions:    135 packets (45.00%)
+         862 instructions:     32 packets (10.67%)
+         554 instructions:     25 packets (8.33%)
+    min 105 (0.67%), max 862 (10.67%), mean 700.2
+
+  verdicts:
+       0: 2 packets
+       1: 14 packets
+       2: 11 packets
+       3: 14 packets
+       4: 15 packets
+       5: 21 packets
+       6: 14 packets
+       7: 11 packets
+       8: 20 packets
+       9: 15 packets
+      10: 16 packets
+      11: 24 packets
+      12: 23 packets
+      13: 13 packets
+      14: 51 packets
+      15: 15 packets
+      16: 21 packets
+`

@@ -83,21 +83,26 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 		format = trace.FormatTSH
 	}
 	names := shardNames(output, shards)
-	files := make([]*os.File, len(names))
+	files := make([]*os.File, 0, len(names))
 	writers := make([]trace.Writer, len(names))
+	// fail closes and removes every shard file this run created, so a
+	// failed run leaves no partial trace behind.
+	fail := func(err error) error {
+		for _, f := range files {
+			f.Close()
+			os.Remove(f.Name())
+		}
+		return err
+	}
 	for i, name := range names {
 		f, err := os.Create(name)
 		if err != nil {
-			closeAll(files[:i])
-			return err
+			return fail(err)
 		}
-		w, err := trace.NewWriter(f, format)
-		if err != nil {
-			f.Close()
-			closeAll(files[:i])
-			return err
+		files = append(files, f)
+		if writers[i], err = trace.NewWriter(f, format); err != nil {
+			return fail(err)
 		}
-		files[i], writers[i] = f, w
 	}
 	var bytes int
 	// Round-robin sharding keeps each shard's timestamps monotone (the
@@ -105,14 +110,17 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 	// reproduces the original trace exactly.
 	for i, p := range pkts {
 		if err := writers[i%shards].WritePacket(p); err != nil {
-			closeAll(files)
-			return err
+			if format == trace.FormatTSH && len(p.Data) > 0 && p.Data[0]&0x0F > 5 {
+				err = fmt.Errorf("profile %s gives %g%% of packets IP options, which TSH records cannot hold; write .pcap instead: %w",
+					prof.Name, 100*prof.OptionProb, err)
+			}
+			return fail(err)
 		}
 		bytes += p.WireLen
 	}
 	for _, f := range files {
 		if err := f.Close(); err != nil {
-			return err
+			return fail(err)
 		}
 	}
 	if shards == 1 {
@@ -138,14 +146,6 @@ func shardNames(output string, shards int) []string {
 		names[i] = fmt.Sprintf("%s-%d%s", base, i, ext)
 	}
 	return names
-}
-
-func closeAll(files []*os.File) {
-	for _, f := range files {
-		if f != nil {
-			f.Close()
-		}
-	}
 }
 
 // loadSpec reads a gen.Profile from a JSON file, so custom workloads can

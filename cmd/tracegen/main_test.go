@@ -107,3 +107,19 @@ func TestRunErrors(t *testing.T) {
 		t.Error("unwritable path accepted")
 	}
 }
+
+// TestTSHRefusesIPOptions: TSH records hold a 20-byte IP header, so a
+// profile that gives packets IP options fails with an error naming them,
+// and the failed run leaves no output file or shard behind.
+func TestTSHRefusesIPOptions(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		dir := t.TempDir()
+		err := run("MRA", "", filepath.Join(dir, "m.tsh"), 2000, shards, false, false)
+		if err == nil || !strings.Contains(err.Error(), "IP options") {
+			t.Errorf("%d shard(s): got %v, want an error naming IP options", shards, err)
+		}
+		if left, _ := os.ReadDir(dir); len(left) != 0 {
+			t.Errorf("%d shard(s): failed run left %d file(s), first %s", shards, len(left), left[0].Name())
+		}
+	}
+}

@@ -32,29 +32,36 @@ type OccurrenceTable struct {
 // values. Ties in frequency break toward the smaller value, keeping the
 // output deterministic.
 func Occurrences(values []uint64, topK int) OccurrenceTable {
-	t := OccurrenceTable{Total: len(values)}
-	if len(values) == 0 {
-		return t
-	}
 	counts := make(map[uint64]int)
-	var sum float64
-	min, max := values[0], values[0]
 	for _, v := range values {
 		counts[v]++
-		sum += float64(v)
-		if v < min {
-			min = v
-		}
-		if v > max {
-			max = v
-		}
 	}
-	t.Mean = sum / float64(len(values))
-	t.Min = Occurrence{Value: min, Count: counts[min]}
-	t.Max = Occurrence{Value: max, Count: counts[max]}
+	return OccurrencesOf(counts, topK)
+}
+
+// OccurrencesOf is Occurrences over a histogram of the values: counts[v]
+// samples took value v.
+func OccurrencesOf(counts map[uint64]int, topK int) OccurrenceTable {
+	var t OccurrenceTable
+	if len(counts) == 0 {
+		return t
+	}
+	var sum float64
 	all := make([]Occurrence, 0, len(counts))
 	for v, c := range counts {
+		t.Total += c
+		sum += float64(v) * float64(c)
 		all = append(all, Occurrence{Value: v, Count: c})
+	}
+	t.Mean = sum / float64(t.Total)
+	t.Min, t.Max = all[0], all[0]
+	for _, o := range all {
+		if o.Value < t.Min.Value {
+			t.Min = o
+		}
+		if o.Value > t.Max.Value {
+			t.Max = o
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Count != all[j].Count {

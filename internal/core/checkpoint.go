@@ -13,7 +13,7 @@ import (
 
 // checkpointVersion is bumped whenever the Checkpoint schema changes
 // incompatibly; LoadCheckpoint refuses other versions.
-const checkpointVersion = 1
+const checkpointVersion = 2
 
 // fingerprintRegion is how much of the head of each trace input the
 // identity fingerprint hashes. Hashing only the head keeps

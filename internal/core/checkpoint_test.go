@@ -320,7 +320,12 @@ func TestLoadCheckpointRejectsMalformed(t *testing.T) {
 	if _, err := LoadCheckpoint(write("vers.ckpt", `{"version":99,"reader_pos":[0],"next_index":0,"stats":{}}`)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Errorf("future version accepted: %v", err)
 	}
-	if _, err := LoadCheckpoint(write("state.ckpt", `{"version":1,"next_index":-3,"stats":{}}`)); err == nil {
+	// Version 1 kept no instruction-count histogram: resuming from one
+	// would drop the packets before it from the occurrence table.
+	if _, err := LoadCheckpoint(write("v1.ckpt", `{"version":1,"reader_pos":[0],"next_index":2,"stats":{"counts":[730,730]}}`)); err == nil || !strings.Contains(err.Error(), "version") {
+		t.Errorf("version 1 checkpoint accepted: %v", err)
+	}
+	if _, err := LoadCheckpoint(write("state.ckpt", `{"version":2,"next_index":-3,"stats":{}}`)); err == nil {
 		t.Error("malformed resume state accepted")
 	}
 }

@@ -142,9 +142,11 @@ type outcome struct {
 
 // profile is a microarch.Profiler's state after Flush.
 type profile struct {
-	Mix      microarch.Mix
-	Branches microarch.BranchStats
-	Bimodal  string    // the predictor's counters, which BranchStats keeps unexported
+	Mix microarch.Mix
+	// Branches is a pointer so that firstDiff compares it whole with
+	// reflect.DeepEqual, which reaches the predictor's counters that
+	// BranchStats keeps unexported.
+	Branches *microarch.BranchStats
 	Caches   [4]uint64 // I-cache accesses and misses, D-cache accesses and misses
 	Cycles   uint64
 }
@@ -166,7 +168,8 @@ func newProfiler(t *testing.T) *microarch.Profiler {
 // profileOf flushes p and copies its state.
 func profileOf(p *microarch.Profiler) profile {
 	p.Flush()
-	return profile{Mix: p.Mix, Branches: p.Branches, Bimodal: fmt.Sprint(p.Branches),
+	branches := p.Branches
+	return profile{Mix: p.Mix, Branches: &branches,
 		Caches: [4]uint64{p.ICache.Accesses, p.ICache.Misses, p.DCache.Accesses, p.DCache.Misses},
 		Cycles: p.Cycles}
 }

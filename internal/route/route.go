@@ -143,45 +143,16 @@ func GenerateTable(opts GenOptions) *Table {
 	if opts.Prefixes <= 0 {
 		opts.Prefixes = 1000
 	}
-	if opts.NextHops <= 0 {
-		opts.NextHops = 16
-	}
-	rng := rand.New(rand.NewSource(opts.Seed))
-	total := 0
-	for _, d := range lengthDist {
-		total += d.weight
-	}
-	t := &Table{}
-	seen := make(map[uint64]bool, opts.Prefixes)
+	tt := NewTrafficTable(opts.Prefixes, opts.NextHops, opts.Seed)
 	if opts.IncludeDefault {
-		t.Entries = append(t.Entries, Entry{Prefix: 0, Len: 0, NextHop: uint32(opts.NextHops)})
+		tt.t.Entries = append(tt.t.Entries, Entry{Prefix: 0, Len: 0, NextHop: uint32(tt.nextHops)})
 	}
-	for len(t.Entries) < opts.Prefixes {
-		// Draw a length from the distribution.
-		r := rng.Intn(total)
-		length := 24
-		for _, d := range lengthDist {
-			if r < d.weight {
-				length = d.length
-				break
-			}
-			r -= d.weight
-		}
+	for len(tt.t.Entries) < opts.Prefixes {
+		length := tt.drawLength()
 		// Draw a prefix in unicast space (16.0.0.0 - 223.255.255.255).
-		addr := uint32(16+rng.Intn(208))<<24 | uint32(rng.Int63())&0x00FFFFFF
-		prefix := addr & Mask(length)
-		key := uint64(prefix)<<6 | uint64(length)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		t.Entries = append(t.Entries, Entry{
-			Prefix: prefix, Len: length,
-			NextHop: uint32(1 + rng.Intn(opts.NextHops)),
-		})
+		tt.add(uint32(16+tt.rng.Intn(208))<<24|uint32(tt.rng.Int63())&0x00FFFFFF, length)
 	}
-	t.Dedup()
-	return t
+	return tt.Table()
 }
 
 // TableFromTraffic derives a routing table from observed destination
@@ -192,42 +163,75 @@ func GenerateTable(opts GenOptions) *Table {
 // coverage of the routing table" the paper's address scrambling is there
 // to produce. Generation is deterministic for a given seed.
 func TableFromTraffic(dsts []uint32, maxPrefixes int, nextHops int, seed int64) *Table {
+	tt := NewTrafficTable(maxPrefixes, nextHops, seed)
+	for _, dst := range dsts {
+		if tt.Add(dst) {
+			break
+		}
+	}
+	return tt.Table()
+}
+
+// TrafficTable is TableFromTraffic fed one destination at a time, so a
+// caller streaming a trace keeps no per-packet state.
+type TrafficTable struct {
+	max, nextHops int
+	rng           *rand.Rand
+	seen          map[uint64]bool
+	t             Table
+}
+
+// NewTrafficTable starts a table of at most maxPrefixes entries (<= 0:
+// unlimited), with next hops drawn from 1..nextHops (default 16).
+func NewTrafficTable(maxPrefixes int, nextHops int, seed int64) *TrafficTable {
 	if nextHops <= 0 {
 		nextHops = 16
 	}
-	rng := rand.New(rand.NewSource(seed))
+	return &TrafficTable{max: maxPrefixes, nextHops: nextHops, rng: rand.New(rand.NewSource(seed)),
+		seen: make(map[uint64]bool, max(maxPrefixes, 0))}
+}
+
+// Add derives a prefix from dst and reports whether the table is full;
+// a full table ignores further destinations.
+func (tt *TrafficTable) Add(dst uint32) (full bool) {
+	if tt.max <= 0 || len(tt.t.Entries) < tt.max {
+		tt.add(dst, tt.drawLength())
+	}
+	return tt.max > 0 && len(tt.t.Entries) >= tt.max
+}
+
+// drawLength draws a prefix length from lengthDist.
+func (tt *TrafficTable) drawLength() int {
 	total := 0
 	for _, d := range lengthDist {
 		total += d.weight
 	}
-	t := &Table{}
-	seen := make(map[uint64]bool, min(len(dsts), max(maxPrefixes, 0)))
-	for _, dst := range dsts {
-		if maxPrefixes > 0 && len(t.Entries) >= maxPrefixes {
-			break
+	r := tt.rng.Intn(total)
+	for _, d := range lengthDist {
+		if r < d.weight {
+			return d.length
 		}
-		r := rng.Intn(total)
-		length := 24
-		for _, d := range lengthDist {
-			if r < d.weight {
-				length = d.length
-				break
-			}
-			r -= d.weight
-		}
-		prefix := dst & Mask(length)
-		key := uint64(prefix)<<6 | uint64(length)
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		t.Entries = append(t.Entries, Entry{
-			Prefix: prefix, Len: length,
-			NextHop: uint32(1 + rng.Intn(nextHops)),
-		})
+		r -= d.weight
 	}
-	t.Dedup()
-	return t
+	return 24
+}
+
+// add enters addr's prefix of the given length, with a drawn next hop,
+// unless the table holds it already.
+func (tt *TrafficTable) add(addr uint32, length int) {
+	prefix := addr & Mask(length)
+	key := uint64(prefix)<<6 | uint64(length)
+	if tt.seen[key] {
+		return
+	}
+	tt.seen[key] = true
+	tt.t.Entries = append(tt.t.Entries, Entry{Prefix: prefix, Len: length, NextHop: uint32(1 + tt.rng.Intn(tt.nextHops))})
+}
+
+// Table deduplicates and returns the table; call it after the last Add.
+func (tt *TrafficTable) Table() *Table {
+	tt.t.Dedup()
+	return &tt.t
 }
 
 // ParseTable reads a routing table in the simple text form

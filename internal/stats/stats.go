@@ -25,6 +25,8 @@
 package stats
 
 import (
+	"maps"
+
 	"repro/internal/analysis"
 	"repro/internal/isa"
 	"repro/internal/vm"
@@ -290,9 +292,10 @@ func Summarize(records []PacketRecord) Summary {
 // concurrent use; streaming schedulers deliver records to it from a
 // single aggregation goroutine.
 type Running struct {
-	// KeepInstructionCounts retains each packet's instruction count
-	// (8 bytes per packet) so occurrence tables can still be built from a
-	// streamed run.
+	// KeepInstructionCounts also retains each packet's instruction count
+	// in order (8 bytes per packet), for callers that need the sequence.
+	// Occurrence tables need only InstructionHistogram, which is always
+	// kept and grows with the distinct counts, not the packets.
 	KeepInstructionCounts bool
 
 	packets           int
@@ -301,6 +304,7 @@ type Running struct {
 	pktAcc            uint64
 	nonPktAcc         uint64
 	counts            []uint64
+	hist              map[uint64]int
 	faultCounts       map[vm.FaultKind]int
 	verdicts          map[uint32]int
 	faulted           int
@@ -322,6 +326,7 @@ type RunningState struct {
 	FaultCounts       map[vm.FaultKind]int `json:"fault_counts,omitempty"`
 	Verdicts          map[uint32]int       `json:"verdicts,omitempty"`
 	Counts            []uint64             `json:"counts,omitempty"`
+	Histogram         map[uint64]int       `json:"histogram,omitempty"`
 }
 
 // State snapshots the aggregate for a checkpoint. The snapshot owns its
@@ -338,6 +343,7 @@ func (a *Running) State() RunningState {
 		NonPacketAcc:      a.nonPktAcc,
 		FaultCounts:       a.FaultCounts(),
 		Verdicts:          a.Verdicts(),
+		Histogram:         maps.Clone(a.hist),
 	}
 	if a.KeepInstructionCounts && len(a.counts) > 0 {
 		st.Counts = append([]uint64(nil), a.counts...)
@@ -356,20 +362,9 @@ func (a *Running) SetState(st RunningState) {
 	a.unique = st.Unique
 	a.pktAcc = st.PacketAcc
 	a.nonPktAcc = st.NonPacketAcc
-	a.faultCounts = nil
-	if len(st.FaultCounts) > 0 {
-		a.faultCounts = make(map[vm.FaultKind]int, len(st.FaultCounts))
-		for k, n := range st.FaultCounts {
-			a.faultCounts[k] = n
-		}
-	}
-	a.verdicts = nil
-	if len(st.Verdicts) > 0 {
-		a.verdicts = make(map[uint32]int, len(st.Verdicts))
-		for v, n := range st.Verdicts {
-			a.verdicts[v] = n
-		}
-	}
+	a.faultCounts = maps.Clone(st.FaultCounts)
+	a.verdicts = maps.Clone(st.Verdicts)
+	a.hist = maps.Clone(st.Histogram)
 	a.counts = nil
 	if len(st.Counts) > 0 {
 		a.counts = append([]uint64(nil), st.Counts...)
@@ -392,11 +387,7 @@ func (a *Running) Verdicts() map[uint32]int {
 	if len(a.verdicts) == 0 {
 		return nil
 	}
-	out := make(map[uint32]int, len(a.verdicts))
-	for v, n := range a.verdicts {
-		out[v] = n
-	}
-	return out
+	return maps.Clone(a.verdicts)
 }
 
 // AddShed counts n packets dropped unprocessed by an overload shed
@@ -423,6 +414,10 @@ func (a *Running) Add(r *PacketRecord) {
 	a.unique += uint64(r.Unique)
 	a.pktAcc += r.PacketAccesses()
 	a.nonPktAcc += r.NonPacketAccesses()
+	if a.hist == nil {
+		a.hist = make(map[uint64]int)
+	}
+	a.hist[r.Instructions]++
 	if a.KeepInstructionCounts {
 		a.counts = append(a.counts, r.Instructions)
 	}
@@ -442,21 +437,14 @@ func (a *Running) FaultCounts() map[vm.FaultKind]int {
 	if len(a.faultCounts) == 0 {
 		return nil
 	}
-	out := make(map[vm.FaultKind]int, len(a.faultCounts))
-	for k, n := range a.faultCounts {
-		out[k] = n
-	}
-	return out
+	return maps.Clone(a.faultCounts)
 }
 
 // Summary returns the run-level figures of the records added so far.
 func (a *Running) Summary() Summary {
 	s := Summary{Packets: a.packets, Faulted: a.faulted, TotalInstructions: a.totalInstructions, Shed: a.shed}
 	if a.faulted > 0 {
-		s.FaultCounts = make(map[vm.FaultKind]int, len(a.faultCounts))
-		for k, n := range a.faultCounts {
-			s.FaultCounts[k] = n
-		}
+		s.FaultCounts = maps.Clone(a.faultCounts)
 	}
 	if n := float64(s.Measured()); n > 0 {
 		s.MeanInstructions = float64(a.totalInstructions) / n
@@ -470,6 +458,10 @@ func (a *Running) Summary() Summary {
 // InstructionCounts returns the retained per-packet instruction counts
 // (nil unless KeepInstructionCounts was set before the run).
 func (a *Running) InstructionCounts() []uint64 { return a.counts }
+
+// InstructionHistogram returns how many measured packets ran each
+// instruction count: the input of analysis.OccurrencesOf.
+func (a *Running) InstructionHistogram() map[uint64]int { return a.hist }
 
 // InstructionCounts extracts the per-packet instruction counts from
 // records (input to analysis.Occurrences for Table V). Quarantined

@@ -356,6 +356,9 @@ func TestRunningMatchesSummarize(t *testing.T) {
 			t.Errorf("count %d = %d, want %d", i, counts[i], want[i])
 		}
 	}
+	if got, want := agg.InstructionHistogram(), map[uint64]int{100: 2, 250: 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("InstructionHistogram() = %v, want %v", got, want)
+	}
 }
 
 // TestRunningStateRoundTrip: serializing an aggregate through its
@@ -394,6 +397,9 @@ func TestRunningStateRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(restored.InstructionCounts(), agg.InstructionCounts()) {
 		t.Errorf("restored counts = %v, want %v", restored.InstructionCounts(), agg.InstructionCounts())
+	}
+	if !reflect.DeepEqual(restored.InstructionHistogram(), agg.InstructionHistogram()) {
+		t.Errorf("restored histogram = %v, want %v", restored.InstructionHistogram(), agg.InstructionHistogram())
 	}
 	// Restored aggregates must keep accumulating, not just report.
 	restored.Add(&records[0])

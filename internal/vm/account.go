@@ -151,3 +151,17 @@ func (a *Account) Touched(r Region) int {
 	}
 	return n
 }
+
+// Union adds o's whole-run coverage sets to a's, so a run split across
+// cores, one account each, reports what any of them touched. Both
+// accounts must belong to one program and layout.
+func (a *Account) Union(o *Account) {
+	for r, set := range o.touched {
+		if set != nil && a.touched[r] == nil {
+			a.touched[r] = make([]uint64, len(set))
+		}
+		for i, w := range set {
+			a.touched[r][i] |= w
+		}
+	}
+}

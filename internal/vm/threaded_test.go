@@ -239,6 +239,38 @@ func TestAccountEpochWrap(t *testing.T) {
 	}
 }
 
+// TestAccountUnion: the union of two accounts' coverage, each of which
+// ran one packet, is the coverage of one account that ran both, also
+// when the receiving account never ran a packet.
+func TestAccountUnion(t *testing.T) {
+	const src = "lw t0, 0(a0)\nbeq t0, zero, skip\nsw t0, 4(a0)\naddi sp, sp, -4\nsw t0, 0(sp)\nskip:\nret"
+	run := func(words ...uint32) *Account {
+		c, p := buildCPU(t, src)
+		c.Account = NewAccount(analysis.NewBlockMap(p.Text, p.TextBase), c.Mem.Layout())
+		for _, w := range words {
+			c.Mem.Write32(c.Mem.Layout().PacketBase, w)
+			c.Regs[isa.A0], c.Regs[isa.RA], c.Regs[isa.SP] = c.Mem.Layout().PacketBase, ReturnAddress, c.Mem.Layout().StackEnd
+			c.PC = p.TextBase
+			c.Account.Begin(true)
+			if _, _, err := c.Run(100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c.Account
+	}
+	both, split, empty := run(0, 1), run(0), run()
+	split.Union(run(1))
+	empty.Union(both)
+	for r := RegionText; r <= RegionStack; r++ {
+		if split.Touched(r) != both.Touched(r) || empty.Touched(r) != both.Touched(r) {
+			t.Errorf("region %d: union touches %d and %d, one account %d", r, split.Touched(r), empty.Touched(r), both.Touched(r))
+		}
+	}
+	if both.Touched(RegionText) <= run(0).Touched(RegionText) || both.Touched(RegionStack) == 0 {
+		t.Fatal("the packets do not cover different instructions and words")
+	}
+}
+
 // TestAccountRestartedPass stops a packet one instruction into a block,
 // restarts it from the entry on the block-threaded engine, and checks
 // that the restarted whole-block pass still counts every instruction:

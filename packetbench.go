@@ -298,13 +298,13 @@ func GenerateRouteTable(prefixes int, seed int64) *RouteTable {
 // of the given packets, so forwarding lookups find deep matches (the
 // paper's uniform-coverage setup).
 func RouteTableFromTrace(pkts []*Packet, maxPrefixes int) *RouteTable {
-	dsts := make([]uint32, 0, len(pkts))
+	tt := route.NewTrafficTable(maxPrefixes, 16, 1)
 	for _, p := range pkts {
-		if h, err := packet.ParseIPv4(p.Data); err == nil {
-			dsts = append(dsts, h.Dst)
+		if h, err := packet.ParseIPv4(p.Data); err == nil && tt.Add(h.Dst) {
+			break
 		}
 	}
-	return route.TableFromTraffic(dsts, maxPrefixes, 16, 1)
+	return tt.Table()
 }
 
 // formatForPath picks a trace format from a file extension.
