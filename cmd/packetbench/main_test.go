@@ -384,6 +384,33 @@ func captureRun(t *testing.T, cfg config) (string, error) {
 	return <-out, runErr
 }
 
+// TestCorruptPcapLosesOnlyCorruptRecords: skip-and-resync past a broken
+// record length loses that record and no other. The resync scan runs
+// through the broken record's body, where a window can alias a header
+// whose claimed body swallows dozens of real records and still lines up
+// with one of them; its timestamp gives it away.
+func TestCorruptPcapLosesOnlyCorruptRecords(t *testing.T) {
+	for _, c := range []struct {
+		n       int
+		corrupt []int
+	}{{400, []int{50, 120, 200, 300}}, {1200, []int{100, 350, 700, 1000}}} {
+		r, err := trace.OpenPcap(writeCorruptPcap(t, c.n, c.corrupt...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.SetSkipMalformed(trace.NewSkipBudget(len(c.corrupt)))
+		pkts, err := trace.ReadAll(r, 0)
+		r.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pkts) != c.n-len(c.corrupt) || r.Skipped() != len(c.corrupt) {
+			t.Errorf("%d records broken at %v: read %d packets and %d skips, want %d and %d",
+				c.n, c.corrupt, len(pkts), r.Skipped(), c.n-len(c.corrupt), len(c.corrupt))
+		}
+	}
+}
+
 // TestCorruptTraceSameErrorOnEveryPath: once the reader's skip budget is
 // spent, the single-core and pool paths fail with the same reader error
 // at the same offset.

@@ -635,7 +635,7 @@ func FuzzOracle(f *testing.F) {
 			f.Add(append([]byte{1}, src...))
 		}
 	}
-	for _, text := range pageSeeds {
+	for _, text := range append(pageSeeds, pcSeeds...) {
 		f.Add(append([]byte{0}, rawInput(text...)...))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -1145,6 +1145,42 @@ var pageSeeds = [][]isa.Instruction{
 		ins(isa.ORI, 4, 4, 0, 0xFFC),
 		ins(isa.SW, 5, 4, 0, 0),
 		ins(isa.JALR, 0, 15, 0, 0),
+	},
+}
+
+// pcSeeds follow pageSeeds. They pin the pc the threaded engine derives
+// from the instruction index where a link, a fault or a tracer reads it:
+// a JAL and a JALR as the last text word, each linking TextEnd; straight
+// work into a JAL, whose budget cells include one expiring on the
+// instruction before it; a block falling through the last text word
+// (FaultBadFetch at TextEnd); and branches whose static targets lie
+// outside the text, one untaken and one taken.
+var pcSeeds = [][]isa.Instruction{
+	{
+		ins(isa.JAL, 0, 0, 0, 1),
+		ins(isa.JALR, 0, 15, 0, 0),
+		ins(isa.JAL, 5, 0, 0, -2),
+	},
+	{
+		ins(isa.ADDI, 4, 0, 0, 7),
+		ins(isa.JALR, 5, 15, 0, 0),
+	},
+	{
+		ins(isa.ADDI, 4, 0, 0, 1),
+		ins(isa.ADDI, 4, 4, 0, 2),
+		ins(isa.ADDI, 4, 4, 0, 3),
+		ins(isa.JAL, 5, 0, 0, 0),
+		ins(isa.JALR, 0, 15, 0, 0),
+	},
+	{
+		ins(isa.BEQ, 0, isa.Zero, isa.Zero, 0),
+		ins(isa.ADDI, 4, 4, 0, 1),
+		ins(isa.ADDI, 5, 4, 0, 1),
+	},
+	{
+		ins(isa.BNE, 0, isa.Zero, isa.Zero, 100),
+		ins(isa.ADDI, 4, 0, 0, 1),
+		ins(isa.BEQ, 0, isa.Zero, isa.Zero, -100),
 	},
 }
 

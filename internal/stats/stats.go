@@ -148,7 +148,7 @@ func (c *Collector) BeginPacket() {
 	}
 }
 
-// blockSlabChunk is the minimum slab chunk, in block ids: enough for a
+// blockSlabChunk is the largest slab chunk, in block ids: enough for a
 // few hundred packets' block sets per allocation.
 const blockSlabChunk = 8192
 
@@ -167,9 +167,11 @@ func (c *Collector) EndPacket() PacketRecord {
 	// Gather the executed block set (ascending ids, hence sorted) into
 	// the slab. A chunk with room for every block never reallocates
 	// mid-set, and the capped sub-slice keeps a caller's append from
-	// overwriting the next record's set.
+	// overwriting the next record's set. The first chunk holds one such
+	// set and each next one doubles, up to blockSlabChunk ids, so a
+	// collector that sees few packets allocates little.
 	if n := c.blocks.NumBlocks(); cap(c.slab)-len(c.slab) < n {
-		c.slab = make([]int, 0, max(blockSlabChunk, n))
+		c.slab = make([]int, 0, max(n, min(2*cap(c.slab), blockSlabChunk)))
 	}
 	start := len(c.slab)
 	c.slab = a.AppendBlocks(c.slab)

@@ -35,6 +35,10 @@ const (
 // scan for the next plausible record header before giving up.
 const pcapResyncWindow = 1 << 20
 
+// pcapResyncMaxGap bounds, in seconds, how far ahead of the record
+// before it a resync candidate's timestamp may lie.
+const pcapResyncMaxGap = 24 * 60 * 60
+
 // pcapBufSize is the source's buffer size and the pcap decoder's
 // lookahead rule: resync confirms a candidate record by peeking at its
 // body and the header after it, and a candidate whose body plus that
@@ -102,6 +106,15 @@ func (m *pcapMeta) plausibleHeader(rec []byte) bool {
 	return usec < 1_000_000 && incl > 0 && incl <= limit && orig >= incl && orig <= pcapMaxRecordLen
 }
 
+// inOrder reports whether record header rec's timestamp can follow a
+// record stamped sec seconds: not before it, and at most
+// pcapResyncMaxGap seconds after it. A header aliased out of a record
+// body rarely carries a timestamp in order; an earlier one wraps the
+// unsigned difference past the bound.
+func (m *pcapMeta) inOrder(rec []byte, sec uint32) bool {
+	return m.order.Uint32(rec)-sec <= pcapResyncMaxGap
+}
+
 func pcapTruncatedHeaderErr(off int64) *MalformedRecordError {
 	return &MalformedRecordError{Format: FormatPcap, Offset: off,
 		Reason: "truncated record header", Err: io.ErrUnexpectedEOF}
@@ -140,6 +153,11 @@ type PcapReader struct {
 	skipState
 	slabs
 	source
+	// lastSec is the timestamp of the last record header read intact,
+	// once haveSec is set; resync accepts only candidates in order after
+	// it.
+	lastSec uint32
+	haveSec bool
 }
 
 // NewPcapReader parses the global header and returns a reader positioned
@@ -177,10 +195,12 @@ func (p *PcapReader) body(n int) ([]byte, error) {
 
 // confirmCandidate strengthens a plausible resync window by peeking at
 // where the candidate's body would end: either the input ends exactly
-// there (a valid final record) or another plausible header follows. A
-// shifted window over real traffic can alias into a plausible-looking
-// header; requiring the following record to line up too rejects nearly
-// all such aliases. The cost of that strictness: a genuine record whose
+// there (a valid final record) or another plausible header follows,
+// with a timestamp in order after the candidate's. A shifted window over
+// real traffic can alias into a plausible-looking header; requiring the
+// following record to line up too rejects nearly all such aliases, and
+// resync's timestamp check the rest: an alias whose body swallowed
+// dozens of real records could line up with one of them. The cost of that strictness: a genuine record whose
 // immediate successor is also corrupt fails confirmation and is
 // sacrificed to the same resync scan, and so is a genuine record whose
 // body plus the following header exceeds the pcapBufSize lookahead.
@@ -196,7 +216,7 @@ func (p *PcapReader) confirmCandidate(w []byte) bool {
 	// the next read.
 	peek, _ := p.peek(incl + pcapRecordLen)
 	if len(peek) == incl+pcapRecordLen {
-		return p.plausibleHeader(peek[incl:])
+		return p.plausibleHeader(peek[incl:]) && p.inOrder(peek[incl:], p.order.Uint32(w))
 	}
 	// Input ends before incl+header bytes: valid only as the exact final
 	// record.
@@ -204,7 +224,8 @@ func (p *PcapReader) confirmCandidate(w []byte) bool {
 }
 
 // resync slides a one-byte-at-a-time window over the input until it
-// finds a confirmed plausible record header, returning it. io.EOF means
+// finds a confirmed plausible record header, in order after the last
+// intact one, returning it. io.EOF means
 // the input ended (trailing corruption). An exhausted scan window is a
 // typed *MalformedRecordError carrying recOff, the offset of the corrupt
 // record that triggered the scan, so callers matching with errors.As see
@@ -223,7 +244,7 @@ func (p *PcapReader) resync(rec []byte, recOff int64) ([]byte, error) {
 		copy(w, w[1:])
 		w[pcapRecordLen-1] = b[0]
 		p.advance(1)
-		if p.plausibleHeader(w) && p.confirmCandidate(w) {
+		if p.plausibleHeader(w) && (!p.haveSec || p.inOrder(w, p.lastSec)) && p.confirmCandidate(w) {
 			return w, nil
 		}
 	}
@@ -267,6 +288,7 @@ func (p *PcapReader) Next() (*Packet, error) {
 			recOff = p.off - pcapRecordLen
 		}
 		sec := p.order.Uint32(rec[0:])
+		p.lastSec, p.haveSec = sec, true
 		usec := p.order.Uint32(rec[4:])
 		inclLen := p.order.Uint32(rec[8:])
 		origLen := p.order.Uint32(rec[12:])

@@ -11,9 +11,10 @@ import (
 // and how many were distinct, the blocks run, data accesses by region
 // and direction and, while coverage is on, the whole-run sets of touched
 // instructions and data words. A CPU updates the Account in CPU.Account
-// with no call per event: an access bumps the counter of the region its
-// lookup resolved, and a pass costs one stamp compare once its
-// instructions are known to have run in the packet.
+// with no call per event: an access bumps a counter in the memory region
+// its lookup resolved, which the run adds to Accesses as it ends, and a
+// pass costs one stamp compare once its instructions are known to have
+// run in the packet.
 type Account struct {
 	// Instructions is the number of instructions executed since Begin:
 	// the steps the runs charged.
@@ -36,11 +37,12 @@ type Account struct {
 	epoch                  uint32
 	seen, whole, ran, full []uint32
 
-	// Whole-run coverage, marked while cover is set: touched[RegionText]
-	// has a bit per instruction, touched[r] a bit per 32-bit word of
-	// region r. Allocated by the first Begin with coverage.
-	cover   bool
-	touched [RegionStack + 1][]uint64
+	// Whole-run coverage: touched[RegionText] has a bit per instruction,
+	// touched[r] a bit per 32-bit word of region r. Allocated by the first
+	// Begin with coverage. marking holds the sets the packet marks:
+	// touched while coverage is on, else none. CPU.bind hands each data
+	// region's set to that region of the memory.
+	touched, marking [RegionStack + 1][]uint64
 }
 
 // NewAccount creates the account of a program with the given basic
@@ -64,26 +66,18 @@ func (a *Account) Begin(coverage bool) {
 		a.epoch = 1
 	}
 	a.Instructions, a.Unique, a.Accesses = 0, 0, [RegionStack + 1][2]uint64{}
-	if a.cover = coverage; coverage && a.touched[RegionText] == nil {
+	a.marking = [RegionStack + 1][]uint64{}
+	if !coverage {
+		return
+	}
+	if a.touched[RegionText] == nil {
 		l := a.layout
 		words := func(base, end uint32) []uint64 { return make([]uint64, ((end-base+3)/4+63)/64) }
 		a.touched = [RegionStack + 1][]uint64{RegionText: make([]uint64, (len(a.seen)+63)/64),
 			RegionPacket: words(l.PacketBase, l.PacketEnd), RegionData: words(l.DataBase, l.DataEnd),
 			RegionStack: words(l.StackBase, l.StackEnd)}
 	}
-}
-
-// access accounts a data access at offset off of region r (packet, data
-// or stack). An aligned access never spans a word.
-func (a *Account) access(r Region, off uint32, write bool) {
-	if a == nil {
-		return
-	}
-	a.Accesses[r][b2u(write)]++
-	if a.cover {
-		w := off >> 2
-		a.touched[r][w>>6] |= 1 << (w & 63)
-	}
+	a.marking = a.touched
 }
 
 // pass accounts the pass first..last, which lies inside one block.
@@ -104,10 +98,10 @@ func (a *Account) scan(first, last int) {
 	if last+1 == hi {
 		a.whole[first] = a.epoch
 	}
-	for i := first; a.cover && i <= last; {
+	for i, set := first, a.marking[RegionText]; set != nil && i <= last; {
 		// Set bits i..last of the text set, a word at a time.
 		n := min(last, i|63) - i + 1
-		a.touched[RegionText][i>>6] |= (1<<n - 1) << (i & 63)
+		set[i>>6] |= (1<<n - 1) << (i & 63)
 		i += n
 	}
 	switch {

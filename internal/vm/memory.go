@@ -21,20 +21,34 @@ const minGrow = 4 << 10
 // checks to every other one. Host (framework) code is trusted: its
 // accessors panic on an access that lies outside every region.
 type Memory struct {
-	// The pads keep seg, which every access reads, off the cache lines
-	// of neighbouring heap objects: another core writing one of those,
-	// such as its Bench, would evict seg on every packet.
+	// The pads keep seg, which every access reads and counts itself in,
+	// off the cache lines of neighbouring heap objects: another core
+	// writing one of those, such as its Bench, would evict seg.
 	_      [64]byte
 	layout Layout
 	seg    [RegionStack + 1]segment // by Region; text and none stay empty
 	_      [64]byte
 }
 
-// segment is one region's bounds and the grown prefix of its bytes.
+// segment is one region's bounds and the grown prefix of its bytes, and
+// the region's share of the running CPU's account: the run's accesses
+// by direction, and the account's coverage set while it marks one (see
+// CPU.bind).
 type segment struct {
 	r          Region
 	base, size uint32
 	b          []byte
+	n          [2]uint64
+	mark       []uint64
+}
+
+// access accounts a data access at offset off of the region. An aligned
+// access never spans a word; bit off/4 of the set marks its word.
+func (s *segment) access(off uint32, write bool) {
+	s.n[b2u(write)]++
+	if i := off >> 8; i < uint32(len(s.mark)) {
+		s.mark[i] |= 1 << (off >> 2 & 63)
+	}
 }
 
 // NewMemory creates an empty memory for the given layout. It panics if
@@ -88,8 +102,11 @@ func (s *segment) grow(need uint32) {
 	s.b = b
 }
 
-// The readers of an application access at off in a region's slice b.
-// Offsets past the slice read as zero.
+// The readers and writers of an application access at off in a region's
+// slice b. Slice lengths are word multiples, so an aligned access that
+// starts inside b ends inside it; the readers read offsets past b as
+// zero. Each compares against the access's last byte and slices b to
+// the access's width, which leaves the move no further check.
 
 func read8(b []byte, off uint32) uint8 {
 	if off < uint32(len(b)) {
@@ -99,17 +116,25 @@ func read8(b []byte, off uint32) uint8 {
 }
 
 func read16(b []byte, off uint32) uint16 {
-	if off < uint32(len(b)) {
-		return binary.LittleEndian.Uint16(b[off:])
+	if i := int(off); i+1 < len(b) {
+		return binary.LittleEndian.Uint16(b[i : i+2])
 	}
 	return 0
 }
 
 func read32(b []byte, off uint32) uint32 {
-	if off < uint32(len(b)) {
-		return binary.LittleEndian.Uint32(b[off:])
+	if i := int(off); i+3 < len(b) {
+		return binary.LittleEndian.Uint32(b[i : i+4])
 	}
 	return 0
+}
+
+func write16(b []byte, off uint32, v uint16) {
+	binary.LittleEndian.PutUint16(b[off:off+2], v)
+}
+
+func write32(b []byte, off uint32, v uint32) {
+	binary.LittleEndian.PutUint32(b[off:off+4], v)
 }
 
 // span returns the region holding the n host bytes at addr and addr's

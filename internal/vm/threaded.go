@@ -31,8 +31,6 @@
 package vm
 
 import (
-	"encoding/binary"
-
 	"repro/internal/analysis"
 	"repro/internal/isa"
 )
@@ -85,39 +83,39 @@ const (
 
 )
 
-// Special aux values for statically resolved control-transfer targets.
-const (
-	// auxFault marks a static target outside the text segment; taking the
-	// transfer raises FaultBadFetch at the target PC (recomputed from the
-	// imm byte offset), after the budget check, like the interpreter.
-	auxFault int32 = -1
-	// auxReturn marks a static target equal to ReturnAddress.
-	auxReturn int32 = -2
-)
+// noTarget is the aux value of a static control transfer whose target
+// is not an instruction: ReturnAddress or an address outside the text
+// segment. Taking the transfer goes through the slow entry, which
+// returns, or raises FaultBadFetch at the target pc after the budget
+// check, like the interpreter.
+const noTarget int32 = -1
 
-// microOp is one pre-decoded instruction. Register fields are masked to
-// the architectural range at translation time (and re-masked with &15 at
-// the use sites, which is what actually lets the compiler drop the
-// register-file bounds checks). imm holds the ready-to-use
+// microOp is one pre-decoded instruction packed into 8 bytes, so the
+// dispatch loop reads it with one load and keeps it in a register: code
+// in bits 0-7, rd, rs1 and rs2 in bits 8-15, 16-23 and 24-31, and imm in
+// bits 32-63. (An 8-byte struct of the same five fields is not kept in a
+// register; the loop would spill it and reload each field.) The register
+// accessors mask to the architectural range, which lets the compiler
+// drop the register-file bounds checks. imm holds the ready-to-use
 // immediate: sign/zero-extended for ALU and memory ops, the full shifted
 // constant for uLI, and for branches and uJAL the byte offset from the
-// instruction's own PC to the target (4 + imm*4), which the fault path
-// uses to recompute an out-of-text target address.
-type microOp struct {
-	code uint8
-	rd   uint8
-	rs1  uint8
-	rs2  uint8
-	imm  uint32
-	aux  int32 // branch/JAL target instruction index, or auxFault/auxReturn
-}
+// instruction's own pc to the target (4 + imm*4).
+type microOp uint64
+
+func (o microOp) code() uint8 { return uint8(o) }
+func (o microOp) rd() uint8   { return uint8(o>>8) & 15 }
+func (o microOp) rs1() uint8  { return uint8(o>>16) & 15 }
+func (o microOp) rs2() uint8  { return uint8(o>>24) & 15 }
+func (o microOp) imm() uint32 { return uint32(o >> 32) }
 
 // Program is a translated text segment, ready for block-threaded
 // execution on any CPU whose text base matches the one it was translated
 // for. A Program is immutable after Translate and safe to share between
-// cores (each CPU carries its own mutable state).
+// cores (each CPU carries its own mutable state). Instruction j's pc is
+// textBase + 4j, computed only where it is read.
 type Program struct {
 	ops      []microOp // one per instruction
+	aux      []int32   // branch/JAL target instruction index, or noTarget; read only by taken transfers
 	textBase uint32
 	endAt    []int32 // instruction index -> exclusive end of its block
 }
@@ -129,12 +127,13 @@ func Translate(text []isa.Instruction, textBase uint32, blocks *analysis.BlockMa
 	n := len(text)
 	p := &Program{
 		ops:      make([]microOp, n),
+		aux:      make([]int32, n),
 		textBase: textBase,
 		endAt:    make([]int32, n),
 	}
 	for i, in := range text {
 		p.endAt[i] = int32(blocks.EndIndex(blocks.BlockOfIndex(i)))
-		p.ops[i] = translateOne(i, in, textBase, n)
+		p.ops[i], p.aux[i] = translateOne(i, in, textBase, n)
 	}
 	return p
 }
@@ -160,58 +159,49 @@ var branchCode = map[isa.Opcode]uint8{
 	isa.BGE: uBGE, isa.BLTU: uBLTU, isa.BGEU: uBGEU,
 }
 
-func translateOne(i int, in isa.Instruction, textBase uint32, n int) microOp {
-	op := microOp{
-		rd:  uint8(in.Rd) & 15,
-		rs1: uint8(in.Rs1) & 15,
-		rs2: uint8(in.Rs2) & 15,
-		imm: uint32(in.Imm),
-	}
+func translateOne(i int, in isa.Instruction, textBase uint32, n int) (microOp, int32) {
+	var code uint8
+	imm := uint32(in.Imm)
 	pc := textBase + uint32(i)*isa.WordSize
+	var aux int32
 	switch {
 	case aluCode[in.Op] != 0:
 		if in.Rd == isa.Zero {
-			return microOp{code: uNOP}
+			return microOp(uNOP), 0
 		}
-		op.code = aluCode[in.Op]
+		code = aluCode[in.Op]
 	case in.Op == isa.LUI:
 		if in.Rd == isa.Zero {
-			return microOp{code: uNOP}
+			return microOp(uNOP), 0
 		}
-		op.code = uLI
-		op.imm = uint32(in.Imm) << 12
+		code, imm = uLI, imm<<12
 	case memCode[in.Op] != 0:
-		op.code = memCode[in.Op]
+		code = memCode[in.Op]
 	case branchCode[in.Op] != 0:
-		op.code = branchCode[in.Op]
-		op.imm = isa.WordSize + uint32(in.Imm)*isa.WordSize // byte offset from pc
-		op.aux = staticTarget(pc+op.imm, textBase, n)
+		code, imm = branchCode[in.Op], isa.WordSize+imm*isa.WordSize // byte offset from pc
+		aux = staticTarget(pc+imm, textBase, n)
 	case in.Op == isa.JAL:
-		op.code = uJAL
-		op.imm = isa.WordSize + uint32(in.Imm)*isa.WordSize
-		op.aux = staticTarget(pc+op.imm, textBase, n)
+		code, imm = uJAL, isa.WordSize+imm*isa.WordSize
+		aux = staticTarget(pc+imm, textBase, n)
 	case in.Op == isa.JALR:
-		op.code = uJALR
+		code = uJALR
 	case in.Op == isa.HALT:
-		op.code = uHALT
+		code = uHALT
 	default:
-		op.code = uBAD
+		code = uBAD
 	}
-	return op
+	return microOp(code) | microOp(in.Rd&15)<<8 | microOp(in.Rs1&15)<<16 | microOp(in.Rs2&15)<<24 |
+		microOp(imm)<<32, aux
 }
 
 // staticTarget resolves a translation-time-known control transfer target
 // to an instruction index, using the interpreter's exact uint32 wrapping
 // semantics for the bounds test.
 func staticTarget(target, textBase uint32, n int) int32 {
-	if target == ReturnAddress {
-		return auxReturn
-	}
-	off := target - textBase
-	if off%isa.WordSize == 0 && off/isa.WordSize < uint32(n) {
+	if off := target - textBase; target != ReturnAddress && off%isa.WordSize == 0 && off/isa.WordSize < uint32(n) {
 		return int32(off / isa.WordSize)
 	}
-	return auxFault
+	return noTarget
 }
 
 // RunProgram executes the translated program starting at c.PC until the
@@ -238,12 +228,9 @@ func (c *CPU) RunProgram(p *Program, maxSteps uint64) (steps uint64, reason Stop
 func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopReason, rerr error) {
 	regs := c.Regs
 	mem := c.Mem
-	ops := p.ops
-	endAt := p.endAt
-	textBase := p.textBase
-	n := uint32(len(ops))
 	pktHigh := c.packetWriteHigh
-	a, bt := c.Account, c.Tracer
+	a := c.Account
+	c.bind()
 	defer func() { //pblint:allow — once per run, not per dispatch
 		c.Regs = regs
 		c.charge(steps)
@@ -252,35 +239,40 @@ func (c *CPU) runFast(p *Program, maxSteps uint64) (steps uint64, reason StopRea
 		}
 	}()
 
-	pcv := c.PC // pending control-transfer target, when idx < 0
-	idx := -1   // entry instruction index, when >= 0 (already validated in-text)
+	next := c.PC // the pc to run next
+	idx := -1    // next's instruction index, once known to be in text; else < 0
+	j := 0       // the instruction running
+	var f *Fault // the fault j raised
 outer:
 	for {
 		if idx < 0 {
 			// Slow entry: arbitrary PC (run start, JALR, out-of-text
 			// static targets, fall-through past the end). The check order
 			// matches the interpreter: return address, budget, fetch.
-			if pcv == ReturnAddress {
-				c.PC = pcv
+			if next == ReturnAddress {
+				c.PC = next
 				return steps, StopReturn, nil
 			}
 			if steps >= maxSteps {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultStepLimit, PC: pcv}
+				c.PC = next
+				return steps, 0, &Fault{Kind: FaultStepLimit, PC: next}
 			}
-			off := pcv - textBase
-			if off%isa.WordSize != 0 || off/isa.WordSize >= n {
-				c.PC = pcv
-				return steps, 0, &Fault{Kind: FaultBadFetch, PC: pcv}
+			off := next - p.textBase
+			if off%isa.WordSize != 0 || off/isa.WordSize >= uint32(len(p.ops)) {
+				c.PC = next
+				return steps, 0, &Fault{Kind: FaultBadFetch, PC: next}
 			}
 			idx = int(off / isa.WordSize)
 		} else if steps >= maxSteps {
-			pc := textBase + uint32(idx)*isa.WordSize
-			c.PC = pc
-			return steps, 0, &Fault{Kind: FaultStepLimit, PC: pc}
+			c.PC = next
+			return steps, 0, &Fault{Kind: FaultStepLimit, PC: next}
 		}
 
-		end := int(endAt[idx])
+		// The pass reads what it needs from p here and at its end, so no
+		// loop value stays live across the block body: each live value
+		// costs every instruction a reload at the loop head.
+		ops := p.ops
+		end := int(p.endAt[idx])
 		if rem := maxSteps - steps; uint64(end-idx) > rem {
 			// The budget expires mid-block: execute only the affordable
 			// prefix; the re-entry check above raises the step-limit
@@ -293,292 +285,265 @@ outer:
 			// check.
 			end = len(ops)
 		}
-		pc := textBase + uint32(idx)*isa.WordSize
-		j := idx
-		for ; j < end; j++ {
-			op := &ops[j]
-			switch op.code {
+		for j = idx; j < end; j++ {
+			op := ops[j]
+			switch op.code() {
 			case uNOP:
 			case uADD:
-				regs[op.rd&15] = regs[op.rs1&15] + regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] + regs[op.rs2()]
 			case uSUB:
-				regs[op.rd&15] = regs[op.rs1&15] - regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] - regs[op.rs2()]
 			case uAND:
-				regs[op.rd&15] = regs[op.rs1&15] & regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] & regs[op.rs2()]
 			case uOR:
-				regs[op.rd&15] = regs[op.rs1&15] | regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] | regs[op.rs2()]
 			case uXOR:
-				regs[op.rd&15] = regs[op.rs1&15] ^ regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] ^ regs[op.rs2()]
 			case uSLL:
-				regs[op.rd&15] = regs[op.rs1&15] << (regs[op.rs2&15] & 31)
+				regs[op.rd()] = regs[op.rs1()] << (regs[op.rs2()] & 31)
 			case uSRL:
-				regs[op.rd&15] = regs[op.rs1&15] >> (regs[op.rs2&15] & 31)
+				regs[op.rd()] = regs[op.rs1()] >> (regs[op.rs2()] & 31)
 			case uSRA:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (regs[op.rs2&15] & 31))
+				regs[op.rd()] = uint32(int32(regs[op.rs1()]) >> (regs[op.rs2()] & 31))
 			case uSLT:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]))
+				regs[op.rd()] = b2u(int32(regs[op.rs1()]) < int32(regs[op.rs2()]))
 			case uSLTU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < regs[op.rs2&15])
+				regs[op.rd()] = b2u(regs[op.rs1()] < regs[op.rs2()])
 			case uMUL:
-				regs[op.rd&15] = regs[op.rs1&15] * regs[op.rs2&15]
+				regs[op.rd()] = regs[op.rs1()] * regs[op.rs2()]
 			case uADDI:
-				regs[op.rd&15] = regs[op.rs1&15] + op.imm
+				regs[op.rd()] = regs[op.rs1()] + op.imm()
 			case uANDI:
-				regs[op.rd&15] = regs[op.rs1&15] & op.imm
+				regs[op.rd()] = regs[op.rs1()] & op.imm()
 			case uORI:
-				regs[op.rd&15] = regs[op.rs1&15] | op.imm
+				regs[op.rd()] = regs[op.rs1()] | op.imm()
 			case uXORI:
-				regs[op.rd&15] = regs[op.rs1&15] ^ op.imm
+				regs[op.rd()] = regs[op.rs1()] ^ op.imm()
 			case uSLLI:
-				regs[op.rd&15] = regs[op.rs1&15] << (op.imm & 31)
+				regs[op.rd()] = regs[op.rs1()] << (op.imm() & 31)
 			case uSRLI:
-				regs[op.rd&15] = regs[op.rs1&15] >> (op.imm & 31)
+				regs[op.rd()] = regs[op.rs1()] >> (op.imm() & 31)
 			case uSRAI:
-				regs[op.rd&15] = uint32(int32(regs[op.rs1&15]) >> (op.imm & 31))
+				regs[op.rd()] = uint32(int32(regs[op.rs1()]) >> (op.imm() & 31))
 			case uSLTI:
-				regs[op.rd&15] = b2u(int32(regs[op.rs1&15]) < int32(op.imm))
+				regs[op.rd()] = b2u(int32(regs[op.rs1()]) < int32(op.imm()))
 			case uSLTIU:
-				regs[op.rd&15] = b2u(regs[op.rs1&15] < op.imm)
+				regs[op.rd()] = b2u(regs[op.rs1()] < op.imm())
 			case uLI:
-				regs[op.rd&15] = op.imm
+				regs[op.rd()] = op.imm()
 
 			case uLB:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 1, false, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 1, false, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
-				a.access(s.r, off, false)
-				c.reportMem(bt, pc, addr, 1, false, s.r)
-				if op.rd != 0 {
-					regs[op.rd&15] = uint32(int32(int8(read8(s.b, off))))
+				s.access(off, false)
+				c.reportMem(p.pc(j), addr, 1, false, s.r)
+				if op.rd() != 0 {
+					regs[op.rd()] = uint32(int32(int8(read8(s.b, off))))
 				}
 			case uLBU:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 1, false, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 1, false, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
-				a.access(s.r, off, false)
-				c.reportMem(bt, pc, addr, 1, false, s.r)
-				if op.rd != 0 {
-					regs[op.rd&15] = uint32(read8(s.b, off))
+				s.access(off, false)
+				c.reportMem(p.pc(j), addr, 1, false, s.r)
+				if op.rd() != 0 {
+					regs[op.rd()] = uint32(read8(s.b, off))
 				}
 			case uLH:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if addr&1 != 0 || s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 2, false, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 2, false, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
-				a.access(s.r, off, false)
-				c.reportMem(bt, pc, addr, 2, false, s.r)
-				if op.rd != 0 {
-					regs[op.rd&15] = uint32(int32(int16(read16(s.b, off))))
+				s.access(off, false)
+				c.reportMem(p.pc(j), addr, 2, false, s.r)
+				if op.rd() != 0 {
+					regs[op.rd()] = uint32(int32(int16(read16(s.b, off))))
 				}
 			case uLHU:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if addr&1 != 0 || s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 2, false, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 2, false, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
-				a.access(s.r, off, false)
-				c.reportMem(bt, pc, addr, 2, false, s.r)
-				if op.rd != 0 {
-					regs[op.rd&15] = uint32(read16(s.b, off))
+				s.access(off, false)
+				c.reportMem(p.pc(j), addr, 2, false, s.r)
+				if op.rd() != 0 {
+					regs[op.rd()] = uint32(read16(s.b, off))
 				}
 			case uLW:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if addr&3 != 0 || s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 4, false, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 4, false, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
-				a.access(s.r, off, false)
-				c.reportMem(bt, pc, addr, 4, false, s.r)
-				if op.rd != 0 {
-					regs[op.rd&15] = read32(s.b, off)
+				s.access(off, false)
+				c.reportMem(p.pc(j), addr, 4, false, s.r)
+				if op.rd() != 0 {
+					regs[op.rd()] = read32(s.b, off)
 				}
 
 			case uSB:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 1, true, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 1, true, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
 				if s.r == RegionPacket && addr+1 > pktHigh {
 					pktHigh = addr + 1
 				}
-				a.access(s.r, off, true)
-				c.reportMem(bt, pc, addr, 1, true, s.r)
-				s.b[off] = uint8(regs[op.rd&15])
+				s.access(off, true)
+				c.reportMem(p.pc(j), addr, 1, true, s.r)
+				s.b[off] = uint8(regs[op.rd()])
 			case uSH:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if addr&1 != 0 || s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 2, true, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 2, true, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
 				if s.r == RegionPacket && addr+2 > pktHigh {
 					pktHigh = addr + 2
 				}
-				a.access(s.r, off, true)
-				c.reportMem(bt, pc, addr, 2, true, s.r)
-				binary.LittleEndian.PutUint16(s.b[off:], uint16(regs[op.rd&15]))
+				s.access(off, true)
+				c.reportMem(p.pc(j), addr, 2, true, s.r)
+				write16(s.b, off, uint16(regs[op.rd()]))
 			case uSW:
-				addr := regs[op.rs1&15] + op.imm
+				addr := regs[op.rs1()] + op.imm()
 				s, off := mem.find(addr)
 				if addr&3 != 0 || s == nil {
-					var f *Fault
-					if s, off, f = c.miss(addr, 4, true, pc); f != nil {
-						return c.trap(a, bt, steps, idx, j, f)
+					if s, off, f = c.miss(addr, 4, true, p.pc(j)); f != nil {
+						goto fault
 					}
 				}
 				if s.r == RegionPacket && addr+4 > pktHigh {
 					pktHigh = addr + 4
 				}
-				a.access(s.r, off, true)
-				c.reportMem(bt, pc, addr, 4, true, s.r)
-				binary.LittleEndian.PutUint32(s.b[off:], regs[op.rd&15])
+				s.access(off, true)
+				c.reportMem(p.pc(j), addr, 4, true, s.r)
+				write32(s.b, off, regs[op.rd()])
 
 			case uBEQ:
-				if regs[op.rs1&15] == regs[op.rs2&15] {
+				if regs[op.rs1()] == regs[op.rs2()] {
 					goto taken
 				}
 			case uBNE:
-				if regs[op.rs1&15] != regs[op.rs2&15] {
+				if regs[op.rs1()] != regs[op.rs2()] {
 					goto taken
 				}
 			case uBLT:
-				if int32(regs[op.rs1&15]) < int32(regs[op.rs2&15]) {
+				if int32(regs[op.rs1()]) < int32(regs[op.rs2()]) {
 					goto taken
 				}
 			case uBGE:
-				if int32(regs[op.rs1&15]) >= int32(regs[op.rs2&15]) {
+				if int32(regs[op.rs1()]) >= int32(regs[op.rs2()]) {
 					goto taken
 				}
 			case uBLTU:
-				if regs[op.rs1&15] < regs[op.rs2&15] {
+				if regs[op.rs1()] < regs[op.rs2()] {
 					goto taken
 				}
 			case uBGEU:
-				if regs[op.rs1&15] >= regs[op.rs2&15] {
+				if regs[op.rs1()] >= regs[op.rs2()] {
 					goto taken
 				}
 
 			case uJAL:
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
+				if op.rd() != 0 {
+					regs[op.rd()] = p.pc(j + 1)
 				}
 				goto taken
 			case uJALR:
-				target := (regs[op.rs1&15] + op.imm) &^ 3
-				if op.rd != 0 {
-					regs[op.rd&15] = pc + isa.WordSize
+				target := (regs[op.rs1()] + op.imm()) &^ 3
+				if op.rd() != 0 {
+					regs[op.rd()] = p.pc(j + 1)
 				}
 				steps += uint64(j-idx) + 1
-				c.passEnd(a, bt, idx, j, target)
-				idx, pcv = -1, target
+				a.pass(idx, j)
+				c.tracePass(idx, j, target)
+				idx, next = -1, target
 				continue outer
 
 			case uHALT:
+				pc := p.pc(j)
 				steps += uint64(j-idx) + 1
-				c.passEnd(a, bt, idx, j, pc)
+				a.pass(idx, j)
+				c.tracePass(idx, j, pc)
 				c.PC = pc
 				return steps, StopHalt, nil
 			case uBAD:
-				return c.trap(a, bt, steps, idx, j, &Fault{Kind: FaultBadInstr, PC: pc})
+				f = &Fault{Kind: FaultBadInstr, PC: p.pc(j)}
+				goto fault
 			}
-			pc += isa.WordSize
 		}
 		// Block body exhausted without a control transfer: either the
 		// budget truncated it, the block was split by a following leader,
 		// or execution ran past the last instruction. The re-entry checks
 		// sort the three cases out (step limit / next block / bad fetch).
 		steps += uint64(end - idx)
-		c.passEnd(a, bt, idx, end-1, pc)
-		if uint32(end) < n {
-			idx = end
-		} else {
-			idx, pcv = -1, textBase+uint32(end)*isa.WordSize
+		next = p.pc(end)
+		a.pass(idx, end-1)
+		c.tracePass(idx, end-1, next)
+		if idx = end; end >= len(p.ops) {
+			idx = -1
 		}
 		continue
 	taken:
 		// A taken branch or JAL at j ends the pass; its static target is
-		// pc+imm.
+		// pc+imm, and aux holds its index unless the slow entry must
+		// check it.
+		next = p.pc(j) + ops[j].imm()
 		steps += uint64(j-idx) + 1
-		c.passEnd(a, bt, idx, j, pc+ops[j].imm)
-		idx, pcv = branchTo(&ops[j], pc)
+		a.pass(idx, j)
+		c.tracePass(idx, j, next)
+		idx = int(p.aux[j])
 	}
+fault:
+	// The instruction at j raised f, ending the pass.
+	c.PC = f.PC
+	steps += uint64(j-idx) + 1
+	a.pass(idx, j)
+	c.tracePass(idx, j, f.PC)
+	return steps, 0, f
 }
 
-// passEnd ends the block pass first..last, whose steps are charged: it
-// accounts the pass in a and reports it to bt, when they are attached.
-// Once a pass is known to run nothing new in the packet, the account
-// costs one stamp compare. next is the pc the interpreter holds after
-// last, which a tracer that panics sees as the fault pc. passEnd runs on
-// every block pass, so it must stay within the compiler's inlining
-// budget, with the rest in reportPass.
-func (c *CPU) passEnd(a *Account, bt Tracer, first, last int, next uint32) {
-	if bt != nil || a != nil && a.whole[first] != a.epoch {
-		c.reportPass(first, last, next)
-	}
-}
-
-// reportPass is passEnd's slow path, for the CPU's account and tracer.
-func (c *CPU) reportPass(first, last int, next uint32) {
-	c.Account.pass(first, last)
+// tracePass reports the block pass first..last, whose steps are
+// charged, to the tracer, when one is attached. next is the pc the
+// interpreter holds after last, which a tracer that panics sees as the
+// fault pc. It runs on every block pass, after the account's pass.
+func (c *CPU) tracePass(first, last int, next uint32) {
 	if c.Tracer != nil {
 		c.PC = next
 		c.Tracer.Pass(first, last)
 	}
 }
 
-// reportMem reports a data access to bt, when one is attached, at the pc
-// of the accessing instruction, as the interpreter does.
-func (c *CPU) reportMem(bt Tracer, pc, addr uint32, size uint8, write bool, r Region) {
-	if bt != nil {
+// reportMem reports a data access to the tracer, when one is attached,
+// at the pc of the accessing instruction, as the interpreter does.
+func (c *CPU) reportMem(pc, addr uint32, size uint8, write bool, r Region) {
+	if c.Tracer != nil {
 		c.PC = pc
-		bt.Mem(pc, addr, size, write, r)
+		c.Tracer.Mem(pc, addr, size, write, r)
 	}
 }
 
-// trap ends a run on fault f, raised by the last instruction of the
-// block pass first..last.
-func (c *CPU) trap(a *Account, bt Tracer, steps uint64, first, last int, f *Fault) (uint64, StopReason, error) {
-	c.PC = f.PC
-	steps += uint64(last-first) + 1
-	c.passEnd(a, bt, first, last, f.PC)
-	return steps, 0, f
-}
-
-// branchTo turns a taken static control transfer into the next dispatch
-// state: a validated instruction index for in-text targets, or a slow
-// pending PC (idx -1) for ReturnAddress and out-of-text targets.
-func branchTo(op *microOp, pc uint32) (idx int, pcv uint32) {
-	if op.aux >= 0 {
-		return int(op.aux), 0
-	}
-	if op.aux == auxReturn {
-		return -1, ReturnAddress
-	}
-	return -1, pc + op.imm
-}
+// pc returns the address of instruction j.
+func (p *Program) pc(j int) uint32 { return p.textBase + uint32(j)*isa.WordSize }

@@ -292,3 +292,11 @@ func TestAccountRestartedPass(t *testing.T) {
 		t.Errorf("Instructions, Unique = %d, %d, want 5, 4", a.Instructions, a.Unique)
 	}
 }
+
+// TestMicroOpSize pins the micro-op at 8 bytes: the dispatch loop reads
+// each one with a single load and keeps it in a register.
+func TestMicroOpSize(t *testing.T) {
+	if n := reflect.TypeOf(microOp(0)).Size(); n != 8 {
+		t.Fatalf("microOp is %d bytes, want 8", n)
+	}
+}

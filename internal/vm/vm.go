@@ -23,7 +23,6 @@
 package vm
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -292,6 +291,7 @@ func (c *CPU) SetReg(r isa.Reg, v uint32) {
 // Tracer as a one-instruction pass after its Mem events. A run stopped
 // by maxSteps resumes from c.PC as if it had never stopped.
 func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) {
+	c.bind()
 	defer func() { c.charge(steps) }()
 	for {
 		if c.PC == ReturnAddress {
@@ -320,12 +320,28 @@ func (c *CPU) Run(maxSteps uint64) (steps uint64, reason StopReason, err error) 
 	}
 }
 
-// charge adds a run's steps to the CPU's lifetime count and to its
-// account.
+// bind starts a run: the memory's regions mark the coverage sets of the
+// CPU's account, if it marks any, and count the run's accesses from 0.
+func (c *CPU) bind() {
+	for r := RegionPacket; r <= RegionStack; r++ {
+		s := &c.Mem.seg[r]
+		s.n, s.mark = [2]uint64{}, nil
+		if c.Account != nil {
+			s.mark = c.Account.marking[r]
+		}
+	}
+}
+
+// charge ends a run: it adds the run's steps to the CPU's lifetime count,
+// and its steps and accesses to the CPU's account.
 func (c *CPU) charge(steps uint64) {
 	c.steps += steps
-	if c.Account != nil {
-		c.Account.Instructions += steps
+	if a := c.Account; a != nil {
+		a.Instructions += steps
+		for r := RegionPacket; r <= RegionStack; r++ {
+			a.Accesses[r][0] += c.Mem.seg[r].n[0]
+			a.Accesses[r][1] += c.Mem.seg[r].n[1]
+		}
 	}
 }
 
@@ -464,7 +480,7 @@ func (c *CPU) load(pc, addr uint32, op isa.Opcode) (uint32, error) {
 			return 0, f
 		}
 	}
-	c.Account.access(s.r, off, false)
+	s.access(off, false)
 	if c.Tracer != nil {
 		c.Tracer.Mem(pc, addr, uint8(size), false, s.r)
 	}
@@ -496,7 +512,7 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 	if s.r == RegionPacket && addr+size > c.packetWriteHigh {
 		c.packetWriteHigh = addr + size
 	}
-	c.Account.access(s.r, off, true)
+	s.access(off, true)
 	if c.Tracer != nil {
 		c.Tracer.Mem(pc, addr, uint8(size), true, s.r)
 	}
@@ -505,9 +521,9 @@ func (c *CPU) store(pc, addr uint32, op isa.Opcode, v uint32) error {
 	case isa.SB:
 		b[off] = uint8(v)
 	case isa.SH:
-		binary.LittleEndian.PutUint16(b[off:], uint16(v))
+		write16(b, off, uint16(v))
 	case isa.SW:
-		binary.LittleEndian.PutUint32(b[off:], v)
+		write32(b, off, v)
 	}
 	return nil
 }
