@@ -223,7 +223,7 @@ func openTrace(cfg *config, skipMalformed bool) (_ trace.Reader, _ func() error,
 type opener func() (trace.Reader, func() error, *trace.SkipBudget, error)
 
 // source returns the opener of the run's packets: the -trace files, or
-// the -gen trace, generated once and read from memory.
+// the -gen trace, generated as it is read.
 func (cfg *config) source(skipMalformed bool) (opener, error) {
 	if cfg.traceFile != "" {
 		return func() (trace.Reader, func() error, *trace.SkipBudget, error) {
@@ -238,13 +238,10 @@ func (cfg *config) source(skipMalformed bool) (opener, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkts := gen.Generate(prof, cfg.count)
-	if cfg.preprocess && genName != "LAN" {
-		gen.RenumberNLANR(pkts)
-		gen.ScrambleAddrs(pkts)
-	}
+	preprocess := cfg.preprocess && genName != "LAN"
 	return func() (trace.Reader, func() error, *trace.SkipBudget, error) {
-		return trace.NewSliceReader(pkts), func() error { return nil }, trace.NewSkipBudget(cfg.errorBudget), nil
+		r := gen.NewReader(prof, cfg.count, preprocess, preprocess)
+		return r, func() error { return nil }, trace.NewSkipBudget(cfg.errorBudget), nil
 	}, nil
 }
 
@@ -365,7 +362,7 @@ func run(cfg config) error {
 	// the pool's, and checkPool keeps the detail outputs off pools.
 	opts := core.Options{
 		Coverage:     true,
-		Detail:       cfg.dumpPkt >= 0 || cfg.flowDot != "",
+		Detail:       cfg.flowDot != "", // -dumppkt traces its one packet only
 		Errors:       core.ErrorPolicy{Policy: faultPolicy, ErrorBudget: cfg.errorBudget},
 		Engine:       engine,
 		NoVerify:     cfg.noVerify,
@@ -457,13 +454,16 @@ func tally(agg *stats.Running) func(int, core.Result) {
 
 // runBench streams the reader through one simulated core, up to -n
 // packets. The per-packet outputs (-dumppkt, -flowgraph, -out) read the
-// core right after each packet, before the next one overwrites it.
+// core right after each packet, before the next one overwrites it, and
+// the collector traces only the packets they read: -dumppkt's one, or
+// every packet under -flowgraph.
 func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj *faultinject.Injector) error {
 	bench, err := core.New(app, opts)
 	if err != nil {
 		return describeVerifyError(err)
 	}
-	bench.Collector().CountPCs = cfg.annotate || cfg.profileOut != ""
+	col := bench.Collector()
+	col.CountPCs = cfg.annotate || cfg.profileOut != ""
 	bench.SetInjector(inj)
 	if inj != nil {
 		r = inj.Reader(r)
@@ -493,7 +493,10 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 
 	agg := &stats.Running{}
 	onResult := tally(agg)
-	var blockSeqs [][]int
+	var graph *analysis.FlowGraph
+	if cfg.flowDot != "" {
+		graph = analysis.NewFlowGraph(bench.BlockMap().NumBlocks())
+	}
 	for i := 0; cfg.count <= 0 || i < cfg.count; i++ {
 		p, err := r.Next()
 		if err == io.EOF {
@@ -501,6 +504,7 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 		}
 		var res core.Result
 		if err == nil {
+			col.Detail = opts.Detail || i == cfg.dumpPkt
 			res, err = bench.ProcessPacketAt(i, p)
 		}
 		if err != nil {
@@ -515,8 +519,8 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 			if i == cfg.dumpPkt {
 				dumpTrace(bench, i, res)
 			}
-			if cfg.flowDot != "" {
-				blockSeqs = append(blockSeqs, append([]int(nil), bench.Collector().BlockSeq...))
+			if graph != nil {
+				graph.Add(col.BlockSeq)
 			}
 			if outW != nil {
 				out := *p
@@ -533,7 +537,7 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 			return err
 		}
 	}
-	if err := printSummary(cfg, app.Name, agg, bench.Collector(), false); err != nil {
+	if err := printSummary(cfg, app.Name, agg, col, false); err != nil {
 		return err
 	}
 	if prof != nil {
@@ -543,12 +547,11 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 	if cfg.annotate {
 		printAnnotatedListing(bench)
 	}
-	if cfg.flowDot != "" {
-		g := analysis.BuildFlowGraph(blockSeqs, bench.BlockMap().NumBlocks())
-		if err := os.WriteFile(cfg.flowDot, []byte(g.Dot()), 0o644); err != nil {
+	if graph != nil {
+		if err := os.WriteFile(cfg.flowDot, []byte(graph.Dot()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote weighted flow graph (%d edges) to %s\n", len(g.Edges), cfg.flowDot)
+		fmt.Printf("\nwrote weighted flow graph (%d edges) to %s\n", len(graph.Edges), cfg.flowDot)
 	}
 	return writeOutputs(cfg, app, bench, opts)
 }

@@ -70,13 +70,7 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 	if err != nil {
 		return err
 	}
-	pkts := gen.Generate(prof, count)
-	if renumber {
-		gen.RenumberNLANR(pkts)
-	}
-	if scramble {
-		gen.ScrambleAddrs(pkts)
-	}
+	src := gen.NewReader(prof, count, renumber, scramble)
 
 	format := trace.FormatPcap
 	if strings.HasSuffix(output, ".tsh") {
@@ -104,18 +98,20 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 			return fail(err)
 		}
 	}
-	var bytes int
+	var n, bytes int
 	// Round-robin sharding keeps each shard's timestamps monotone (the
 	// generator's are), so a timestamp-merged replay of the shards
-	// reproduces the original trace exactly.
-	for i, p := range pkts {
-		if err := writers[i%shards].WritePacket(p); err != nil {
+	// reproduces the original trace exactly. The generator ends with
+	// io.EOF, its only error.
+	for p, err := src.Next(); err == nil; p, err = src.Next() {
+		if err := writers[n%shards].WritePacket(p); err != nil {
 			if format == trace.FormatTSH && len(p.Data) > 0 && p.Data[0]&0x0F > 5 {
 				err = fmt.Errorf("profile %s gives %g%% of packets IP options, which TSH records cannot hold; write .pcap instead: %w",
 					prof.Name, 100*prof.OptionProb, err)
 			}
 			return fail(err)
 		}
+		n++
 		bytes += p.WireLen
 	}
 	for _, f := range files {
@@ -124,10 +120,10 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 		}
 	}
 	if shards == 1 {
-		fmt.Printf("wrote %d packets (%d wire bytes) to %s (%s)\n", len(pkts), bytes, output, format)
+		fmt.Printf("wrote %d packets (%d wire bytes) to %s (%s)\n", n, bytes, output, format)
 	} else {
 		fmt.Printf("wrote %d packets (%d wire bytes) across %d shards %s ... %s (%s)\n",
-			len(pkts), bytes, shards, names[0], names[len(names)-1], format)
+			n, bytes, shards, names[0], names[len(names)-1], format)
 	}
 	return nil
 }

@@ -25,6 +25,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	bench.Collector().BlockSets = true // the curve reads each record's block set
 	records, err := bench.RunPackets(pkts, nil)
 	if err != nil {
 		log.Fatal(err)

@@ -226,7 +226,10 @@ func TestFlowGraph(t *testing.T) {
 		{0, 1, 1, 2}, // revisiting block 1 adds a self edge
 		{0, 2},
 	}
-	g := BuildFlowGraph(seqs, 3)
+	g := NewFlowGraph(3)
+	for _, seq := range seqs {
+		g.Add(seq)
+	}
 	if g.Edges[[2]int{0, 1}] != 2 {
 		t.Errorf("edge 0->1 = %d, want 2", g.Edges[[2]int{0, 1}])
 	}

@@ -276,24 +276,25 @@ type FlowGraph struct {
 	NodeWeight map[int]uint64
 }
 
-// BuildFlowGraph accumulates a flow graph from per-packet block execution
-// sequences (the dynamic sequence of blocks entered, not the
-// deduplicated set).
-func BuildFlowGraph(blockSeqs [][]int, numBlocks int) *FlowGraph {
-	g := &FlowGraph{
+// NewFlowGraph returns an empty flow graph over numBlocks blocks.
+func NewFlowGraph(numBlocks int) *FlowGraph {
+	return &FlowGraph{
 		NumBlocks:  numBlocks,
 		Edges:      make(map[[2]int]uint64),
 		NodeWeight: make(map[int]uint64),
 	}
-	for _, seq := range blockSeqs {
-		for i, b := range seq {
-			g.NodeWeight[b]++
-			if i > 0 {
-				g.Edges[[2]int{seq[i-1], b}]++
-			}
+}
+
+// Add folds one packet's block execution sequence (the dynamic sequence
+// of blocks entered, not the deduplicated set) into the graph, so a run
+// builds it as each packet ends and keeps no sequence.
+func (g *FlowGraph) Add(seq []int) {
+	for i, b := range seq {
+		g.NodeWeight[b]++
+		if i > 0 {
+			g.Edges[[2]int{seq[i-1], b}]++
 		}
 	}
-	return g
 }
 
 // Dot renders the flow graph in Graphviz format with edge weights.

@@ -532,6 +532,7 @@ func TestSlowPathsExecute(t *testing.T) {
 func TestRareBlocksAppearInBlockStats(t *testing.T) {
 	pkts, tbl := testTrace(t, "MRA", 1500)
 	b := newBench(t, IPv4Radix(tbl), core.Options{})
+	b.Collector().BlockSets = true
 	recs, err := b.RunPackets(pkts, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -477,6 +477,7 @@ type Bench struct {
 	reg          *telemetry.Registry
 	metrics      *runMetrics  // nil when telemetry is disabled
 	lane         *ptrace.Lane // nil when journey tracing is disabled
+	laneBlocks   []int        // the lane's scratch copy of a packet's executed blocks
 
 	// inj, when non-nil, arms execution-surface faults per packet (see
 	// SetInjector). runCtx is the run's context, which injected delays
@@ -626,7 +627,12 @@ func (b *Bench) ProcessPacketAt(idx int, p *trace.Packet) (Result, error) {
 func (b *Bench) processUnderPolicy(idx int, p *trace.Packet, bud *errorBudget) (Result, error) {
 	res, fault, err := b.processOnce(idx, p)
 	if err == nil {
-		b.lane.EndPacket(int64(idx), res.Verdict, 0, res.Record.Blocks)
+		if b.lane != nil {
+			// The journey keeps the blocks the packet ran whether or not
+			// its record gathers them.
+			b.laneBlocks = b.col.Account().AppendBlocks(b.laneBlocks[:0])
+			b.lane.EndPacket(int64(idx), res.Verdict, 0, b.laneBlocks)
+		}
 		return res, nil
 	}
 	if fault == nil || b.policy.Policy == FailFast {

@@ -33,10 +33,11 @@ import (
 //     k from 0 to min(steps, 64), alone and split: run to k, then resume
 //     from the stopped pc under the rest of the full budget, capped at
 //     splitCap steps;
-//   - observer: none; a stats.Collector with Detail, Coverage and
-//     CountPCs on; the collector as the CLI runs it, with Coverage on and
-//     Detail and CountPCs off, so the core keeps its account with no
-//     tracer attached ("accounting"); the Detail collector plus a
+//   - observer: none; a stats.Collector with Detail, Coverage, CountPCs
+//     and BlockSets on; the collector as the CLI runs it, with Coverage
+//     on and Detail, CountPCs and BlockSets off, so the core keeps its
+//     account with no tracer attached and its records carry no block
+//     sets ("accounting"); the Detail collector plus a
 //     microarch.Profiler with small caches; or the Detail collector plus
 //     an extra observer (an event recorder for programs; for
 //     applications a faultinject plan with vmfault, panic and delay
@@ -460,9 +461,10 @@ func checkPanics(t *testing.T, c cell, o *outcome) {
 
 // observedCollector turns on every collector output the matrix reads,
 // except in the accounting column, which runs the CLI's default: Coverage
-// on, Detail and CountPCs off.
+// on, Detail, CountPCs and BlockSets off.
 func observedCollector(col *stats.Collector, obs observer) *stats.Collector {
-	col.Detail, col.Coverage, col.CountPCs = obs != obsAccounting, true, obs != obsAccounting
+	detail := obs != obsAccounting
+	col.Detail, col.Coverage, col.CountPCs, col.BlockSets = detail, true, detail, detail
 	return col
 }
 
@@ -566,6 +568,11 @@ func checkRow(t *testing.T, r *row) {
 				got := runCell(t, r, c)
 				if err := diff(want, got); err != nil {
 					t.Fatalf("%v: %v", c, err)
+				}
+				for i, po := range got.Packets {
+					if obs == obsAccounting && po.Record.Blocks != nil {
+						t.Fatalf("%v: packet %d: Blocks %v with BlockSets off, want nil", c, i, po.Record.Blocks)
+					}
 				}
 				switch {
 				case obs != obsExtra || clean == nil:

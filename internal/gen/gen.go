@@ -24,6 +24,7 @@ package gen
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 
@@ -523,8 +524,13 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 	return b
 }
 
-// slabChunk is the size of the chunks packet bytes are carved from.
-const slabChunk = 64 << 10
+const (
+	// slabChunk is the size of the chunks packet bytes are carved from.
+	slabChunk = 64 << 10
+	// packetChunk is the number of Packets in the chunks a Reader
+	// carves them from.
+	packetChunk = 256
+)
 
 // Generate produces n packets from the profile, the same packets n calls
 // of Next would return, stored in one backing array.
@@ -539,6 +545,51 @@ func Generate(p Profile, n int) []*trace.Packet {
 	return out
 }
 
+// Reader streams the packets Generate returns, rewritten as
+// RenumberNLANR and then ScrambleAddrs would rewrite the whole slice,
+// without holding the trace: it keeps only the renumbering map, which
+// grows with the distinct addresses, not the packets. It implements
+// trace.Reader, and trace.Positioned in packets.
+type Reader struct {
+	g        *Generator
+	n, next  int
+	rewrites []func(uint32) uint32 // applied to each packet's addresses in order
+	pkts     []trace.Packet        // the unused tail of the chunk Packets are carved from
+}
+
+// NewReader returns a reader of the first n packets of p's trace,
+// renumbered and then scrambled as asked.
+func NewReader(p Profile, n int, renumber, scramble bool) *Reader {
+	r := &Reader{g: NewGenerator(p), n: n}
+	if renumber {
+		r.rewrites = append(r.rewrites, renumberer())
+	}
+	if scramble {
+		r.rewrites = append(r.rewrites, ScrambleAddr)
+	}
+	return r
+}
+
+// Next implements trace.Reader.
+func (r *Reader) Next() (*trace.Packet, error) {
+	if r.next >= r.n {
+		return nil, io.EOF
+	}
+	r.next++
+	p := &trace.Carve(&r.pkts, 1, packetChunk)[0]
+	r.g.next(p)
+	for _, f := range r.rewrites {
+		rewriteAddrs(p, f)
+	}
+	return p, nil
+}
+
+// Pos implements trace.Positioned; the unit is packets.
+func (r *Reader) Pos() int64 { return int64(r.next) }
+
+// Total implements trace.Positioned; the unit is packets.
+func (r *Reader) Total() int64 { return int64(max(r.n, 0)) }
+
 // RenumberNLANR applies the NLANR privacy renumbering the paper describes:
 // every distinct address is replaced by sequential addresses starting at
 // 10.0.0.1 in order of first occurrence. The result is the biased address
@@ -546,9 +597,17 @@ func Generate(p Profile, n int) []*trace.Packet {
 // same prefix"), which ScrambleAddrs then corrects. Checksums are
 // recomputed. The packets are modified in place.
 func RenumberNLANR(pkts []*trace.Packet) {
+	renumber := renumberer()
+	for _, p := range pkts {
+		rewriteAddrs(p, renumber)
+	}
+}
+
+// renumberer returns a fresh RenumberNLANR address map.
+func renumberer() func(uint32) uint32 {
 	next := uint32(0x0A000001) // 10.0.0.1
 	seen := make(map[uint32]uint32)
-	mapAddr := func(a uint32) uint32 {
+	return func(a uint32) uint32 {
 		if m, ok := seen[a]; ok {
 			return m
 		}
@@ -556,9 +615,6 @@ func RenumberNLANR(pkts []*trace.Packet) {
 		next++
 		seen[a] = m
 		return m
-	}
-	for _, p := range pkts {
-		rewriteAddrs(p, mapAddr)
 	}
 }
 

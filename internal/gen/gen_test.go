@@ -2,6 +2,8 @@ package gen
 
 import (
 	"bytes"
+	"io"
+	"reflect"
 	"testing"
 
 	"repro/internal/packet"
@@ -283,6 +285,49 @@ func TestGeneratedTraceSurvivesTraceFormats(t *testing.T) {
 		}
 		if len(got) != len(pkts) {
 			t.Errorf("%v: read %d packets, want %d", f, len(got), len(pkts))
+		}
+	}
+}
+
+// TestReaderMatchesGenerate pins that the streaming reader yields the
+// packets of Generate plus the whole-slice rewrites, for each length and
+// rewrite combination: renumbering in stream order assigns addresses as
+// RenumberNLANR's pass over the slice does.
+func TestReaderMatchesGenerate(t *testing.T) {
+	for _, name := range []string{"MRA", "LAN"} {
+		prof, _ := ProfileByName(name)
+		for _, n := range []int{0, 1, 7, 1200} {
+			for _, rw := range [][2]bool{{false, false}, {true, false}, {false, true}, {true, true}} {
+				want := Generate(prof, n)
+				if rw[0] {
+					RenumberNLANR(want)
+				}
+				if rw[1] {
+					ScrambleAddrs(want)
+				}
+				r := NewReader(prof, n, rw[0], rw[1])
+				if r.Total() != int64(n) {
+					t.Fatalf("%s n=%d: Total %d", name, n, r.Total())
+				}
+				for i := 0; ; i++ {
+					p, err := r.Next()
+					if err == io.EOF {
+						if i != n {
+							t.Fatalf("%s n=%d %v: EOF after %d packets", name, n, rw, i)
+						}
+						break
+					}
+					if err != nil || i >= n || !reflect.DeepEqual(*p, *want[i]) {
+						t.Fatalf("%s n=%d %v: packet %d = %+v, %v; want %+v", name, n, rw, i, p, err, want[i])
+					}
+					if r.Pos() != int64(i+1) {
+						t.Fatalf("%s n=%d: Pos %d after %d packets", name, n, r.Pos(), i+1)
+					}
+				}
+				if _, err := r.Next(); err != io.EOF {
+					t.Fatalf("%s n=%d: Next after EOF: %v", name, n, err)
+				}
+			}
 		}
 	}
 }

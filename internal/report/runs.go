@@ -158,6 +158,9 @@ func (e *Env) extend(ent *cacheEntry, k runKey, n int) {
 	r.scalars = slices.Grow(r.scalars, n-len(r.scalars))
 	pkts := e.Trace(k.trace, n)
 	for i := len(r.scalars); i < n; i++ {
+		// Only the head's records are kept whole, so only they gather
+		// their block sets.
+		ent.bench.Collector().BlockSets = len(r.head) < e.cfg.FigurePackets
 		res, err := ent.bench.ProcessPacketAt(i, pkts[i])
 		if err != nil {
 			r.err = err

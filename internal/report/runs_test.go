@@ -232,7 +232,14 @@ func TestSharedRunExtends(t *testing.T) {
 			if !reflect.DeepEqual(before, kept) {
 				t.Errorf("%s on %s: the %d-packet view changed when the run grew to %d", app, c.trace, c.k, c.n)
 			}
-			_, recs, err := env.Run(app, c.trace, c.n, core.Options{})
+			// The fresh run gathers every block set; the head compares
+			// the first FigurePackets of them.
+			fresh, err := core.New(env.app(app), core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fresh.Collector().BlockSets = true
+			recs, err := fresh.RunPackets(env.Trace(c.trace, c.n), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

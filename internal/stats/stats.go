@@ -9,13 +9,15 @@
 // paper's "statistics as if the application had run by itself on the
 // processor".
 //
-// The collector has two cost tiers:
+// The collector has three cost tiers:
 //
 //   - summary counting (always on): per-packet instruction counts, unique
-//     instruction counts, region-split memory access counts, executed
-//     basic-block sets and, with Coverage, whole-run memory coverage
-//     (Table IV), which both engines keep inline in the collector's
-//     vm.Account with no tracer;
+//     instruction counts, region-split memory access counts and, with
+//     Coverage, whole-run memory coverage (Table IV), which both engines
+//     keep inline in the collector's vm.Account with no tracer;
+//   - executed-block sets (BlockSets) for Figures 7 and 8, gathered from
+//     the same account into each packet's record while the flag is on,
+//     and not built at all while it is off;
 //   - optional detail traces (Detail) for the individual-packet figures
 //     (6, 9) and per-instruction counts (CountPCs), for which the
 //     collector is a vm.Tracer: both engines report executed passes
@@ -44,7 +46,8 @@ type PacketRecord struct {
 	// non-packet accesses: they are application state, like table data.
 	PacketReads, PacketWrites       uint64
 	NonPacketReads, NonPacketWrites uint64
-	// Blocks is the sorted set of basic blocks executed.
+	// Blocks is the sorted set of basic blocks executed, gathered only
+	// while the collector's BlockSets is on; nil otherwise.
 	Blocks []int
 	// Fault marks a quarantined packet: processing failed with this kind
 	// under a skip policy. A faulted record keeps its Index slot so the
@@ -86,6 +89,10 @@ type Collector struct {
 	// CountPCs enables per-instruction execution counters (PCCounts),
 	// the input for gprof-style annotated listings.
 	CountPCs bool
+	// BlockSets enables each record's executed-block set
+	// (PacketRecord.Blocks), the input of Figures 7 and 8. It is read as
+	// each packet ends, so it may change between packets.
+	BlockSets bool
 
 	blocks   *analysis.BlockMap
 	textBase uint32
@@ -164,21 +171,24 @@ func (c *Collector) EndPacket() PacketRecord {
 		NonPacketReads:  a.Accesses[vm.RegionData][0] + a.Accesses[vm.RegionStack][0],
 		NonPacketWrites: a.Accesses[vm.RegionData][1] + a.Accesses[vm.RegionStack][1],
 	}
-	// Gather the executed block set (ascending ids, hence sorted) into
-	// the slab. A chunk with room for every block never reallocates
-	// mid-set, and the capped sub-slice keeps a caller's append from
-	// overwriting the next record's set. The first chunk holds one such
-	// set and each next one doubles, up to blockSlabChunk ids, so a
-	// collector that sees few packets allocates little.
-	if n := c.blocks.NumBlocks(); cap(c.slab)-len(c.slab) < n {
-		c.slab = make([]int, 0, max(n, min(2*cap(c.slab), blockSlabChunk)))
-	}
-	start := len(c.slab)
-	c.slab = a.AppendBlocks(c.slab)
-	if end := len(c.slab); end > start {
-		rec.Blocks = c.slab[start:end:end]
-	}
 	c.packets++
+	if c.BlockSets {
+		// Gather the executed block set (ascending ids, hence sorted)
+		// into the slab. A chunk with room for every block never
+		// reallocates mid-set, and the capped sub-slice keeps a
+		// caller's append from overwriting the next record's set. The
+		// first chunk holds one such set and each next one doubles, up
+		// to blockSlabChunk ids, so a collector that gathers few sets
+		// allocates little.
+		if n := c.blocks.NumBlocks(); cap(c.slab)-len(c.slab) < n {
+			c.slab = make([]int, 0, max(n, min(2*cap(c.slab), blockSlabChunk)))
+		}
+		start := len(c.slab)
+		c.slab = a.AppendBlocks(c.slab)
+		if end := len(c.slab); end > start {
+			rec.Blocks = c.slab[start:end:end]
+		}
+	}
 	return rec
 }
 

@@ -92,6 +92,7 @@ entry:
 
 func TestCollectorCounts(t *testing.T) {
 	h := newHarness(t, countingSrc)
+	h.col.BlockSets = true
 	rec := h.runPacket(t)
 	if rec.Instructions != 12 {
 		t.Errorf("Instructions = %d, want 12", rec.Instructions)
@@ -250,6 +251,7 @@ skip:
 // record's, and a packet that ran no block gets nil.
 func TestCollectorBlocksSlab(t *testing.T) {
 	h := newHarness(t, skipSrc)
+	h.col.BlockSets = true
 	h.cpu.Mem.Write32(h.cpu.Mem.Layout().PacketBase, 1)
 	a := h.run(t, true)
 	b := h.run(t, true)

@@ -64,7 +64,8 @@ type (
 	Loader = core.Loader
 	// Result is a packet's verdict plus its workload record.
 	Result = core.Result
-	// PacketRecord is the per-packet workload profile.
+	// PacketRecord is the per-packet workload profile. Its Blocks set
+	// is gathered only while the bench's Collector().BlockSets is on.
 	PacketRecord = stats.PacketRecord
 	// Summary aggregates a run.
 	Summary = stats.Summary
@@ -268,7 +269,8 @@ func InstructionOccurrences(records []PacketRecord, topK int) OccurrenceTable {
 
 // CoverageCurve computes the paper's Figure 8 curve for a finished bench:
 // the fraction of packets fully processable with the k most frequently
-// executed basic blocks, for every k.
+// executed basic blocks, for every k. It reads the records' block sets,
+// which the bench gathers only while Collector().BlockSets is on.
 func CoverageCurve(b *Bench, records []PacketRecord) []CoveragePoint {
 	return analysis.CoverageCurve(stats.BlockSets(records), b.BlockMap().NumBlocks())
 }

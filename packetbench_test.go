@@ -24,6 +24,7 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
 		}
+		bench.Collector().BlockSets = true // CoverageCurve reads the block sets
 		records, err := bench.RunPackets(pkts, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", app.Name, err)
