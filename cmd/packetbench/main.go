@@ -362,7 +362,6 @@ func run(cfg config) error {
 	// the pool's, and checkPool keeps the detail outputs off pools.
 	opts := core.Options{
 		Coverage:     true,
-		Detail:       cfg.flowDot != "", // -dumppkt traces its one packet only
 		Errors:       core.ErrorPolicy{Policy: faultPolicy, ErrorBudget: cfg.errorBudget},
 		Engine:       engine,
 		NoVerify:     cfg.noVerify,
@@ -452,11 +451,30 @@ func tally(agg *stats.Running) func(int, core.Result) {
 	}
 }
 
+// blockSeq is -flowgraph's observer: it records the blocks the current
+// packet enters, in order, by the collector's BlockSeq rule (a pass
+// enters its block when its first instruction is the block's leader),
+// without the collector's Detail traces, which nothing here reads.
+type blockSeq struct {
+	blocks *analysis.BlockMap
+	seq    []int
+}
+
+// Pass implements vm.Tracer.
+func (s *blockSeq) Pass(first, last int) {
+	if b := s.blocks.BlockOfIndex(first); s.blocks.LeaderIndex(b) == first {
+		s.seq = append(s.seq, b)
+	}
+}
+
+// Mem implements vm.Tracer; the sequence has no use for accesses.
+func (s *blockSeq) Mem(pc, addr uint32, size uint8, write bool, region vm.Region) {}
+
 // runBench streams the reader through one simulated core, up to -n
 // packets. The per-packet outputs (-dumppkt, -flowgraph, -out) read the
-// core right after each packet, before the next one overwrites it, and
-// the collector traces only the packets they read: -dumppkt's one, or
-// every packet under -flowgraph.
+// core right after each packet, before the next one overwrites it. The
+// collector traces only -dumppkt's packet; -flowgraph folds each
+// packet's block sequence from its own pass observer.
 func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj *faultinject.Injector) error {
 	bench, err := core.New(app, opts)
 	if err != nil {
@@ -494,8 +512,11 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 	agg := &stats.Running{}
 	onResult := tally(agg)
 	var graph *analysis.FlowGraph
+	var seq *blockSeq
 	if cfg.flowDot != "" {
 		graph = analysis.NewFlowGraph(bench.BlockMap().NumBlocks())
+		seq = &blockSeq{blocks: bench.BlockMap()}
+		bench.AddTracer(seq)
 	}
 	for i := 0; cfg.count <= 0 || i < cfg.count; i++ {
 		p, err := r.Next()
@@ -504,7 +525,7 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 		}
 		var res core.Result
 		if err == nil {
-			col.Detail = opts.Detail || i == cfg.dumpPkt
+			col.Detail = i == cfg.dumpPkt
 			res, err = bench.ProcessPacketAt(i, p)
 		}
 		if err != nil {
@@ -520,7 +541,7 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 				dumpTrace(bench, i, res)
 			}
 			if graph != nil {
-				graph.Add(col.BlockSeq)
+				graph.Add(seq.seq)
 			}
 			if outW != nil {
 				out := *p
@@ -529,6 +550,9 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 					fmt.Fprintln(os.Stderr, "packetbench: write:", err)
 				}
 			}
+		}
+		if seq != nil {
+			seq.seq = seq.seq[:0]
 		}
 		onResult(i, res)
 	}

@@ -13,6 +13,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/route"
@@ -110,6 +112,49 @@ func TestRunAnnotateAndFlowgraph(t *testing.T) {
 	}
 	if !bytes.Contains(data, []byte("digraph")) {
 		t.Errorf("flow graph not Graphviz: %q", data[:min(len(data), 40)])
+	}
+}
+
+// TestFlowgraphMatchesCollector: -flowgraph's pass observer builds the
+// graph the Detail collector's BlockSeq gives, packet by packet, on both
+// engines, with and without -dumppkt arming the collector beside it.
+func TestFlowgraphMatchesCollector(t *testing.T) {
+	prof, _ := gen.ProfileByName("MRA")
+	pkts := gen.Generate(prof, 300)
+	var dsts []uint32
+	for _, p := range pkts {
+		dsts = append(dsts, binary.BigEndian.Uint32(p.Data[16:]))
+	}
+	tbl := route.TableFromTraffic(dsts, 512, 16, 1)
+	for _, app := range []*core.App{apps.IPv4Radix(tbl), apps.IPv4Trie(tbl), apps.FlowClassification(64), apps.TSAApp(1)} {
+		for _, engine := range []core.EngineKind{core.EngineThreaded, core.EngineInterpreter} {
+			ref, err := core.New(app, core.Options{Detail: true, Engine: engine})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := analysis.NewFlowGraph(ref.BlockMap().NumBlocks())
+			for i, p := range pkts {
+				if _, err := ref.ProcessPacketAt(i, p); err != nil {
+					t.Fatal(err)
+				}
+				want.Add(ref.Collector().BlockSeq)
+			}
+			for _, dump := range []int{-1, 7} {
+				cfg := testConfig(app.Name, "", len(pkts))
+				cfg.flowDot = filepath.Join(t.TempDir(), "g.dot")
+				cfg.dumpPkt = dump
+				if err := runBench(app, trace.NewSliceReader(pkts), &cfg, core.Options{Coverage: true, Engine: engine}, nil); err != nil {
+					t.Fatal(err)
+				}
+				got, err := os.ReadFile(cfg.flowDot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(got) != want.Dot() {
+					t.Errorf("%s on %v, -dumppkt %d: the graph differs from the collector's BlockSeq graph", app.Name, engine, dump)
+				}
+			}
+		}
 	}
 }
 

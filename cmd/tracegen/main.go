@@ -99,11 +99,14 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 		}
 	}
 	var n, bytes int
-	// Round-robin sharding keeps each shard's timestamps monotone (the
-	// generator's are), so a timestamp-merged replay of the shards
-	// reproduces the original trace exactly. The generator ends with
-	// io.EOF, its only error.
-	for p, err := src.Next(); err == nil; p, err = src.Next() {
+	// The writers copy each packet out, so every packet is generated
+	// into one Packet and one buffer. Round-robin sharding keeps each
+	// shard's timestamps monotone (the generator's are), so a
+	// timestamp-merged replay of the shards reproduces the original
+	// trace exactly. The generator ends with io.EOF, its only error.
+	p := new(trace.Packet)
+	buf := make([]byte, 1<<16)
+	for src.NextInto(p, buf) == nil {
 		if err := writers[n%shards].WritePacket(p); err != nil {
 			if format == trace.FormatTSH && len(p.Data) > 0 && p.Data[0]&0x0F > 5 {
 				err = fmt.Errorf("profile %s gives %g%% of packets IP options, which TSH records cannot hold; write .pcap instead: %w",

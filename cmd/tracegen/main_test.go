@@ -1,13 +1,74 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/trace"
 )
+
+// TestRunMatchesGenerate: each shard file holds, byte for byte, its
+// round-robin share of gen.Generate's packets written in the file's
+// format, after the whole-slice rewrites asked for.
+func TestRunMatchesGenerate(t *testing.T) {
+	for _, c := range []struct {
+		profile, ext       string
+		shards             int
+		renumber, scramble bool
+	}{
+		{"MRA", ".pcap", 1, false, false},
+		{"COS", ".pcap", 1, true, true},
+		{"ODU", ".pcap", 3, true, false},
+		{"LAN", ".tsh", 3, false, true},
+	} {
+		const n = 3000
+		prof, err := gen.ProfileByName(c.profile)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkts := gen.Generate(prof, n)
+		if c.renumber {
+			gen.RenumberNLANR(pkts)
+		}
+		if c.scramble {
+			gen.ScrambleAddrs(pkts)
+		}
+		format := trace.FormatPcap
+		if c.ext == ".tsh" {
+			format = trace.FormatTSH
+		}
+		want := make([]bytes.Buffer, c.shards)
+		ws := make([]trace.Writer, c.shards)
+		for i := range ws {
+			if ws[i], err = trace.NewWriter(&want[i], format); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, p := range pkts {
+			if err := ws[i%c.shards].WritePacket(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dir := t.TempDir()
+		out := filepath.Join(dir, "t"+c.ext)
+		if err := run(c.profile, "", out, n, c.shards, c.renumber, c.scramble); err != nil {
+			t.Fatal(err)
+		}
+		for i, name := range shardNames(out, c.shards) {
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i].Bytes()) {
+				t.Errorf("%+v: %s differs from Generate's packets (%d bytes, want %d)", c, filepath.Base(name), len(got), want[i].Len())
+			}
+		}
+	}
+}
 
 func TestRunWritesBothFormats(t *testing.T) {
 	dir := t.TempDir()

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/analysis"
@@ -486,12 +487,150 @@ func (o *outcome) collect(col *stats.Collector) {
 	o.PCCounts = append([]uint64(nil), col.PCCounts...)
 }
 
-// diff reports the first observable on which got differs from want.
+// diff reports the first observable on which got differs from want. It
+// compares the typed values first and walks the fields by reflection
+// only to name the observable that differs.
 func diff(want, got *outcome) error {
 	if !want.mem.Equal(got.mem) {
 		return errors.New("memory images differ")
 	}
-	return firstDiff("", reflect.ValueOf(*want), reflect.ValueOf(*got))
+	if sameOutcome(want, got) {
+		return nil
+	}
+	if err := firstDiff("", reflect.ValueOf(*want), reflect.ValueOf(*got)); err != nil {
+		return err
+	}
+	return errors.New("outcomes differ, but firstDiff names no observable")
+}
+
+// sameOutcome reports whether firstDiff finds the exported fields of two
+// outcomes equal, spelled out with == and slices.Equal
+// (TestDiffSeesEveryField keeps it covering every field). As in
+// firstDiff, slices of structs compare element by element, and other
+// slices as reflect.DeepEqual compares them, a nil one differing from
+// an empty one.
+func sameOutcome(w, g *outcome) bool {
+	return w.Regs == g.Regs && w.PC == g.PC && w.Steps == g.Steps && w.Ret == g.Ret &&
+		w.Reason == g.Reason && samePtr(w.Fault, g.Fault) && w.High == g.High &&
+		w.Extents == g.Extents && slices.Equal(w.Events, g.Events) &&
+		slices.EqualFunc(w.Packets, g.Packets, samePacket) &&
+		w.Coverage == g.Coverage && sameSlice(w.PCCounts, g.PCCounts) &&
+		w.Profile.Mix == g.Profile.Mix && w.Profile.Caches == g.Profile.Caches &&
+		w.Profile.Cycles == g.Profile.Cycles &&
+		// BranchStats keeps its predictor's counters unexported.
+		reflect.DeepEqual(w.Profile.Branches, g.Profile.Branches) &&
+		slices.Equal(w.Panics, g.Panics)
+}
+
+func samePacket(w, g packetOutcome) bool {
+	wr, gr := &w.Record, &g.Record
+	return w.Verdict == g.Verdict && samePtr(w.Fault, g.Fault) && sameSlice(w.Bytes, g.Bytes) &&
+		wr.Index == gr.Index && wr.Instructions == gr.Instructions && wr.Unique == gr.Unique &&
+		wr.PacketReads == gr.PacketReads && wr.PacketWrites == gr.PacketWrites &&
+		wr.NonPacketReads == gr.NonPacketReads && wr.NonPacketWrites == gr.NonPacketWrites &&
+		sameSlice(wr.Blocks, gr.Blocks) && wr.Fault == gr.Fault &&
+		sameSlice(w.BlockSeq, g.BlockSeq) && sameSlice(w.InstrTrace, g.InstrTrace) &&
+		slices.Equal(w.MemTrace, g.MemTrace)
+}
+
+// sameSlice is slices.Equal, except that, as for reflect.DeepEqual, a
+// nil slice differs from an empty one.
+func sameSlice[S ~[]E, E comparable](a, b S) bool {
+	return (a == nil) == (b == nil) && slices.Equal(a, b)
+}
+
+// samePtr compares the targets of a and b; nil equals only nil.
+func samePtr[T comparable](a, b *T) bool {
+	return a == b || a != nil && b != nil && *a == *b
+}
+
+// TestDiffSeesEveryField changes one exported field of an otherwise
+// equal outcome at a time, reaching into the first element of each
+// slice and the target of each pointer: sameOutcome must see every
+// change, and firstDiff must name the field or a field holding it. A
+// field added to an outcome is covered without editing the test.
+func TestDiffSeesEveryField(t *testing.T) {
+	r := appRows(t)[0]
+	c := cell{budget: r.budget, obs: obsMicroarch}
+	want := runCell(t, r, c)
+	if err := diff(want, runCell(t, r, c)); err != nil {
+		t.Fatalf("two runs of one cell: %v", err)
+	}
+	var changed []string
+	eachLeaf(reflect.ValueOf(want).Elem(), nil, "", func(at []int, name string) {
+		changed = append(changed, name)
+		got := runCell(t, r, c)
+		v := reflect.ValueOf(got).Elem()
+		for _, i := range at {
+			switch {
+			case i >= 0:
+				v = v.Field(i)
+			case v.Kind() == reflect.Pointer:
+				v = v.Elem()
+			default:
+				v = v.Index(0)
+			}
+		}
+		switch v.Kind() {
+		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.Slice:
+			v.Set(reflect.Append(v, reflect.Zero(v.Type().Elem())))
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+		default:
+			t.Fatalf("%s: cannot change a %v", name, v.Kind())
+		}
+		err := diff(want, got)
+		if err == nil {
+			t.Errorf("changed %s: diff sees no difference", name)
+			return
+		}
+		if path, _, ok := strings.Cut(err.Error(), " differs"); !ok || path == "" || !strings.HasPrefix(name, path) {
+			t.Errorf("changed %s: diff = %v", name, err)
+		}
+	})
+	// The cell's outcome reaches the packets' records and traces and
+	// the profiler's state.
+	for _, name := range []string{".Packets[0].Record.Instructions", ".Packets[0].MemTrace[0].Addr", ".Profile.Branches.Taken"} {
+		if !slices.Contains(changed, name) {
+			t.Errorf("%s was not changed; changed %v", name, changed)
+		}
+	}
+}
+
+// eachLeaf calls visit with the path to each exported scalar, empty
+// slice and nil pointer inside v, descending into struct fields, the
+// first element of arrays and slices, and pointer targets. A path step
+// is a field index, or -1 for an element or a pointer target.
+func eachLeaf(v reflect.Value, at []int, name string, visit func(at []int, name string)) {
+	at = at[:len(at):len(at)]
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := range v.NumField() {
+			if f := v.Type().Field(i); f.IsExported() {
+				eachLeaf(v.Field(i), append(at, i), name+"."+f.Name, visit)
+			}
+		}
+	case reflect.Array, reflect.Slice:
+		if v.Len() > 0 {
+			eachLeaf(v.Index(0), append(at, -1), name+"[0]", visit)
+			return
+		}
+		visit(at, name)
+	case reflect.Pointer:
+		if !v.IsNil() {
+			eachLeaf(v.Elem(), append(at, -1), name, visit)
+			return
+		}
+		visit(at, name)
+	default:
+		visit(at, name)
+	}
 }
 
 func firstDiff(path string, w, g reflect.Value) error {

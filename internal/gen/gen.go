@@ -226,7 +226,9 @@ type Generator struct {
 	rng *rand.Rand
 	src *rngSource
 	// slab is the unused tail of the chunk packet bytes are carved from.
-	slab  []byte
+	slab []byte
+	// opts holds the option words buildPacket copies into a packet.
+	opts  [8]byte
 	flows []flowState
 	sec   uint32
 	usec  uint32
@@ -393,12 +395,13 @@ var wellKnownPorts = []uint16{80, 443, 25, 53, 110, 143, 22, 21, 123, 8080}
 // Next generates the next packet.
 func (g *Generator) Next() *trace.Packet {
 	p := new(trace.Packet)
-	g.next(p)
+	g.next(p, nil)
 	return p
 }
 
-// next generates the next packet into p.
-func (g *Generator) next(p *trace.Packet) {
+// next generates the next packet into p, its bytes cut from buf when
+// buf holds them and from the generator's chunks otherwise.
+func (g *Generator) next(p *trace.Packet, buf []byte) {
 	var fl flowState
 	reused := -1
 	if g.rng.Float64() < g.prof.NewFlowProb {
@@ -438,7 +441,7 @@ func (g *Generator) next(p *trace.Packet) {
 		size = minPacketLen(fl.tuple.Protocol)
 	}
 
-	data := g.buildPacket(fl.tuple, size)
+	data := g.buildPacket(fl.tuple, size, buf)
 
 	// Advance the clock by an exponential-ish inter-arrival time.
 	g.usec += uint32(1 + g.rng.Intn(200))
@@ -462,7 +465,9 @@ func minPacketLen(proto uint8) int {
 // buildPacket serializes one packet for the flow with valid checksums and
 // plausible header fields, injecting the profile's rare cases (options,
 // fragments, expiring TTL) that exercise the applications' slow paths.
-func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
+// The bytes are cut from buf when it is long enough, else from the
+// generator's chunks; every byte is written either way.
+func (g *Generator) buildPacket(ft packet.FiveTuple, size int, buf []byte) []byte {
 	h := packet.IPv4Header{
 		Version: 4, IHL: 5,
 		TOS:      0,
@@ -487,7 +492,7 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 		// One or two words of NOP options terminated by end-of-list.
 		words := 1 + g.rng.Intn(2)
 		h.IHL = uint8(5 + words)
-		h.Options = make([]byte, words*4)
+		h.Options = g.opts[:words*4]
 		for i := range h.Options {
 			h.Options[i] = 1 // NOP
 		}
@@ -495,7 +500,12 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int) []byte {
 		size += words * 4
 		h.TotalLen = uint16(size)
 	}
-	b := trace.Carve(&g.slab, size, slabChunk)
+	var b []byte
+	if size <= len(buf) {
+		b = buf[:size:size]
+	} else {
+		b = trace.Carve(&g.slab, size, slabChunk)
+	}
 	// Fill the payload with deterministic pseudo-random bytes so payload
 	// processing applications have real content to chew on; the header
 	// fields are overwritten below. Each byte is the draw byte(Intn(256))
@@ -539,7 +549,7 @@ func Generate(p Profile, n int) []*trace.Packet {
 	pkts := make([]trace.Packet, n)
 	out := make([]*trace.Packet, n)
 	for i := range out {
-		g.next(&pkts[i])
+		g.next(&pkts[i], nil)
 		out[i] = &pkts[i]
 	}
 	return out
@@ -575,13 +585,31 @@ func (r *Reader) Next() (*trace.Packet, error) {
 	if r.next >= r.n {
 		return nil, io.EOF
 	}
-	r.next++
 	p := &trace.Carve(&r.pkts, 1, packetChunk)[0]
-	r.g.next(p)
-	for _, f := range r.rewrites {
-		rewriteAddrs(p, f)
-	}
+	r.read(p, nil)
 	return p, nil
+}
+
+// NextInto is Next into the caller's p, with the packet's bytes cut
+// from buf, so a packet that fits buf allocates nothing (64 KiB fits any
+// IPv4 packet). The bytes stay valid until buf is written again; a
+// packet longer than buf is cut from the reader's chunks, as Next cuts
+// it. NextInto and Next advance one stream and may be mixed.
+func (r *Reader) NextInto(p *trace.Packet, buf []byte) error {
+	if r.next >= r.n {
+		return io.EOF
+	}
+	r.read(p, buf)
+	return nil
+}
+
+// read generates the next packet into p and rewrites its addresses.
+func (r *Reader) read(p *trace.Packet, buf []byte) {
+	r.next++
+	r.g.next(p, buf)
+	if len(r.rewrites) > 0 {
+		rewriteAddrs(p, r.rewrites...)
+	}
 }
 
 // Pos implements trace.Positioned; the unit is packets.
@@ -647,14 +675,18 @@ func ScrambleAddr(a uint32) uint32 {
 	}
 }
 
-// rewriteAddrs maps the src and dst of a packet through f, fixing the
-// header checksum. Packets that do not parse are left untouched.
-func rewriteAddrs(p *trace.Packet, f func(uint32) uint32) {
+// rewriteAddrs maps the src and then the dst of a packet through each
+// of fs in turn, fixing the header checksum once: the bytes and the
+// order of the calls are those of one rewriteAddrs per function.
+// Packets that do not parse are left untouched.
+func rewriteAddrs(p *trace.Packet, fs ...func(uint32) uint32) {
 	h, err := packet.ParseIPv4(p.Data)
 	if err != nil {
 		return
 	}
-	h.Src = f(h.Src)
-	h.Dst = f(h.Dst)
+	for _, f := range fs {
+		h.Src = f(h.Src)
+		h.Dst = f(h.Dst)
+	}
 	h.MarshalInto(p.Data)
 }

@@ -331,3 +331,71 @@ func TestReaderMatchesGenerate(t *testing.T) {
 		}
 	}
 }
+
+// TestNextIntoMatchesNext pins that NextInto yields Next's packets, the
+// bytes cut from the caller's buffer (or from the reader's chunks when
+// the buffer is too short), and that the stream after any mix of the two
+// calls is Next's.
+func TestNextIntoMatchesNext(t *testing.T) {
+	for _, name := range []string{"MRA", "LAN"} {
+		prof, _ := ProfileByName(name)
+		const n = 1200
+		want := NewReader(prof, n, true, true)
+		r := NewReader(prof, n, true, true)
+		buf := make([]byte, 1<<16)
+		short := make([]byte, 100)
+		for i := 0; i < n; i++ {
+			w, err := want.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Packets 0-399 and 800-1199 go through NextInto, half of
+			// them into a buffer too short for the large ones; the
+			// middle third through Next.
+			var p trace.Packet
+			switch {
+			case i >= 400 && i < 800:
+				var q *trace.Packet
+				q, err = r.Next()
+				if q != nil {
+					p = *q
+				}
+			case i%2 == 0:
+				err = r.NextInto(&p, buf)
+				if err == nil && &p.Data[0] != &buf[0] {
+					t.Fatalf("%s packet %d: bytes not cut from the buffer", name, i)
+				}
+			default:
+				err = r.NextInto(&p, short)
+			}
+			if err != nil || !reflect.DeepEqual(p, *w) {
+				t.Fatalf("%s packet %d = %+v, %v; want %+v", name, i, p, err, *w)
+			}
+			if r.Pos() != int64(i+1) {
+				t.Fatalf("%s: Pos %d after %d packets", name, r.Pos(), i+1)
+			}
+		}
+		var p trace.Packet
+		if err := r.NextInto(&p, buf); err != io.EOF {
+			t.Fatalf("%s: NextInto after the last packet: %v", name, err)
+		}
+	}
+}
+
+// TestNextIntoAllocatesNothing: a packet generated into the caller's
+// Packet and buffer makes no allocation, renumbered and scrambled too.
+func TestNextIntoAllocatesNothing(t *testing.T) {
+	prof, _ := ProfileByName("MRA")
+	for _, rw := range [][2]bool{{false, false}, {false, true}, {true, true}} {
+		r := NewReader(prof, 1<<30, rw[0], rw[1])
+		var p trace.Packet
+		buf := make([]byte, 1<<16)
+		if allocs := testing.AllocsPerRun(20_000, func() {
+			if err := r.NextInto(&p, buf); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("renumber=%v scramble=%v: %v allocations per packet, want 0", rw[0], rw[1], allocs)
+		}
+	}
+}

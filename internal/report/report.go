@@ -11,10 +11,12 @@
 // NewEnv generates the four traces concurrently, one cell per profile
 // writing its own slot, and each cell also applies its trace's
 // preprocessing (renumbering and scrambling for MRA, COS and ODU) and
-// samples its destinations. The samples are joined in profile order and
-// both routing tables are built from them, so the environment is the
-// serial construction's bit for bit; TestEnvByteIdentical pins it at
-// several GOMAXPROCS values.
+// samples its destinations. Every trace is generated to the longest
+// count any experiment reads, for the sample, but keeps only the prefix
+// experiments read of it: Tables V and VI read COS alone. The samples
+// are joined in profile order and both routing tables are built from
+// them, so the environment is the serial construction's bit for bit;
+// TestEnvByteIdentical pins it at several GOMAXPROCS values.
 //
 // An Env simulates each (application, trace) pair once under default
 // core.Options and caches the longest run so far. Tables II/III, V/VI and
@@ -61,7 +63,9 @@ var TraceNames = []string{"MRA", "COS", "ODU", "LAN"}
 
 // Config scales the experiments. The zero value selects the paper's
 // parameters (10,000 packets for Tables II/III, 1,000 for Table IV,
-// 100,000 for Tables V/VI, 500 for the per-packet figures).
+// 100,000 for Tables V/VI, 500 for the per-packet figures). The packet
+// counts also bound what an Env holds: each trace keeps only the
+// packets the counts read of it (see keep).
 type Config struct {
 	// TablePackets is the per-trace packet count for Tables II and III.
 	TablePackets int
@@ -104,10 +108,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// keep returns how many packets of the named trace an Env holds: the
+// most any experiment reads of it. Tables II-IV and the figures read
+// every trace; Tables V and VI read COS alone. A longer request to
+// Trace gets the kept packets only.
+func (c Config) keep(traceName string) int {
+	n := max(c.TablePackets, c.CoveragePackets, c.FigurePackets)
+	if traceName == "COS" {
+		n = max(n, c.VariationPackets)
+	}
+	return n
+}
+
 // Env is the shared experimental environment: generated traces and the
 // routing tables derived from them.
 type Env struct {
-	cfg    Config
+	cfg Config
+	// traces holds the first Config.keep packets of each trace.
 	traces map[string][]*trace.Packet
 	// Table is the MAE-WEST stand-in shared by the forwarding apps.
 	Table *route.Table
@@ -120,39 +137,53 @@ type Env struct {
 	runs runCache
 }
 
-// NewEnv generates every trace at the maximum length any experiment
-// needs and derives the routing tables. The paper's preprocessing is
-// applied to the backbone traces (MRA, COS, ODU): NLANR-style sequential
-// renumbering followed by the scrambling that restores uniform routing
-// table coverage. The LAN trace is used raw, as in the paper.
-// Each profile's generator is an independent stream, so the traces are
-// built concurrently; the destination samples are joined in profile
-// order, so both tables are the serial construction's.
+// NewEnv generates the traces and derives the routing tables. The
+// paper's preprocessing is applied to the backbone traces (MRA, COS,
+// ODU): NLANR-style sequential renumbering followed by the scrambling
+// that restores uniform routing table coverage. The LAN trace is used
+// raw, as in the paper.
+//
+// Every trace is generated to the maximum length any experiment reads
+// of any trace, and every fourth packet's destination joins the tables'
+// sample, but each trace keeps only the packets experiments read of it
+// (Config.keep): the rest are generated into one reused buffer and give
+// only their destination. Each profile's generator is an independent
+// stream, so the traces are built concurrently; the samples are joined
+// in profile order, so both tables are the serial construction's.
 func NewEnv(cfg Config) *Env {
 	cfg = cfg.withDefaults()
-	maxLen := cfg.TablePackets
-	for _, n := range []int{cfg.CoveragePackets, cfg.VariationPackets, cfg.FigurePackets} {
-		if n > maxLen {
-			maxLen = n
-		}
-	}
+	maxLen := max(cfg.TablePackets, cfg.CoveragePackets, cfg.VariationPackets, cfg.FigurePackets)
 	profs := gen.Profiles()
 	traces := make([][]*trace.Packet, len(profs))
 	samples := make([][]uint32, len(profs))
 	forCells(len(profs), func(i int) error {
-		pkts := gen.Generate(profs[i], maxLen)
-		if profs[i].Name != "LAN" {
-			gen.RenumberNLANR(pkts)
-			gen.ScrambleAddrs(pkts)
-		}
-		traces[i] = pkts
-		// Sample destinations from every trace for the shared table (the
-		// paper's table covers the traffic it routes).
-		for j := 0; j < len(pkts); j += 4 {
-			if h, err := packet.ParseIPv4(pkts[j].Data); err == nil {
-				samples[i] = append(samples[i], h.Dst)
+		pre := profs[i].Name != "LAN"
+		r := gen.NewReader(profs[i], maxLen, pre, pre)
+		pkts := make([]*trace.Packet, 0, cfg.keep(profs[i].Name))
+		var tail trace.Packet
+		buf := make([]byte, 1<<16)
+		for j := 0; j < maxLen; j++ {
+			var p *trace.Packet
+			var err error
+			if len(pkts) < cap(pkts) {
+				p, err = r.Next()
+				pkts = append(pkts, p)
+			} else {
+				p = &tail
+				err = r.NextInto(p, buf)
+			}
+			if err != nil {
+				return err
+			}
+			// Sample destinations from every trace for the shared table
+			// (the paper's table covers the traffic it routes).
+			if j%4 == 0 {
+				if h, err := packet.ParseIPv4(p.Data); err == nil {
+					samples[i] = append(samples[i], h.Dst)
+				}
 			}
 		}
+		traces[i] = pkts
 		return nil
 	})
 	e := &Env{cfg: cfg, traces: make(map[string][]*trace.Packet, len(profs))}
@@ -182,15 +213,15 @@ func NewEnv(cfg Config) *Env {
 // Config returns the resolved configuration.
 func (e *Env) Config() Config { return e.cfg }
 
-// Trace returns the first n packets of a named trace, nil for a name
-// outside TraceNames (Run, Profile, HotBlocks and Spans reject such a
-// name; see CheckTrace).
+// Trace returns the first n packets of a named trace, at most the
+// Config.keep packets the Env holds of it, and nil for a name outside
+// TraceNames (Run, Profile, HotBlocks and Spans reject such a name; see
+// CheckTrace). The result's capacity is its length, so an append to it
+// copies rather than overwriting the packets that follow.
 func (e *Env) Trace(name string, n int) []*trace.Packet {
 	pkts := e.traces[name]
-	if n > len(pkts) {
-		n = len(pkts)
-	}
-	return pkts[:n]
+	n = min(n, len(pkts))
+	return pkts[:n:n]
 }
 
 // CheckTrace returns an error listing TraceNames, the only traces an Env

@@ -3,13 +3,17 @@ package report
 import (
 	"crypto/sha256"
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/route"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // testConfig is a scaled-down configuration keeping tests fast while
@@ -391,26 +395,61 @@ func TestEnvDeterminism(t *testing.T) {
 	}
 }
 
-// TestEnvByteIdentical pins a hash of everything NewEnv(testConfig)
-// builds: every packet of the four traces in TraceNames order, then the
-// entries of Table and SmallTable. NewEnv generates the traces
-// concurrently, so the hash is checked at several GOMAXPROCS values; it
-// was recorded from the serial generator. If this test fails, the
-// environment every experiment reads has changed — fix the generation
-// order, never re-pin the hash.
+// serialTrace is the named trace as the serial construction builds it:
+// Generate's first n packets, renumbered and then scrambled unless the
+// trace is LAN.
+func serialTrace(t testing.TB, name string, n int) []*trace.Packet {
+	t.Helper()
+	prof, err := gen.ProfileByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := gen.Generate(prof, n)
+	if name != "LAN" {
+		gen.RenumberNLANR(pkts)
+		gen.ScrambleAddrs(pkts)
+	}
+	return pkts
+}
+
+// TestEnvByteIdentical pins a hash of the serial construction of
+// NewEnv(testConfig): every packet of the four traces, each generated to
+// the longest count the config reads, in TraceNames order, then the
+// entries of the Env's Table and SmallTable. NewEnv builds the traces
+// concurrently and keeps a prefix of each, so at several GOMAXPROCS
+// values the test checks the hash over the Env's tables and checks that
+// each Env trace is the construction's prefix of Config.keep packets.
+// The hash was recorded from the serial generator. If this test fails,
+// the environment every experiment reads has changed — fix the
+// generation order, never re-pin the hash.
 func TestEnvByteIdentical(t *testing.T) {
 	const want = "d5ab53f1012da72bbe40737358851ade"
+	cfg := testConfig.withDefaults()
+	maxLen := max(cfg.TablePackets, cfg.CoveragePackets, cfg.VariationPackets, cfg.FigurePackets)
+	full := make(map[string][]*trace.Packet, len(TraceNames))
+	for _, name := range TraceNames {
+		full[name] = serialTrace(t, name, maxLen)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 4} {
 		runtime.GOMAXPROCS(procs)
 		e := NewEnv(testConfig)
 		h := sha256.New()
 		for _, name := range TraceNames {
-			pkts := e.traces[name]
+			pkts := full[name]
 			fmt.Fprintf(h, "%s %d\n", name, len(pkts))
 			for _, p := range pkts {
 				fmt.Fprintf(h, "%d.%06d %d %d ", p.Sec, p.Usec, p.WireLen, len(p.Data))
 				h.Write(p.Data)
+			}
+			kept := e.traces[name]
+			if len(kept) != cfg.keep(name) {
+				t.Errorf("GOMAXPROCS=%d: %s holds %d packets, want %d", procs, name, len(kept), cfg.keep(name))
+			}
+			for j, p := range kept[:min(len(kept), len(pkts))] {
+				if !reflect.DeepEqual(*p, *pkts[j]) {
+					t.Fatalf("GOMAXPROCS=%d: %s packet %d differs from the serial construction's", procs, name, j)
+				}
 			}
 		}
 		for _, tbl := range []*route.Table{e.Table, e.SmallTable} {
@@ -422,6 +461,68 @@ func TestEnvByteIdentical(t *testing.T) {
 		if got := fmt.Sprintf("%x", h.Sum(nil)[:16]); got != want {
 			t.Errorf("GOMAXPROCS=%d: environment hash = %s, want %s (traces or route tables changed!)", procs, got, want)
 		}
+	}
+}
+
+// TestEnvTraceLengths pins how many packets each trace keeps: the most
+// any experiment reads of it, with COS alone serving Tables V and VI.
+// pbreport's single-trace modes build Config{TablePackets: n}, so every
+// trace must hold n packets whatever n is.
+func TestEnvTraceLengths(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want map[string]int
+	}{
+		{"default", Config{}, map[string]int{"MRA": 10_000, "COS": 100_000, "ODU": 10_000, "LAN": 10_000}},
+		{"testConfig", testConfig, map[string]int{"MRA": 150, "COS": 300, "ODU": 150, "LAN": 150}},
+		{"traceEnv 10", Config{TablePackets: 10}, map[string]int{"MRA": 1_000, "COS": 100_000, "ODU": 1_000, "LAN": 1_000}},
+		{"traceEnv 5000", Config{TablePackets: 5000}, map[string]int{"MRA": 5_000, "COS": 100_000, "ODU": 5_000, "LAN": 5_000}},
+		{"traceEnv 150000", Config{TablePackets: 150_000}, map[string]int{"MRA": 150_000, "COS": 150_000, "ODU": 150_000, "LAN": 150_000}},
+	} {
+		cfg := c.cfg.withDefaults()
+		for _, name := range TraceNames {
+			if got := cfg.keep(name); got != c.want[name] {
+				t.Errorf("%s: %s keeps %d packets, want %d", c.name, name, got, c.want[name])
+			}
+		}
+	}
+	// NewEnv holds exactly the kept packets. A scaled config of the
+	// traceEnv shape, TablePackets above every other count, keeps it on
+	// every trace; the other one keeps VariationPackets of COS.
+	small := Config{CoveragePackets: 20, VariationPackets: 300, FigurePackets: 20, RoutePrefixes: 200, SmallRoutePrefixes: 20}
+	for _, tp := range []int{100, 400} {
+		cfg := small
+		cfg.TablePackets = tp
+		e := NewEnv(cfg)
+		for _, name := range TraceNames {
+			want := tp
+			if name == "COS" {
+				want = max(tp, 300)
+			}
+			if got := len(e.Trace(name, 1_000)); got != want {
+				t.Errorf("TablePackets %d: Trace(%s, 1000) holds %d packets, want %d", tp, name, got, want)
+			}
+		}
+	}
+}
+
+// TestTraceClipsCapacity: appending to a returned prefix leaves the
+// Env's later packets alone.
+func TestTraceClipsCapacity(t *testing.T) {
+	e := NewEnv(testConfig)
+	orig := slices.Clone(e.traces["MRA"])
+	pkts := e.Trace("MRA", 10)
+	if cap(pkts) != 10 {
+		t.Errorf("Trace(MRA, 10) has capacity %d, want 10", cap(pkts))
+	}
+	pkts = append(pkts, &trace.Packet{Data: []byte{0x45}})
+	pkts[10].Sec = 7
+	if !slices.Equal(e.traces["MRA"], orig) {
+		t.Error("appending to a prefix overwrote the Env's packets")
+	}
+	if got := e.Trace("MRA", 11); got[10] != orig[10] {
+		t.Errorf("Trace(MRA, 11)[10] = %+v, want the Env's packet %+v", got[10], orig[10])
 	}
 }
 

@@ -124,11 +124,14 @@ func TestSharedRunFailure(t *testing.T) {
 
 // TestSharedRunFailsAfterProfile runs every MRA run into a faulting
 // packet past TablePackets: the runs keep the profile they snapshotted
-// at TablePackets, so Microarch still serves a fresh profile's rows.
+// at TablePackets, so Microarch still serves a fresh profile's rows. The
+// Env holds TablePackets of MRA, so the test extends its copy with the
+// serial construction's next packets.
 func TestSharedRunFailsAfterProfile(t *testing.T) {
 	n := testConfig.TablePackets
 	env := NewEnv(testConfig)
 	mra := append([]*trace.Packet(nil), env.traces["MRA"]...)
+	mra = append(mra, serialTrace(t, "MRA", n+10)[len(mra):]...)
 	mra[n+5] = &trace.Packet{Data: make([]byte, core.MaxPacketLen+1)}
 	env.traces["MRA"] = mra
 	want, err := freshMicroarch(env, n)
@@ -193,7 +196,9 @@ func TestSharedRunConcurrentRequests(t *testing.T) {
 // its records equal a fresh n-packet run's, stateful Flow Classification
 // included. The view taken before the extension, read concurrently while
 // the run grows, keeps its packets. One pair starts below FigurePackets
-// and ends above it; the other starts above it.
+// and ends above it; the other starts above it and ends short of the
+// TablePackets the Env holds of MRA, since a run that covers its whole
+// trace releases its bench.
 func TestSharedRunExtends(t *testing.T) {
 	env := NewEnv(testConfig)
 	fig := testConfig.FigurePackets
@@ -201,7 +206,7 @@ func TestSharedRunExtends(t *testing.T) {
 		for _, c := range []struct {
 			trace string
 			k, n  int
-		}{{"COS", fig / 2, 2*fig - 40}, {"MRA", fig + 10, testConfig.TablePackets}} {
+		}{{"COS", fig / 2, 2*fig - 40}, {"MRA", fig + 10, testConfig.TablePackets - 10}} {
 			before, err := env.shared(app, c.trace, c.k)
 			if err != nil {
 				t.Fatal(err)

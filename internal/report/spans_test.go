@@ -2,10 +2,24 @@ package report
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/ptrace"
 )
+
+// spanPackets is how many MRA packets the span tests trace.
+const spanPackets = 200
+
+// spansEnv is testConfig's environment holding spanPackets of MRA: an
+// Env keeps TablePackets (150) of it. Raising TablePackets to 200 leaves
+// the longest count, and so the routing tables and every packet, as
+// they are.
+var spansEnv = sync.OnceValue(func() *Env {
+	cfg := testConfig
+	cfg.TablePackets = spanPackets
+	return NewEnv(cfg)
+})
 
 // spanClock is a deterministic clock for golden-stable span reports:
 // every read advances time by a fixed step, so latencies depend only
@@ -20,11 +34,11 @@ func spanClock() func() int64 {
 }
 
 func TestSpansDeterministic(t *testing.T) {
-	a, err := sharedEnv.Spans("IPv4-radix", "MRA", 200, 3, spanClock())
+	a, err := spansEnv().Spans("IPv4-radix", "MRA", spanPackets, 3, spanClock())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sharedEnv.Spans("IPv4-radix", "MRA", 200, 3, spanClock())
+	b, err := spansEnv().Spans("IPv4-radix", "MRA", spanPackets, 3, spanClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +48,7 @@ func TestSpansDeterministic(t *testing.T) {
 }
 
 func TestSpansStageBreakdown(t *testing.T) {
-	r, err := sharedEnv.Spans("IPv4-radix", "MRA", 200, 3, spanClock())
+	r, err := spansEnv().Spans("IPv4-radix", "MRA", spanPackets, 3, spanClock())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +58,8 @@ func TestSpansStageBreakdown(t *testing.T) {
 			exec = &r.Stages[i]
 		}
 	}
-	if exec == nil || exec.Count != 200 {
-		t.Fatalf("exec stage = %+v, want one span per packet (200)", exec)
+	if exec == nil || exec.Count != spanPackets {
+		t.Fatalf("exec stage = %+v, want one span per packet (%d)", exec, spanPackets)
 	}
 	if len(r.Tail) != 3 {
 		t.Fatalf("tail = %d journeys, want 3", len(r.Tail))
@@ -68,7 +82,7 @@ func TestGoldenSpans(t *testing.T) {
 		{"spans_radix", "IPv4-radix"},
 		{"spans_tsa", "TSA"},
 	} {
-		r, err := sharedEnv.Spans(tc.app, "MRA", 200, 3, spanClock())
+		r, err := spansEnv().Spans(tc.app, "MRA", spanPackets, 3, spanClock())
 		if err != nil {
 			t.Fatal(err)
 		}
