@@ -575,7 +575,7 @@ func runBench(app *core.App, r trace.Reader, cfg *config, opts core.Options, inj
 		if err := os.WriteFile(cfg.flowDot, []byte(graph.Dot()), 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("\nwrote weighted flow graph (%d edges) to %s\n", len(graph.Edges), cfg.flowDot)
+		fmt.Printf("\nwrote weighted flow graph (%d edges) to %s\n", graph.NumEdges(), cfg.flowDot)
 	}
 	return writeOutputs(cfg, app, bench, opts)
 }

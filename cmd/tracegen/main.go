@@ -11,6 +11,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -78,6 +79,7 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 	}
 	names := shardNames(output, shards)
 	files := make([]*os.File, 0, len(names))
+	bufs := make([]*bufio.Writer, len(names))
 	writers := make([]trace.Writer, len(names))
 	// fail closes and removes every shard file this run created, so a
 	// failed run leaves no partial trace behind.
@@ -94,7 +96,10 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 			return fail(err)
 		}
 		files = append(files, f)
-		if writers[i], err = trace.NewWriter(f, format); err != nil {
+		// A writer makes two small writes per record; the buffer turns
+		// them into one system call per 64 KiB.
+		bufs[i] = bufio.NewWriterSize(f, 64<<10)
+		if writers[i], err = trace.NewWriter(bufs[i], format); err != nil {
 			return fail(err)
 		}
 	}
@@ -117,7 +122,10 @@ func run(profile, spec, output string, count, shards int, renumber, scramble boo
 		n++
 		bytes += p.WireLen
 	}
-	for _, f := range files {
+	for i, f := range files {
+		if err := bufs[i].Flush(); err != nil {
+			return fail(err)
+		}
 		if err := f.Close(); err != nil {
 			return fail(err)
 		}

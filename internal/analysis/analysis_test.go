@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/asm"
@@ -230,24 +229,34 @@ func TestFlowGraph(t *testing.T) {
 	for _, seq := range seqs {
 		g.Add(seq)
 	}
-	if g.Edges[[2]int{0, 1}] != 2 {
-		t.Errorf("edge 0->1 = %d, want 2", g.Edges[[2]int{0, 1}])
+	if g.Edge(0, 1) != 2 {
+		t.Errorf("edge 0->1 = %d, want 2", g.Edge(0, 1))
 	}
-	if g.Edges[[2]int{1, 2}] != 2 {
-		t.Errorf("edge 1->2 = %d, want 2", g.Edges[[2]int{1, 2}])
+	if g.Edge(1, 2) != 2 {
+		t.Errorf("edge 1->2 = %d, want 2", g.Edge(1, 2))
 	}
-	if g.Edges[[2]int{1, 1}] != 1 {
-		t.Errorf("self edge = %d, want 1", g.Edges[[2]int{1, 1}])
+	if g.Edge(1, 1) != 1 {
+		t.Errorf("self edge = %d, want 1", g.Edge(1, 1))
 	}
-	if g.Edges[[2]int{0, 2}] != 1 {
-		t.Errorf("edge 0->2 = %d, want 1", g.Edges[[2]int{0, 2}])
+	if g.Edge(0, 2) != 1 {
+		t.Errorf("edge 0->2 = %d, want 1", g.Edge(0, 2))
 	}
-	if g.NodeWeight[0] != 3 || g.NodeWeight[1] != 3 || g.NodeWeight[2] != 3 {
-		t.Errorf("node weights = %v", g.NodeWeight)
+	if g.NodeWeight(0) != 3 || g.NodeWeight(1) != 3 || g.NodeWeight(2) != 3 {
+		t.Errorf("node weights = %d, %d, %d; want 3 each", g.NodeWeight(0), g.NodeWeight(1), g.NodeWeight(2))
 	}
-	dot := g.Dot()
-	if !strings.Contains(dot, "digraph") || !strings.Contains(dot, "b0 -> b1") {
-		t.Errorf("Dot output malformed:\n%s", dot)
+	if g.NumEdges() != 4 {
+		t.Errorf("%d edges, want 4", g.NumEdges())
+	}
+	// Block 1's edges were first taken to 2, then to 1; Dot sorts them.
+	const want = `digraph packetflow {
+  b0 -> b1 [label="2"];
+  b0 -> b2 [label="1"];
+  b1 -> b1 [label="1"];
+  b1 -> b2 [label="2"];
+}
+`
+	if dot := g.Dot(); dot != want {
+		t.Errorf("Dot =\n%s\nwant\n%s", dot, want)
 	}
 }
 

@@ -9,8 +9,11 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -271,17 +274,25 @@ func MinBlocksForCoverage(curve []CoveragePoint, target float64) int {
 // block a directly to block b.
 type FlowGraph struct {
 	NumBlocks int
-	Edges     map[[2]int]uint64
-	// NodeWeight counts block executions (entries).
-	NodeWeight map[int]uint64
+	// weight[b] counts executions (entries) of block b.
+	weight []uint64
+	// succ[a] holds the edges out of block a in the order first taken.
+	// A block has one or two successors (more only behind an indirect
+	// jump), so a scan of the list finds an edge.
+	succ [][]flowEdge
+}
+
+type flowEdge struct {
+	to int
+	w  uint64
 }
 
 // NewFlowGraph returns an empty flow graph over numBlocks blocks.
 func NewFlowGraph(numBlocks int) *FlowGraph {
 	return &FlowGraph{
-		NumBlocks:  numBlocks,
-		Edges:      make(map[[2]int]uint64),
-		NodeWeight: make(map[int]uint64),
+		NumBlocks: numBlocks,
+		weight:    make([]uint64, numBlocks),
+		succ:      make([][]flowEdge, numBlocks),
 	}
 }
 
@@ -290,35 +301,61 @@ func NewFlowGraph(numBlocks int) *FlowGraph {
 // builds it as each packet ends and keeps no sequence.
 func (g *FlowGraph) Add(seq []int) {
 	for i, b := range seq {
-		g.NodeWeight[b]++
+		g.weight[b]++
 		if i > 0 {
-			g.Edges[[2]int{seq[i-1], b}]++
+			g.addEdge(seq[i-1], b)
 		}
 	}
 }
 
-// Dot renders the flow graph in Graphviz format with edge weights.
-func (g *FlowGraph) Dot() string {
-	type edge struct {
-		from, to int
-		w        uint64
-	}
-	edges := make([]edge, 0, len(g.Edges))
-	for e, w := range g.Edges {
-		edges = append(edges, edge{e[0], e[1], w})
-	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].from != edges[j].from {
-			return edges[i].from < edges[j].from
+func (g *FlowGraph) addEdge(from, to int) {
+	es := g.succ[from]
+	for i := range es {
+		if es[i].to == to {
+			es[i].w++
+			return
 		}
-		return edges[i].to < edges[j].to
-	})
-	s := "digraph packetflow {\n"
-	for _, e := range edges {
-		s += fmt.Sprintf("  b%d -> b%d [label=\"%d\"];\n", e.from, e.to, e.w)
 	}
-	s += "}\n"
-	return s
+	g.succ[from] = append(es, flowEdge{to: to, w: 1})
+}
+
+// NodeWeight returns how many times block b was entered.
+func (g *FlowGraph) NodeWeight(b int) uint64 { return g.weight[b] }
+
+// Edge returns how many times execution went from block from straight
+// to block to.
+func (g *FlowGraph) Edge(from, to int) uint64 {
+	for _, e := range g.succ[from] {
+		if e.to == to {
+			return e.w
+		}
+	}
+	return 0
+}
+
+// NumEdges returns the number of distinct edges taken.
+func (g *FlowGraph) NumEdges() int {
+	n := 0
+	for _, es := range g.succ {
+		n += len(es)
+	}
+	return n
+}
+
+// Dot renders the flow graph in Graphviz format with edge weights,
+// ordered by source block and then by target block. It sorts each
+// block's edges in place.
+func (g *FlowGraph) Dot() string {
+	var s strings.Builder
+	s.WriteString("digraph packetflow {\n")
+	for from, es := range g.succ {
+		slices.SortFunc(es, func(a, b flowEdge) int { return cmp.Compare(a.to, b.to) })
+		for _, e := range es {
+			fmt.Fprintf(&s, "  b%d -> b%d [label=\"%d\"];\n", from, e.to, e.w)
+		}
+	}
+	s.WriteString("}\n")
+	return s.String()
 }
 
 func max(a, b int) int {

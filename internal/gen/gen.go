@@ -400,8 +400,10 @@ func (g *Generator) Next() *trace.Packet {
 }
 
 // next generates the next packet into p, its bytes cut from buf when
-// buf holds them and from the generator's chunks otherwise.
-func (g *Generator) next(p *trace.Packet, buf []byte) {
+// buf holds them and from the generator's chunks otherwise, and returns
+// the packet's addresses as generated. With p nil it makes the same
+// draws and writes nothing (see buildPacket).
+func (g *Generator) next(p *trace.Packet, buf []byte) (src, dst uint32) {
 	var fl flowState
 	reused := -1
 	if g.rng.Float64() < g.prof.NewFlowProb {
@@ -441,7 +443,7 @@ func (g *Generator) next(p *trace.Packet, buf []byte) {
 		size = minPacketLen(fl.tuple.Protocol)
 	}
 
-	data := g.buildPacket(fl.tuple, size, buf)
+	data := g.buildPacket(fl.tuple, size, buf, p != nil)
 
 	// Advance the clock by an exponential-ish inter-arrival time.
 	g.usec += uint32(1 + g.rng.Intn(200))
@@ -449,7 +451,10 @@ func (g *Generator) next(p *trace.Packet, buf []byte) {
 		g.usec -= 1_000_000
 		g.sec++
 	}
-	*p = trace.Packet{Sec: g.sec, Usec: g.usec, Data: data, WireLen: len(data)}
+	if p != nil {
+		*p = trace.Packet{Sec: g.sec, Usec: g.usec, Data: data, WireLen: len(data)}
+	}
+	return fl.tuple.Src, fl.tuple.Dst
 }
 
 func minPacketLen(proto uint8) int {
@@ -466,8 +471,10 @@ func minPacketLen(proto uint8) int {
 // plausible header fields, injecting the profile's rare cases (options,
 // fragments, expiring TTL) that exercise the applications' slow paths.
 // The bytes are cut from buf when it is long enough, else from the
-// generator's chunks; every byte is written either way.
-func (g *Generator) buildPacket(ft packet.FiveTuple, size int, buf []byte) []byte {
+// generator's chunks; every byte is written either way. With write
+// unset it makes the same draws but steps the source over the payload
+// and returns nil, writing no byte, header or checksum.
+func (g *Generator) buildPacket(ft packet.FiveTuple, size int, buf []byte, write bool) []byte {
 	h := packet.IPv4Header{
 		Version: 4, IHL: 5,
 		TOS:      0,
@@ -501,23 +508,35 @@ func (g *Generator) buildPacket(ft packet.FiveTuple, size int, buf []byte) []byt
 		h.TotalLen = uint16(size)
 	}
 	var b []byte
-	if size <= len(buf) {
-		b = buf[:size:size]
+	if !write {
+		g.src.skip(size)
 	} else {
-		b = trace.Carve(&g.slab, size, slabChunk)
+		if size <= len(buf) {
+			b = buf[:size:size]
+		} else {
+			b = trace.Carve(&g.slab, size, slabChunk)
+		}
+		// Fill the payload with deterministic pseudo-random bytes so
+		// payload processing applications have real content to chew on;
+		// the header fields are overwritten below. Each byte is the draw
+		// byte(Intn(256)) would make (see fillBytes).
+		g.src.fillBytes(b)
 	}
-	// Fill the payload with deterministic pseudo-random bytes so payload
-	// processing applications have real content to chew on; the header
-	// fields are overwritten below. Each byte is the draw byte(Intn(256))
-	// would make (see fillBytes).
-	g.src.fillBytes(b)
+	var seq, ack uint32
+	if ft.Protocol == packet.ProtoTCP {
+		seq = g.rng.Uint32()
+		ack = g.rng.Uint32()
+	}
+	if !write {
+		return nil
+	}
 	h.MarshalInto(b)
 	l4 := b[h.HeaderLen():]
 	switch ft.Protocol {
 	case packet.ProtoTCP:
 		th := packet.TCPHeader{
 			SrcPort: ft.SrcPort, DstPort: ft.DstPort,
-			Seq: g.rng.Uint32(), Ack: g.rng.Uint32(),
+			Seq: seq, Ack: ack,
 			DataOff: 5, Flags: 0x10, Window: 65535,
 		}
 		th.MarshalInto(l4)
@@ -560,6 +579,10 @@ func Generate(p Profile, n int) []*trace.Packet {
 // without holding the trace: it keeps only the renumbering map, which
 // grows with the distinct addresses, not the packets. It implements
 // trace.Reader, and trace.Positioned in packets.
+//
+// Next and NextInto write every byte of a packet; NextDst makes the
+// same draws and writes none, giving only the packet's destination.
+// All three advance one stream and may be mixed.
 type Reader struct {
 	g        *Generator
 	n, next  int
@@ -601,6 +624,20 @@ func (r *Reader) NextInto(p *trace.Packet, buf []byte) error {
 	}
 	r.read(p, buf)
 	return nil
+}
+
+// NextDst advances the stream by one packet, as Next does, and returns
+// only the packet's destination, rewritten as Next would rewrite it. It
+// steps the source over the payload and writes no byte, header or
+// checksum, so it allocates nothing and costs a fraction of NextInto.
+func (r *Reader) NextDst() (uint32, error) {
+	if r.next >= r.n {
+		return 0, io.EOF
+	}
+	r.next++
+	src, dst := r.g.next(nil, nil)
+	_, dst = mapAddrs(src, dst, r.rewrites)
+	return dst, nil
 }
 
 // read generates the next packet into p and rewrites its addresses.
@@ -684,9 +721,16 @@ func rewriteAddrs(p *trace.Packet, fs ...func(uint32) uint32) {
 	if err != nil {
 		return
 	}
-	for _, f := range fs {
-		h.Src = f(h.Src)
-		h.Dst = f(h.Dst)
-	}
+	h.Src, h.Dst = mapAddrs(h.Src, h.Dst, fs)
 	h.MarshalInto(p.Data)
+}
+
+// mapAddrs maps src and then dst through each of fs in turn, the order
+// a stateful map such as the renumbering sees them in.
+func mapAddrs(src, dst uint32, fs []func(uint32) uint32) (uint32, uint32) {
+	for _, f := range fs {
+		src = f(src)
+		dst = f(dst)
+	}
+	return src, dst
 }

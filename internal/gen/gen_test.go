@@ -3,6 +3,7 @@ package gen
 import (
 	"bytes"
 	"io"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -378,6 +379,77 @@ func TestNextIntoMatchesNext(t *testing.T) {
 		var p trace.Packet
 		if err := r.NextInto(&p, buf); err != io.EOF {
 			t.Fatalf("%s: NextInto after the last packet: %v", name, err)
+		}
+	}
+}
+
+// TestNextDstMatchesNext: NextDst, interleaved with Next and NextInto,
+// returns the destination ParseIPv4 reads from the same packet of a
+// stream of Next calls, and leaves the stream where Next would, for
+// each paper trace under the rewrites report.NewEnv gives it.
+func TestNextDstMatchesNext(t *testing.T) {
+	for _, prof := range Profiles() {
+		pre := prof.Name != "LAN"
+		const n = 6000
+		want := NewReader(prof, n, pre, pre)
+		r := NewReader(prof, n, pre, pre)
+		buf := make([]byte, 1<<16)
+		pick := rand.New(rand.NewSource(prof.Seed))
+		dsts := 0
+		for i := 0; i < n; i++ {
+			w, err := want.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Half the packets, picked at random, go through NextDst,
+			// so skips follow skips as well as written packets.
+			switch c := pick.Intn(8); {
+			case c < 4:
+				dsts++
+				dst, err := r.NextDst()
+				h, perr := packet.ParseIPv4(w.Data)
+				if perr != nil {
+					t.Fatalf("%s packet %d: %v", prof.Name, i, perr)
+				}
+				if err != nil || dst != h.Dst {
+					t.Fatalf("%s packet %d: NextDst = %#x, %v; want %#x", prof.Name, i, dst, err, h.Dst)
+				}
+			case c < 6:
+				p, err := r.Next()
+				if err != nil || !reflect.DeepEqual(p, w) {
+					t.Fatalf("%s packet %d = %+v, %v; want %+v", prof.Name, i, p, err, w)
+				}
+			default:
+				var p trace.Packet
+				if err := r.NextInto(&p, buf); err != nil || !reflect.DeepEqual(p, *w) {
+					t.Fatalf("%s packet %d = %+v, %v; want %+v", prof.Name, i, p, err, *w)
+				}
+			}
+			if r.Pos() != int64(i+1) {
+				t.Fatalf("%s: Pos %d after %d packets", prof.Name, r.Pos(), i+1)
+			}
+		}
+		if dsts < n/3 {
+			t.Fatalf("%s: only %d of %d packets went through NextDst", prof.Name, dsts, n)
+		}
+		if _, err := r.NextDst(); err != io.EOF {
+			t.Fatalf("%s: NextDst after the last packet: %v", prof.Name, err)
+		}
+	}
+}
+
+// TestNextDstAllocatesNothing: stepping over a packet for its
+// destination makes no allocation, renumbered and scrambled too.
+func TestNextDstAllocatesNothing(t *testing.T) {
+	prof, _ := ProfileByName("MRA")
+	for _, rw := range [][2]bool{{false, false}, {false, true}, {true, true}} {
+		r := NewReader(prof, 1<<30, rw[0], rw[1])
+		if allocs := testing.AllocsPerRun(20_000, func() {
+			if _, err := r.NextDst(); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("renumber=%v scramble=%v: %v allocations per packet, want 0", rw[0], rw[1], allocs)
 		}
 	}
 }

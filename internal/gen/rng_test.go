@@ -31,8 +31,10 @@ var randFillLengths = []int{0, 1, 272, 273, 274, 333, 334, 335, 606, 607, 608, 1
 
 // checkRandFill fills n bytes from a copied source that has made pre
 // mixed draws and compares them, and the draws after them, with the
-// same sequence on math/rand's own source.
-func checkRandFill(t *testing.T, seed int64, pre int, lengths []int) {
+// same sequence on math/rand's own source. The first skip%(n+1) draws
+// of each fill are skipped rather than filled, and math/rand's Int63
+// draws them.
+func checkRandFill(t *testing.T, seed int64, pre int, lengths []int, skip int) {
 	t.Helper()
 	src := new(rngSource)
 	src.Seed(seed)
@@ -57,11 +59,16 @@ func checkRandFill(t *testing.T, seed int64, pre int, lengths []int) {
 	}
 	mixed(pre)
 	for _, n := range lengths {
-		b := make([]byte, n)
+		k := skip % (n + 1)
+		src.skip(k)
+		for range k {
+			want.Int63()
+		}
+		b := make([]byte, n-k)
 		src.fillBytes(b)
 		for i, v := range b {
 			if w := byte(want.Int63() >> 32); v != w {
-				t.Fatalf("seed %d, fill of %d after %d draws: byte %d = %#x, math/rand gives %#x", seed, n, pre, i, v, w)
+				t.Fatalf("seed %d, fill of %d after %d draws and a skip of %d: byte %d = %#x, math/rand gives %#x", seed, n, pre, k, k+i, v, w)
 			}
 		}
 		mixed(5)
@@ -69,23 +76,27 @@ func checkRandFill(t *testing.T, seed int64, pre int, lengths []int) {
 }
 
 // TestRandFillMatchesMathRand: fillBytes draws exactly the bytes
-// math/rand would, one Int63 per byte, and leaves the source where
-// those calls would leave it.
+// math/rand would, one Int63 per byte, skip steps over the draws one
+// Int63 each, and both leave the source where those calls would leave
+// it.
 func TestRandFillMatchesMathRand(t *testing.T) {
 	for _, seed := range randFillSeeds() {
 		for _, n := range randFillLengths {
-			checkRandFill(t, seed, 0, []int{n})
+			checkRandFill(t, seed, 0, []int{n}, 0)
+			checkRandFill(t, seed, 0, []int{n}, n)
 		}
-		checkRandFill(t, seed, int(uint64(seed)%700), randFillLengths)
+		pre := int(uint64(seed) % 700)
+		checkRandFill(t, seed, pre, randFillLengths, 0)
+		checkRandFill(t, seed, pre, randFillLengths, 334+pre)
 	}
 }
 
 func FuzzRandFill(f *testing.F) {
-	f.Add(int64(0), uint16(0), uint16(0))
-	f.Add(int64(-1), uint16(273), uint16(334))
-	f.Add(int64(1<<31-1), uint16(606), uint16(9001))
-	f.Add(int64(0x4D5241), uint16(1), uint16(1500))
-	f.Fuzz(func(t *testing.T, seed int64, pre, n uint16) {
-		checkRandFill(t, seed, int(pre%2048), []int{int(n % 16384), int(pre % 700)})
+	f.Add(int64(0), uint16(0), uint16(0), uint16(0))
+	f.Add(int64(-1), uint16(273), uint16(334), uint16(273))
+	f.Add(int64(1<<31-1), uint16(606), uint16(9001), uint16(1500))
+	f.Add(int64(0x4D5241), uint16(1), uint16(1500), uint16(607))
+	f.Fuzz(func(t *testing.T, seed int64, pre, n, skip uint16) {
+		checkRandFill(t, seed, int(pre%2048), []int{int(n % 16384), int(pre % 700)}, int(skip))
 	})
 }

@@ -12,8 +12,9 @@
 // writing its own slot, and each cell also applies its trace's
 // preprocessing (renumbering and scrambling for MRA, COS and ODU) and
 // samples its destinations. Every trace is generated to the longest
-// count any experiment reads, for the sample, but keeps only the prefix
-// experiments read of it: Tables V and VI read COS alone. The samples
+// count any experiment reads, for the sample, but writes and keeps only
+// the prefix experiments read of it (Tables V and VI read COS alone):
+// past it, the generator gives destinations, not packets. The samples
 // are joined in profile order and both routing tables are built from
 // them, so the environment is the serial construction's bit for bit;
 // TestEnvByteIdentical pins it at several GOMAXPROCS values.
@@ -110,8 +111,10 @@ func (c Config) withDefaults() Config {
 
 // keep returns how many packets of the named trace an Env holds: the
 // most any experiment reads of it. Tables II-IV and the figures read
-// every trace; Tables V and VI read COS alone. A longer request to
-// Trace gets the kept packets only.
+// every trace; Tables V and VI read COS alone. Only kept packets have
+// their bytes written: the rest of each trace gives NewEnv's route
+// sample its destinations alone. A longer request to Trace gets the
+// kept packets only.
 func (c Config) keep(traceName string) int {
 	n := max(c.TablePackets, c.CoveragePackets, c.FigurePackets)
 	if traceName == "COS" {
@@ -146,8 +149,9 @@ type Env struct {
 // Every trace is generated to the maximum length any experiment reads
 // of any trace, and every fourth packet's destination joins the tables'
 // sample, but each trace keeps only the packets experiments read of it
-// (Config.keep): the rest are generated into one reused buffer and give
-// only their destination. Each profile's generator is an independent
+// (Config.keep): past those, gen.Reader.NextDst steps the stream over
+// each packet and gives only its destination, writing none of its
+// bytes. Each profile's generator is an independent
 // stream, so the traces are built concurrently; the samples are joined
 // in profile order, so both tables are the serial construction's.
 func NewEnv(cfg Config) *Env {
@@ -160,24 +164,26 @@ func NewEnv(cfg Config) *Env {
 		pre := profs[i].Name != "LAN"
 		r := gen.NewReader(profs[i], maxLen, pre, pre)
 		pkts := make([]*trace.Packet, 0, cfg.keep(profs[i].Name))
-		var tail trace.Packet
-		buf := make([]byte, 1<<16)
 		for j := 0; j < maxLen; j++ {
-			var p *trace.Packet
-			var err error
-			if len(pkts) < cap(pkts) {
-				p, err = r.Next()
-				pkts = append(pkts, p)
-			} else {
-				p = &tail
-				err = r.NextInto(p, buf)
+			// Sample destinations from every trace for the shared table
+			// (the paper's table covers the traffic it routes).
+			sample := j%4 == 0
+			if len(pkts) == cap(pkts) {
+				dst, err := r.NextDst()
+				if err != nil {
+					return err
+				}
+				if sample {
+					samples[i] = append(samples[i], dst)
+				}
+				continue
 			}
+			p, err := r.Next()
 			if err != nil {
 				return err
 			}
-			// Sample destinations from every trace for the shared table
-			// (the paper's table covers the traffic it routes).
-			if j%4 == 0 {
+			pkts = append(pkts, p)
+			if sample {
 				if h, err := packet.ParseIPv4(p.Data); err == nil {
 					samples[i] = append(samples[i], h.Dst)
 				}
